@@ -10,10 +10,12 @@ An independent route to the same vanishing statement goes through the
 two-term interval complex and its tensor powers, also built here.
 """
 
-from .graphs import enumerate_spherical, poset_chains, subset_key
+from .graphs import poset_chains, subset_key, submasks
 from .intlinalg import (invariant_factors, is_zero, kernel_basis, mat_mul,
                         ColumnSolver)
-from .kring import STAR, restrict_to_clique
+from .kring import restrict_to_clique
+
+KUNNETH_CAP = 6
 
 
 class CochainComplex:
@@ -23,10 +25,9 @@ class CochainComplex:
     are checked at construction.
     """
 
-    def __init__(self, ranks, diffs, labels=None):
+    def __init__(self, ranks, diffs):
         self.ranks = list(ranks)
         self.diffs = [[list(r) for r in d] for d in diffs]
-        self.labels = labels
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("expected %d differentials, got %d"
                              % (max(len(self.ranks) - 1, 0), len(self.diffs)))
@@ -66,16 +67,19 @@ def cohomology(complex_):
     prev_factors = []
     for k, rank in enumerate(complex_.ranks):
         d = complex_.differential(k)
-        rank_dk = len(invariant_factors(d)) if d else 0
-        rank_prev = len(prev_factors)
-        free = rank - rank_dk - rank_prev
+        factors = invariant_factors(d) if d else []
+        free = rank - len(factors) - len(prev_factors)
         torsion = [f for f in prev_factors if f > 1]
         results.append({"degree": k, "free_rank": free, "torsion": torsion})
-        prev_factors = invariant_factors(d) if d else []
+        prev_factors = factors
     return results
 
 
-def build_bredon_complex(graph, cliques=None, chains=None):
+def _sorted_submasks(graph, mask):
+    return sorted(submasks(mask), key=lambda m: subset_key(graph, m))
+
+
+def build_bredon_complex(graph):
     """Cochain complex of the clique poset with coefficients the
     representation rings of the clique subgroups.
 
@@ -84,12 +88,9 @@ def build_bredon_complex(graph, cliques=None, chains=None):
     chain's smallest clique.  The first face restricts the coefficient,
     the remaining faces alternate in sign.
     """
-    if cliques is None:
-        cliques = enumerate_spherical(graph)
+    cliques = graph.cliques
     top = max((bin(c).count("1") for c in cliques), default=0)
-    if chains is None:
-        chains = poset_chains(graph, cliques, top)
-    mono_key = lambda m: subset_key(graph, m)
+    chains = poset_chains(graph, cliques, top)
 
     def chain_key(ch):
         return tuple(subset_key(graph, c) for c in ch)
@@ -99,7 +100,7 @@ def build_bredon_complex(graph, cliques=None, chains=None):
     for per_degree in chains:
         basis = []
         for ch in sorted(per_degree, key=chain_key):
-            for mono in sorted(_submask_list(ch[0]), key=mono_key):
+            for mono in _sorted_submasks(graph, ch[0]):
                 basis.append((ch, mono))
         bases.append(basis)
         index_maps.append({bm: i for i, bm in enumerate(basis)})
@@ -115,7 +116,7 @@ def build_bredon_complex(graph, cliques=None, chains=None):
             # a monomial L of chain[1] hits mono iff L & chain[0] == mono
             face0 = chain[1:]
             j0, j1 = chain[0], chain[1]
-            for ell in _submask_list(j1):
+            for ell in submasks(j1):
                 if ell & j0 == mono:
                     d[r][index_maps[k][(face0, ell)]] += 1
             for i in range(1, len(chain)):
@@ -123,65 +124,37 @@ def build_bredon_complex(graph, cliques=None, chains=None):
                 sign = -1 if i % 2 else 1
                 d[r][index_maps[k][(face, mono)]] += sign
         diffs.append(d)
-    labels = [[(tuple(graph.subset_labels(c) for c in ch),
-                graph.subset_labels(m)) for ch, m in basis]
-              for basis in bases]
-    return CochainComplex([len(b) for b in bases], diffs, labels)
-
-
-def _submask_list(mask):
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
-
-
-def degree_zero_basis(graph, cliques):
-    """Basis of the degree-0 cochains: (clique, monomial) pairs in the
-    order used by build_bredon_complex."""
-    basis = []
-    for c in sorted(cliques, key=lambda c: subset_key(graph, c)):
-        for mono in sorted(_submask_list(c), key=lambda m: subset_key(graph, m)):
-            basis.append((c, mono))
-    return basis
+    return CochainComplex([len(b) for b in bases], diffs)
 
 
 class LimitLattice:
     """Compatible families of virtual representations, one per clique,
-    as the kernel of the degree-0 differential."""
+    as the kernel of the degree-0 differential, with a solver for
+    coordinates in its basis."""
 
-    def __init__(self, graph, cliques, basis_labels, basis_columns):
-        self.graph = graph
+    def __init__(self, cliques, basis_labels, basis_columns):
         self.cliques = cliques
         self.basis_labels = basis_labels
         self.basis_columns = basis_columns
+        self.solver = ColumnSolver(basis_columns)
 
     @property
     def rank(self):
         return len(self.basis_columns)
 
-    def coordinates_solver(self):
-        return ColumnSolver(self.basis_columns)
 
-
-def inverse_limit(graph, cliques=None, complex_=None):
+def inverse_limit(graph, complex_=None):
     """Kernel of the degree-0 differential of the Bredon complex."""
-    if cliques is None:
-        cliques = enumerate_spherical(graph)
     if complex_ is None:
-        complex_ = build_bredon_complex(graph, cliques)
+        complex_ = build_bredon_complex(graph)
     d0 = complex_.differential(0)
     if d0:
         cols = kernel_basis(d0)
     else:
         n = complex_.ranks[0]
         cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    basis = [(c, m) for c in sorted(cliques, key=lambda c: subset_key(graph, c))
-             for m in sorted(_submask_list(c), key=lambda m: subset_key(graph, m))]
-    return LimitLattice(graph, cliques, basis, cols)
+    basis = [(c, m) for c in graph.cliques for m in _sorted_submasks(graph, c)]
+    return LimitLattice(graph.cliques, basis, cols)
 
 
 def family_vector(graph, limit, element_by_clique):
@@ -204,35 +177,36 @@ def restriction_family(graph, limit, a):
 
 def monomial_family(graph, limit, monomial_mask):
     """Family of restrictions of one character monomial of the ambient
-    elementary abelian quotient (support an arbitrary vertex subset)."""
+    elementary abelian quotient (support an arbitrary vertex subset).
+    For a clique this is the restriction family of its star monomial."""
     vec = []
     for clique, mono in limit.basis_labels:
         vec.append(1 if monomial_mask & clique == mono else 0)
     return vec
 
 
-def rho_surjectivity(graph, cliques=None):
-    """Checks that restriction families of the 2^n ambient character
-    monomials span the limit lattice with index 1."""
-    if cliques is None:
-        cliques = enumerate_spherical(graph)
-    limit = inverse_limit(graph, cliques)
-    solver = limit.coordinates_solver()
+def _family_factors(graph, limit, masks):
+    """Invariant factors of the monomial families of `masks` in limit
+    coordinates, or None when one falls outside the limit lattice."""
     columns = []
-    seen = set()
-    for mono in range(1 << graph.n):
-        vec = tuple(monomial_family(graph, limit, mono))
-        if vec in seen:
-            continue
-        seen.add(vec)
-        coords = solver.solve(list(vec))
+    for mask in masks:
+        coords = limit.solver.solve(monomial_family(graph, limit, mask))
         if coords is None:
-            return {"rank": limit.rank, "image_rank": None, "index_one": False,
-                    "surjective": False,
-                    "detail": "a monomial family falls outside the limit lattice"}
+            return None
         columns.append(coords)
-    mat = [[col[i] for col in columns] for i in range(limit.rank)]
-    factors = invariant_factors(mat)
+    return invariant_factors([[col[i] for col in columns]
+                              for i in range(limit.rank)])
+
+
+def rho_surjectivity(graph, limit):
+    """Checks that restriction families of the 2^n ambient character
+    monomials span the limit lattice with index 1.  Every singleton is
+    a clique, so the 2^n families are distinct."""
+    factors = _family_factors(graph, limit, range(1 << graph.n))
+    if factors is None:
+        return {"rank": limit.rank, "image_rank": None, "index_one": False,
+                "surjective": False,
+                "detail": "a monomial family falls outside the limit lattice"}
     surjective = (len(factors) == limit.rank
                   and all(f == 1 for f in factors))
     return {
@@ -244,27 +218,14 @@ def rho_surjectivity(graph, cliques=None):
     }
 
 
-def clique_basis_isomorphism(graph, cliques=None):
+def clique_basis_isomorphism(graph, limit):
     """SNF of the map sending the clique basis of the K-ring onto the
     limit lattice; an isomorphism shows up as all invariant factors 1."""
-    from .kring import KRingElement
-
-    if cliques is None:
-        cliques = enumerate_spherical(graph)
-    limit = inverse_limit(graph, cliques)
-    solver = limit.coordinates_solver()
-    columns = []
-    for c in cliques:
-        a = KRingElement.monomial(graph, c, basis=STAR)
-        vec = restriction_family(graph, limit, a)
-        coords = solver.solve(vec)
-        if coords is None:
-            return {"isomorphism": False,
-                    "detail": "clique monomial family outside the limit lattice"}
-        columns.append(coords)
-    mat = [[col[i] for col in columns] for i in range(limit.rank)]
-    factors = invariant_factors(mat)
-    iso = (len(factors) == limit.rank == len(cliques)
+    factors = _family_factors(graph, limit, limit.cliques)
+    if factors is None:
+        return {"isomorphism": False,
+                "detail": "clique monomial family outside the limit lattice"}
+    iso = (len(factors) == limit.rank == len(limit.cliques)
            and all(f == 1 for f in factors))
     return {"rank": limit.rank, "invariant_factors": factors,
             "isomorphism": iso}
@@ -315,14 +276,14 @@ def tensor_complex(c1, c2):
     return CochainComplex([len(b) for b in bases], diffs)
 
 
-def interval_tensor_kunneth(n, cap=6):
+def interval_tensor_kunneth(n):
     """Cohomology of the n-fold tensor power of the interval complex;
     the expected answer is a single Z in degree zero."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError("n=%d exceeds the configured cap %d (ranks grow as 3^n)"
-                         % (n, cap))
+    if n > KUNNETH_CAP:
+        raise ValueError("n=%d exceeds the cap %d (ranks grow as 3^n)"
+                         % (n, KUNNETH_CAP))
     power = interval_complex()
     for _ in range(n - 1):
         power = tensor_complex(power, interval_complex())

@@ -137,12 +137,6 @@ def restriction_image(source, target, class_map):
     return Lattice(target.num_irreducibles, gens, track=True)
 
 
-def membership(lattice, v):
-    """Membership with certificate (combination of source irreducibles)
-    or the violated congruence."""
-    return lattice.membership(v)
-
-
 def parity_sweep(lattice, direction, k_range):
     """Membership of each integer multiple of a direction vector."""
     out = []

@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import bredon, charlab, kring
-from .graphs import GraphError, enumerate_spherical, parse_graph
+from .graphs import GraphError, parse_graph
 
 USAGE_ERROR = 2
 ASSERTION_FAILURE = 1
@@ -41,12 +41,19 @@ def build_parser():
     return p
 
 
+def read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise GraphError("%s is not UTF-8 text: %s" % (path, e))
+
+
 def load_graph(args):
     if not args.input:
         raise GraphError("subcommand %r requires --input" % args.subcommand)
-    with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_graph(text, "json" if args.json_input else "edge-list")
+    return parse_graph(read_text(args.input),
+                       "json" if args.json_input else "edge-list")
 
 
 def graph_header(graph):
@@ -56,11 +63,10 @@ def graph_header(graph):
 
 def run_ktheory(graph, args, rng):
     report = kring.presentation_report(graph)
-    cliques = enumerate_spherical(graph)
     samples = []
     for _ in range(5):
-        a = kring.random_element(graph, cliques, rng, basis=kring.STAR)
-        b = kring.random_element(graph, cliques, rng, basis=kring.STAR)
+        a = kring.random_element(graph, graph.cliques, rng, basis=kring.STAR)
+        b = kring.random_element(graph, graph.cliques, rng, basis=kring.STAR)
         prod = kring.multiply_star(a, b)
         oracle = kring.multiply_bar(kring.convert_basis(a, kring.BAR),
                                     kring.convert_basis(b, kring.BAR))
@@ -78,13 +84,11 @@ def run_ktheory(graph, args, rng):
 
 def run_bgw(graph, args, rng):
     pres = kring.presentation_report(graph)
-    cliques = enumerate_spherical(graph)
-    nonempty = [c for c in cliques if c]
     report = {
         "bar_relations": pres["bar_relations"],
         "additive_structure": {
             "free_part": "Z (constant terms)",
-            "two_adic_components": len(nonempty),
+            "two_adic_components": len(graph.cliques) - 1,
             "precision": args.precision,
         },
     }
@@ -100,10 +104,10 @@ def run_bgw(graph, args, rng):
         if sq != two_s:
             relations_ok = False
     indices = []
-    prev = kring.ideal_power(graph, 1, cliques)
+    prev = kring.ideal_power(graph, 1)
     max_k = 4
     for k in range(2, max_k + 1):
-        cur = kring.ideal_power(graph, k, cliques)
+        cur = kring.ideal_power(graph, k)
         if cur.rank == prev.rank:
             indices.append({"k": k - 1, "index": cur.index_in(prev)})
         else:
@@ -118,8 +122,11 @@ def run_bgw(graph, args, rng):
 
 
 def run_bredon(graph, args, rng):
-    complex_ = bredon.build_bredon_complex(graph)
-    if getattr(args, "dump_matrices", None):
+    return bredon_section(graph, bredon.build_bredon_complex(graph), args)
+
+
+def bredon_section(graph, complex_, args):
+    if args.dump_matrices:
         for k, d in enumerate(complex_.diffs):
             with open("%s.%d" % (args.dump_matrices, k), "w",
                       encoding="utf-8") as fh:
@@ -128,7 +135,7 @@ def run_bredon(graph, args, rng):
                         if x:
                             fh.write("%d %d %d\n" % (r, c, x))
     coh = bredon.cohomology(complex_)
-    d = len(enumerate_spherical(graph))
+    d = len(graph.cliques)
     ok = (coh[0]["free_rank"] == d and not coh[0]["torsion"]
           and all(c["free_rank"] == 0 and not c["torsion"] for c in coh[1:]))
     return {"ranks": complex_.ranks, "cohomology": coh,
@@ -136,17 +143,21 @@ def run_bredon(graph, args, rng):
 
 
 def run_limit(graph, args, rng):
-    limit = bredon.inverse_limit(graph)
-    rho = bredon.rho_surjectivity(graph)
-    iso = bredon.clique_basis_isomorphism(graph)
-    d = len(enumerate_spherical(graph))
+    return limit_section(graph, bredon.build_bredon_complex(graph))
+
+
+def limit_section(graph, complex_):
+    limit = bredon.inverse_limit(graph, complex_)
+    rho = bredon.rho_surjectivity(graph, limit)
+    iso = bredon.clique_basis_isomorphism(graph, limit)
+    d = len(graph.cliques)
     ok = limit.rank == d and rho["surjective"] and iso["isomorphism"]
     return {"limit_rank": limit.rank, "clique_count": d,
             "rho": rho, "clique_basis_isomorphism": iso, "ok": ok}
 
 
 def run_kunneth(graph, args, rng):
-    reports = [bredon.interval_tensor_kunneth(n, cap=max(args.kunneth_max, 6))
+    reports = [bredon.interval_tensor_kunneth(n)
                for n in range(1, args.kunneth_max + 1)]
     return {"cases": reports, "ok": all(r["ok"] for r in reports)}
 
@@ -161,8 +172,7 @@ def run_counterexample(args, rng):
 def run_mv_check(graph, args, rng):
     if not args.partition:
         raise GraphError("mv-check requires --partition")
-    with open(args.partition, encoding="utf-8") as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
+    lines = [l for l in read_text(args.partition).splitlines() if l.strip()]
     if len(lines) < 1:
         raise GraphError("partition file needs one or two label lines")
     part1 = lines[0].split()
@@ -172,11 +182,12 @@ def run_mv_check(graph, args, rng):
 
 
 def run_all(graph, args, rng):
+    complex_ = bredon.build_bredon_complex(graph)
     sections = {
         "ktheory": run_ktheory(graph, args, rng),
         "bgw": run_bgw(graph, args, rng),
-        "bredon": run_bredon(graph, args, rng),
-        "limit": run_limit(graph, args, rng),
+        "bredon": bredon_section(graph, complex_, args),
+        "limit": limit_section(graph, complex_),
         "kunneth": run_kunneth(graph, args, rng),
         "counterexample": run_counterexample(args, rng),
     }
@@ -233,8 +244,9 @@ def _flat(v):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision < 1 or args.kunneth_max < 1:
-        parser.exit(USAGE_ERROR, "precision and kunneth-max must be >= 1\n")
+    if args.precision < 1 or not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP:
+        parser.exit(USAGE_ERROR, "error: precision must be >= 1 and "
+                    "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
     rng = random.Random(args.seed)
     try:
         if args.subcommand == "counterexample":

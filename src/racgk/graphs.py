@@ -6,7 +6,7 @@ vertex order, which caps graphs at 64 vertices.
 """
 
 import json
-from itertools import combinations
+from functools import cached_property
 
 MAX_VERTICES = 64
 
@@ -62,6 +62,12 @@ class Graph:
     def __repr__(self):
         return "Graph(%r, %d edges)" % (list(self.labels), len(self.edges))
 
+    @cached_property
+    def cliques(self):
+        """All cliques, in the order of `enumerate_spherical`; enumerated
+        once per graph object."""
+        return tuple(enumerate_spherical(self))
+
     def has_edge(self, i, j):
         return bool(self.adj[i] >> j & 1)
 
@@ -106,6 +112,16 @@ class Graph:
         return sorted((self.labels[i], self.labels[j]) for i, j in self.edges)
 
 
+def submasks(mask):
+    """Every subset of a bitmask, from the mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 def subset_key(graph, mask):
     """Canonical sort key for vertex subsets: size, then member list."""
     return (bin(mask).count("1"), graph.members(mask))
@@ -124,7 +140,15 @@ def parse_graph(text, fmt="edge-list"):
             raise GraphError("malformed JSON graph: %s" % e)
         if not isinstance(data, dict) or "vertices" not in data:
             raise GraphError('JSON graph must be an object with "vertices"')
-        return Graph(data["vertices"], data.get("edges", []))
+        vertices, edges = data["vertices"], data.get("edges", [])
+        if not isinstance(vertices, list) or not all(
+                isinstance(v, str) for v in vertices):
+            raise GraphError('JSON "vertices" must be a list of strings')
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2
+                and all(isinstance(v, str) for v in e) for e in edges):
+            raise GraphError('JSON "edges" must be a list of [a, b] string pairs')
+        return Graph(vertices, edges)
     if fmt != "edge-list":
         raise GraphError("unknown graph format %r" % fmt)
     if ";" not in text:
@@ -179,13 +203,7 @@ def enumerate_spherical(graph):
     the number of spherical subgroups of the Coxeter group."""
     seen = {0}
     for m in maximal_cliques(graph):
-        verts = graph.members(m)
-        for k in range(1, len(verts) + 1):
-            for combo in combinations(verts, k):
-                sub = 0
-                for v in combo:
-                    sub |= 1 << v
-                seen.add(sub)
+        seen.update(submasks(m))
     return sorted(seen, key=lambda m: subset_key(graph, m))
 
 

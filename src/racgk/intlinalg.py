@@ -178,10 +178,6 @@ def invariant_factors(mat):
     return smith_normal_form(mat)[0]
 
 
-def matrix_rank(mat):
-    return len(invariant_factors(mat))
-
-
 def kernel_basis(mat):
     """Basis (list of vectors) of the integer kernel {x : mat @ x = 0}.
 
@@ -320,15 +316,6 @@ class Lattice:
         if det_self % det_other:
             raise ValueError("not a sublattice")
         return det_self // det_other
-
-
-def solve_columns(basis_cols, v):
-    """Integer coefficients c with sum_i c_i * basis_cols[i] = v, or None.
-
-    basis_cols must be independent; uses one SNF of the column matrix.
-    """
-    solver = ColumnSolver(basis_cols)
-    return solver.solve(v)
 
 
 class ColumnSolver:

@@ -16,7 +16,7 @@ The completion at the augmentation ideal keeps the constant term exact
 and truncates every other coefficient 2-adically.
 """
 
-from .graphs import GraphError, enumerate_spherical, subset_key, validate_decomposition
+from .graphs import submasks, subset_key, validate_decomposition
 from .intlinalg import Lattice
 
 STAR = "star"
@@ -175,21 +175,6 @@ def multiply_bar(a, b):
     return KRingElement(a.graph, BAR, out)
 
 
-def multiply(a, b):
-    if a.basis == STAR:
-        return multiply_star(a, b)
-    return multiply_bar(a, b)
-
-
-def _submasks(mask):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def convert_basis(a, target):
     """Change between the star and bar bases.
 
@@ -203,7 +188,7 @@ def convert_basis(a, target):
     out = {}
     for k, c in a.coeffs.items():
         kbits = bin(k).count("1")
-        for sub in _submasks(k):
+        for sub in submasks(k):
             if target == BAR:
                 sign = 1
             else:
@@ -239,7 +224,7 @@ def augmentation(a):
 
 def presentation_report(graph):
     """Generators, relations, clique basis and rank of the ring."""
-    cliques = enumerate_spherical(graph)
+    cliques = graph.cliques
     nonedges = [(graph.labels[i], graph.labels[j])
                 for i in range(graph.n) for j in range(i + 1, graph.n)
                 if not graph.has_edge(i, j)]
@@ -258,13 +243,12 @@ def presentation_report(graph):
     }
 
 
-def ideal_power(graph, k, cliques=None):
+def ideal_power(graph, k):
     """HNF lattice of the k-th power of the augmentation ideal, in bar
     coordinates on the clique basis."""
     if k < 1:
         raise KRingError("ideal power needs k >= 1")
-    if cliques is None:
-        cliques = enumerate_spherical(graph)
+    cliques = graph.cliques
     index = {c: i for i, c in enumerate(cliques)}
     d = len(cliques)
     gens = [1 << graph.index[v] for v in graph.labels]
@@ -413,24 +397,19 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     """Rank inclusion-exclusion plus a randomized check that the
     coordinate projections are ring maps split by monomial inclusion."""
     g1, g2, g3 = validate_decomposition(graph, part1, part2)
-    d = len(enumerate_spherical(graph))
-    d1 = len(enumerate_spherical(g1))
-    d2 = len(enumerate_spherical(g2))
-    d3 = len(enumerate_spherical(g3))
+    d, d1, d2, d3 = (len(g.cliques) for g in (graph, g1, g2, g3))
     rank_ok = (d == d1 + d2 - d3)
-    cliques = enumerate_spherical(graph)
     proj_ok = True
     split_ok = True
     for sub in (g1, g2):
-        sub_cliques = enumerate_spherical(sub)
         for _ in range(samples):
-            a = random_element(graph, cliques, rng, basis=BAR)
-            b = random_element(graph, cliques, rng, basis=BAR)
+            a = random_element(graph, graph.cliques, rng, basis=BAR)
+            b = random_element(graph, graph.cliques, rng, basis=BAR)
             pa, pb = project_to_part(a, sub), project_to_part(b, sub)
             if project_to_part(multiply_bar(a, b), sub) != multiply_bar(pa, pb):
                 proj_ok = False
-            x = random_element(sub, sub_cliques, rng, basis=BAR)
-            y = random_element(sub, sub_cliques, rng, basis=BAR)
+            x = random_element(sub, sub.cliques, rng, basis=BAR)
+            y = random_element(sub, sub.cliques, rng, basis=BAR)
             ix, iy = include_from_part(x, graph), include_from_part(y, graph)
             if include_from_part(multiply_bar(x, y), graph) != multiply_bar(ix, iy):
                 split_ok = False

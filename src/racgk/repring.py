@@ -11,6 +11,8 @@ vertex order.
 
 from fractions import Fraction
 
+from .graphs import submasks
+
 
 class RepRingError(ValueError):
     pass
@@ -110,19 +112,7 @@ def restriction(a, target):
 
 def _group_elements(ambient):
     """Bitmask supports of the elements of (C2)^J, in mask order."""
-    members = []
-    m = ambient
-    while m:
-        members.append(m & -m)
-        m &= m - 1
-    out = []
-    for pick in range(1 << len(members)):
-        g = 0
-        for i, bit in enumerate(members):
-            if pick >> i & 1:
-                g |= bit
-        out.append(g)
-    return sorted(out)
+    return sorted(submasks(ambient))
 
 
 def character_evaluation(a):

@@ -43,9 +43,10 @@ def test_criterion_2_limit_isomorphism_and_surjectivity():
     ok = True
     for name, graph, d in SUITE:
         ok &= presentation_report(graph)["rank"] == d
-        iso = clique_basis_isomorphism(graph)
+        limit = inverse_limit(graph)
+        iso = clique_basis_isomorphism(graph, limit)
         ok &= iso["isomorphism"] and iso["rank"] == d
-        ok &= rho_surjectivity(graph)["surjective"]
+        ok &= rho_surjectivity(graph, limit)["surjective"]
     report("2 (clique basis maps onto the limit with index 1)", ok)
 
 

@@ -5,12 +5,12 @@ import pytest
 from racgk.bredon import (CochainComplex, build_bredon_complex,
                           clique_basis_isomorphism, cohomology,
                           interval_complex, interval_tensor_kunneth,
-                          inverse_limit, restriction_family, rho_surjectivity,
-                          tensor_complex)
-from racgk.graphs import enumerate_spherical, parse_graph
+                          inverse_limit, monomial_family, restriction_family,
+                          rho_surjectivity, tensor_complex)
+from racgk.graphs import parse_graph
 from racgk.intlinalg import is_zero, mat_mul
 from racgk.kring import KRingElement
-from conftest import complete_graph, edgeless_graph, path_graph
+from conftest import complete_graph, edgeless_graph, graph_suite, path_graph
 
 
 def test_complex_rejects_bad_dimensions():
@@ -72,20 +72,21 @@ def test_limit_rank_edgeless_two():
 
 
 def test_limit_contains_restriction_families():
-    g = path_graph(3)
-    cliques = enumerate_spherical(g)
-    limit = inverse_limit(g, cliques)
-    solver = limit.coordinates_solver()
-    for c in cliques:
-        vec = restriction_family(g, limit, KRingElement.monomial(g, c))
-        assert solver.solve(vec) is not None
+    # monomial_family of a clique must be the restriction family of its
+    # star monomial, which lies in the limit by construction
+    for name, g, _ in graph_suite():
+        limit = inverse_limit(g)
+        for c in g.cliques:
+            vec = restriction_family(g, limit, KRingElement.monomial(g, c))
+            assert monomial_family(g, limit, c) == vec, (name, c)
+            assert limit.solver.solve(vec) is not None, (name, c)
 
 
 def test_rho_surjective(suite_entry):
     name, graph, d = suite_entry
     if name == "Petersen":
         pytest.skip("exercised in the acceptance suite")
-    rep = rho_surjectivity(graph)
+    rep = rho_surjectivity(graph, inverse_limit(graph))
     assert rep["surjective"]
     assert rep["rank"] == d
 
@@ -93,7 +94,7 @@ def test_rho_surjective(suite_entry):
 def test_rho_bijective_on_complete_graphs():
     for n in (1, 2, 3):
         g = complete_graph(n)
-        rep = rho_surjectivity(g)
+        rep = rho_surjectivity(g, inverse_limit(g))
         assert rep["surjective"]
         assert rep["rank"] == 2 ** n
 
@@ -102,7 +103,7 @@ def test_clique_basis_isomorphism(suite_entry):
     name, graph, d = suite_entry
     if name == "Petersen":
         pytest.skip("exercised in the acceptance suite")
-    rep = clique_basis_isomorphism(graph)
+    rep = clique_basis_isomorphism(graph, inverse_limit(graph))
     assert rep["isomorphism"]
     assert rep["rank"] == d
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from racgk import bredon, graphs
 from racgk.cli import main
 
 
@@ -110,3 +111,54 @@ def test_reports_are_reproducible(capsys, pentagon_file):
 def test_report_embeds_canonical_graph(capsys, pentagon_file):
     _, rep = run_json(capsys, ["bredon", "--input", pentagon_file])
     assert rep["graph"]["edges"] == sorted(rep["graph"]["edges"])
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": ["a", "b"], "edges": [["a"]]}',
+    '{"vertices": [["a"], "b"]}',
+    '{"vertices": "ab"}',
+], ids=["short-edge", "list-vertex", "string-vertices"])
+def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["ktheory", "--json-input", "--input", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.graph"
+    f.write_bytes(b"a \xff; a-\xff\n")
+    assert main(["ktheory", "--input", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_kunneth_max_above_cap_is_refused(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("tensor power built past the cap")
+
+    monkeypatch.setattr(bredon, "tensor_complex", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["kunneth", "--kunneth-max", "7"])
+    assert exc.value.code == 2
+    assert "kunneth-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["all", "limit"])
+def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
+                                         sub):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(graphs, "enumerate_spherical")
+    counted(bredon, "build_bredon_complex")
+    counted(bredon, "inverse_limit")
+    assert main([sub, "--input", pentagon_file, "--format", "json"]) == 0
+    assert calls == {"enumerate_spherical": 1, "build_bredon_complex": 1,
+                     "inverse_limit": 1}
