@@ -194,8 +194,8 @@ def _family_factors(graph, limit, masks):
         if coords is None:
             return None
         columns.append(coords)
-    return invariant_factors([[col[i] for col in columns]
-                              for i in range(limit.rank)])
+    # the matrix and its transpose share their invariant factors
+    return invariant_factors(columns)
 
 
 def rho_surjectivity(graph, limit):

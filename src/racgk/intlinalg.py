@@ -1,8 +1,14 @@
-"""Exact integer linear algebra: Smith and Hermite normal forms,
-kernels, and lattice membership with certificates.
+"""Exact integer linear algebra: invariant factors, kernels and exact
+solving by one sparse elimination kernel; Hermite normal forms and
+lattice membership with certificates.
 
-All matrices are lists of rows of Python ints; everything is exact.
+Matrices at the interface are lists of rows of Python ints; everything
+is exact.  The dense Smith normal form with both transforms is kept as
+the reference the sparse kernel is tested against.
 """
+
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 def identity(n):
@@ -14,23 +20,16 @@ def mat_mul(a, b):
         raise ValueError("matrix dimensions do not chain: %dx%d by %dx%d"
                          % (len(a), len(a[0]), len(b), len(b[0])))
     cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in a]
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        orow = [0] * cols
+        for x, brow in zip(row, sparse_b):
             if x:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    orow[j] += x * brow[j]
+                for j, y in brow:
+                    orow[j] += x * y
+        out.append(orow)
     return out
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def is_zero(a):
@@ -174,22 +173,196 @@ def _snf_pair_update(a, u, v, k, x, y, g, s, t):
         a[rr][j] = -t * yg * ai + s * xg * aj
 
 
+class _Elimination:
+    """Integer elimination on sparse rows, dicts {column: nonzero entry}.
+
+    Pivots are unit entries while any remain, found by taking the
+    shortest row or column that holds one, and in it the unit whose
+    crossing line is shortest.  Only when no unit is left is a pivot of
+    least magnitude taken, and Euclid's steps finish it exactly.
+
+    Each step clears the pivot column from the other rows by row
+    operations and retires the pivot row.  With `echelon` it stops
+    there and leaves the retired row as it stands, which gives a row
+    echelon form; each row operation is then repeated on a row of the
+    identity, so track[i] writes row i in the rows given.  Otherwise it
+    also clears the pivot row by column operations, which touch only
+    that row once its column is clear, and retires only a row whose
+    single entry is its pivot: a diagonal form, with no transform kept.
+    """
+
+    def __init__(self, rows, echelon):
+        self.rows = rows
+        self.echelon = echelon
+        self.track = [{i: 1} for i in range(len(rows))] if echelon else None
+        self.active = set(range(len(rows)))
+        self.cols = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                self.cols.setdefault(j, set()).add(i)
+        self.heap = [(len(row), 0, i) for i, row in enumerate(rows)]
+        self.heap += [(len(members), 1, j) for j, members in self.cols.items()]
+        heapify(self.heap)
+        self.pivots = []
+        self._run()
+
+    def _run(self):
+        while True:
+            pivot = self._unit_pivot() or self._least_pivot()
+            if pivot is None:
+                return
+            r, c = pivot
+            r = self._clear_column(r, c)
+            if not self.echelon and not self._clear_row(r, c):
+                continue
+            self.active.discard(r)
+            for j in self.rows[r]:
+                self.cols[j].discard(r)
+            del self.cols[c]
+            self.pivots.append((r, c))
+
+    def _unit_pivot(self):
+        """A unit entry on the shortest line that has one.  Every row
+        whose entries changed since it was last looked at is on the heap
+        again, under a length no shorter than its own, so an empty heap
+        means no active row holds a unit."""
+        heap, rows, cols = self.heap, self.rows, self.cols
+        while heap:
+            length, is_col, x = heappop(heap)
+            if is_col:
+                members = cols.get(x)
+                if not members:
+                    continue
+                if len(members) > length:
+                    heappush(heap, (len(members), 1, x))
+                    continue
+                units = [i for i in members if rows[i][x] in (1, -1)]
+                if units:
+                    return min(units, key=lambda i: len(rows[i])), x
+            elif x in self.active and len(rows[x]) <= length:
+                units = [j for j, v in rows[x].items() if v in (1, -1)]
+                if units:
+                    return x, min(units, key=lambda j: len(cols[j]))
+        return None
+
+    def _least_pivot(self):
+        best = None
+        for i in self.active:
+            for j, v in self.rows[i].items():
+                key = (abs(v), len(self.rows[i]))
+                if best is None or key < best[0]:
+                    best = key, i, j
+        return best and best[1:]
+
+    def _add(self, i, q, r):
+        """row i += q * row r."""
+        row, cols = self.rows[i], self.cols
+        for j, v in self.rows[r].items():
+            x = row.get(j)
+            if x is None:
+                row[j] = q * v
+                cols[j].add(i)
+            else:
+                x += q * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        if self.echelon:
+            t = self.track[i]
+            for j, v in self.track[r].items():
+                x = t.get(j, 0) + q * v
+                if x:
+                    t[j] = x
+                else:
+                    del t[j]
+        heappush(self.heap, (len(row), 0, i))
+
+    def _clear_column(self, r, c):
+        """Row operations leaving one active row with an entry in column
+        c; returns that row.  Each round takes the least remainder as
+        the next pivot, so a unit pivot needs one round."""
+        rows = self.rows
+        if not self.echelon and rows[r] in ({c: 1}, {c: -1}):
+            # the row operations only delete column c
+            for i in self.cols[c]:
+                if i != r:
+                    del rows[i][c]
+            self.cols[c] = {r}
+            return r
+        while True:
+            p = rows[r][c]
+            least = None
+            for i in [i for i in self.cols[c] if i != r]:
+                self._add(i, -(rows[i][c] // p), r)
+                x = rows[i].get(c)
+                if x is not None and (least is None
+                                      or abs(x) < abs(rows[least][c])):
+                    least = i
+            if least is None:
+                return r
+            r = least
+
+    def _clear_row(self, r, c):
+        """Column operations reducing row r modulo its pivot; True when
+        only the pivot is left."""
+        row = self.rows[r]
+        p = row[c]
+        if p in (1, -1):
+            return True
+        for j, x in list(row.items()):
+            remainder = x % p
+            if j == c or remainder == x:
+                continue
+            if remainder:
+                row[j] = remainder
+            else:
+                del row[j]
+                self.cols[j].discard(r)
+        if len(row) == 1:
+            return True
+        heappush(self.heap, (len(row), 0, r))
+        return False
+
+
+def _sparse(lines):
+    return [{j: x for j, x in enumerate(line) if x} for line in lines]
+
+
+def _divisibility_chain(values):
+    """The invariant factors of a diagonal matrix with these nonzero
+    entries: pairs (a, b) become (gcd, lcm) until each divides the
+    next."""
+    units = sum(1 for v in values if v == 1)
+    rest = sorted(v for v in values if v != 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * units + rest
+
+
 def invariant_factors(mat):
-    return smith_normal_form(mat)[0]
+    """Nonzero invariant factors of `mat` in divisibility order, from a
+    sparse elimination to diagonal form that builds no transforms."""
+    rows = _sparse(mat)
+    elim = _Elimination(rows, echelon=False)
+    return _divisibility_chain([abs(rows[r][c]) for r, c in elim.pivots])
 
 
 def kernel_basis(mat):
     """Basis (list of vectors) of the integer kernel {x : mat @ x = 0}.
 
-    The kernel of an integer matrix is a saturated sublattice, so the
-    returned basis spans it over Z."""
-    if not mat or not mat[0]:
-        n = len(mat[0]) if mat else 0
-        return [[int(i == j) for i in range(n)] for j in range(n)]
-    diag, _u, v = smith_normal_form(mat)
-    r = len(diag)
-    n = len(mat[0])
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
+    Column operations on `mat`, tracked in a unimodular V, bring it to
+    column echelon form; the columns of V whose columns of the echelon
+    form are zero span the kernel over Z, which as the kernel of an
+    integer matrix is a saturated sublattice."""
+    n = len(mat[0]) if mat else 0
+    elim = _Elimination(_sparse(zip(*mat)), echelon=True)
+    pivot_cols = {r for r, _c in elim.pivots}
+    return [[elim.track[j].get(i, 0) for i in range(n)]
+            for j in range(n) if j not in pivot_cols]
 
 
 def row_hnf(rows, track=False):
@@ -222,8 +395,9 @@ def row_hnf(rows, track=False):
         if piv[0][col] < 0:
             piv = ([-x for x in piv[0]], [-x for x in piv[1]])
         pivots.append((col, piv))
-    # reduce entries above each pivot
-    for idx in range(len(pivots) - 1, -1, -1):
+    # reduce entries above each pivot, leftmost pivot first: reducing by
+    # a pivot row changes only its own and later columns
+    for idx in range(len(pivots)):
         col, (prow, pexpr) = pivots[idx]
         for _c, (row, expr) in pivots[:idx]:
             q = row[col] // prow[col]
@@ -319,24 +493,36 @@ class Lattice:
 
 
 class ColumnSolver:
-    """Solves L @ c = v exactly over Z for a fixed full-column-rank L."""
+    """Solves L @ c = v exactly over Z for a fixed full-column-rank L.
+
+    Holds a column echelon form H = L @ V, V unimodular: column s of H
+    has its pivot in row i_s and is zero in the pivot rows of all
+    earlier columns.  `solve` finds the coefficients of v over the
+    columns of H by forward substitution in the pivot rows, checks that
+    nothing is left over, and maps them back through V."""
 
     def __init__(self, basis_cols):
-        self.cols = [list(c) for c in basis_cols]
-        mat = transpose(self.cols)
-        self.m = len(mat)
-        self.r = len(self.cols)
-        self.diag, self.u, self.v = smith_normal_form(mat)
-        if len(self.diag) != self.r:
+        self.r = len(basis_cols)
+        elim = _Elimination(_sparse(basis_cols), echelon=True)
+        if len(elim.pivots) != self.r:
             raise ValueError("columns are not independent")
+        self.steps = [(c, elim.rows[r][c], list(elim.rows[r].items()),
+                       list(elim.track[r].items())) for r, c in elim.pivots]
 
     def solve(self, vec):
-        w = mat_vec(self.u, vec)
-        for i, x in enumerate(w):
-            if i < self.r:
-                if x % self.diag[i]:
+        """Integer coefficients c with L @ c = vec, or None when vec is
+        outside the lattice spanned by the columns."""
+        rest = list(vec)
+        coeffs = [0] * self.r
+        for i, p, column, combination in self.steps:
+            if rest[i]:
+                q, remainder = divmod(rest[i], p)
+                if remainder:
                     return None
-            elif x:
-                return None
-        y = [w[i] // self.diag[i] for i in range(self.r)]
-        return mat_vec(self.v, y)
+                for j, y in column:
+                    rest[j] -= q * y
+                for k, y in combination:
+                    coeffs[k] += q * y
+        if any(rest):
+            return None
+        return coeffs

@@ -10,7 +10,8 @@ from racgk.bredon import (CochainComplex, build_bredon_complex,
 from racgk.graphs import parse_graph
 from racgk.intlinalg import is_zero, mat_mul
 from racgk.kring import KRingElement
-from conftest import complete_graph, edgeless_graph, graph_suite, path_graph
+from conftest import (complete_graph, cycle_graph, edgeless_graph,
+                      graph_suite, path_graph)
 
 
 def test_complex_rejects_bad_dimensions():
@@ -83,9 +84,7 @@ def test_limit_contains_restriction_families():
 
 
 def test_rho_surjective(suite_entry):
-    name, graph, d = suite_entry
-    if name == "Petersen":
-        pytest.skip("exercised in the acceptance suite")
+    _, graph, d = suite_entry
     rep = rho_surjectivity(graph, inverse_limit(graph))
     assert rep["surjective"]
     assert rep["rank"] == d
@@ -100,9 +99,7 @@ def test_rho_bijective_on_complete_graphs():
 
 
 def test_clique_basis_isomorphism(suite_entry):
-    name, graph, d = suite_entry
-    if name == "Petersen":
-        pytest.skip("exercised in the acceptance suite")
+    _, graph, d = suite_entry
     rep = clique_basis_isomorphism(graph, inverse_limit(graph))
     assert rep["isomorphism"]
     assert rep["rank"] == d
@@ -147,10 +144,24 @@ def test_kunneth_cap():
 
 
 def test_three_rank_computations_agree(suite_entry):
-    name, graph, d = suite_entry
-    if name == "Petersen":
-        pytest.skip("exercised in the acceptance suite")
+    _, graph, d = suite_entry
     from racgk.kring import presentation_report
     assert presentation_report(graph)["rank"] == d
     assert inverse_limit(graph).rank == d
     assert cohomology(build_bredon_complex(graph))[0]["free_rank"] == d
+
+
+def test_k5_bredon_ladder_target():
+    c = build_bredon_complex(complete_graph(5))
+    assert c.ranks == [243, 781, 1320, 1230, 600, 120]
+    coh = cohomology(c)
+    assert coh[0] == {"degree": 0, "free_rank": 32, "torsion": []}
+    assert all(e["free_rank"] == 0 and e["torsion"] == [] for e in coh[1:])
+
+
+def test_c12_limit_ladder_target():
+    g = cycle_graph(12)
+    limit = inverse_limit(g)
+    assert limit.rank == 25
+    assert rho_surjectivity(g, limit)["surjective"]
+    assert clique_basis_isomorphism(g, limit)["isomorphism"]

@@ -5,9 +5,11 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from racgk.bredon import build_bredon_complex
 from racgk.intlinalg import (ColumnSolver, Lattice, invariant_factors,
                              kernel_basis, mat_mul, row_hnf,
                              smith_normal_form)
+from conftest import complete_graph, graph_suite
 
 
 def check_snf(mat):
@@ -41,6 +43,61 @@ def test_snf_matches_sympy_randomized():
         assert diag == expected
 
 
+def random_matrix(rng, max_m=7, max_n=7, bound=9):
+    """A random integer matrix, often with zero rows and columns; one in
+    three is scaled by a common factor so that it holds no unit entry."""
+    m, n = rng.randint(0, max_m), rng.randint(0, max_n)
+    density = rng.random()
+    mat = [[rng.randint(-bound, bound) if rng.random() < density else 0
+            for _ in range(n)] for _ in range(m)]
+    if rng.random() < 1 / 3:
+        scale = rng.choice([2, 3, 4, 6])
+        mat = [[scale * x for x in row] for row in mat]
+    return mat
+
+
+def test_invariant_factors_match_dense_examples():
+    for mat, expected in [([[2, 0], [0, 3]], [1, 6]), ([[2, 1], [0, 2]], [1, 4]),
+                          ([[4, 6], [6, 9]], [1]), ([[0, 0], [0, 0]], []),
+                          ([[0], [0], [5]], [5]), ([], []), ([[]], [])]:
+        assert invariant_factors(mat) == expected, mat
+        assert smith_normal_form(mat)[0] == expected, mat
+
+
+def test_invariant_factors_match_dense_randomized():
+    rng = random.Random(19)
+    for _ in range(1200):
+        mat = random_matrix(rng)
+        assert invariant_factors(mat) == smith_normal_form(mat)[0], mat
+
+
+def test_invariant_factors_match_dense_on_bredon_differentials():
+    graphs = [(name, g) for name, g, _ in graph_suite()]
+    for name, graph in graphs + [("K4", complete_graph(4))]:
+        for k, d in enumerate(build_bredon_complex(graph).diffs):
+            assert invariant_factors(d) == smith_normal_form(d)[0], (name, k)
+
+
+def test_kernel_basis_spans_dense_kernel():
+    rng = random.Random(23)
+    for _ in range(400):
+        mat = random_matrix(rng)
+        if not mat:
+            continue
+        n = len(mat[0])
+        ker = kernel_basis(mat)
+        for vec in ker:
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0
+                       for row in mat), (mat, vec)
+        diag, _u, v = smith_normal_form(mat)
+        dense = [[v[i][j] for i in range(n)] for j in range(len(diag), n)]
+        assert len(ker) == len(dense), mat
+        if ker:
+            ours, theirs = Lattice(n, ker), Lattice(n, dense)
+            assert all(vec in ours for vec in dense), mat
+            assert all(vec in theirs for vec in ker), mat
+
+
 def test_kernel_basis():
     rng = random.Random(11)
     for _ in range(100):
@@ -60,6 +117,41 @@ def test_row_hnf_canonical():
     assert h == [[2, 4], [0, 6]]
     # HNF is independent of generator order and redundancy
     assert row_hnf([[0, 6], [2, 4], [2, 10]]) == h
+
+
+def check_hnf_shape(h):
+    pivots = []
+    for row in h:
+        col = next(j for j, x in enumerate(row) if x)
+        assert row[col] > 0 and (not pivots or col > pivots[-1])
+        pivots.append(col)
+    for i, col in enumerate(pivots):
+        for row in h[:i]:
+            assert 0 <= row[col] < h[i][col], (h, i)
+
+
+def test_row_hnf_reduces_above_every_pivot():
+    h = row_hnf([[1, 0, -25, -25, -15, 3, -10], [0, 1, 9, 10, 6, 1, 3],
+                 [0, 0, 16, 5, 3, -3, 1], [0, 0, 0, 8, 5, 1, 4]])
+    check_hnf_shape(h)
+    assert h[0] == [1, 0, 7, 1, 1, -1, 0]
+
+
+def test_row_hnf_canonical_randomized():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = rng.randint(1, 5)
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(g)]
+        h = row_hnf(rows)
+        check_hnf_shape(h)
+        others = [list(r) for r in rows]
+        for _ in range(rng.randint(0, 3)):
+            coeffs = [rng.randint(-3, 3) for _ in rows]
+            others.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                           for j in range(n)])
+        rng.shuffle(others)
+        assert row_hnf(others) == h, rows
 
 
 def test_row_hnf_tracked_combinations():
@@ -122,3 +214,44 @@ def test_column_solver():
 def test_column_solver_rejects_dependent():
     with pytest.raises(ValueError):
         ColumnSolver([[1, 2], [2, 4]])
+    rng = random.Random(31)
+    for _ in range(100):
+        m, r = rng.randint(1, 6), rng.randint(1, 4)
+        cols = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(r)]
+        coeffs = [rng.randint(-3, 3) for _ in range(r)]
+        cols.insert(rng.randint(0, r), [sum(c * col[i] for c, col in
+                                            zip(coeffs, cols))
+                                        for i in range(m)])
+        with pytest.raises(ValueError):
+            ColumnSolver(cols)
+
+
+def test_column_solver_randomized():
+    rng = random.Random(37)
+    tried = 0
+    while tried < 200:
+        m, r = rng.randint(1, 7), rng.randint(1, 5)
+        cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+        if len(smith_normal_form(cols)[0]) != r:
+            continue
+        tried += 1
+        solver = ColumnSolver(cols)
+        lattice = Lattice(m, cols)
+        for _ in range(5):
+            coeffs = [rng.randint(-6, 6) for _ in range(r)]
+            vec = [sum(c * col[i] for c, col in zip(coeffs, cols))
+                   for i in range(m)]
+            assert solver.solve(vec) == coeffs
+            vec[rng.randrange(m)] += rng.choice([-1, 1, 2])
+            found = solver.solve(vec)
+            if vec in lattice:
+                assert [sum(c * col[i] for c, col in zip(found, cols))
+                        for i in range(m)] == vec
+            else:
+                assert found is None, (cols, vec)
+
+
+def test_column_solver_congruence():
+    solver = ColumnSolver([[2, 0], [0, 2]])
+    assert solver.solve([4, -2]) == [2, -1]
+    assert solver.solve([1, 0]) is None
