@@ -7,8 +7,9 @@ from .repring import (RepRingElement, RepRingError, character_evaluation,
                       character_interpolation, rep_multiply, restriction)
 from .kring import (BAR, STAR, CompletedElement, KRingElement, KRingError,
                     augmentation, complete, completed_multiply, convert_basis,
-                    ideal_power, mayer_vietoris_check, multiply_bar,
-                    multiply_star, presentation_report, restrict_to_clique)
+                    ideal_power, ideal_powers, mayer_vietoris_check,
+                    multiply_bar, multiply_star, presentation_report,
+                    restrict_to_clique)
 from .bredon import (CochainComplex, build_bredon_complex, cohomology,
                      interval_tensor_kunneth, inverse_limit, rho_surjectivity)
 from .charlab import (lemma_c4_real_report, lemma_d8_report, verify_tau)

@@ -104,17 +104,14 @@ def run_bgw(graph, args, rng):
         if sq != two_s:
             relations_ok = False
     indices = []
-    prev = kring.ideal_power(graph, 1)
-    max_k = 4
-    for k in range(2, max_k + 1):
-        cur = kring.ideal_power(graph, k)
+    powers = kring.ideal_powers(graph, 4)
+    for k, (prev, cur) in enumerate(zip(powers, powers[1:]), 1):
         if cur.rank == prev.rank:
-            indices.append({"k": k - 1, "index": cur.index_in(prev)})
+            indices.append({"k": k, "index": cur.index_in(prev)})
         else:
-            indices.append({"k": k - 1, "index": None,
+            indices.append({"k": k, "index": None,
                             "note": "rank drops from %d to %d"
                             % (prev.rank, cur.rank)})
-        prev = cur
     report["ideal_power_indices"] = indices
     report["relations_ok"] = relations_ok
     report["ok"] = relations_ok

@@ -181,34 +181,48 @@ class _Elimination:
     crossing line is shortest.  Only when no unit is left is a pivot of
     least magnitude taken, and Euclid's steps finish it exactly.
 
+    With `leftmost` the pivot is instead the entry of least magnitude
+    in the leftmost column that active rows still hold, so the pivots
+    come in column order.
+
     Each step clears the pivot column from the other rows by row
     operations and retires the pivot row.  With `echelon` it stops
     there and leaves the retired row as it stands, which gives a row
-    echelon form; each row operation is then repeated on a row of the
-    identity, so track[i] writes row i in the rows given.  Otherwise it
-    also clears the pivot row by column operations, which touch only
-    that row once its column is clear, and retires only a row whose
-    single entry is its pivot: a diagonal form, with no transform kept.
+    echelon form; with `track` each row operation is then repeated on a
+    row of the identity, so track[i] writes row i in the rows given.
+    Otherwise it also clears the pivot row by column operations, which
+    touch only that row once its column is clear, and retires only a
+    row whose single entry is its pivot: a diagonal form, with no
+    transform kept.
     """
 
-    def __init__(self, rows, echelon):
+    def __init__(self, rows, echelon, track=False, leftmost=False):
         self.rows = rows
         self.echelon = echelon
-        self.track = [{i: 1} for i in range(len(rows))] if echelon else None
+        self.track = [{i: 1} for i in range(len(rows))] if track else None
+        self.leftmost = leftmost
         self.active = set(range(len(rows)))
         self.cols = {}
         for i, row in enumerate(rows):
             for j in row:
                 self.cols.setdefault(j, set()).add(i)
-        self.heap = [(len(row), 0, i) for i, row in enumerate(rows)]
-        self.heap += [(len(members), 1, j) for j, members in self.cols.items()]
-        heapify(self.heap)
+        if leftmost:
+            self.heap = None
+            self.order = sorted(self.cols, reverse=True)
+        else:
+            self.heap = [(len(row), 0, i) for i, row in enumerate(rows)]
+            self.heap += [(len(members), 1, j)
+                          for j, members in self.cols.items()]
+            heapify(self.heap)
         self.pivots = []
         self._run()
 
     def _run(self):
         while True:
-            pivot = self._unit_pivot() or self._least_pivot()
+            if self.leftmost:
+                pivot = self._leftmost_pivot()
+            else:
+                pivot = self._unit_pivot() or self._least_pivot()
             if pivot is None:
                 return
             r, c = pivot
@@ -245,6 +259,20 @@ class _Elimination:
                     return x, min(units, key=lambda j: len(cols[j]))
         return None
 
+    def _leftmost_pivot(self):
+        """The least entry, lowest row first, of the leftmost column
+        that an active row holds.  A column no active row holds never
+        fills again (fill comes only from active rows), so the columns
+        passed are dropped for good."""
+        order, cols, rows = self.order, self.cols, self.rows
+        while order:
+            c = order[-1]
+            members = cols.get(c)
+            if members:
+                return min(members, key=lambda i: (abs(rows[i][c]), i)), c
+            order.pop()
+        return None
+
     def _least_pivot(self):
         best = None
         for i in self.active:
@@ -269,15 +297,10 @@ class _Elimination:
                 else:
                     del row[j]
                     cols[j].discard(i)
-        if self.echelon:
-            t = self.track[i]
-            for j, v in self.track[r].items():
-                x = t.get(j, 0) + q * v
-                if x:
-                    t[j] = x
-                else:
-                    del t[j]
-        heappush(self.heap, (len(row), 0, i))
+        if self.track is not None:
+            _add_into(self.track[i], q, self.track[r])
+        if not self.leftmost:
+            heappush(self.heap, (len(row), 0, i))
 
     def _clear_column(self, r, c):
         """Row operations leaving one active row with an entry in column
@@ -326,6 +349,16 @@ class _Elimination:
         return False
 
 
+def _add_into(y, q, x):
+    """y += q * x on sparse vectors."""
+    for j, v in x.items():
+        s = y.get(j, 0) + q * v
+        if s:
+            y[j] = s
+        else:
+            del y[j]
+
+
 def _sparse(lines):
     return [{j: x for j, x in enumerate(line) if x} for line in lines]
 
@@ -359,81 +392,99 @@ def kernel_basis(mat):
     form are zero span the kernel over Z, which as the kernel of an
     integer matrix is a saturated sublattice."""
     n = len(mat[0]) if mat else 0
-    elim = _Elimination(_sparse(zip(*mat)), echelon=True)
+    elim = _Elimination(_sparse(zip(*mat)), echelon=True, track=True)
     pivot_cols = {r for r, _c in elim.pivots}
     return [[elim.track[j].get(i, 0) for i in range(n)]
             for j in range(n) if j not in pivot_cols]
 
 
+def _hermite(rows, track):
+    """Hermite normal form of the lattice spanned by sparse rows, which
+    it consumes: (row, expression) pairs in pivot column order, the
+    expression None unless tracked.
+
+    The kernel's leftmost pivot rule leaves one row per pivot column,
+    in column order; each pivot is made positive, then the entries
+    above it are reduced, leftmost pivot first: reducing by a pivot row
+    changes only its own and later columns."""
+    elim = _Elimination(rows, echelon=True, track=track, leftmost=True)
+    form = []
+    for r, c in elim.pivots:
+        row = rows[r]
+        expr = elim.track[r] if track else None
+        if row[c] < 0:
+            row = {j: -x for j, x in row.items()}
+            if track:
+                expr = {j: -x for j, x in expr.items()}
+        for above, above_expr in form:
+            q = above.get(c, 0) // row[c]
+            if q:
+                _add_into(above, -q, row)
+                if track:
+                    _add_into(above_expr, -q, expr)
+        form.append((row, expr))
+    return form
+
+
+def _dense(vec, n):
+    line = [0] * n
+    for j, x in vec.items():
+        line[j] = x
+    return line
+
+
 def row_hnf(rows, track=False):
-    """Row-style Hermite normal form of the lattice spanned by `rows`.
+    """Row-style Hermite normal form of the lattice spanned by `rows`,
+    each a list of n entries or a dict {column: nonzero entry}.
 
     Returns the nonzero HNF rows (pivots positive, entries above a pivot
-    reduced into [0, pivot)).  With track=True also returns, per HNF
-    row, its integer expression in the input rows."""
-    n = len(rows[0]) if rows else 0
-    work = [(list(r), [int(i == j) for j in range(len(rows))])
-            for i, r in enumerate(rows)]
-    pivots = []
-    for col in range(n):
-        cand = [w for w in work if w[0][col]]
-        if not cand:
-            continue
-        while len(cand) > 1:
-            cand.sort(key=lambda w: abs(w[0][col]))
-            base = cand[0]
-            for other in cand[1:]:
-                q = other[0][col] // base[0][col]
-                if q:
-                    for j in range(col, n):
-                        other[0][j] -= q * base[0][j]
-                    for j in range(len(other[1])):
-                        other[1][j] -= q * base[1][j]
-            cand = [w for w in cand if w[0][col]]
-        piv = cand[0]
-        work.remove(piv)
-        if piv[0][col] < 0:
-            piv = ([-x for x in piv[0]], [-x for x in piv[1]])
-        pivots.append((col, piv))
-    # reduce entries above each pivot, leftmost pivot first: reducing by
-    # a pivot row changes only its own and later columns
-    for idx in range(len(pivots)):
-        col, (prow, pexpr) = pivots[idx]
-        for _c, (row, expr) in pivots[:idx]:
-            q = row[col] // prow[col]
-            if q:
-                for j in range(col, len(row)):
-                    row[j] -= q * prow[j]
-                for j in range(len(expr)):
-                    expr[j] -= q * pexpr[j]
-    hnf = [p[1][0] for p in pivots]
+    reduced into [0, pivot)), in the form the rows were given.  With
+    track=True also returns, per HNF row, its integer expression in the
+    input rows, in that form too."""
+    if rows and isinstance(rows[0], dict):
+        form = _hermite([dict(row) for row in rows], track)
+    else:
+        n = len(rows[0]) if rows else 0
+        form = [(_dense(row, n), track and _dense(expr, len(rows)))
+                for row, expr in _hermite(_sparse(rows), track)]
+    hnf = [row for row, _expr in form]
     if track:
-        return hnf, [p[1][1] for p in pivots]
+        return hnf, [expr for _row, expr in form]
     return hnf
 
 
 class Lattice:
     """Sublattice of Z^n spanned by generator vectors, held in HNF.
 
-    Supports exact membership queries; when the generators are tracked,
-    a positive answer carries an integer combination of the original
-    generators as a certificate."""
+    Generators are lists of n entries or dicts {coordinate: nonzero
+    entry}.  Supports exact membership queries; when the generators are
+    tracked, a positive answer carries an integer combination of the
+    original generators as a certificate."""
 
     def __init__(self, n, generators, track=False):
         self.n = n
-        self.generators = [list(g) for g in generators]
-        for g in self.generators:
-            if len(g) != n:
+        rows = []
+        for g in generators:
+            if isinstance(g, dict):
+                if any(not 0 <= j < n for j in g):
+                    raise ValueError("generator coordinate outside ambient %d"
+                                     % n)
+                rows.append(g)
+            elif len(g) != n:
                 raise ValueError("generator length %d != ambient %d"
                                  % (len(g), n))
+            else:
+                rows.append({j: x for j, x in enumerate(g) if x})
         self.track = track
         if track:
-            self.basis, self.exprs = row_hnf(self.generators, track=True)
+            hnf, exprs = row_hnf(rows, track=True)
+            self.exprs = [_dense(expr, len(rows)) for expr in exprs]
         else:
-            self.basis = row_hnf(self.generators)
+            hnf = row_hnf(rows)
             self.exprs = None
-        self.pivot_cols = [next(j for j, x in enumerate(row) if x)
-                           for row in self.basis]
+        self.basis = [_dense(row, n) for row in hnf]
+        self.pivot_cols = [min(row) for row in hnf]
+        self.generator_count = len(rows)
 
     @property
     def rank(self):
@@ -447,25 +498,28 @@ class Lattice:
             raise ValueError("vector length %d != ambient %d"
                              % (len(v), self.n))
         v = list(v)
-        coeffs = [0] * len(self.basis)
-        for i, (row, col) in enumerate(zip(self.basis, self.pivot_cols)):
-            # entries left of this pivot must already be cleared
-            for j in range(col):
-                if v[j] and j not in self.pivot_cols[:i]:
+        coeffs = []
+        start = 0
+        for row, col in zip(self.basis, self.pivot_cols):
+            # each column is looked at once: a basis row is zero left of
+            # its pivot, so subtracting it leaves the columns passed clear
+            for j in range(start, col):
+                if v[j]:
                     return False, "nonzero entry at column %d outside the lattice span" % j
-            if v[col] % row[col]:
+            q, remainder = divmod(v[col], row[col])
+            if remainder:
                 return False, ("coefficient %d at column %d violates the "
                                "congruence modulo %d" % (v[col], col, row[col]))
-            q = v[col] // row[col]
-            coeffs[i] = q
+            coeffs.append(q)
             if q:
-                for j in range(len(v)):
+                for j in range(col, self.n):
                     v[j] -= q * row[j]
-        if any(v):
-            j = next(j for j, x in enumerate(v) if x)
-            return False, "nonzero entry at column %d outside the lattice span" % j
+            start = col + 1
+        for j in range(start, self.n):
+            if v[j]:
+                return False, "nonzero entry at column %d outside the lattice span" % j
         if self.track:
-            cert = [0] * len(self.generators)
+            cert = [0] * self.generator_count
             for c, expr in zip(coeffs, self.exprs):
                 for j, e in enumerate(expr):
                     cert[j] += c * e
@@ -503,7 +557,8 @@ class ColumnSolver:
 
     def __init__(self, basis_cols):
         self.r = len(basis_cols)
-        elim = _Elimination(_sparse(basis_cols), echelon=True)
+        elim = _Elimination(_sparse(basis_cols), echelon=True,
+                            track=True)
         if len(elim.pivots) != self.r:
             raise ValueError("columns are not independent")
         self.steps = [(c, elim.rows[r][c], list(elim.rows[r].items()),

@@ -243,57 +243,55 @@ def presentation_report(graph):
     }
 
 
-def ideal_power(graph, k):
-    """HNF lattice of the k-th power of the augmentation ideal, in bar
-    coordinates on the clique basis."""
+def ideal_powers(graph, k):
+    """HNF lattices of the powers I^1, ..., I^k of the augmentation
+    ideal, in bar coordinates on the clique basis.
+
+    I is generated as an ideal by the degree-one bar generators, so
+    I^(j+1) is spanned by a Z-basis of I^j times each of them.  The
+    chain starts from I^0, the whole ring, spanned by the clique
+    monomials."""
     if k < 1:
         raise KRingError("ideal power needs k >= 1")
     cliques = graph.cliques
     index = {c: i for i, c in enumerate(cliques)}
     d = len(cliques)
-    gens = [1 << graph.index[v] for v in graph.labels]
-
-    def times_gen(vec_pairs, gen):
-        out = {}
-        for mask, c in vec_pairs:
-            sc = bar_structure_constant(graph, gen, mask)
-            if sc is None:
-                continue
-            m, const = sc
-            out[m] = out.get(m, 0) + const * c
-        return [(m, c) for m, c in out.items() if c]
-
-    # degree-1 generators: each bar generator times each basis monomial
-    current = []
-    for g in gens:
-        for c in cliques:
-            vec = times_gen([(c, 1)], g)
-            if vec:
-                current.append(vec)
-    for _ in range(k - 1):
-        nxt = []
-        for vec in current:
-            for g in gens:
-                prod = times_gen(vec, g)
+    # times[i]: (generator, index, coefficient) for each bar generator
+    # whose product with bar monomial i is not zero, that is, whose
+    # union with the clique is a clique
+    times = []
+    for c in cliques:
+        row = []
+        for v in range(graph.n):
+            if (c | 1 << v) in index:
+                mask, const = bar_structure_constant(graph, 1 << v, c)
+                row.append((v, index[mask], const))
+        times.append(row)
+    basis = [{i: 1} for i in range(d)]
+    powers = []
+    for _ in range(k):
+        products = []
+        for vec in basis:
+            by_gen = {}
+            for i, c in vec.items():
+                for v, j, const in times[i]:
+                    prod = by_gen.setdefault(v, {})
+                    prod[j] = prod.get(j, 0) + const * c
+            for prod in by_gen.values():
+                prod = {j: c for j, c in prod.items() if c}
                 if prod:
-                    nxt.append(prod)
-        current = _hnf_pairs(graph, cliques, index, nxt)
-    rows = [_dense(index, d, vec) for vec in current]
-    return Lattice(d, rows)
+                    products.append(prod)
+        lattice = Lattice(d, products)
+        powers.append(lattice)
+        basis = [{j: x for j, x in enumerate(row) if x}
+                 for row in lattice.basis]
+    return powers
 
 
-def _dense(index, d, pairs):
-    row = [0] * d
-    for mask, c in pairs:
-        row[index[mask]] = c
-    return row
-
-
-def _hnf_pairs(graph, cliques, index, vecs):
-    d = len(cliques)
-    lat = Lattice(d, [_dense(index, d, v) for v in vecs])
-    return [[(cliques[i], x) for i, x in enumerate(row) if x]
-            for row in lat.basis]
+def ideal_power(graph, k):
+    """HNF lattice of the k-th power of the augmentation ideal, in bar
+    coordinates on the clique basis."""
+    return ideal_powers(graph, k)[-1]
 
 
 class CompletedElement:

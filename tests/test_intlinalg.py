@@ -166,6 +166,110 @@ def test_row_hnf_tracked_combinations():
             assert comb == row
 
 
+def dense_row_hnf(rows, track=False):
+    """Reference Hermite form: dense rows with a row of the identity
+    tracked beside each, columns cleared left to right by Euclid steps
+    on the least entry, then reduced above the pivots leftmost first."""
+    n = len(rows[0]) if rows else 0
+    work = [(list(r), [int(i == j) for j in range(len(rows))])
+            for i, r in enumerate(rows)]
+    pivots = []
+    for col in range(n):
+        cand = [w for w in work if w[0][col]]
+        if not cand:
+            continue
+        while len(cand) > 1:
+            cand.sort(key=lambda w: abs(w[0][col]))
+            base = cand[0]
+            for other in cand[1:]:
+                q = other[0][col] // base[0][col]
+                if q:
+                    for j in range(col, n):
+                        other[0][j] -= q * base[0][j]
+                    for j in range(len(other[1])):
+                        other[1][j] -= q * base[1][j]
+            cand = [w for w in cand if w[0][col]]
+        piv = cand[0]
+        work.remove(piv)
+        if piv[0][col] < 0:
+            piv = ([-x for x in piv[0]], [-x for x in piv[1]])
+        pivots.append((col, piv))
+    for idx in range(len(pivots)):
+        col, (prow, pexpr) = pivots[idx]
+        for _c, (row, expr) in pivots[:idx]:
+            q = row[col] // prow[col]
+            if q:
+                for j in range(col, len(row)):
+                    row[j] -= q * prow[j]
+                for j in range(len(expr)):
+                    expr[j] -= q * pexpr[j]
+    hnf = [p[1][0] for p in pivots]
+    if track:
+        return hnf, [p[1][1] for p in pivots]
+    return hnf
+
+
+def hnf_inputs(rng, count):
+    """Random generator sets: zero rows, negative leading entries, rank
+    deficiency from added combinations, duplicated generators, and a
+    third scaled so that no unit entry exists."""
+    for _ in range(count):
+        mat = random_matrix(rng, max_m=8, max_n=7)
+        if mat and rng.random() < 0.5:
+            coeffs = [rng.randint(-3, 3) for _ in mat]
+            mat.append([sum(c * row[j] for c, row in zip(coeffs, mat))
+                        for j in range(len(mat[0]))])
+        if mat and rng.random() < 0.3:
+            mat.append(list(rng.choice(mat)))
+        if mat and rng.random() < 0.3:
+            mat.insert(rng.randrange(len(mat)), [0] * len(mat[0]))
+        yield mat
+
+
+def test_row_hnf_matches_dense_oracle():
+    rng = random.Random(41)
+    for mat in hnf_inputs(rng, 1000):
+        assert row_hnf(mat) == dense_row_hnf(mat), mat
+        h, exprs = row_hnf(mat, track=True)
+        assert h == dense_row_hnf(mat), mat
+        assert len(exprs) == len(h)
+        for row, e in zip(h, exprs):
+            assert len(e) == len(mat)
+            assert [sum(c * r[j] for c, r in zip(e, mat))
+                    for j in range(len(row))] == row, (mat, row, e)
+
+
+def test_row_hnf_sparse_rows():
+    rng = random.Random(43)
+    for mat in hnf_inputs(rng, 300):
+        rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+        if not rows:
+            continue
+        given = [dict(r) for r in rows]
+        h, exprs = row_hnf(rows, track=True)
+        assert rows == given
+        assert h == [{j: x for j, x in enumerate(r) if x}
+                     for r in dense_row_hnf(mat)], mat
+        assert row_hnf(rows) == h
+        for row, e in zip(h, exprs):
+            comb = {}
+            for i, c in e.items():
+                for j, x in rows[i].items():
+                    comb[j] = comb.get(j, 0) + c * x
+            assert {j: x for j, x in comb.items() if x} == row, mat
+
+
+def test_lattice_sparse_generators():
+    lat = Lattice(4, [{1: 2, 3: -4}, {1: 4}, {}])
+    assert lat.basis == Lattice(4, [[0, 2, 0, -4], [0, 4, 0, 0],
+                                    [0, 0, 0, 0]]).basis
+    assert lat.basis == [[0, 2, 0, 4], [0, 0, 0, 8]]
+    with pytest.raises(ValueError):
+        Lattice(4, [{4: 1}])
+    with pytest.raises(ValueError):
+        Lattice(4, [[1, 2, 3]])
+
+
 def test_hnf_spans_same_lattice_as_sympy():
     rng = random.Random(17)
     for _ in range(60):
@@ -196,6 +300,56 @@ def test_lattice_membership_certificate():
     assert "congruence" in reason
     ok, cert = lat.membership([0, 0])
     assert ok and cert == [0, 0]
+
+
+def dense_membership(lat, v, generators):
+    """Reference membership: every basis row rescans all the columns
+    left of its pivot."""
+    v = list(v)
+    coeffs = [0] * len(lat.basis)
+    for i, (row, col) in enumerate(zip(lat.basis, lat.pivot_cols)):
+        for j in range(col):
+            if v[j] and j not in lat.pivot_cols[:i]:
+                return False, "nonzero entry at column %d outside the lattice span" % j
+        if v[col] % row[col]:
+            return False, ("coefficient %d at column %d violates the "
+                           "congruence modulo %d" % (v[col], col, row[col]))
+        q = v[col] // row[col]
+        coeffs[i] = q
+        if q:
+            for j in range(len(v)):
+                v[j] -= q * row[j]
+    if any(v):
+        j = next(j for j, x in enumerate(v) if x)
+        return False, "nonzero entry at column %d outside the lattice span" % j
+    if lat.track:
+        cert = [0] * len(generators)
+        for c, expr in zip(coeffs, lat.exprs):
+            for j, e in enumerate(expr):
+                cert[j] += c * e
+        return True, cert
+    return True, coeffs
+
+
+def test_lattice_membership_matches_dense_oracle():
+    rng = random.Random(47)
+    outcomes = set()
+    for mat in hnf_inputs(rng, 400):
+        if not mat or not mat[0]:
+            continue
+        n = len(mat[0])
+        for track in (False, True):
+            lat = Lattice(n, mat, track=track)
+            for _ in range(6):
+                coeffs = [rng.randint(-3, 3) for _ in mat]
+                v = [sum(c * row[j] for c, row in zip(coeffs, mat))
+                     for j in range(n)]
+                if rng.random() < 0.6:
+                    v[rng.randrange(n)] += rng.randint(-2, 2)
+                got = lat.membership(v)
+                assert got == dense_membership(lat, v, mat), (mat, v)
+                outcomes.add(got[1].split(" ")[0] if not got[0] else True)
+    assert outcomes == {True, "nonzero", "coefficient"}
 
 
 def test_lattice_index():

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from racgk.graphs import enumerate_spherical, parse_graph
+from racgk.intlinalg import Lattice
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
-                         KRingError, augmentation, complete,
-                         completed_multiply, convert_basis, ideal_power,
-                         include_from_part, mayer_vietoris_check,
-                         multiply_bar, multiply_star, presentation_report,
-                         project_to_part, random_element, restrict_to_clique)
+                         KRingError, augmentation, bar_structure_constant,
+                         complete, completed_multiply, convert_basis,
+                         ideal_power, ideal_powers, include_from_part,
+                         mayer_vietoris_check, multiply_bar, multiply_star,
+                         presentation_report, project_to_part,
+                         random_element, restrict_to_clique)
 from racgk.repring import (RepRingElement, character_evaluation,
                            rep_multiply)
 from conftest import complete_graph, cycle_graph, path_graph
@@ -216,8 +218,6 @@ def test_ideal_power_k1():
 
 def test_ideal_powers_nested(suite_entry):
     name, graph, _ = suite_entry
-    if name == "Petersen":
-        return  # covered by the smaller graphs; keeps the suite quick
     prev = None
     for k in range(1, 4):
         cur = ideal_power(graph, k)
@@ -225,6 +225,73 @@ def test_ideal_powers_nested(suite_entry):
             for row in cur.basis:
                 assert row in prev
         prev = cur
+
+
+def product_ideal_power(graph, k):
+    """Reference I^k: the products of each bar monomial with k bar
+    generators, multiplied out one generator at a time and put in HNF
+    only after the last."""
+    cliques = graph.cliques
+    index = {c: i for i, c in enumerate(cliques)}
+    current = [{c: 1} for c in cliques]
+    for _ in range(k):
+        nxt = []
+        for vec in current:
+            for v in range(graph.n):
+                prod = {}
+                for mask, c in vec.items():
+                    sc = bar_structure_constant(graph, 1 << v, mask)
+                    if sc is not None:
+                        prod[sc[0]] = prod.get(sc[0], 0) + sc[1] * c
+                if any(prod.values()):
+                    nxt.append(prod)
+        current = nxt
+    rows = []
+    for vec in current:
+        row = [0] * len(cliques)
+        for mask, c in vec.items():
+            row[index[mask]] = c
+        rows.append(row)
+    return Lattice(len(cliques), rows)
+
+
+def closed_form_indices(graph, count):
+    """[I^k : I^(k+1)] = 2^(number of cliques with 1..k vertices)."""
+    sizes = [bin(c).count("1") for c in graph.cliques]
+    return [2 ** sum(1 for s in sizes if 1 <= s <= k)
+            for k in range(1, count + 1)]
+
+
+def test_ideal_powers_chain_matches_single_powers(suite_entry):
+    name, graph, _ = suite_entry
+    powers = ideal_powers(graph, 4)
+    assert len(powers) == 4
+    for k, lattice in enumerate(powers, 1):
+        assert lattice.basis == ideal_power(graph, k).basis, (name, k)
+        if k <= 3:
+            assert lattice.basis == product_ideal_power(graph, k).basis, (
+                name, k)
+    with pytest.raises(KRingError):
+        ideal_powers(graph, 0)
+
+
+def test_ideal_power_indices_closed_form(suite_entry):
+    name, graph, _ = suite_entry
+    powers = ideal_powers(graph, 4)
+    indices = [cur.index_in(prev) for prev, cur in zip(powers, powers[1:])]
+    assert indices == closed_form_indices(graph, 3), name
+
+
+def test_ideal_power_indices_closed_form_c64_squared():
+    labels = ["v%d" % i for i in range(64)]
+    graph = parse_graph("%s; %s" % (" ".join(labels), " ".join(
+        "%s-%s" % (labels[i], labels[(i + s) % 64])
+        for i in range(64) for s in (1, 2))))
+    assert len(graph.cliques) == 257
+    powers = ideal_powers(graph, 4)
+    assert [p.rank for p in powers] == [256] * 4
+    indices = [cur.index_in(prev) for prev, cur in zip(powers, powers[1:])]
+    assert indices == closed_form_indices(graph, 3)
 
 
 def test_complete_and_completed_multiply():
