@@ -10,6 +10,8 @@ An independent route to the same vanishing statement goes through the
 two-term interval complex and its tensor powers, also built here.
 """
 
+from functools import cached_property
+
 from .graphs import poset_chains, subset_key, submasks
 from .intlinalg import (invariant_factors, is_zero, kernel_basis, mat_mul,
                         ColumnSolver)
@@ -142,6 +144,18 @@ class LimitLattice:
     def rank(self):
         return len(self.basis_columns)
 
+    @cached_property
+    def clique_factors(self):
+        """Invariant factors of the clique monomial families in limit
+        coordinates, or None when one falls outside the lattice; taken
+        once per limit and read by both limit checks."""
+        columns = [self.solver.solve(monomial_family(self, clique))
+                   for clique in self.cliques]
+        if None in columns:
+            return None
+        # the matrix and its transpose share their invariant factors
+        return invariant_factors(columns)
+
 
 def inverse_limit(graph, complex_=None):
     """Kernel of the degree-0 differential of the Bredon complex."""
@@ -157,62 +171,46 @@ def inverse_limit(graph, complex_=None):
     return LimitLattice(graph.cliques, basis, cols)
 
 
-def family_vector(graph, limit, element_by_clique):
+def family_vector(limit, element_by_clique):
     """Coordinates in the degree-0 basis of a family of rep-ring
     elements indexed by clique."""
-    vec = []
-    for clique, mono in limit.basis_labels:
-        vec.append(element_by_clique[clique].coeffs.get(mono, 0))
-    return vec
+    return [element_by_clique[clique].coeffs.get(mono, 0)
+            for clique, mono in limit.basis_labels]
 
 
-def restriction_family(graph, limit, a):
+def restriction_family(limit, a):
     """The compatible family obtained by restricting a K-ring element to
     every clique; lands in the limit lattice."""
-    fam = {}
-    for clique in limit.cliques:
-        fam[clique] = restrict_to_clique(a, clique)
-    return family_vector(graph, limit, fam)
+    return family_vector(limit, {clique: restrict_to_clique(a, clique)
+                                 for clique in limit.cliques})
 
 
-def monomial_family(graph, limit, monomial_mask):
+def monomial_family(limit, monomial_mask):
     """Family of restrictions of one character monomial of the ambient
-    elementary abelian quotient (support an arbitrary vertex subset).
-    For a clique this is the restriction family of its star monomial."""
-    vec = []
-    for clique, mono in limit.basis_labels:
-        vec.append(1 if monomial_mask & clique == mono else 0)
-    return vec
-
-
-def _family_factors(graph, limit, masks):
-    """Invariant factors of the monomial families of `masks` in limit
-    coordinates, or None when one falls outside the limit lattice."""
-    columns = []
-    for mask in masks:
-        coords = limit.solver.solve(monomial_family(graph, limit, mask))
-        if coords is None:
-            return None
-        columns.append(coords)
-    # the matrix and its transpose share their invariant factors
-    return invariant_factors(columns)
+    elementary abelian quotient: on a clique J it is the monomial
+    monomial_mask & J.  For a clique this is the restriction family of
+    its star monomial."""
+    return [int(monomial_mask & clique == mono)
+            for clique, mono in limit.basis_labels]
 
 
 def rho_surjectivity(graph, limit):
-    """Checks that restriction families of the 2^n ambient character
-    monomials span the limit lattice with index 1.  Every singleton is
-    a clique, so the 2^n families are distinct."""
-    factors = _family_factors(graph, limit, range(1 << graph.n))
+    """Checks that the restriction families of the ambient character
+    monomials span the limit lattice with index 1.  The d clique
+    families span the same sublattice as all of them (by the star
+    relation s*t* = s* + t* - 1, which holds on every clique), so their
+    invariant factors are read instead."""
+    factors = limit.clique_factors
     if factors is None:
         return {"rank": limit.rank, "image_rank": None, "index_one": False,
                 "surjective": False,
-                "detail": "a monomial family falls outside the limit lattice"}
+                "detail": "a clique family falls outside the limit lattice"}
     surjective = (len(factors) == limit.rank
                   and all(f == 1 for f in factors))
     return {
         "rank": limit.rank,
         "image_rank": len(factors),
-        "invariant_factors": factors,
+        "invariant_factors": list(factors),
         "index_one": all(f == 1 for f in factors),
         "surjective": surjective,
     }
@@ -221,13 +219,13 @@ def rho_surjectivity(graph, limit):
 def clique_basis_isomorphism(graph, limit):
     """SNF of the map sending the clique basis of the K-ring onto the
     limit lattice; an isomorphism shows up as all invariant factors 1."""
-    factors = _family_factors(graph, limit, limit.cliques)
+    factors = limit.clique_factors
     if factors is None:
         return {"isomorphism": False,
                 "detail": "clique monomial family outside the limit lattice"}
     iso = (len(factors) == limit.rank == len(limit.cliques)
            and all(f == 1 for f in factors))
-    return {"rank": limit.rank, "invariant_factors": factors,
+    return {"rank": limit.rank, "invariant_factors": list(factors),
             "isomorphism": iso}
 
 

@@ -65,8 +65,8 @@ def run_ktheory(graph, args, rng):
     report = kring.presentation_report(graph)
     samples = []
     for _ in range(5):
-        a = kring.random_element(graph, graph.cliques, rng, basis=kring.STAR)
-        b = kring.random_element(graph, graph.cliques, rng, basis=kring.STAR)
+        a = kring.random_element(graph, rng, basis=kring.STAR)
+        b = kring.random_element(graph, rng, basis=kring.STAR)
         prod = kring.multiply_star(a, b)
         oracle = kring.multiply_bar(kring.convert_basis(a, kring.BAR),
                                     kring.convert_basis(b, kring.BAR))
@@ -169,13 +169,13 @@ def run_counterexample(args, rng):
 def run_mv_check(graph, args, rng):
     if not args.partition:
         raise GraphError("mv-check requires --partition")
-    lines = [l for l in read_text(args.partition).splitlines() if l.strip()]
-    if len(lines) < 1:
-        raise GraphError("partition file needs one or two label lines")
-    part1 = lines[0].split()
-    part2 = lines[1].split() if len(lines) > 1 else []
-    report = kring.mayer_vietoris_check(graph, part1, part2, rng)
-    return report
+    lines = [l.split() for l in read_text(args.partition).splitlines()
+             if l.strip()]
+    if not 1 <= len(lines) <= 2:
+        raise GraphError("partition file needs one or two label lines, "
+                         "not %d" % len(lines))
+    return kring.mayer_vietoris_check(
+        graph, lines[0], lines[1] if len(lines) == 2 else [], rng)
 
 
 def run_all(graph, args, rng):

@@ -382,11 +382,11 @@ def include_from_part(a, graph):
     return convert_basis(res, a.basis)
 
 
-def random_element(graph, cliques, rng, basis=STAR, terms=3, coeff_bound=5):
+def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
     """Seeded random sparse element, for property and oracle checks."""
     coeffs = {}
     for _ in range(rng.randint(1, terms)):
-        c = rng.choice(cliques)
+        c = rng.choice(graph.cliques)
         coeffs[c] = coeffs.get(c, 0) + rng.randint(-coeff_bound, coeff_bound)
     return KRingElement(graph, basis, coeffs)
 
@@ -401,13 +401,13 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     split_ok = True
     for sub in (g1, g2):
         for _ in range(samples):
-            a = random_element(graph, graph.cliques, rng, basis=BAR)
-            b = random_element(graph, graph.cliques, rng, basis=BAR)
+            a = random_element(graph, rng, basis=BAR)
+            b = random_element(graph, rng, basis=BAR)
             pa, pb = project_to_part(a, sub), project_to_part(b, sub)
             if project_to_part(multiply_bar(a, b), sub) != multiply_bar(pa, pb):
                 proj_ok = False
-            x = random_element(sub, sub.cliques, rng, basis=BAR)
-            y = random_element(sub, sub.cliques, rng, basis=BAR)
+            x = random_element(sub, rng, basis=BAR)
+            y = random_element(sub, rng, basis=BAR)
             ix, iy = include_from_part(x, graph), include_from_part(y, graph)
             if include_from_part(multiply_bar(x, y), graph) != multiply_bar(ix, iy):
                 split_ok = False

@@ -57,8 +57,8 @@ def test_criterion_3_multiplication_oracle_triangle():
         cliques = enumerate_spherical(graph)
         maximal = maximal_cliques_of(cliques)
         for _ in range(500):
-            a = random_element(graph, cliques, rng, basis=STAR)
-            b = random_element(graph, cliques, rng, basis=STAR)
+            a = random_element(graph, rng, basis=STAR)
+            b = random_element(graph, rng, basis=STAR)
             prod = multiply_star(a, b)
             oracle = multiply_bar(convert_basis(a, BAR),
                                   convert_basis(b, BAR))
@@ -158,9 +158,9 @@ def test_criterion_9_property_suite():
         cliques = enumerate_spherical(graph)
         full_ambient = max(cliques, key=lambda c: bin(c).count("1"))
         for _ in range(20):
-            a = random_element(graph, cliques, rng, basis=STAR)
-            b = random_element(graph, cliques, rng, basis=STAR)
-            c = random_element(graph, cliques, rng, basis=STAR)
+            a = random_element(graph, rng, basis=STAR)
+            b = random_element(graph, rng, basis=STAR)
+            c = random_element(graph, rng, basis=STAR)
             ok &= multiply_star(a, b) == multiply_star(b, a)
             ok &= multiply_star(multiply_star(a, b), c) == \
                 multiply_star(a, multiply_star(b, c))

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from racgk.bredon import (CochainComplex, build_bredon_complex,
+from racgk.bredon import (CochainComplex, LimitLattice, build_bredon_complex,
                           clique_basis_isomorphism, cohomology,
                           interval_complex, interval_tensor_kunneth,
                           inverse_limit, monomial_family, restriction_family,
                           rho_surjectivity, tensor_complex)
 from racgk.graphs import parse_graph
-from racgk.intlinalg import is_zero, mat_mul
-from racgk.kring import KRingElement
+from racgk.intlinalg import invariant_factors, is_zero, mat_mul
+from racgk.kring import KRingElement, _normalize_star
 from conftest import (complete_graph, cycle_graph, edgeless_graph,
                       graph_suite, path_graph)
 
@@ -78,8 +78,8 @@ def test_limit_contains_restriction_families():
     for name, g, _ in graph_suite():
         limit = inverse_limit(g)
         for c in g.cliques:
-            vec = restriction_family(g, limit, KRingElement.monomial(g, c))
-            assert monomial_family(g, limit, c) == vec, (name, c)
+            vec = restriction_family(limit, KRingElement.monomial(g, c))
+            assert monomial_family(limit, c) == vec, (name, c)
             assert limit.solver.solve(vec) is not None, (name, c)
 
 
@@ -88,6 +88,64 @@ def test_rho_surjective(suite_entry):
     rep = rho_surjectivity(graph, inverse_limit(graph))
     assert rep["surjective"]
     assert rep["rank"] == d
+
+
+def ambient_sweep_factors(graph, limit):
+    """Oracle: invariant factors of the restriction families of all 2^n
+    ambient character monomials in limit coordinates."""
+    columns = [limit.solver.solve(monomial_family(limit, mask))
+               for mask in range(1 << graph.n)]
+    assert None not in columns
+    return invariant_factors(columns)
+
+
+def test_rho_factors_match_ambient_sweep():
+    graphs = [(name, g) for name, g, _ in graph_suite()]
+    graphs += [("C%d" % n, cycle_graph(n)) for n in range(3, 11)]
+    for name, g in graphs:
+        limit = inverse_limit(g)
+        factors = rho_surjectivity(g, limit)["invariant_factors"]
+        assert factors == ambient_sweep_factors(g, limit), name
+
+
+def test_monomial_families_follow_star_relation():
+    # every ambient monomial family is the combination of clique families
+    # that the star relation rewrites the monomial into
+    for name, g, _ in graph_suite():
+        limit = inverse_limit(g)
+        for mask in range(1 << g.n):
+            combo = [0] * len(limit.basis_labels)
+            for clique, coeff in _normalize_star(g, {mask: 1}).items():
+                assert g.is_clique(clique), (name, mask)
+                for i, x in enumerate(monomial_family(limit, clique)):
+                    combo[i] += coeff * x
+            assert monomial_family(limit, mask) == combo, (name, mask)
+
+
+def test_limit_checks_fail_outside_the_lattice():
+    # a lattice of index 2^d in the limit misses the clique families
+    g = path_graph(3)
+    limit = inverse_limit(g)
+    half = LimitLattice(limit.cliques, limit.basis_labels,
+                        [[2 * x for x in col] for col in limit.basis_columns])
+    rho = rho_surjectivity(g, half)
+    assert not rho["surjective"] and rho["image_rank"] is None
+    assert "outside the limit lattice" in rho["detail"]
+    assert not clique_basis_isomorphism(g, half)["isomorphism"]
+
+
+def test_limit_checks_detect_a_larger_lattice():
+    # the whole degree-0 cochain module holds the limit with rank to spare
+    g = cycle_graph(4)
+    limit = inverse_limit(g)
+    n = len(limit.basis_labels)
+    whole = LimitLattice(limit.cliques, limit.basis_labels,
+                         [[int(i == j) for i in range(n)] for j in range(n)])
+    rho = rho_surjectivity(g, whole)
+    assert (rho["rank"], rho["image_rank"]) == (n, limit.rank)
+    assert rho["index_one"] and not rho["surjective"]
+    assert rho["invariant_factors"] == ambient_sweep_factors(g, whole)
+    assert not clique_basis_isomorphism(g, whole)["isomorphism"]
 
 
 def test_rho_bijective_on_complete_graphs():
@@ -164,4 +222,14 @@ def test_c12_limit_ladder_target():
     limit = inverse_limit(g)
     assert limit.rank == 25
     assert rho_surjectivity(g, limit)["surjective"]
+    assert clique_basis_isomorphism(g, limit)["isomorphism"]
+
+
+def test_c64_limit_ladder_target():
+    g = cycle_graph(64)
+    limit = inverse_limit(g)
+    assert limit.rank == 129
+    rho = rho_surjectivity(g, limit)
+    assert rho["surjective"]
+    assert rho["invariant_factors"] == [1] * 129
     assert clique_basis_isomorphism(g, limit)["isomorphism"]

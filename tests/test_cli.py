@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from racgk import bredon, graphs
+from racgk import bredon, graphs, intlinalg
 from racgk.cli import main
 
 
@@ -74,6 +74,16 @@ def test_mv_check(capsys, path_file, tmp_path):
                                   "--partition", str(part)])
     assert code == 0
     assert rep["rank_inclusion_exclusion"]
+
+
+def test_mv_check_refuses_a_third_partition_line(capsys, tmp_path):
+    graph = tmp_path / "p4.graph"
+    graph.write_text("a b c d; a-b b-c c-d\n")
+    part = tmp_path / "part.txt"
+    part.write_text("a b c\nb c d\nzzz qqq\n")
+    assert main(["mv-check", "--input", str(graph),
+                 "--partition", str(part)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_all_cross_checks(capsys, path_file):
@@ -162,3 +172,22 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
     assert main([sub, "--input", pentagon_file, "--format", "json"]) == 0
     assert calls == {"enumerate_spherical": 1, "build_bredon_complex": 1,
                      "inverse_limit": 1}
+
+
+def test_limit_takes_one_clique_column_snf(monkeypatch, capsys,
+                                           pentagon_file):
+    # rho and the clique-basis isomorphism share the d = 11 clique columns
+    calls = {"factors": 0, "solves": 0}
+    factors, solve = bredon.invariant_factors, intlinalg.ColumnSolver.solve
+
+    def counted_factors(*args):
+        calls["factors"] += 1
+        return factors(*args)
+
+    def counted_solve(*args):
+        calls["solves"] += 1
+        return solve(*args)
+    monkeypatch.setattr(bredon, "invariant_factors", counted_factors)
+    monkeypatch.setattr(intlinalg.ColumnSolver, "solve", counted_solve)
+    assert main(["limit", "--input", pentagon_file, "--format", "json"]) == 0
+    assert calls == {"factors": 1, "solves": 11}

@@ -92,9 +92,8 @@ def test_convert_basis_examples():
 def test_convert_basis_round_trip(suite_entry):
     _, graph, _ = suite_entry
     rng = random.Random(21)
-    cliques = enumerate_spherical(graph)
     for _ in range(50):
-        a = random_element(graph, cliques, rng, basis=STAR)
+        a = random_element(graph, rng, basis=STAR)
         assert convert_basis(convert_basis(a, BAR), STAR) == a
 
 
@@ -145,10 +144,9 @@ def test_augmentation():
 def test_augmentation_is_ring_homomorphism(suite_entry):
     _, graph, _ = suite_entry
     rng = random.Random(23)
-    cliques = enumerate_spherical(graph)
     for _ in range(30):
-        a = random_element(graph, cliques, rng, basis=STAR)
-        b = random_element(graph, cliques, rng, basis=STAR)
+        a = random_element(graph, rng, basis=STAR)
+        b = random_element(graph, rng, basis=STAR)
         assert augmentation(multiply_star(a, b)) == augmentation(a) * augmentation(b)
 
 
@@ -159,8 +157,8 @@ def test_oracle_triangle(suite_entry):
     maximal = [c for c in cliques
                if not any(c != d and c & d == c for d in cliques)]
     for _ in range(30):
-        a = random_element(graph, cliques, rng, basis=STAR)
-        b = random_element(graph, cliques, rng, basis=STAR)
+        a = random_element(graph, rng, basis=STAR)
+        b = random_element(graph, rng, basis=STAR)
         prod = multiply_star(a, b)
         oracle = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
         assert convert_basis(prod, BAR) == oracle
@@ -174,12 +172,11 @@ def test_oracle_triangle(suite_entry):
 def test_multiplication_properties(suite_entry):
     _, graph, _ = suite_entry
     rng = random.Random(31)
-    cliques = enumerate_spherical(graph)
     one = KRingElement.one(graph, STAR)
     for _ in range(15):
-        a = random_element(graph, cliques, rng, basis=STAR)
-        b = random_element(graph, cliques, rng, basis=STAR)
-        c = random_element(graph, cliques, rng, basis=STAR)
+        a = random_element(graph, rng, basis=STAR)
+        b = random_element(graph, rng, basis=STAR)
+        c = random_element(graph, rng, basis=STAR)
         assert multiply_star(a, b) == multiply_star(b, a)
         assert multiply_star(multiply_star(a, b), c) == \
             multiply_star(a, multiply_star(b, c))
@@ -195,11 +192,10 @@ def test_multiplication_properties(suite_entry):
 def test_complete_graph_star_ring_equals_rep_ring():
     graph = complete_graph(3)
     rng = random.Random(37)
-    cliques = enumerate_spherical(graph)
     full = (1 << graph.n) - 1
     for _ in range(50):
-        a = random_element(graph, cliques, rng, basis=STAR)
-        b = random_element(graph, cliques, rng, basis=STAR)
+        a = random_element(graph, rng, basis=STAR)
+        b = random_element(graph, rng, basis=STAR)
         prod = multiply_star(a, b)
         ra = RepRingElement(full, dict(a.coeffs))
         rb = RepRingElement(full, dict(b.coeffs))
@@ -325,10 +321,9 @@ def test_completed_two_clique_square():
 def test_completed_multiply_by_one_is_identity():
     g = path_graph(3)
     rng = random.Random(41)
-    cliques = enumerate_spherical(g)
     one = complete(KRingElement.one(g), 16)
     for _ in range(20):
-        a = complete(random_element(g, cliques, rng, basis=BAR), 16)
+        a = complete(random_element(g, rng, basis=BAR), 16)
         assert completed_multiply(a, one) == a
 
 
@@ -339,8 +334,8 @@ def test_completed_multiply_matches_exact_ring():
     p = 12
     mod = 1 << p
     for _ in range(50):
-        a = random_element(g, cliques, rng, basis=BAR)
-        b = random_element(g, cliques, rng, basis=BAR)
+        a = random_element(g, rng, basis=BAR)
+        b = random_element(g, rng, basis=BAR)
         exact = multiply_bar(a, b)
         approx = completed_multiply(complete(a, p), complete(b, p))
         assert approx.constant == exact.coeffs.get(0, 0)
@@ -386,7 +381,6 @@ def test_projection_section_identities():
     g = path_graph(3)
     g1 = g.induced({"v0", "v1"})
     rng = random.Random(61)
-    cliques1 = enumerate_spherical(g1)
     for _ in range(20):
-        x = random_element(g1, cliques1, rng, basis=BAR)
+        x = random_element(g1, rng, basis=BAR)
         assert project_to_part(include_from_part(x, g), g1) == x
