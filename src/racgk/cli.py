@@ -2,7 +2,7 @@
 
 Reads a graph file, dispatches the requested computation, and emits a
 reproducible report (text or JSON).  Exit codes: 0 success, 1 a
-verified mathematical property failed, 2 usage or I/O error.
+verified mathematical property failed, 2 usage, I/O or memory error.
 """
 
 import argparse
@@ -263,6 +263,10 @@ def main(argv=None):
             report = runner(graph, args, rng)
     except (GraphError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: %s ran out of memory on this graph" % args.subcommand,
+              file=sys.stderr)
         return USAGE_ERROR
     payload = dict(header)
     payload["subcommand"] = args.subcommand

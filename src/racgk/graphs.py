@@ -68,6 +68,11 @@ class Graph:
         once per graph object."""
         return tuple(enumerate_spherical(self))
 
+    @cached_property
+    def clique_set(self):
+        """The cliques as a frozenset, for membership tests."""
+        return frozenset(self.cliques)
+
     def has_edge(self, i, j):
         return bool(self.adj[i] >> j & 1)
 

@@ -1,13 +1,16 @@
 """Exact integer linear algebra: invariant factors, kernels and exact
 solving by one sparse elimination kernel; Hermite normal forms and
-lattice membership with certificates.
+lattice membership with certificates; the sparse-combination core
+(`accumulate`, `Combination`) under the ring elements.
 
-Matrices at the interface are lists of rows of Python ints; everything
+Matrices at the interface are lists of rows of Python ints; `row_hnf`
+and `Lattice` also take dict rows {column: nonzero entry}.  Everything
 is exact.  The dense Smith normal form with both transforms is kept as
 the reference the sparse kernel is tested against.
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd
 
 
@@ -357,6 +360,47 @@ def _add_into(y, q, x):
             y[j] = s
         else:
             del y[j]
+
+
+def accumulate(pairs):
+    """The dict of summed (key, value) pairs, zero sums dropped."""
+    out = {}
+    for k, v in pairs:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+class Combination:
+    """Sparse integer combination of monomials: `coeffs` maps keys to
+    nonzero integers.  A subclass gives `_ring()`, what two elements must
+    share to be combined; `_check(other)`, which raises its own error if
+    they do not; and `_make(coeffs)`, a new element of the same ring."""
+
+    __slots__ = ("coeffs",)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self._ring() == other._ring()
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self._ring(), frozenset(self.coeffs.items())))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._make(accumulate(chain(self.coeffs.items(),
+                                           other.coeffs.items())))
+
+    def __sub__(self, other):
+        self._check(other)
+        negated = ((k, -c) for k, c in other.coeffs.items())
+        return self._make(accumulate(chain(self.coeffs.items(), negated)))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, n):
+        return self._make({k: n * c for k, c in self.coeffs.items()})
 
 
 def _sparse(lines):

@@ -16,8 +16,11 @@ The completion at the augmentation ideal keeps the constant term exact
 and truncates every other coefficient 2-adically.
 """
 
+from itertools import chain
+
 from .graphs import submasks, subset_key, validate_decomposition
-from .intlinalg import Lattice
+from .intlinalg import Combination, Lattice, accumulate
+from .repring import RepRingElement
 
 STAR = "star"
 BAR = "bar"
@@ -27,10 +30,10 @@ class KRingError(ValueError):
     pass
 
 
-class KRingElement:
+class KRingElement(Combination):
     """Sparse integer combination of clique-indexed monomials."""
 
-    __slots__ = ("graph", "basis", "coeffs")
+    __slots__ = ("graph", "basis")
 
     def __init__(self, graph, basis, coeffs):
         if basis not in (STAR, BAR):
@@ -38,8 +41,9 @@ class KRingElement:
         self.graph = graph
         self.basis = basis
         self.coeffs = {}
+        cliques = graph.clique_set
         for k, c in coeffs.items():
-            if not graph.is_clique(k):
+            if k not in cliques:
                 raise KRingError("support %r is not a clique"
                                  % (graph.subset_labels(k),))
             if c:
@@ -61,44 +65,19 @@ class KRingElement:
     def monomial(cls, graph, mask, basis=STAR, coeff=1):
         return cls(graph, basis, {mask: coeff})
 
-    def __eq__(self, other):
-        return (isinstance(other, KRingElement)
-                and self.graph == other.graph
-                and self.basis == other.basis
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.graph, self.basis, frozenset(self.coeffs.items())))
-
     def __repr__(self):
         return "KRingElement(%s, %r)" % (self.basis, self.coeffs)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return KRingElement(self.graph, self.basis, out)
+    def _ring(self):
+        return self.graph, self.basis
 
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return KRingElement(self.graph, self.basis, out)
+    def _make(self, coeffs):
+        return KRingElement(self.graph, self.basis, coeffs)
 
-    def __neg__(self):
-        return KRingElement(self.graph, self.basis,
-                            {k: -c for k, c in self.coeffs.items()})
-
-    def scale(self, n):
-        return KRingElement(self.graph, self.basis,
-                            {k: n * c for k, c in self.coeffs.items()})
-
-    def _check(self, other, basis=True):
+    def _check(self, other):
         if self.graph != other.graph:
             raise KRingError("graph mismatch")
-        if basis and self.basis != other.basis:
+        if self.basis != other.basis:
             raise KRingError("basis mismatch: %s vs %s"
                              % (self.basis, other.basis))
 
@@ -110,7 +89,7 @@ def _normalize_star(graph, terms):
     pair {s, t} in its support rewrites as
         m_K -> m_{K-t} + m_{K-s} - m_{K-s-t}.
     """
-    out = {}
+    done = []
     pending = dict(terms)
     while pending:
         mask = min(pending)
@@ -119,14 +98,14 @@ def _normalize_star(graph, terms):
             continue
         pair = _smallest_nonadjacent_pair(graph, mask)
         if pair is None:
-            out[mask] = out.get(mask, 0) + coeff
+            done.append((mask, coeff))
             continue
         s, t = pair
         for sub, sign in ((mask & ~(1 << t), 1),
                           (mask & ~(1 << s), 1),
                           (mask & ~(1 << s) & ~(1 << t), -1)):
             pending[sub] = pending.get(sub, 0) + sign * coeff
-    return {k: c for k, c in out.items() if c}
+    return accumulate(done)
 
 
 def _smallest_nonadjacent_pair(graph, mask):
@@ -142,11 +121,8 @@ def multiply_star(a, b):
     a._check(b)
     if a.basis != STAR or b.basis != STAR:
         raise KRingError("multiply_star needs star-basis operands")
-    raw = {}
-    for k, ck in a.coeffs.items():
-        for l, cl in b.coeffs.items():
-            m = k ^ l
-            raw[m] = raw.get(m, 0) + ck * cl
+    raw = accumulate((k ^ l, ck * cl) for k, ck in a.coeffs.items()
+                     for l, cl in b.coeffs.items())
     return KRingElement(a.graph, STAR, _normalize_star(a.graph, raw))
 
 
@@ -154,24 +130,28 @@ def bar_structure_constant(graph, j, k):
     """(mask, coefficient) of the product of two bar monomials, or None
     when the union is not a clique (the product is zero)."""
     union = j | k
-    if not graph.is_clique(union):
+    if union not in graph.clique_set:
         return None
     overlap = bin(j & k).count("1")
     return union, (-2) ** overlap
+
+
+def _bar_terms(graph, a, b):
+    """(mask, coefficient) terms of the product of two bar coordinate
+    dicts, one per pair of monomials whose product is not zero."""
+    for k, ck in a.items():
+        for l, cl in b.items():
+            sc = bar_structure_constant(graph, k, l)
+            if sc is not None:
+                m, c = sc
+                yield m, c * ck * cl
 
 
 def multiply_bar(a, b):
     a._check(b)
     if a.basis != BAR or b.basis != BAR:
         raise KRingError("multiply_bar needs bar-basis operands")
-    out = {}
-    for k, ck in a.coeffs.items():
-        for l, cl in b.coeffs.items():
-            sc = bar_structure_constant(a.graph, k, l)
-            if sc is None:
-                continue
-            m, c = sc
-            out[m] = out.get(m, 0) + c * ck * cl
+    out = accumulate(_bar_terms(a.graph, a.coeffs, b.coeffs))
     return KRingElement(a.graph, BAR, out)
 
 
@@ -185,32 +165,26 @@ def convert_basis(a, target):
         raise KRingError("unknown basis %r" % target)
     if a.basis == target:
         return a
-    out = {}
-    for k, c in a.coeffs.items():
-        kbits = bin(k).count("1")
-        for sub in submasks(k):
-            if target == BAR:
-                sign = 1
-            else:
-                sign = -1 if (kbits - bin(sub).count("1")) % 2 else 1
-            out[sub] = out.get(sub, 0) + sign * c
-    return KRingElement(a.graph, target, out)
+
+    def terms():
+        for k, c in a.coeffs.items():
+            for sub in submasks(k):
+                # the star sign is (-1)^|k - sub|, and k - sub is k ^ sub
+                odd = target == STAR and bin(k ^ sub).count("1") % 2
+                yield sub, -c if odd else c
+
+    return KRingElement(a.graph, target, accumulate(terms()))
 
 
 def restrict_to_clique(a, target):
     """Component of the restriction family at a clique: star monomials
     intersect their support with the target.  Realizes the comparison
     map into the representation ring of the clique subgroup."""
-    from .repring import RepRingElement
-
-    if not a.graph.is_clique(target):
+    if target not in a.graph.clique_set:
         raise KRingError("restriction target %r is not a clique"
                          % (a.graph.subset_labels(target),))
     star = convert_basis(a, STAR)
-    out = {}
-    for k, c in star.coeffs.items():
-        m = k & target
-        out[m] = out.get(m, 0) + c
+    out = accumulate((k & target, c) for k, c in star.coeffs.items())
     return RepRingElement(target, out)
 
 
@@ -296,7 +270,8 @@ def ideal_power(graph, k):
 
 class CompletedElement:
     """Element of the completed ring: exact constant term plus one
-    residue mod 2^precision per non-empty clique."""
+    residue mod 2^precision per non-empty clique.  Not a Combination:
+    the constant sits outside `coeffs`, which its sums would drop."""
 
     __slots__ = ("graph", "precision", "constant", "coeffs")
 
@@ -308,10 +283,11 @@ class CompletedElement:
         self.constant = constant
         mod = 1 << precision
         self.coeffs = {}
+        cliques = graph.clique_set
         for k, c in coeffs.items():
             if k == 0:
                 raise KRingError("constant term must go in `constant`")
-            if not graph.is_clique(k):
+            if k not in cliques:
                 raise KRingError("support %r is not a clique"
                                  % (graph.subset_labels(k),))
             r = c % mod
@@ -343,18 +319,10 @@ def completed_multiply(a, b):
     if a.precision != b.precision:
         raise KRingError("precision mismatch: %d vs %d"
                          % (a.precision, b.precision))
-    out = {}
-    for k, ck in list(a.coeffs.items()):
-        for l, cl in list(b.coeffs.items()):
-            sc = bar_structure_constant(a.graph, k, l)
-            if sc is None:
-                continue
-            m, c = sc
-            out[m] = out.get(m, 0) + c * ck * cl
-    for k, c in a.coeffs.items():
-        out[k] = out.get(k, 0) + b.constant * c
-    for k, c in b.coeffs.items():
-        out[k] = out.get(k, 0) + a.constant * c
+    out = accumulate(chain(
+        _bar_terms(a.graph, a.coeffs, b.coeffs),
+        ((k, b.constant * c) for k, c in a.coeffs.items()),
+        ((k, a.constant * c) for k, c in b.coeffs.items())))
     return CompletedElement(a.graph, a.precision, a.constant * b.constant, out)
 
 
@@ -384,11 +352,11 @@ def include_from_part(a, graph):
 
 def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
     """Seeded random sparse element, for property and oracle checks."""
-    coeffs = {}
-    for _ in range(rng.randint(1, terms)):
-        c = rng.choice(graph.cliques)
-        coeffs[c] = coeffs.get(c, 0) + rng.randint(-coeff_bound, coeff_bound)
-    return KRingElement(graph, basis, coeffs)
+    # the draw order (term count, then a clique and a coefficient per
+    # term) fixes the seeded reports
+    draws = [(rng.choice(graph.cliques), rng.randint(-coeff_bound, coeff_bound))
+             for _ in range(rng.randint(1, terms))]
+    return KRingElement(graph, basis, accumulate(draws))
 
 
 def mayer_vietoris_check(graph, part1, part2, rng, samples=20):

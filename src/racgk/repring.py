@@ -12,20 +12,21 @@ vertex order.
 from fractions import Fraction
 
 from .graphs import submasks
+from .intlinalg import Combination, accumulate
 
 
 class RepRingError(ValueError):
     pass
 
 
-class RepRingElement:
+class RepRingElement(Combination):
     """Sparse integer combination of character monomials of (C2)^J.
 
     `ambient` is the bitmask of J; `coeffs` maps monomial masks
     (subsets of the ambient) to nonzero integers.
     """
 
-    __slots__ = ("ambient", "coeffs")
+    __slots__ = ("ambient",)
 
     def __init__(self, ambient, coeffs):
         self.ambient = ambient
@@ -50,36 +51,14 @@ class RepRingElement:
     def monomial(cls, ambient, mask, coeff=1):
         return cls(ambient, {mask: coeff})
 
-    def __eq__(self, other):
-        return (isinstance(other, RepRingElement)
-                and self.ambient == other.ambient
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self.coeffs.items())))
-
     def __repr__(self):
         return "RepRingElement(ambient=%#x, %r)" % (self.ambient, self.coeffs)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return RepRingElement(self.ambient, out)
+    def _ring(self):
+        return self.ambient
 
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return RepRingElement(self.ambient, out)
-
-    def __neg__(self):
-        return RepRingElement(self.ambient, {k: -c for k, c in self.coeffs.items()})
-
-    def scale(self, n):
-        return RepRingElement(self.ambient, {k: n * c for k, c in self.coeffs.items()})
+    def _make(self, coeffs):
+        return RepRingElement(self.ambient, coeffs)
 
     def _check(self, other):
         if self.ambient != other.ambient:
@@ -90,11 +69,8 @@ class RepRingElement:
 def rep_multiply(a, b):
     """Group-ring product: monomials multiply by symmetric difference."""
     a._check(b)
-    out = {}
-    for k, ck in a.coeffs.items():
-        for l, cl in b.coeffs.items():
-            m = k ^ l
-            out[m] = out.get(m, 0) + ck * cl
+    out = accumulate((k ^ l, ck * cl) for k, ck in a.coeffs.items()
+                     for l, cl in b.coeffs.items())
     return RepRingElement(a.ambient, out)
 
 
@@ -103,10 +79,7 @@ def restriction(a, target):
     if target & ~a.ambient:
         raise RepRingError("target %#x is not a subset of the ambient %#x"
                            % (target, a.ambient))
-    out = {}
-    for k, c in a.coeffs.items():
-        m = k & target
-        out[m] = out.get(m, 0) + c
+    out = accumulate((k & target, c) for k, c in a.coeffs.items())
     return RepRingElement(target, out)
 
 
@@ -166,8 +139,6 @@ def to_json_dict(a, graph):
 
 def from_json_dict(data, graph):
     ambient = graph.mask_of(data["ambient"])
-    coeffs = {}
-    for term in data["terms"]:
-        k = graph.mask_of(term["monomial"])
-        coeffs[k] = coeffs.get(k, 0) + int(term["coeff"])
+    coeffs = accumulate((graph.mask_of(term["monomial"]), int(term["coeff"]))
+                        for term in data["terms"])
     return RepRingElement(ambient, coeffs)

@@ -153,6 +153,18 @@ def test_kunneth_max_above_cap_is_refused(monkeypatch, capsys):
     assert "kunneth-max" in capsys.readouterr().err
 
 
+def test_memory_error_is_usage_error(monkeypatch, capsys, pentagon_file):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bredon, "build_bredon_complex", exhaust)
+    assert main(["bredon", "--input", pentagon_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bredon ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub", ["all", "limit"])
 def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
                                          sub):

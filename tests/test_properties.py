@@ -1,0 +1,125 @@
+"""Property tests of the sparse-combination core under the ring
+elements, on random graphs with at most eight vertices."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from racgk.graphs import Graph, submasks
+from racgk.intlinalg import accumulate
+from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
+                         multiply_bar, multiply_star)
+from racgk.repring import RepRingElement, RepRingError
+
+LAWS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    labels = ["v%d" % i for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(labels, [p for p, k in zip(pairs, keep) if k])
+
+
+def coefficients(keys):
+    return st.dictionaries(st.sampled_from(keys), st.integers(-20, 20),
+                           max_size=6)
+
+
+@st.composite
+def kring_elements(draw, count, basis=None):
+    """`count` elements of one K-ring, in one basis."""
+    graph = draw(graphs())
+    basis = basis or draw(st.sampled_from([STAR, BAR]))
+    return [KRingElement(graph, basis, draw(coefficients(graph.cliques)))
+            for _ in range(count)]
+
+
+@st.composite
+def repring_elements(draw, count):
+    """`count` elements of the representation ring of one (C2)^J."""
+    ambient = draw(st.integers(0, 255))
+    monomials = sorted(submasks(ambient))
+    return [RepRingElement(ambient, draw(coefficients(monomials)))
+            for _ in range(count)]
+
+
+@LAWS
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3))))
+def test_accumulate_sums_and_drops_zeros(pairs):
+    out = accumulate(pairs)
+    assert all(out.values())
+    for k in {k for k, _v in pairs}:
+        assert out.get(k, 0) == sum(v for j, v in pairs if j == k)
+
+
+def check_group_laws(a, b, c, n):
+    zero = a.scale(0)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a - a == zero
+    assert a - b == a + (-b)
+    assert -(-a) == a
+    assert a.scale(2) == a + a
+    assert (a + b).scale(n) == a.scale(n) + b.scale(n)
+    assert hash(a + b) == hash(b + a)
+    assert hash(a - a) == hash(zero)
+    rebuilt = a._make(dict(reversed(list(a.coeffs.items()))))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+@LAWS
+@given(kring_elements(3), st.integers(-4, 4))
+def test_kring_group_laws(elements, n):
+    check_group_laws(*elements, n)
+
+
+@LAWS
+@given(repring_elements(3), st.integers(-4, 4))
+def test_repring_group_laws(elements, n):
+    check_group_laws(*elements, n)
+
+
+@LAWS
+@given(graphs(), graphs())
+def test_kring_mixed_graphs_are_refused(g, h):
+    assume(g != h)
+    a, b = KRingElement.one(g), KRingElement.one(h)
+    assert a != b
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(KRingError, match="graph"):
+            op(b)
+
+
+@LAWS
+@given(kring_elements(1, basis=STAR))
+def test_kring_mixed_bases_are_refused(elements):
+    a, = elements
+    b = convert_basis(a, BAR)
+    assert KRingElement.one(a.graph, STAR) != KRingElement.one(a.graph, BAR)
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(KRingError, match="basis"):
+            op(b)
+
+
+@LAWS
+@given(st.integers(0, 255), st.integers(0, 255))
+def test_repring_mixed_ambients_are_refused(j, k):
+    assume(j != k)
+    a, b = RepRingElement.one(j), RepRingElement.one(k)
+    assert a != b
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(RepRingError, match="ambient"):
+            op(b)
+
+
+@LAWS
+@given(kring_elements(2, basis=STAR))
+def test_star_product_matches_bar_product(elements):
+    a, b = elements
+    bar = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
+    assert convert_basis(multiply_star(a, b), BAR) == bar
+    assert multiply_star(a, b) == convert_basis(bar, STAR)
