@@ -13,7 +13,7 @@ two-term interval complex and its tensor powers, also built here.
 from functools import cached_property
 
 from .graphs import poset_chains, subset_key, submasks
-from .intlinalg import (invariant_factors, is_zero, kernel_basis, mat_mul,
+from .intlinalg import (accumulate, invariant_factors, kernel_basis,
                         ColumnSolver)
 from .kring import restrict_to_clique
 
@@ -23,36 +23,53 @@ KUNNETH_CAP = 6
 class CochainComplex:
     """Finite complex of free Z-modules given by its differentials.
 
-    diffs[k] maps degree k to degree k+1; composability and d o d = 0
-    are checked at construction.
+    diffs[k] maps degree k to degree k+1 and holds one dict row
+    {column: nonzero entry} per degree-(k+1) cell, the form that
+    `invariant_factors` and `kernel_basis` take.  Rows given as lists
+    are converted.  Shapes and d o d = 0 are checked at construction.
     """
 
     def __init__(self, ranks, diffs):
         self.ranks = list(ranks)
-        self.diffs = [[list(r) for r in d] for d in diffs]
-        if len(self.diffs) != max(len(self.ranks) - 1, 0):
+        if len(diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("expected %d differentials, got %d"
-                             % (max(len(self.ranks) - 1, 0), len(self.diffs)))
-        for k, d in enumerate(self.diffs):
-            rows = len(d)
-            cols = len(d[0]) if d else 0
-            if d and cols != self.ranks[k]:
-                raise ValueError("d^%d has %d columns, expected %d"
-                                 % (k, cols, self.ranks[k]))
-            if rows != self.ranks[k + 1]:
-                raise ValueError("d^%d has %d rows, expected %d"
-                                 % (k, rows, self.ranks[k + 1]))
+                             % (max(len(self.ranks) - 1, 0), len(diffs)))
+        self.diffs = [self._dict_rows(k, d) for k, d in enumerate(diffs)]
         for k in range(len(self.diffs) - 1):
-            if self.ranks[k] and not is_zero(mat_mul(self.diffs[k + 1],
-                                                     self.diffs[k])):
-                raise ValueError("d^%d o d^%d != 0" % (k + 1, k))
+            inner = self.diffs[k]
+            for row in self.diffs[k + 1]:
+                # this row of d^(k+1) times the rows of d^k
+                product = {}
+                for j, x in row.items():
+                    for c, y in inner[j].items():
+                        product[c] = product.get(c, 0) + x * y
+                if any(product.values()):
+                    raise ValueError("d^%d o d^%d != 0" % (k + 1, k))
+
+    def _dict_rows(self, k, d):
+        cols = self.ranks[k]
+        out = []
+        for row in d:
+            if not isinstance(row, dict):
+                if len(row) != cols:
+                    raise ValueError("d^%d has %d columns, expected %d"
+                                     % (k, len(row), cols))
+                row = {j: x for j, x in enumerate(row) if x}
+            elif row and (min(row) < 0 or max(row) >= cols):
+                raise ValueError("d^%d has a column outside 0..%d"
+                                 % (k, cols - 1))
+            out.append(row)
+        if len(out) != self.ranks[k + 1]:
+            raise ValueError("d^%d has %d rows, expected %d"
+                             % (k, len(out), self.ranks[k + 1]))
+        return out
 
     @property
     def top_degree(self):
         return len(self.ranks) - 1
 
     def differential(self, k):
-        """d^k as a matrix; the top differential is the zero map."""
+        """d^k as dict rows; the top differential is the zero map."""
         if k < len(self.diffs):
             return self.diffs[k]
         return []
@@ -68,8 +85,7 @@ def cohomology(complex_):
     results = []
     prev_factors = []
     for k, rank in enumerate(complex_.ranks):
-        d = complex_.differential(k)
-        factors = invariant_factors(d) if d else []
+        factors = invariant_factors(complex_.differential(k))
         free = rank - len(factors) - len(prev_factors)
         torsion = [f for f in prev_factors if f > 1]
         results.append({"degree": k, "free_rank": free, "torsion": torsion})
@@ -93,38 +109,35 @@ def build_bredon_complex(graph):
     cliques = graph.cliques
     top = max((bin(c).count("1") for c in cliques), default=0)
     chains = poset_chains(graph, cliques, top)
-
-    def chain_key(ch):
-        return tuple(subset_key(graph, c) for c in ch)
+    keys = {c: subset_key(graph, c) for c in cliques}
+    monomials = {c: _sorted_submasks(graph, c) for c in cliques}
 
     bases = []
     index_maps = []
     for per_degree in chains:
-        basis = []
-        for ch in sorted(per_degree, key=chain_key):
-            for mono in _sorted_submasks(graph, ch[0]):
-                basis.append((ch, mono))
+        basis = [(ch, mono)
+                 for ch in sorted(per_degree,
+                                  key=lambda ch: [keys[c] for c in ch])
+                 for mono in monomials[ch[0]]]
         bases.append(basis)
-        index_maps.append({bm: i for i, bm in enumerate(basis)})
+        index_maps.append({cell: i for i, cell in enumerate(basis)})
 
     diffs = []
     for k in range(len(bases) - 1):
-        rows = len(bases[k + 1])
-        cols = len(bases[k])
-        d = [[0] * cols for _ in range(rows)]
-        for r, (chain, mono) in enumerate(bases[k + 1]):
+        index = index_maps[k]
+        d = []
+        for chain, mono in bases[k + 1]:
             # face 0 drops the smallest clique: the coefficient on the
-            # remaining chain lives over chain[1] and restricts down;
-            # a monomial L of chain[1] hits mono iff L & chain[0] == mono
+            # remaining chain lives over chain[1] and restricts down; a
+            # monomial L of chain[1] hits mono iff L & chain[0] == mono,
+            # that is L = mono | s with s a subset of chain[1] - chain[0]
             face0 = chain[1:]
-            j0, j1 = chain[0], chain[1]
-            for ell in submasks(j1):
-                if ell & j0 == mono:
-                    d[r][index_maps[k][(face0, ell)]] += 1
+            pairs = [(index[(face0, mono | s)], 1)
+                     for s in submasks(chain[1] & ~chain[0])]
             for i in range(1, len(chain)):
-                face = chain[:i] + chain[i + 1:]
-                sign = -1 if i % 2 else 1
-                d[r][index_maps[k][(face, mono)]] += sign
+                pairs.append((index[(chain[:i] + chain[i + 1:], mono)],
+                              -1 if i % 2 else 1))
+            d.append(accumulate(pairs))
         diffs.append(d)
     return CochainComplex([len(b) for b in bases], diffs)
 
@@ -161,12 +174,7 @@ def inverse_limit(graph, complex_=None):
     """Kernel of the degree-0 differential of the Bredon complex."""
     if complex_ is None:
         complex_ = build_bredon_complex(graph)
-    d0 = complex_.differential(0)
-    if d0:
-        cols = kernel_basis(d0)
-    else:
-        n = complex_.ranks[0]
-        cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    cols = kernel_basis(complex_.differential(0), complex_.ranks[0])
     basis = [(c, m) for c in graph.cliques for m in _sorted_submasks(graph, c)]
     return LimitLattice(graph.cliques, basis, cols)
 
@@ -254,22 +262,21 @@ def tensor_complex(c1, c2):
     index_maps = [{t: i for i, t in enumerate(b)} for b in bases]
     diffs = []
     for k in range(top):
-        rows = len(bases[k + 1])
-        cols = len(bases[k])
-        d = [[0] * cols for _ in range(rows)]
-        for col, (i, a, b) in enumerate(bases[k]):
-            j = k - i
-            d1 = c1.differential(i)
-            if d1:
-                for r in range(len(d1)):
-                    if d1[r][a]:
-                        d[index_maps[k + 1][(i + 1, r, b)]][col] += d1[r][a]
-            d2 = c2.differential(j)
-            if d2:
+        index = index_maps[k]
+        d = []
+        for i, a, b in bases[k + 1]:
+            # the row of cell (i, a, b) collects d1 on the first factor
+            # and the signed d2 on the second, of degree j
+            j = k + 1 - i
+            pairs = []
+            if i:
+                pairs += [(index[(i - 1, a1, b)], x)
+                          for a1, x in c1.diffs[i - 1][a].items()]
+            if j:
                 sign = -1 if i % 2 else 1
-                for r in range(len(d2)):
-                    if d2[r][b]:
-                        d[index_maps[k + 1][(i, a, r)]][col] += sign * d2[r][b]
+                pairs += [(index[(i, a, b1)], sign * y)
+                          for b1, y in c2.diffs[j - 1][b].items()]
+            d.append(accumulate(pairs))
         diffs.append(d)
     return CochainComplex([len(b) for b in bases], diffs)
 

@@ -128,9 +128,8 @@ def bredon_section(graph, complex_, args):
             with open("%s.%d" % (args.dump_matrices, k), "w",
                       encoding="utf-8") as fh:
                 for r, row in enumerate(d):
-                    for c, x in enumerate(row):
-                        if x:
-                            fh.write("%d %d %d\n" % (r, c, x))
+                    for c in sorted(row):
+                        fh.write("%d %d %d\n" % (r, c, row[c]))
     coh = bredon.cohomology(complex_)
     d = len(graph.cliques)
     ok = (coh[0]["free_rank"] == d and not coh[0]["torsion"]

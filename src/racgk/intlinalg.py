@@ -3,10 +3,12 @@ solving by one sparse elimination kernel; Hermite normal forms and
 lattice membership with certificates; the sparse-combination core
 (`accumulate`, `Combination`) under the ring elements.
 
-Matrices at the interface are lists of rows of Python ints; `row_hnf`
-and `Lattice` also take dict rows {column: nonzero entry}.  Everything
-is exact.  The dense Smith normal form with both transforms is kept as
-the reference the sparse kernel is tested against.
+Matrices at the interface are lists of rows of Python ints or dict rows
+{column: nonzero entry}: `invariant_factors`, `kernel_basis`, `row_hnf`
+and `Lattice` take either, and the cochain complexes hold dict rows
+from build to elimination.  Everything is exact.  The dense Smith
+normal form with both transforms is kept as the reference the sparse
+kernel is tested against.
 """
 
 from heapq import heapify, heappop, heappush
@@ -33,10 +35,6 @@ def mat_mul(a, b):
                     orow[j] += x * y
         out.append(orow)
     return out
-
-
-def is_zero(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def smith_normal_form(mat):
@@ -403,8 +401,14 @@ class Combination:
         return self._make({k: n * c for k, c in self.coeffs.items()})
 
 
+def _entries(line):
+    """(column, entry) pairs of a list or dict row."""
+    return line.items() if isinstance(line, dict) else enumerate(line)
+
+
 def _sparse(lines):
-    return [{j: x for j, x in enumerate(line) if x} for line in lines]
+    """Fresh dict rows, zeros dropped, from list or dict rows."""
+    return [{j: x for j, x in _entries(line) if x} for line in lines]
 
 
 def _divisibility_chain(values):
@@ -421,25 +425,30 @@ def _divisibility_chain(values):
 
 
 def invariant_factors(mat):
-    """Nonzero invariant factors of `mat` in divisibility order, from a
-    sparse elimination to diagonal form that builds no transforms."""
+    """Nonzero invariant factors of `mat`, list or dict rows, in
+    divisibility order, from a sparse elimination to diagonal form that
+    builds no transforms.  The rows are copied, not consumed."""
     rows = _sparse(mat)
     elim = _Elimination(rows, echelon=False)
     return _divisibility_chain([abs(rows[r][c]) for r, c in elim.pivots])
 
 
-def kernel_basis(mat):
-    """Basis (list of vectors) of the integer kernel {x : mat @ x = 0}.
+def kernel_basis(rows, n):
+    """Basis (list of vectors) of the integer kernel {x in Z^n :
+    rows @ x = 0}, the rows list or dict rows over n columns.
 
-    Column operations on `mat`, tracked in a unimodular V, bring it to
-    column echelon form; the columns of V whose columns of the echelon
-    form are zero span the kernel over Z, which as the kernel of an
-    integer matrix is a saturated sublattice."""
-    n = len(mat[0]) if mat else 0
-    elim = _Elimination(_sparse(zip(*mat)), echelon=True, track=True)
+    Column operations on the matrix, tracked in a unimodular V, bring it
+    to column echelon form; the columns of V whose columns of the
+    echelon form are zero span the kernel over Z, which as the kernel of
+    an integer matrix is a saturated sublattice."""
+    columns = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in _entries(row):
+            if x:
+                columns[j][i] = x
+    elim = _Elimination(columns, echelon=True, track=True)
     pivot_cols = {r for r, _c in elim.pivots}
-    return [[elim.track[j].get(i, 0) for i in range(n)]
-            for j in range(n) if j not in pivot_cols]
+    return [_dense(elim.track[j], n) for j in range(n) if j not in pivot_cols]
 
 
 def _hermite(rows, track):

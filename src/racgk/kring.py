@@ -390,7 +390,7 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     }
 
 
-def element_to_json_dict(a, graph=None):
+def element_to_json_dict(a):
     g = a.graph
     return {
         "basis": a.basis,

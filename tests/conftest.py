@@ -1,6 +1,6 @@
 import pytest
 
-from racgk.graphs import Graph
+from racgk.graphs import Graph, poset_chains, subset_key, submasks
 
 
 def complete_graph(n):
@@ -46,6 +46,60 @@ def graph_suite():
         ("C5", cycle_graph(5), 11),
         ("Petersen", petersen_graph(), 26),
     ]
+
+
+def is_zero(a):
+    return all(x == 0 for row in a for x in row)
+
+
+def densify(rows, n):
+    """Dense rows of n entries from dict rows {column: entry}."""
+    out = []
+    for row in rows:
+        line = [0] * n
+        for j, x in row.items():
+            line[j] = x
+        out.append(line)
+    return out
+
+
+def dense_differentials(complex_):
+    """The differentials of a cochain complex as dense matrices."""
+    return [densify(d, complex_.ranks[k]) for k, d in enumerate(complex_.diffs)]
+
+
+def dense_bredon_complex(graph):
+    """Reference build of the Bredon complex, (ranks, dense differentials).
+
+    Same bases as `build_bredon_complex`, with sort keys recomputed per
+    chain; face 0 is found by testing every submask of the chain's
+    second clique against its first, each entry added into a dense
+    matrix."""
+    cliques = graph.cliques
+    top = max((bin(c).count("1") for c in cliques), default=0)
+    bases = []
+    index_maps = []
+    for per_degree in poset_chains(graph, cliques, top):
+        basis = []
+        for ch in sorted(per_degree,
+                         key=lambda ch: [subset_key(graph, c) for c in ch]):
+            for mono in sorted(submasks(ch[0]),
+                               key=lambda m: subset_key(graph, m)):
+                basis.append((ch, mono))
+        bases.append(basis)
+        index_maps.append({bm: i for i, bm in enumerate(basis)})
+    diffs = []
+    for k in range(len(bases) - 1):
+        d = [[0] * len(bases[k]) for _ in bases[k + 1]]
+        for r, (chain, mono) in enumerate(bases[k + 1]):
+            for ell in submasks(chain[1]):
+                if ell & chain[0] == mono:
+                    d[r][index_maps[k][(chain[1:], ell)]] += 1
+            for i in range(1, len(chain)):
+                face = chain[:i] + chain[i + 1:]
+                d[r][index_maps[k][(face, mono)]] += -1 if i % 2 else 1
+        diffs.append(d)
+    return [len(b) for b in bases], diffs
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

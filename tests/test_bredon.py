@@ -8,10 +8,11 @@ from racgk.bredon import (CochainComplex, LimitLattice, build_bredon_complex,
                           inverse_limit, monomial_family, restriction_family,
                           rho_surjectivity, tensor_complex)
 from racgk.graphs import parse_graph
-from racgk.intlinalg import invariant_factors, is_zero, mat_mul
+from racgk.intlinalg import invariant_factors, mat_mul
 from racgk.kring import KRingElement, _normalize_star
-from conftest import (complete_graph, cycle_graph, edgeless_graph,
-                      graph_suite, path_graph)
+from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
+                      dense_differentials, edgeless_graph, graph_suite,
+                      is_zero, path_graph)
 
 
 def test_complex_rejects_bad_dimensions():
@@ -22,6 +23,32 @@ def test_complex_rejects_bad_dimensions():
 def test_complex_rejects_nonzero_composite():
     with pytest.raises(ValueError, match="d\\^1 o d\\^0"):
         CochainComplex([1, 1, 1], [[[1]], [[1]]])
+
+
+def test_complex_rejects_bad_dict_rows():
+    with pytest.raises(ValueError, match="column outside 0..1"):
+        CochainComplex([2, 1], [[{2: 1}]])
+    with pytest.raises(ValueError, match="column outside"):
+        CochainComplex([2, 1], [[{-1: 1}]])
+    with pytest.raises(ValueError, match="rows"):
+        CochainComplex([2, 1], [[{0: 1}, {1: 1}]])
+    # the composites are (1 1), then 2, then 0
+    with pytest.raises(ValueError, match="d\\^1 o d\\^0"):
+        CochainComplex([2, 1, 1], [[{0: 1, 1: 1}], [{0: 1}]])
+    with pytest.raises(ValueError, match="d\\^1 o d\\^0"):
+        CochainComplex([1, 2, 1], [[{0: 1}, {0: 1}], [{0: 1, 1: 1}]])
+    c = CochainComplex([1, 2, 1], [[{0: 1}, {0: 1}], [{0: 1, 1: -1}]])
+    assert c.diffs == [[{0: 1}, {0: 1}], [{0: 1, 1: -1}]]
+
+
+def test_sparse_build_matches_dense_oracle():
+    graphs = [(name, g) for name, g, _ in graph_suite()]
+    for name, g in graphs + [("K5", complete_graph(5))]:
+        c = build_bredon_complex(g)
+        ranks, dense = dense_bredon_complex(g)
+        assert c.ranks == ranks, name
+        assert all(x for d in c.diffs for row in d for x in row.values()), name
+        assert dense_differentials(c) == dense, name
 
 
 def test_k1_complex_shape():
@@ -42,9 +69,9 @@ def test_p3_degree_zero_rank():
 
 def test_differentials_compose_to_zero(suite_entry):
     _, graph, _ = suite_entry
-    c = build_bredon_complex(graph)
-    for k in range(len(c.diffs) - 1):
-        assert is_zero(mat_mul(c.diffs[k + 1], c.diffs[k]))
+    dense = dense_differentials(build_bredon_complex(graph))
+    for k in range(len(dense) - 1):
+        assert is_zero(mat_mul(dense[k + 1], dense[k]))
 
 
 def test_cohomology_concentrated_in_degree_zero(suite_entry):

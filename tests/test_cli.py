@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from racgk import bredon, graphs, intlinalg
 from racgk.cli import main
+from conftest import complete_graph, cycle_graph, dense_bredon_complex
 
 
 @pytest.fixture
@@ -203,3 +205,40 @@ def test_limit_takes_one_clique_column_snf(monkeypatch, capsys,
     monkeypatch.setattr(intlinalg.ColumnSolver, "solve", counted_solve)
     assert main(["limit", "--input", pentagon_file, "--format", "json"]) == 0
     assert calls == {"factors": 1, "solves": 11}
+
+
+# sha256 of each `--dump-matrices` file, as written when the
+# differentials were dense matrices
+DUMP_SHA256 = {
+    "C5": ["c0e47ce85b1aaaa99d1ab285834ff5ed043a7ebd11716773dce8bb0e59102551",
+           "aa6184ed91c04d723b34104d9bc339d6ea54409bbed277ec3071327151176993"],
+    "K4": ["f8145f3749a1e795f4ea26c7332e1be76e7191272c269e018293e522c4d889ca",
+           "11b4ab902072edaae21a8948a637325b6ba849b65fc206454090d17498d9889d",
+           "c168fdd00fa393f410631b413022a1aeebccbd37d77a60f6e343a2e32f8e52ea",
+           "5b290dc488758ad616be79cd100298b4401d3469e18f740dfec764427023f726"],
+}
+
+
+@pytest.mark.parametrize("sub", ["bredon", "all"])
+@pytest.mark.parametrize("name", ["C5", "K4"])
+def test_dump_matrices(capsys, tmp_path, name, sub):
+    graph = {"C5": cycle_graph(5), "K4": complete_graph(4)}[name]
+    f = tmp_path / "g.graph"
+    f.write_text("%s; %s\n" % (" ".join(graph.labels), " ".join(
+        "%s-%s" % e for e in graph.canonical_edge_list())))
+    prefix = tmp_path / "d"
+    assert main([sub, "--input", str(f), "--dump-matrices", str(prefix)]) == 0
+    ranks, dense = dense_bredon_complex(graph)
+    for k, d in enumerate(dense):
+        data = (tmp_path / ("d.%d" % k)).read_bytes()
+        triplets = [tuple(map(int, line.split()))
+                    for line in data.decode().splitlines()]
+        positions = [(r, c) for r, c, _x in triplets]
+        assert positions == sorted(set(positions)), k
+        rebuilt = [[0] * ranks[k] for _ in range(ranks[k + 1])]
+        for r, c, x in triplets:
+            assert x
+            rebuilt[r][c] = x
+        assert rebuilt == d, k
+        assert hashlib.sha256(data).hexdigest() == DUMP_SHA256[name][k], k
+    assert not (tmp_path / ("d.%d" % len(dense))).exists()

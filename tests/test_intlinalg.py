@@ -9,7 +9,7 @@ from racgk.bredon import build_bredon_complex
 from racgk.intlinalg import (ColumnSolver, Lattice, invariant_factors,
                              kernel_basis, mat_mul, row_hnf,
                              smith_normal_form)
-from conftest import complete_graph, graph_suite
+from conftest import complete_graph, dense_differentials, graph_suite
 
 
 def check_snf(mat):
@@ -74,8 +74,9 @@ def test_invariant_factors_match_dense_randomized():
 def test_invariant_factors_match_dense_on_bredon_differentials():
     graphs = [(name, g) for name, g, _ in graph_suite()]
     for name, graph in graphs + [("K4", complete_graph(4))]:
-        for k, d in enumerate(build_bredon_complex(graph).diffs):
-            assert invariant_factors(d) == smith_normal_form(d)[0], (name, k)
+        c = build_bredon_complex(graph)
+        for k, (rows, d) in enumerate(zip(c.diffs, dense_differentials(c))):
+            assert invariant_factors(rows) == smith_normal_form(d)[0], (name, k)
 
 
 def test_kernel_basis_spans_dense_kernel():
@@ -85,7 +86,7 @@ def test_kernel_basis_spans_dense_kernel():
         if not mat:
             continue
         n = len(mat[0])
-        ker = kernel_basis(mat)
+        ker = kernel_basis(mat, n)
         for vec in ker:
             assert all(sum(x * y for x, y in zip(row, vec)) == 0
                        for row in mat), (mat, vec)
@@ -104,11 +105,15 @@ def test_kernel_basis():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        ker = kernel_basis(mat)
+        ker = kernel_basis(mat, n)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+        assert kernel_basis(rows, n) == ker
+        assert invariant_factors(rows) == invariant_factors(mat)
         assert len(ker) == n - len(invariant_factors(mat))
         for vec in ker:
             assert all(sum(row[j] * vec[j] for j in range(n)) == 0
                        for row in mat)
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
 
 
 def test_row_hnf_canonical():

@@ -1,22 +1,25 @@
 """Property tests of the sparse-combination core under the ring
-elements, on random graphs with at most eight vertices."""
+elements, on random graphs with at most eight vertices, and of the
+sparse Bredon complex on random graphs with at most seven."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from racgk.bredon import build_bredon_complex, cohomology
 from racgk.graphs import Graph, submasks
 from racgk.intlinalg import accumulate
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
                          multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
+from conftest import dense_bredon_complex, dense_differentials
 
 LAWS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 8))
+def graphs(draw, max_vertices=8):
+    n = draw(st.integers(1, max_vertices))
     labels = ["v%d" % i for i in range(n)]
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
@@ -123,3 +126,31 @@ def test_star_product_matches_bar_product(elements):
     bar = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
     assert convert_basis(multiply_star(a, b), BAR) == bar
     assert multiply_star(a, b) == convert_basis(bar, STAR)
+
+
+def chain_rank_dp(cliques):
+    """Bredon ranks without chains: rank k sums 2^|c0| over the chains
+    c0 < ... < ck, and counts[c] holds the chains of the current length
+    that start at c."""
+    counts = dict.fromkeys(cliques, 1)
+    ranks = []
+    while any(counts.values()):
+        ranks.append(sum(n << bin(c).count("1") for c, n in counts.items()))
+        counts = {c: sum(counts[e] for e in cliques if e != c and e & c == c)
+                  for c in cliques}
+    return ranks
+
+
+@LAWS
+@given(graphs(max_vertices=7))
+def test_sparse_bredon_complex(graph):
+    # clique number 5 or more makes the dense oracle too large to build
+    assume(max(bin(c).count("1") for c in graph.cliques) <= 4)
+    c = build_bredon_complex(graph)
+    ranks, dense = dense_bredon_complex(graph)
+    assert c.ranks == ranks == chain_rank_dp(graph.cliques)
+    assert dense_differentials(c) == dense
+    coh = cohomology(c)
+    assert coh[0] == {"degree": 0, "free_rank": len(graph.cliques),
+                      "torsion": []}
+    assert all(e["free_rank"] == 0 and e["torsion"] == [] for e in coh[1:])
