@@ -24,9 +24,9 @@ class CochainComplex:
     """Finite complex of free Z-modules given by its differentials.
 
     diffs[k] maps degree k to degree k+1 and holds one dict row
-    {column: nonzero entry} per degree-(k+1) cell, the form that
-    `invariant_factors` and `kernel_basis` take.  Rows given as lists
-    are converted.  Shapes and d o d = 0 are checked at construction.
+    {column: nonzero entry} per degree-(k+1) cell: the one matrix form
+    taken here, as in `invariant_factors` and `kernel_basis`.  Row
+    counts, column ranges and d o d = 0 are checked at construction.
     """
 
     def __init__(self, ranks, diffs):
@@ -34,7 +34,7 @@ class CochainComplex:
         if len(diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("expected %d differentials, got %d"
                              % (max(len(self.ranks) - 1, 0), len(diffs)))
-        self.diffs = [self._dict_rows(k, d) for k, d in enumerate(diffs)]
+        self.diffs = [self._checked_rows(k, d) for k, d in enumerate(diffs)]
         for k in range(len(self.diffs) - 1):
             inner = self.diffs[k]
             for row in self.diffs[k + 1]:
@@ -46,23 +46,16 @@ class CochainComplex:
                 if any(product.values()):
                     raise ValueError("d^%d o d^%d != 0" % (k + 1, k))
 
-    def _dict_rows(self, k, d):
+    def _checked_rows(self, k, d):
         cols = self.ranks[k]
-        out = []
         for row in d:
-            if not isinstance(row, dict):
-                if len(row) != cols:
-                    raise ValueError("d^%d has %d columns, expected %d"
-                                     % (k, len(row), cols))
-                row = {j: x for j, x in enumerate(row) if x}
-            elif row and (min(row) < 0 or max(row) >= cols):
+            if row and (min(row) < 0 or max(row) >= cols):
                 raise ValueError("d^%d has a column outside 0..%d"
                                  % (k, cols - 1))
-            out.append(row)
-        if len(out) != self.ranks[k + 1]:
+        if len(d) != self.ranks[k + 1]:
             raise ValueError("d^%d has %d rows, expected %d"
-                             % (k, len(out), self.ranks[k + 1]))
-        return out
+                             % (k, len(d), self.ranks[k + 1]))
+        return list(d)
 
     @property
     def top_degree(self):
@@ -145,11 +138,14 @@ def build_bredon_complex(graph):
 class LimitLattice:
     """Compatible families of virtual representations, one per clique,
     as the kernel of the degree-0 differential, with a solver for
-    coordinates in its basis."""
+    coordinates in its basis.
 
-    def __init__(self, cliques, basis_labels, basis_columns):
+    A family is a dict vector over the degree-0 cells, which `index`
+    numbers by their labels (clique, monomial), in basis order."""
+
+    def __init__(self, cliques, labels, basis_columns):
         self.cliques = cliques
-        self.basis_labels = basis_labels
+        self.index = {label: i for i, label in enumerate(labels)}
         self.basis_columns = basis_columns
         self.solver = ColumnSolver(basis_columns)
 
@@ -180,10 +176,11 @@ def inverse_limit(graph, complex_=None):
 
 
 def family_vector(limit, element_by_clique):
-    """Coordinates in the degree-0 basis of a family of rep-ring
-    elements indexed by clique."""
-    return [element_by_clique[clique].coeffs.get(mono, 0)
-            for clique, mono in limit.basis_labels]
+    """Coordinates in the degree-0 basis, a dict vector, of a family of
+    rep-ring elements indexed by clique."""
+    return {limit.index[(clique, mono)]: x
+            for clique, element in element_by_clique.items()
+            for mono, x in element.coeffs.items()}
 
 
 def restriction_family(limit, a):
@@ -197,9 +194,9 @@ def monomial_family(limit, monomial_mask):
     """Family of restrictions of one character monomial of the ambient
     elementary abelian quotient: on a clique J it is the monomial
     monomial_mask & J.  For a clique this is the restriction family of
-    its star monomial."""
-    return [int(monomial_mask & clique == mono)
-            for clique, mono in limit.basis_labels]
+    its star monomial.  One entry per clique, a dict vector."""
+    return {limit.index[(clique, monomial_mask & clique)]: 1
+            for clique in limit.cliques}
 
 
 def rho_surjectivity(graph, limit):
@@ -242,7 +239,7 @@ def interval_complex():
     interval: rank two in degree zero (the representation ring of C2 on
     the fixed vertex), rank one in degree one (the free edge orbit),
     differential the restriction (1 1)."""
-    return CochainComplex([2, 1], [[[1, 1]]])
+    return CochainComplex([2, 1], [[{0: 1, 1: 1}]])
 
 
 def tensor_complex(c1, c2):

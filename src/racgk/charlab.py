@@ -9,9 +9,7 @@ exact Gaussian-integer check of the explicit 2-dimensional
 representation that realizes twice the sign character.
 """
 
-from fractions import Fraction
-
-from .intlinalg import Lattice
+from .intlinalg import ColumnSolver, Lattice
 
 
 class CharLabError(ValueError):
@@ -92,35 +90,21 @@ def cyclic4_real_table():
 
 
 def decompose_in_basis(table, values):
-    """Integer coordinates of a class-function vector in the irreducible
-    basis of a square table; errors when non-integral."""
+    """Integer coordinates, a dict {irreducible: multiplicity}, of the
+    class function with these values in the irreducible basis of a
+    square table; errors when non-integral."""
     n = len(table.class_sizes)
     if table.num_irreducibles != n:
         raise CharLabError("decomposition needs a square character table")
-    # solve sum_i x_i * chi_i(c) = values[c] with exact rationals
-    rows = [[Fraction(table.characters[i][c]) for i in range(n)]
-            for c in range(n)]
-    rhs = [Fraction(v) for v in values]
-    # Gaussian elimination
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            raise CharLabError("character table rows are dependent")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-                rhs[r] -= f * rhs[col]
-    coords = []
-    for x in rhs:
-        if x.denominator != 1:
-            raise CharLabError("non-integral decomposition coefficient %s" % x)
-        coords.append(int(x))
+    # sum_i x_i * chi_i(c) = values[c]: one column per irreducible
+    try:
+        solver = ColumnSolver([dict(enumerate(chi))
+                               for chi in table.characters])
+    except ValueError:
+        raise CharLabError("character table rows are dependent") from None
+    coords = solver.solve(dict(enumerate(values)))
+    if coords is None:
+        raise CharLabError("non-integral decomposition of %r" % (values,))
     return coords
 
 
@@ -138,12 +122,18 @@ def restriction_image(source, target, class_map):
 
 
 def parity_sweep(lattice, direction, k_range):
-    """Membership of each integer multiple of a direction vector."""
+    """Membership of each integer multiple of a direction, a dict
+    vector."""
     out = []
     for k in k_range:
-        ok, _ = lattice.membership([k * x for x in direction])
+        ok, _ = lattice.membership({j: k * x for j, x in direction.items()})
         out.append((k, ok))
     return out
+
+
+def _dense(vec, n):
+    """The list of n entries of a dict vector, for a report."""
+    return [vec.get(j, 0) for j in range(n)]
 
 
 # --- exact Gaussian-integer check of the explicit representation ---
@@ -203,17 +193,18 @@ def lemma_d8_report(k_range=range(-8, 9)):
     class_map = {c2.class_of["e"]: d8.class_of["e"],
                  c2.class_of["s"]: d8.class_of["s2"]}
     lat = restriction_image(d8, c2, class_map)
-    sweep = parity_sweep(lat, [0, 1], k_range)
+    sweep = parity_sweep(lat, {1: 1}, k_range)
     ok_sweep = all(ok == (k % 2 == 0) for k, ok in sweep)
-    in2, cert = lat.membership([0, 2])
+    in2, cert = lat.membership({1: 2})
     # the certificate must be the class of the 2-dimensional irreducible
-    cert_is_tau = bool(in2) and cert == [0, 0, 0, 0, 1]
+    cert_is_tau = bool(in2) and cert == {4: 1}
     tau = verify_tau()
     return {
-        "lattice_basis": lat.basis,
+        "lattice_basis": [_dense(row, lat.n) for row in lat.basis],
         "parity_sweep": sweep,
         "parity_ok": ok_sweep,
-        "two_lambda_certificate": cert,
+        "two_lambda_certificate": (_dense(cert, lat.generator_count)
+                                   if in2 else cert),
         "certificate_is_tau": cert_is_tau,
         "tau_identities": tau,
         "ok": ok_sweep and cert_is_tau and tau["ok"],
@@ -228,11 +219,11 @@ def lemma_c4_real_report(k_range=range(-8, 9)):
     class_map = {c2.class_of["e"]: c4.class_of["e"],
                  c2.class_of["s"]: c4.class_of["s2"]}
     lat = restriction_image(c4, c2, class_map)
-    expected = Lattice(2, [[1, 0], [0, 2]])
-    sweep = parity_sweep(lat, [0, 1], k_range)
+    expected = Lattice(2, [{0: 1}, {1: 2}])
+    sweep = parity_sweep(lat, {1: 1}, k_range)
     ok_sweep = all(ok == (k % 2 == 0) for k, ok in sweep)
     return {
-        "lattice_basis": lat.basis,
+        "lattice_basis": [_dense(row, lat.n) for row in lat.basis],
         "lattice_matches_tr_2lambda": lat.basis == expected.basis,
         "parity_sweep": sweep,
         "parity_ok": ok_sweep,

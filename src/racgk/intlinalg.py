@@ -3,12 +3,15 @@ solving by one sparse elimination kernel; Hermite normal forms and
 lattice membership with certificates; the sparse-combination core
 (`accumulate`, `Combination`) under the ring elements.
 
-Matrices at the interface are lists of rows of Python ints or dict rows
-{column: nonzero entry}: `invariant_factors`, `kernel_basis`, `row_hnf`
-and `Lattice` take either, and the cochain complexes hold dict rows
-from build to elimination.  Everything is exact.  The dense Smith
-normal form with both transforms is kept as the reference the sparse
-kernel is tested against.
+Vectors at every interface are dict vectors {index: nonzero entry}, and
+a matrix is a list of them, one per row (for `ColumnSolver`, one per
+column).  `invariant_factors`, `kernel_basis`, `row_hnf`, `Lattice` and
+`ColumnSolver` copy what they are given, explicit zero entries dropped,
+and return dict vectors; the cochain complexes hold dict rows from
+build to elimination.  Everything is exact.  The dense Smith normal
+form with both transforms (`smith_normal_form`, with `mat_mul` and
+`identity`) works on lists of rows and is kept only as the reference
+the sparse kernel is tested against.
 """
 
 from heapq import heapify, heappop, heappush
@@ -401,14 +404,10 @@ class Combination:
         return self._make({k: n * c for k, c in self.coeffs.items()})
 
 
-def _entries(line):
-    """(column, entry) pairs of a list or dict row."""
-    return line.items() if isinstance(line, dict) else enumerate(line)
-
-
-def _sparse(lines):
-    """Fresh dict rows, zeros dropped, from list or dict rows."""
-    return [{j: x for j, x in _entries(line) if x} for line in lines]
+def _sparse(vec):
+    """A fresh dict vector with its zero entries dropped: the copy every
+    entry point makes of what it is given."""
+    return {j: x for j, x in vec.items() if x}
 
 
 def _divisibility_chain(values):
@@ -424,31 +423,30 @@ def _divisibility_chain(values):
     return [1] * units + rest
 
 
-def invariant_factors(mat):
-    """Nonzero invariant factors of `mat`, list or dict rows, in
+def invariant_factors(rows):
+    """Nonzero invariant factors of the matrix with these dict rows, in
     divisibility order, from a sparse elimination to diagonal form that
     builds no transforms.  The rows are copied, not consumed."""
-    rows = _sparse(mat)
+    rows = list(map(_sparse, rows))
     elim = _Elimination(rows, echelon=False)
     return _divisibility_chain([abs(rows[r][c]) for r, c in elim.pivots])
 
 
 def kernel_basis(rows, n):
-    """Basis (list of vectors) of the integer kernel {x in Z^n :
-    rows @ x = 0}, the rows list or dict rows over n columns.
+    """Basis, as dict vectors, of the integer kernel {x in Z^n :
+    rows @ x = 0} of dict rows over n columns.
 
     Column operations on the matrix, tracked in a unimodular V, bring it
     to column echelon form; the columns of V whose columns of the
     echelon form are zero span the kernel over Z, which as the kernel of
     an integer matrix is a saturated sublattice."""
     columns = [{} for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, x in _entries(row):
-            if x:
-                columns[j][i] = x
+    for i, row in enumerate(map(_sparse, rows)):
+        for j, x in row.items():
+            columns[j][i] = x
     elim = _Elimination(columns, echelon=True, track=True)
     pivot_cols = {r for r, _c in elim.pivots}
-    return [_dense(elim.track[j], n) for j in range(n) if j not in pivot_cols]
+    return [elim.track[j] for j in range(n) if j not in pivot_cols]
 
 
 def _hermite(rows, track):
@@ -479,27 +477,15 @@ def _hermite(rows, track):
     return form
 
 
-def _dense(vec, n):
-    line = [0] * n
-    for j, x in vec.items():
-        line[j] = x
-    return line
-
-
 def row_hnf(rows, track=False):
-    """Row-style Hermite normal form of the lattice spanned by `rows`,
-    each a list of n entries or a dict {column: nonzero entry}.
+    """Row-style Hermite normal form of the lattice spanned by dict
+    rows {column: entry}.
 
-    Returns the nonzero HNF rows (pivots positive, entries above a pivot
-    reduced into [0, pivot)), in the form the rows were given.  With
-    track=True also returns, per HNF row, its integer expression in the
-    input rows, in that form too."""
-    if rows and isinstance(rows[0], dict):
-        form = _hermite([dict(row) for row in rows], track)
-    else:
-        n = len(rows[0]) if rows else 0
-        form = [(_dense(row, n), track and _dense(expr, len(rows)))
-                for row, expr in _hermite(_sparse(rows), track)]
+    Returns the nonzero HNF rows as dict rows (pivots positive, entries
+    above a pivot reduced into [0, pivot)).  With track=True also
+    returns, per HNF row, its integer expression in the input rows, a
+    dict {input row: coefficient}."""
+    form = _hermite(list(map(_sparse, rows)), track)
     hnf = [row for row, _expr in form]
     if track:
         return hnf, [expr for _row, expr in form]
@@ -507,75 +493,61 @@ def row_hnf(rows, track=False):
 
 
 class Lattice:
-    """Sublattice of Z^n spanned by generator vectors, held in HNF.
+    """Sublattice of Z^n spanned by dict generators {coordinate: entry},
+    held in HNF as dict rows.
 
-    Generators are lists of n entries or dicts {coordinate: nonzero
-    entry}.  Supports exact membership queries; when the generators are
-    tracked, a positive answer carries an integer combination of the
-    original generators as a certificate."""
+    Supports exact membership queries; when the generators are tracked,
+    a positive answer carries an integer combination of the original
+    generators as a certificate."""
 
     def __init__(self, n, generators, track=False):
         self.n = n
-        rows = []
         for g in generators:
-            if isinstance(g, dict):
-                if any(not 0 <= j < n for j in g):
-                    raise ValueError("generator coordinate outside ambient %d"
-                                     % n)
-                rows.append(g)
-            elif len(g) != n:
-                raise ValueError("generator length %d != ambient %d"
-                                 % (len(g), n))
-            else:
-                rows.append({j: x for j, x in enumerate(g) if x})
+            self._check_range(g, "generator")
         self.track = track
         if track:
-            hnf, exprs = row_hnf(rows, track=True)
-            self.exprs = [_dense(expr, len(rows)) for expr in exprs]
+            self.basis, self.exprs = row_hnf(generators, track=True)
         else:
-            hnf = row_hnf(rows)
-            self.exprs = None
-        self.basis = [_dense(row, n) for row in hnf]
-        self.pivot_cols = [min(row) for row in hnf]
-        self.generator_count = len(rows)
+            self.basis, self.exprs = row_hnf(generators), None
+        self.pivot_cols = [min(row) for row in self.basis]
+        self.generator_count = len(generators)
+
+    def _check_range(self, vec, what):
+        if any(not 0 <= j < self.n for j in vec):
+            raise ValueError("%s coordinate outside ambient %d"
+                             % (what, self.n))
 
     @property
     def rank(self):
         return len(self.basis)
 
     def membership(self, v):
-        """(True, combination) if v lies in the lattice, else
-        (False, reason).  The combination is over the original
-        generators when tracked, otherwise over the HNF basis."""
-        if len(v) != self.n:
-            raise ValueError("vector length %d != ambient %d"
-                             % (len(v), self.n))
-        v = list(v)
-        coeffs = []
-        start = 0
-        for row, col in zip(self.basis, self.pivot_cols):
-            # each column is looked at once: a basis row is zero left of
-            # its pivot, so subtracting it leaves the columns passed clear
-            for j in range(start, col):
-                if v[j]:
-                    return False, "nonzero entry at column %d outside the lattice span" % j
-            q, remainder = divmod(v[col], row[col])
-            if remainder:
-                return False, ("coefficient %d at column %d violates the "
-                               "congruence modulo %d" % (v[col], col, row[col]))
-            coeffs.append(q)
-            if q:
-                for j in range(col, self.n):
-                    v[j] -= q * row[j]
-            start = col + 1
-        for j in range(start, self.n):
-            if v[j]:
-                return False, "nonzero entry at column %d outside the lattice span" % j
+        """(True, combination) if the dict vector v lies in the lattice,
+        else (False, reason).  The combination, a dict vector, is over
+        the original generators when tracked, otherwise over the HNF
+        basis."""
+        self._check_range(v, "vector")
+        v = _sparse(v)
+        coeffs = {}
+        for k, (row, col) in enumerate(zip(self.basis, self.pivot_cols)):
+            # a basis row is zero left of its pivot, so subtracting it
+            # leaves the columns passed clear
+            if v and min(v) < col:
+                return False, "nonzero entry at column %d outside the lattice span" % min(v)
+            x = v.get(col)
+            if x:
+                q, remainder = divmod(x, row[col])
+                if remainder:
+                    return False, ("coefficient %d at column %d violates the "
+                                   "congruence modulo %d" % (x, col, row[col]))
+                coeffs[k] = q
+                _add_into(v, -q, row)
+        if v:
+            return False, "nonzero entry at column %d outside the lattice span" % min(v)
         if self.track:
-            cert = [0] * self.generator_count
-            for c, expr in zip(coeffs, self.exprs):
-                for j, e in enumerate(expr):
-                    cert[j] += c * e
+            cert = {}
+            for k, q in coeffs.items():
+                _add_into(cert, q, self.exprs[k])
             return True, cert
         return True, coeffs
 
@@ -600,7 +572,8 @@ class Lattice:
 
 
 class ColumnSolver:
-    """Solves L @ c = v exactly over Z for a fixed full-column-rank L.
+    """Solves L @ c = v exactly over Z for a fixed full-column-rank L
+    given by its columns, dict vectors.
 
     Holds a column echelon form H = L @ V, V unimodular: column s of H
     has its pivot in row i_s and is zero in the pivot rows of all
@@ -610,27 +583,27 @@ class ColumnSolver:
 
     def __init__(self, basis_cols):
         self.r = len(basis_cols)
-        elim = _Elimination(_sparse(basis_cols), echelon=True,
+        elim = _Elimination(list(map(_sparse, basis_cols)), echelon=True,
                             track=True)
         if len(elim.pivots) != self.r:
             raise ValueError("columns are not independent")
-        self.steps = [(c, elim.rows[r][c], list(elim.rows[r].items()),
-                       list(elim.track[r].items())) for r, c in elim.pivots]
+        self.steps = [(c, elim.rows[r][c], elim.rows[r], elim.track[r])
+                      for r, c in elim.pivots]
 
     def solve(self, vec):
-        """Integer coefficients c with L @ c = vec, or None when vec is
-        outside the lattice spanned by the columns."""
-        rest = list(vec)
-        coeffs = [0] * self.r
+        """Integer coefficients c with L @ c = vec, a dict vector
+        {column of L: coefficient}, or None when vec is outside the
+        lattice spanned by the columns."""
+        rest = _sparse(vec)
+        coeffs = {}
         for i, p, column, combination in self.steps:
-            if rest[i]:
-                q, remainder = divmod(rest[i], p)
+            x = rest.get(i)
+            if x:
+                q, remainder = divmod(x, p)
                 if remainder:
                     return None
-                for j, y in column:
-                    rest[j] -= q * y
-                for k, y in combination:
-                    coeffs[k] += q * y
-        if any(rest):
+                _add_into(rest, -q, column)
+                _add_into(coeffs, q, combination)
+        if rest:
             return None
         return coeffs

@@ -257,8 +257,7 @@ def ideal_powers(graph, k):
                     products.append(prod)
         lattice = Lattice(d, products)
         powers.append(lattice)
-        basis = [{j: x for j, x in enumerate(row) if x}
-                 for row in lattice.basis]
+        basis = lattice.basis
     return powers
 
 

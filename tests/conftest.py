@@ -52,6 +52,11 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
+def sparsify(rows):
+    """Dict rows {column: nonzero entry} from dense rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def densify(rows, n):
     """Dense rows of n entries from dict rows {column: entry}."""
     out = []

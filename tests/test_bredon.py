@@ -8,21 +8,23 @@ from racgk.bredon import (CochainComplex, LimitLattice, build_bredon_complex,
                           inverse_limit, monomial_family, restriction_family,
                           rho_surjectivity, tensor_complex)
 from racgk.graphs import parse_graph
-from racgk.intlinalg import invariant_factors, mat_mul
+from racgk.intlinalg import accumulate, invariant_factors, mat_mul
 from racgk.kring import KRingElement, _normalize_star
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
                       dense_differentials, edgeless_graph, graph_suite,
-                      is_zero, path_graph)
+                      is_zero, path_graph, sparsify)
 
 
 def test_complex_rejects_bad_dimensions():
-    with pytest.raises(ValueError, match="columns"):
-        CochainComplex([2, 1], [[[1]]])
+    with pytest.raises(ValueError, match="expected 1 differentials, got 0"):
+        CochainComplex([2, 1], [])
+    with pytest.raises(ValueError, match="expected 1 differentials, got 2"):
+        CochainComplex([2, 1], [[{0: 1}], [{0: 1}]])
 
 
 def test_complex_rejects_nonzero_composite():
     with pytest.raises(ValueError, match="d\\^1 o d\\^0"):
-        CochainComplex([1, 1, 1], [[[1]], [[1]]])
+        CochainComplex([1, 1, 1], [[{0: 1}], [{0: 1}]])
 
 
 def test_complex_rejects_bad_dict_rows():
@@ -85,7 +87,7 @@ def test_cohomology_concentrated_in_degree_zero(suite_entry):
 
 
 def test_all_zero_differentials_give_full_rank():
-    c = CochainComplex([2, 3], [[[0, 0], [0, 0], [0, 0]]])
+    c = CochainComplex([2, 3], [[{}, {}, {}]])
     coh = cohomology(c)
     assert [e["free_rank"] for e in coh] == [2, 3]
 
@@ -100,10 +102,20 @@ def test_limit_rank_edgeless_two():
 
 
 def test_limit_contains_restriction_families():
-    # monomial_family of a clique must be the restriction family of its
-    # star monomial, which lies in the limit by construction
-    for name, g, _ in graph_suite():
+    # the family of an ambient monomial has one entry per clique J, a 1
+    # at the degree-0 cell (J, mask & J); for a clique it must be the
+    # restriction family of its star monomial, which lies in the limit
+    # by construction
+    for name, g, d in graph_suite():
         limit = inverse_limit(g)
+        labels = list(limit.index)
+        assert len(labels) == build_bredon_complex(g).ranks[0], name
+        for mask in range(1 << g.n):
+            family = monomial_family(limit, mask)
+            assert len(family) == d, (name, mask)
+            assert set(family.values()) == {1}, (name, mask)
+            assert sorted(labels[i] for i in family) == sorted(
+                (clique, mask & clique) for clique in g.cliques), (name, mask)
         for c in g.cliques:
             vec = restriction_family(limit, KRingElement.monomial(g, c))
             assert monomial_family(limit, c) == vec, (name, c)
@@ -141,11 +153,11 @@ def test_monomial_families_follow_star_relation():
     for name, g, _ in graph_suite():
         limit = inverse_limit(g)
         for mask in range(1 << g.n):
-            combo = [0] * len(limit.basis_labels)
-            for clique, coeff in _normalize_star(g, {mask: 1}).items():
-                assert g.is_clique(clique), (name, mask)
-                for i, x in enumerate(monomial_family(limit, clique)):
-                    combo[i] += coeff * x
+            rewritten = _normalize_star(g, {mask: 1})
+            assert all(map(g.is_clique, rewritten)), (name, mask)
+            combo = accumulate(
+                (i, coeff * x) for clique, coeff in rewritten.items()
+                for i, x in monomial_family(limit, clique).items())
             assert monomial_family(limit, mask) == combo, (name, mask)
 
 
@@ -153,8 +165,9 @@ def test_limit_checks_fail_outside_the_lattice():
     # a lattice of index 2^d in the limit misses the clique families
     g = path_graph(3)
     limit = inverse_limit(g)
-    half = LimitLattice(limit.cliques, limit.basis_labels,
-                        [[2 * x for x in col] for col in limit.basis_columns])
+    half = LimitLattice(limit.cliques, limit.index,
+                        [{j: 2 * x for j, x in col.items()}
+                         for col in limit.basis_columns])
     rho = rho_surjectivity(g, half)
     assert not rho["surjective"] and rho["image_rank"] is None
     assert "outside the limit lattice" in rho["detail"]
@@ -165,9 +178,9 @@ def test_limit_checks_detect_a_larger_lattice():
     # the whole degree-0 cochain module holds the limit with rank to spare
     g = cycle_graph(4)
     limit = inverse_limit(g)
-    n = len(limit.basis_labels)
-    whole = LimitLattice(limit.cliques, limit.basis_labels,
-                         [[int(i == j) for i in range(n)] for j in range(n)])
+    n = len(limit.index)
+    whole = LimitLattice(limit.cliques, limit.index,
+                         [{j: 1} for j in range(n)])
     rho = rho_surjectivity(g, whole)
     assert (rho["rank"], rho["image_rank"]) == (n, limit.rank)
     assert rho["index_one"] and not rho["surjective"]
@@ -209,7 +222,8 @@ def test_tensor_of_random_free_complexes_is_a_complex():
     for _ in range(20):
         # random two-term complexes always satisfy d o d = 0
         r0, r1 = rng.randint(1, 3), rng.randint(1, 3)
-        d = [[rng.randint(-2, 2) for _ in range(r0)] for _ in range(r1)]
+        d = sparsify([[rng.randint(-2, 2) for _ in range(r0)]
+                      for _ in range(r1)])
         c = CochainComplex([r0, r1], [d])
         tensor_complex(c, c)  # constructor asserts d o d = 0
 

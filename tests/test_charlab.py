@@ -25,17 +25,26 @@ def test_bad_norm_rejected():
 
 def test_decompose_in_basis():
     c2 = cyclic2_table()
-    assert decompose_in_basis(c2, [2, -2]) == [0, 2]
-    assert decompose_in_basis(c2, [1, 1]) == [1, 0]
+    assert decompose_in_basis(c2, [2, -2]) == {1: 2}
+    assert decompose_in_basis(c2, [1, 1]) == {0: 1}
+    assert decompose_in_basis(c2, [0, 0]) == {}
+    d8 = dihedral8_table()
+    assert decompose_in_basis(d8, [3, -1, 1, 1, 1]) == {0: 1, 4: 1}
     with pytest.raises(CharLabError, match="non-integral"):
         decompose_in_basis(c2, [1, 0])
+    with pytest.raises(CharLabError, match="square"):
+        decompose_in_basis(cyclic4_real_table(), [1, 1, 1, 1])
+    dependent = cyclic2_table()
+    dependent.characters = [[1, 1], [2, 2]]
+    with pytest.raises(CharLabError, match="dependent"):
+        decompose_in_basis(dependent, [1, 1])
 
 
 def test_d8_restriction_lattice():
     d8, c2 = dihedral8_table(), cyclic2_table()
     lat = restriction_image(d8, c2, {0: d8.class_of["e"],
                                      1: d8.class_of["s2"]})
-    assert lat.basis == [[1, 0], [0, 2]]
+    assert lat.basis == [{0: 1}, {1: 2}]
 
 
 def test_d8_sign_multiples():
@@ -55,7 +64,7 @@ def test_restriction_to_trivial_group_is_dimension_lattice():
     d8 = dihedral8_table()
     trivial = CharacterTable("1", [1], [[1]], ["tr"], class_of={"e": 0})
     lat = restriction_image(d8, trivial, {0: d8.class_of["e"]})
-    assert lat.basis == [[1]]
+    assert lat.basis == [{0: 1}]
 
 
 def test_c4_real_lattice():
@@ -67,7 +76,7 @@ def test_c4_real_lattice():
 def test_parity_direction_tr_always_in_image():
     d8, c2 = dihedral8_table(), cyclic2_table()
     lat = restriction_image(d8, c2, {0: 0, 1: 1})
-    sweep = parity_sweep(lat, [1, 0], range(-4, 5))
+    sweep = parity_sweep(lat, {0: 1}, range(-4, 5))
     assert all(ok for _, ok in sweep)
 
 

@@ -9,7 +9,8 @@ from racgk.bredon import build_bredon_complex
 from racgk.intlinalg import (ColumnSolver, Lattice, invariant_factors,
                              kernel_basis, mat_mul, row_hnf,
                              smith_normal_form)
-from conftest import complete_graph, dense_differentials, graph_suite
+from conftest import (complete_graph, dense_differentials, densify,
+                      graph_suite, sparsify)
 
 
 def check_snf(mat):
@@ -60,7 +61,7 @@ def test_invariant_factors_match_dense_examples():
     for mat, expected in [([[2, 0], [0, 3]], [1, 6]), ([[2, 1], [0, 2]], [1, 4]),
                           ([[4, 6], [6, 9]], [1]), ([[0, 0], [0, 0]], []),
                           ([[0], [0], [5]], [5]), ([], []), ([[]], [])]:
-        assert invariant_factors(mat) == expected, mat
+        assert invariant_factors(sparsify(mat)) == expected, mat
         assert smith_normal_form(mat)[0] == expected, mat
 
 
@@ -68,7 +69,7 @@ def test_invariant_factors_match_dense_randomized():
     rng = random.Random(19)
     for _ in range(1200):
         mat = random_matrix(rng)
-        assert invariant_factors(mat) == smith_normal_form(mat)[0], mat
+        assert invariant_factors(sparsify(mat)) == smith_normal_form(mat)[0], mat
 
 
 def test_invariant_factors_match_dense_on_bredon_differentials():
@@ -86,12 +87,13 @@ def test_kernel_basis_spans_dense_kernel():
         if not mat:
             continue
         n = len(mat[0])
-        ker = kernel_basis(mat, n)
+        ker = kernel_basis(sparsify(mat), n)
         for vec in ker:
-            assert all(sum(x * y for x, y in zip(row, vec)) == 0
+            assert all(sum(row[j] * x for j, x in vec.items()) == 0
                        for row in mat), (mat, vec)
         diag, _u, v = smith_normal_form(mat)
-        dense = [[v[i][j] for i in range(n)] for j in range(len(diag), n)]
+        dense = sparsify([[v[i][j] for i in range(n)]
+                          for j in range(len(diag), n)])
         assert len(ker) == len(dense), mat
         if ker:
             ours, theirs = Lattice(n, ker), Lattice(n, dense)
@@ -104,42 +106,42 @@ def test_kernel_basis():
     for _ in range(100):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        ker = kernel_basis(mat, n)
-        rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-        assert kernel_basis(rows, n) == ker
-        assert invariant_factors(rows) == invariant_factors(mat)
-        assert len(ker) == n - len(invariant_factors(mat))
+        rows = sparsify([[rng.randint(-5, 5) for _ in range(n)]
+                         for _ in range(m)])
+        ker = kernel_basis(rows, n)
+        assert len(ker) == n - len(invariant_factors(rows))
         for vec in ker:
-            assert all(sum(row[j] * vec[j] for j in range(n)) == 0
-                       for row in mat)
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+            assert all(0 <= j < n for j in vec)
+            assert all(sum(row.get(j, 0) * x for j, x in vec.items()) == 0
+                       for row in rows)
+    assert kernel_basis([], 2) == [{0: 1}, {1: 1}]
 
 
 def test_row_hnf_canonical():
-    rows = [[2, 4], [0, 6]]
-    h = row_hnf(rows)
-    assert h == [[2, 4], [0, 6]]
+    h = row_hnf([{0: 2, 1: 4}, {1: 6}])
+    assert h == [{0: 2, 1: 4}, {1: 6}]
     # HNF is independent of generator order and redundancy
-    assert row_hnf([[0, 6], [2, 4], [2, 10]]) == h
+    assert row_hnf([{1: 6}, {0: 2, 1: 4}, {0: 2, 1: 10}]) == h
 
 
 def check_hnf_shape(h):
     pivots = []
     for row in h:
-        col = next(j for j, x in enumerate(row) if x)
+        assert all(row.values())
+        col = min(row)
         assert row[col] > 0 and (not pivots or col > pivots[-1])
         pivots.append(col)
     for i, col in enumerate(pivots):
         for row in h[:i]:
-            assert 0 <= row[col] < h[i][col], (h, i)
+            assert 0 <= row.get(col, 0) < h[i][col], (h, i)
 
 
 def test_row_hnf_reduces_above_every_pivot():
-    h = row_hnf([[1, 0, -25, -25, -15, 3, -10], [0, 1, 9, 10, 6, 1, 3],
-                 [0, 0, 16, 5, 3, -3, 1], [0, 0, 0, 8, 5, 1, 4]])
+    h = row_hnf(sparsify([[1, 0, -25, -25, -15, 3, -10],
+                          [0, 1, 9, 10, 6, 1, 3],
+                          [0, 0, 16, 5, 3, -3, 1], [0, 0, 0, 8, 5, 1, 4]]))
     check_hnf_shape(h)
-    assert h[0] == [1, 0, 7, 1, 1, -1, 0]
+    assert h[0] == {0: 1, 2: 7, 3: 1, 4: 1, 5: -1}
 
 
 def test_row_hnf_canonical_randomized():
@@ -148,7 +150,7 @@ def test_row_hnf_canonical_randomized():
         g = rng.randint(1, 5)
         n = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(g)]
-        h = row_hnf(rows)
+        h = row_hnf(sparsify(rows))
         check_hnf_shape(h)
         others = [list(r) for r in rows]
         for _ in range(rng.randint(0, 3)):
@@ -156,7 +158,7 @@ def test_row_hnf_canonical_randomized():
             others.append([sum(c * r[j] for c, r in zip(coeffs, rows))
                            for j in range(n)])
         rng.shuffle(others)
-        assert row_hnf(others) == h, rows
+        assert row_hnf(sparsify(others)) == h, rows
 
 
 def test_row_hnf_tracked_combinations():
@@ -165,10 +167,11 @@ def test_row_hnf_tracked_combinations():
         g = rng.randint(1, 5)
         n = rng.randint(1, 5)
         rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(g)]
-        h, exprs = row_hnf(rows, track=True)
+        h, exprs = row_hnf(sparsify(rows), track=True)
         for row, e in zip(h, exprs):
-            comb = [sum(e[i] * rows[i][j] for i in range(g)) for j in range(n)]
-            assert comb == row
+            comb = [sum(c * rows[i][j] for i, c in e.items())
+                    for j in range(n)]
+            assert sparsify([comb]) == [row]
 
 
 def dense_row_hnf(rows, track=False):
@@ -234,27 +237,28 @@ def hnf_inputs(rng, count):
 def test_row_hnf_matches_dense_oracle():
     rng = random.Random(41)
     for mat in hnf_inputs(rng, 1000):
-        assert row_hnf(mat) == dense_row_hnf(mat), mat
-        h, exprs = row_hnf(mat, track=True)
-        assert h == dense_row_hnf(mat), mat
+        expected = sparsify(dense_row_hnf(mat))
+        assert row_hnf(sparsify(mat)) == expected, mat
+        h, exprs = row_hnf(sparsify(mat), track=True)
+        assert h == expected, mat
         assert len(exprs) == len(h)
+        n = len(mat[0]) if mat else 0
         for row, e in zip(h, exprs):
-            assert len(e) == len(mat)
-            assert [sum(c * r[j] for c, r in zip(e, mat))
-                    for j in range(len(row))] == row, (mat, row, e)
+            assert all(0 <= i < len(mat) for i in e)
+            assert sparsify([[sum(c * mat[i][j] for i, c in e.items())
+                              for j in range(n)]]) == [row], (mat, row, e)
 
 
 def test_row_hnf_sparse_rows():
     rng = random.Random(43)
     for mat in hnf_inputs(rng, 300):
-        rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+        rows = sparsify(mat)
         if not rows:
             continue
         given = [dict(r) for r in rows]
         h, exprs = row_hnf(rows, track=True)
         assert rows == given
-        assert h == [{j: x for j, x in enumerate(r) if x}
-                     for r in dense_row_hnf(mat)], mat
+        assert h == sparsify(dense_row_hnf(mat)), mat
         assert row_hnf(rows) == h
         for row, e in zip(h, exprs):
             comb = {}
@@ -266,13 +270,15 @@ def test_row_hnf_sparse_rows():
 
 def test_lattice_sparse_generators():
     lat = Lattice(4, [{1: 2, 3: -4}, {1: 4}, {}])
-    assert lat.basis == Lattice(4, [[0, 2, 0, -4], [0, 4, 0, 0],
-                                    [0, 0, 0, 0]]).basis
-    assert lat.basis == [[0, 2, 0, 4], [0, 0, 0, 8]]
-    with pytest.raises(ValueError):
+    assert lat.basis == [{1: 2, 3: 4}, {3: 8}]
+    assert lat.pivot_cols == [1, 3]
+    with pytest.raises(ValueError, match="outside ambient"):
         Lattice(4, [{4: 1}])
-    with pytest.raises(ValueError):
-        Lattice(4, [[1, 2, 3]])
+    with pytest.raises(ValueError, match="outside ambient"):
+        Lattice(4, [{-1: 1}])
+    for v in ({4: 1}, {-1: 1}, {1: 2, 7: 0}):
+        with pytest.raises(ValueError, match="outside ambient"):
+            lat.membership(v)
 
 
 def test_hnf_spans_same_lattice_as_sympy():
@@ -281,13 +287,13 @@ def test_hnf_spans_same_lattice_as_sympy():
         g = rng.randint(1, 4)
         n = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(g)]
-        ours = Lattice(n, rows)
+        ours = Lattice(n, sparsify(rows))
         try:
             sh = hermite_normal_form(sympy.Matrix(rows).T)
         except Exception:
             continue
-        theirs = [[int(sh[i, c]) for i in range(n)]
-                  for c in range(sh.shape[1])]
+        theirs = sparsify([[int(sh[i, c]) for i in range(n)]
+                           for c in range(sh.shape[1])])
         for vec in theirs:
             assert vec in ours
         other = Lattice(n, theirs) if theirs else None
@@ -296,23 +302,24 @@ def test_hnf_spans_same_lattice_as_sympy():
 
 
 def test_lattice_membership_certificate():
-    lat = Lattice(2, [[1, 0], [0, 2]], track=True)
-    ok, cert = lat.membership([3, 4])
+    lat = Lattice(2, [{0: 1}, {1: 2}], track=True)
+    ok, cert = lat.membership({0: 3, 1: 4})
     assert ok
-    assert cert == [3, 2]
-    ok, reason = lat.membership([0, 1])
+    assert cert == {0: 3, 1: 2}
+    ok, reason = lat.membership({1: 1})
     assert not ok
     assert "congruence" in reason
-    ok, cert = lat.membership([0, 0])
-    assert ok and cert == [0, 0]
+    ok, cert = lat.membership({})
+    assert ok and cert == {}
 
 
 def dense_membership(lat, v, generators):
-    """Reference membership: every basis row rescans all the columns
-    left of its pivot."""
+    """Reference membership on dense lists: every basis row rescans all
+    the columns left of its pivot."""
     v = list(v)
-    coeffs = [0] * len(lat.basis)
-    for i, (row, col) in enumerate(zip(lat.basis, lat.pivot_cols)):
+    basis = densify(lat.basis, len(v))
+    coeffs = [0] * len(basis)
+    for i, (row, col) in enumerate(zip(basis, lat.pivot_cols)):
         for j in range(col):
             if v[j] and j not in lat.pivot_cols[:i]:
                 return False, "nonzero entry at column %d outside the lattice span" % j
@@ -329,7 +336,7 @@ def dense_membership(lat, v, generators):
         return False, "nonzero entry at column %d outside the lattice span" % j
     if lat.track:
         cert = [0] * len(generators)
-        for c, expr in zip(coeffs, lat.exprs):
+        for c, expr in zip(coeffs, densify(lat.exprs, len(generators))):
             for j, e in enumerate(expr):
                 cert[j] += c * e
         return True, cert
@@ -344,35 +351,39 @@ def test_lattice_membership_matches_dense_oracle():
             continue
         n = len(mat[0])
         for track in (False, True):
-            lat = Lattice(n, mat, track=track)
+            lat = Lattice(n, sparsify(mat), track=track)
+            width = len(mat) if track else lat.rank
             for _ in range(6):
                 coeffs = [rng.randint(-3, 3) for _ in mat]
                 v = [sum(c * row[j] for c, row in zip(coeffs, mat))
                      for j in range(n)]
                 if rng.random() < 0.6:
                     v[rng.randrange(n)] += rng.randint(-2, 2)
-                got = lat.membership(v)
+                [sv] = sparsify([v])
+                got = lat.membership(sv)
+                if got[0]:
+                    got = True, densify([got[1]], width)[0]
                 assert got == dense_membership(lat, v, mat), (mat, v)
                 outcomes.add(got[1].split(" ")[0] if not got[0] else True)
     assert outcomes == {True, "nonzero", "coefficient"}
 
 
 def test_lattice_index():
-    whole = Lattice(2, [[1, 0], [0, 1]])
-    sub = Lattice(2, [[2, 0], [0, 3]])
+    whole = Lattice(2, [{0: 1}, {1: 1}])
+    sub = Lattice(2, [{0: 2}, {1: 3}])
     assert sub.index_in(whole) == 6
 
 
 def test_column_solver():
-    cols = [[1, 0, 2], [0, 3, 1]]
-    solver = ColumnSolver(cols)
-    assert solver.solve([2, 3, 5]) == [2, 1]
-    assert solver.solve([1, 1, 1]) is None
+    solver = ColumnSolver([{0: 1, 2: 2}, {1: 3, 2: 1}])
+    assert solver.solve({0: 2, 1: 3, 2: 5}) == {0: 2, 1: 1}
+    assert solver.solve({0: 1, 1: 1, 2: 1}) is None
+    assert solver.solve({}) == {}
 
 
 def test_column_solver_rejects_dependent():
     with pytest.raises(ValueError):
-        ColumnSolver([[1, 2], [2, 4]])
+        ColumnSolver([{0: 1, 1: 2}, {0: 2, 1: 4}])
     rng = random.Random(31)
     for _ in range(100):
         m, r = rng.randint(1, 6), rng.randint(1, 4)
@@ -382,7 +393,7 @@ def test_column_solver_rejects_dependent():
                                             zip(coeffs, cols))
                                         for i in range(m)])
         with pytest.raises(ValueError):
-            ColumnSolver(cols)
+            ColumnSolver(sparsify(cols))
 
 
 def test_column_solver_randomized():
@@ -394,23 +405,64 @@ def test_column_solver_randomized():
         if len(smith_normal_form(cols)[0]) != r:
             continue
         tried += 1
-        solver = ColumnSolver(cols)
-        lattice = Lattice(m, cols)
+        solver = ColumnSolver(sparsify(cols))
+        lattice = Lattice(m, sparsify(cols))
         for _ in range(5):
             coeffs = [rng.randint(-6, 6) for _ in range(r)]
             vec = [sum(c * col[i] for c, col in zip(coeffs, cols))
                    for i in range(m)]
-            assert solver.solve(vec) == coeffs
+            assert solver.solve(sparsify([vec])[0]) == sparsify([coeffs])[0]
             vec[rng.randrange(m)] += rng.choice([-1, 1, 2])
-            found = solver.solve(vec)
-            if vec in lattice:
-                assert [sum(c * col[i] for c, col in zip(found, cols))
+            [sv] = sparsify([vec])
+            found = solver.solve(sv)
+            if sv in lattice:
+                assert [sum(c * cols[k][i] for k, c in found.items())
                         for i in range(m)] == vec
             else:
                 assert found is None, (cols, vec)
 
 
 def test_column_solver_congruence():
-    solver = ColumnSolver([[2, 0], [0, 2]])
-    assert solver.solve([4, -2]) == [2, -1]
-    assert solver.solve([1, 0]) is None
+    solver = ColumnSolver([{0: 2}, {1: 2}])
+    assert solver.solve({0: 4, 1: -2}) == {0: 2, 1: -1}
+    assert solver.solve({0: 1}) is None
+
+
+def with_explicit_zeros(rng, rows, n):
+    """Copies of dict rows over n columns with zero entries added at
+    some of their empty columns."""
+    out = []
+    for row in rows:
+        row = dict(row)
+        for j in range(n):
+            if j not in row and rng.random() < 0.5:
+                row[j] = 0
+        out.append(row)
+    return out
+
+
+def test_explicit_zero_entries_change_nothing():
+    assert row_hnf([{0: 0, 1: 2}, {0: 3}]) == [{0: 3}, {1: 2}]
+    assert row_hnf([{0: 0, 1: 2}]) == [{1: 2}]
+    assert Lattice(2, [{0: 0, 1: 2}, {0: 3}]).basis == [{0: 3}, {1: 2}]
+    rng = random.Random(53)
+    for mat in hnf_inputs(rng, 300):
+        n = len(mat[0]) if mat else 0
+        rows = sparsify(mat)
+        padded = with_explicit_zeros(rng, rows, n)
+        assert invariant_factors(padded) == invariant_factors(rows), mat
+        assert kernel_basis(padded, n) == kernel_basis(rows, n), mat
+        assert row_hnf(padded) == row_hnf(rows), mat
+        assert (row_hnf(padded, track=True)
+                == row_hnf(rows, track=True)), mat
+        for track in (False, True):
+            lat, ref = Lattice(n, padded, track), Lattice(n, rows, track)
+            assert (lat.basis, lat.exprs) == (ref.basis, ref.exprs), mat
+            for v in with_explicit_zeros(rng, rows, n):
+                assert lat.membership(v) == ref.membership(v), (mat, v)
+        if rows and len(invariant_factors(rows)) == len(rows):
+            # independent rows, read as the columns of a solver over Z^n
+            solver = ColumnSolver(padded)
+            ref = ColumnSolver(rows)
+            for v in with_explicit_zeros(rng, rows + [{0: 1}], n):
+                assert solver.solve(v) == ref.solve(v), (mat, v)

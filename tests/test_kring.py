@@ -205,11 +205,11 @@ def test_complete_graph_star_ring_equals_rep_ring():
 def test_ideal_power_k1():
     g = complete_graph(1)
     lat1 = ideal_power(g, 1)
-    assert lat1.basis == [[0, 1]]
+    assert lat1.basis == [{1: 1}]
     lat2 = ideal_power(g, 2)
-    assert lat2.basis == [[0, 2]]
+    assert lat2.basis == [{1: 2}]
     for m in range(1, 6):
-        assert ideal_power(g, m).basis == [[0, 2 ** (m - 1)]]
+        assert ideal_power(g, m).basis == [{1: 2 ** (m - 1)}]
 
 
 def test_ideal_powers_nested(suite_entry):
@@ -242,12 +242,7 @@ def product_ideal_power(graph, k):
                 if any(prod.values()):
                     nxt.append(prod)
         current = nxt
-    rows = []
-    for vec in current:
-        row = [0] * len(cliques)
-        for mask, c in vec.items():
-            row[index[mask]] = c
-        rows.append(row)
+    rows = [{index[mask]: c for mask, c in vec.items()} for vec in current]
     return Lattice(len(cliques), rows)
 
 
