@@ -3,18 +3,25 @@
 The order complex of the clique poset carries the coefficient system
 that assigns to a chain the representation ring of its smallest clique;
 the first face map restricts along the inclusion of the two smallest
-cliques, the others just drop a clique.  Cohomology is read off from
-Smith normal forms of the differentials.
+cliques, the others just drop a clique.  `build_bredon_complex` writes
+its differentials out in the monomial basis.
+
+In the bar basis x_L = prod (t_v - 1) restriction is a projection, so
+the complex splits into one block per clique K, a cone with apex K.
+`cone_certificate` checks this cell by cell over one streamed walk of
+the chains and reads the cohomology off it: H^0 free on the d apex
+cochains, nothing above.  The inverse limit, the kernel of the degree-0
+differential, has those apex cochains as its basis.
 
 An independent route to the same vanishing statement goes through the
-two-term interval complex and its tensor powers, also built here.
+two-term interval complex and its tensor powers, also built here, whose
+cohomology comes from invariant factors.
 """
 
 from functools import cached_property
 
 from .graphs import poset_chains, subset_key, submasks
-from .intlinalg import (accumulate, invariant_factors, kernel_basis,
-                        ColumnSolver)
+from .intlinalg import accumulate, invariant_factors
 from .kring import restrict_to_clique
 
 KUNNETH_CAP = 6
@@ -90,75 +97,256 @@ def _sorted_submasks(graph, mask):
     return sorted(submasks(mask), key=lambda m: subset_key(graph, m))
 
 
+def faces(chain):
+    """(face, sign) for each face of a chain of two or more cliques:
+    face i drops clique i and carries (-1)^i.  On face 0 the coefficient
+    also restricts from chain[1] down to chain[0]."""
+    return [(chain[:i] + chain[i + 1:], -1 if i % 2 else 1)
+            for i in range(len(chain))]
+
+
+def restrict(mono, clique):
+    """Restriction of the character monomial t_mono to the subgroup of
+    a smaller clique, as (monomial, coefficient): t_L goes to t_(L & J)."""
+    return mono & clique, 1
+
+
 def build_bredon_complex(graph):
     """Cochain complex of the clique poset with coefficients the
-    representation rings of the clique subgroups.
+    representation rings of the clique subgroups, in the monomial basis.
 
     Degree-k basis: (chain, monomial) with the chain a strictly
     increasing (k+1)-tuple of cliques and the monomial a subset of the
-    chain's smallest clique.  The first face restricts the coefficient,
-    the remaining faces alternate in sign.
+    chain's smallest clique.  The differential is made of `faces` and,
+    on face 0, `restrict`: the two rules `cone_certificate` checks.
     """
     cliques = graph.cliques
     top = max((bin(c).count("1") for c in cliques), default=0)
-    chains = poset_chains(graph, cliques, top)
     keys = {c: subset_key(graph, c) for c in cliques}
     monomials = {c: _sorted_submasks(graph, c) for c in cliques}
-
-    bases = []
-    index_maps = []
-    for per_degree in chains:
-        basis = [(ch, mono)
-                 for ch in sorted(per_degree,
-                                  key=lambda ch: [keys[c] for c in ch])
-                 for mono in monomials[ch[0]]]
-        bases.append(basis)
-        index_maps.append({cell: i for i, cell in enumerate(basis)})
+    levels = [sorted(per_degree, key=lambda ch: [keys[c] for c in ch])
+              for per_degree in poset_chains(graph, cliques, top)]
+    index_maps = [{cell: i for i, cell in enumerate(
+        (ch, mono) for ch in level for mono in monomials[ch[0]])}
+        for level in levels]
 
     diffs = []
-    for k in range(len(bases) - 1):
+    for k in range(len(levels) - 1):
         index = index_maps[k]
         d = []
-        for chain, mono in bases[k + 1]:
-            # face 0 drops the smallest clique: the coefficient on the
-            # remaining chain lives over chain[1] and restricts down; a
-            # monomial L of chain[1] hits mono iff L & chain[0] == mono,
-            # that is L = mono | s with s a subset of chain[1] - chain[0]
-            face0 = chain[1:]
-            pairs = [(index[(face0, mono | s)], 1)
-                     for s in submasks(chain[1] & ~chain[0])]
-            for i in range(1, len(chain)):
-                pairs.append((index[(chain[:i] + chain[i + 1:], mono)],
-                              -1 if i % 2 else 1))
-            d.append(accumulate(pairs))
+        for chain in levels[k + 1]:
+            (face0, sign0), *rest = faces(chain)
+            # one row per monomial of chain[0]: face 0 sends each
+            # monomial L of chain[1] to the row of its restriction, the
+            # other faces keep the row's monomial
+            rows = {mono: [] for mono in monomials[chain[0]]}
+            for ell in monomials[chain[1]]:
+                mono, x = restrict(ell, chain[0])
+                rows[mono].append((index[(face0, ell)], sign0 * x))
+            for mono, pairs in rows.items():
+                pairs += [(index[(face, mono)], sign) for face, sign in rest]
+                d.append(accumulate(pairs))
         diffs.append(d)
-    return CochainComplex([len(b) for b in bases], diffs)
+    return CochainComplex([len(index) for index in index_maps], diffs)
+
+
+_IDENTITIES = {"a": "restriction is a projection", "b": "d o d = 0",
+               "c": "dh + hd = id - e"}
+
+
+class ConeCertificate:
+    """What `cone_certificate` found: the ranks of the Bredon complex in
+    the degrees it walked and, when an identity failed, a witness
+    naming it (None when all held)."""
+
+    def __init__(self, clique_count, ranks, witness):
+        self.clique_count = clique_count
+        self.ranks = ranks
+        self.witness = witness
+
+    @property
+    def ok(self):
+        return self.witness is None
+
+    @property
+    def cohomology(self):
+        """H^k as `cohomology` gives it: one free Z per cone block in
+        degree 0, nothing above; None when an identity failed."""
+        if not self.ok:
+            return None
+        return [{"degree": k, "free_rank": self.clique_count if k == 0 else 0,
+                 "torsion": []} for k in range(len(self.ranks))]
+
+
+def _label(graph, mask):
+    return "{%s}" % ", ".join(graph.subset_labels(mask))
+
+
+def _witness(graph, identity, block, chain):
+    return ("identity (%s) %s fails in block K = %s at chain %s, degree %d"
+            % (identity, _IDENTITIES[identity], _label(graph, block),
+               " < ".join(_label(graph, c) for c in chain), len(chain) - 1))
+
+
+def _bar_expansion(mono):
+    """x_L = prod over v in L of (t_v - 1) in the monomial basis:
+    (-1)^|L - M| on each t_M with M inside L."""
+    return [(m, -1 if bin(mono ^ m).count("1") % 2 else 1)
+            for m in submasks(mono)]
+
+
+def _projection_failure(bar, small, big):
+    """A bar monomial x_L of R(big) that `restrict` does not send to x_L
+    (L inside small) or to 0 (L not inside small) in R(small); None when
+    every one is."""
+    for ell in submasks(big):
+        image = {}
+        for m, sign in bar[ell]:
+            r, x = restrict(m, small)
+            image[r] = image.get(r, 0) + sign * x
+        expected = dict(bar[ell]) if ell & small == ell else {}
+        if {r: x for r, x in image.items() if x} != expected:
+            return ell
+    return None
+
+
+def cone_certificate(graph, top=None):
+    """Certify the Bredon complex block by block and count its ranks,
+    building no differential.
+
+    In the bar basis x_L = prod (t_v - 1), which the unitriangular
+    change t_L = prod (x_v + 1) relates to the monomial basis of
+    `build_bredon_complex`, the complex splits into one block per clique
+    K: the cells (chain, x_K) with K inside chain[0].  One walk over the
+    chains of the clique poset, each extended by the cliques above its
+    last, checks:
+      (a) on every pair J < J', `restrict` sends each x_L of R(J') to x_L
+          when L lies in J and to 0 otherwise, so on block K face 0 only
+          drops a clique;
+      (b) the row of d o d is zero at every cell of degree 2 or more;
+      (c) dh + hd = id - e at every cell, with h prepending the apex K
+          and e sending a degree-0 cell of block K to the apex cell (K),
+          and d e = 0 on the pairs, so e is a chain map.
+    Then block K has H^0 = Z on the apex cochain and nothing above.  A
+    chain c0 < ... < ck carries 2^|c0| cells, one per block.
+
+    With `top` only cells of degree up to `top` are checked and
+    counted, and the pairs always: `top=0` is the degree-0 part on
+    which the inverse limit rests.
+    """
+    ranks = []
+    first = None
+    # the walk goes on past a failure, so that the ranks are complete
+    for failure in _cone_failures(graph.cliques, top, ranks):
+        first = first or failure
+    return ConeCertificate(len(graph.cliques), ranks,
+                           first and _witness(graph, *first))
+
+
+def _cone_failures(cliques, top, ranks):
+    """The walk of `cone_certificate`: yields (identity, block, chain)
+    for each failed identity and counts the cells into `ranks`."""
+    supersets = {c: [e for e in cliques if e != c and e & c == c]
+                 for c in cliques}
+    bar = {c: _bar_expansion(c) for c in cliques}
+    longest = None if top is None else max(top, 1) + 1
+    stack = [(c,) for c in reversed(cliques)]
+    while stack:
+        chain = stack.pop()
+        k = len(chain) - 1
+        if longest is None or k + 1 < longest:
+            stack.extend(chain + (e,) for e in reversed(supersets[chain[-1]]))
+        fs = faces(chain) if k else []
+        if k == 1:
+            ell = _projection_failure(bar, *chain)
+            if ell is not None:
+                yield "a", ell, chain
+            # the row of d e at each cell of the pair: e sends both
+            # faces to the apex cell, so their signs must cancel
+            if sum(sign for _face, sign in fs):
+                yield "c", chain[0], chain
+        if top is not None and k > top:
+            continue
+        if k == len(ranks):
+            ranks.append(0)
+        ranks[k] += 1 << bin(chain[0]).count("1")
+        # on block K face 0 only drops a clique, by (a), so the row of
+        # d o d at (chain, x_K) is the same for every K inside chain[0]
+        if k >= 2:
+            total = {}
+            for face, s in fs:
+                for g, t in faces(face):
+                    total[g] = total.get(g, 0) + s * t
+            if any(total.values()):
+                yield "b", chain[0], chain
+        for apex in submasks(chain[0]):
+            # the row of dh + hd - id + e at the cell (chain, x_K)
+            row = [(chain, -1)]
+            if k == 0:
+                row.append(((apex,), 1))
+            else:
+                row += [((apex,) + face, s) for face, s in fs
+                        if face[0] != apex]
+            if chain[0] != apex:
+                row += faces((apex,) + chain)
+            if accumulate(row):
+                yield "c", apex, chain
 
 
 class LimitLattice:
     """Compatible families of virtual representations, one per clique,
-    as the kernel of the degree-0 differential, with a solver for
-    coordinates in its basis.
+    with a basis whose columns each own a pivot row: a row no other
+    column meets.  A family's coordinates are then its entries at the
+    pivot rows, divided by the pivots, and an exact residual check
+    tells whether it lies in the lattice.
 
     A family is a dict vector over the degree-0 cells, which `index`
-    numbers by their labels (clique, monomial), in basis order."""
+    numbers by their labels (clique, monomial), in basis order.
+    `witness` is the failed identity of the certificate the lattice was
+    read from, if any."""
 
-    def __init__(self, cliques, labels, basis_columns):
+    def __init__(self, cliques, labels, basis_columns, pivots, witness=None):
         self.cliques = cliques
         self.index = {label: i for i, label in enumerate(labels)}
         self.basis_columns = basis_columns
-        self.solver = ColumnSolver(basis_columns)
+        pivots = list(pivots)
+        self.pivot_column = {p: i for i, p in enumerate(pivots)}
+        self.witness = witness
+        if len(self.pivot_column) != len(pivots) or len(pivots) != self.rank:
+            raise ValueError("expected one distinct pivot row per column")
+        for i, (column, p) in enumerate(zip(basis_columns, pivots)):
+            if not column.get(p) or any(
+                    self.pivot_column.get(j, i) != i for j in column):
+                raise ValueError("column %d does not own its pivot row %d"
+                                 % (i, p))
 
     @property
     def rank(self):
         return len(self.basis_columns)
+
+    def solve(self, vec):
+        """Integer coordinates of a dict vector in the basis, a dict
+        {column: coefficient}, or None when it is outside the lattice."""
+        coeffs = {}
+        for p, x in vec.items():
+            i = self.pivot_column.get(p)
+            if i is not None and x:
+                q, remainder = divmod(x, self.basis_columns[i][p])
+                if remainder:
+                    return None
+                coeffs[i] = q
+        rest = dict(vec)
+        for i, q in coeffs.items():
+            for j, y in self.basis_columns[i].items():
+                rest[j] = rest.get(j, 0) - q * y
+        return None if any(rest.values()) else coeffs
 
     @cached_property
     def clique_factors(self):
         """Invariant factors of the clique monomial families in limit
         coordinates, or None when one falls outside the lattice; taken
         once per limit and read by both limit checks."""
-        columns = [self.solver.solve(monomial_family(self, clique))
+        columns = [self.solve(monomial_family(self, clique))
                    for clique in self.cliques]
         if None in columns:
             return None
@@ -166,13 +354,24 @@ class LimitLattice:
         return invariant_factors(columns)
 
 
-def inverse_limit(graph, complex_=None):
-    """Kernel of the degree-0 differential of the Bredon complex."""
-    if complex_ is None:
-        complex_ = build_bredon_complex(graph)
-    cols = kernel_basis(complex_.differential(0), complex_.ranks[0])
-    basis = [(c, m) for c in graph.cliques for m in _sorted_submasks(graph, c)]
-    return LimitLattice(graph.cliques, basis, cols)
+def inverse_limit(graph, certificate=None):
+    """The kernel of the degree-0 differential of the Bredon complex,
+    spanned by the apex cochains: column K is x_K on every clique J
+    containing K, that is (-1)^|K - M| at each cell (J, M) with M
+    inside K.  Its pivot row is the cell (K, K), which no other column
+    meets.  The certificate, by default the degree-0 part of
+    `cone_certificate`, is what shows these columns span the kernel."""
+    if certificate is None:
+        certificate = cone_certificate(graph, top=0)
+    cliques = graph.cliques
+    index = {label: i for i, label in enumerate(
+        (c, m) for c in cliques for m in _sorted_submasks(graph, c))}
+    columns = [{index[(clique, m)]: sign
+                for clique in cliques if clique & apex == apex
+                for m, sign in _bar_expansion(apex)}
+               for apex in cliques]
+    pivots = [index[(apex, apex)] for apex in cliques]
+    return LimitLattice(cliques, index, columns, pivots, certificate.witness)
 
 
 def family_vector(limit, element_by_clique):

@@ -89,20 +89,26 @@ def cyclic4_real_table():
         class_of={"e": 0, "s": 1, "s2": 2, "s3": 3})
 
 
-def decompose_in_basis(table, values):
-    """Integer coordinates, a dict {irreducible: multiplicity}, of the
-    class function with these values in the irreducible basis of a
-    square table; errors when non-integral."""
+def basis_solver(table):
+    """A solver for coordinates in the irreducible basis of a square
+    table: sum_i x_i * chi_i(c) = values[c], one column per irreducible.
+    Built once per table and shared by its decompositions."""
     n = len(table.class_sizes)
     if table.num_irreducibles != n:
         raise CharLabError("decomposition needs a square character table")
-    # sum_i x_i * chi_i(c) = values[c]: one column per irreducible
     try:
-        solver = ColumnSolver([dict(enumerate(chi))
-                               for chi in table.characters])
+        return ColumnSolver([dict(enumerate(chi))
+                             for chi in table.characters])
     except ValueError:
         raise CharLabError("character table rows are dependent") from None
-    coords = solver.solve(dict(enumerate(values)))
+
+
+def decompose_in_basis(table, values, solver=None):
+    """Integer coordinates, a dict {irreducible: multiplicity}, of the
+    class function with these values in the irreducible basis of a
+    square table; errors when non-integral.  `solver` is the table's
+    `basis_solver`, built here when not given."""
+    coords = (solver or basis_solver(table)).solve(dict(enumerate(values)))
     if coords is None:
         raise CharLabError("non-integral decomposition of %r" % (values,))
     return coords
@@ -114,10 +120,11 @@ def restriction_image(source, target, class_map):
 
     class_map sends each target class index to the source class
     containing its representatives."""
+    solver = basis_solver(target)
     gens = []
     for chi in source.characters:
         restricted = [chi[class_map[c]] for c in range(len(target.class_sizes))]
-        gens.append(decompose_in_basis(target, restricted))
+        gens.append(decompose_in_basis(target, restricted, solver))
     return Lattice(target.num_irreducibles, gens, track=True)
 
 

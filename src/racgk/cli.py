@@ -119,37 +119,41 @@ def run_bgw(graph, args, rng):
 
 
 def run_bredon(graph, args, rng):
-    return bredon_section(graph, bredon.build_bredon_complex(graph), args)
+    return bredon_section(graph, bredon.cone_certificate(graph), args)
 
 
-def bredon_section(graph, complex_, args):
+def bredon_section(graph, certificate, args):
     if args.dump_matrices:
+        complex_ = bredon.build_bredon_complex(graph)
         for k, d in enumerate(complex_.diffs):
             with open("%s.%d" % (args.dump_matrices, k), "w",
                       encoding="utf-8") as fh:
                 for r, row in enumerate(d):
                     for c in sorted(row):
                         fh.write("%d %d %d\n" % (r, c, row[c]))
-    coh = bredon.cohomology(complex_)
-    d = len(graph.cliques)
-    ok = (coh[0]["free_rank"] == d and not coh[0]["torsion"]
-          and all(c["free_rank"] == 0 and not c["torsion"] for c in coh[1:]))
-    return {"ranks": complex_.ranks, "cohomology": coh,
-            "clique_count": d, "ok": ok}
+    report = {"ranks": certificate.ranks, "cohomology": certificate.cohomology,
+              "clique_count": len(graph.cliques), "ok": certificate.ok}
+    if not certificate.ok:
+        report["detail"] = certificate.witness
+    return report
 
 
 def run_limit(graph, args, rng):
-    return limit_section(graph, bredon.build_bredon_complex(graph))
+    return limit_section(graph, bredon.cone_certificate(graph, top=0))
 
 
-def limit_section(graph, complex_):
-    limit = bredon.inverse_limit(graph, complex_)
+def limit_section(graph, certificate):
+    limit = bredon.inverse_limit(graph, certificate)
     rho = bredon.rho_surjectivity(graph, limit)
     iso = bredon.clique_basis_isomorphism(graph, limit)
     d = len(graph.cliques)
-    ok = limit.rank == d and rho["surjective"] and iso["isomorphism"]
-    return {"limit_rank": limit.rank, "clique_count": d,
-            "rho": rho, "clique_basis_isomorphism": iso, "ok": ok}
+    ok = (limit.witness is None and limit.rank == d and rho["surjective"]
+          and iso["isomorphism"])
+    report = {"limit_rank": limit.rank, "clique_count": d,
+              "rho": rho, "clique_basis_isomorphism": iso, "ok": ok}
+    if limit.witness is not None:
+        report["detail"] = limit.witness
+    return report
 
 
 def run_kunneth(graph, args, rng):
@@ -178,22 +182,23 @@ def run_mv_check(graph, args, rng):
 
 
 def run_all(graph, args, rng):
-    complex_ = bredon.build_bredon_complex(graph)
+    certificate = bredon.cone_certificate(graph)
     sections = {
         "ktheory": run_ktheory(graph, args, rng),
         "bgw": run_bgw(graph, args, rng),
-        "bredon": bredon_section(graph, complex_, args),
-        "limit": limit_section(graph, complex_),
+        "bredon": bredon_section(graph, certificate, args),
+        "limit": limit_section(graph, certificate),
         "kunneth": run_kunneth(graph, args, rng),
         "counterexample": run_counterexample(args, rng),
     }
     d = sections["ktheory"]["rank"]
-    cross = (sections["bredon"]["cohomology"][0]["free_rank"] == d
-             and sections["limit"]["limit_rank"] == d
+    coh = sections["bredon"]["cohomology"]
+    h0 = coh[0]["free_rank"] if coh else None
+    cross = (h0 == d and sections["limit"]["limit_rank"] == d
              and sections["bredon"]["clique_count"] == d)
     sections["rank_cross_check"] = {
         "presentation_rank": d,
-        "h0_rank": sections["bredon"]["cohomology"][0]["free_rank"],
+        "h0_rank": h0,
         "limit_rank": sections["limit"]["limit_rank"],
         "ok": cross,
     }

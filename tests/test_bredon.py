@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from racgk import bredon
 from racgk.bredon import (CochainComplex, LimitLattice, build_bredon_complex,
-                          clique_basis_isomorphism, cohomology,
+                          clique_basis_isomorphism, cohomology, cone_certificate,
                           interval_complex, interval_tensor_kunneth,
                           inverse_limit, monomial_family, restriction_family,
                           rho_surjectivity, tensor_complex)
 from racgk.graphs import parse_graph
-from racgk.intlinalg import accumulate, invariant_factors, mat_mul
+from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
+                             mat_mul, row_hnf)
 from racgk.kring import KRingElement, _normalize_star
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
                       dense_differentials, edgeless_graph, graph_suite,
@@ -92,6 +94,98 @@ def test_all_zero_differentials_give_full_rank():
     assert [e["free_rank"] for e in coh] == [2, 3]
 
 
+def oracle_graphs():
+    """The suite and K3-K6, on which elimination checks the certificate."""
+    return ([(name, g) for name, g, _ in graph_suite()]
+            + [("K%d" % n, complete_graph(n)) for n in range(3, 7)])
+
+
+def test_certificate_matches_elimination():
+    for name, g in oracle_graphs():
+        cert = cone_certificate(g)
+        c = build_bredon_complex(g)
+        assert cert.ok, (name, cert.witness)
+        assert cert.ranks == c.ranks, name
+        assert cert.cohomology == cohomology(c), name
+
+
+def test_apex_lattice_is_the_kernel_lattice():
+    for name, g in oracle_graphs():
+        c = build_bredon_complex(g)
+        limit = inverse_limit(g)
+        assert limit.witness is None, name
+        kernel = kernel_basis(c.differential(0), c.ranks[0])
+        assert row_hnf(limit.basis_columns) == row_hnf(kernel), name
+
+
+def test_degree_zero_certificate_walks_pairs_only(monkeypatch):
+    longest = []
+    original = bredon.faces
+
+    def recorded(chain):
+        longest.append(len(chain))
+        return original(chain)
+    monkeypatch.setattr(bredon, "faces", recorded)
+    for name, g, _ in graph_suite():
+        full = cone_certificate(g)
+        del longest[:]
+        part = cone_certificate(g, top=0)
+        assert part.ok and part.ranks == full.ranks[:1], name
+        # faces of the pairs, and of the chains (K, J) that h builds
+        assert max(longest) == 2, name
+
+
+def test_apex_coordinates_are_the_pivot_entries():
+    g = cycle_graph(5)
+    limit = inverse_limit(g)
+    for i, (apex, p) in enumerate(zip(g.cliques, limit.pivot_column)):
+        assert limit.index[(apex, apex)] == p
+        assert limit.basis_columns[i][p] == 1
+        assert limit.solve(limit.basis_columns[i]) == {i: 1}
+    # a cochain on one clique only is not compatible
+    assert limit.solve({limit.index[(g.cliques[1], 0)]: 1}) is None
+    with pytest.raises(ValueError, match="pivot row"):
+        LimitLattice(limit.cliques, limit.index, [{0: 1, 1: 1}, {1: 1}],
+                     [0, 1])
+    with pytest.raises(ValueError, match="pivot row"):
+        LimitLattice(limit.cliques, limit.index, [{0: 1}, {1: 1}], [0, 0])
+
+
+def test_certificate_names_a_wrong_restriction_sign(monkeypatch):
+    monkeypatch.setattr(bredon, "restrict",
+                        lambda mono, clique: (mono & clique, -1))
+    for top in (None, 0):
+        cert = cone_certificate(path_graph(3), top)
+        assert not cert.ok and cert.cohomology is None
+        assert cert.witness == ("identity (a) restriction is a projection "
+                                "fails in block K = {} at chain {} < {v0}, "
+                                "degree 1")
+        assert inverse_limit(path_graph(3), cert).witness == cert.witness
+
+
+def test_certificate_names_a_dropped_face(monkeypatch):
+    original = bredon.faces
+    monkeypatch.setattr(bredon, "faces", lambda chain: (
+        original(chain)[:-1] if len(chain) > 2 else original(chain)))
+    cert = cone_certificate(path_graph(3))
+    assert not cert.ok
+    assert cert.witness == ("identity (b) d o d = 0 fails in block K = {} at "
+                            "chain {} < {v0} < {v0, v1}, degree 2")
+    # the degree-0 part does not reach the dropped face
+    assert cone_certificate(path_graph(3), top=0).ok
+
+
+def test_certificate_names_a_wrong_homotopy_sign(monkeypatch):
+    # faces with signs (-1)^(i+1) still give d o d = 0, but prepending
+    # the apex no longer contracts
+    original = bredon.faces
+    monkeypatch.setattr(bredon, "faces", lambda chain: [
+        (face, -sign) for face, sign in original(chain)])
+    cert = cone_certificate(path_graph(3))
+    assert cert.witness == ("identity (c) dh + hd = id - e fails in block "
+                            "K = {} at chain {} < {v0}, degree 1")
+
+
 def test_limit_rank_equals_clique_count(suite_entry):
     _, graph, d = suite_entry
     assert inverse_limit(graph).rank == d
@@ -119,7 +213,7 @@ def test_limit_contains_restriction_families():
         for c in g.cliques:
             vec = restriction_family(limit, KRingElement.monomial(g, c))
             assert monomial_family(limit, c) == vec, (name, c)
-            assert limit.solver.solve(vec) is not None, (name, c)
+            assert limit.solve(vec) is not None, (name, c)
 
 
 def test_rho_surjective(suite_entry):
@@ -132,7 +226,7 @@ def test_rho_surjective(suite_entry):
 def ambient_sweep_factors(graph, limit):
     """Oracle: invariant factors of the restriction families of all 2^n
     ambient character monomials in limit coordinates."""
-    columns = [limit.solver.solve(monomial_family(limit, mask))
+    columns = [limit.solve(monomial_family(limit, mask))
                for mask in range(1 << graph.n)]
     assert None not in columns
     return invariant_factors(columns)
@@ -167,7 +261,8 @@ def test_limit_checks_fail_outside_the_lattice():
     limit = inverse_limit(g)
     half = LimitLattice(limit.cliques, limit.index,
                         [{j: 2 * x for j, x in col.items()}
-                         for col in limit.basis_columns])
+                         for col in limit.basis_columns],
+                        list(limit.pivot_column))
     rho = rho_surjectivity(g, half)
     assert not rho["surjective"] and rho["image_rank"] is None
     assert "outside the limit lattice" in rho["detail"]
@@ -180,7 +275,7 @@ def test_limit_checks_detect_a_larger_lattice():
     limit = inverse_limit(g)
     n = len(limit.index)
     whole = LimitLattice(limit.cliques, limit.index,
-                         [{j: 1} for j in range(n)])
+                         [{j: 1} for j in range(n)], range(n))
     rho = rho_surjectivity(g, whole)
     assert (rho["rank"], rho["image_rank"]) == (n, limit.rank)
     assert rho["index_one"] and not rho["surjective"]

@@ -1,5 +1,6 @@
 import pytest
 
+from racgk import charlab
 from racgk.charlab import (CharacterTable, CharLabError, cyclic2_table,
                            cyclic4_real_table, decompose_in_basis,
                            dihedral8_table, lemma_c4_real_report,
@@ -101,3 +102,16 @@ def test_lattice_order_independence():
         list(reversed(d8.irr_names)), d8.class_of)
     lat2 = restriction_image(reversed_table, c2, {0: 0, 1: 1})
     assert lat.basis == lat2.basis
+
+
+def test_one_solver_per_target_table(monkeypatch):
+    # the D8 and C4 restrictions each eliminate the C2 table once
+    built = []
+    solver = charlab.basis_solver
+
+    def counted(table):
+        built.append(table.name)
+        return solver(table)
+    monkeypatch.setattr(charlab, "basis_solver", counted)
+    assert lemma_d8_report()["ok"] and lemma_c4_real_report()["ok"]
+    assert built == ["C2", "C2"]

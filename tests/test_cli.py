@@ -159,7 +159,7 @@ def test_memory_error_is_usage_error(monkeypatch, capsys, pentagon_file):
     def exhaust(*args):
         raise MemoryError
 
-    monkeypatch.setattr(bredon, "build_bredon_complex", exhaust)
+    monkeypatch.setattr(bredon, "cone_certificate", exhaust)
     assert main(["bredon", "--input", pentagon_file]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bredon ")
@@ -181,30 +181,67 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
         monkeypatch.setattr(module, name, wrapper)
 
     counted(graphs, "enumerate_spherical")
+    counted(bredon, "cone_certificate")
     counted(bredon, "build_bredon_complex")
     counted(bredon, "inverse_limit")
     assert main([sub, "--input", pentagon_file, "--format", "json"]) == 0
-    assert calls == {"enumerate_spherical": 1, "build_bredon_complex": 1,
+    # the complex is built only to dump its matrices
+    assert calls == {"enumerate_spherical": 1, "cone_certificate": 1,
                      "inverse_limit": 1}
 
 
 def test_limit_takes_one_clique_column_snf(monkeypatch, capsys,
                                            pentagon_file):
-    # rho and the clique-basis isomorphism share the d = 11 clique columns
-    calls = {"factors": 0, "solves": 0}
-    factors, solve = bredon.invariant_factors, intlinalg.ColumnSolver.solve
+    # rho and the clique-basis isomorphism share the d = 11 clique
+    # columns, read off the apex pivots with no elimination
+    calls = {"factors": 0, "solves": 0, "eliminations": 0}
+    factors, solve = bredon.invariant_factors, bredon.LimitLattice.solve
+    column_solver = intlinalg.ColumnSolver.__init__
 
-    def counted_factors(*args):
-        calls["factors"] += 1
-        return factors(*args)
-
-    def counted_solve(*args):
-        calls["solves"] += 1
-        return solve(*args)
-    monkeypatch.setattr(bredon, "invariant_factors", counted_factors)
-    monkeypatch.setattr(intlinalg.ColumnSolver, "solve", counted_solve)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(bredon, "invariant_factors",
+                        counted("factors", factors))
+    monkeypatch.setattr(bredon.LimitLattice, "solve", counted("solves", solve))
+    monkeypatch.setattr(intlinalg.ColumnSolver, "__init__",
+                        counted("eliminations", column_solver))
     assert main(["limit", "--input", pentagon_file, "--format", "json"]) == 0
-    assert calls == {"factors": 1, "solves": 11}
+    assert calls == {"factors": 1, "solves": 11, "eliminations": 0}
+
+
+WRONG_SIGN = ("identity (a) restriction is a projection fails in block "
+              "K = {} at chain {} < {s}, degree 1")
+DROPPED_FACE = ("identity (b) d o d = 0 fails in block K = {} at chain "
+                "{} < {s} < {s, t}, degree 2")
+
+
+@pytest.mark.parametrize("sub", ["bredon", "limit", "all"])
+def test_wrong_restriction_sign_names_its_witness(monkeypatch, capsys,
+                                                  path_file, sub):
+    monkeypatch.setattr(bredon, "restrict",
+                        lambda mono, clique: (mono & clique, -1))
+    code, rep = run_json(capsys, [sub, "--input", path_file])
+    assert code == 1 and not rep["ok"]
+    section = rep["bredon"] if sub == "all" else rep
+    assert section["detail"] == WRONG_SIGN
+    if sub == "all":
+        assert rep["limit"]["detail"] == WRONG_SIGN
+        assert not rep["rank_cross_check"]["ok"]
+
+
+@pytest.mark.parametrize("sub", ["bredon", "all"])
+def test_dropped_face_names_its_witness(monkeypatch, capsys, path_file, sub):
+    faces = bredon.faces
+    monkeypatch.setattr(bredon, "faces", lambda chain: (
+        faces(chain)[:-1] if len(chain) > 2 else faces(chain)))
+    code, rep = run_json(capsys, [sub, "--input", path_file])
+    assert code == 1 and not rep["ok"]
+    section = rep["bredon"] if sub == "all" else rep
+    assert section["detail"] == DROPPED_FACE
+    assert section["cohomology"] is None
 
 
 # sha256 of each `--dump-matrices` file, as written when the

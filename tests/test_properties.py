@@ -1,14 +1,16 @@
 """Property tests of the sparse-combination core under the ring
 elements, on random graphs with at most eight vertices, and of the
-sparse Bredon complex on random graphs with at most seven."""
+sparse Bredon complex and its cone certificate on random graphs with at
+most seven."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racgk.bredon import build_bredon_complex, cohomology
+from racgk.bredon import (build_bredon_complex, cohomology, cone_certificate,
+                          inverse_limit)
 from racgk.graphs import Graph, submasks
-from racgk.intlinalg import accumulate
+from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
                          multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
@@ -148,9 +150,14 @@ def test_sparse_bredon_complex(graph):
     assume(max(bin(c).count("1") for c in graph.cliques) <= 4)
     c = build_bredon_complex(graph)
     ranks, dense = dense_bredon_complex(graph)
-    assert c.ranks == ranks == chain_rank_dp(graph.cliques)
+    cert = cone_certificate(graph)
+    assert c.ranks == ranks == chain_rank_dp(graph.cliques) == cert.ranks
     assert dense_differentials(c) == dense
     coh = cohomology(c)
     assert coh[0] == {"degree": 0, "free_rank": len(graph.cliques),
                       "torsion": []}
     assert all(e["free_rank"] == 0 and e["torsion"] == [] for e in coh[1:])
+    assert cert.cohomology == coh
+    # the apex lattice is the kernel of d^0, in the same Hermite form
+    kernel = kernel_basis(c.differential(0), c.ranks[0])
+    assert row_hnf(inverse_limit(graph).basis_columns) == row_hnf(kernel)
