@@ -457,22 +457,37 @@ def _hermite(rows, track):
     The kernel's leftmost pivot rule leaves one row per pivot column,
     in column order; each pivot is made positive, then the entries
     above it are reduced, leftmost pivot first: reducing by a pivot row
-    changes only its own and later columns."""
+    changes only its own and later columns.  A pivot reduces only the
+    rows that hold its column: `holders` maps each column to the form
+    rows with an entry there, and grows by the fill each reduction
+    writes.  An entry a reduction cancelled leaves a stale holder, whose
+    quotient is 0.  The reductions by one pivot touch different rows,
+    so their order does not change the form."""
     elim = _Elimination(rows, echelon=True, track=track, leftmost=True)
     form = []
+    holders = {}
     for r, c in elim.pivots:
         row = rows[r]
         expr = elim.track[r] if track else None
-        if row[c] < 0:
+        p = row[c]
+        if p < 0:
+            p = -p
             row = {j: -x for j, x in row.items()}
             if track:
                 expr = {j: -x for j, x in expr.items()}
-        for above, above_expr in form:
-            q = above.get(c, 0) // row[c]
+        for k in holders.pop(c, ()):
+            above, above_expr = form[k]
+            q = above.get(c, 0) // p
             if q:
                 _add_into(above, -q, row)
                 if track:
                     _add_into(above_expr, -q, expr)
+                for j in row:
+                    if j != c and j in above:
+                        holders.setdefault(j, set()).add(k)
+        for j in row:
+            if j != c:
+                holders.setdefault(j, set()).add(len(form))
         form.append((row, expr))
     return form
 

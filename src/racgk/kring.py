@@ -17,6 +17,7 @@ and truncates every other coefficient 2-adically.
 """
 
 from itertools import chain
+from math import gcd
 
 from .graphs import submasks, subset_key, validate_decomposition
 from .intlinalg import Combination, Lattice, accumulate
@@ -224,38 +225,40 @@ def ideal_powers(graph, k):
     I is generated as an ideal by the degree-one bar generators, so
     I^(j+1) is spanned by a Z-basis of I^j times each of them.  The
     chain starts from I^0, the whole ring, spanned by the clique
-    monomials."""
+    monomials.
+
+    Every basis row has one entry.  A bar generator times a bar
+    monomial is one monomial with coefficient 1 or -2, or zero
+    (`bar_structure_constant`), so a one-entry row times a generator
+    is a one-entry product.  The products that land on one monomial
+    span the multiples of their gcd there, so the gcds alone, at most
+    one per clique and on distinct columns, span I^(j+1), and its HNF
+    rows have one entry again.  The unit rows of I^0 start the
+    induction."""
     if k < 1:
         raise KRingError("ideal power needs k >= 1")
     cliques = graph.cliques
     index = {c: i for i, c in enumerate(cliques)}
     d = len(cliques)
-    # times[i]: (generator, index, coefficient) for each bar generator
-    # whose product with bar monomial i is not zero, that is, whose
-    # union with the clique is a clique
-    times = []
+    # times[i]: (index, coefficient) for each bar generator whose
+    # product with bar monomial i is not zero.  Such a product is the
+    # clique c = i + v, with v in c, so the pairs are found from the
+    # cliques and their vertices: v times c, and v times c - v.
+    times = [[] for _ in cliques]
     for c in cliques:
-        row = []
-        for v in range(graph.n):
-            if (c | 1 << v) in index:
-                mask, const = bar_structure_constant(graph, 1 << v, c)
-                row.append((v, index[mask], const))
-        times.append(row)
+        for v in graph.members(c):
+            for mask in (c, c & ~(1 << v)):
+                union, const = bar_structure_constant(graph, 1 << v, mask)
+                times[index[mask]].append((index[union], const))
     basis = [{i: 1} for i in range(d)]
     powers = []
     for _ in range(k):
-        products = []
-        for vec in basis:
-            by_gen = {}
-            for i, c in vec.items():
-                for v, j, const in times[i]:
-                    prod = by_gen.setdefault(v, {})
-                    prod[j] = prod.get(j, 0) + const * c
-            for prod in by_gen.values():
-                prod = {j: c for j, c in prod.items() if c}
-                if prod:
-                    products.append(prod)
-        lattice = Lattice(d, products)
+        merged = {}
+        for row in basis:
+            (i, x), = row.items()
+            for j, const in times[i]:
+                merged[j] = gcd(merged.get(j, 0), const * x)
+        lattice = Lattice(d, [{j: g} for j, g in merged.items()])
         powers.append(lattice)
         basis = lattice.basis
     return powers

@@ -1,6 +1,8 @@
 import pytest
 
 from racgk.graphs import Graph, poset_chains, subset_key, submasks
+from racgk.intlinalg import Lattice
+from racgk.kring import bar_structure_constant
 
 
 def complete_graph(n):
@@ -105,6 +107,29 @@ def dense_bredon_complex(graph):
                 d[r][index_maps[k][(face, mono)]] += -1 if i % 2 else 1
         diffs.append(d)
     return [len(b) for b in bases], diffs
+
+
+def product_ideal_power(graph, k):
+    """Reference I^k: the products of each bar monomial with k bar
+    generators, multiplied out one generator at a time and put in HNF
+    only after the last."""
+    cliques = graph.cliques
+    index = {c: i for i, c in enumerate(cliques)}
+    current = [{c: 1} for c in cliques]
+    for _ in range(k):
+        nxt = []
+        for vec in current:
+            for v in range(graph.n):
+                prod = {}
+                for mask, c in vec.items():
+                    sc = bar_structure_constant(graph, 1 << v, mask)
+                    if sc is not None:
+                        prod[sc[0]] = prod.get(sc[0], 0) + sc[1] * c
+                if any(prod.values()):
+                    nxt.append(prod)
+        current = nxt
+    rows = [{index[mask]: c for mask, c in vec.items()} for vec in current]
+    return Lattice(len(cliques), rows)
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 import sympy
@@ -236,7 +237,10 @@ def hnf_inputs(rng, count):
 
 def test_row_hnf_matches_dense_oracle():
     rng = random.Random(41)
-    for mat in hnf_inputs(rng, 1000):
+    # row 0 gets its column-2 entry only as fill from the reduction by
+    # pivot 1, and pivot 2 must then reduce it
+    fill_in = [[1, 5, 0], [0, 2, 1], [0, 0, 3]]
+    for mat in chain([fill_in], hnf_inputs(rng, 1000)):
         expected = sparsify(dense_row_hnf(mat))
         assert row_hnf(sparsify(mat)) == expected, mat
         h, exprs = row_hnf(sparsify(mat), track=True)

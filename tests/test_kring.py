@@ -3,17 +3,17 @@ import random
 import pytest
 
 from racgk.graphs import enumerate_spherical, parse_graph
-from racgk.intlinalg import Lattice
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
-                         KRingError, augmentation, bar_structure_constant,
-                         complete, completed_multiply, convert_basis,
-                         ideal_power, ideal_powers, include_from_part,
+                         KRingError, augmentation, complete,
+                         completed_multiply, convert_basis, ideal_power,
+                         ideal_powers, include_from_part,
                          mayer_vietoris_check, multiply_bar, multiply_star,
                          presentation_report, project_to_part,
                          random_element, restrict_to_clique)
 from racgk.repring import (RepRingElement, character_evaluation,
                            rep_multiply)
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import (complete_graph, cycle_graph, path_graph,
+                      product_ideal_power)
 
 PATH = parse_graph("s t u; s-t t-u")
 NONEDGE = parse_graph("s t; ")
@@ -221,29 +221,6 @@ def test_ideal_powers_nested(suite_entry):
             for row in cur.basis:
                 assert row in prev
         prev = cur
-
-
-def product_ideal_power(graph, k):
-    """Reference I^k: the products of each bar monomial with k bar
-    generators, multiplied out one generator at a time and put in HNF
-    only after the last."""
-    cliques = graph.cliques
-    index = {c: i for i, c in enumerate(cliques)}
-    current = [{c: 1} for c in cliques]
-    for _ in range(k):
-        nxt = []
-        for vec in current:
-            for v in range(graph.n):
-                prod = {}
-                for mask, c in vec.items():
-                    sc = bar_structure_constant(graph, 1 << v, mask)
-                    if sc is not None:
-                        prod[sc[0]] = prod.get(sc[0], 0) + sc[1] * c
-                if any(prod.values()):
-                    nxt.append(prod)
-        current = nxt
-    rows = [{index[mask]: c for mask, c in vec.items()} for vec in current]
-    return Lattice(len(cliques), rows)
 
 
 def closed_form_indices(graph, count):

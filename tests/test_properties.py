@@ -1,7 +1,7 @@
 """Property tests of the sparse-combination core under the ring
 elements, on random graphs with at most eight vertices, and of the
-sparse Bredon complex and its cone certificate on random graphs with at
-most seven."""
+sparse Bredon complex, its cone certificate and the ideal-power chain on
+random graphs with at most seven."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,9 +12,10 @@ from racgk.bredon import (build_bredon_complex, cohomology, cone_certificate,
 from racgk.graphs import Graph, submasks
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
-                         multiply_bar, multiply_star)
+                         ideal_powers, multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
-from conftest import dense_bredon_complex, dense_differentials
+from conftest import (dense_bredon_complex, dense_differentials,
+                      product_ideal_power)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -161,3 +162,15 @@ def test_sparse_bredon_complex(graph):
     # the apex lattice is the kernel of d^0, in the same Hermite form
     kernel = kernel_basis(c.differential(0), c.ranks[0])
     assert row_hnf(inverse_limit(graph).basis_columns) == row_hnf(kernel)
+
+
+@LAWS
+@given(graphs(max_vertices=7))
+def test_ideal_power_rows_have_one_entry(graph):
+    sizes = [bin(c).count("1") for c in graph.cliques]
+    for k, lattice in enumerate(ideal_powers(graph, 3), 1):
+        assert lattice.basis == product_ideal_power(graph, k).basis
+        assert lattice.rank == len(sizes) - 1
+        for row in lattice.basis:
+            (i, x), = row.items()
+            assert sizes[i] >= 1 and x == 2 ** max(0, k - sizes[i])
