@@ -20,7 +20,7 @@ cohomology comes from invariant factors.
 
 from functools import cached_property
 
-from .graphs import poset_chains, subset_key, submasks
+from .graphs import cliques_within, poset_chains, submasks
 from .intlinalg import accumulate, invariant_factors
 from .kring import restrict_to_clique
 
@@ -93,10 +93,6 @@ def cohomology(complex_):
     return results
 
 
-def _sorted_submasks(graph, mask):
-    return sorted(submasks(mask), key=lambda m: subset_key(graph, m))
-
-
 def faces(chain):
     """(face, sign) for each face of a chain of two or more cliques:
     face i drops clique i and carries (-1)^i.  On face 0 the coefficient
@@ -122,10 +118,9 @@ def build_bredon_complex(graph):
     """
     cliques = graph.cliques
     top = max((bin(c).count("1") for c in cliques), default=0)
-    keys = {c: subset_key(graph, c) for c in cliques}
-    monomials = {c: _sorted_submasks(graph, c) for c in cliques}
-    levels = [sorted(per_degree, key=lambda ch: [keys[c] for c in ch])
-              for per_degree in poset_chains(graph, cliques, top)]
+    # every subset of a clique is a clique
+    monomials = {c: cliques_within(graph, c) for c in cliques}
+    levels = poset_chains(graph, top)
     index_maps = [{cell: i for i, cell in enumerate(
         (ch, mono) for ch in level for mono in monomials[ch[0]])}
         for level in levels]
@@ -237,17 +232,16 @@ def cone_certificate(graph, top=None):
     ranks = []
     first = None
     # the walk goes on past a failure, so that the ranks are complete
-    for failure in _cone_failures(graph.cliques, top, ranks):
+    for failure in _cone_failures(graph, top, ranks):
         first = first or failure
     return ConeCertificate(len(graph.cliques), ranks,
                            first and _witness(graph, *first))
 
 
-def _cone_failures(cliques, top, ranks):
+def _cone_failures(graph, top, ranks):
     """The walk of `cone_certificate`: yields (identity, block, chain)
     for each failed identity and counts the cells into `ranks`."""
-    supersets = {c: [e for e in cliques if e != c and e & c == c]
-                 for c in cliques}
+    cliques, supersets = graph.cliques, graph.supersets
     bar = {c: _bar_expansion(c) for c in cliques}
     longest = None if top is None else max(top, 1) + 1
     stack = [(c,) for c in reversed(cliques)]
@@ -365,9 +359,9 @@ def inverse_limit(graph, certificate=None):
         certificate = cone_certificate(graph, top=0)
     cliques = graph.cliques
     index = {label: i for i, label in enumerate(
-        (c, m) for c in cliques for m in _sorted_submasks(graph, c))}
+        (c, m) for c in cliques for m in cliques_within(graph, c))}
     columns = [{index[(clique, m)]: sign
-                for clique in cliques if clique & apex == apex
+                for clique in (apex, *graph.supersets[apex])
                 for m, sign in _bar_expansion(apex)}
                for apex in cliques]
     pivots = [index[(apex, apex)] for apex in cliques]

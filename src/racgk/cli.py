@@ -33,11 +33,11 @@ def build_parser():
     p.add_argument("--kunneth-max", type=int, default=4)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property samples")
-    p.add_argument("--partition", help="partition file for mv-check: two "
-                   "lines of whitespace-separated vertex labels")
+    p.add_argument("--partition", help="mv-check only: partition file of "
+                   "two lines of whitespace-separated vertex labels")
     p.add_argument("--dump-matrices",
-                   help="bredon: write each differential as `row col value` "
-                   "triplet lines to FILE.k")
+                   help="bredon and all only: write each differential as "
+                   "`row col value` triplet lines to FILE.k")
     return p
 
 
@@ -248,6 +248,11 @@ def main(argv=None):
     if args.precision < 1 or not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP:
         parser.exit(USAGE_ERROR, "error: precision must be >= 1 and "
                     "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
+    for option, subs in (("dump_matrices", ("bredon", "all")),
+                         ("partition", ("mv-check",))):
+        if getattr(args, option) is not None and args.subcommand not in subs:
+            parser.exit(USAGE_ERROR, "error: --%s applies only to %s\n"
+                        % (option.replace("_", "-"), " and ".join(subs)))
     rng = random.Random(args.seed)
     try:
         if args.subcommand == "counterexample":

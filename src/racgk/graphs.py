@@ -2,7 +2,10 @@
 
 Vertices are string labels externally and dense integer indices
 internally.  Vertex sets are represented as bitmasks over the declared
-vertex order, which caps graphs at 64 vertices.
+vertex order, which caps graphs at 64 vertices.  The clique poset comes
+from one forward pass, `cliques_within`: it extends each sorted level of
+cliques by increasing vertices above their last member, so every clique
+comes once and in the canonical (size, member-list) order.
 """
 
 import json
@@ -72,6 +75,20 @@ class Graph:
     def clique_set(self):
         """The cliques as a frozenset, for membership tests."""
         return frozenset(self.cliques)
+
+    @cached_property
+    def supersets(self):
+        """The cliques strictly above each clique c, in canonical order:
+        c | s for each nonempty clique s in the common neighbourhood of
+        c.  Sets of one size compare by the least vertex of their
+        symmetric difference, which joining a disjoint c leaves as is."""
+        out = {}
+        for c in self.cliques:
+            common = (1 << self.n) - 1
+            for v in self.members(c):
+                common &= self.adj[v]
+            out[c] = [c | s for s in cliques_within(self, common)[1:]]
+        return out
 
     def has_edge(self, i, j):
         return bool(self.adj[i] >> j & 1)
@@ -171,45 +188,27 @@ def parse_graph(text, fmt="edge-list"):
     return Graph(vertices, edges)
 
 
-def maximal_cliques(graph):
-    """All maximal cliques as bitmasks, by pivoted Bron-Kerbosch."""
-    adj = graph.adj
-    out = []
-
-    def extend(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        # pivot: vertex of p|x with the most neighbours in p
-        pivot, best = -1, -1
-        m = p | x
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            cnt = bin(p & adj[v]).count("1")
-            if cnt > best:
-                pivot, best = v, cnt
-        cand = p & ~adj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            bit = 1 << v
-            extend(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    extend(0, (1 << graph.n) - 1, 0)
+def cliques_within(graph, mask):
+    """Every clique inside the vertex set `mask` in canonical (size,
+    member-list) order, the empty clique first.  A clique grows only by
+    the vertices of `mask` above its last member and adjacent to all of
+    it, so each is reached once.  Extending a sorted level clique by
+    clique, each by increasing vertices, keeps the next level sorted:
+    two k-cliques differ below position k, which their extensions keep."""
+    out, level = [0], [(0, mask)]
+    while level:
+        # (clique, its candidates); -(2 << v) keeps those above v
+        level = [(c | 1 << v, cand & graph.adj[v] & -(2 << v))
+                 for c, cand in level for v in graph.members(cand)]
+        out.extend(c for c, _cand in level)
     return out
 
 
 def enumerate_spherical(graph):
-    """All cliques of the graph (the empty clique included), in the
-    canonical (size, member-list) order.  The length of the result is d,
-    the number of spherical subgroups of the Coxeter group."""
-    seen = {0}
-    for m in maximal_cliques(graph):
-        seen.update(submasks(m))
-    return sorted(seen, key=lambda m: subset_key(graph, m))
+    """All cliques of the graph (the empty clique included) in canonical
+    order, by the forward pass of `cliques_within` over every vertex.
+    The length is d, the number of spherical subgroups."""
+    return cliques_within(graph, (1 << graph.n) - 1)
 
 
 def brute_force_cliques(graph):
@@ -220,19 +219,19 @@ def brute_force_cliques(graph):
                   key=lambda m: subset_key(graph, m))
 
 
-def poset_chains(graph, cliques, max_length):
+def poset_chains(graph, max_length):
     """Strictly increasing chains in the clique poset, grouped by length.
 
     Returns a list indexed by chain length k of lists of chains; a chain
     is a tuple of k+1 clique masks, each a proper subset of the next.
+    A level extends the last by the ordered `Graph.supersets`, so it is
+    sorted by the canonical keys of its cliques.
     """
     if max_length < 0:
         raise GraphError("max_length must be nonnegative")
-    chains = [[(c,) for c in cliques]]
-    supersets = {c: [d for d in cliques if c != d and c & d == c]
-                 for c in cliques}
+    chains = [[(c,) for c in graph.cliques]]
     for _ in range(max_length):
-        nxt = [ch + (d,) for ch in chains[-1] for d in supersets[ch[-1]]]
+        nxt = [c + (e,) for c in chains[-1] for e in graph.supersets[c[-1]]]
         if not nxt:
             break
         chains.append(nxt)

@@ -86,7 +86,7 @@ def dense_bredon_complex(graph):
     top = max((bin(c).count("1") for c in cliques), default=0)
     bases = []
     index_maps = []
-    for per_degree in poset_chains(graph, cliques, top):
+    for per_degree in poset_chains(graph, top):
         basis = []
         for ch in sorted(per_degree,
                          key=lambda ch: [subset_key(graph, c) for c in ch]):

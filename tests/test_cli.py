@@ -279,3 +279,22 @@ def test_dump_matrices(capsys, tmp_path, name, sub):
         assert rebuilt == d, k
         assert hashlib.sha256(data).hexdigest() == DUMP_SHA256[name][k], k
     assert not (tmp_path / ("d.%d" % len(dense))).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--dump-matrices", "d", "--partition", "/nonexistent"],
+    ["ktheory", "--dump-matrices", "d"],
+    ["mv-check", "--dump-matrices", "d"],
+    ["bredon", "--partition", "/nonexistent"],
+    ["all", "--partition", "/nonexistent"],
+], ids=["limit-both", "ktheory-dump", "mv-check-dump", "bredon-partition",
+        "all-partition"])
+def test_option_a_subcommand_ignores_is_refused(capsys, tmp_path, path_file,
+                                                argv):
+    argv = [str(tmp_path / a) if a == "d" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", path_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("d*"))

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from racgk.graphs import (Graph, GraphError, brute_force_cliques,
-                          enumerate_spherical, maximal_cliques, parse_graph,
-                          poset_chains, validate_decomposition)
+                          enumerate_spherical, parse_graph, poset_chains,
+                          validate_decomposition)
 from conftest import complete_graph, cycle_graph, edgeless_graph, path_graph
 
 
@@ -91,25 +91,28 @@ def test_clique_count_formulas():
 
 def test_maximal_cliques_pentagon():
     g = cycle_graph(5)
-    assert sorted(bin(m).count("1") for m in maximal_cliques(g)) == [2] * 5
+    cliques = enumerate_spherical(g)
+    maximal = [m for m in cliques
+               if not any(m != c and m & c == m for c in cliques)]
+    assert sorted(bin(m).count("1") for m in maximal) == [2] * 5
 
 
 def test_poset_chains_two_element_poset():
     g = parse_graph("s; ")
-    chains = poset_chains(g, enumerate_spherical(g), 1)
+    chains = poset_chains(g, 1)
     assert len(chains[0]) == 2
     assert len(chains[1]) == 1
 
 
 def test_poset_chains_path_degree_zero():
     g = parse_graph("s t u; s-t t-u")
-    chains = poset_chains(g, enumerate_spherical(g), 0)
+    chains = poset_chains(g, 0)
     assert len(chains[0]) == 6
 
 
 def test_poset_chains_k2_degree_two():
     g = complete_graph(2)
-    chains = poset_chains(g, enumerate_spherical(g), 2)
+    chains = poset_chains(g, 2)
     # the two maximal chains empty < vertex < edge
     assert len(chains[2]) == 2
 
@@ -117,7 +120,7 @@ def test_poset_chains_k2_degree_two():
 def test_poset_chains_negative_length():
     g = parse_graph("s; ")
     with pytest.raises(GraphError):
-        poset_chains(g, enumerate_spherical(g), -1)
+        poset_chains(g, -1)
 
 
 def test_valid_decomposition_path():

@@ -1,7 +1,12 @@
-"""Property tests of the sparse-combination core under the ring
-elements, on random graphs with at most eight vertices, and of the
-sparse Bredon complex, its cone certificate and the ideal-power chain on
-random graphs with at most seven."""
+"""Property tests of the forward clique pass and the clique poset on
+random graphs with at most nine vertices; of the sparse-combination core
+under the ring elements, the Mayer-Vietoris splits and the graph parsers
+on random graphs with at most eight; and of the sparse Bredon complex,
+its cone certificate and the ideal-power chain on random graphs with at
+most seven."""
+
+import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +14,13 @@ from hypothesis import strategies as st
 
 from racgk.bredon import (build_bredon_complex, cohomology, cone_certificate,
                           inverse_limit)
-from racgk.graphs import Graph, submasks
+from racgk.graphs import (Graph, brute_force_cliques, cliques_within,
+                          enumerate_spherical, parse_graph, poset_chains,
+                          submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
-                         ideal_powers, multiply_bar, multiply_star)
+                         ideal_powers, mayer_vietoris_check, multiply_bar,
+                         multiply_star)
 from racgk.repring import RepRingElement, RepRingError
 from conftest import (dense_bredon_complex, dense_differentials,
                       product_ideal_power)
@@ -20,11 +28,22 @@ from conftest import (dense_bredon_complex, dense_differentials,
 LAWS = settings(max_examples=60, deadline=None)
 
 
+# labels the edge-list format can carry: no whitespace, `;` or `-`
+LABELS = st.text(st.characters(blacklist_categories=("Z", "C"),
+                               blacklist_characters=";-"),
+                 min_size=1, max_size=3)
+
+
 @st.composite
-def graphs(draw, max_vertices=8):
-    n = draw(st.integers(1, max_vertices))
-    labels = ["v%d" % i for i in range(n)]
-    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+def graphs(draw, max_vertices=8, label=None):
+    """Random graphs with labels v0, v1, ..., or with distinct labels
+    drawn from the strategy `label`."""
+    if label is None:
+        labels = ["v%d" % i for i in range(draw(st.integers(1, max_vertices)))]
+    else:
+        labels = draw(st.lists(label, min_size=1, max_size=max_vertices,
+                               unique=True))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
     return Graph(labels, [p for p, k in zip(pairs, keep) if k])
@@ -174,3 +193,55 @@ def test_ideal_power_rows_have_one_entry(graph):
         for row in lattice.basis:
             (i, x), = row.items()
             assert sizes[i] >= 1 and x == 2 ** max(0, k - sizes[i])
+
+
+@LAWS
+@given(graphs(max_vertices=9))
+def test_forward_pass_lists_the_clique_poset(graph):
+    cliques = enumerate_spherical(graph)
+    assert cliques == brute_force_cliques(graph)
+    for c in cliques:
+        assert cliques_within(graph, c) == sorted(
+            submasks(c), key=lambda m: subset_key(graph, m))
+        assert graph.supersets[c] == [e for e in cliques
+                                      if e != c and e & c == c]
+
+
+@LAWS
+@given(graphs(max_vertices=9))
+def test_poset_chain_levels_are_sorted(graph):
+    for level in poset_chains(graph, 2):
+        keys = [[subset_key(graph, c) for c in chain] for chain in level]
+        assert keys == sorted(keys)
+
+
+@LAWS
+@given(graphs(), st.data())
+def test_mayer_vietoris_on_neighbourhood_splits(graph, data):
+    # part1 = N[X] and part2 = V - X: an edge leaving X ends in N[X], so
+    # none crosses from part1 - part2 = X to part2 - part1
+    x = data.draw(st.integers(0, (1 << graph.n) - 1))
+    closed = x
+    for v in graph.members(x):
+        closed |= graph.adj[v]
+    everything = (1 << graph.n) - 1
+    part1 = graph.subset_labels(closed)
+    part2 = graph.subset_labels(everything & ~x)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    report = mayer_vietoris_check(graph, part1, part2, rng, samples=3)
+    assert report["ok"]
+    ranks = report["ranks"]
+    assert ranks["whole"] == (ranks["part1"] + ranks["part2"]
+                              - ranks["intersection"])
+
+
+@LAWS
+@given(graphs(label=LABELS))
+def test_parsers_round_trip(graph):
+    edges = graph.canonical_edge_list()
+    text = "%s; %s" % (" ".join(graph.labels),
+                       " ".join("%s-%s" % e for e in edges))
+    assert parse_graph(text) == graph
+    doc = json.dumps({"vertices": list(graph.labels),
+                      "edges": [list(e) for e in edges]})
+    assert parse_graph(doc, fmt="json") == graph
