@@ -8,9 +8,9 @@ its differentials out in the monomial basis.
 
 In the bar basis x_L = prod (t_v - 1) restriction is a projection, so
 the complex splits into one block per clique K, a cone with apex K.
-`cone_certificate` checks this cell by cell over one streamed walk of
-the chains and reads the cohomology off it: H^0 free on the d apex
-cochains, nothing above.  The inverse limit, the kernel of the degree-0
+`cone_certificate` checks this on the clique pairs and once per chain
+shape, counts the cells without listing a chain, and reads the
+cohomology off it: H^0 free on the d apex cochains, nothing above.  The inverse limit, the kernel of the degree-0
 differential, has those apex cochains as its basis.
 
 An independent route to the same vanishing statement goes through the
@@ -150,9 +150,8 @@ _IDENTITIES = {"a": "restriction is a projection", "b": "d o d = 0",
 
 
 class ConeCertificate:
-    """What `cone_certificate` found: the ranks of the Bredon complex in
-    the degrees it walked and, when an identity failed, a witness
-    naming it (None when all held)."""
+    """What `cone_certificate` found: the ranks of the Bredon complex
+    and a witness naming the failed identity, or None."""
 
     def __init__(self, clique_count, ranks, witness):
         self.clique_count = clique_count
@@ -190,101 +189,109 @@ def _bar_expansion(mono):
             for m in submasks(mono)]
 
 
-def _projection_failure(bar, small, big):
-    """A bar monomial x_L of R(big) that `restrict` does not send to x_L
-    (L inside small) or to 0 (L not inside small) in R(small); None when
-    every one is."""
-    for ell in submasks(big):
-        image = {}
-        for m, sign in bar[ell]:
-            r, x = restrict(m, small)
-            image[r] = image.get(r, 0) + sign * x
-        expected = dict(bar[ell]) if ell & small == ell else {}
-        if {r: x for r, x in image.items() if x} != expected:
-            return ell
-    return None
+def _projection_failure(small, big):
+    """The first of x_v, for v in big from the last vertex down, and of
+    the unit that `restrict` does not send to x_v (v in small), 0 (v not
+    in small) or 1; None when there is none."""
+    mono, x = restrict(0, small)
+    minus_unit = (mono, -x)
+    for v in range(big.bit_length() - 1, -1, -1):
+        bit = 1 << v
+        # x_v = t_v - 1
+        if big & bit and accumulate([restrict(bit, small), minus_unit]) != (
+                {bit: 1, 0: -1} if bit & small else {}):
+            return bit
+    return None if minus_unit == (0, -1) else 0
 
 
-def cone_certificate(graph, top=None):
+def _shape_failures(length):
+    """The slots of (b) and (c) that fail on a chain of `length` cliques,
+    checked once on the chain 1 < ... < length, as `faces` only slices
+    it: 1 d e on a pair, 2 d o d, 3 (c) at the apex chain[0] and 4 (c)
+    at an apex 0 below it.  A chain's cells take them in this order,
+    after (a) at slot 0."""
+    chain = tuple(range(1, length + 1))
+    fs = faces(chain) if length > 1 else []
+    # e sends both faces of a pair to the apex cell
+    if length == 2 and sum(sign for _face, sign in fs):
+        yield 1
+    if length > 2 and accumulate((g, s * t) for face, s in fs
+                                 for g, t in faces(face)):
+        yield 2
+    for slot, apex in ((3, 1), (4, 0)):
+        # the row of dh + hd - id + e at the cell (chain, x_apex)
+        row = [(chain, -1)] + [((apex,) + face, s) for face, s in fs
+                               if face[0] != apex]
+        if length == 1:
+            row.append(((apex,), 1))
+        if apex != chain[0]:
+            row += faces((apex,) + chain)
+        if accumulate(row):
+            yield slot
+
+
+def cone_certificate(graph):
     """Certify the Bredon complex block by block and count its ranks,
-    building no differential.
+    building no differential and listing no chain beyond the pairs.
 
     In the bar basis x_L = prod (t_v - 1), which the unitriangular
     change t_L = prod (x_v + 1) relates to the monomial basis of
     `build_bredon_complex`, the complex splits into one block per clique
-    K: the cells (chain, x_K) with K inside chain[0].  One walk over the
-    chains of the clique poset, each extended by the cliques above its
-    last, checks:
+    K: the cells (chain, x_K) with K inside chain[0], the chains of a
+    poset with least element K, which is contractible (Quillen 1978).
+    At chain level:
       (a) on every pair J < J', `restrict` sends each x_L of R(J') to x_L
           when L lies in J and to 0 otherwise, so on block K face 0 only
-          drops a clique;
-      (b) the row of d o d is zero at every cell of degree 2 or more;
+          drops a clique.  It sends t_M to t_(M & J), and t_A t_B =
+          t_(A ^ B) with (A ^ B) & J = (A & J) ^ (B & J), so it is a
+          ring map: checking the unit and the x_v, v in J', covers
+          every x_L, a product of x_v;
+      (b) d o d = 0 at every cell of degree 2 or more;
       (c) dh + hd = id - e at every cell, with h prepending the apex K
           and e sending a degree-0 cell of block K to the apex cell (K),
           and d e = 0 on the pairs, so e is a chain map.
-    Then block K has H^0 = Z on the apex cochain and nothing above.  A
-    chain c0 < ... < ck carries 2^|c0| cells, one per block.
-
-    With `top` only cells of degree up to `top` are checked and
-    counted, and the pairs always: `top=0` is the degree-0 part on
-    which the inverse limit rests.
+    `faces` only slices the chain, so (b) and (c) depend only on its
+    length and on whether K is chain[0]: one check per shape.  A chain
+    c0 < ... < ck carries 2^|c0| cells, one per block.  A failure is
+    named at its first cell in a depth-first walk of the chains, each
+    extended by the cliques above its last.
     """
-    ranks = []
-    first = None
-    # the walk goes on past a failure, so that the ranks are complete
-    for failure in _cone_failures(graph, top, ranks):
-        first = first or failure
-    return ConeCertificate(len(graph.cliques), ranks,
-                           first and _witness(graph, *first))
-
-
-def _cone_failures(graph, top, ranks):
-    """The walk of `cone_certificate`: yields (identity, block, chain)
-    for each failed identity and counts the cells into `ranks`."""
     cliques, supersets = graph.cliques, graph.supersets
-    bar = {c: _bar_expansion(c) for c in cliques}
-    longest = None if top is None else max(top, 1) + 1
-    stack = [(c,) for c in reversed(cliques)]
-    while stack:
-        chain = stack.pop()
-        k = len(chain) - 1
-        if longest is None or k + 1 < longest:
-            stack.extend(chain + (e,) for e in reversed(supersets[chain[-1]]))
-        fs = faces(chain) if k else []
-        if k == 1:
-            ell = _projection_failure(bar, *chain)
-            if ell is not None:
-                yield "a", ell, chain
-            # the row of d e at each cell of the pair: e sends both
-            # faces to the apex cell, so their signs must cancel
-            if sum(sign for _face, sign in fs):
-                yield "c", chain[0], chain
-        if top is not None and k > top:
-            continue
-        if k == len(ranks):
-            ranks.append(0)
-        ranks[k] += 1 << bin(chain[0]).count("1")
-        # on block K face 0 only drops a clique, by (a), so the row of
-        # d o d at (chain, x_K) is the same for every K inside chain[0]
-        if k >= 2:
-            total = {}
-            for face, s in fs:
-                for g, t in faces(face):
-                    total[g] = total.get(g, 0) + s * t
-            if any(total.values()):
-                yield "b", chain[0], chain
-        for apex in submasks(chain[0]):
-            # the row of dh + hd - id + e at the cell (chain, x_K)
-            row = [(chain, -1)]
-            if k == 0:
-                row.append(((apex,), 1))
-            else:
-                row += [((apex,) + face, s) for face, s in fs
-                        if face[0] != apex]
-            if chain[0] != apex:
-                row += faces((apex,) + chain)
-            if accumulate(row):
-                yield "c", apex, chain
+    # counts[k][c] > 0: the chains c < c1 < ... < ck, by f_k(c) = sum
+    # of f_(k-1)(c') over the cliques c' above c
+    counts = [dict.fromkeys(cliques, 1)]
+    while counts[-1]:
+        level = ((c, sum(counts[-1].get(e, 0) for e in supersets[c]))
+                 for c in counts[-1])
+        counts.append({c: n for c, n in level if n})
+    counts.pop()
+    ranks = [sum(n << bin(c).count("1") for c, n in level.items())
+             for level in counts]
+
+    def first_chain(length, nonempty):
+        # depth-first order is that of clique positions, a prefix first
+        chain = next(((c,) for c in counts[length - 1] if c or not nonempty),
+                     None)
+        for level in reversed(counts[:length - 1] if chain else []):
+            chain += (next(e for e in supersets[chain[-1]] if e in level),)
+        return chain
+
+    # (chain, slot, block) for the first failure of each kind
+    found = [(chain, slot, chain[0] & (chain[0] - 1) if slot == 4
+              else chain[0])
+             for length in range(1, len(counts) + 1)
+             for slot in _shape_failures(length)
+             for chain in [first_chain(length, slot == 4)] if chain]
+    pair = next(((c, e) for c in cliques for e in supersets[c]
+                 if _projection_failure(c, e) is not None), None)
+    if pair:
+        found.append((pair, 0, _projection_failure(*pair)))
+    witness = None
+    if found:
+        chain, slot, block = min(found, key=lambda f: (
+            [cliques.index(c) for c in f[0]], f[1]))
+        witness = _witness(graph, "acbcc"[slot], block, chain)
+    return ConeCertificate(len(cliques), ranks, witness)
 
 
 class LimitLattice:
@@ -295,17 +302,14 @@ class LimitLattice:
     tells whether it lies in the lattice.
 
     A family is a dict vector over the degree-0 cells, which `index`
-    numbers by their labels (clique, monomial), in basis order.
-    `witness` is the failed identity of the certificate the lattice was
-    read from, if any."""
+    numbers by their labels (clique, monomial), in basis order."""
 
-    def __init__(self, cliques, labels, basis_columns, pivots, witness=None):
+    def __init__(self, cliques, labels, basis_columns, pivots):
         self.cliques = cliques
         self.index = {label: i for i, label in enumerate(labels)}
         self.basis_columns = basis_columns
         pivots = list(pivots)
         self.pivot_column = {p: i for i, p in enumerate(pivots)}
-        self.witness = witness
         if len(self.pivot_column) != len(pivots) or len(pivots) != self.rank:
             raise ValueError("expected one distinct pivot row per column")
         for i, (column, p) in enumerate(zip(basis_columns, pivots)):
@@ -348,15 +352,13 @@ class LimitLattice:
         return invariant_factors(columns)
 
 
-def inverse_limit(graph, certificate=None):
+def inverse_limit(graph):
     """The kernel of the degree-0 differential of the Bredon complex,
     spanned by the apex cochains: column K is x_K on every clique J
     containing K, that is (-1)^|K - M| at each cell (J, M) with M
     inside K.  Its pivot row is the cell (K, K), which no other column
-    meets.  The certificate, by default the degree-0 part of
-    `cone_certificate`, is what shows these columns span the kernel."""
-    if certificate is None:
-        certificate = cone_certificate(graph, top=0)
+    meets.  `cone_certificate` is what shows these columns span the
+    kernel."""
     cliques = graph.cliques
     index = {label: i for i, label in enumerate(
         (c, m) for c in cliques for m in cliques_within(graph, c))}
@@ -365,7 +367,7 @@ def inverse_limit(graph, certificate=None):
                 for m, sign in _bar_expansion(apex)}
                for apex in cliques]
     pivots = [index[(apex, apex)] for apex in cliques]
-    return LimitLattice(cliques, index, columns, pivots, certificate.witness)
+    return LimitLattice(cliques, index, columns, pivots)
 
 
 def family_vector(limit, element_by_clique):
@@ -439,16 +441,10 @@ def tensor_complex(c1, c2):
     """Tensor product of cochain complexes of free modules, with the
     usual sign on the second factor's differential."""
     top = c1.top_degree + c2.top_degree
-    bases = []
-    for k in range(top + 1):
-        basis = []
-        for i in range(len(c1.ranks)):
-            j = k - i
-            if 0 <= j < len(c2.ranks):
-                for a in range(c1.ranks[i]):
-                    for b in range(c2.ranks[j]):
-                        basis.append((i, a, b))
-        bases.append(basis)
+    bases = [[(i, a, b) for i in range(len(c1.ranks))
+              if 0 <= k - i < len(c2.ranks)
+              for a in range(c1.ranks[i]) for b in range(c2.ranks[k - i])]
+             for k in range(top + 1)]
     index_maps = [{t: i for i, t in enumerate(b)} for b in bases]
     diffs = []
     for k in range(top):

@@ -83,9 +83,8 @@ def run_ktheory(graph, args, rng):
 
 
 def run_bgw(graph, args, rng):
-    pres = kring.presentation_report(graph)
     report = {
-        "bar_relations": pres["bar_relations"],
+        "bar_relations": kring.bar_relations(graph),
         "additive_structure": {
             "free_part": "Z (constant terms)",
             "two_adic_components": len(graph.cliques) - 1,
@@ -139,20 +138,20 @@ def bredon_section(graph, certificate, args):
 
 
 def run_limit(graph, args, rng):
-    return limit_section(graph, bredon.cone_certificate(graph, top=0))
+    return limit_section(graph, bredon.cone_certificate(graph))
 
 
 def limit_section(graph, certificate):
-    limit = bredon.inverse_limit(graph, certificate)
+    limit = bredon.inverse_limit(graph)
     rho = bredon.rho_surjectivity(graph, limit)
     iso = bredon.clique_basis_isomorphism(graph, limit)
     d = len(graph.cliques)
-    ok = (limit.witness is None and limit.rank == d and rho["surjective"]
+    ok = (certificate.ok and limit.rank == d and rho["surjective"]
           and iso["isomorphism"])
     report = {"limit_rank": limit.rank, "clique_count": d,
               "rho": rho, "clique_basis_isomorphism": iso, "ok": ok}
-    if limit.witness is not None:
-        report["detail"] = limit.witness
+    if not certificate.ok:
+        report["detail"] = certificate.witness
     return report
 
 

@@ -197,9 +197,14 @@ def cliques_within(graph, mask):
     two k-cliques differ below position k, which their extensions keep."""
     out, level = [0], [(0, mask)]
     while level:
-        # (clique, its candidates); -(2 << v) keeps those above v
-        level = [(c | 1 << v, cand & graph.adj[v] & -(2 << v))
-                 for c, cand in level for v in graph.members(cand)]
+        nxt = []
+        for c, cand in level:
+            while cand:
+                # take the lowest candidate; those left lie above it
+                bit = cand & -cand
+                cand ^= bit
+                nxt.append((c | bit, cand & graph.adj[bit.bit_length() - 1]))
+        level = nxt
         out.extend(c for c, _cand in level)
     return out
 
@@ -209,14 +214,6 @@ def enumerate_spherical(graph):
     order, by the forward pass of `cliques_within` over every vertex.
     The length is d, the number of spherical subgroups."""
     return cliques_within(graph, (1 << graph.n) - 1)
-
-
-def brute_force_cliques(graph):
-    """2^n subset filter; independent oracle for enumerate_spherical."""
-    if graph.n > 20:
-        raise GraphError("brute-force clique oracle limited to 20 vertices")
-    return sorted((m for m in range(1 << graph.n) if graph.is_clique(m)),
-                  key=lambda m: subset_key(graph, m))
 
 
 def poset_chains(graph, max_length):

@@ -197,21 +197,28 @@ def augmentation(a):
     return sum(a.coeffs.values())
 
 
+def _nonedges(graph):
+    return [(graph.labels[i], graph.labels[j])
+            for i in range(graph.n) for j in range(i + 1, graph.n)
+            if not graph.has_edge(i, j)]
+
+
+def bar_relations(graph):
+    """The relations of the bar generators: s~(s~ + 2) for each vertex,
+    from s*^2 = 1, and s~t~ for each non-edge."""
+    return (["%s~(%s~ + 2)" % (v, v) for v in graph.labels]
+            + ["%s~%s~" % pair for pair in _nonedges(graph)])
+
+
 def presentation_report(graph):
     """Generators, relations, clique basis and rank of the ring."""
     cliques = graph.cliques
-    nonedges = [(graph.labels[i], graph.labels[j])
-                for i in range(graph.n) for j in range(i + 1, graph.n)
-                if not graph.has_edge(i, j)]
-    star_relations = (["%s*^2 - 1" % v for v in graph.labels]
-                      + ["%s*%s* - %s* - %s* + 1" % (s, t, s, t)
-                         for s, t in nonedges])
-    bar_relations = (["%s~(%s~ + 2)" % (v, v) for v in graph.labels]
-                     + ["%s~%s~" % (s, t) for s, t in nonedges])
     return {
         "generators": list(graph.labels),
-        "star_relations": star_relations,
-        "bar_relations": bar_relations,
+        "star_relations": (["%s*^2 - 1" % v for v in graph.labels]
+                           + ["%s*%s* - %s* - %s* + 1" % (s, t, s, t)
+                              for s, t in _nonedges(graph)]),
+        "bar_relations": bar_relations(graph),
         "clique_basis": [list(graph.subset_labels(c)) for c in cliques],
         "rank": len(cliques),
         "k1_rank": 0,

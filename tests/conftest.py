@@ -1,7 +1,8 @@
 import pytest
 
+from racgk import bredon
 from racgk.graphs import Graph, poset_chains, subset_key, submasks
-from racgk.intlinalg import Lattice
+from racgk.intlinalg import Lattice, accumulate
 from racgk.kring import bar_structure_constant
 
 
@@ -48,6 +49,13 @@ def graph_suite():
         ("C5", cycle_graph(5), 11),
         ("Petersen", petersen_graph(), 26),
     ]
+
+
+def brute_force_cliques(graph):
+    """2^n subset filter; independent oracle for enumerate_spherical."""
+    assert graph.n <= 20, "brute-force clique oracle limited to 20 vertices"
+    return sorted((m for m in range(1 << graph.n) if graph.is_clique(m)),
+                  key=lambda m: subset_key(graph, m))
 
 
 def is_zero(a):
@@ -107,6 +115,72 @@ def dense_bredon_complex(graph):
                 d[r][index_maps[k][(face, mono)]] += -1 if i % 2 else 1
         diffs.append(d)
     return [len(b) for b in bases], diffs
+
+
+def walk_certificate(graph):
+    """Reference `cone_certificate`: one depth-first walk over the
+    chains, each extended by the cliques above its last, checks every
+    identity cell by cell and counts the ranks.  (a) expands every x_L
+    of R(J') on every pair J < J', 3^|J'| terms a pair.  `faces` and
+    `restrict` are looked up on the module, so a patched one is seen."""
+    cliques, supersets = graph.cliques, graph.supersets
+    bar = {c: bredon._bar_expansion(c) for c in cliques}
+    ranks = []
+    first = None
+    stack = [(c,) for c in reversed(cliques)]
+    while stack:
+        chain = stack.pop()
+        k = len(chain) - 1
+        stack.extend(chain + (e,) for e in reversed(supersets[chain[-1]]))
+        fs = bredon.faces(chain) if k else []
+        failures = []
+        if k == 1:
+            ell = walk_projection_failure(bar, *chain)
+            if ell is not None:
+                failures.append(("a", ell))
+            # the row of d e at each cell of the pair: e sends both
+            # faces to the apex cell, so their signs must cancel
+            if sum(sign for _face, sign in fs):
+                failures.append(("c", chain[0]))
+        if k == len(ranks):
+            ranks.append(0)
+        ranks[k] += 1 << bin(chain[0]).count("1")
+        # on block K face 0 only drops a clique, by (a), so the row of
+        # d o d at (chain, x_K) is the same for every K inside chain[0]
+        if k >= 2 and accumulate((g, s * t) for face, s in fs
+                                 for g, t in bredon.faces(face)):
+            failures.append(("b", chain[0]))
+        for apex in submasks(chain[0]):
+            # the row of dh + hd - id + e at the cell (chain, x_K)
+            row = [(chain, -1)]
+            if k == 0:
+                row.append(((apex,), 1))
+            else:
+                row += [((apex,) + face, s) for face, s in fs
+                        if face[0] != apex]
+            if chain[0] != apex:
+                row += bredon.faces((apex,) + chain)
+            if accumulate(row):
+                failures.append(("c", apex))
+        if failures and first is None:
+            first = bredon._witness(graph, *failures[0], chain)
+    return bredon.ConeCertificate(len(cliques), ranks, first)
+
+
+def walk_projection_failure(bar, small, big):
+    """The first x_L of R(big), L from big down, that `restrict` does
+    not send to x_L (L inside small) or to 0 (L not inside small) in
+    R(small), each expanded in the monomial basis; None when every one
+    is."""
+    for ell in submasks(big):
+        image = {}
+        for m, sign in bar[ell]:
+            r, x = bredon.restrict(m, small)
+            image[r] = image.get(r, 0) + sign * x
+        expected = dict(bar[ell]) if ell & small == ell else {}
+        if {r: x for r, x in image.items() if x} != expected:
+            return ell
+    return None
 
 
 def product_ideal_power(graph, k):

@@ -14,7 +14,7 @@ from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
 from racgk.kring import KRingElement, _normalize_star
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
                       dense_differentials, edgeless_graph, graph_suite,
-                      is_zero, path_graph, sparsify)
+                      is_zero, path_graph, sparsify, walk_certificate)
 
 
 def test_complex_rejects_bad_dimensions():
@@ -113,26 +113,40 @@ def test_apex_lattice_is_the_kernel_lattice():
     for name, g in oracle_graphs():
         c = build_bredon_complex(g)
         limit = inverse_limit(g)
-        assert limit.witness is None, name
         kernel = kernel_basis(c.differential(0), c.ranks[0])
         assert row_hnf(limit.basis_columns) == row_hnf(kernel), name
 
 
-def test_degree_zero_certificate_walks_pairs_only(monkeypatch):
-    longest = []
-    original = bredon.faces
+def assert_certificate_matches_walk(name, g):
+    cert, walk = cone_certificate(g), walk_certificate(g)
+    assert (cert.ok, cert.ranks, cert.witness) == (
+        walk.ok, walk.ranks, walk.witness), name
 
-    def recorded(chain):
-        longest.append(len(chain))
-        return original(chain)
-    monkeypatch.setattr(bredon, "faces", recorded)
-    for name, g, _ in graph_suite():
-        full = cone_certificate(g)
-        del longest[:]
-        part = cone_certificate(g, top=0)
-        assert part.ok and part.ranks == full.ranks[:1], name
-        # faces of the pairs, and of the chains (K, J) that h builds
-        assert max(longest) == 2, name
+
+def test_certificate_matches_the_cell_walk():
+    for name, g in oracle_graphs() + [("K7", complete_graph(7))]:
+        assert_certificate_matches_walk(name, g)
+
+
+FACES = bredon.faces
+MUTATIONS = {
+    "wrong restriction sign": ("restrict", lambda mono, clique: (
+        mono & clique, -1)),
+    "dropped face": ("faces", lambda chain: (
+        FACES(chain)[:-1] if len(chain) > 2 else FACES(chain))),
+    "flipped face signs": ("faces", lambda chain: [
+        (face, -sign) for face, sign in FACES(chain)]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutated_certificate_matches_the_cell_walk(monkeypatch, mutation):
+    monkeypatch.setattr(bredon, *MUTATIONS[mutation])
+    assert not cone_certificate(complete_graph(3)).ok
+    # K6 is left out: a mutated walk there takes about a second
+    for name, g in oracle_graphs():
+        if name != "K6":
+            assert_certificate_matches_walk(name, g)
 
 
 def test_apex_coordinates_are_the_pivot_entries():
@@ -154,13 +168,11 @@ def test_apex_coordinates_are_the_pivot_entries():
 def test_certificate_names_a_wrong_restriction_sign(monkeypatch):
     monkeypatch.setattr(bredon, "restrict",
                         lambda mono, clique: (mono & clique, -1))
-    for top in (None, 0):
-        cert = cone_certificate(path_graph(3), top)
-        assert not cert.ok and cert.cohomology is None
-        assert cert.witness == ("identity (a) restriction is a projection "
-                                "fails in block K = {} at chain {} < {v0}, "
-                                "degree 1")
-        assert inverse_limit(path_graph(3), cert).witness == cert.witness
+    cert = cone_certificate(path_graph(3))
+    assert not cert.ok and cert.cohomology is None
+    assert cert.witness == ("identity (a) restriction is a projection "
+                            "fails in block K = {} at chain {} < {v0}, "
+                            "degree 1")
 
 
 def test_certificate_names_a_dropped_face(monkeypatch):
@@ -171,8 +183,6 @@ def test_certificate_names_a_dropped_face(monkeypatch):
     assert not cert.ok
     assert cert.witness == ("identity (b) d o d = 0 fails in block K = {} at "
                             "chain {} < {v0} < {v0, v1}, degree 2")
-    # the degree-0 part does not reach the dropped face
-    assert cone_certificate(path_graph(3), top=0).ok
 
 
 def test_certificate_names_a_wrong_homotopy_sign(monkeypatch):

@@ -232,7 +232,7 @@ def test_wrong_restriction_sign_names_its_witness(monkeypatch, capsys,
         assert not rep["rank_cross_check"]["ok"]
 
 
-@pytest.mark.parametrize("sub", ["bredon", "all"])
+@pytest.mark.parametrize("sub", ["bredon", "limit", "all"])
 def test_dropped_face_names_its_witness(monkeypatch, capsys, path_file, sub):
     faces = bredon.faces
     monkeypatch.setattr(bredon, "faces", lambda chain: (
@@ -241,7 +241,10 @@ def test_dropped_face_names_its_witness(monkeypatch, capsys, path_file, sub):
     assert code == 1 and not rep["ok"]
     section = rep["bredon"] if sub == "all" else rep
     assert section["detail"] == DROPPED_FACE
-    assert section["cohomology"] is None
+    if sub == "all":
+        assert rep["limit"]["detail"] == DROPPED_FACE
+    if sub != "limit":
+        assert section["cohomology"] is None
 
 
 # sha256 of each `--dump-matrices` file, as written when the

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from racgk.graphs import (Graph, GraphError, brute_force_cliques,
-                          enumerate_spherical, parse_graph, poset_chains,
-                          validate_decomposition)
-from conftest import complete_graph, cycle_graph, edgeless_graph, path_graph
+from racgk.graphs import (Graph, GraphError, enumerate_spherical,
+                          parse_graph, poset_chains, validate_decomposition)
+from conftest import (brute_force_cliques, complete_graph, cycle_graph,
+                      edgeless_graph, path_graph)
 
 
 def test_parse_edge_list():

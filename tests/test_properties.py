@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 
 from racgk.bredon import (build_bredon_complex, cohomology, cone_certificate,
                           inverse_limit)
-from racgk.graphs import (Graph, brute_force_cliques, cliques_within,
-                          enumerate_spherical, parse_graph, poset_chains,
-                          submasks, subset_key)
+from racgk.graphs import (Graph, cliques_within, enumerate_spherical,
+                          parse_graph, poset_chains, submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
                          ideal_powers, mayer_vietoris_check, multiply_bar,
                          multiply_star)
 from racgk.repring import RepRingElement, RepRingError
-from conftest import (dense_bredon_complex, dense_differentials,
-                      product_ideal_power)
+from conftest import (brute_force_cliques, dense_bredon_complex,
+                      dense_differentials, product_ideal_power,
+                      walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -170,8 +170,10 @@ def test_sparse_bredon_complex(graph):
     assume(max(bin(c).count("1") for c in graph.cliques) <= 4)
     c = build_bredon_complex(graph)
     ranks, dense = dense_bredon_complex(graph)
-    cert = cone_certificate(graph)
+    cert, walk = cone_certificate(graph), walk_certificate(graph)
     assert c.ranks == ranks == chain_rank_dp(graph.cliques) == cert.ranks
+    assert (cert.ok, cert.ranks, cert.witness) == (walk.ok, walk.ranks,
+                                                   walk.witness)
     assert dense_differentials(c) == dense
     coh = cohomology(c)
     assert coh[0] == {"degree": 0, "free_rank": len(graph.cliques),
