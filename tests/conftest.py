@@ -1,9 +1,12 @@
+from functools import cached_property
+
 import pytest
 
 from racgk import bredon
-from racgk.graphs import Graph, poset_chains, subset_key, submasks
-from racgk.intlinalg import Lattice, accumulate
-from racgk.kring import bar_structure_constant
+from racgk.graphs import (Graph, cliques_within, poset_chains, subset_key,
+                          submasks)
+from racgk.intlinalg import Lattice, accumulate, invariant_factors
+from racgk.kring import bar_structure_constant, restrict_to_clique
 
 
 def complete_graph(n):
@@ -181,6 +184,145 @@ def walk_projection_failure(bar, small, big):
         if {r: x for r, x in image.items() if x} != expected:
             return ell
     return None
+
+
+class ApexLattice:
+    """Reference `LimitLattice`: compatible families of virtual
+    representations, one per clique, with a basis whose columns each own
+    a pivot row, a row no other column meets.  A family's coordinates
+    are then its entries at the pivot rows, divided by the pivots, and
+    an exact residual check tells whether it lies in the lattice.
+
+    A family is a dict vector over the degree-0 cells, which `index`
+    numbers by their labels (clique, monomial), in basis order."""
+
+    def __init__(self, cliques, labels, basis_columns, pivots):
+        self.cliques = cliques
+        self.index = {label: i for i, label in enumerate(labels)}
+        self.basis_columns = basis_columns
+        pivots = list(pivots)
+        self.pivot_column = {p: i for i, p in enumerate(pivots)}
+        if len(self.pivot_column) != len(pivots) or len(pivots) != self.rank:
+            raise ValueError("expected one distinct pivot row per column")
+        for i, (column, p) in enumerate(zip(basis_columns, pivots)):
+            if not column.get(p) or any(
+                    self.pivot_column.get(j, i) != i for j in column):
+                raise ValueError("column %d does not own its pivot row %d"
+                                 % (i, p))
+
+    @property
+    def rank(self):
+        return len(self.basis_columns)
+
+    def solve(self, vec):
+        """Integer coordinates of a dict vector in the basis, a dict
+        {column: coefficient}, or None when it is outside the lattice."""
+        coeffs = {}
+        for p, x in vec.items():
+            i = self.pivot_column.get(p)
+            if i is not None and x:
+                q, remainder = divmod(x, self.basis_columns[i][p])
+                if remainder:
+                    return None
+                coeffs[i] = q
+        rest = dict(vec)
+        for i, q in coeffs.items():
+            for j, y in self.basis_columns[i].items():
+                rest[j] = rest.get(j, 0) - q * y
+        return None if any(rest.values()) else coeffs
+
+    @cached_property
+    def clique_factors(self):
+        """Invariant factors of the solved clique monomial families, by
+        elimination, or None when one falls outside the lattice."""
+        columns = [self.solve(monomial_family(self, clique))
+                   for clique in self.cliques]
+        if None in columns:
+            return None
+        # the matrix and its transpose share their invariant factors
+        return invariant_factors(columns)
+
+
+def apex_lattice(graph):
+    """Reference `inverse_limit`, built: column K is x_K on every clique
+    J containing K, by `bredon._bar_expansion` (looked up on the module,
+    so a patched one is seen), and its pivot row is the cell (K, K)."""
+    cliques = graph.cliques
+    index = {label: i for i, label in enumerate(
+        (c, m) for c in cliques for m in cliques_within(graph, c))}
+    columns = [{index[(clique, m)]: sign
+                for clique in (apex, *graph.supersets[apex])
+                for m, sign in bredon._bar_expansion(apex)}
+               for apex in cliques]
+    pivots = [index[(apex, apex)] for apex in cliques]
+    return ApexLattice(cliques, index, columns, pivots)
+
+
+def family_vector(limit, element_by_clique):
+    """Coordinates in the degree-0 basis, a dict vector, of a family of
+    rep-ring elements indexed by clique."""
+    return {limit.index[(clique, mono)]: x
+            for clique, element in element_by_clique.items()
+            for mono, x in element.coeffs.items()}
+
+
+def restriction_family(limit, a):
+    """The compatible family obtained by restricting a K-ring element to
+    every clique; lands in the limit lattice."""
+    return family_vector(limit, {clique: restrict_to_clique(a, clique)
+                                 for clique in limit.cliques})
+
+
+def monomial_family(limit, monomial_mask):
+    """Family of restrictions of one character monomial of the ambient
+    elementary abelian quotient: on a clique J it is the monomial
+    monomial_mask & J.  For a clique this is the restriction family of
+    its star monomial.  One entry per clique, a dict vector."""
+    return {limit.index[(clique, monomial_mask & clique)]: 1
+            for clique in limit.cliques}
+
+
+def apex_rho(limit):
+    """Reference `rho_surjectivity` report, for a lattice of any rank."""
+    factors = limit.clique_factors
+    if factors is None:
+        return {"rank": limit.rank, "image_rank": None, "index_one": False,
+                "surjective": False,
+                "detail": "a clique family falls outside the limit lattice"}
+    surjective = (len(factors) == limit.rank
+                  and all(f == 1 for f in factors))
+    return {
+        "rank": limit.rank,
+        "image_rank": len(factors),
+        "invariant_factors": list(factors),
+        "index_one": all(f == 1 for f in factors),
+        "surjective": surjective,
+    }
+
+
+def apex_iso(limit):
+    """Reference `clique_basis_isomorphism` report, for a lattice of any
+    rank."""
+    factors = limit.clique_factors
+    if factors is None:
+        return {"isomorphism": False,
+                "detail": "clique monomial family outside the limit lattice"}
+    iso = (len(factors) == limit.rank == len(limit.cliques)
+           and all(f == 1 for f in factors))
+    return {"rank": limit.rank, "invariant_factors": list(factors),
+            "isomorphism": iso}
+
+
+def assert_limit_matches_apex(graph, name=None):
+    """`inverse_limit` read by shape agrees with the built and eliminated
+    `apex_lattice`: the clique factors and both reports, key order too,
+    which the text output follows."""
+    limit, apex = bredon.inverse_limit(graph), apex_lattice(graph)
+    assert limit.clique_factors == apex.clique_factors, name
+    for report, reference in (
+            (bredon.rho_surjectivity(graph, limit), apex_rho(apex)),
+            (bredon.clique_basis_isomorphism(graph, limit), apex_iso(apex))):
+        assert list(report.items()) == list(reference.items()), name
 
 
 def product_ideal_power(graph, k):

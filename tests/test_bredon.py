@@ -3,18 +3,20 @@ import random
 import pytest
 
 from racgk import bredon
-from racgk.bredon import (CochainComplex, LimitLattice, build_bredon_complex,
+from racgk.bredon import (CochainComplex, build_bredon_complex,
                           clique_basis_isomorphism, cohomology, cone_certificate,
                           interval_complex, interval_tensor_kunneth,
-                          inverse_limit, monomial_family, restriction_family,
-                          rho_surjectivity, tensor_complex)
+                          inverse_limit, rho_surjectivity, tensor_complex)
 from racgk.graphs import parse_graph
 from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
                              mat_mul, row_hnf)
 from racgk.kring import KRingElement, _normalize_star
-from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
-                      dense_differentials, edgeless_graph, graph_suite,
-                      is_zero, path_graph, sparsify, walk_certificate)
+from conftest import (ApexLattice, apex_iso, apex_lattice, apex_rho,
+                      assert_limit_matches_apex, complete_graph, cycle_graph,
+                      dense_bredon_complex, dense_differentials,
+                      edgeless_graph, graph_suite, is_zero, monomial_family,
+                      path_graph, restriction_family, sparsify,
+                      walk_certificate)
 
 
 def test_complex_rejects_bad_dimensions():
@@ -112,7 +114,7 @@ def test_certificate_matches_elimination():
 def test_apex_lattice_is_the_kernel_lattice():
     for name, g in oracle_graphs():
         c = build_bredon_complex(g)
-        limit = inverse_limit(g)
+        limit = apex_lattice(g)
         kernel = kernel_basis(c.differential(0), c.ranks[0])
         assert row_hnf(limit.basis_columns) == row_hnf(kernel), name
 
@@ -132,6 +134,11 @@ FACES = bredon.faces
 MUTATIONS = {
     "wrong restriction sign": ("restrict", lambda mono, clique: (
         mono & clique, -1)),
+    "unmasked restriction": ("restrict", lambda mono, clique: (mono, 1)),
+    "restriction coefficient 2": ("restrict", lambda mono, clique: (
+        mono & clique, 2)),
+    "unit moved to t_v0": ("restrict", lambda mono, clique: (
+        mono & clique if mono else 1, 1)),
     "dropped face": ("faces", lambda chain: (
         FACES(chain)[:-1] if len(chain) > 2 else FACES(chain))),
     "flipped face signs": ("faces", lambda chain: [
@@ -151,7 +158,7 @@ def test_mutated_certificate_matches_the_cell_walk(monkeypatch, mutation):
 
 def test_apex_coordinates_are_the_pivot_entries():
     g = cycle_graph(5)
-    limit = inverse_limit(g)
+    limit = apex_lattice(g)
     for i, (apex, p) in enumerate(zip(g.cliques, limit.pivot_column)):
         assert limit.index[(apex, apex)] == p
         assert limit.basis_columns[i][p] == 1
@@ -159,10 +166,10 @@ def test_apex_coordinates_are_the_pivot_entries():
     # a cochain on one clique only is not compatible
     assert limit.solve({limit.index[(g.cliques[1], 0)]: 1}) is None
     with pytest.raises(ValueError, match="pivot row"):
-        LimitLattice(limit.cliques, limit.index, [{0: 1, 1: 1}, {1: 1}],
-                     [0, 1])
+        ApexLattice(limit.cliques, limit.index, [{0: 1, 1: 1}, {1: 1}],
+                    [0, 1])
     with pytest.raises(ValueError, match="pivot row"):
-        LimitLattice(limit.cliques, limit.index, [{0: 1}, {1: 1}], [0, 0])
+        ApexLattice(limit.cliques, limit.index, [{0: 1}, {1: 1}], [0, 0])
 
 
 def test_certificate_names_a_wrong_restriction_sign(monkeypatch):
@@ -211,7 +218,7 @@ def test_limit_contains_restriction_families():
     # restriction family of its star monomial, which lies in the limit
     # by construction
     for name, g, d in graph_suite():
-        limit = inverse_limit(g)
+        limit = apex_lattice(g)
         labels = list(limit.index)
         assert len(labels) == build_bredon_complex(g).ranks[0], name
         for mask in range(1 << g.n):
@@ -246,16 +253,15 @@ def test_rho_factors_match_ambient_sweep():
     graphs = [(name, g) for name, g, _ in graph_suite()]
     graphs += [("C%d" % n, cycle_graph(n)) for n in range(3, 11)]
     for name, g in graphs:
-        limit = inverse_limit(g)
-        factors = rho_surjectivity(g, limit)["invariant_factors"]
-        assert factors == ambient_sweep_factors(g, limit), name
+        factors = rho_surjectivity(g, inverse_limit(g))["invariant_factors"]
+        assert factors == ambient_sweep_factors(g, apex_lattice(g)), name
 
 
 def test_monomial_families_follow_star_relation():
     # every ambient monomial family is the combination of clique families
     # that the star relation rewrites the monomial into
     for name, g, _ in graph_suite():
-        limit = inverse_limit(g)
+        limit = apex_lattice(g)
         for mask in range(1 << g.n):
             rewritten = _normalize_star(g, {mask: 1})
             assert all(map(g.is_clique, rewritten)), (name, mask)
@@ -268,29 +274,51 @@ def test_monomial_families_follow_star_relation():
 def test_limit_checks_fail_outside_the_lattice():
     # a lattice of index 2^d in the limit misses the clique families
     g = path_graph(3)
-    limit = inverse_limit(g)
-    half = LimitLattice(limit.cliques, limit.index,
-                        [{j: 2 * x for j, x in col.items()}
-                         for col in limit.basis_columns],
-                        list(limit.pivot_column))
-    rho = rho_surjectivity(g, half)
+    limit = apex_lattice(g)
+    half = ApexLattice(limit.cliques, limit.index,
+                       [{j: 2 * x for j, x in col.items()}
+                        for col in limit.basis_columns],
+                       list(limit.pivot_column))
+    rho = apex_rho(half)
     assert not rho["surjective"] and rho["image_rank"] is None
     assert "outside the limit lattice" in rho["detail"]
-    assert not clique_basis_isomorphism(g, half)["isomorphism"]
+    assert not apex_iso(half)["isomorphism"]
 
 
 def test_limit_checks_detect_a_larger_lattice():
     # the whole degree-0 cochain module holds the limit with rank to spare
     g = cycle_graph(4)
-    limit = inverse_limit(g)
+    limit = apex_lattice(g)
     n = len(limit.index)
-    whole = LimitLattice(limit.cliques, limit.index,
-                         [{j: 1} for j in range(n)], range(n))
-    rho = rho_surjectivity(g, whole)
+    whole = ApexLattice(limit.cliques, limit.index,
+                        [{j: 1} for j in range(n)], range(n))
+    rho = apex_rho(whole)
     assert (rho["rank"], rho["image_rank"]) == (n, limit.rank)
     assert rho["index_one"] and not rho["surjective"]
     assert rho["invariant_factors"] == ambient_sweep_factors(g, whole)
-    assert not clique_basis_isomorphism(g, whole)["isomorphism"]
+    assert not apex_iso(whole)["isomorphism"]
+
+
+def test_limit_shape_matches_elimination():
+    for name, g in oracle_graphs() + [("K7", complete_graph(7)),
+                                      ("K8", complete_graph(8))]:
+        assert_limit_matches_apex(g, name)
+
+
+BAR = bredon._bar_expansion
+BAR_MUTATIONS = {
+    "all signs +1": lambda mono: [(m, 1) for m, _sign in BAR(mono)],
+    "pivot scaled by 2": lambda mono: [(m, 2 * sign if m == mono else sign)
+                                       for m, sign in BAR(mono)],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BAR_MUTATIONS))
+def test_mutated_limit_shape_matches_elimination(monkeypatch, mutation):
+    monkeypatch.setattr(bredon, "_bar_expansion", BAR_MUTATIONS[mutation])
+    assert inverse_limit(complete_graph(4)).clique_factors is None
+    for name, g in oracle_graphs():
+        assert_limit_matches_apex(g, name)
 
 
 def test_rho_bijective_on_complete_graphs():

@@ -190,26 +190,26 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
                      "inverse_limit": 1}
 
 
-def test_limit_takes_one_clique_column_snf(monkeypatch, capsys,
-                                           pentagon_file):
-    # rho and the clique-basis isomorphism share the d = 11 clique
-    # columns, read off the apex pivots with no elimination
-    calls = {"factors": 0, "solves": 0, "eliminations": 0}
-    factors, solve = bredon.invariant_factors, bredon.LimitLattice.solve
-    column_solver = intlinalg.ColumnSolver.__init__
+def test_limit_runs_no_elimination(monkeypatch, capsys, pentagon_file):
+    # rho and the clique-basis isomorphism read the shape of the d = 11
+    # clique families off one limit: no invariant factors, no solver
+    calls = {"factors": 0, "eliminations": 0, "limits": 0}
 
     def counted(key, fn):
         def wrapper(*args):
             calls[key] += 1
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(bredon, "invariant_factors",
-                        counted("factors", factors))
-    monkeypatch.setattr(bredon.LimitLattice, "solve", counted("solves", solve))
+    for module in (bredon, intlinalg):
+        monkeypatch.setattr(module, "invariant_factors",
+                            counted("factors", module.invariant_factors))
     monkeypatch.setattr(intlinalg.ColumnSolver, "__init__",
-                        counted("eliminations", column_solver))
+                        counted("eliminations",
+                                intlinalg.ColumnSolver.__init__))
+    monkeypatch.setattr(bredon, "inverse_limit",
+                        counted("limits", bredon.inverse_limit))
     assert main(["limit", "--input", pentagon_file, "--format", "json"]) == 0
-    assert calls == {"factors": 1, "solves": 11, "eliminations": 0}
+    assert calls == {"factors": 0, "eliminations": 0, "limits": 1}
 
 
 WRONG_SIGN = ("identity (a) restriction is a projection fails in block "

@@ -2,8 +2,8 @@
 random graphs with at most nine vertices; of the sparse-combination core
 under the ring elements, the Mayer-Vietoris splits and the graph parsers
 on random graphs with at most eight; and of the sparse Bredon complex,
-its cone certificate and the ideal-power chain on random graphs with at
-most seven."""
+its cone certificate, the limit's clique factors and the ideal-power
+chain on random graphs with at most seven."""
 
 import json
 import random
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racgk.bredon import (build_bredon_complex, cohomology, cone_certificate,
-                          inverse_limit)
+from racgk.bredon import build_bredon_complex, cohomology, cone_certificate
 from racgk.graphs import (Graph, cliques_within, enumerate_spherical,
                           parse_graph, poset_chains, submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
@@ -21,7 +20,8 @@ from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
                          ideal_powers, mayer_vietoris_check, multiply_bar,
                          multiply_star)
 from racgk.repring import RepRingElement, RepRingError
-from conftest import (brute_force_cliques, dense_bredon_complex,
+from conftest import (apex_lattice, assert_limit_matches_apex,
+                      brute_force_cliques, dense_bredon_complex,
                       dense_differentials, product_ideal_power,
                       walk_certificate)
 
@@ -182,7 +182,13 @@ def test_sparse_bredon_complex(graph):
     assert cert.cohomology == coh
     # the apex lattice is the kernel of d^0, in the same Hermite form
     kernel = kernel_basis(c.differential(0), c.ranks[0])
-    assert row_hnf(inverse_limit(graph).basis_columns) == row_hnf(kernel)
+    assert row_hnf(apex_lattice(graph).basis_columns) == row_hnf(kernel)
+
+
+@LAWS
+@given(graphs(max_vertices=7))
+def test_limit_shape_matches_elimination(graph):
+    assert_limit_matches_apex(graph)
 
 
 @LAWS
