@@ -256,9 +256,13 @@ def cone_certificate(graph):
           and d e = 0 on the pairs, so e is a chain map.
     `faces` only slices the chain, so (b) and (c) depend only on its
     length and on whether K is chain[0]: one check per shape.  A chain
-    c0 < ... < ck carries 2^|c0| cells, one per block.  A failure is
-    named at its first cell in a depth-first walk of the chains, each
-    extended by the cliques above its last.
+    c0 < ... < ck carries 2^|c0| cells, one per block.  When `restrict`
+    is a ring map, as it is here, a failure is named at its first cell
+    in a depth-first walk of the chains, each extended by the cliques
+    above its last.  A `restrict` that is not one still fails the
+    certificate when it is wrong on the unit or on some t_v, but (a) then
+    names that x_v or the unit, which may be a later cell of the pair
+    than the first x_L the walk finds wrong.
     """
     cliques, supersets = graph.cliques, graph.supersets
     # counts[k][c] > 0: the chains c < c1 < ... < ck, by f_k(c) = sum

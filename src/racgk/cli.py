@@ -9,6 +9,8 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
+from math import prod
 
 from . import bredon, charlab, kring
 from .graphs import GraphError, parse_graph
@@ -102,15 +104,21 @@ def run_bgw(graph, args, rng):
             {graph.mask_of([v]): -2})
         if sq != two_s:
             relations_ok = False
-    indices = []
+    # I^j has one row on each clique where its entry by size is not 0,
+    # so its rank and the pivot ratio [I^k : I^(k+1)] go by clique size
+    counts = Counter(map(int.bit_count, graph.cliques))
     powers = kring.ideal_powers(graph, 4)
+    indices = []
     for k, (prev, cur) in enumerate(zip(powers, powers[1:]), 1):
-        if cur.rank == prev.rank:
-            indices.append({"k": k, "index": cur.index_in(prev)})
+        ranks = [sum(n for s, n in counts.items() if entries[s])
+                 for entries in (prev, cur)]
+        if ranks[0] == ranks[1]:
+            indices.append({"k": k, "index": prod(
+                (cur[s] // prev[s]) ** n for s, n in counts.items()
+                if prev[s])})
         else:
             indices.append({"k": k, "index": None,
-                            "note": "rank drops from %d to %d"
-                            % (prev.rank, cur.rank)})
+                            "note": "rank drops from %d to %d" % tuple(ranks)})
     report["ideal_power_indices"] = indices
     report["relations_ok"] = relations_ok
     report["ok"] = relations_ok

@@ -127,14 +127,19 @@ def multiply_star(a, b):
     return KRingElement(a.graph, STAR, _normalize_star(a.graph, raw))
 
 
+def bar_product(j, k):
+    """(mask, coefficient) of the product of two bar monomials whose
+    union is a clique: the union, times -2 per shared vertex, from
+    s~^2 = -2 s~."""
+    return j | k, (-2) ** bin(j & k).count("1")
+
+
 def bar_structure_constant(graph, j, k):
     """(mask, coefficient) of the product of two bar monomials, or None
     when the union is not a clique (the product is zero)."""
-    union = j | k
-    if union not in graph.clique_set:
+    if j | k not in graph.clique_set:
         return None
-    overlap = bin(j & k).count("1")
-    return union, (-2) ** overlap
+    return bar_product(j, k)
 
 
 def _bar_terms(graph, a, b):
@@ -198,27 +203,34 @@ def augmentation(a):
 
 
 def _nonedges(graph):
-    return [(graph.labels[i], graph.labels[j])
-            for i in range(graph.n) for j in range(i + 1, graph.n)
-            if not graph.has_edge(i, j)]
+    """Label pairs (s, t), s before t, of the non-adjacent vertices, read
+    off the adjacency masks."""
+    labels, n = graph.labels, graph.n
+    return [(labels[i], labels[j]) for i, adj in enumerate(graph.adj)
+            for j in range(i + 1, n) if not adj >> j & 1]
 
 
 def bar_relations(graph):
     """The relations of the bar generators: s~(s~ + 2) for each vertex,
     from s*^2 = 1, and s~t~ for each non-edge."""
+    return _bar_relations(graph, _nonedges(graph))
+
+
+def _bar_relations(graph, nonedges):
     return (["%s~(%s~ + 2)" % (v, v) for v in graph.labels]
-            + ["%s~%s~" % pair for pair in _nonedges(graph)])
+            + ["%s~%s~" % pair for pair in nonedges])
 
 
 def presentation_report(graph):
     """Generators, relations, clique basis and rank of the ring."""
     cliques = graph.cliques
+    nonedges = _nonedges(graph)
     return {
         "generators": list(graph.labels),
         "star_relations": (["%s*^2 - 1" % v for v in graph.labels]
                            + ["%s*%s* - %s* - %s* + 1" % (s, t, s, t)
-                              for s, t in _nonedges(graph)]),
-        "bar_relations": bar_relations(graph),
+                              for s, t in nonedges]),
+        "bar_relations": _bar_relations(graph, nonedges),
         "clique_basis": [list(graph.subset_labels(c)) for c in cliques],
         "rank": len(cliques),
         "k1_rank": 0,
@@ -226,55 +238,44 @@ def presentation_report(graph):
 
 
 def ideal_powers(graph, k):
-    """HNF lattices of the powers I^1, ..., I^k of the augmentation
-    ideal, in bar coordinates on the clique basis.
+    """The powers I^1, ..., I^k of the augmentation ideal by clique
+    size: e_j[s] is the one entry of I^j's row, in bar coordinates, on
+    each clique of size s, and 0 where I^j has no row there.
 
-    I is generated as an ideal by the degree-one bar generators, so
-    I^(j+1) is spanned by a Z-basis of I^j times each of them.  The
-    chain starts from I^0, the whole ring, spanned by the clique
-    monomials.
-
-    Every basis row has one entry.  A bar generator times a bar
-    monomial is one monomial with coefficient 1 or -2, or zero
-    (`bar_structure_constant`), so a one-entry row times a generator
-    is a one-entry product.  The products that land on one monomial
-    span the multiples of their gcd there, so the gcds alone, at most
-    one per clique and on distinct columns, span I^(j+1), and its HNF
-    rows have one entry again.  The unit rows of I^0 start the
-    induction."""
+    I^(j+1) is spanned by a Z-basis of I^j times the bar generators x_v,
+    from the clique monomials of I^0 (e_0 is 1).  x_v x_K is
+    `bar_product`'s x_(K | v) when that is a clique, else 0, so a
+    clique L receives x_v x_L and x_v x_(L - v) for each v in L, and
+    e_(j+1)[|L|] is the gcd of their coefficients times e_j; nothing
+    lands on the empty clique.  The rule uses bit operations only, so
+    L = {0, ..., s - 1} stands for every clique of size s: O(k top^2)
+    steps for `top` the size of the last, and largest, clique."""
     if k < 1:
         raise KRingError("ideal power needs k >= 1")
-    cliques = graph.cliques
-    index = {c: i for i, c in enumerate(cliques)}
-    d = len(cliques)
-    # times[i]: (index, coefficient) for each bar generator whose
-    # product with bar monomial i is not zero.  Such a product is the
-    # clique c = i + v, with v in c, so the pairs are found from the
-    # cliques and their vertices: v times c, and v times c - v.
-    times = [[] for _ in cliques]
-    for c in cliques:
-        for v in graph.members(c):
-            for mask in (c, c & ~(1 << v)):
-                union, const = bar_structure_constant(graph, 1 << v, mask)
-                times[index[mask]].append((index[union], const))
-    basis = [{i: 1} for i in range(d)]
+    top = bin(graph.cliques[-1]).count("1")
+    entries = [1] * (top + 1)
     powers = []
     for _ in range(k):
-        merged = {}
-        for row in basis:
-            (i, x), = row.items()
-            for j, const in times[i]:
-                merged[j] = gcd(merged.get(j, 0), const * x)
-        lattice = Lattice(d, [{j: g} for j, g in merged.items()])
-        powers.append(lattice)
-        basis = lattice.basis
+        nxt = [0]
+        for s in range(1, top + 1):
+            clique, g = (1 << s) - 1, 0
+            for v in range(s):
+                for mask in (clique, clique & ~(1 << v)):
+                    const = bar_product(1 << v, mask)[1]
+                    g = gcd(g, const * entries[bin(mask).count("1")])
+            nxt.append(g)
+        powers.append(nxt)
+        entries = nxt
     return powers
 
 
 def ideal_power(graph, k):
     """HNF lattice of the k-th power of the augmentation ideal, in bar
-    coordinates on the clique basis."""
-    return ideal_powers(graph, k)[-1]
+    coordinates on the clique basis, built from `ideal_powers`."""
+    entries = ideal_powers(graph, k)[-1]
+    cells = ((i, entries[bin(c).count("1")])
+             for i, c in enumerate(graph.cliques))
+    return Lattice(len(graph.cliques), [{i: x} for i, x in cells if x])
 
 
 class CompletedElement:

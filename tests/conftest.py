@@ -1,12 +1,14 @@
 from functools import cached_property
+from math import gcd
 
 import pytest
 
-from racgk import bredon
+from racgk import bredon, cli
 from racgk.graphs import (Graph, cliques_within, poset_chains, subset_key,
                           submasks)
 from racgk.intlinalg import Lattice, accumulate, invariant_factors
-from racgk.kring import bar_structure_constant, restrict_to_clique
+from racgk.kring import (bar_structure_constant, ideal_power,
+                         restrict_to_clique)
 
 
 def complete_graph(n):
@@ -346,6 +348,72 @@ def product_ideal_power(graph, k):
         current = nxt
     rows = [{index[mask]: c for mask, c in vec.items()} for vec in current]
     return Lattice(len(cliques), rows)
+
+
+def gcd_chain_ideal_powers(graph, k):
+    """Reference `ideal_powers`: HNF lattices of the powers I^1, ..., I^k
+    of the augmentation ideal, in bar coordinates on the clique basis,
+    from a product table and a gcd merge over the basis rows of each
+    power.
+
+    I is generated as an ideal by the degree-one bar generators, so
+    I^(j+1) is spanned by a Z-basis of I^j times each of them.  The
+    chain starts from I^0, the whole ring, spanned by the clique
+    monomials.
+
+    Every basis row has one entry.  A bar generator times a bar
+    monomial is one monomial with coefficient 1 or -2, or zero
+    (`bar_structure_constant`), so a one-entry row times a generator
+    is a one-entry product.  The products that land on one monomial
+    span the multiples of their gcd there, so the gcds alone, at most
+    one per clique and on distinct columns, span I^(j+1), and its HNF
+    rows have one entry again.  The unit rows of I^0 start the
+    induction."""
+    cliques = graph.cliques
+    index = {c: i for i, c in enumerate(cliques)}
+    d = len(cliques)
+    # times[i]: (index, coefficient) for each bar generator whose
+    # product with bar monomial i is not zero.  Such a product is the
+    # clique c = i + v, with v in c, so the pairs are found from the
+    # cliques and their vertices: v times c, and v times c - v.
+    times = [[] for _ in cliques]
+    for c in cliques:
+        for v in graph.members(c):
+            for mask in (c, c & ~(1 << v)):
+                union, const = bar_structure_constant(graph, 1 << v, mask)
+                times[index[mask]].append((index[union], const))
+    basis = [{i: 1} for i in range(d)]
+    powers = []
+    for _ in range(k):
+        merged = {}
+        for row in basis:
+            (i, x), = row.items()
+            for j, const in times[i]:
+                merged[j] = gcd(merged.get(j, 0), const * x)
+        lattice = Lattice(d, [{j: g} for j, g in merged.items()])
+        powers.append(lattice)
+        basis = lattice.basis
+    return powers
+
+
+def bgw_indices(graph):
+    """The indices [I^k : I^(k+1)], k = 1..3, of a `bgw` report."""
+    report = cli.run_bgw(graph, cli.build_parser().parse_args(["bgw"]), None)
+    return [row["index"] for row in report["ideal_power_indices"]]
+
+
+def assert_ideal_powers_match_oracles(graph, name=None):
+    """`ideal_power` read off the chain by clique size agrees with the
+    gcd chain for I^1..I^4 and with the multiplied-out products for
+    I^1..I^3; `bgw`'s indices are the gcd chain's `index_in`."""
+    oracle = gcd_chain_ideal_powers(graph, 4)
+    for k, lattice in enumerate(oracle, 1):
+        basis = ideal_power(graph, k).basis
+        assert basis == lattice.basis, (name, k)
+        if k <= 3:
+            assert basis == product_ideal_power(graph, k).basis, (name, k)
+    assert bgw_indices(graph) == [
+        cur.index_in(prev) for prev, cur in zip(oracle, oracle[1:])], name
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

@@ -156,6 +156,18 @@ def test_mutated_certificate_matches_the_cell_walk(monkeypatch, mutation):
             assert_certificate_matches_walk(name, g)
 
 
+def test_certificate_fails_where_restrict_is_no_ring_map(monkeypatch):
+    # the unit goes to the smaller clique's lowest vertex: wrong on every
+    # pair J < J' with J not empty, and no longer a ring map, so the
+    # certificate may name a later cell than the walk; only ok is compared
+    monkeypatch.setattr(bredon, "restrict", lambda mono, clique: (
+        mono & clique if mono else clique & -clique, 1))
+    for name, g in oracle_graphs():
+        if name != "K6":
+            cert, walk = cone_certificate(g), walk_certificate(g)
+            assert cert.ok == walk.ok == (not g.edges), name
+
+
 def test_apex_coordinates_are_the_pivot_entries():
     g = cycle_graph(5)
     limit = apex_lattice(g)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from racgk import kring
 from racgk.graphs import enumerate_spherical, parse_graph
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
-                         KRingError, augmentation, complete,
+                         KRingError, augmentation, bar_relations, complete,
                          completed_multiply, convert_basis, ideal_power,
                          ideal_powers, include_from_part,
                          mayer_vietoris_check, multiply_bar, multiply_star,
@@ -12,7 +13,8 @@ from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          random_element, restrict_to_clique)
 from racgk.repring import (RepRingElement, character_evaluation,
                            rep_multiply)
-from conftest import (complete_graph, cycle_graph, path_graph,
+from conftest import (assert_ideal_powers_match_oracles, bgw_indices,
+                      complete_graph, cycle_graph, graph_suite, path_graph,
                       product_ideal_power)
 
 PATH = parse_graph("s t u; s-t t-u")
@@ -132,6 +134,18 @@ def test_presentation_report():
     assert k1["star_relations"] == ["v0*^2 - 1"]
 
 
+def test_relations_list_the_nonedges_in_vertex_order(suite_entry):
+    name, graph, _ = suite_entry
+    pairs = [(graph.labels[i], graph.labels[j]) for i in range(graph.n)
+             for j in range(i + 1, graph.n) if not graph.has_edge(i, j)]
+    rep = presentation_report(graph)
+    assert rep["star_relations"][graph.n:] == [
+        "%s*%s* - %s* - %s* + 1" % (s, t, s, t) for s, t in pairs], name
+    assert rep["bar_relations"] == bar_relations(graph), name
+    assert rep["bar_relations"][graph.n:] == [
+        "%s~%s~" % pair for pair in pairs], name
+
+
 def test_augmentation():
     s = star(PATH, "s")
     assert augmentation(s) == 1
@@ -234,32 +248,72 @@ def test_ideal_powers_chain_matches_single_powers(suite_entry):
     name, graph, _ = suite_entry
     powers = ideal_powers(graph, 4)
     assert len(powers) == 4
-    for k, lattice in enumerate(powers, 1):
-        assert lattice.basis == ideal_power(graph, k).basis, (name, k)
+    sizes = [bin(c).count("1") for c in graph.cliques]
+    for k, entries in enumerate(powers, 1):
+        assert len(entries) == max(sizes) + 1, (name, k)
+        rows = [{i: entries[s]} for i, s in enumerate(sizes) if entries[s]]
+        assert rows == ideal_power(graph, k).basis, (name, k)
         if k <= 3:
-            assert lattice.basis == product_ideal_power(graph, k).basis, (
-                name, k)
+            assert rows == product_ideal_power(graph, k).basis, (name, k)
     with pytest.raises(KRingError):
         ideal_powers(graph, 0)
 
 
 def test_ideal_power_indices_closed_form(suite_entry):
     name, graph, _ = suite_entry
-    powers = ideal_powers(graph, 4)
+    powers = [ideal_power(graph, k) for k in range(1, 5)]
     indices = [cur.index_in(prev) for prev, cur in zip(powers, powers[1:])]
     assert indices == closed_form_indices(graph, 3), name
+    assert bgw_indices(graph) == indices, name
+
+
+def c64_squared():
+    """C64 plus the edges i~i+2: 64 triangles, d = 257."""
+    labels = ["v%d" % i for i in range(64)]
+    return parse_graph("%s; %s" % (" ".join(labels), " ".join(
+        "%s-%s" % (labels[i], labels[(i + s) % 64])
+        for i in range(64) for s in (1, 2))))
 
 
 def test_ideal_power_indices_closed_form_c64_squared():
-    labels = ["v%d" % i for i in range(64)]
-    graph = parse_graph("%s; %s" % (" ".join(labels), " ".join(
-        "%s-%s" % (labels[i], labels[(i + s) % 64])
-        for i in range(64) for s in (1, 2))))
+    graph = c64_squared()
     assert len(graph.cliques) == 257
-    powers = ideal_powers(graph, 4)
+    powers = [ideal_power(graph, k) for k in range(1, 5)]
     assert [p.rank for p in powers] == [256] * 4
     indices = [cur.index_in(prev) for prev, cur in zip(powers, powers[1:])]
     assert indices == closed_form_indices(graph, 3)
+    assert bgw_indices(graph) == indices
+
+
+def ideal_power_graphs():
+    """The suite, K1-K8 and C64 squared, on which the gcd chain and the
+    multiplied-out products check the chain by clique size."""
+    return ([(name, g) for name, g, _ in graph_suite()]
+            + [("K%d" % n, complete_graph(n)) for n in range(1, 9)]
+            + [("C64^2", c64_squared())])
+
+
+def test_ideal_powers_by_size_match_the_gcd_chain():
+    for name, graph in ideal_power_graphs():
+        assert_ideal_powers_match_oracles(graph, name)
+
+
+PRODUCT_MUTATIONS = {
+    "constant (-4)^overlap": lambda j, k: (
+        j | k, (-4) ** bin(j & k).count("1")),
+    "constant 1": lambda j, k: (j | k, 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(PRODUCT_MUTATIONS))
+def test_mutated_product_rule_matches_the_gcd_chain(monkeypatch, mutation):
+    monkeypatch.setattr(kring, "bar_product", PRODUCT_MUTATIONS[mutation])
+    k3 = complete_graph(3)
+    assert bgw_indices(k3) != closed_form_indices(k3, 3)
+    # K8 is left out: its multiplied-out products take about a second
+    for name, graph in ideal_power_graphs():
+        if name != "K8":
+            assert_ideal_powers_match_oracles(graph, name)
 
 
 def test_complete_and_completed_multiply():

@@ -17,13 +17,13 @@ from racgk.graphs import (Graph, cliques_within, enumerate_spherical,
                           parse_graph, poset_chains, submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
-                         ideal_powers, mayer_vietoris_check, multiply_bar,
-                         multiply_star)
+                         ideal_power, ideal_powers, mayer_vietoris_check,
+                         multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
-from conftest import (apex_lattice, assert_limit_matches_apex,
-                      brute_force_cliques, dense_bredon_complex,
-                      dense_differentials, product_ideal_power,
-                      walk_certificate)
+from conftest import (apex_lattice, assert_ideal_powers_match_oracles,
+                      assert_limit_matches_apex, brute_force_cliques,
+                      dense_bredon_complex, dense_differentials,
+                      product_ideal_power, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -195,12 +195,21 @@ def test_limit_shape_matches_elimination(graph):
 @given(graphs(max_vertices=7))
 def test_ideal_power_rows_have_one_entry(graph):
     sizes = [bin(c).count("1") for c in graph.cliques]
-    for k, lattice in enumerate(ideal_powers(graph, 3), 1):
+    for k, entries in enumerate(ideal_powers(graph, 3), 1):
+        assert entries == [0] + [2 ** max(0, k - s)
+                                 for s in range(1, max(sizes) + 1)]
+        lattice = ideal_power(graph, k)
         assert lattice.basis == product_ideal_power(graph, k).basis
         assert lattice.rank == len(sizes) - 1
         for row in lattice.basis:
             (i, x), = row.items()
             assert sizes[i] >= 1 and x == 2 ** max(0, k - sizes[i])
+
+
+@LAWS
+@given(graphs(max_vertices=7))
+def test_ideal_powers_by_size_match_the_gcd_chain(graph):
+    assert_ideal_powers_match_oracles(graph)
 
 
 @LAWS
