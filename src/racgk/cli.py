@@ -10,6 +10,7 @@ import json
 import random
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from math import prod
 
 from . import bredon, charlab, kring
@@ -247,6 +248,44 @@ def _flat(v):
     return json.dumps(v) if isinstance(v, (dict, list)) else str(v)
 
 
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def dump_json(value, pad="\n"):
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, at
+    the nesting level whose line break and indent are `pad`.  Where
+    `indent` is set the standard library encodes in Python; here a list
+    of only str or only int items is one join over the C quoting or
+    `int.__repr__`, and str and int leaves skip `json.dumps`."""
+    scalar = _SCALARS.get(type(value))
+    if scalar:
+        return scalar(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:
+            keys = sorted(value)
+            heads = [encode_basestring_ascii(k) for k in keys]
+        except TypeError:
+            # json.dumps writes int, float, bool and None keys as
+            # strings, and refuses keys it cannot sort or write
+            return json.dumps(value, indent=2, sort_keys=True).replace(
+                "\n", pad)
+        items = ["%s: %s" % (h, dump_json(value[k], inner))
+                 for h, k in zip(heads, keys)]
+        return "{%s%s%s}" % (inner, ("," + inner).join(items), pad)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = frozenset(map(type, value))
+        scalar = len(kinds) == 1 and _SCALARS.get(next(iter(kinds)))
+        items = (map(scalar, value) if scalar
+                 else [dump_json(v, inner) for v in value])
+        return "[%s%s%s]" % (inner, ("," + inner).join(items), pad)
+    return json.dumps(value)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -287,7 +326,7 @@ def main(argv=None):
     payload["seed"] = args.seed
     payload.update(report if isinstance(report, dict) else {"report": report})
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dump_json(payload))
     else:
         print("\n".join(render_text(payload)))
     return 0 if report.get("ok", True) else ASSERTION_FAILURE

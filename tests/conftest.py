@@ -7,8 +7,9 @@ from racgk import bredon, cli
 from racgk.graphs import (Graph, cliques_within, poset_chains, subset_key,
                           submasks)
 from racgk.intlinalg import Lattice, accumulate, invariant_factors
-from racgk.kring import (bar_structure_constant, ideal_power,
-                         restrict_to_clique)
+from racgk.kring import (BAR, KRingElement, bar_structure_constant,
+                         clique_maps, convert_basis, ideal_power,
+                         random_element, rename, restrict_to_clique)
 
 
 def complete_graph(n):
@@ -414,6 +415,61 @@ def assert_ideal_powers_match_oracles(graph, name=None):
             assert basis == product_ideal_power(graph, k).basis, (name, k)
     assert bgw_indices(graph) == [
         cur.index_in(prev) for prev, cur in zip(oracle, oracle[1:])], name
+
+
+def project_to_part(a, subgraph):
+    """Reference projection onto the ring of a full subgraph, through
+    labels: bar monomials supported outside the subgraph go to zero."""
+    bar = convert_basis(a, BAR)
+    keep = a.graph.mask_of(subgraph.labels)
+    out = {}
+    for k, c in bar.coeffs.items():
+        if k & ~keep:
+            continue
+        out[subgraph.mask_of(a.graph.subset_labels(k))] = c
+    res = KRingElement(subgraph, BAR, out)
+    return convert_basis(res, a.basis)
+
+
+def include_from_part(a, graph):
+    """Reference monomial-inclusion section, through labels: bar
+    monomials of the subgraph ring are bar monomials of the big ring
+    (cliques stay cliques)."""
+    bar = convert_basis(a, BAR)
+    out = {graph.mask_of(a.graph.subset_labels(k)): c
+           for k, c in bar.coeffs.items()}
+    res = KRingElement(graph, BAR, out)
+    return convert_basis(res, a.basis)
+
+
+def assert_clique_maps_match_labels(graph, labels, rng, samples=5):
+    """`clique_maps` on the full subgraph on `labels` is the label
+    translation of its cliques, and `rename` through it agrees with
+    `project_to_part` and `include_from_part` on random elements."""
+    sub = graph.induced(labels)
+    down, up = clique_maps(graph, sub)
+    keep = graph.mask_of(sub.labels)
+    assert down == {k: sub.mask_of(graph.subset_labels(k))
+                    for k in graph.cliques if not k & ~keep}
+    assert up == {j: graph.mask_of(sub.subset_labels(j))
+                  for j in sub.cliques}
+    for _ in range(samples):
+        a = random_element(graph, rng, basis=BAR)
+        x = random_element(sub, rng, basis=BAR)
+        assert rename(a, sub, down) == project_to_part(a, sub)
+        assert rename(x, graph, up) == include_from_part(x, graph)
+
+
+def neighbourhood_split(graph, x):
+    """A valid Mayer-Vietoris split, as label lists: part1 = N[X] and
+    part2 = V - X for the vertex mask x.  An edge leaving X ends in
+    N[X], so none crosses from part1 - part2 = X to part2 - part1."""
+    closed = x
+    for v in graph.members(x):
+        closed |= graph.adj[v]
+    everything = (1 << graph.n) - 1
+    return (graph.subset_labels(closed),
+            graph.subset_labels(everything & ~x))
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

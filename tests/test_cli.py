@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 
-from racgk import bredon, graphs, intlinalg
-from racgk.cli import main
-from conftest import complete_graph, cycle_graph, dense_bredon_complex
+from racgk import bredon, cli, graphs, intlinalg
+from racgk.cli import dump_json, main
+from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
+                      graph_suite, neighbourhood_split)
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
 
 
 @pytest.fixture
@@ -301,3 +308,87 @@ def test_option_a_subcommand_ignores_is_refused(capsys, tmp_path, path_file,
     err = capsys.readouterr().err
     assert err.startswith("error: --") and len(err.splitlines()) == 1
     assert not list(tmp_path.glob("d*"))
+
+
+def edge_list(labels, edges):
+    return "%s; %s\n" % (" ".join(labels),
+                         " ".join("%s-%s" % tuple(e) for e in edges))
+
+
+def benchmark_graphs():
+    """(name, graph text, partition text or None) for the deck and the
+    warm-up graph of each of the benchmark's workloads."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    out = []
+    for workload in workloads.SUBCOMMANDS:
+        for t in workloads.deck(workload) + [
+                workloads.warmup_template(workload)]:
+            part = t["parts"] and "".join(" ".join(p) + "\n"
+                                          for p in t["parts"])
+            out.append(("%s/%s" % (workload, t["family"]),
+                        edge_list(t["labels"], t["edges"]), part))
+    return out
+
+
+def suite_graphs():
+    """(name, graph text, partition text) for the test-suite graphs,
+    split at the closed neighbourhood of their first vertex."""
+    return [(name, edge_list(g.labels, g.canonical_edge_list()),
+             "".join(" ".join(p) + "\n" for p in neighbourhood_split(g, 1)))
+            for name, g, _ in graph_suite()]
+
+
+def assert_writer_is_json_dumps(monkeypatch, capsys, argv):
+    """The JSON report of `argv` is `json.dumps(payload, indent=2,
+    sort_keys=True)` of the payload the writer was handed."""
+    writer, payloads = cli.dump_json, []
+
+    def recording(value, pad="\n"):
+        if pad == "\n":
+            payloads.append(value)
+        return writer(value, pad)
+
+    monkeypatch.setattr(cli, "dump_json", recording)
+    main(argv + ["--format", "json"])
+    (payload,) = payloads
+    assert capsys.readouterr().out == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n", argv
+
+
+@pytest.mark.parametrize("graph, part", [
+    pytest.param(graph, part, id=name)
+    for name, graph, part in suite_graphs() + benchmark_graphs()])
+def test_json_writer_on_every_subcommand(monkeypatch, capsys, tmp_path,
+                                         graph, part):
+    path = tmp_path / "g.graph"
+    path.write_text(graph)
+    for sub in GRAPH_SUBCOMMANDS:
+        assert_writer_is_json_dumps(monkeypatch, capsys,
+                                    [sub, "--input", str(path)])
+    if part:
+        split = tmp_path / "g.part"
+        split.write_text(part)
+        assert_writer_is_json_dumps(monkeypatch, capsys, [
+            "mv-check", "--input", str(path), "--partition", str(split)])
+
+
+@pytest.mark.parametrize("argv", [["counterexample"], ["kunneth"]])
+def test_json_writer_without_a_graph(monkeypatch, capsys, argv):
+    assert_writer_is_json_dumps(monkeypatch, capsys, argv)
+
+
+def test_json_writer_on_keys_that_are_not_str():
+    # no report has one: the writer hands such a dict to json.dumps,
+    # which writes int, float, bool and None keys as strings ...
+    value = {"a": {2: [1], 10: {"b": None}}, "c": [{1.5: "x", True: 0}]}
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    # ... and refuses keys it cannot sort or write, as json.dumps does
+    for bad in ({"a": 1, 2: 3}, {(1, 2): 3}):
+        for writer in (dump_json, lambda v: json.dumps(v, indent=2,
+                                                       sort_keys=True)):
+            with pytest.raises(TypeError):
+                writer(bad)

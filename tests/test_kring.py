@@ -7,15 +7,16 @@ from racgk.graphs import enumerate_spherical, parse_graph
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, augmentation, bar_relations, complete,
                          completed_multiply, convert_basis, ideal_power,
-                         ideal_powers, include_from_part,
-                         mayer_vietoris_check, multiply_bar, multiply_star,
-                         presentation_report, project_to_part,
-                         random_element, restrict_to_clique)
+                         ideal_powers, mayer_vietoris_check, multiply_bar,
+                         multiply_star, presentation_report, random_element,
+                         restrict_to_clique)
 from racgk.repring import (RepRingElement, character_evaluation,
                            rep_multiply)
-from conftest import (assert_ideal_powers_match_oracles, bgw_indices,
-                      complete_graph, cycle_graph, graph_suite, path_graph,
-                      product_ideal_power)
+from conftest import (assert_clique_maps_match_labels,
+                      assert_ideal_powers_match_oracles, bgw_indices,
+                      complete_graph, cycle_graph, graph_suite,
+                      include_from_part, path_graph, product_ideal_power,
+                      project_to_part)
 
 PATH = parse_graph("s t u; s-t t-u")
 NONEDGE = parse_graph("s t; ")
@@ -383,6 +384,7 @@ def test_mayer_vietoris_path():
     g = path_graph(3)
     report = mayer_vietoris_check(g, {"v0", "v1"}, {"v1", "v2"}, rng)
     assert report["ok"]
+    assert "detail" not in report
     assert report["ranks"] == {"whole": 6, "part1": 4, "part2": 4,
                                "intersection": 2}
 
@@ -410,3 +412,35 @@ def test_projection_section_identities():
     for _ in range(20):
         x = random_element(g1, rng, basis=BAR)
         assert project_to_part(include_from_part(x, g), g1) == x
+
+
+def test_clique_maps_match_labels(suite_entry):
+    name, g, _ = suite_entry
+    rng = random.Random(name)
+    for x in [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(6)]:
+        assert_clique_maps_match_labels(g, g.subset_labels(x), rng)
+
+
+@pytest.mark.parametrize("which, detail", [
+    ("down", {"part": 2, "sample": 0, "identity": "p(ab) = p(a)p(b)"}),
+    ("up", {"part": 2, "sample": 0, "identity": "i(xy) = i(x)i(y)"}),
+])
+def test_wrong_clique_map_names_its_witness(monkeypatch, which, detail):
+    real = kring.clique_maps
+
+    def wrong(graph, sub):
+        down, up = real(graph, sub)
+        if sub.labels == ("v1", "v2"):
+            # swap the images of the empty clique and of vertex v2, whose
+            # mask is 0b100 in the path and 0b10 in part 2
+            m, v2 = (down, 0b100) if which == "down" else (up, 0b10)
+            m[0], m[v2] = m[v2], m[0]
+        return down, up
+
+    monkeypatch.setattr(kring, "clique_maps", wrong)
+    report = mayer_vietoris_check(path_graph(3), ["v0", "v1"], ["v1", "v2"],
+                                  random.Random(47))
+    assert not report["ok"]
+    assert report["detail"] == detail
+    assert report["projection_is_ring_map"] == (which == "up")
+    assert not report["section_splits"]

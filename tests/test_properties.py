@@ -3,7 +3,8 @@ random graphs with at most nine vertices; of the sparse-combination core
 under the ring elements, the Mayer-Vietoris splits and the graph parsers
 on random graphs with at most eight; and of the sparse Bredon complex,
 its cone certificate, the limit's clique factors and the ideal-power
-chain on random graphs with at most seven."""
+chain on random graphs with at most seven; and of the JSON writer on
+random nested values."""
 
 import json
 import random
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racgk.bredon import build_bredon_complex, cohomology, cone_certificate
+from racgk.cli import dump_json
 from racgk.graphs import (Graph, cliques_within, enumerate_spherical,
                           parse_graph, poset_chains, submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
@@ -20,10 +22,12 @@ from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
                          ideal_power, ideal_powers, mayer_vietoris_check,
                          multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
-from conftest import (apex_lattice, assert_ideal_powers_match_oracles,
+from conftest import (apex_lattice, assert_clique_maps_match_labels,
+                      assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
                       dense_bredon_complex, dense_differentials,
-                      product_ideal_power, walk_certificate)
+                      neighbourhood_split, product_ideal_power,
+                      walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -235,21 +239,16 @@ def test_poset_chain_levels_are_sorted(graph):
 @LAWS
 @given(graphs(), st.data())
 def test_mayer_vietoris_on_neighbourhood_splits(graph, data):
-    # part1 = N[X] and part2 = V - X: an edge leaving X ends in N[X], so
-    # none crosses from part1 - part2 = X to part2 - part1
     x = data.draw(st.integers(0, (1 << graph.n) - 1))
-    closed = x
-    for v in graph.members(x):
-        closed |= graph.adj[v]
-    everything = (1 << graph.n) - 1
-    part1 = graph.subset_labels(closed)
-    part2 = graph.subset_labels(everything & ~x)
+    part1, part2 = neighbourhood_split(graph, x)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     report = mayer_vietoris_check(graph, part1, part2, rng, samples=3)
     assert report["ok"]
     ranks = report["ranks"]
     assert ranks["whole"] == (ranks["part1"] + ranks["part2"]
                               - ranks["intersection"])
+    for part in (part1, part2):
+        assert_clique_maps_match_labels(graph, part, rng, samples=3)
 
 
 @LAWS
@@ -262,3 +261,20 @@ def test_parsers_round_trip(graph):
     doc = json.dumps({"vertices": list(graph.labels),
                       "edges": [list(e) for e in edges]})
     assert parse_graph(doc, fmt="json") == graph
+
+
+# every kind of value json.dumps writes, lists of only str or only int
+# among them, nested in lists, tuples and dicts
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(-2 ** 300, 2 ** 300)
+    | st.lists(st.text()) | st.lists(st.integers(-2 ** 70, 2 ** 70)),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@LAWS
+@given(JSON_VALUES)
+def test_json_writer_matches_the_standard_library(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
