@@ -1,8 +1,8 @@
 """Equivariant K-theory of right-angled Coxeter groups by exact integer
 linear algebra."""
 
-from .graphs import (Graph, GraphError, enumerate_spherical, parse_graph,
-                     poset_chains, validate_decomposition)
+from .graphs import (Graph, GraphError, clique_counts, enumerate_spherical,
+                     parse_graph, poset_chains, validate_decomposition)
 from .repring import (RepRingElement, RepRingError, character_evaluation,
                       character_interpolation, rep_multiply, restriction)
 from .kring import (BAR, STAR, CompletedElement, KRingElement, KRingError,

@@ -8,9 +8,10 @@ its differentials out in the monomial basis.
 
 In the bar basis x_L = prod (t_v - 1) restriction is a projection, so
 the complex splits into one block per clique K, a cone with apex K.
-`cone_certificate` checks this on the clique pairs and once per chain
-shape, counts the cells without listing a chain, and reads the
-cohomology off it: H^0 free on the d apex cochains, nothing above.
+`cone_certificate` checks this once per pair of clique sizes and once
+per chain shape, counts the cells from the number of cliques of each
+size, and reads the cohomology off it: H^0 free on the d apex
+cochains, nothing above.
 H^0 is the inverse limit.  In apex coordinates the clique monomial
 families form the zeta matrix of the clique poset, which
 `LimitLattice.clique_factors` checks once per clique size.
@@ -21,6 +22,7 @@ cohomology comes from invariant factors.
 """
 
 from functools import cached_property
+from math import comb
 
 from .graphs import cliques_within, poset_chains, submasks
 from .intlinalg import accumulate, invariant_factors
@@ -234,9 +236,37 @@ def _shape_failures(length):
             yield slot
 
 
+def bredon_ranks(counts):
+    """The ranks of the Bredon complex from the f-vector `counts`.
+
+    A chain c0 < ... < ck of cliques is its top clique ck of size s, the
+    m vertices of ck - c0, C(s, m) ways, and an ordered partition of
+    them into the k nonempty blocks c1 - c0, ..., ck - c(k-1), Surj(m, k)
+    ways (Stanley, EC I, 1.9).  It carries 2^|c0| cells, so
+
+        rank_k = sum_s f_s sum_m C(s, m) 2^(s - m) Surj(m, k),
+
+    with Surj(m, k) = k (Surj(m - 1, k - 1) + Surj(m - 1, k)) from the
+    Stirling recurrence."""
+    top = len(counts) - 1
+    surj = [[1] + [0] * top]
+    for m in range(1, top + 1):
+        prev = surj[-1]
+        surj.append([0] + [k * (prev[k - 1] + prev[k])
+                           for k in range(1, top + 1)])
+    ranks = [0] * (top + 1)
+    for s, f in enumerate(counts):
+        for m in range(s + 1):
+            weight = f * comb(s, m) << s - m
+            for k in range(m + 1):
+                ranks[k] += weight * surj[m][k]
+    return ranks
+
+
 def cone_certificate(graph):
     """Certify the Bredon complex block by block and count its ranks,
-    building no differential and listing no chain beyond the pairs.
+    building no differential and listing no clique while every
+    identity holds.
 
     In the bar basis x_L = prod (t_v - 1), which the unitriangular
     change t_L = prod (x_v + 1) relates to the monomial basis of
@@ -249,57 +279,70 @@ def cone_certificate(graph):
           drops a clique.  It sends t_M to t_(M & J), and t_A t_B =
           t_(A ^ B) with (A ^ B) & J = (A & J) ^ (B & J), so it is a
           ring map: checking the unit and the x_v, v in J', covers
-          every x_L, a product of x_v;
+          every x_L, a product of x_v.  It uses bit operations only, so
+          the pair {0..a-1} < {0..b-1} covers every pair of sizes a < b;
       (b) d o d = 0 at every cell of degree 2 or more;
       (c) dh + hd = id - e at every cell, with h prepending the apex K
           and e sending a degree-0 cell of block K to the apex cell (K),
           and d e = 0 on the pairs, so e is a chain map.
     `faces` only slices the chain, so (b) and (c) depend only on its
-    length and on whether K is chain[0]: one check per shape.  A chain
-    c0 < ... < ck carries 2^|c0| cells, one per block.  When `restrict`
-    is a ring map, as it is here, a failure is named at its first cell
-    in a depth-first walk of the chains, each extended by the cliques
-    above its last.  A `restrict` that is not one still fails the
-    certificate when it is wrong on the unit or on some t_v, but (a) then
-    names that x_v or the unit, which may be a later cell of the pair
-    than the first x_L the walk finds wrong.
-    """
+    length and on whether K is chain[0]: one check per shape.  The
+    ranks and d come from the f-vector, `Graph.f_vector`, by
+    `bredon_ranks`.  Only when a check fails are the cliques listed, to
+    name the failure at its first cell in a depth-first walk of the
+    chains, each extended by the cliques above its last
+    (`_first_failure`)."""
+    counts = graph.f_vector
+    top = len(counts) - 1
+    # a chain of `length` cliques exists up to top + 1, from a nonempty
+    # first clique up to top
+    shapes = [(length, slot) for length in range(1, top + 2)
+              for slot in _shape_failures(length)
+              if slot != 4 or length <= top]
+    pairs = any(_projection_failure((1 << a) - 1, (1 << b) - 1) is not None
+                for b in range(1, top + 1) for a in range(b))
+    witness = _first_failure(graph, shapes, pairs) if shapes or pairs else None
+    return ConeCertificate(sum(counts), bredon_ranks(counts), witness)
+
+
+def _first_failure(graph, shapes, pairs):
+    """The witness of the first cell, in a depth-first walk of the
+    chains, at which one of the failing `shapes` (length, slot) or, when
+    `pairs`, check (a) on a clique pair fails; None when no pair of the
+    graph fails (a).  When `restrict` is a ring map, as it is here, that
+    is the walk's first failure.  A `restrict` that is not one still
+    fails when it is wrong on the unit or on some t_v, but (a) then names
+    that x_v or the unit, which may be a later cell of the pair than the
+    first x_L the walk finds wrong."""
     cliques, supersets = graph.cliques, graph.supersets
-    # counts[k][c] > 0: the chains c < c1 < ... < ck, by f_k(c) = sum
-    # of f_(k-1)(c') over the cliques c' above c
-    counts = [dict.fromkeys(cliques, 1)]
-    while counts[-1]:
-        level = ((c, sum(counts[-1].get(e, 0) for e in supersets[c]))
-                 for c in counts[-1])
-        counts.append({c: n for c, n in level if n})
-    counts.pop()
-    ranks = [sum(n << bin(c).count("1") for c, n in level.items())
-             for level in counts]
+    # the longest chain from c ends at the largest clique above it,
+    # the last in canonical order, and has height[c] + 1 cliques
+    height = {c: above[-1].bit_count() - c.bit_count() if above else 0
+              for c, above in supersets.items()}
 
     def first_chain(length, nonempty):
         # depth-first order is that of clique positions, a prefix first
-        chain = next(((c,) for c in counts[length - 1] if c or not nonempty),
-                     None)
-        for level in reversed(counts[:length - 1] if chain else []):
-            chain += (next(e for e in supersets[chain[-1]] if e in level),)
+        chain = next((c,) for c in cliques
+                     if height[c] >= length - 1 and (c or not nonempty))
+        while len(chain) < length:
+            chain += (next(e for e in supersets[chain[-1]]
+                           if height[e] >= length - len(chain) - 1),)
         return chain
 
     # (chain, slot, block) for the first failure of each kind
     found = [(chain, slot, chain[0] & (chain[0] - 1) if slot == 4
               else chain[0])
-             for length in range(1, len(counts) + 1)
-             for slot in _shape_failures(length)
-             for chain in [first_chain(length, slot == 4)] if chain]
-    pair = next(((c, e) for c in cliques for e in supersets[c]
-                 if _projection_failure(c, e) is not None), None)
+             for length, slot in shapes
+             for chain in [first_chain(length, slot == 4)]]
+    pair = pairs and next(((c, e) for c in cliques for e in supersets[c]
+                           if _projection_failure(c, e) is not None), None)
     if pair:
         found.append((pair, 0, _projection_failure(*pair)))
-    witness = None
-    if found:
-        chain, slot, block = min(found, key=lambda f: (
-            [cliques.index(c) for c in f[0]], f[1]))
-        witness = _witness(graph, "acbcc"[slot], block, chain)
-    return ConeCertificate(len(cliques), ranks, witness)
+    if not found:
+        return None
+    chain, slot, block = min(found, key=lambda f: (
+        [cliques.index(c) for c in f[0]], f[1]))
+    return _witness(graph, "acbcc"[slot], block, chain)
 
 
 def _zeta_identities(size):
@@ -318,14 +361,12 @@ def _zeta_identities(size):
 class LimitLattice:
     """The inverse limit of the clique subgroups' representation rings,
     free on the d apex cochains by `cone_certificate`, and the shape of
-    the clique monomial families in it."""
+    the clique monomial families in it: d = `rank` cliques, the largest
+    with `top` vertices."""
 
-    def __init__(self, cliques):
-        self.cliques = cliques
-
-    @property
-    def rank(self):
-        return len(self.cliques)
+    def __init__(self, rank, top):
+        self.rank = rank
+        self.top = top
 
     @cached_property
     def clique_factors(self):
@@ -341,8 +382,7 @@ class LimitLattice:
         So the families form the zeta matrix of the clique poset, which
         is unitriangular in the size-first clique order (Rota 1964): d
         factors 1."""
-        top = max((bin(c).count("1") for c in self.cliques), default=0)
-        if all(_zeta_identities(k) for k in range(top + 1)):
+        if all(_zeta_identities(k) for k in range(self.top + 1)):
             return [1] * self.rank
         return None
 
@@ -352,8 +392,10 @@ def inverse_limit(graph):
     `cone_certificate` shows that the apex cochains are a basis: the
     one of clique K is x_K on every clique J containing K, that is
     (-1)^|K - M| at each cell (J, M) with M inside K.  None is built;
+    the f-vector gives d and the clique number, and
     `LimitLattice.clique_factors` checks their shape once per size."""
-    return LimitLattice(graph.cliques)
+    counts = graph.f_vector
+    return LimitLattice(sum(counts), len(counts) - 1)
 
 
 def rho_surjectivity(graph, limit):
@@ -422,17 +464,27 @@ def tensor_complex(c1, c2):
     return CochainComplex([len(b) for b in bases], diffs)
 
 
-def interval_tensor_kunneth(n):
-    """Cohomology of the n-fold tensor power of the interval complex;
-    the expected answer is a single Z in degree zero."""
-    if n < 1:
+def interval_tensor_powers(top):
+    """The tensor powers I, I (x) I, ... of the interval complex up to the
+    `top`-th, each built from the last."""
+    if top < 1:
         raise ValueError("n must be >= 1")
-    if n > KUNNETH_CAP:
+    if top > KUNNETH_CAP:
         raise ValueError("n=%d exceeds the cap %d (ranks grow as 3^n)"
-                         % (n, KUNNETH_CAP))
+                         % (top, KUNNETH_CAP))
     power = interval_complex()
-    for _ in range(n - 1):
+    yield power
+    for _ in range(top - 1):
         power = tensor_complex(power, interval_complex())
+        yield power
+
+
+def interval_tensor_kunneth(n, power=None):
+    """Cohomology of the n-fold tensor power of the interval complex,
+    built here unless given as `power`; the expected answer is a single
+    Z in degree zero."""
+    if power is None:
+        *_, power = interval_tensor_powers(n)
     coh = cohomology(power)
     ok = (coh[0]["free_rank"] == 1 and not coh[0]["torsion"]
           and all(c["free_rank"] == 0 and not c["torsion"] for c in coh[1:]))

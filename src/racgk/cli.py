@@ -6,6 +6,7 @@ verified mathematical property failed, 2 usage, I/O or memory error.
 """
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -140,7 +141,7 @@ def bredon_section(graph, certificate, args):
                     for c in sorted(row):
                         fh.write("%d %d %d\n" % (r, c, row[c]))
     report = {"ranks": certificate.ranks, "cohomology": certificate.cohomology,
-              "clique_count": len(graph.cliques), "ok": certificate.ok}
+              "clique_count": certificate.clique_count, "ok": certificate.ok}
     if not certificate.ok:
         report["detail"] = certificate.witness
     return report
@@ -155,7 +156,8 @@ def limit_section(graph, certificate):
     rho = bredon.rho_surjectivity(graph, limit)
     iso = bredon.clique_basis_isomorphism(graph, limit)
     ok = certificate.ok and rho["surjective"] and iso["isomorphism"]
-    report = {"limit_rank": limit.rank, "clique_count": len(graph.cliques),
+    report = {"limit_rank": limit.rank,
+              "clique_count": certificate.clique_count,
               "rho": rho, "clique_basis_isomorphism": iso, "ok": ok}
     if not certificate.ok:
         report["detail"] = certificate.witness
@@ -163,8 +165,8 @@ def limit_section(graph, certificate):
 
 
 def run_kunneth(graph, args, rng):
-    reports = [bredon.interval_tensor_kunneth(n)
-               for n in range(1, args.kunneth_max + 1)]
+    reports = [bredon.interval_tensor_kunneth(n, power) for n, power in
+               enumerate(bredon.interval_tensor_powers(args.kunneth_max), 1)]
     return {"cases": reports, "ok": all(r["ok"] for r in reports)}
 
 
@@ -200,15 +202,30 @@ def run_all(graph, args, rng):
     d = sections["ktheory"]["rank"]
     coh = sections["bredon"]["cohomology"]
     h0 = coh[0]["free_rank"] if coh else None
-    cross = (h0 == d and sections["limit"]["limit_rank"] == d
-             and sections["bredon"]["clique_count"] == d)
-    sections["rank_cross_check"] = {
+    cross = {
         "presentation_rank": d,
         "h0_rank": h0,
         "limit_rank": sections["limit"]["limit_rank"],
-        "ok": cross,
+        # every H^k above degree 0 vanishes, so the ranks' alternating
+        # sum is the rank of H^0
+        "euler_characteristic": sum(
+            -r if k % 2 else r for k, r in enumerate(certificate.ranks)),
+        "listed_count": len(graph.cliques),
     }
-    sections["ok"] = cross and all(
+    # the first identity that fails is named in `detail`
+    failed = next((
+        "%s %s != %s %s" % (key, cross[key], other, value)
+        for key, other, value in (
+            ("euler_characteristic", "h0_rank", h0),
+            ("listed_count", "clique_count", certificate.clique_count),
+            ("h0_rank", "presentation_rank", d),
+            ("limit_rank", "presentation_rank", d))
+        if cross[key] != value), None)
+    cross["ok"] = failed is None
+    if failed:
+        cross["detail"] = failed
+    sections["rank_cross_check"] = cross
+    sections["ok"] = cross["ok"] and all(
         sections[k].get("ok", True) for k in
         ("ktheory", "bgw", "bredon", "limit", "kunneth", "counterexample"))
     return sections
@@ -286,7 +303,30 @@ def dump_json(value, pad="\n"):
     return json.dumps(value)
 
 
+@contextlib.contextmanager
+def exact_integers():
+    """Lift CPython's cap on the digits of an int written as a string
+    (`sys.set_int_max_str_digits`, from 3.11 and 3.10.7) for the
+    duration, so a report prints every answer exactly, and restore it
+    afterwards; a Python without the cap has nothing to lift."""
+    cap = getattr(sys, "get_int_max_str_digits", None)
+    if cap is None:
+        yield
+        return
+    saved = cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv=None):
+    with exact_integers():
+        return _main(argv)
+
+
+def _main(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.precision < 1 or not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP:
@@ -325,10 +365,15 @@ def main(argv=None):
     payload["subcommand"] = args.subcommand
     payload["seed"] = args.seed
     payload.update(report if isinstance(report, dict) else {"report": report})
-    if args.format == "json":
-        print(dump_json(payload))
-    else:
-        print("\n".join(render_text(payload)))
+    try:
+        text = (dump_json(payload) if args.format == "json"
+                else "\n".join(render_text(payload)))
+    except (ValueError, MemoryError) as e:
+        # an int past the digit cap where it could not be lifted
+        print("error: cannot write the %s report: %s" % (args.subcommand, e),
+              file=sys.stderr)
+        return USAGE_ERROR
+    print(text)
     return 0 if report.get("ok", True) else ASSERTION_FAILURE
 
 

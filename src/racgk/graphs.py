@@ -6,12 +6,15 @@ vertex order, which caps graphs at 64 vertices.  The clique poset comes
 from one forward pass, `cliques_within`: it extends each sorted level of
 cliques by increasing vertices above their last member, so every clique
 comes once and in the canonical (size, member-list) order.
+`clique_counts` counts the cliques of each size without listing them.
 """
 
 import json
 from functools import cached_property
 
 MAX_VERTICES = 64
+# memo states `clique_counts` may reach before it refuses a graph
+CLIQUE_COUNT_STATES = 1 << 18
 
 
 class GraphError(ValueError):
@@ -75,6 +78,11 @@ class Graph:
     def clique_set(self):
         """The cliques as a frozenset, for membership tests."""
         return frozenset(self.cliques)
+
+    @cached_property
+    def f_vector(self):
+        """`clique_counts`, counted once per graph object."""
+        return clique_counts(self)
 
     @cached_property
     def supersets(self):
@@ -207,6 +215,49 @@ def cliques_within(graph, mask):
         level = nxt
         out.extend(c for c, _cand in level)
     return out
+
+
+def clique_counts(graph):
+    """The f-vector: f[s] is the number of cliques with s vertices, the
+    empty one included, so sum(f) is d and len(f) - 1 the clique number.
+
+    A vertex v of a vertex set P splits the cliques in P into those
+    without v and v joined to those in P & N(v): for the clique
+    polynomial C(P), the sum of x^|c| over the cliques c in P,
+    C(P) = C(P - v) + x C(P & N(v)) (Hoede and Li 1994).  The recursion
+    is memoized on P.  It removes the vertices in the order of their
+    degree, lowest first and ties by position: renumbered in that order,
+    v is the lowest bit of P.  A graph that needs more than
+    `CLIQUE_COUNT_STATES` memo states is refused with a GraphError."""
+    order = sorted(range(graph.n), key=lambda v: graph.adj[v].bit_count())
+    position = [0] * graph.n
+    for i, v in enumerate(order):
+        position[v] = i
+    adj = [0] * graph.n
+    for i, j in graph.edges:
+        a, b = position[i], position[j]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    memo = {0: [1]}
+
+    def count(p):
+        got = memo.get(p)
+        if got is not None:
+            return got
+        if len(memo) >= CLIQUE_COUNT_STATES:
+            raise GraphError(
+                "counting the cliques reached %d memo states, the budget "
+                "is %d" % (len(memo), CLIQUE_COUNT_STATES))
+        bit = p & -p
+        out = list(count(p ^ bit))
+        with_v = count(p & adj[bit.bit_length() - 1])
+        out += [0] * (len(with_v) + 1 - len(out))
+        for s, x in enumerate(with_v, 1):
+            out[s] += x
+        memo[p] = out
+        return out
+
+    return count((1 << graph.n) - 1)
 
 
 def enumerate_spherical(graph):

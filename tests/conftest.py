@@ -1,4 +1,6 @@
-from functools import cached_property
+import random
+from functools import cache, cached_property
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -55,6 +57,44 @@ def graph_suite():
         ("C5", cycle_graph(5), 11),
         ("Petersen", petersen_graph(), 26),
     ]
+
+
+def random_graph(n, p, seed=1):
+    """G(n, p): random.Random(seed) draws each pair i < j in order and
+    keeps it with probability p."""
+    rng = random.Random(seed)
+    labels = ["v%d" % i for i in range(n)]
+    return Graph(labels, [(labels[i], labels[j]) for i in range(n)
+                          for j in range(i + 1, n) if rng.random() < p])
+
+
+def dp_ranks(graph):
+    """Reference `bredon.bredon_ranks` from the listing: counts[k][c] is
+    the number of chains c < c1 < ... < ck, f_k(c) = the sum of
+    f_(k-1)(c') over the cliques c' above c, and each chain carries
+    2^|c| cells."""
+    counts = [dict.fromkeys(graph.cliques, 1)]
+    while counts[-1]:
+        level = ((c, sum(counts[-1].get(e, 0) for e in graph.supersets[c]))
+                 for c in counts[-1])
+        counts.append({c: n for c, n in level if n})
+    counts.pop()
+    return [sum(n << bin(c).count("1") for c, n in level.items())
+            for level in counts]
+
+
+def label_order_counts(graph):
+    """Reference `graphs.clique_counts`: the same recursion
+    C(P) = C(P - v) + x C(P & N(v)), memoized on P, with v the lowest
+    vertex of P in label order instead of the vertex of least degree."""
+    @cache
+    def count(p):
+        if not p:
+            return (1,)
+        v = (p & -p).bit_length() - 1
+        without, with_v = count(p & ~(1 << v)), (0,) + count(p & graph.adj[v])
+        return tuple(map(sum, zip_longest(without, with_v, fillvalue=0)))
+    return list(count((1 << graph.n) - 1))
 
 
 def brute_force_cliques(graph):

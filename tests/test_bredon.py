@@ -1,11 +1,13 @@
 import random
+from functools import reduce
 
 import pytest
 
 from racgk import bredon
-from racgk.bredon import (CochainComplex, build_bredon_complex,
-                          clique_basis_isomorphism, cohomology, cone_certificate,
-                          interval_complex, interval_tensor_kunneth,
+from racgk.bredon import (KUNNETH_CAP, CochainComplex, bredon_ranks,
+                          build_bredon_complex, clique_basis_isomorphism,
+                          cohomology, cone_certificate, interval_complex,
+                          interval_tensor_kunneth, interval_tensor_powers,
                           inverse_limit, rho_surjectivity, tensor_complex)
 from racgk.graphs import parse_graph
 from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
@@ -13,9 +15,9 @@ from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
 from racgk.kring import KRingElement, _normalize_star
 from conftest import (ApexLattice, apex_iso, apex_lattice, apex_rho,
                       assert_limit_matches_apex, complete_graph, cycle_graph,
-                      dense_bredon_complex, dense_differentials,
+                      dense_bredon_complex, dense_differentials, dp_ranks,
                       edgeless_graph, graph_suite, is_zero, monomial_family,
-                      path_graph, restriction_family, sparsify,
+                      path_graph, random_graph, restriction_family, sparsify,
                       walk_certificate)
 
 
@@ -125,6 +127,20 @@ def assert_certificate_matches_walk(name, g):
         walk.ok, walk.ranks, walk.witness), name
 
 
+def test_rank_formula_matches_the_chain_dp():
+    graphs = [(name, g) for name, g, _ in graph_suite()]
+    graphs += [("K%d" % n, complete_graph(n)) for n in range(1, 9)]
+    graphs += [("G(%d, %s)" % (n, p), random_graph(n, p, seed))
+               for n, p, seed in ((10, 0.5, 1), (12, 0.6, 2), (14, 0.4, 3),
+                                  (16, 0.7, 4))]
+    for name, g in graphs:
+        ranks = bredon_ranks(g.f_vector)
+        assert ranks == dp_ranks(g) == cone_certificate(g).ranks, name
+        # every H^k above degree 0 vanishes: the alternating sum is d
+        assert sum((-1) ** k * r for k, r in enumerate(ranks)) == len(
+            g.cliques), name
+
+
 def test_certificate_matches_the_cell_walk():
     for name, g in oracle_graphs() + [("K7", complete_graph(7))]:
         assert_certificate_matches_walk(name, g)
@@ -159,7 +175,12 @@ def test_mutated_certificate_matches_the_cell_walk(monkeypatch, mutation):
 def test_certificate_fails_where_restrict_is_no_ring_map(monkeypatch):
     # the unit goes to the smaller clique's lowest vertex: wrong on every
     # pair J < J' with J not empty, and no longer a ring map, so the
-    # certificate may name a later cell than the walk; only ok is compared
+    # certificate may name a later cell than the walk; only ok is compared.
+    # The mutant depends on which vertex is lowest, but not on whether
+    # one is: the symbolic pair {0} < {0, 1}, which (a) checks when the
+    # graph has an edge, sends the unit to t_0 as a concrete pair sends
+    # it to its own lowest vertex, so the shape check fails exactly when
+    # a concrete pair does
     monkeypatch.setattr(bredon, "restrict", lambda mono, clique: (
         mono & clique if mono else clique & -clique, 1))
     for name, g in oracle_graphs():
@@ -378,6 +399,17 @@ def test_kunneth_small_cases():
         rep = interval_tensor_kunneth(n)
         assert rep["ok"], rep
         assert rep["ranks"][0] == 2 ** n
+
+
+def test_kunneth_powers_match_the_per_n_reports():
+    # each power is built once, from the last, and is the one built
+    # from scratch
+    powers = list(interval_tensor_powers(KUNNETH_CAP))
+    assert len(powers) == KUNNETH_CAP
+    for n, power in enumerate(powers, 1):
+        scratch = reduce(tensor_complex, [interval_complex()] * n)
+        assert (power.ranks, power.diffs) == (scratch.ranks, scratch.diffs)
+        assert interval_tensor_kunneth(n, power) == interval_tensor_kunneth(n)
 
 
 def test_kunneth_cap():

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
+from math import factorial
 
 import pytest
 
@@ -188,13 +191,16 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
         monkeypatch.setattr(module, name, wrapper)
 
     counted(graphs, "enumerate_spherical")
+    counted(graphs, "clique_counts")
     counted(bredon, "cone_certificate")
     counted(bredon, "build_bredon_complex")
     counted(bredon, "inverse_limit")
     assert main([sub, "--input", pentagon_file, "--format", "json"]) == 0
-    # the complex is built only to dump its matrices
-    assert calls == {"enumerate_spherical": 1, "cone_certificate": 1,
-                     "inverse_limit": 1}
+    # the complex is built only to dump its matrices, and only `all`
+    # lists the cliques, for the sections that print them
+    listed = {"enumerate_spherical": 1} if sub == "all" else {}
+    assert calls == {"clique_counts": 1, "cone_certificate": 1,
+                     "inverse_limit": 1, **listed}
 
 
 def test_limit_runs_no_elimination(monkeypatch, capsys, pentagon_file):
@@ -392,3 +398,127 @@ def test_json_writer_on_keys_that_are_not_str():
                                                        sort_keys=True)):
             with pytest.raises(TypeError):
                 writer(bad)
+
+
+def graph_file(tmp_path, name, g):
+    f = tmp_path / (name + ".graph")
+    f.write_text(edge_list(g.labels, g.canonical_edge_list()))
+    return str(f)
+
+
+def test_bredon_and_limit_list_no_clique(monkeypatch, capsys, tmp_path):
+    # the reports come from the f-vector alone while every check holds
+    files = [graph_file(tmp_path, "K6", complete_graph(6)),
+             graph_file(tmp_path, "C10", cycle_graph(10))]
+    argvs = [[sub, "--input", f] for sub in ("bredon", "limit") for f in files]
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(self):
+        raise AssertionError("the cliques were listed")
+    monkeypatch.setattr(graphs.Graph, "cliques", property(refuse))
+    monkeypatch.setattr(graphs.Graph, "supersets", property(refuse))
+    for argv, out in zip(argvs, expected):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
+
+
+def test_a_graph_past_the_count_budget_is_refused(monkeypatch, capsys,
+                                                   pentagon_file):
+    monkeypatch.setattr(graphs, "CLIQUE_COUNT_STATES", 3)
+    assert main(["bredon", "--input", pentagon_file]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert re.fullmatch(r"error: counting the cliques reached \d+ memo "
+                        r"states, the budget is 3\n", captured.err)
+
+
+LONG = 7 ** 6000    # 5071 digits, past CPython's default cap of 4300
+
+
+def test_integers_past_the_digit_cap_are_written_exactly():
+    value = {"index": LONG, "indices": [LONG, 1], "rows": [{"k": -LONG}]}
+    with cli.exact_integers():
+        text = dump_json(value)
+        assert text == json.dumps(value, indent=2, sort_keys=True)
+        assert json.loads(text) == value
+        lines = cli.render_text(value)
+        digits = str(LONG)
+    assert len(digits) > 4300
+    assert lines == ["index: " + digits, "indices: [%s, 1]" % digits,
+                     "rows:", "  -", "    k: -" + digits]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_report_past_the_digit_cap_exits_0(monkeypatch, capsys, path_file,
+                                             fmt):
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    monkeypatch.setattr(cli, "run_bgw", lambda graph, args, rng: {
+        "index": LONG, "ok": True})
+    assert main(["bgw", "--input", path_file, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    with cli.exact_integers():
+        assert str(LONG) in out
+    # the cap is back as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no digit cap")
+def test_a_report_that_cannot_be_written_exits_2(monkeypatch, capsys,
+                                                 path_file):
+    monkeypatch.setattr(cli, "exact_integers", contextlib.nullcontext)
+    monkeypatch.setattr(cli, "run_bgw", lambda graph, args, rng: {
+        "index": LONG, "ok": True})
+    for fmt in ("text", "json"):
+        assert main(["bgw", "--input", path_file, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: cannot write the bgw report")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_rank_cross_check_fails_on_wrong_ranks(monkeypatch, capsys,
+                                               pentagon_file):
+    ranks = bredon.bredon_ranks
+    monkeypatch.setattr(bredon, "bredon_ranks", lambda counts: [
+        r + (k == 1) for k, r in enumerate(ranks(counts))])
+    code, rep = run_json(capsys, ["all", "--input", pentagon_file])
+    cross = rep["rank_cross_check"]
+    assert code == 1 and not rep["ok"] and not cross["ok"]
+    assert (cross["euler_characteristic"], cross["h0_rank"]) == (10, 11)
+    assert cross["detail"] == "euler_characteristic 10 != h0_rank 11"
+
+
+def test_rank_cross_check_fails_on_a_dropped_clique(monkeypatch, capsys,
+                                                    pentagon_file):
+    # the listing loses its last clique; membership tests still see it
+    listing = graphs.enumerate_spherical
+    monkeypatch.setattr(graphs.Graph, "cliques", property(
+        lambda graph: tuple(listing(graph)[:-1])))
+    monkeypatch.setattr(graphs.Graph, "clique_set", property(
+        lambda graph: frozenset(listing(graph))))
+    code, rep = run_json(capsys, ["all", "--input", pentagon_file])
+    cross = rep["rank_cross_check"]
+    assert code == 1 and not rep["ok"] and not cross["ok"]
+    assert (cross["listed_count"], rep["bredon"]["clique_count"]) == (10, 11)
+    assert cross["detail"] == "listed_count 10 != clique_count 11"
+
+
+def test_rank_cross_check_keys(capsys, pentagon_file):
+    code, rep = run_json(capsys, ["all", "--input", pentagon_file])
+    assert code == 0
+    assert rep["rank_cross_check"] == {
+        "presentation_rank": 11, "h0_rank": 11, "limit_rank": 11,
+        "euler_characteristic": 11, "listed_count": 11, "ok": True}
+
+
+def test_k64_bredon_is_counted(capsys, tmp_path):
+    path = graph_file(tmp_path, "K64", complete_graph(64))
+    code, rep = run_json(capsys, ["bredon", "--input", path])
+    assert code == 0 and rep["ok"]
+    assert rep["clique_count"] == 2 ** 64 and rep["ranks"][0] == 3 ** 64
+    # the chains of 65 cliques are the orderings of the 64 vertices
+    assert len(rep["ranks"]) == 65 and rep["ranks"][64] == factorial(64)

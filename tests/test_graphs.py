@@ -1,11 +1,16 @@
 import json
+from collections import Counter
+from math import comb
 
 import pytest
 
-from racgk.graphs import (Graph, GraphError, enumerate_spherical,
-                          parse_graph, poset_chains, validate_decomposition)
+from racgk import graphs
+from racgk.graphs import (Graph, GraphError, clique_counts,
+                          enumerate_spherical, parse_graph, poset_chains,
+                          validate_decomposition)
 from conftest import (brute_force_cliques, complete_graph, cycle_graph,
-                      edgeless_graph, path_graph)
+                      edgeless_graph, graph_suite, label_order_counts,
+                      path_graph, random_graph)
 
 
 def test_parse_edge_list():
@@ -87,6 +92,36 @@ def test_clique_count_formulas():
     for n in range(1, 6):
         assert len(enumerate_spherical(complete_graph(n))) == 2 ** n
         assert len(enumerate_spherical(edgeless_graph(n))) == n + 1
+
+
+def brute_force_counts(graph):
+    sizes = Counter(map(int.bit_count, brute_force_cliques(graph)))
+    return [sizes[s] for s in range(max(sizes) + 1)]
+
+
+def test_clique_counts_match_the_brute_force_sizes(suite_entry):
+    name, g, d = suite_entry
+    f = clique_counts(g)
+    assert f == brute_force_counts(g) == g.f_vector, name
+    assert sum(f) == d and f == label_order_counts(g), name
+
+
+def test_clique_counts_of_complete_and_random_graphs():
+    for n in (0, 1, 5, 64):
+        g = complete_graph(n)
+        assert clique_counts(g) == [comb(n, s) for s in range(n + 1)]
+    for n, p in ((12, 0.5), (16, 0.7), (20, 0.3)):
+        g = random_graph(n, p)
+        assert clique_counts(g) == brute_force_counts(g), (n, p)
+        assert label_order_counts(g) == clique_counts(g), (n, p)
+
+
+def test_clique_counts_refuse_past_the_state_budget(monkeypatch):
+    monkeypatch.setattr(graphs, "CLIQUE_COUNT_STATES", 4)
+    with pytest.raises(GraphError, match=r"reached \d+ memo states, the "
+                       "budget is 4$"):
+        clique_counts(cycle_graph(10))
+    assert clique_counts(complete_graph(2)) == [1, 2, 1]
 
 
 def test_maximal_cliques_pentagon():

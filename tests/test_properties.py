@@ -1,5 +1,6 @@
 """Property tests of the forward clique pass and the clique poset on
-random graphs with at most nine vertices; of the sparse-combination core
+random graphs with at most nine vertices, and of the clique counts on
+random graphs with at most twelve; of the sparse-combination core
 under the ring elements, the Mayer-Vietoris splits and the graph parsers
 on random graphs with at most eight; and of the sparse Bredon complex,
 its cone certificate, the limit's clique factors and the ideal-power
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from racgk.bredon import build_bredon_complex, cohomology, cone_certificate
 from racgk.cli import dump_json
-from racgk.graphs import (Graph, cliques_within, enumerate_spherical,
-                          parse_graph, poset_chains, submasks, subset_key)
+from racgk.graphs import (Graph, clique_counts, cliques_within,
+                          enumerate_spherical, parse_graph, poset_chains,
+                          submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
                          ideal_power, ideal_powers, mayer_vietoris_check,
@@ -26,8 +28,8 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
                       dense_bredon_complex, dense_differentials,
-                      neighbourhood_split, product_ideal_power,
-                      walk_certificate)
+                      label_order_counts, neighbourhood_split,
+                      product_ideal_power, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -152,6 +154,18 @@ def test_star_product_matches_bar_product(elements):
     bar = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
     assert convert_basis(multiply_star(a, b), BAR) == bar
     assert multiply_star(a, b) == convert_basis(bar, STAR)
+
+
+@LAWS
+@given(graphs(max_vertices=12))
+def test_clique_counts_match_the_brute_force_sizes(graph):
+    sizes = [0] * (graph.n + 1)
+    for c in brute_force_cliques(graph):
+        sizes[c.bit_count()] += 1
+    while not sizes[-1]:
+        sizes.pop()
+    assert clique_counts(graph) == sizes
+    assert label_order_counts(graph) == sizes
 
 
 def chain_rank_dp(cliques):
