@@ -24,10 +24,13 @@ cohomology comes from invariant factors.
 from functools import cached_property
 from math import comb
 
-from .graphs import cliques_within, poset_chains, submasks
+from .graphs import GraphError, cliques_within, poset_chains
 from .intlinalg import accumulate, invariant_factors
 
 KUNNETH_CAP = 6
+# the largest d for which `inverse_limit` answers: a limit report lists
+# d invariant factors twice, and the zeta check expands up to 2d terms
+LIMIT_RANK_CAP = 1 << 23
 
 
 class CochainComplex:
@@ -186,10 +189,16 @@ def _witness(graph, identity, block, chain):
 
 
 def _bar_expansion(mono):
-    """x_L = prod over v in L of (t_v - 1) in the monomial basis:
-    (-1)^|L - M| on each t_M with M inside L."""
-    return [(m, -1 if bin(mono ^ m).count("1") % 2 else 1)
-            for m in submasks(mono)]
+    """x_L = prod over v in L of (t_v - 1) in the monomial basis,
+    multiplied out one vertex at a time: (-1)^|L - M| on each t_M with
+    M inside L."""
+    masks, signs = [0], [1]
+    while mono:
+        bit = mono & -mono
+        mono ^= bit
+        masks += [m | bit for m in masks]
+        signs = [-s for s in signs] + signs
+    return list(zip(masks, signs))
 
 
 def _projection_failure(small, big):
@@ -349,13 +358,21 @@ def _zeta_identities(size):
     """Whether the identities behind `clique_factors` hold on the clique
     L = 1..size: x_L has a 1 at t_L and no monomial outside L, so its
     apex column owns the cell (L, L) with a 1; and t_L is the sum of the
-    x_K over K inside L.  `_bar_expansion` uses bit operations only, so
-    one clique of each size covers every clique."""
+    x_K over K inside L.  Both are read off one check of its 2^size
+    terms: x_L = sum over M inside L of (-1)^|L - M| t_M.  That gives
+    the first at M = L, and by Moebius inversion on the subsets of L it
+    is the second once it holds for every K inside L; conversely the
+    second, at L and below, gives it by induction on |L|, since
+    x_L = t_L - sum over K < L of x_K.  `clique_factors` checks every
+    size up to the largest, so the two are the same test.
+    `_bar_expansion` uses bit operations only, so one clique of each size
+    covers every clique."""
     clique = (1 << size) - 1
     bar = accumulate(_bar_expansion(clique))
-    return (bar.get(clique) == 1 and all(m | clique == clique for m in bar)
-            and accumulate(term for k in submasks(clique)
-                           for term in _bar_expansion(k)) == {clique: 1})
+    # the subsets of L = 1..size are the masks below 2^size
+    return len(bar) == 1 << size and all(
+        bar.get(m) == (-1 if (size - m.bit_count()) % 2 else 1)
+        for m in range(1 << size))
 
 
 class LimitLattice:
@@ -393,9 +410,16 @@ def inverse_limit(graph):
     one of clique K is x_K on every clique J containing K, that is
     (-1)^|K - M| at each cell (J, M) with M inside K.  None is built;
     the f-vector gives d and the clique number, and
-    `LimitLattice.clique_factors` checks their shape once per size."""
+    `LimitLattice.clique_factors` checks their shape once per size.  A
+    graph with more than `LIMIT_RANK_CAP` cliques is refused with a
+    GraphError before anything is checked."""
     counts = graph.f_vector
-    return LimitLattice(sum(counts), len(counts) - 1)
+    rank = sum(counts)
+    if rank > LIMIT_RANK_CAP:
+        raise GraphError("the inverse limit has rank d = %d, and a limit "
+                         "report lists d invariant factors twice; the cap "
+                         "is d = %d" % (rank, LIMIT_RANK_CAP))
+    return LimitLattice(rank, len(counts) - 1)
 
 
 def rho_surjectivity(graph, limit):

@@ -45,6 +45,10 @@ def build_parser():
     return p
 
 
+# parse_args leaves the parser as it found it, so one serves every call
+PARSER = build_parser()
+
+
 def read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -95,8 +99,9 @@ def run_bgw(graph, args, rng):
             "precision": args.precision,
         },
     }
-    # relation spot checks in the completed ring
-    relations_ok = True
+    # relation spot checks in the completed ring, up to the first vertex
+    # whose s~^2 is not -2 s~
+    witness = None
     for v in graph.labels:
         s = kring.complete(kring.KRingElement.generator(graph, v, kring.BAR),
                            args.precision)
@@ -105,7 +110,8 @@ def run_bgw(graph, args, rng):
             graph, args.precision, 0,
             {graph.mask_of([v]): -2})
         if sq != two_s:
-            relations_ok = False
+            witness = v
+            break
     # I^j has one row on each clique where its entry by size is not 0,
     # so its rank and the pivot ratio [I^k : I^(k+1)] go by clique size
     counts = Counter(map(int.bit_count, graph.cliques))
@@ -122,8 +128,10 @@ def run_bgw(graph, args, rng):
             indices.append({"k": k, "index": None,
                             "note": "rank drops from %d to %d" % tuple(ranks)})
     report["ideal_power_indices"] = indices
-    report["relations_ok"] = relations_ok
-    report["ok"] = relations_ok
+    report["relations_ok"] = report["ok"] = witness is None
+    if witness is not None:
+        report["detail"] = ("s~^2 != -2 s~ in the completed ring for vertex %s"
+                            % witness)
     return report
 
 
@@ -148,11 +156,12 @@ def bredon_section(graph, certificate, args):
 
 
 def run_limit(graph, args, rng):
-    return limit_section(graph, bredon.cone_certificate(graph))
-
-
-def limit_section(graph, certificate):
+    # a limit too large to report is refused before the certificate runs
     limit = bredon.inverse_limit(graph)
+    return limit_section(graph, bredon.cone_certificate(graph), limit)
+
+
+def limit_section(graph, certificate, limit):
     rho = bredon.rho_surjectivity(graph, limit)
     iso = bredon.clique_basis_isomorphism(graph, limit)
     ok = certificate.ok and rho["surjective"] and iso["isomorphism"]
@@ -195,7 +204,8 @@ def run_all(graph, args, rng):
         "ktheory": run_ktheory(graph, args, rng),
         "bgw": run_bgw(graph, args, rng),
         "bredon": bredon_section(graph, certificate, args),
-        "limit": limit_section(graph, certificate),
+        "limit": limit_section(graph, certificate,
+                               bredon.inverse_limit(graph)),
         "kunneth": run_kunneth(graph, args, rng),
         "counterexample": run_counterexample(args, rng),
     }
@@ -327,15 +337,14 @@ def main(argv=None):
 
 
 def _main(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.precision < 1 or not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP:
-        parser.exit(USAGE_ERROR, "error: precision must be >= 1 and "
+        PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
                     "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
     for option, subs in (("dump_matrices", ("bredon", "all")),
                          ("partition", ("mv-check",))):
         if getattr(args, option) is not None and args.subcommand not in subs:
-            parser.exit(USAGE_ERROR, "error: --%s applies only to %s\n"
+            PARSER.exit(USAGE_ERROR, "error: --%s applies only to %s\n"
                         % (option.replace("_", "-"), " and ".join(subs)))
     rng = random.Random(args.seed)
     try:

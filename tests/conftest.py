@@ -439,7 +439,7 @@ def gcd_chain_ideal_powers(graph, k):
 
 def bgw_indices(graph):
     """The indices [I^k : I^(k+1)], k = 1..3, of a `bgw` report."""
-    report = cli.run_bgw(graph, cli.build_parser().parse_args(["bgw"]), None)
+    report = cli.run_bgw(graph, cli.PARSER.parse_args(["bgw"]), None)
     return [row["index"] for row in report["ideal_power_indices"]]
 
 

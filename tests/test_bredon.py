@@ -9,7 +9,7 @@ from racgk.bredon import (KUNNETH_CAP, CochainComplex, bredon_ranks,
                           cohomology, cone_certificate, interval_complex,
                           interval_tensor_kunneth, interval_tensor_powers,
                           inverse_limit, rho_surjectivity, tensor_complex)
-from racgk.graphs import parse_graph
+from racgk.graphs import GraphError, parse_graph
 from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
                              mat_mul, row_hnf)
 from racgk.kring import KRingElement, _normalize_star
@@ -343,6 +343,11 @@ BAR_MUTATIONS = {
     "all signs +1": lambda mono: [(m, 1) for m, _sign in BAR(mono)],
     "pivot scaled by 2": lambda mono: [(m, 2 * sign if m == mono else sign)
                                        for m, sign in BAR(mono)],
+    # x_L keeps its 1 at t_L and stays inside L, but the x_K inside L
+    # no longer sum to t_L
+    "constant sign flipped from three vertices": lambda mono: [
+        (m, -sign if m == 0 and mono.bit_count() >= 3 else sign)
+        for m, sign in BAR(mono)],
 }
 
 
@@ -352,6 +357,27 @@ def test_mutated_limit_shape_matches_elimination(monkeypatch, mutation):
     assert inverse_limit(complete_graph(4)).clique_factors is None
     for name, g in oracle_graphs():
         assert_limit_matches_apex(g, name)
+
+
+def test_zeta_check_expands_each_size_once(monkeypatch):
+    # one x_L of 2^s terms per clique size s, 2^15 - 1 terms on K14
+    sizes = []
+
+    def counted(mono):
+        sizes.append(mono.bit_count())
+        return BAR(mono)
+    monkeypatch.setattr(bredon, "_bar_expansion", counted)
+    assert inverse_limit(complete_graph(14)).clique_factors == [1] * 2 ** 14
+    assert sizes == list(range(15))
+
+
+def test_limit_past_the_rank_cap_is_refused(monkeypatch):
+    # d = 16 on K4: answered at the cap, refused just past it
+    monkeypatch.setattr(bredon, "LIMIT_RANK_CAP", 16)
+    assert inverse_limit(complete_graph(4)).rank == 16
+    monkeypatch.setattr(bredon, "LIMIT_RANK_CAP", 15)
+    with pytest.raises(GraphError, match=r"rank d = 16, .*the cap is d = 15$"):
+        inverse_limit(complete_graph(4))
 
 
 def test_rho_bijective_on_complete_graphs():

@@ -3,18 +3,19 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 from math import factorial
 
 import pytest
 
-from racgk import bredon, cli, graphs, intlinalg
+from racgk import bredon, cli, graphs, intlinalg, kring
 from racgk.cli import dump_json, main
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
                       graph_suite, neighbourhood_split)
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
 
 
@@ -522,3 +523,78 @@ def test_k64_bredon_is_counted(capsys, tmp_path):
     assert rep["clique_count"] == 2 ** 64 and rep["ranks"][0] == 3 ** 64
     # the chains of 65 cliques are the orderings of the 64 vertices
     assert len(rep["ranks"]) == 65 and rep["ranks"][64] == factorial(64)
+
+
+def test_k64_limit_is_refused_before_any_check(monkeypatch, capsys,
+                                               tmp_path):
+    path = graph_file(tmp_path, "K64", complete_graph(64))
+
+    def refuse(*args):
+        raise AssertionError("checked before the refusal")
+    monkeypatch.setattr(bredon, "cone_certificate", refuse)
+    monkeypatch.setattr(bredon, "_zeta_identities", refuse)
+    assert main(["limit", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: the inverse limit has rank d = %d, and a limit report lists "
+        "d invariant factors twice; the cap is d = %d\n"
+        % (2 ** 64, bredon.LIMIT_RANK_CAP))
+
+
+def test_bgw_names_the_first_vertex_whose_relation_fails(monkeypatch, capsys,
+                                                         path_file):
+    code, rep = run_json(capsys, ["bgw", "--input", path_file])
+    assert code == 0 and "detail" not in rep
+    multiply = kring.completed_multiply
+
+    def wrong_on_t(a, b):
+        # s~^2 comes out as s~ for the middle vertex t of s - t - u only
+        if a.coeffs == {a.graph.mask_of(["t"]): 1}:
+            return a
+        return multiply(a, b)
+    monkeypatch.setattr(kring, "completed_multiply", wrong_on_t)
+    code, rep = run_json(capsys, ["bgw", "--input", path_file])
+    assert code == 1 and not rep["ok"] and not rep["relations_ok"]
+    assert rep["detail"] == "s~^2 != -2 s~ in the completed ring for vertex t"
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_in_child(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "racgk.cli"] + argv,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_calls_match_fresh_processes(monkeypatch, capsys,
+                                              pentagon_file, tmp_path):
+    # one parser serves every call in a process: no call sees an
+    # option, default or error of the one before
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["ktheory", "--input", pentagon_file, "--format", "json",
+         "--seed", "5"],
+        ["ktheory", "--input", pentagon_file, "--format", "json"],
+        ["limit", "--input", pentagon_file,
+         "--dump-matrices", str(tmp_path / "d")],
+        ["bgw", "--input", pentagon_file, "--precision", "0"],
+        ["bgw", "--input", pentagon_file, "--precision", "two"],
+        ["ktheory", "--input", pentagon_file],
+    ]
+    got = [run_in_process(capsys, argv) for argv in argvs]
+    assert [code for code, _out, _err in got] == [0, 0, 2, 2, 2, 0]
+    assert json.loads(got[0][1])["seed"] == 5
+    assert json.loads(got[1][1])["seed"] == 0
+    assert got[0][1] != got[1][1]
+    assert got == [run_in_child(argv) for argv in argvs]
+    assert not list(tmp_path.glob("d*"))
