@@ -460,32 +460,50 @@ def interval_complex():
 
 def tensor_complex(c1, c2):
     """Tensor product of cochain complexes of free modules, with the
-    usual sign on the second factor's differential."""
-    top = c1.top_degree + c2.top_degree
-    bases = [[(i, a, b) for i in range(len(c1.ranks))
-              if 0 <= k - i < len(c2.ranks)
-              for a in range(c1.ranks[i]) for b in range(c2.ranks[k - i])]
-             for k in range(top + 1)]
-    index_maps = [{t: i for i, t in enumerate(b)} for b in bases]
+    usual sign on the second factor's differential.
+
+    The cells of degree k are the pairs (a, b) of a degree-i cell of c1
+    and a degree-(k - i) cell of c2, ordered by i, then a, then b.  The
+    row of cell (a, b) holds d1(a) (x) b and the signed a (x) d2(b),
+    whose cells differ in the degree of their first factor, so each row
+    is written straight into its dict, with nothing to sum."""
+    r1, r2 = c1.ranks, c2.ranks
+    # starts[k][i]: the index of the first degree-k cell whose first
+    # factor has degree i
+    starts, ranks = [], []
+    for k in range(len(r1) + len(r2) - 1):
+        start, at = 0, {}
+        for i in range(max(0, k + 1 - len(r2)), min(k, len(r1) - 1) + 1):
+            at[i] = start
+            start += r1[i] * r2[k - i]
+        starts.append(at)
+        ranks.append(start)
     diffs = []
-    for k in range(top):
-        index = index_maps[k]
+    for k, at in enumerate(starts[:-1]):
         d = []
-        for i, a, b in bases[k + 1]:
-            # the row of cell (i, a, b) collects d1 on the first factor
-            # and the signed d2 on the second, of degree j
+        for i in starts[k + 1]:
             j = k + 1 - i
-            pairs = []
-            if i:
-                pairs += [(index[(i - 1, a1, b)], x)
-                          for a1, x in c1.diffs[i - 1][a].items()]
-            if j:
-                sign = -1 if i % 2 else 1
-                pairs += [(index[(i, a, b1)], sign * y)
-                          for b1, y in c2.diffs[j - 1][b].items()]
-            d.append(accumulate(pairs))
+            d1 = c1.diffs[i - 1] if i else None
+            d2 = c2.diffs[j - 1] if j else None
+            sign = -1 if i % 2 else 1
+            for a in range(r1[i]):
+                for b in range(r2[j]):
+                    row = {}
+                    if i:
+                        # (a1, b) of degree (i - 1, j)
+                        first = at[i - 1] + b
+                        for a1, x in d1[a].items():
+                            if x:
+                                row[first + a1 * r2[j]] = x
+                    if j:
+                        # (a, b1) of degree (i, j - 1)
+                        first = at[i] + a * r2[j - 1]
+                        for b1, y in d2[b].items():
+                            if y:
+                                row[first + b1] = sign * y
+                    d.append(row)
         diffs.append(d)
-    return CochainComplex([len(b) for b in bases], diffs)
+    return CochainComplex(ranks, diffs)
 
 
 def interval_tensor_powers(top):

@@ -199,13 +199,15 @@ def run_mv_check(graph, args, rng):
 
 
 def run_all(graph, args, rng):
+    # as in `limit`, a limit too large to report is refused up front,
+    # before any section lists the cliques
+    limit = bredon.inverse_limit(graph)
     certificate = bredon.cone_certificate(graph)
     sections = {
         "ktheory": run_ktheory(graph, args, rng),
         "bgw": run_bgw(graph, args, rng),
         "bredon": bredon_section(graph, certificate, args),
-        "limit": limit_section(graph, certificate,
-                               bredon.inverse_limit(graph)),
+        "limit": limit_section(graph, certificate, limit),
         "kunneth": run_kunneth(graph, args, rng),
         "counterexample": run_counterexample(args, rng),
     }
@@ -275,15 +277,19 @@ def _flat(v):
     return json.dumps(v) if isinstance(v, (dict, list)) else str(v)
 
 
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+# keyed by exact type, so a bool is never written by `int.__repr__`
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: ("false", "true").__getitem__,
+            type(None): {None: "null"}.__getitem__}
 
 
 def dump_json(value, pad="\n"):
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, at
     the nesting level whose line break and indent are `pad`.  Where
     `indent` is set the standard library encodes in Python; here a list
-    of only str or only int items is one join over the C quoting or
-    `int.__repr__`, and str and int leaves skip `json.dumps`."""
+    of items of one scalar type (str, int, bool or None) is one join
+    over the C quoting, `int.__repr__` or the JSON literals, and those
+    leaves skip `json.dumps`."""
     scalar = _SCALARS.get(type(value))
     if scalar:
         return scalar(value)

@@ -3,6 +3,10 @@ solving by one sparse elimination kernel; Hermite normal forms and
 lattice membership with certificates; the sparse-combination core
 (`accumulate`, `Combination`) under the ring elements.
 
+The kernel takes unit pivots first, and on the complexes here nearly
+every pivot is a unit: such a step clears its column in one inline
+pass, with nothing left over for Euclid's steps.
+
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
 column).  `invariant_factors`, `kernel_basis`, `row_hnf`, `Lattice` and
@@ -185,6 +189,17 @@ class _Elimination:
     crossing line is shortest.  Only when no unit is left is a pivot of
     least magnitude taken, and Euclid's steps finish it exactly.
 
+    The lines wait on one heap of (length, row before column, index)
+    entries, and a line that changes leaves its old entries in place:
+    a row is pushed again after each row operation on it unless it is
+    empty, a column popped under a length it has outgrown is pushed
+    again under its own, and the entries of retired rows and cleared
+    columns are dropped as they are popped.  A unit pivot takes no
+    Euclid round and keeps no least remainder: `_unit_step` adds
+    -(entry) * pivot times the pivot row to each other row of the
+    column in one inline pass over the pivot row's other entries, and
+    retires the pivot row.
+
     With `leftmost` the pivot is instead the entry of least magnitude
     in the leftmost column that active rows still hold, so the pivots
     come in column order.
@@ -214,7 +229,9 @@ class _Elimination:
             self.heap = None
             self.order = sorted(self.cols, reverse=True)
         else:
-            self.heap = [(len(row), 0, i) for i, row in enumerate(rows)]
+            # an empty row holds no unit, so it never goes on the heap
+            self.heap = [(len(row), 0, i) for i, row in enumerate(rows)
+                         if row]
             self.heap += [(len(members), 1, j)
                           for j, members in self.cols.items()]
             heapify(self.heap)
@@ -226,7 +243,11 @@ class _Elimination:
             if self.leftmost:
                 pivot = self._leftmost_pivot()
             else:
-                pivot = self._unit_pivot() or self._least_pivot()
+                pivot = self._unit_pivot()
+                if pivot:
+                    self._unit_step(*pivot)
+                    continue
+                pivot = self._least_pivot()
             if pivot is None:
                 return
             r, c = pivot
@@ -242,11 +263,13 @@ class _Elimination:
     def _unit_pivot(self):
         """A unit entry on the shortest line that has one.  Every row
         whose entries changed since it was last looked at is on the heap
-        again, under a length no shorter than its own, so an empty heap
-        means no active row holds a unit."""
-        heap, rows, cols = self.heap, self.rows, self.cols
+        again, under a length no shorter than its own, unless it is
+        empty, so an empty heap means no active row holds a unit.  Ties
+        go to the first line met."""
+        heap, rows, cols, active = self.heap, self.rows, self.cols, self.active
         while heap:
             length, is_col, x = heappop(heap)
+            best = None
             if is_col:
                 members = cols.get(x)
                 if not members:
@@ -254,14 +277,64 @@ class _Elimination:
                 if len(members) > length:
                     heappush(heap, (len(members), 1, x))
                     continue
-                units = [i for i in members if rows[i][x] in (1, -1)]
-                if units:
-                    return min(units, key=lambda i: len(rows[i])), x
-            elif x in self.active and len(rows[x]) <= length:
-                units = [j for j, v in rows[x].items() if v in (1, -1)]
-                if units:
-                    return x, min(units, key=lambda j: len(cols[j]))
+                for i in members:
+                    if rows[i][x] in (1, -1) and (best is None
+                                                  or len(rows[i]) < shortest):
+                        best, shortest = i, len(rows[i])
+                if best is not None:
+                    return best, x
+            elif x in active and len(rows[x]) <= length:
+                for j, v in rows[x].items():
+                    if v in (1, -1) and (best is None
+                                         or len(cols[j]) < shortest):
+                        best, shortest = j, len(cols[j])
+                if best is not None:
+                    return x, best
         return None
+
+    def _unit_step(self, r, c):
+        """Clears column c by the unit pivot at (r, c) and retires row r.
+        Row i takes -(entry at c) times the pivot times row r, which
+        leaves no remainder: its entry at c goes, and only the pivot
+        row's other entries are added in.  Outside `echelon`, a pivot
+        row with no other entry just deletes the column from the other
+        rows, which only shrink, so their heap entries stand."""
+        rows, cols = self.rows, self.cols
+        pivot_row = rows[r]
+        unit = -pivot_row[c]
+        members = cols.pop(c)
+        rest = [(j, v, cols[j]) for j, v in pivot_row.items() if j != c]
+        if rest or self.echelon:
+            heap, track = self.heap, self.track
+            for i in members:
+                if i == r:
+                    continue
+                row = rows[i]
+                q = unit * row.pop(c)
+                for j, v, holders in rest:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = q * v
+                        holders.add(i)
+                    else:
+                        x += q * v
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                            holders.discard(i)
+                if track is not None:
+                    _add_into(track[i], q, track[r])
+                if row:
+                    heappush(heap, (len(row), 0, i))
+        else:
+            for i in members:
+                if i != r:
+                    del rows[i][c]
+        self.active.discard(r)
+        for _j, _v, holders in rest:
+            holders.discard(r)
+        self.pivots.append((r, c))
 
     def _leftmost_pivot(self):
         """The least entry, lowest row first, of the leftmost column
@@ -303,7 +376,7 @@ class _Elimination:
                     cols[j].discard(i)
         if self.track is not None:
             _add_into(self.track[i], q, self.track[r])
-        if not self.leftmost:
+        if row and not self.leftmost:
             heappush(self.heap, (len(row), 0, i))
 
     def _clear_column(self, r, c):
@@ -311,13 +384,6 @@ class _Elimination:
         c; returns that row.  Each round takes the least remainder as
         the next pivot, so a unit pivot needs one round."""
         rows = self.rows
-        if not self.echelon and rows[r] in ({c: 1}, {c: -1}):
-            # the row operations only delete column c
-            for i in self.cols[c]:
-                if i != r:
-                    del rows[i][c]
-            self.cols[c] = {r}
-            return r
         while True:
             p = rows[r][c]
             least = None

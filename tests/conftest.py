@@ -129,6 +129,35 @@ def dense_differentials(complex_):
     return [densify(d, complex_.ranks[k]) for k, d in enumerate(complex_.diffs)]
 
 
+def accumulated_tensor_complex(c1, c2):
+    """Reference build of `bredon.tensor_complex`: cells as (i, a, b)
+    triples found through an index dict, and each row summed by
+    `accumulate` from its (cell, entry) pairs."""
+    top = c1.top_degree + c2.top_degree
+    bases = [[(i, a, b) for i in range(len(c1.ranks))
+              if 0 <= k - i < len(c2.ranks)
+              for a in range(c1.ranks[i]) for b in range(c2.ranks[k - i])]
+             for k in range(top + 1)]
+    index_maps = [{t: i for i, t in enumerate(b)} for b in bases]
+    diffs = []
+    for k in range(top):
+        index = index_maps[k]
+        d = []
+        for i, a, b in bases[k + 1]:
+            j = k + 1 - i
+            pairs = []
+            if i:
+                pairs += [(index[(i - 1, a1, b)], x)
+                          for a1, x in c1.diffs[i - 1][a].items()]
+            if j:
+                sign = -1 if i % 2 else 1
+                pairs += [(index[(i, a, b1)], sign * y)
+                          for b1, y in c2.diffs[j - 1][b].items()]
+            d.append(accumulate(pairs))
+        diffs.append(d)
+    return bredon.CochainComplex([len(b) for b in bases], diffs)
+
+
 def dense_bredon_complex(graph):
     """Reference build of the Bredon complex, (ranks, dense differentials).
 

@@ -13,8 +13,9 @@ from racgk.graphs import GraphError, parse_graph
 from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
                              mat_mul, row_hnf)
 from racgk.kring import KRingElement, _normalize_star
-from conftest import (ApexLattice, apex_iso, apex_lattice, apex_rho,
-                      assert_limit_matches_apex, complete_graph, cycle_graph,
+from conftest import (ApexLattice, accumulated_tensor_complex, apex_iso,
+                      apex_lattice, apex_rho, assert_limit_matches_apex,
+                      complete_graph, cycle_graph,
                       dense_bredon_complex, dense_differentials, dp_ranks,
                       edgeless_graph, graph_suite, is_zero, monomial_family,
                       path_graph, random_graph, restriction_family, sparsify,
@@ -418,6 +419,32 @@ def test_tensor_of_random_free_complexes_is_a_complex():
                       for _ in range(r1)])
         c = CochainComplex([r0, r1], [d])
         tensor_complex(c, c)  # constructor asserts d o d = 0
+
+
+def test_tensor_complex_matches_the_accumulate_oracle():
+    # each power from the one before, up to the cap
+    power = interval_complex()
+    for _ in range(KUNNETH_CAP - 1):
+        built = tensor_complex(power, interval_complex())
+        oracle = accumulated_tensor_complex(power, interval_complex())
+        assert (built.ranks, built.diffs) == (oracle.ranks, oracle.diffs)
+        power = built
+    # random complexes of one, two and three terms, in both orders, with
+    # explicit zero entries in their rows
+    rng = random.Random(71)
+    for _ in range(60):
+        terms = []
+        for _ in range(2):
+            r0, r1 = rng.randint(0, 3), rng.randint(0, 3)
+            d = [{j: rng.randint(-2, 2) for j in range(r0)
+                  if rng.random() < 0.7} for _ in range(r1)]
+            terms.append(CochainComplex([r0, r1], [d]))
+        a, b = terms
+        for x, y in ((a, b), (b, a), (a, CochainComplex([2], [])),
+                     (tensor_complex(a, b), a), (b, tensor_complex(b, a))):
+            built = tensor_complex(x, y)
+            oracle = accumulated_tensor_complex(x, y)
+            assert (built.ranks, built.diffs) == (oracle.ranks, oracle.diffs)
 
 
 def test_kunneth_small_cases():

@@ -401,6 +401,16 @@ def test_json_writer_on_keys_that_are_not_str():
                 writer(bad)
 
 
+def test_json_writer_on_bool_and_none_lists():
+    # a bool is written as a JSON literal, never by `int.__repr__`, in a
+    # list of one scalar type and in a mixed one
+    for value in ([3, True, 0, False], [None, None], [True, False],
+                  {"ok": True, "detail": None, "pairs": [[2, False]]}):
+        assert dump_json(value) == json.dumps(value, indent=2,
+                                              sort_keys=True), value
+    assert dump_json([1, True]) == "[\n  1,\n  true\n]"
+
+
 def graph_file(tmp_path, name, g):
     f = tmp_path / (name + ".graph")
     f.write_text(edge_list(g.labels, g.canonical_edge_list()))
@@ -540,6 +550,47 @@ def test_k64_limit_is_refused_before_any_check(monkeypatch, capsys,
         "error: the inverse limit has rank d = %d, and a limit report lists "
         "d invariant factors twice; the cap is d = %d\n"
         % (2 ** 64, bredon.LIMIT_RANK_CAP))
+
+
+def test_k64_all_is_refused_before_any_section(monkeypatch, capsys,
+                                              tmp_path):
+    path = graph_file(tmp_path, "K64", complete_graph(64))
+    assert main(["limit", "--input", path]) == 2
+    limit_err = capsys.readouterr().err
+
+    def refuse(*args):
+        raise AssertionError("a section ran before the refusal")
+    monkeypatch.setattr(graphs, "enumerate_spherical", refuse)
+    monkeypatch.setattr(bredon, "cone_certificate", refuse)
+    monkeypatch.setattr(bredon, "_zeta_identities", refuse)
+    assert main(["all", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == limit_err
+
+
+def test_every_all_report_eliminates_afresh(monkeypatch, capsys,
+                                            pentagon_file):
+    # no report reuses another's Kuenneth complexes or invariant factors
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    counted(bredon, "invariant_factors")
+    counted(bredon, "tensor_complex")
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["all", "--input", pentagon_file, "--format", "json"]) == 0
+        capsys.readouterr()
+        runs.append(dict(calls))
+    assert runs[0] == runs[1]
+    assert runs[0]["invariant_factors"] and runs[0]["tensor_complex"]
 
 
 def test_bgw_names_the_first_vertex_whose_relation_fails(monkeypatch, capsys,

@@ -6,7 +6,7 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from racgk.bredon import build_bredon_complex
+from racgk.bredon import build_bredon_complex, interval_tensor_powers
 from racgk.intlinalg import (ColumnSolver, Lattice, invariant_factors,
                              kernel_basis, mat_mul, row_hnf,
                              smith_normal_form)
@@ -79,6 +79,14 @@ def test_invariant_factors_match_dense_on_bredon_differentials():
         c = build_bredon_complex(graph)
         for k, (rows, d) in enumerate(zip(c.diffs, dense_differentials(c))):
             assert invariant_factors(rows) == smith_normal_form(d)[0], (name, k)
+
+
+def test_invariant_factors_match_dense_on_interval_powers():
+    # every differential of I^n up to n = 5, one past an `all` report's
+    for n, power in enumerate(interval_tensor_powers(5), 1):
+        for k, (rows, d) in enumerate(zip(power.diffs,
+                                          dense_differentials(power))):
+            assert invariant_factors(rows) == smith_normal_form(d)[0], (n, k)
 
 
 def test_kernel_basis_spans_dense_kernel():
