@@ -98,7 +98,7 @@ def basis_solver(table):
         raise CharLabError("decomposition needs a square character table")
     try:
         return ColumnSolver([dict(enumerate(chi))
-                             for chi in table.characters])
+                             for chi in table.characters], n)
     except ValueError:
         raise CharLabError("character table rows are dependent") from None
 
@@ -125,7 +125,7 @@ def restriction_image(source, target, class_map):
     for chi in source.characters:
         restricted = [chi[class_map[c]] for c in range(len(target.class_sizes))]
         gens.append(decompose_in_basis(target, restricted, solver))
-    return Lattice(target.num_irreducibles, gens, track=True)
+    return Lattice(target.num_irreducibles, gens)
 
 
 def parity_sweep(lattice, direction, k_range):

@@ -376,6 +376,11 @@ def _main(argv):
         print("error: %s ran out of memory on this graph" % args.subcommand,
               file=sys.stderr)
         return USAGE_ERROR
+    except OverflowError as e:
+        # an integer too large to build at all, such as 2^precision
+        print("error: %s cannot build an integer this large: %s"
+              % (args.subcommand, e), file=sys.stderr)
+        return USAGE_ERROR
     payload = dict(header)
     payload["subcommand"] = args.subcommand
     payload["seed"] = args.seed

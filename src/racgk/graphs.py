@@ -130,13 +130,12 @@ class Graph:
     def subset_labels(self, mask):
         return tuple(self.labels[i] for i in self.members(mask))
 
-    def induced(self, labels):
-        """Full subgraph on the given labels, preserving vertex order."""
-        keep = set(labels)
-        verts = [v for v in self.labels if v in keep]
-        edges = [(self.labels[i], self.labels[j]) for i, j in self.edges
-                 if self.labels[i] in keep and self.labels[j] in keep]
-        return Graph(verts, edges)
+    def induced(self, mask):
+        """Full subgraph on the vertex mask, preserving vertex order."""
+        labels = self.labels
+        return Graph(self.subset_labels(mask),
+                     [(labels[i], labels[j]) for i in self.members(mask)
+                      for j in self.members(self.adj[i] & mask) if j > i])
 
     def canonical_edge_list(self):
         return sorted((self.labels[i], self.labels[j]) for i, j in self.edges)
@@ -287,21 +286,29 @@ def poset_chains(graph, max_length):
 
 
 def validate_decomposition(graph, part1, part2):
-    """Split the graph along two vertex sets covering all vertices.
+    """Split the graph along two vertex sets, lists of labels, covering
+    all vertices.
 
     Valid when no edge joins part1 minus part2 to part2 minus part1, so
-    the graph is the union of the full subgraphs on the parts.  Returns
-    the full subgraphs on part1, part2 and their intersection.
+    the graph is the union of the full subgraphs on the parts; a
+    crossing edge is named by its lowest pair, lower vertex first.
+    Returns the full subgraphs on part1, part2 and their intersection.
     """
-    p1, p2 = set(part1), set(part2)
-    for v in p1 | p2:
-        if v not in graph.index:
-            raise GraphError("unknown vertex label %r in partition" % v)
-    if p1 | p2 != set(graph.labels):
-        missing = sorted(set(graph.labels) - (p1 | p2))
-        raise GraphError("partition does not cover vertices %r" % missing)
-    for i, j in graph.edges:
-        a, b = graph.labels[i], graph.labels[j]
-        if (a in p1 - p2 and b in p2 - p1) or (b in p1 - p2 and a in p2 - p1):
-            raise GraphError("crossing edge (%s,%s) between the parts" % (a, b))
-    return (graph.induced(p1), graph.induced(p2), graph.induced(p1 & p2))
+    try:
+        m1, m2 = graph.mask_of(part1), graph.mask_of(part2)
+    except GraphError as e:
+        raise GraphError("%s in partition" % e) from None
+    missing = (1 << graph.n) - 1 & ~(m1 | m2)
+    if missing:
+        raise GraphError("partition does not cover vertices %r"
+                         % sorted(graph.subset_labels(missing)))
+    only1, only2 = m1 & ~m2, m2 & ~m1
+    # the first vertex with a crossing edge is the lower end of the
+    # lowest: an edge down to an earlier vertex would have stopped there
+    for i in graph.members(only1 | only2):
+        across = graph.adj[i] & (only2 if only1 >> i & 1 else only1)
+        if across:
+            j = (across & -across).bit_length() - 1
+            raise GraphError("crossing edge (%s,%s) between the parts"
+                             % (graph.labels[i], graph.labels[j]))
+    return graph.induced(m1), graph.induced(m2), graph.induced(m1 & m2)

@@ -1,11 +1,15 @@
-"""Exact integer linear algebra: invariant factors, kernels and exact
-solving by one sparse elimination kernel; Hermite normal forms and
-lattice membership with certificates; the sparse-combination core
-(`accumulate`, `Combination`) under the ring elements.
+"""Exact integer linear algebra on one sparse elimination kernel with
+two forms: a diagonal form for invariant factors, and a row echelon
+form, pivots in column order and the transform tracked, for kernels and
+Hermite normal forms (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4.2).  Lattice membership substitutes into the Hermite form
+and certifies over the generators, and exact solving (`ColumnSolver`) is
+membership in the lattice of the columns.  Also the sparse-combination
+core (`accumulate`, `Combination`) under the ring elements.
 
-The kernel takes unit pivots first, and on the complexes here nearly
-every pivot is a unit: such a step clears its column in one inline
-pass, with nothing left over for Euclid's steps.
+The diagonal form takes unit pivots first, and on the complexes here
+nearly every pivot is a unit: such a step clears its column in one
+inline pass, with nothing left over for Euclid's steps.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
@@ -182,12 +186,18 @@ def _snf_pair_update(a, u, v, k, x, y, g, s, t):
 
 
 class _Elimination:
-    """Integer elimination on sparse rows, dicts {column: nonzero entry}.
+    """Integer elimination on sparse rows, dicts {column: nonzero entry},
+    to one of two forms.  Each step clears the pivot column from the
+    other active rows by row operations and retires the pivot row.
 
-    Pivots are unit entries while any remain, found by taking the
-    shortest row or column that holds one, and in it the unit whose
-    crossing line is shortest.  Only when no unit is left is a pivot of
-    least magnitude taken, and Euclid's steps finish it exactly.
+    The diagonal form (`echelon` false) serves `invariant_factors` and
+    keeps no transform.  Pivots are unit entries while any remain,
+    found by taking the shortest row or column that holds one, and in
+    it the unit whose crossing line is shortest.  Only when no unit is
+    left is a pivot of least magnitude taken, and Euclid's steps finish
+    it exactly.  Each step then also clears the pivot row by column
+    operations, which touch only that row once its column is clear, and
+    retires only a row whose single entry is its pivot.
 
     The lines wait on one heap of (length, row before column, index)
     entries, and a line that changes leaves its old entries in place:
@@ -200,33 +210,25 @@ class _Elimination:
     column in one inline pass over the pivot row's other entries, and
     retires the pivot row.
 
-    With `leftmost` the pivot is instead the entry of least magnitude
-    in the leftmost column that active rows still hold, so the pivots
-    come in column order.
-
-    Each step clears the pivot column from the other rows by row
-    operations and retires the pivot row.  With `echelon` it stops
-    there and leaves the retired row as it stands, which gives a row
-    echelon form; with `track` each row operation is then repeated on a
-    row of the identity, so track[i] writes row i in the rows given.
-    Otherwise it also clears the pivot row by column operations, which
-    touch only that row once its column is clear, and retires only a
-    row whose single entry is its pivot: a diagonal form, with no
-    transform kept.
+    The echelon form (`echelon` true) serves `kernel_basis` and
+    `_hermite`.  The pivot is the entry of least magnitude, lowest row
+    first, in the leftmost column that active rows still hold, so the
+    pivots come in increasing column order, and a retired row is left
+    as it stands: a row echelon form.  Each row operation is repeated
+    on a row of the identity, so track[i] writes row i in the rows
+    given.
     """
 
-    def __init__(self, rows, echelon, track=False, leftmost=False):
+    def __init__(self, rows, echelon):
         self.rows = rows
         self.echelon = echelon
-        self.track = [{i: 1} for i in range(len(rows))] if track else None
-        self.leftmost = leftmost
         self.active = set(range(len(rows)))
         self.cols = {}
         for i, row in enumerate(rows):
             for j in row:
                 self.cols.setdefault(j, set()).add(i)
-        if leftmost:
-            self.heap = None
+        if echelon:
+            self.track = [{i: 1} for i in range(len(rows))]
             self.order = sorted(self.cols, reverse=True)
         else:
             # an empty row holds no unit, so it never goes on the heap
@@ -240,7 +242,7 @@ class _Elimination:
 
     def _run(self):
         while True:
-            if self.leftmost:
+            if self.echelon:
                 pivot = self._leftmost_pivot()
             else:
                 pivot = self._unit_pivot()
@@ -293,19 +295,19 @@ class _Elimination:
         return None
 
     def _unit_step(self, r, c):
-        """Clears column c by the unit pivot at (r, c) and retires row r.
-        Row i takes -(entry at c) times the pivot times row r, which
-        leaves no remainder: its entry at c goes, and only the pivot
-        row's other entries are added in.  Outside `echelon`, a pivot
-        row with no other entry just deletes the column from the other
-        rows, which only shrink, so their heap entries stand."""
+        """Clears column c by the unit pivot at (r, c) and retires row r,
+        in the diagonal form.  Row i takes -(entry at c) times the pivot
+        times row r, which leaves no remainder: its entry at c goes, and
+        only the pivot row's other entries are added in.  A pivot row
+        with no other entry just deletes the column from the other rows,
+        which only shrink, so their heap entries stand."""
         rows, cols = self.rows, self.cols
         pivot_row = rows[r]
         unit = -pivot_row[c]
         members = cols.pop(c)
         rest = [(j, v, cols[j]) for j, v in pivot_row.items() if j != c]
-        if rest or self.echelon:
-            heap, track = self.heap, self.track
+        if rest:
+            heap = self.heap
             for i in members:
                 if i == r:
                     continue
@@ -323,8 +325,6 @@ class _Elimination:
                         else:
                             del row[j]
                             holders.discard(i)
-                if track is not None:
-                    _add_into(track[i], q, track[r])
                 if row:
                     heappush(heap, (len(row), 0, i))
         else:
@@ -360,7 +360,8 @@ class _Elimination:
         return best and best[1:]
 
     def _add(self, i, q, r):
-        """row i += q * row r."""
+        """row i += q * row r, and the same on the transform in the
+        echelon form."""
         row, cols = self.rows[i], self.cols
         for j, v in self.rows[r].items():
             x = row.get(j)
@@ -374,9 +375,9 @@ class _Elimination:
                 else:
                     del row[j]
                     cols[j].discard(i)
-        if self.track is not None:
+        if self.echelon:
             _add_into(self.track[i], q, self.track[r])
-        if row and not self.leftmost:
+        elif row:
             heappush(self.heap, (len(row), 0, i))
 
     def _clear_column(self, r, c):
@@ -510,44 +511,41 @@ def kernel_basis(rows, n):
     for i, row in enumerate(map(_sparse, rows)):
         for j, x in row.items():
             columns[j][i] = x
-    elim = _Elimination(columns, echelon=True, track=True)
+    elim = _Elimination(columns, echelon=True)
     pivot_cols = {r for r, _c in elim.pivots}
     return [elim.track[j] for j in range(n) if j not in pivot_cols]
 
 
-def _hermite(rows, track):
+def _hermite(rows):
     """Hermite normal form of the lattice spanned by sparse rows, which
     it consumes: (row, expression) pairs in pivot column order, the
-    expression None unless tracked.
+    expression a dict {input row: coefficient}.
 
-    The kernel's leftmost pivot rule leaves one row per pivot column,
-    in column order; each pivot is made positive, then the entries
-    above it are reduced, leftmost pivot first: reducing by a pivot row
+    The kernel's echelon form leaves one row per pivot column, in
+    column order; each pivot is made positive, then the entries above
+    it are reduced, leftmost pivot first: reducing by a pivot row
     changes only its own and later columns.  A pivot reduces only the
     rows that hold its column: `holders` maps each column to the form
     rows with an entry there, and grows by the fill each reduction
     writes.  An entry a reduction cancelled leaves a stale holder, whose
     quotient is 0.  The reductions by one pivot touch different rows,
     so their order does not change the form."""
-    elim = _Elimination(rows, echelon=True, track=track, leftmost=True)
+    elim = _Elimination(rows, echelon=True)
     form = []
     holders = {}
     for r, c in elim.pivots:
-        row = rows[r]
-        expr = elim.track[r] if track else None
+        row, expr = rows[r], elim.track[r]
         p = row[c]
         if p < 0:
             p = -p
             row = {j: -x for j, x in row.items()}
-            if track:
-                expr = {j: -x for j, x in expr.items()}
+            expr = {j: -x for j, x in expr.items()}
         for k in holders.pop(c, ()):
             above, above_expr = form[k]
             q = above.get(c, 0) // p
             if q:
                 _add_into(above, -q, row)
-                if track:
-                    _add_into(above_expr, -q, expr)
+                _add_into(above_expr, -q, expr)
                 for j in row:
                     if j != c and j in above:
                         holders.setdefault(j, set()).add(k)
@@ -566,7 +564,7 @@ def row_hnf(rows, track=False):
     above a pivot reduced into [0, pivot)).  With track=True also
     returns, per HNF row, its integer expression in the input rows, a
     dict {input row: coefficient}."""
-    form = _hermite(list(map(_sparse, rows)), track)
+    form = _hermite(list(map(_sparse, rows)))
     hnf = [row for row, _expr in form]
     if track:
         return hnf, [expr for _row, expr in form]
@@ -575,21 +573,18 @@ def row_hnf(rows, track=False):
 
 class Lattice:
     """Sublattice of Z^n spanned by dict generators {coordinate: entry},
-    held in HNF as dict rows.
+    held in HNF as dict rows `basis`, each with `exprs`, its integer
+    combination of the generators.
 
-    Supports exact membership queries; when the generators are tracked,
-    a positive answer carries an integer combination of the original
-    generators as a certificate."""
+    `membership` substitutes a vector into the basis, pivot by pivot,
+    and a positive answer carries a combination of the generators as a
+    certificate."""
 
-    def __init__(self, n, generators, track=False):
+    def __init__(self, n, generators):
         self.n = n
         for g in generators:
             self._check_range(g, "generator")
-        self.track = track
-        if track:
-            self.basis, self.exprs = row_hnf(generators, track=True)
-        else:
-            self.basis, self.exprs = row_hnf(generators), None
+        self.basis, self.exprs = row_hnf(generators, track=True)
         self.pivot_cols = [min(row) for row in self.basis]
         self.generator_count = len(generators)
 
@@ -604,13 +599,12 @@ class Lattice:
 
     def membership(self, v):
         """(True, combination) if the dict vector v lies in the lattice,
-        else (False, reason).  The combination, a dict vector, is over
-        the original generators when tracked, otherwise over the HNF
-        basis."""
+        the combination a dict vector {generator: coefficient}; else
+        (False, reason)."""
         self._check_range(v, "vector")
         v = _sparse(v)
-        coeffs = {}
-        for k, (row, col) in enumerate(zip(self.basis, self.pivot_cols)):
+        cert = {}
+        for row, expr, col in zip(self.basis, self.exprs, self.pivot_cols):
             # a basis row is zero left of its pivot, so subtracting it
             # leaves the columns passed clear
             if v and min(v) < col:
@@ -621,16 +615,11 @@ class Lattice:
                 if remainder:
                     return False, ("coefficient %d at column %d violates the "
                                    "congruence modulo %d" % (x, col, row[col]))
-                coeffs[k] = q
                 _add_into(v, -q, row)
+                _add_into(cert, q, expr)
         if v:
             return False, "nonzero entry at column %d outside the lattice span" % min(v)
-        if self.track:
-            cert = {}
-            for k, q in coeffs.items():
-                _add_into(cert, q, self.exprs[k])
-            return True, cert
-        return True, coeffs
+        return True, cert
 
     def __contains__(self, v):
         return self.membership(v)[0]
@@ -653,38 +642,19 @@ class Lattice:
 
 
 class ColumnSolver:
-    """Solves L @ c = v exactly over Z for a fixed full-column-rank L
-    given by its columns, dict vectors.
+    """Solves L @ c = v exactly over Z for L given by independent
+    columns, dict vectors over n coordinates: v is tested for
+    membership in the `Lattice` of the columns, whose certificate is
+    then the only solution c."""
 
-    Holds a column echelon form H = L @ V, V unimodular: column s of H
-    has its pivot in row i_s and is zero in the pivot rows of all
-    earlier columns.  `solve` finds the coefficients of v over the
-    columns of H by forward substitution in the pivot rows, checks that
-    nothing is left over, and maps them back through V."""
-
-    def __init__(self, basis_cols):
-        self.r = len(basis_cols)
-        elim = _Elimination(list(map(_sparse, basis_cols)), echelon=True,
-                            track=True)
-        if len(elim.pivots) != self.r:
+    def __init__(self, columns, n):
+        self.lattice = Lattice(n, columns)
+        if self.lattice.rank != len(columns):
             raise ValueError("columns are not independent")
-        self.steps = [(c, elim.rows[r][c], elim.rows[r], elim.track[r])
-                      for r, c in elim.pivots]
 
     def solve(self, vec):
         """Integer coefficients c with L @ c = vec, a dict vector
         {column of L: coefficient}, or None when vec is outside the
         lattice spanned by the columns."""
-        rest = _sparse(vec)
-        coeffs = {}
-        for i, p, column, combination in self.steps:
-            x = rest.get(i)
-            if x:
-                q, remainder = divmod(x, p)
-                if remainder:
-                    return None
-                _add_into(rest, -q, column)
-                _add_into(coeffs, q, combination)
-        if rest:
-            return None
-        return coeffs
+        found, combination = self.lattice.membership(vec)
+        return combination if found else None

@@ -515,7 +515,7 @@ def assert_clique_maps_match_labels(graph, labels, rng, samples=5):
     """`clique_maps` on the full subgraph on `labels` is the label
     translation of its cliques, and `rename` through it agrees with
     `project_to_part` and `include_from_part` on random elements."""
-    sub = graph.induced(labels)
+    sub = graph.induced(graph.mask_of(labels))
     down, up = clique_maps(graph, sub)
     keep = graph.mask_of(sub.labels)
     assert down == {k: sub.mask_of(graph.subset_labels(k))

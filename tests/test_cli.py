@@ -178,6 +178,19 @@ def test_memory_error_is_usage_error(monkeypatch, capsys, pentagon_file):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub", ["bgw", "all"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_precision_is_usage_error(capsys, pentagon_file, sub, fmt):
+    # 2^precision has too many digits to build: one error line, no report
+    assert main([sub, "--input", pentagon_file, "--format", fmt,
+                 "--precision", "100000000000000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: %s " % sub)
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub", ["all", "limit"])
 def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
                                          sub):

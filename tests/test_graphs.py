@@ -10,7 +10,7 @@ from racgk.graphs import (Graph, GraphError, clique_counts,
                           validate_decomposition)
 from conftest import (brute_force_cliques, complete_graph, cycle_graph,
                       edgeless_graph, graph_suite, label_order_counts,
-                      path_graph, random_graph)
+                      path_graph, petersen_graph, random_graph)
 
 
 def test_parse_edge_list():
@@ -170,6 +170,37 @@ def test_decomposition_crossing_edge():
     g = complete_graph(3)
     with pytest.raises(GraphError, match="crossing edge"):
         validate_decomposition(g, {"v0", "v1"}, {"v2"})
+
+
+def test_decomposition_names_lowest_crossing_edge():
+    # four spokes o_k-i_k cross this split of the Petersen graph
+    g = petersen_graph()
+    with pytest.raises(GraphError, match=r"crossing edge \(o1,i1\) "):
+        validate_decomposition(g, g.labels[:6], g.labels[5:])
+    # the lower vertex comes first, whichever part it is in
+    g = parse_graph("a b c; a-c b-c")
+    for parts in ((["c"], ["a", "b"]), (["a", "b"], ["c"])):
+        with pytest.raises(GraphError, match=r"crossing edge \(a,c\) "):
+            validate_decomposition(g, *parts)
+
+
+def test_decomposition_refuses_bad_parts():
+    g = path_graph(3)
+    with pytest.raises(GraphError,
+                       match=r"partition does not cover vertices \['v0', 'v2'\]"):
+        validate_decomposition(g, ["v1"], [])
+    with pytest.raises(GraphError, match="unknown vertex label 'x' in partition"):
+        validate_decomposition(g, ["v0", "v1", "v2"], ["x"])
+
+
+def test_induced_keeps_vertex_order_and_edges():
+    for name, g, _ in graph_suite():
+        for mask in (0, (1 << g.n) - 1, int("10" * g.n, 2) & (1 << g.n) - 1):
+            sub = g.induced(mask)
+            keep = set(g.subset_labels(mask))
+            assert sub.labels == g.subset_labels(mask), name
+            assert sub.canonical_edge_list() == [
+                e for e in g.canonical_edge_list() if set(e) <= keep], name
 
 
 def test_decomposition_degenerate_split():

@@ -6,6 +6,7 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from racgk import intlinalg
 from racgk.bredon import build_bredon_complex, interval_tensor_powers
 from racgk.intlinalg import (ColumnSolver, Lattice, invariant_factors,
                              kernel_basis, mat_mul, row_hnf,
@@ -314,7 +315,7 @@ def test_hnf_spans_same_lattice_as_sympy():
 
 
 def test_lattice_membership_certificate():
-    lat = Lattice(2, [{0: 1}, {1: 2}], track=True)
+    lat = Lattice(2, [{0: 1}, {1: 2}])
     ok, cert = lat.membership({0: 3, 1: 4})
     assert ok
     assert cert == {0: 3, 1: 2}
@@ -327,7 +328,8 @@ def test_lattice_membership_certificate():
 
 def dense_membership(lat, v, generators):
     """Reference membership on dense lists: every basis row rescans all
-    the columns left of its pivot."""
+    the columns left of its pivot, and the certificate is summed over
+    the generators at the end."""
     v = list(v)
     basis = densify(lat.basis, len(v))
     coeffs = [0] * len(basis)
@@ -346,13 +348,11 @@ def dense_membership(lat, v, generators):
     if any(v):
         j = next(j for j, x in enumerate(v) if x)
         return False, "nonzero entry at column %d outside the lattice span" % j
-    if lat.track:
-        cert = [0] * len(generators)
-        for c, expr in zip(coeffs, densify(lat.exprs, len(generators))):
-            for j, e in enumerate(expr):
-                cert[j] += c * e
-        return True, cert
-    return True, coeffs
+    cert = [0] * len(generators)
+    for c, expr in zip(coeffs, densify(lat.exprs, len(generators))):
+        for j, e in enumerate(expr):
+            cert[j] += c * e
+    return True, cert
 
 
 def test_lattice_membership_matches_dense_oracle():
@@ -362,21 +362,19 @@ def test_lattice_membership_matches_dense_oracle():
         if not mat or not mat[0]:
             continue
         n = len(mat[0])
-        for track in (False, True):
-            lat = Lattice(n, sparsify(mat), track=track)
-            width = len(mat) if track else lat.rank
-            for _ in range(6):
-                coeffs = [rng.randint(-3, 3) for _ in mat]
-                v = [sum(c * row[j] for c, row in zip(coeffs, mat))
-                     for j in range(n)]
-                if rng.random() < 0.6:
-                    v[rng.randrange(n)] += rng.randint(-2, 2)
-                [sv] = sparsify([v])
-                got = lat.membership(sv)
-                if got[0]:
-                    got = True, densify([got[1]], width)[0]
-                assert got == dense_membership(lat, v, mat), (mat, v)
-                outcomes.add(got[1].split(" ")[0] if not got[0] else True)
+        lat = Lattice(n, sparsify(mat))
+        for _ in range(6):
+            coeffs = [rng.randint(-3, 3) for _ in mat]
+            v = [sum(c * row[j] for c, row in zip(coeffs, mat))
+                 for j in range(n)]
+            if rng.random() < 0.6:
+                v[rng.randrange(n)] += rng.randint(-2, 2)
+            [sv] = sparsify([v])
+            got = lat.membership(sv)
+            if got[0]:
+                got = True, densify([got[1]], len(mat))[0]
+            assert got == dense_membership(lat, v, mat), (mat, v)
+            outcomes.add(got[1].split(" ")[0] if not got[0] else True)
     assert outcomes == {True, "nonzero", "coefficient"}
 
 
@@ -387,7 +385,7 @@ def test_lattice_index():
 
 
 def test_column_solver():
-    solver = ColumnSolver([{0: 1, 2: 2}, {1: 3, 2: 1}])
+    solver = ColumnSolver([{0: 1, 2: 2}, {1: 3, 2: 1}], 3)
     assert solver.solve({0: 2, 1: 3, 2: 5}) == {0: 2, 1: 1}
     assert solver.solve({0: 1, 1: 1, 2: 1}) is None
     assert solver.solve({}) == {}
@@ -395,7 +393,7 @@ def test_column_solver():
 
 def test_column_solver_rejects_dependent():
     with pytest.raises(ValueError):
-        ColumnSolver([{0: 1, 1: 2}, {0: 2, 1: 4}])
+        ColumnSolver([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
     rng = random.Random(31)
     for _ in range(100):
         m, r = rng.randint(1, 6), rng.randint(1, 4)
@@ -405,7 +403,7 @@ def test_column_solver_rejects_dependent():
                                             zip(coeffs, cols))
                                         for i in range(m)])
         with pytest.raises(ValueError):
-            ColumnSolver(sparsify(cols))
+            ColumnSolver(sparsify(cols), m)
 
 
 def test_column_solver_randomized():
@@ -417,7 +415,7 @@ def test_column_solver_randomized():
         if len(smith_normal_form(cols)[0]) != r:
             continue
         tried += 1
-        solver = ColumnSolver(sparsify(cols))
+        solver = ColumnSolver(sparsify(cols), m)
         lattice = Lattice(m, sparsify(cols))
         for _ in range(5):
             coeffs = [rng.randint(-6, 6) for _ in range(r)]
@@ -435,9 +433,71 @@ def test_column_solver_randomized():
 
 
 def test_column_solver_congruence():
-    solver = ColumnSolver([{0: 2}, {1: 2}])
+    solver = ColumnSolver([{0: 2}, {1: 2}], 2)
     assert solver.solve({0: 4, 1: -2}) == {0: 2, 1: -1}
     assert solver.solve({0: 1}) is None
+
+
+def test_column_solver_is_lattice_membership():
+    solver = ColumnSolver([{0: 2, 1: 1}, {1: 3}], 2)
+    assert solver.solve({0: 4, 1: -1}) == {0: 2, 1: -1}
+    assert solver.solve({0: 1}) is None
+    assert solver.solve({1: 1}) is None
+    for vec in ({2: 1}, {-1: 1}, {0: 2, 5: 0}):
+        with pytest.raises(ValueError, match="outside ambient"):
+            solver.solve(vec)
+    with pytest.raises(ValueError, match="outside ambient"):
+        ColumnSolver([{0: 1}, {2: 1}], 2)
+    for dependent in ([{0: 1}, {0: 2}], [{0: 1}, {}], [{0: 1, 1: 1}] * 2):
+        with pytest.raises(ValueError, match="not independent"):
+            ColumnSolver(dependent, 2)
+    rng = random.Random(61)
+    seen = set()
+    for mat in hnf_inputs(rng, 400):
+        rows = sparsify(mat)
+        if not rows or len(invariant_factors(rows)) != len(rows):
+            continue
+        n = len(mat[0])
+        solver, lattice = ColumnSolver(rows, n), Lattice(n, rows)
+        for _ in range(6):
+            coeffs = [rng.randint(-3, 3) for _ in mat]
+            v = [sum(c * row[j] for c, row in zip(coeffs, mat))
+                 for j in range(n)]
+            if rng.random() < 0.5:
+                v[rng.randrange(n)] += rng.randint(-2, 2)
+            [sv] = sparsify([v])
+            found, cert = lattice.membership(sv)
+            assert solver.solve(sv) == (cert if found else None), (mat, v)
+            seen.add(found)
+    assert seen == {True, False}
+
+
+def test_echelon_pivots_come_in_column_order(monkeypatch):
+    # kernels, solving and Hermite forms share the one echelon form
+    runs = []
+
+    class Recorded(intlinalg._Elimination):
+        def __init__(self, rows, *args, **kwargs):
+            super().__init__(rows, *args, **kwargs)
+            runs.append((self.echelon, [c for _r, c in self.pivots]))
+
+    monkeypatch.setattr(intlinalg, "_Elimination", Recorded)
+    rng = random.Random(67)
+    calls = 0
+    for mat in hnf_inputs(rng, 300):
+        n = len(mat[0]) if mat else 0
+        rows = sparsify(mat)
+        jobs = [lambda: kernel_basis(rows, n), lambda: row_hnf(rows),
+                lambda: row_hnf(rows, track=True)]
+        if rows and len(invariant_factors(rows)) == len(rows):
+            jobs.append(lambda: ColumnSolver(rows, n))
+        for job in jobs:
+            runs.clear()
+            job()
+            [(echelon, columns)] = runs
+            assert echelon and columns == sorted(set(columns)), mat
+            calls += 1
+    assert calls > 900
 
 
 def with_explicit_zeros(rng, rows, n):
@@ -467,14 +527,13 @@ def test_explicit_zero_entries_change_nothing():
         assert row_hnf(padded) == row_hnf(rows), mat
         assert (row_hnf(padded, track=True)
                 == row_hnf(rows, track=True)), mat
-        for track in (False, True):
-            lat, ref = Lattice(n, padded, track), Lattice(n, rows, track)
-            assert (lat.basis, lat.exprs) == (ref.basis, ref.exprs), mat
-            for v in with_explicit_zeros(rng, rows, n):
-                assert lat.membership(v) == ref.membership(v), (mat, v)
+        lat, ref = Lattice(n, padded), Lattice(n, rows)
+        assert (lat.basis, lat.exprs) == (ref.basis, ref.exprs), mat
+        for v in with_explicit_zeros(rng, rows, n):
+            assert lat.membership(v) == ref.membership(v), (mat, v)
         if rows and len(invariant_factors(rows)) == len(rows):
             # independent rows, read as the columns of a solver over Z^n
-            solver = ColumnSolver(padded)
-            ref = ColumnSolver(rows)
+            solver = ColumnSolver(padded, n)
+            ref = ColumnSolver(rows, n)
             for v in with_explicit_zeros(rng, rows + [{0: 1}], n):
                 assert solver.solve(v) == ref.solve(v), (mat, v)

@@ -407,7 +407,7 @@ def test_mayer_vietoris_trivial_split():
 
 def test_projection_section_identities():
     g = path_graph(3)
-    g1 = g.induced({"v0", "v1"})
+    g1 = g.induced(g.mask_of(["v0", "v1"]))
     rng = random.Random(61)
     for _ in range(20):
         x = random_element(g1, rng, basis=BAR)
