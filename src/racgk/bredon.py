@@ -366,13 +366,16 @@ def _zeta_identities(size):
     x_L = t_L - sum over K < L of x_K.  `clique_factors` checks every
     size up to the largest, so the two are the same test.
     `_bar_expansion` uses bit operations only, so one clique of each size
-    covers every clique."""
-    clique = (1 << size) - 1
-    bar = accumulate(_bar_expansion(clique))
+    covers every clique.  Its terms are summed into one list indexed
+    by mask, and a mask outside L fails the check."""
     # the subsets of L = 1..size are the masks below 2^size
-    return len(bar) == 1 << size and all(
-        bar.get(m) == (-1 if (size - m.bit_count()) % 2 else 1)
-        for m in range(1 << size))
+    sums = [0] * (1 << size)
+    for m, sign in _bar_expansion((1 << size) - 1):
+        if not 0 <= m < len(sums):
+            return False
+        sums[m] += sign
+    return all(x == (-1 if (size - m.bit_count()) % 2 else 1)
+               for m, x in enumerate(sums))
 
 
 class LimitLattice:

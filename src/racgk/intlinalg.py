@@ -9,7 +9,10 @@ core (`accumulate`, `Combination`) under the ring elements.
 
 The diagonal form takes unit pivots first, and on the complexes here
 nearly every pivot is a unit: such a step clears its column in one
-inline pass, with nothing left over for Euclid's steps.
+inline pass, with nothing left over for Euclid's steps.  The units are
+looked for on a queue of rows, each row queued at most once and again
+only after a row operation changes it, so a row is looked at about as
+often as it changes.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
@@ -22,7 +25,7 @@ form with both transforms (`smith_normal_form`, with `mat_mul` and
 the sparse kernel is tested against.
 """
 
-from heapq import heapify, heappop, heappush
+from collections import deque
 from itertools import chain
 from math import gcd
 
@@ -191,24 +194,22 @@ class _Elimination:
     other active rows by row operations and retires the pivot row.
 
     The diagonal form (`echelon` false) serves `invariant_factors` and
-    keeps no transform.  Pivots are unit entries while any remain,
-    found by taking the shortest row or column that holds one, and in
-    it the unit whose crossing line is shortest.  Only when no unit is
-    left is a pivot of least magnitude taken, and Euclid's steps finish
-    it exactly.  Each step then also clears the pivot row by column
-    operations, which touch only that row once its column is clear, and
-    retires only a row whose single entry is its pivot.
+    keeps no transform.  Pivots are unit entries while any remain, taken
+    from the rows on a queue of rows to look at: a row comes off it
+    once, and goes back on only when a row operation changes it.  Only
+    when no unit is left is a pivot of least magnitude taken, and
+    Euclid's steps finish it exactly.  Each step then also clears the
+    pivot row by column operations, which touch only that row once its
+    column is clear, and retires only a row whose single entry is its
+    pivot.
 
-    The lines wait on one heap of (length, row before column, index)
-    entries, and a line that changes leaves its old entries in place:
-    a row is pushed again after each row operation on it unless it is
-    empty, a column popped under a length it has outgrown is pushed
-    again under its own, and the entries of retired rows and cleared
-    columns are dropped as they are popped.  A unit pivot takes no
-    Euclid round and keeps no least remainder: `_unit_step` adds
-    -(entry) * pivot times the pivot row to each other row of the
-    column in one inline pass over the pivot row's other entries, and
-    retires the pivot row.
+    The queue starts with the nonempty rows in index order, and a row
+    is on it at most once: `queued` holds the rows on it.  Every active
+    row that holds a unit is on it, so an empty queue means no unit is
+    left.  A unit pivot takes no Euclid round and keeps no least
+    remainder: `_unit_step` adds -(entry) * pivot times the pivot row to
+    each other row of the column in one inline pass over the pivot
+    row's other entries, and retires the pivot row.
 
     The echelon form (`echelon` true) serves `kernel_basis` and
     `_hermite`.  The pivot is the entry of least magnitude, lowest row
@@ -223,20 +224,20 @@ class _Elimination:
         self.rows = rows
         self.echelon = echelon
         self.active = set(range(len(rows)))
-        self.cols = {}
+        self.cols = cols = {}
         for i, row in enumerate(rows):
             for j in row:
-                self.cols.setdefault(j, set()).add(i)
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
         if echelon:
             self.track = [{i: 1} for i in range(len(rows))]
             self.order = sorted(self.cols, reverse=True)
         else:
-            # an empty row holds no unit, so it never goes on the heap
-            self.heap = [(len(row), 0, i) for i, row in enumerate(rows)
-                         if row]
-            self.heap += [(len(members), 1, j)
-                          for j, members in self.cols.items()]
-            heapify(self.heap)
+            # an empty row holds no unit, so it is never queued
+            self.queue = deque(i for i, row in enumerate(rows) if row)
+            self.queued = set(self.queue)
         self.pivots = []
         self._run()
 
@@ -245,10 +246,7 @@ class _Elimination:
             if self.echelon:
                 pivot = self._leftmost_pivot()
             else:
-                pivot = self._unit_pivot()
-                if pivot:
-                    self._unit_step(*pivot)
-                    continue
+                self._unit_steps()
                 pivot = self._least_pivot()
             if pivot is None:
                 return
@@ -262,37 +260,32 @@ class _Elimination:
             del self.cols[c]
             self.pivots.append((r, c))
 
-    def _unit_pivot(self):
-        """A unit entry on the shortest line that has one.  Every row
-        whose entries changed since it was last looked at is on the heap
-        again, under a length no shorter than its own, unless it is
-        empty, so an empty heap means no active row holds a unit.  Ties
-        go to the first line met."""
-        heap, rows, cols, active = self.heap, self.rows, self.cols, self.active
-        while heap:
-            length, is_col, x = heappop(heap)
+    def _unit_steps(self):
+        """Takes rows off the queue until it is empty, and steps on a
+        unit of each active row that holds one, in the column with the
+        fewest holders, ties to the first met.  A row without a unit is
+        dropped: it holds none until a row operation changes it, and
+        that queues it again."""
+        queue, queued, active = self.queue, self.queued, self.active
+        rows, cols = self.rows, self.cols
+        while queue:
+            i = queue.popleft()
+            queued.discard(i)
+            if i not in active:
+                continue
             best = None
-            if is_col:
-                members = cols.get(x)
-                if not members:
-                    continue
-                if len(members) > length:
-                    heappush(heap, (len(members), 1, x))
-                    continue
-                for i in members:
-                    if rows[i][x] in (1, -1) and (best is None
-                                                  or len(rows[i]) < shortest):
-                        best, shortest = i, len(rows[i])
-                if best is not None:
-                    return best, x
-            elif x in active and len(rows[x]) <= length:
-                for j, v in rows[x].items():
-                    if v in (1, -1) and (best is None
-                                         or len(cols[j]) < shortest):
-                        best, shortest = j, len(cols[j])
-                if best is not None:
-                    return x, best
-        return None
+            for j, v in rows[i].items():
+                if v in (1, -1) and (best is None or len(cols[j]) < fewest):
+                    best, fewest = j, len(cols[j])
+            if best is not None:
+                self._unit_step(i, best)
+
+    def _queue(self, i):
+        """Queues row i, changed by a row operation, unless it is empty
+        or already queued."""
+        if self.rows[i] and i not in self.queued:
+            self.queued.add(i)
+            self.queue.append(i)
 
     def _unit_step(self, r, c):
         """Clears column c by the unit pivot at (r, c) and retires row r,
@@ -300,17 +293,16 @@ class _Elimination:
         times row r, which leaves no remainder: its entry at c goes, and
         only the pivot row's other entries are added in.  A pivot row
         with no other entry just deletes the column from the other rows,
-        which only shrink, so their heap entries stand."""
+        which only shrink, so none gains a unit and none is queued."""
         rows, cols = self.rows, self.cols
         pivot_row = rows[r]
         unit = -pivot_row[c]
         members = cols.pop(c)
         rest = [(j, v, cols[j]) for j, v in pivot_row.items() if j != c]
+        members.discard(r)
         if rest:
-            heap = self.heap
+            queue, queued = self.queue, self.queued
             for i in members:
-                if i == r:
-                    continue
                 row = rows[i]
                 q = unit * row.pop(c)
                 for j, v, holders in rest:
@@ -325,12 +317,13 @@ class _Elimination:
                         else:
                             del row[j]
                             holders.discard(i)
-                if row:
-                    heappush(heap, (len(row), 0, i))
+                # `_queue`, inline in the hot loop
+                if row and i not in queued:
+                    queued.add(i)
+                    queue.append(i)
         else:
             for i in members:
-                if i != r:
-                    del rows[i][c]
+                del rows[i][c]
         self.active.discard(r)
         for _j, _v, holders in rest:
             holders.discard(r)
@@ -361,7 +354,7 @@ class _Elimination:
 
     def _add(self, i, q, r):
         """row i += q * row r, and the same on the transform in the
-        echelon form."""
+        echelon form; in the diagonal form row i is queued."""
         row, cols = self.rows[i], self.cols
         for j, v in self.rows[r].items():
             x = row.get(j)
@@ -377,8 +370,8 @@ class _Elimination:
                     cols[j].discard(i)
         if self.echelon:
             _add_into(self.track[i], q, self.track[r])
-        elif row:
-            heappush(self.heap, (len(row), 0, i))
+        else:
+            self._queue(i)
 
     def _clear_column(self, r, c):
         """Row operations leaving one active row with an entry in column
@@ -400,7 +393,8 @@ class _Elimination:
 
     def _clear_row(self, r, c):
         """Column operations reducing row r modulo its pivot; True when
-        only the pivot is left."""
+        only the pivot is left, else row r is queued, since a remainder
+        may be a unit."""
         row = self.rows[r]
         p = row[c]
         if p in (1, -1):
@@ -416,7 +410,7 @@ class _Elimination:
                 self.cols[j].discard(r)
         if len(row) == 1:
             return True
-        heappush(self.heap, (len(row), 0, r))
+        self._queue(r)
         return False
 
 
@@ -473,7 +467,10 @@ class Combination:
 
 def _sparse(vec):
     """A fresh dict vector with its zero entries dropped: the copy every
-    entry point makes of what it is given."""
+    entry point makes of what it is given.  Most vectors hold no zero,
+    and those are copied whole."""
+    if all(vec.values()):
+        return dict(vec)
     return {j: x for j, x in vec.items() if x}
 
 
@@ -481,13 +478,12 @@ def _divisibility_chain(values):
     """The invariant factors of a diagonal matrix with these nonzero
     entries: pairs (a, b) become (gcd, lcm) until each divides the
     next."""
-    units = sum(1 for v in values if v == 1)
     rest = sorted(v for v in values if v != 1)
     for i in range(len(rest)):
         for j in range(i + 1, len(rest)):
             g = gcd(rest[i], rest[j])
             rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return [1] * units + rest
+    return [1] * (len(values) - len(rest)) + rest
 
 
 def invariant_factors(rows):

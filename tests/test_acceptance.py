@@ -1,5 +1,7 @@
 """End-to-end acceptance checks.  Every criterion is exact (integer
-equality); one pass/fail line is printed per criterion."""
+equality); one pass/fail line is printed per criterion, and a failed
+criterion names the first suite graph (or other witness) that fails
+it."""
 
 import random
 
@@ -20,9 +22,12 @@ from conftest import dense_differentials, graph_suite, is_zero
 SUITE = graph_suite()
 
 
-def report(criterion, ok):
-    print("criterion %s: %s" % (criterion, "PASS" if ok else "FAIL"))
-    assert ok, "criterion %s failed" % criterion
+def report(criterion, failures):
+    """Prints the criterion's line and fails on the first of the
+    witnesses that fail it."""
+    print("criterion %s: %s" % (criterion, "FAIL" if failures else "PASS"))
+    assert not failures, "criterion %s failed, first on %s" % (
+        criterion, failures[0])
 
 
 def maximal_cliques_of(cliques):
@@ -31,28 +36,32 @@ def maximal_cliques_of(cliques):
 
 
 def test_criterion_1_bredon_cohomology_vanishing():
-    ok = True
+    failures = []
     for name, graph, d in SUITE:
         coh = cohomology(build_bredon_complex(graph))
-        ok &= coh[0]["free_rank"] == d and not coh[0]["torsion"]
+        ok = coh[0]["free_rank"] == d and not coh[0]["torsion"]
         ok &= all(c["free_rank"] == 0 and not c["torsion"] for c in coh[1:])
-    report("1 (poset cohomology free of rank d, vanishing above)", ok)
+        if not ok:
+            failures.append(name)
+    report("1 (poset cohomology free of rank d, vanishing above)", failures)
 
 
 def test_criterion_2_limit_isomorphism_and_surjectivity():
-    ok = True
+    failures = []
     for name, graph, d in SUITE:
-        ok &= presentation_report(graph)["rank"] == d
+        ok = presentation_report(graph)["rank"] == d
         limit = inverse_limit(graph)
         iso = clique_basis_isomorphism(graph, limit)
         ok &= iso["isomorphism"] and iso["rank"] == d
         ok &= rho_surjectivity(graph, limit)["surjective"]
-    report("2 (clique basis maps onto the limit with index 1)", ok)
+        if not ok:
+            failures.append(name)
+    report("2 (clique basis maps onto the limit with index 1)", failures)
 
 
 def test_criterion_3_multiplication_oracle_triangle():
     rng = random.Random(2024)
-    ok = True
+    failures = []
     for name, graph, _ in SUITE:
         cliques = enumerate_spherical(graph)
         maximal = maximal_cliques_of(cliques)
@@ -62,21 +71,24 @@ def test_criterion_3_multiplication_oracle_triangle():
             prod = multiply_star(a, b)
             oracle = multiply_bar(convert_basis(a, BAR),
                                   convert_basis(b, BAR))
-            ok &= convert_basis(prod, BAR) == oracle
+            ok = convert_basis(prod, BAR) == oracle
             for j in maximal:
                 ra = character_evaluation(restrict_to_clique(a, j))
                 rb = character_evaluation(restrict_to_clique(b, j))
                 rp = character_evaluation(restrict_to_clique(prod, j))
                 ok &= rp == [x * y for x, y in zip(ra, rb)]
             if not ok:
+                failures.append(name)
                 break
-    report("3 (star, bar and componentwise character products agree)", ok)
+    report("3 (star, bar and componentwise character products agree)",
+           failures)
 
 
 def test_criterion_4_bar_relations_and_ideal_indices():
-    ok = True
+    failures = []
     for name, graph, _ in SUITE:
         cliques = enumerate_spherical(graph)
+        ok = True
         for v in graph.labels:
             s = KRingElement.generator(graph, v, BAR)
             ok &= multiply_bar(s, s) == s.scale(-2)
@@ -89,36 +101,45 @@ def test_criterion_4_bar_relations_and_ideal_indices():
         for c in cliques:
             m = KRingElement.monomial(graph, c, BAR)
             ok &= multiply_bar(m, m) == m.scale((-2) ** bin(c).count("1"))
+        if not ok:
+            failures.append(name)
     k1 = next(g for name, g, _ in SUITE if name == "K1")
     prev = ideal_power(k1, 1)
     for k in range(2, 7):
         cur = ideal_power(k1, k)
-        ok &= cur.index_in(prev) == 2
+        if cur.index_in(prev) != 2:
+            failures.append("K1, [I^%d : I^%d]" % (k - 1, k))
         prev = cur
-    report("4 (bar relations and 2-adic ideal-power indices)", ok)
+    report("4 (bar relations and 2-adic ideal-power indices)", failures)
 
 
 def test_criterion_5_kunneth():
-    ok = all(interval_tensor_kunneth(n)["ok"] for n in range(1, 5))
-    report("5 (interval tensor powers: single Z in degree zero)", ok)
+    failures = ["I^%d" % n for n in range(1, 5)
+                if not interval_tensor_kunneth(n)["ok"]]
+    report("5 (interval tensor powers: single Z in degree zero)", failures)
 
 
 def test_criterion_6_dihedral_restriction():
     rep = lemma_d8_report(k_range=range(-8, 9))
-    ok = (rep["parity_ok"] and rep["certificate_is_tau"]
-          and verify_tau()["ok"])
-    report("6 (dihedral-to-center parity with explicit certificate)", ok)
+    checks = [("D8 parity", rep["parity_ok"]),
+              ("D8 certificate", rep["certificate_is_tau"]),
+              ("tau", verify_tau()["ok"])]
+    report("6 (dihedral-to-center parity with explicit certificate)",
+           [what for what, ok in checks if not ok])
 
 
 def test_criterion_7_c4_real_restriction():
     rep = lemma_c4_real_report(k_range=range(-8, 9))
-    ok = rep["lattice_matches_tr_2lambda"] and rep["parity_ok"]
-    report("7 (real C4 restriction image is tr and twice sign)", ok)
+    checks = [("C4 lattice", rep["lattice_matches_tr_2lambda"]),
+              ("C4 parity", rep["parity_ok"])]
+    report("7 (real C4 restriction image is tr and twice sign)",
+           [what for what, ok in checks if not ok])
 
 
 def random_valid_decompositions(rng, count):
-    """Seeded valid splits drawn across the graph suite: part2 is the
-    complement of a random part together with its outside neighbours."""
+    """Seeded valid splits drawn across the graph suite, as (name,
+    graph, part1, part2): part2 is the complement of a random part
+    together with its outside neighbours."""
     out = []
     pool = [(name, g) for name, g, _ in SUITE if g.n >= 2]
     while len(out) < count:
@@ -134,24 +155,28 @@ def random_valid_decompositions(rng, count):
         part2 = rest | boundary
         if not part1 or not part2:
             continue
-        out.append((g, part1, part2))
+        out.append((name, g, part1, part2))
     return out
 
 
 def test_criterion_8_mayer_vietoris():
     rng = random.Random(99)
-    ok = True
-    for g, part1, part2 in random_valid_decompositions(rng, 20):
+    failures = []
+    for name, g, part1, part2 in random_valid_decompositions(rng, 20):
         validate_decomposition(g, part1, part2)
         rep = mayer_vietoris_check(g, part1, part2, rng, samples=50)
-        ok &= rep["ok"]
-    report("8 (random splits: rank count and split ring surjection)", ok)
+        if not rep["ok"]:
+            failures.append("%s split %s | %s" % (name, sorted(part1),
+                                                  sorted(part2)))
+    report("8 (random splits: rank count and split ring surjection)",
+           failures)
 
 
 def test_criterion_9_property_suite():
     rng = random.Random(4096)
-    ok = True
+    failures = []
     for name, graph, _ in SUITE:
+        ok = True
         dense = dense_differentials(build_bredon_complex(graph))
         for k in range(len(dense) - 1):
             ok &= is_zero(mat_mul(dense[k + 1], dense[k]))
@@ -171,4 +196,6 @@ def test_criterion_9_property_suite():
             ok &= restriction(restriction(ra, sub), 0) == restriction(ra, 0)
             values = character_evaluation(ra)
             ok &= character_interpolation(full_ambient, values) == ra
-    report("9 (complex, ring and character properties)", ok)
+        if not ok:
+            failures.append(name)
+    report("9 (complex, ring and character properties)", failures)

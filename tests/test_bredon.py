@@ -360,6 +360,22 @@ def test_mutated_limit_shape_matches_elimination(monkeypatch, mutation):
         assert_limit_matches_apex(g, name)
 
 
+@pytest.mark.parametrize("extra, holds", [
+    # a duplicate that cancels leaves every sum as it was
+    ([(0, 1), (0, -1)], True),
+    # a mask past L, or a negative one, is outside L whatever its sign
+    ([(1 << 5, 1)], False),
+    ([(1 << 5, 1), (1 << 5, -1)], False),
+    ([(-1, 1)], False),
+    # one sum off by one
+    ([(3, 1)], False),
+])
+def test_zeta_check_sums_terms_by_mask(monkeypatch, extra, holds):
+    monkeypatch.setattr(bredon, "_bar_expansion",
+                        lambda mono: BAR(mono) + extra)
+    assert bredon._zeta_identities(5) is holds
+
+
 def test_zeta_check_expands_each_size_once(monkeypatch):
     # one x_L of 2^s terms per clique size s, 2^15 - 1 terms on K14
     sizes = []

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import chain
 
 import pytest
@@ -88,6 +89,87 @@ def test_invariant_factors_match_dense_on_interval_powers():
         for k, (rows, d) in enumerate(zip(power.diffs,
                                           dense_differentials(power))):
             assert invariant_factors(rows) == smith_normal_form(d)[0], (n, k)
+
+
+def queue_counts(monkeypatch, rows):
+    """(rows taken off the diagonal form's queue, nonempty rows, row
+    operations) for one diagonal-form elimination of these rows.  A row
+    operation is a row that a unit step adds the pivot row's other
+    entries to, or that `_add` or `_clear_row` changes; deleting the
+    column of a pivot row with no other entry does not count.  A row
+    may be put on the queue only when it is not on it and an operation
+    changed it since it was last taken off, and no active row may hold
+    a unit when the queue hands over to Euclid's steps."""
+    counts = {"pops": 0, "ops": 0}
+    changed = set()
+
+    def change(i):
+        counts["ops"] += 1
+        changed.add(i)
+
+    class Counted(deque):
+        def popleft(self):
+            counts["pops"] += 1
+            i = super().popleft()
+            changed.discard(i)
+            return i
+
+        def append(self, i):
+            assert i not in self and i in changed, i
+            super().append(i)
+
+    class Recorded(intlinalg._Elimination):
+        def _unit_step(self, r, c):
+            if len(self.rows[r]) > 1:
+                for i in self.cols[c] - {r}:
+                    change(i)
+            super()._unit_step(r, c)
+
+        def _add(self, i, q, r):
+            change(i)
+            super()._add(i, q, r)
+
+        def _clear_row(self, r, c):
+            change(r)
+            return super()._clear_row(r, c)
+
+        def _least_pivot(self):
+            assert not any(v in (1, -1) for i in self.active
+                           for v in self.rows[i].values())
+            return super()._least_pivot()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intlinalg, "deque", Counted)
+        Recorded([dict(row) for row in rows], echelon=False)
+    return counts["pops"], sum(1 for row in rows if row), counts["ops"]
+
+
+def test_queue_takes_each_row_once_per_change(monkeypatch):
+    # a row is looked at once, and again only after it changes
+    complexes = [("I^%d" % n, power)
+                 for n, power in enumerate(interval_tensor_powers(4), 1)]
+    complexes.append(("K4", build_bredon_complex(complete_graph(4))))
+    for name, c in complexes:
+        for k, rows in enumerate(c.diffs):
+            pops, nonempty, ops = queue_counts(monkeypatch, rows)
+            assert nonempty <= pops <= nonempty + ops, (name, k)
+
+
+def test_invariant_factors_without_a_unit_match_dense(monkeypatch):
+    # no unit at the start: the first pivot is a 2, and its Euclid
+    # step leaves the unit {1: 1} in the second row
+    assert invariant_factors([{0: 2, 1: 3}, {0: 4, 1: 7}]) == [1, 2]
+    assert smith_normal_form([[2, 3], [4, 7]])[0] == [1, 2]
+    rng = random.Random(29)
+    entries = [0, 2, -2, 3, -3, 4, -4, 6, -6]
+    for _ in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        rows = sparsify(mat)
+        assert invariant_factors(rows) == smith_normal_form(mat)[0], mat
+        # Euclid's steps queue rows through `_add` and `_clear_row`
+        pops, nonempty, ops = queue_counts(monkeypatch, rows)
+        assert nonempty <= pops <= nonempty + ops, mat
 
 
 def test_kernel_basis_spans_dense_kernel():
