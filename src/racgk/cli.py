@@ -10,7 +10,6 @@ import contextlib
 import json
 import random
 import sys
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 from math import prod
 
@@ -91,11 +90,12 @@ def run_ktheory(graph, args, rng):
 
 
 def run_bgw(graph, args, rng):
+    f = graph.f_vector
     report = {
         "bar_relations": kring.bar_relations(graph),
         "additive_structure": {
             "free_part": "Z (constant terms)",
-            "two_adic_components": len(graph.cliques) - 1,
+            "two_adic_components": sum(f) - 1,
             "precision": args.precision,
         },
     }
@@ -103,26 +103,22 @@ def run_bgw(graph, args, rng):
     # whose s~^2 is not -2 s~
     witness = None
     for v in graph.labels:
-        s = kring.complete(kring.KRingElement.generator(graph, v, kring.BAR),
-                           args.precision)
+        mask = graph.mask_of([v])
+        s = kring.CompletedElement(graph, args.precision, {mask: 1})
         sq = kring.completed_multiply(s, s)
-        two_s = kring.CompletedElement(
-            graph, args.precision, 0,
-            {graph.mask_of([v]): -2})
-        if sq != two_s:
+        if sq != kring.CompletedElement(graph, args.precision, {mask: -2}):
             witness = v
             break
     # I^j has one row on each clique where its entry by size is not 0,
     # so its rank and the pivot ratio [I^k : I^(k+1)] go by clique size
-    counts = Counter(map(int.bit_count, graph.cliques))
     powers = kring.ideal_powers(graph, 4)
     indices = []
     for k, (prev, cur) in enumerate(zip(powers, powers[1:]), 1):
-        ranks = [sum(n for s, n in counts.items() if entries[s])
+        ranks = [sum(n for s, n in enumerate(f) if entries[s])
                  for entries in (prev, cur)]
         if ranks[0] == ranks[1]:
             indices.append({"k": k, "index": prod(
-                (cur[s] // prev[s]) ** n for s, n in counts.items()
+                (cur[s] // prev[s]) ** n for s, n in enumerate(f)
                 if prev[s])})
         else:
             indices.append({"k": k, "index": None,

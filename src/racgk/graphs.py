@@ -90,13 +90,18 @@ class Graph:
         c | s for each nonempty clique s in the common neighbourhood of
         c.  Sets of one size compare by the least vertex of their
         symmetric difference, which joining a disjoint c leaves as is."""
-        out = {}
-        for c in self.cliques:
-            common = (1 << self.n) - 1
-            for v in self.members(c):
-                common &= self.adj[v]
-            out[c] = [c | s for s in cliques_within(self, common)[1:]]
-        return out
+        return {c: [c | s for s in
+                    cliques_within(self, self.common_neighbours(c))[1:]]
+                for c in self.cliques}
+
+    def common_neighbours(self, mask):
+        """The vertices adjacent to every vertex of the mask: all of them
+        for the empty mask, and none of the mask's own."""
+        common = (1 << self.n) - 1
+        while mask:
+            common &= self.adj[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+        return common
 
     def has_edge(self, i, j):
         return bool(self.adj[i] >> j & 1)

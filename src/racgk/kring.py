@@ -12,11 +12,11 @@ bases are carried:
   monomial products follow closed structure constants and need no
   rewriting.  The two multiplications serve as mutual oracles.
 
-The completion at the augmentation ideal keeps the constant term exact
-and truncates every other coefficient 2-adically.
+The completion at the augmentation ideal keeps the constant term, the
+coefficient at the empty clique, exact and truncates every other
+coefficient 2-adically.
 """
 
-from itertools import chain
 from math import gcd
 
 from .graphs import (cliques_within, submasks, subset_key,
@@ -135,22 +135,16 @@ def bar_product(j, k):
     return j | k, (-2) ** bin(j & k).count("1")
 
 
-def bar_structure_constant(graph, j, k):
-    """(mask, coefficient) of the product of two bar monomials, or None
-    when the union is not a clique (the product is zero)."""
-    if j | k not in graph.clique_set:
-        return None
-    return bar_product(j, k)
-
-
 def _bar_terms(graph, a, b):
     """(mask, coefficient) terms of the product of two bar coordinate
-    dicts, one per pair of monomials whose product is not zero."""
+    dicts, one per pair of monomials whose product is not zero: the
+    clique l joins the clique k when it lies in k and the common
+    neighbours of k."""
     for k, ck in a.items():
+        joinable = k | graph.common_neighbours(k)
         for l, cl in b.items():
-            sc = bar_structure_constant(graph, k, l)
-            if sc is not None:
-                m, c = sc
+            if not l & ~joinable:
+                m, c = bar_product(k, l)
                 yield m, c * ck * cl
 
 
@@ -250,10 +244,10 @@ def ideal_powers(graph, k):
     e_(j+1)[|L|] is the gcd of their coefficients times e_j; nothing
     lands on the empty clique.  The rule uses bit operations only, so
     L = {0, ..., s - 1} stands for every clique of size s: O(k top^2)
-    steps for `top` the size of the last, and largest, clique."""
+    steps for `top` the clique number, read off the f-vector."""
     if k < 1:
         raise KRingError("ideal power needs k >= 1")
-    top = bin(graph.cliques[-1]).count("1")
+    top = len(graph.f_vector) - 1
     entries = [1] * (top + 1)
     powers = []
     for _ in range(k):
@@ -279,62 +273,58 @@ def ideal_power(graph, k):
     return Lattice(len(graph.cliques), [{i: x} for i, x in cells if x])
 
 
-class CompletedElement:
-    """Element of the completed ring: exact constant term plus one
-    residue mod 2^precision per non-empty clique.  Not a Combination:
-    the constant sits outside `coeffs`, which its sums would drop."""
+class CompletedElement(Combination):
+    """Element of the completed ring: the exact constant term at the
+    empty clique and a residue mod 2^precision on each other clique."""
 
-    __slots__ = ("graph", "precision", "constant", "coeffs")
+    __slots__ = ("graph", "precision")
 
-    def __init__(self, graph, precision, constant, coeffs):
+    def __init__(self, graph, precision, coeffs):
         if precision < 1:
             raise KRingError("precision must be >= 1")
         self.graph = graph
         self.precision = precision
-        self.constant = constant
         mod = 1 << precision
         self.coeffs = {}
-        cliques = graph.clique_set
         for k, c in coeffs.items():
-            if k == 0:
-                raise KRingError("constant term must go in `constant`")
-            if k not in cliques:
+            if not graph.is_clique(k):
                 raise KRingError("support %r is not a clique"
                                  % (graph.subset_labels(k),))
-            r = c % mod
+            r = c % mod if k else c
             if r:
                 self.coeffs[k] = r
 
-    def __eq__(self, other):
-        return (isinstance(other, CompletedElement)
-                and self.graph == other.graph
-                and self.precision == other.precision
-                and self.constant == other.constant
-                and self.coeffs == other.coeffs)
+    @property
+    def constant(self):
+        return self.coeffs.get(0, 0)
 
     def __repr__(self):
-        return ("CompletedElement(p=%d, const=%d, %r)"
-                % (self.precision, self.constant, self.coeffs))
+        return "CompletedElement(p=%d, %r)" % (self.precision, self.coeffs)
+
+    def _ring(self):
+        return self.graph, self.precision
+
+    def _make(self, coeffs):
+        return CompletedElement(self.graph, self.precision, coeffs)
+
+    def _check(self, other):
+        if self.graph != other.graph:
+            raise KRingError("graph mismatch")
+        if self.precision != other.precision:
+            raise KRingError("precision mismatch: %d vs %d"
+                             % (self.precision, other.precision))
 
 
 def complete(a, precision):
     """Truncate a ring element into the completed ring."""
-    bar = convert_basis(a, BAR)
-    coeffs = {k: c for k, c in bar.coeffs.items() if k}
-    return CompletedElement(a.graph, precision, bar.coeffs.get(0, 0), coeffs)
+    return CompletedElement(a.graph, precision, convert_basis(a, BAR).coeffs)
 
 
 def completed_multiply(a, b):
-    if a.graph != b.graph:
-        raise KRingError("graph mismatch")
-    if a.precision != b.precision:
-        raise KRingError("precision mismatch: %d vs %d"
-                         % (a.precision, b.precision))
-    out = accumulate(chain(
-        _bar_terms(a.graph, a.coeffs, b.coeffs),
-        ((k, b.constant * c) for k, c in a.coeffs.items()),
-        ((k, a.constant * c) for k, c in b.coeffs.items())))
-    return CompletedElement(a.graph, a.precision, a.constant * b.constant, out)
+    """The product in the completed ring: `bar_product(0, k)` is (k, 1),
+    so the bar terms carry the constants too."""
+    a._check(b)
+    return a._make(accumulate(_bar_terms(a.graph, a.coeffs, b.coeffs)))
 
 
 def clique_maps(graph, sub):

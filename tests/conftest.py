@@ -5,13 +5,13 @@ from math import gcd
 
 import pytest
 
-from racgk import bredon, cli
+from racgk import bredon, cli, kring
 from racgk.graphs import (Graph, cliques_within, poset_chains, subset_key,
                           submasks)
 from racgk.intlinalg import Lattice, accumulate, invariant_factors
-from racgk.kring import (BAR, KRingElement, bar_structure_constant,
-                         clique_maps, convert_basis, ideal_power,
-                         random_element, rename, restrict_to_clique)
+from racgk.kring import (BAR, KRingElement, clique_maps, convert_basis,
+                         ideal_power, random_element, rename,
+                         restrict_to_clique)
 
 
 def complete_graph(n):
@@ -395,6 +395,16 @@ def assert_limit_matches_apex(graph, name=None):
             (bredon.rho_surjectivity(graph, limit), apex_rho(apex)),
             (bredon.clique_basis_isomorphism(graph, limit), apex_iso(apex))):
         assert list(report.items()) == list(reference.items()), name
+
+
+def bar_structure_constant(graph, j, k):
+    """(mask, coefficient) of the product of two bar monomials, or None
+    when the union is not a clique (the product is zero).  The rule is
+    looked up on `kring` at each call, so a patched `bar_product` reaches
+    the oracles too."""
+    if j | k not in graph.clique_set:
+        return None
+    return kring.bar_product(j, k)
 
 
 def product_ideal_power(graph, k):

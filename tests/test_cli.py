@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -430,11 +430,13 @@ def graph_file(tmp_path, name, g):
     return str(f)
 
 
-def test_bredon_and_limit_list_no_clique(monkeypatch, capsys, tmp_path):
-    # the reports come from the f-vector alone while every check holds
+def test_bredon_limit_and_bgw_list_no_clique(monkeypatch, capsys, tmp_path):
+    # the reports come from the f-vector and the adjacency masks alone
+    # while every check holds
     files = [graph_file(tmp_path, "K6", complete_graph(6)),
              graph_file(tmp_path, "C10", cycle_graph(10))]
-    argvs = [[sub, "--input", f] for sub in ("bredon", "limit") for f in files]
+    argvs = [[sub, "--input", f] for sub in ("bredon", "limit", "bgw")
+             for f in files]
     expected = []
     for argv in argvs:
         assert main(argv) == 0
@@ -442,8 +444,8 @@ def test_bredon_and_limit_list_no_clique(monkeypatch, capsys, tmp_path):
 
     def refuse(self):
         raise AssertionError("the cliques were listed")
-    monkeypatch.setattr(graphs.Graph, "cliques", property(refuse))
-    monkeypatch.setattr(graphs.Graph, "supersets", property(refuse))
+    for name in ("cliques", "clique_set", "supersets"):
+        monkeypatch.setattr(graphs.Graph, name, property(refuse))
     for argv, out in zip(argvs, expected):
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == out, argv
@@ -546,6 +548,18 @@ def test_k64_bredon_is_counted(capsys, tmp_path):
     assert rep["clique_count"] == 2 ** 64 and rep["ranks"][0] == 3 ** 64
     # the chains of 65 cliques are the orderings of the 64 vertices
     assert len(rep["ranks"]) == 65 and rep["ranks"][64] == factorial(64)
+
+
+def test_k64_bgw_reads_the_f_vector(capsys, tmp_path):
+    path = graph_file(tmp_path, "K64", complete_graph(64))
+    assert main(["bgw", "--input", path, "--format", "json"]) == 0
+    with cli.exact_integers():
+        rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"]
+    assert rep["additive_structure"]["two_adic_components"] == 2 ** 64 - 1
+    # [I^k : I^(k+1)] = 2^(f_1 + ... + f_k), f_s = C(64, s)
+    assert [row["index"] for row in rep["ideal_power_indices"]] == [
+        2 ** sum(comb(64, s) for s in range(1, k + 1)) for k in (1, 2, 3)]
 
 
 def test_k64_limit_is_refused_before_any_check(monkeypatch, capsys,

@@ -326,7 +326,16 @@ def test_complete_and_completed_multiply():
     ce2 = complete(sbar.scale(-2), 2)
     assert ce2.coeffs == {1: 2}
     const = complete(KRingElement.one(g).scale(5), 8)
-    assert const.constant == 5 and not const.coeffs
+    assert const.constant == 5 and const.coeffs == {0: 5}
+
+
+def test_completed_element_keeps_the_constant_exact():
+    s, su = PATH.mask_of(["s"]), PATH.mask_of(["s", "u"])
+    ce = CompletedElement(PATH, 2, {0: 7, s: 7})
+    assert ce.constant == 7 and ce.coeffs == {0: 7, s: 3}
+    assert (ce + ce).coeffs == {0: 14, s: 2}
+    with pytest.raises(KRingError, match="not a clique"):
+        CompletedElement(PATH, 2, {su: 1})
 
 
 def test_completed_square_of_one_plus_bar():
@@ -334,7 +343,7 @@ def test_completed_square_of_one_plus_bar():
     u = complete(KRingElement.one(g, BAR) + bar(g, "v0"), 8)
     sq = completed_multiply(u, u)
     # 2*sbar + sbar^2 = 2*sbar - 2*sbar = 0
-    assert sq.constant == 1 and sq.coeffs == {}
+    assert sq.constant == 1 and sq.coeffs == {0: 1}
 
 
 def test_completed_two_clique_square():

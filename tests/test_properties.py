@@ -1,11 +1,11 @@
 """Property tests of the forward clique pass and the clique poset on
 random graphs with at most nine vertices, and of the clique counts on
 random graphs with at most twelve; of the sparse-combination core
-under the ring elements, the Mayer-Vietoris splits and the graph parsers
-on random graphs with at most eight; and of the sparse Bredon complex,
-its cone certificate, the limit's clique factors and the ideal-power
-chain on random graphs with at most seven; and of the JSON writer on
-random nested values."""
+under the ring elements, the completion map, the Mayer-Vietoris splits
+and the graph parsers on random graphs with at most eight; and of the
+sparse Bredon complex, its cone certificate, the limit's clique factors
+and the ideal-power chain on random graphs with at most seven; and of
+the JSON writer on random nested values."""
 
 import json
 import random
@@ -20,9 +20,10 @@ from racgk.graphs import (Graph, clique_counts, cliques_within,
                           enumerate_spherical, parse_graph, poset_chains,
                           submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
-from racgk.kring import (BAR, STAR, KRingElement, KRingError, convert_basis,
-                         ideal_power, ideal_powers, mayer_vietoris_check,
-                         multiply_bar, multiply_star)
+from racgk.kring import (BAR, STAR, KRingElement, KRingError, complete,
+                         completed_multiply, convert_basis, ideal_power,
+                         ideal_powers, mayer_vietoris_check, multiply_bar,
+                         multiply_star)
 from racgk.repring import RepRingElement, RepRingError
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
@@ -154,6 +155,16 @@ def test_star_product_matches_bar_product(elements):
     bar = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
     assert convert_basis(multiply_star(a, b), BAR) == bar
     assert multiply_star(a, b) == convert_basis(bar, STAR)
+
+
+@LAWS
+@given(kring_elements(2), st.integers(1, 8))
+def test_completion_is_a_ring_map(elements, precision):
+    a, b = elements
+    ca, cb = complete(a, precision), complete(b, precision)
+    assert complete(a + b, precision) == ca + cb
+    product = (multiply_star if a.basis == STAR else multiply_bar)(a, b)
+    assert complete(product, precision) == completed_multiply(ca, cb)
 
 
 @LAWS
