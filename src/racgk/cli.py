@@ -8,6 +8,7 @@ verified mathematical property failed, 2 usage, I/O or memory error.
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
@@ -335,7 +336,17 @@ def exact_integers():
 
 def main(argv=None):
     with exact_integers():
-        return _main(argv)
+        try:
+            return _main(argv)
+        except BrokenPipeError:
+            # the reader closed stdout: point it at devnull, so that the
+            # interpreter's last flush stays quiet, and say so once
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: standard output was closed before the report "
+                  "was written", file=sys.stderr)
+            return USAGE_ERROR
 
 
 def _main(argv):
@@ -389,7 +400,8 @@ def _main(argv):
         print("error: cannot write the %s report: %s" % (args.subcommand, e),
               file=sys.stderr)
         return USAGE_ERROR
-    print(text)
+    # flushed here, so that a closed stdout raises in `main`, not at exit
+    print(text, flush=True)
     return 0 if report.get("ok", True) else ASSERTION_FAILURE
 
 

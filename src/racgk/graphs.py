@@ -58,6 +58,10 @@ class Graph:
             self.adj[j] |= 1 << i
 
     def __eq__(self, other):
+        # the ring elements' mismatch checks compare a graph with itself
+        # almost always
+        if self is other:
+            return True
         return (isinstance(other, Graph)
                 and self.labels == other.labels
                 and self.edges == other.edges)

@@ -135,25 +135,29 @@ def bar_product(j, k):
     return j | k, (-2) ** bin(j & k).count("1")
 
 
-def _bar_terms(graph, a, b):
-    """(mask, coefficient) terms of the product of two bar coordinate
-    dicts, one per pair of monomials whose product is not zero: the
-    clique l joins the clique k when it lies in k and the common
-    neighbours of k."""
+def _bar_sum(graph, a, b):
+    """The bar coordinate dict of the product of two bar coordinate
+    dicts, zero sums dropped.  The clique l joins the clique k when it
+    lies in k and the common neighbours of k; every other pair of
+    monomials multiplies to zero.  Each term is added straight into the
+    output; `bar_product` is looked up on the module at each call, so a
+    patched rule reaches it."""
+    out = {}
     for k, ck in a.items():
-        joinable = k | graph.common_neighbours(k)
+        outside = ~(k | graph.common_neighbours(k))
         for l, cl in b.items():
-            if not l & ~joinable:
+            if not l & outside:
                 m, c = bar_product(k, l)
-                yield m, c * ck * cl
+                out[m] = out.get(m, 0) + c * ck * cl
+    return {m: c for m, c in out.items() if c}
 
 
 def multiply_bar(a, b):
+    """The product of two bar-basis elements, summed by `_bar_sum`."""
     a._check(b)
     if a.basis != BAR or b.basis != BAR:
         raise KRingError("multiply_bar needs bar-basis operands")
-    out = accumulate(_bar_terms(a.graph, a.coeffs, b.coeffs))
-    return KRingElement(a.graph, BAR, out)
+    return KRingElement(a.graph, BAR, _bar_sum(a.graph, a.coeffs, b.coeffs))
 
 
 def convert_basis(a, target):
@@ -321,10 +325,11 @@ def complete(a, precision):
 
 
 def completed_multiply(a, b):
-    """The product in the completed ring: `bar_product(0, k)` is (k, 1),
-    so the bar terms carry the constants too."""
+    """The product in the completed ring, summed by `_bar_sum`:
+    `bar_product(0, k)` is (k, 1), so the bar terms carry the constants
+    too, and `_make` reduces the residues."""
     a._check(b)
-    return a._make(accumulate(_bar_terms(a.graph, a.coeffs, b.coeffs)))
+    return a._make(_bar_sum(a.graph, a.coeffs, b.coeffs))
 
 
 def clique_maps(graph, sub):
@@ -347,12 +352,31 @@ def rename(a, ring, cliques):
                                     if k in cliques})
 
 
+def _below(rng, n):
+    """A uniform draw from range(n), n >= 1: k = n.bit_length() bits of
+    `rng.getrandbits`, drawn again while they read n or more.  This is
+    the rule of CPython's `Random._randbelow`, which `choice` and
+    `randint` use on 3.10-3.13, so it returns what `rng.randrange(n)`
+    would, from the same state."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
-    """Seeded random sparse element, for property and oracle checks."""
-    # the draw order (term count, then a clique and a coefficient per
-    # term) fixes the seeded reports
-    draws = [(rng.choice(graph.cliques), rng.randint(-coeff_bound, coeff_bound))
-             for _ in range(rng.randint(1, terms))]
+    """Seeded random sparse element, for property and oracle checks: a
+    term count in 1..terms, then for each term a clique of
+    `graph.cliques` and a coefficient in -coeff_bound..coeff_bound, in
+    that order, each drawn by `_below`.  These are the draws of
+    `rng.randint(1, terms)`, `rng.choice(graph.cliques)` and
+    `rng.randint(-coeff_bound, coeff_bound)`, one for one, so the
+    seeded reports are those the `random` calls would give."""
+    cliques = graph.cliques
+    d, width = len(cliques), 2 * coeff_bound + 1
+    draws = [(cliques[_below(rng, d)], _below(rng, width) - coeff_bound)
+             for _ in range(1 + _below(rng, terms))]
     return KRingElement(graph, basis, accumulate(draws))
 
 

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from functools import cache, cached_property
 from itertools import zip_longest
 from math import gcd
@@ -9,7 +11,7 @@ from racgk import bredon, cli, kring
 from racgk.graphs import (Graph, cliques_within, poset_chains, subset_key,
                           submasks)
 from racgk.intlinalg import Lattice, accumulate, invariant_factors
-from racgk.kring import (BAR, KRingElement, clique_maps, convert_basis,
+from racgk.kring import (BAR, STAR, KRingElement, clique_maps, convert_basis,
                          ideal_power, random_element, rename,
                          restrict_to_clique)
 
@@ -57,6 +59,27 @@ def graph_suite():
         ("C5", cycle_graph(5), 11),
         ("Petersen", petersen_graph(), 26),
     ]
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_workloads():
+    """The benchmark's `workloads` module, which holds its decks."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    return workloads
+
+
+def glued_graph(family):
+    """The ring-lattice deck's graph of this family, such as glued-64."""
+    (t,) = [t for t in perfbench_workloads().deck("ring-lattice")
+            if t["family"] == family]
+    return Graph(t["labels"], [tuple(e) for e in t["edges"]])
 
 
 def random_graph(n, p, seed=1):
@@ -405,6 +428,27 @@ def bar_structure_constant(graph, j, k):
     if j | k not in graph.clique_set:
         return None
     return kring.bar_product(j, k)
+
+
+def reference_random_element(graph, rng, basis=STAR, terms=3,
+                             coeff_bound=5):
+    """`random_element` drawn by `random`'s own calls: the oracle for
+    its draws."""
+    draws = [(rng.choice(graph.cliques), rng.randint(-coeff_bound, coeff_bound))
+             for _ in range(rng.randint(1, terms))]
+    return KRingElement(graph, basis, accumulate(draws))
+
+
+def pairwise_bar_product(graph, a, b):
+    """The product of two bar coordinate dicts as the sum, over every
+    pair of monomials, of `bar_structure_constant`."""
+    terms = []
+    for j, cj in a.items():
+        for k, ck in b.items():
+            sc = bar_structure_constant(graph, j, k)
+            if sc is not None:
+                terms.append((sc[0], sc[1] * cj * ck))
+    return accumulate(terms)
 
 
 def product_ideal_power(graph, k):

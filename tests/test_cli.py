@@ -12,10 +12,9 @@ import pytest
 from racgk import bredon, cli, graphs, intlinalg, kring
 from racgk.cli import dump_json, main
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
-                      graph_suite, neighbourhood_split)
+                      graph_suite, neighbourhood_split, perfbench_workloads)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
 
 
@@ -338,11 +337,7 @@ def edge_list(labels, edges):
 def benchmark_graphs():
     """(name, graph text, partition text or None) for the deck and the
     warm-up graph of each of the benchmark's workloads."""
-    sys.path.insert(0, PERFBENCH)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(PERFBENCH)
+    workloads = perfbench_workloads()
     out = []
     for workload in workloads.SUBCOMMANDS:
         for t in workloads.deck(workload) + [
@@ -422,6 +417,79 @@ def test_json_writer_on_bool_and_none_lists():
         assert dump_json(value) == json.dumps(value, indent=2,
                                               sort_keys=True), value
     assert dump_json([1, True]) == "[\n  1,\n  true\n]"
+
+
+# sha256 of each seeded `--format json` report, seeds 0 and 5, on the
+# suite graphs split as in `suite_graphs`
+REPORT_SHA256 = {
+    # (graph, subcommand): [seed 0, seed 5]
+    ("K3", "ktheory"): [
+        "be4ea6ba2746a8e0cd83c0502cb91d2bbbc9b6a7fdca18ede0f581d8d62c4672",
+        "e3facb60b1a807ba26168de64933bc74e795a73e3b086d505827f0fad7f1e3e5"],
+    ("K3", "bgw"): [
+        "b0f898dd8b873ac000236e9440b3dc2650564f09cc91eb7fe00728847e4adfc0",
+        "0589726621092378c472e0c6f03a66f61ced5a43c6b11157015d5e4a55fad4e7"],
+    ("K3", "all"): [
+        "114567ffee7093ad54fbf0066a47ab124e58e039fe43bd2208a3b8b85dbd0b23",
+        "fcaafb43a42eed82a464524b98f0caf1b8397f6d09fcb719d8bbf1ca8ccbcaec"],
+    ("E3", "ktheory"): [
+        "f58e46f388ee7f4290f2cd32ea9f7238f335755f84a31c3efb2ddcec0eb60c0b",
+        "195f97b95d8202ca469b864d7cfc37d2c15df0d9d891c3febb047cc9269106f5"],
+    ("E3", "bgw"): [
+        "9780c610642fe0bb6024df14f94e517287658a2a391261bfeb0f9793d8890c39",
+        "b1127579186fdae82c5d37dbfc25be5a420ca628d2666dda683df9eb7aa88580"],
+    ("E3", "all"): [
+        "66a52a8cc43ecad5c74f280643b5fb6653dc8c02794a2695c25b9f2efdb5eb1b",
+        "f2f3012cfba4011532e1d4c920e74fd4c5ac44df1d7345a24f93be8577c08ca9"],
+    ("P4", "ktheory"): [
+        "5f1d929e66eb649fc13969cd2bce6f6835452f135bfc406702ef2db82af44949",
+        "ebf28a031321cad638dc147bf8ce7a64405ab830ab5299f570960981fd4535ba"],
+    ("P4", "bgw"): [
+        "de9471915e445fd94f1c6a1597b73ad0a3a1652fd5905d2744842bdb5bc88a8c",
+        "4155f68f80398649b1cc15b3553d169e9dc42cfd28f28fb02ee330fae67d2137"],
+    ("P4", "all"): [
+        "f60d07472221ea10aa99fed8fe5ff6a0d966ab04c63cd4f1fe74d1d602d9b4be",
+        "4030b7570b73200af7ddc7eefe328aadc0243dbb366ab12f1fac129c430f5c48"],
+    ("C4", "ktheory"): [
+        "69fc455c42d858887c951358e53a881b9ec2fd721bc1c53b0efdb1771b3bc86d",
+        "1e8d1db8f41423fbf5112878fc3bd24cf0d712aa0ac241a388b746b99eed4e05"],
+    ("C4", "bgw"): [
+        "a7e988ef613ae0ea4785a317f6932154089f9f6f18904784d2f4ab5e58fe867f",
+        "dfb84e5346f2db6553240dc95f6f8649b83612a12d303c0e19d69910def034d8"],
+    ("C4", "all"): [
+        "e748b2e86f958abe136b03f093b6481915013b628eeefb2d9c7493e931408df8",
+        "159b48f68e31f5cc8e5d7ecfc283c0a57a4121cbb559c2b7e916d06a9dc4be09"],
+    ("Petersen", "ktheory"): [
+        "6fcb7d9f869d7081e2a7ef566517668a2945227bd5024368e8f6a4add2d2a9e0",
+        "32c62f47f0b3a7f6019d675a947e16ee2d16a18e130fd36a8da7ceccc549e19a"],
+    ("Petersen", "bgw"): [
+        "075548b62053aef25a113675fb4146a9ef9474c9fc1f6a917aeff18da8486d46",
+        "12af39bdcb1d3d8e5ec85e4f2c28131227017825d4c4308fd91d2a005d21b16e"],
+    ("Petersen", "all"): [
+        "56b14f6db46640a06507926332e9f1265b60c1e7860ff83f1b7263c5e955608c",
+        "b060736999328baced728c5396433b671607275aeedbea7effa9c1e9f1c6a06c"],
+    ("P4", "mv-check"): [
+        "1ba6e9bc8e5136e650775a8373de19712ba9dbcfa05eca04736218679092bb9f",
+        "74d362a323d13a572b6226bbaa42fa1075617cf8de963160fbfa6eaad38f33bb"],
+    ("C4", "mv-check"): [
+        "caee5234275e8b1b129c9a303fc24c476dfde333461f307936cc1f1bb21a2bef",
+        "04e44d75843a252f57991b6db64c693a35d4aed6cd9ed97235769e65e6da4060"],
+}
+
+
+@pytest.mark.parametrize("name, sub", sorted(REPORT_SHA256),
+                         ids=lambda v: v)
+def test_seeded_reports_are_pinned(capsys, tmp_path, name, sub):
+    graph, part = {n: (g, p) for n, g, p in suite_graphs()}[name]
+    path, split = tmp_path / "g.graph", tmp_path / "g.part"
+    path.write_text(graph)
+    split.write_text(part)
+    extra = ["--partition", str(split)] if sub == "mv-check" else []
+    for seed, digest in zip((0, 5), REPORT_SHA256[name, sub]):
+        assert main([sub, "--input", str(path), "--format", "json",
+                     "--seed", str(seed)] + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
 def graph_file(tmp_path, name, g):
@@ -652,6 +720,22 @@ def run_in_child(argv):
     proc = subprocess.run([sys.executable, "-m", "racgk.cli"] + argv,
                           env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["ktheory"], ["all", "--format", "json"]])
+def test_a_closed_stdout_exits_2_without_a_traceback(path_file, argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "racgk.cli", "--input", path_file] + argv,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: standard output was closed before the "
+                           "report was written\n")
 
 
 def test_repeated_calls_match_fresh_processes(monkeypatch, capsys,

@@ -14,9 +14,9 @@ from racgk.repring import (RepRingElement, character_evaluation,
                            rep_multiply)
 from conftest import (assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles, bgw_indices,
-                      complete_graph, cycle_graph, graph_suite,
+                      complete_graph, cycle_graph, glued_graph, graph_suite,
                       include_from_part, path_graph, product_ideal_power,
-                      project_to_part)
+                      project_to_part, reference_random_element)
 
 PATH = parse_graph("s t u; s-t t-u")
 NONEDGE = parse_graph("s t; ")
@@ -79,6 +79,50 @@ def test_basis_mismatch_rejected():
 def test_graph_mismatch_rejected():
     with pytest.raises(KRingError, match="graph"):
         multiply_star(star(PATH, "s"), star(NONEDGE, "s"))
+
+
+def test_elements_on_separately_parsed_copies_combine():
+    # the mismatch checks compare graphs by value, not by identity
+    text = "s t u; s-t t-u"
+    g1, g2 = parse_graph(text), parse_graph(text)
+    assert g1 is not g2 and g1 == g2 and not g1 != g2
+    for basis, multiply in ((STAR, multiply_star), (BAR, multiply_bar)):
+        a = KRingElement(g1, basis, {0b011: 2, 0b100: -1, 0: 3})
+        b = KRingElement(g2, basis, {0b011: 2, 0b100: -1, 0: 3})
+        assert a == b and hash(a) == hash(b)
+        assert multiply(a, b) == multiply(a, a) == multiply(b, b)
+        assert a + b == a.scale(2)
+        assert a - b == KRingElement.zero(g1, basis)
+    ca, cb = (CompletedElement(g, 8, {0: 3, 0b110: 5}) for g in (g1, g2))
+    assert ca == cb and ca + cb == ca.scale(2)
+    assert completed_multiply(ca, cb) == completed_multiply(ca, ca)
+
+
+def test_below_is_randrange():
+    ours, ref = random.Random(7), random.Random(7)
+    for n in range(1, 301):
+        for _ in range(5):
+            assert kring._below(ours, n) == ref.randrange(n), n
+    assert ours.getstate() == ref.getstate()
+
+
+DRAW_GRAPHS = [(name, g) for name, g, _ in graph_suite()] + [
+    ("K16", complete_graph(16)), ("glued-64", glued_graph("glued-64"))]
+
+
+@pytest.mark.parametrize("name, graph", DRAW_GRAPHS,
+                         ids=[name for name, _ in DRAW_GRAPHS])
+def test_random_element_draws_as_random_does(name, graph):
+    # the same cliques and coefficients in the same order, and the
+    # generators left in the same state after each element
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for terms in range(1, 5):
+            for bound in range(1, 8):
+                basis = (STAR, BAR)[bound % 2]
+                assert random_element(graph, ours, basis, terms, bound) == (
+                    reference_random_element(graph, ref, basis, terms, bound))
+                assert ours.getstate() == ref.getstate(), (seed, terms, bound)
 
 
 def test_convert_basis_examples():

@@ -20,17 +20,18 @@ from racgk.graphs import (Graph, clique_counts, cliques_within,
                           enumerate_spherical, parse_graph, poset_chains,
                           submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
-from racgk.kring import (BAR, STAR, KRingElement, KRingError, complete,
-                         completed_multiply, convert_basis, ideal_power,
-                         ideal_powers, mayer_vietoris_check, multiply_bar,
-                         multiply_star)
+from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
+                         KRingError, complete, completed_multiply,
+                         convert_basis, ideal_power, ideal_powers,
+                         mayer_vietoris_check, multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
                       dense_bredon_complex, dense_differentials,
                       label_order_counts, neighbourhood_split,
-                      product_ideal_power, walk_certificate)
+                      pairwise_bar_product, product_ideal_power,
+                      walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -259,6 +260,18 @@ def test_poset_chain_levels_are_sorted(graph):
     for level in poset_chains(graph, 2):
         keys = [[subset_key(graph, c) for c in chain] for chain in level]
         assert keys == sorted(keys)
+
+
+@LAWS
+@given(kring_elements(2, basis=BAR), st.integers(1, 8))
+def test_bar_products_are_the_pairwise_sum(elements, precision):
+    a, b = elements
+    g = a.graph
+    assert multiply_bar(a, b) == KRingElement(
+        g, BAR, pairwise_bar_product(g, a.coeffs, b.coeffs))
+    ca, cb = complete(a, precision), complete(b, precision)
+    assert completed_multiply(ca, cb) == CompletedElement(
+        g, precision, pairwise_bar_product(g, ca.coeffs, cb.coeffs))
 
 
 @LAWS
