@@ -1,18 +1,15 @@
-"""Exact integer linear algebra on one sparse elimination kernel with
-two forms: a diagonal form for invariant factors, and a row echelon
-form, pivots in column order and the transform tracked, for kernels and
-Hermite normal forms (Cohen, A Course in Computational Algebraic Number
-Theory, 2.4.2).  Lattice membership substitutes into the Hermite form
-and certifies over the generators, and exact solving (`ColumnSolver`) is
+"""Exact integer linear algebra on sparse rows: unit steps, then one
+echelon form.  The unit steps (`_UnitSteps`) take a matrix's unit
+pivots in place, found on a queue of changed rows; on the complexes
+here they leave no row.  The echelon form (`_Elimination`) is the one
+Euclid elimination: pivots in column order, the transform tracked
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4.2).  It
+gives kernels and Hermite normal forms, and the diagonal form of what
+the unit steps leave, by Hermite forms of the rows and of the columns
+in turn.  Lattice membership substitutes into the Hermite form and
+certifies over the generators, and exact solving (`ColumnSolver`) is
 membership in the lattice of the columns.  Also the sparse-combination
 core (`accumulate`, `Combination`) under the ring elements.
-
-The diagonal form takes unit pivots first, and on the complexes here
-nearly every pivot is a unit: such a step clears its column in one
-inline pass, with nothing left over for Euclid's steps.  The units are
-looked for on a queue of rows, each row queued at most once and again
-only after a row operation changes it, so a row is looked at about as
-often as it changes.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
@@ -188,77 +185,38 @@ def _snf_pair_update(a, u, v, k, x, y, g, s, t):
         a[rr][j] = -t * yg * ai + s * xg * aj
 
 
-class _Elimination:
-    """Integer elimination on sparse rows, dicts {column: nonzero entry},
-    to one of two forms.  Each step clears the pivot column from the
-    other active rows by row operations and retires the pivot row.
+def _column_holders(rows):
+    """{column: set of the rows with an entry there} for sparse rows."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
+    return cols
 
-    The diagonal form (`echelon` false) serves `invariant_factors` and
-    keeps no transform.  Pivots are unit entries while any remain, taken
-    from the rows on a queue of rows to look at: a row comes off it
-    once, and goes back on only when a row operation changes it.  Only
-    when no unit is left is a pivot of least magnitude taken, and
-    Euclid's steps finish it exactly.  Each step then also clears the
-    pivot row by column operations, which touch only that row once its
-    column is clear, and retires only a row whose single entry is its
-    pivot.
 
-    The queue starts with the nonempty rows in index order, and a row
-    is on it at most once: `queued` holds the rows on it.  Every active
-    row that holds a unit is on it, so an empty queue means no unit is
-    left.  A unit pivot takes no Euclid round and keeps no least
-    remainder: `_unit_step` adds -(entry) * pivot times the pivot row to
-    each other row of the column in one inline pass over the pivot
-    row's other entries, and retires the pivot row.
-
-    The echelon form (`echelon` true) serves `kernel_basis` and
-    `_hermite`.  The pivot is the entry of least magnitude, lowest row
-    first, in the leftmost column that active rows still hold, so the
-    pivots come in increasing column order, and a retired row is left
-    as it stands: a row echelon form.  Each row operation is repeated
-    on a row of the identity, so track[i] writes row i in the rows
-    given.
+class _UnitSteps:
+    """The unit pivots of sparse rows, dicts {column: nonzero entry},
+    taken in place with no transform: each clears its column from the
+    other rows and retires its row, and the active rows left hold no
+    unit.  The rows to look at are on a queue, each at most once
+    (`queued` holds them): it starts with the nonempty rows in index
+    order, and a row goes back on only when a row operation changes it.
+    Every active row that holds a unit is on it, so an empty queue means
+    no unit is left.
     """
 
-    def __init__(self, rows, echelon):
+    def __init__(self, rows):
         self.rows = rows
-        self.echelon = echelon
         self.active = set(range(len(rows)))
-        self.cols = cols = {}
-        for i, row in enumerate(rows):
-            for j in row:
-                if j in cols:
-                    cols[j].add(i)
-                else:
-                    cols[j] = {i}
-        if echelon:
-            self.track = [{i: 1} for i in range(len(rows))]
-            self.order = sorted(self.cols, reverse=True)
-        else:
-            # an empty row holds no unit, so it is never queued
-            self.queue = deque(i for i, row in enumerate(rows) if row)
-            self.queued = set(self.queue)
+        self.cols = _column_holders(rows)
+        # an empty row holds no unit, so it is never queued
+        self.queue = deque(i for i, row in enumerate(rows) if row)
+        self.queued = set(self.queue)
         self.pivots = []
-        self._run()
-
-    def _run(self):
-        while True:
-            if self.echelon:
-                pivot = self._leftmost_pivot()
-            else:
-                self._unit_steps()
-                pivot = self._least_pivot()
-            if pivot is None:
-                return
-            r, c = pivot
-            r = self._clear_column(r, c)
-            if not self.echelon and not self._clear_row(r, c):
-                continue
-            self.active.discard(r)
-            for j in self.rows[r]:
-                self.cols[j].discard(r)
-            del self.cols[c]
-            self.pivots.append((r, c))
+        self._unit_steps()
 
     def _unit_steps(self):
         """Takes rows off the queue until it is empty, and steps on a
@@ -280,20 +238,13 @@ class _Elimination:
             if best is not None:
                 self._unit_step(i, best)
 
-    def _queue(self, i):
-        """Queues row i, changed by a row operation, unless it is empty
-        or already queued."""
-        if self.rows[i] and i not in self.queued:
-            self.queued.add(i)
-            self.queue.append(i)
-
     def _unit_step(self, r, c):
-        """Clears column c by the unit pivot at (r, c) and retires row r,
-        in the diagonal form.  Row i takes -(entry at c) times the pivot
-        times row r, which leaves no remainder: its entry at c goes, and
-        only the pivot row's other entries are added in.  A pivot row
-        with no other entry just deletes the column from the other rows,
-        which only shrink, so none gains a unit and none is queued."""
+        """Clears column c by the unit pivot at (r, c) and retires row r.
+        Row i takes -(entry at c) times the pivot times row r, which
+        leaves no remainder: its entry at c goes, and only the pivot
+        row's other entries are added in.  A pivot row with no other
+        entry just deletes the column from the other rows, which only
+        shrink, so none gains a unit and none is queued."""
         rows, cols = self.rows, self.cols
         pivot_row = rows[r]
         unit = -pivot_row[c]
@@ -317,7 +268,7 @@ class _Elimination:
                         else:
                             del row[j]
                             holders.discard(i)
-                # `_queue`, inline in the hot loop
+                # a changed row is queued, unless empty or queued already
                 if row and i not in queued:
                     queued.add(i)
                     queue.append(i)
@@ -328,6 +279,35 @@ class _Elimination:
         for _j, _v, holders in rest:
             holders.discard(r)
         self.pivots.append((r, c))
+
+
+class _Elimination:
+    """The module's one Euclid elimination: sparse rows, dicts {column:
+    nonzero entry}, to row echelon form, for `kernel_basis` and
+    `_hermite`, and through `row_hnf` for what `invariant_factors`'s
+    unit steps leave.  The pivot is the entry of least magnitude, lowest
+    row first, in the leftmost column that active rows still hold; row
+    operations clear its column from the other active rows, each round
+    taking the least remainder as the next pivot, and retire the pivot
+    row.  So the pivots come in increasing column order, and a retired
+    row is left as it stands: a row echelon form.  Each row operation is
+    repeated on a row of the identity, so track[i] writes row i in the
+    rows given.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.cols = cols = _column_holders(rows)
+        self.track = [{i: 1} for i in range(len(rows))]
+        self.order = sorted(cols, reverse=True)
+        self.pivots = []
+        while (pivot := self._leftmost_pivot()) is not None:
+            r, c = pivot
+            r = self._clear_column(r, c)
+            for j in rows[r]:
+                cols[j].discard(r)
+            del cols[c]
+            self.pivots.append((r, c))
 
     def _leftmost_pivot(self):
         """The least entry, lowest row first, of the leftmost column
@@ -343,18 +323,8 @@ class _Elimination:
             order.pop()
         return None
 
-    def _least_pivot(self):
-        best = None
-        for i in self.active:
-            for j, v in self.rows[i].items():
-                key = (abs(v), len(self.rows[i]))
-                if best is None or key < best[0]:
-                    best = key, i, j
-        return best and best[1:]
-
     def _add(self, i, q, r):
-        """row i += q * row r, and the same on the transform in the
-        echelon form; in the diagonal form row i is queued."""
+        """row i += q * row r, and the same on the transform."""
         row, cols = self.rows[i], self.cols
         for j, v in self.rows[r].items():
             x = row.get(j)
@@ -368,10 +338,7 @@ class _Elimination:
                 else:
                     del row[j]
                     cols[j].discard(i)
-        if self.echelon:
-            _add_into(self.track[i], q, self.track[r])
-        else:
-            self._queue(i)
+        _add_into(self.track[i], q, self.track[r])
 
     def _clear_column(self, r, c):
         """Row operations leaving one active row with an entry in column
@@ -390,28 +357,6 @@ class _Elimination:
             if least is None:
                 return r
             r = least
-
-    def _clear_row(self, r, c):
-        """Column operations reducing row r modulo its pivot; True when
-        only the pivot is left, else row r is queued, since a remainder
-        may be a unit."""
-        row = self.rows[r]
-        p = row[c]
-        if p in (1, -1):
-            return True
-        for j, x in list(row.items()):
-            remainder = x % p
-            if j == c or remainder == x:
-                continue
-            if remainder:
-                row[j] = remainder
-            else:
-                del row[j]
-                self.cols[j].discard(r)
-        if len(row) == 1:
-            return True
-        self._queue(r)
-        return False
 
 
 def _add_into(y, q, x):
@@ -486,13 +431,33 @@ def _divisibility_chain(values):
     return [1] * (len(values) - len(rest)) + rest
 
 
+def _transpose(rows):
+    """The columns of sparse rows, as dict vectors {row: entry}."""
+    columns = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    return list(columns.values())
+
+
 def invariant_factors(rows):
     """Nonzero invariant factors of the matrix with these dict rows, in
-    divisibility order, from a sparse elimination to diagonal form that
-    builds no transforms.  The rows are copied, not consumed."""
+    divisibility order.  The unit steps come first, each a factor 1, and
+    on the complexes here they leave no row.  The active rows left hold
+    no unit; `row_hnf` on them and on the transposed result, in turn,
+    brings them to diagonal form, one entry per row and per column
+    (Kannan and Bachem, SIAM J. Comput. 1979).  The rows are copied, not
+    consumed."""
     rows = list(map(_sparse, rows))
-    elim = _Elimination(rows, echelon=False)
-    return _divisibility_chain([abs(rows[r][c]) for r, c in elim.pivots])
+    steps = _UnitSteps(rows)
+    rest = [rows[i] for i in steps.active if rows[i]]
+    while rest:
+        rest = row_hnf(rest)
+        if all(len(row) == 1 for row in rest):
+            break
+        rest = _transpose(rest)
+    return _divisibility_chain([1] * len(steps.pivots)
+                               + [x for row in rest for x in row.values()])
 
 
 def kernel_basis(rows, n):
@@ -507,7 +472,7 @@ def kernel_basis(rows, n):
     for i, row in enumerate(map(_sparse, rows)):
         for j, x in row.items():
             columns[j][i] = x
-    elim = _Elimination(columns, echelon=True)
+    elim = _Elimination(columns)
     pivot_cols = {r for r, _c in elim.pivots}
     return [elim.track[j] for j in range(n) if j not in pivot_cols]
 
@@ -526,7 +491,7 @@ def _hermite(rows):
     writes.  An entry a reduction cancelled leaves a stale holder, whose
     quotient is 0.  The reductions by one pivot touch different rows,
     so their order does not change the form."""
-    elim = _Elimination(rows, echelon=True)
+    elim = _Elimination(rows)
     form = []
     holders = {}
     for r, c in elim.pivots:

@@ -19,8 +19,7 @@ coefficient 2-adically.
 
 from math import gcd
 
-from .graphs import (cliques_within, submasks, subset_key,
-                     validate_decomposition)
+from .graphs import submasks, subset_key, validate_decomposition
 from .intlinalg import Combination, Lattice, accumulate
 from .repring import RepRingElement
 
@@ -111,11 +110,16 @@ def _normalize_star(graph, terms):
 
 
 def _smallest_nonadjacent_pair(graph, mask):
-    verts = graph.members(mask)
-    for i, s in enumerate(verts):
-        for t in verts[i + 1:]:
-            if not graph.has_edge(s, t):
-                return s, t
+    """The lexicographically least pair s < t of non-adjacent members
+    of the mask, None for a clique: s is the lowest member with a
+    non-neighbour above it in the mask, t the lowest such non-neighbour."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        s = bit.bit_length() - 1
+        above = mask & ~graph.adj[s]
+        if above:
+            return s, (above & -above).bit_length() - 1
     return None
 
 
@@ -335,10 +339,13 @@ def completed_multiply(a, b):
 def clique_maps(graph, sub):
     """The cliques of `graph` inside the vertex set of its full subgraph
     `sub`, paired with `sub`'s own: (down, up), graph clique to sub
-    clique and back.  The vertex map keeps order, so both lists are in
-    canonical order and pair off one to one."""
-    ours = cliques_within(graph, graph.mask_of(sub.labels))
-    return dict(zip(ours, sub.cliques)), dict(zip(sub.cliques, ours))
+    clique and back.  The graph's cliques inside the part keep their
+    canonical order, and the vertex map keeps order, so both lists are
+    in canonical order and pair off one to one."""
+    mask = graph.mask_of(sub.labels)
+    ours = [c for c in graph.cliques if not c & ~mask]
+    return (dict(zip(ours, sub.cliques, strict=True)),
+            dict(zip(sub.cliques, ours, strict=True)))
 
 
 def rename(a, ring, cliques):

@@ -92,20 +92,15 @@ def test_invariant_factors_match_dense_on_interval_powers():
 
 
 def queue_counts(monkeypatch, rows):
-    """(rows taken off the diagonal form's queue, nonempty rows, row
-    operations) for one diagonal-form elimination of these rows.  A row
-    operation is a row that a unit step adds the pivot row's other
-    entries to, or that `_add` or `_clear_row` changes; deleting the
-    column of a pivot row with no other entry does not count.  A row
+    """(rows taken off the unit steps' queue, nonempty rows, row
+    operations) for the unit steps on these rows.  A row operation is a
+    row that a unit step adds the pivot row's other entries to; deleting
+    the column of a pivot row with no other entry does not count.  A row
     may be put on the queue only when it is not on it and an operation
     changed it since it was last taken off, and no active row may hold
-    a unit when the queue hands over to Euclid's steps."""
+    a unit once the queue is empty."""
     counts = {"pops": 0, "ops": 0}
     changed = set()
-
-    def change(i):
-        counts["ops"] += 1
-        changed.add(i)
 
     class Counted(deque):
         def popleft(self):
@@ -118,29 +113,20 @@ def queue_counts(monkeypatch, rows):
             assert i not in self and i in changed, i
             super().append(i)
 
-    class Recorded(intlinalg._Elimination):
+    class Recorded(intlinalg._UnitSteps):
         def _unit_step(self, r, c):
             if len(self.rows[r]) > 1:
                 for i in self.cols[c] - {r}:
-                    change(i)
+                    counts["ops"] += 1
+                    changed.add(i)
             super()._unit_step(r, c)
-
-        def _add(self, i, q, r):
-            change(i)
-            super()._add(i, q, r)
-
-        def _clear_row(self, r, c):
-            change(r)
-            return super()._clear_row(r, c)
-
-        def _least_pivot(self):
-            assert not any(v in (1, -1) for i in self.active
-                           for v in self.rows[i].values())
-            return super()._least_pivot()
 
     with monkeypatch.context() as patch:
         patch.setattr(intlinalg, "deque", Counted)
-        Recorded([dict(row) for row in rows], echelon=False)
+        steps = Recorded([dict(row) for row in rows])
+    assert not steps.queue
+    assert not any(v in (1, -1) for i in steps.active
+                   for v in steps.rows[i].values())
     return counts["pops"], sum(1 for row in rows if row), counts["ops"]
 
 
@@ -153,11 +139,36 @@ def test_queue_takes_each_row_once_per_change(monkeypatch):
         for k, rows in enumerate(c.diffs):
             pops, nonempty, ops = queue_counts(monkeypatch, rows)
             assert nonempty <= pops <= nonempty + ops, (name, k)
+    rng = random.Random(31)
+    for _ in range(300):
+        rows = sparsify(random_matrix(rng))
+        pops, nonempty, ops = queue_counts(monkeypatch, rows)
+        assert nonempty <= pops <= nonempty + ops, rows
+
+
+def rows_left(rows):
+    """The nonempty rows that the unit steps leave active."""
+    steps = intlinalg._UnitSteps([dict(row) for row in rows])
+    return [steps.rows[i] for i in sorted(steps.active) if steps.rows[i]]
+
+
+def test_unit_steps_leave_no_row_on_the_complexes():
+    # the Euclid steps of the echelon form see no row of a real complex
+    complexes = [("I^%d" % n, power)
+                 for n, power in enumerate(interval_tensor_powers(6), 1)]
+    complexes += [("K%d" % n, build_bredon_complex(complete_graph(n)))
+                  for n in range(2, 6)]
+    count = 0
+    for name, c in complexes:
+        for k, rows in enumerate(c.diffs):
+            assert rows_left(rows) == [], (name, k)
+            count += 1
+    assert count > 20
 
 
 def test_invariant_factors_without_a_unit_match_dense(monkeypatch):
-    # no unit at the start: the first pivot is a 2, and its Euclid
-    # step leaves the unit {1: 1} in the second row
+    # no unit anywhere: the unit steps look at each row once and change
+    # none, and Hermite forms of rows and columns in turn do the rest
     assert invariant_factors([{0: 2, 1: 3}, {0: 4, 1: 7}]) == [1, 2]
     assert smith_normal_form([[2, 3], [4, 7]])[0] == [1, 2]
     rng = random.Random(29)
@@ -167,9 +178,37 @@ def test_invariant_factors_without_a_unit_match_dense(monkeypatch):
         mat = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
         rows = sparsify(mat)
         assert invariant_factors(rows) == smith_normal_form(mat)[0], mat
-        # Euclid's steps queue rows through `_add` and `_clear_row`
         pops, nonempty, ops = queue_counts(monkeypatch, rows)
-        assert nonempty <= pops <= nonempty + ops, mat
+        assert pops == nonempty and ops == 0, mat
+        assert len(rows_left(rows)) == nonempty, mat
+
+
+def test_unit_steps_hand_off_a_block_without_a_unit():
+    # an identity beside [[2, 3], [4, 7]]: two unit steps, then the
+    # Hermite forms take the block
+    mat = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 3], [0, 0, 4, 7]]
+    assert rows_left(sparsify(mat)) == [{2: 2, 3: 3}, {2: 4, 3: 7}]
+    assert invariant_factors(sparsify(mat)) == [1, 1, 1, 2]
+    assert smith_normal_form(mat)[0] == [1, 1, 1, 2]
+    # units in some columns, even entries under them, and a block
+    # without a unit in the others: the unit steps fill the block rows
+    rng = random.Random(41)
+    entries = [0, 2, -2, 3, -3, 4, -4, 6, -6]
+    handed_off = 0
+    for _ in range(600):
+        units, m, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        top = [[int(i == j) * rng.choice([1, -1]) for j in range(units)]
+               + [rng.choice(entries) for _ in range(n)]
+               for i in range(units)]
+        block = [[rng.choice([0, 2, -2, 4]) for _ in range(units)]
+                 + [rng.choice(entries) for _ in range(n)]
+                 for _ in range(m)]
+        mat = top + block
+        rng.shuffle(mat)
+        rows = sparsify(mat)
+        assert invariant_factors(rows) == smith_normal_form(mat)[0], mat
+        handed_off += bool(rows_left(rows))
+    assert handed_off > 300
 
 
 def test_kernel_basis_spans_dense_kernel():
@@ -559,9 +598,9 @@ def test_echelon_pivots_come_in_column_order(monkeypatch):
     runs = []
 
     class Recorded(intlinalg._Elimination):
-        def __init__(self, rows, *args, **kwargs):
-            super().__init__(rows, *args, **kwargs)
-            runs.append((self.echelon, [c for _r, c in self.pivots]))
+        def __init__(self, rows):
+            super().__init__(rows)
+            runs.append([c for _r, c in self.pivots])
 
     monkeypatch.setattr(intlinalg, "_Elimination", Recorded)
     rng = random.Random(67)
@@ -576,8 +615,8 @@ def test_echelon_pivots_come_in_column_order(monkeypatch):
         for job in jobs:
             runs.clear()
             job()
-            [(echelon, columns)] = runs
-            assert echelon and columns == sorted(set(columns)), mat
+            [columns] = runs
+            assert columns == sorted(set(columns)), mat
             calls += 1
     assert calls > 900
 
