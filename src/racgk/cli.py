@@ -278,41 +278,79 @@ def _flat(v):
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: ("false", "true").__getitem__,
             type(None): {None: "null"}.__getitem__}
+_EMPTY = {list: "[]", tuple: "[]", dict: "{}"}
 
 
 def dump_json(value, pad="\n"):
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, at
     the nesting level whose line break and indent are `pad`.  Where
-    `indent` is set the standard library encodes in Python; here a list
-    of items of one scalar type (str, int, bool or None) is one join
-    over the C quoting, `int.__repr__` or the JSON literals, and those
-    leaves skip `json.dumps`."""
-    scalar = _SCALARS.get(type(value))
-    if scalar:
-        return scalar(value)
-    inner = pad + "  "
+    `indent` is set, the standard library makes one Python call per
+    value; here a call is made only for a nested, non-empty container.
+    A dict value or list item whose exact type is str, int, bool or None
+    is written in place, by the C quoting, `int.__repr__` or its JSON
+    literal, and so is an empty list, tuple or dict.  A list or tuple of
+    one such type is one join over that writer.  A list of str whose
+    joined text the C quoting leaves alone (printable ASCII with no `"`
+    or backslash) is quoted by the join itself."""
     if isinstance(value, dict):
         if not value:
             return "{}"
+        inner = pad + "  "
+        sep = "," + inner
+        parts = ["{", inner]
+        # the leaf rule of the list loop below, inlined in both loops
+        # because a shared helper would cost a call per container
         try:
-            keys = sorted(value)
-            heads = [encode_basestring_ascii(k) for k in keys]
+            for k in sorted(value):
+                v = value[k]
+                scalar = _SCALARS.get(type(v))
+                if scalar:
+                    text = scalar(v)
+                elif type(v) in _EMPTY and not v:
+                    text = _EMPTY[type(v)]
+                else:
+                    text = dump_json(v, inner)
+                parts += encode_basestring_ascii(k), ": ", text, sep
         except TypeError:
             # json.dumps writes int, float, bool and None keys as
-            # strings, and refuses keys it cannot sort or write
+            # strings, and refuses keys it cannot sort or write and
+            # values it cannot write
             return json.dumps(value, indent=2, sort_keys=True).replace(
                 "\n", pad)
-        items = ["%s: %s" % (h, dump_json(value[k], inner))
-                 for h, k in zip(heads, keys)]
-        return "{%s%s%s}" % (inner, ("," + inner).join(items), pad)
+        parts[-1] = pad + "}"
+        return "".join(parts)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = frozenset(map(type, value))
-        scalar = len(kinds) == 1 and _SCALARS.get(next(iter(kinds)))
-        items = (map(scalar, value) if scalar
-                 else [dump_json(v, inner) for v in value])
-        return "[%s%s%s]" % (inner, ("," + inner).join(items), pad)
+        inner = pad + "  "
+        sep = "," + inner
+        kinds = set(map(type, value))
+        if len(kinds) == 1:
+            (kind,) = kinds
+            if kind is str:
+                # every escape lengthens the text, so the quoting leaves
+                # it alone when it adds no more than the two quotes
+                text = "".join(value)
+                if len(encode_basestring_ascii(text)) == len(text) + 2:
+                    return '[%s"%s"%s]' % (
+                        inner, ('"' + sep + '"').join(value), pad)
+            scalar = _SCALARS.get(kind)
+            if scalar:
+                return "[%s%s%s]" % (inner, sep.join(map(scalar, value)), pad)
+        parts = ["[", inner]
+        for v in value:
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                parts += scalar(v), sep
+            elif type(v) in _EMPTY and not v:
+                parts += _EMPTY[type(v)], sep
+            else:
+                parts += dump_json(v, inner), sep
+        parts[-1] = pad + "]"
+        return "".join(parts)
+    scalar = _SCALARS.get(type(value))
+    if scalar:
+        return scalar(value)
     return json.dumps(value)
 
 

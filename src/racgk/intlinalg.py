@@ -220,17 +220,18 @@ class _UnitSteps:
 
     def _unit_steps(self):
         """Takes rows off the queue until it is empty, and steps on a
-        unit of each active row that holds one, in the column with the
-        fewest holders, ties to the first met.  A row without a unit is
+        unit of each row that holds one, in the column with the fewest
+        holders, ties to the first met.  A row without a unit is
         dropped: it holds none until a row operation changes it, and
-        that queues it again."""
-        queue, queued, active = self.queue, self.queued, self.active
+        that queues it again.  Every row on the queue is active: a row
+        is retired only by `_unit_step`, right after it was taken off,
+        and leaves every holder set there, so no row operation can queue
+        it again."""
+        queue, queued = self.queue, self.queued
         rows, cols = self.rows, self.cols
         while queue:
             i = queue.popleft()
             queued.discard(i)
-            if i not in active:
-                continue
             best = None
             for j, v in rows[i].items():
                 if v in (1, -1) and (best is None or len(cols[j]) < fewest):

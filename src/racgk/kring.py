@@ -17,9 +17,10 @@ coefficient at the empty clique, exact and truncates every other
 coefficient 2-adically.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .graphs import submasks, subset_key, validate_decomposition
+from .graphs import submasks, validate_decomposition
 from .intlinalg import Combination, Lattice, accumulate
 from .repring import RepRingElement
 
@@ -89,24 +90,36 @@ def _normalize_star(graph, terms):
     Non-clique monomial with lexicographically smallest non-adjacent
     pair {s, t} in its support rewrites as
         m_K -> m_{K-t} + m_{K-s} - m_{K-s-t}.
+
+    The pending masks come off a heap, largest first.  A rewrite lands
+    only on strict submasks, which are smaller numbers, so every mask
+    has received all of its coefficient when it is taken, and each is
+    rewritten once.  The cliques are a basis, so the normal form is the
+    one any order of rewrites reaches.
     """
-    done = []
+    done = {}
     pending = dict(terms)
-    while pending:
-        mask = min(pending)
+    heap = [-mask for mask in pending]
+    heapify(heap)
+    while heap:
+        mask = -heappop(heap)
         coeff = pending.pop(mask)
         if not coeff:
             continue
         pair = _smallest_nonadjacent_pair(graph, mask)
         if pair is None:
-            done.append((mask, coeff))
+            done[mask] = coeff
             continue
         s, t = pair
-        for sub, sign in ((mask & ~(1 << t), 1),
-                          (mask & ~(1 << s), 1),
-                          (mask & ~(1 << s) & ~(1 << t), -1)):
-            pending[sub] = pending.get(sub, 0) + sign * coeff
-    return accumulate(done)
+        for sub, add in ((mask & ~(1 << t), coeff),
+                         (mask & ~(1 << s), coeff),
+                         (mask & ~(1 << s) & ~(1 << t), -coeff)):
+            if sub in pending:
+                pending[sub] += add
+            else:
+                pending[sub] = add
+                heappush(heap, -sub)
+    return done
 
 
 def _smallest_nonadjacent_pair(graph, mask):
@@ -431,11 +444,20 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
 
 
 def element_to_json_dict(a):
+    """The JSON form of an element: its basis, the ambient labels, and a
+    term per monomial, in `subset_key` order.  Each term's members are
+    listed once and its sort key (size, members) is built from them;
+    no two terms share their members, so no coefficient is compared."""
     g = a.graph
+    labels = g.labels
+    terms = []
+    for k, c in a.coeffs.items():
+        members = g.members(k)
+        terms.append((len(members), members, c))
+    terms.sort()
     return {
         "basis": a.basis,
-        "ambient": list(g.labels),
-        "terms": [{"monomial": list(g.subset_labels(k)), "coeff": str(c)}
-                  for k, c in sorted(a.coeffs.items(),
-                                     key=lambda kv: subset_key(g, kv[0]))],
+        "ambient": list(labels),
+        "terms": [{"monomial": [labels[i] for i in members], "coeff": str(c)}
+                  for _size, members, c in terms],
     }

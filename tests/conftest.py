@@ -430,6 +430,29 @@ def bar_structure_constant(graph, j, k):
     return kring.bar_product(j, k)
 
 
+def min_first_normalize_star(graph, terms):
+    """Reference `kring._normalize_star`: the pending masks taken
+    smallest first, by `min`, so a mask can be taken, rewritten and
+    receive more coefficient later."""
+    done = []
+    pending = dict(terms)
+    while pending:
+        mask = min(pending)
+        coeff = pending.pop(mask)
+        if not coeff:
+            continue
+        pair = kring._smallest_nonadjacent_pair(graph, mask)
+        if pair is None:
+            done.append((mask, coeff))
+            continue
+        s, t = pair
+        for sub, sign in ((mask & ~(1 << t), 1),
+                          (mask & ~(1 << s), 1),
+                          (mask & ~(1 << s) & ~(1 << t), -1)):
+            pending[sub] = pending.get(sub, 0) + sign * coeff
+    return accumulate(done)
+
+
 def reference_random_element(graph, rng, basis=STAR, terms=3,
                              coeff_bound=5):
     """`random_element` drawn by `random`'s own calls: the oracle for

@@ -419,6 +419,32 @@ def test_json_writer_on_bool_and_none_lists():
     assert dump_json([1, True]) == "[\n  1,\n  true\n]"
 
 
+def test_json_writer_on_empty_containers():
+    # an empty list, tuple or dict is written in place, as a dict value,
+    # a list item and at the top
+    for value in ({"a": {}, "b": [], "c": (), "d": [{}, [], ()]},
+                  [{}, 1], [(), "x"], {}, [], ()):
+        assert dump_json(value) == json.dumps(value, indent=2,
+                                              sort_keys=True), value
+
+
+def test_json_writer_on_string_lists_that_need_escaping():
+    # a list of str whose text the C quoting would change takes the
+    # per-item quoting; a tuple of str and a str subclass are written
+    # as json.dumps writes them
+    class Label(str):
+        pass
+
+    safe = ["a", "", "b c", "~!#$%&'()*+,-./:;<=>?@[]^_`{|}"]
+    values = [safe, tuple(safe), [Label("x"), "y"], (Label('q"'),),
+              {"labels": safe, "more": [Label("z")]}]
+    for bad in ['"', "\\", "\x1f", "\x7f", "\u00e9", "\u2028", 'a"b', "c\\d"]:
+        values += [[bad], safe[:2] + [bad] + safe[2:], tuple(safe + [bad])]
+    for value in values:
+        assert dump_json(value) == json.dumps(value, indent=2,
+                                              sort_keys=True), value
+
+
 # sha256 of each seeded `--format json` report, seeds 0 and 5, on the
 # suite graphs split as in `suite_graphs`
 REPORT_SHA256 = {

@@ -97,15 +97,16 @@ def queue_counts(monkeypatch, rows):
     row that a unit step adds the pivot row's other entries to; deleting
     the column of a pivot row with no other entry does not count.  A row
     may be put on the queue only when it is not on it and an operation
-    changed it since it was last taken off, and no active row may hold
-    a unit once the queue is empty."""
+    changed it since it was last taken off, no retired row may be taken
+    off it, and no active row may hold a unit once the queue is empty."""
     counts = {"pops": 0, "ops": 0}
-    changed = set()
+    changed, retired = set(), set()
 
     class Counted(deque):
         def popleft(self):
             counts["pops"] += 1
             i = super().popleft()
+            assert i not in retired, i
             changed.discard(i)
             return i
 
@@ -120,6 +121,7 @@ def queue_counts(monkeypatch, rows):
                     counts["ops"] += 1
                     changed.add(i)
             super()._unit_step(r, c)
+            retired.add(r)
 
     with monkeypatch.context() as patch:
         patch.setattr(intlinalg, "deque", Counted)

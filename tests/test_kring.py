@@ -3,20 +3,22 @@ import random
 import pytest
 
 from racgk import kring
-from racgk.graphs import enumerate_spherical, parse_graph
+from racgk.graphs import enumerate_spherical, parse_graph, subset_key
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, augmentation, bar_relations, complete,
                          completed_multiply, convert_basis, ideal_power,
-                         ideal_powers, mayer_vietoris_check, multiply_bar,
-                         multiply_star, presentation_report, random_element,
+                         element_to_json_dict, ideal_powers,
+                         mayer_vietoris_check, multiply_bar, multiply_star,
+                         presentation_report, random_element,
                          restrict_to_clique)
 from racgk.repring import (RepRingElement, character_evaluation,
                            rep_multiply)
 from conftest import (assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles, bgw_indices,
                       complete_graph, cycle_graph, glued_graph, graph_suite,
-                      include_from_part, path_graph, product_ideal_power,
-                      project_to_part, reference_random_element)
+                      include_from_part, min_first_normalize_star,
+                      path_graph, product_ideal_power, project_to_part,
+                      reference_random_element)
 
 PATH = parse_graph("s t u; s-t t-u")
 NONEDGE = parse_graph("s t; ")
@@ -246,6 +248,42 @@ def test_multiplication_properties(suite_entry):
         assert multiply_bar(multiply_bar(ab, bb), cb) == \
             multiply_bar(ab, multiply_bar(bb, cb))
         assert multiply_bar(ab, one_bar) == ab
+
+
+def test_normalize_star_matches_min_first_order(suite_entry):
+    # largest mask first reaches the normal form of the min-first loop,
+    # on every monomial of the ambient group and on sampled raw products
+    name, graph, _ = suite_entry
+    for mask in range(1 << graph.n):
+        assert kring._normalize_star(graph, {mask: 3}) == (
+            min_first_normalize_star(graph, {mask: 3})), (name, mask)
+    rng = random.Random(41)
+    for _ in range(30):
+        a = random_element(graph, rng, basis=STAR)
+        b = random_element(graph, rng, basis=STAR)
+        raw = {}
+        for k, ck in a.coeffs.items():
+            for l, cl in b.coeffs.items():
+                raw[k ^ l] = raw.get(k ^ l, 0) + ck * cl
+        assert kring._normalize_star(graph, raw) == (
+            min_first_normalize_star(graph, raw)), name
+
+
+def test_element_json_orders_terms_by_subset_key(suite_entry):
+    name, graph, _ = suite_entry
+    rng = random.Random(43)
+    elements = [KRingElement(graph, STAR, {c: i + 1 for i, c in
+                                           enumerate(reversed(graph.cliques))})]
+    elements += [random_element(graph, rng, basis=basis, terms=6)
+                 for basis in (STAR, BAR) for _ in range(20)]
+    for a in elements:
+        expected = [{"monomial": list(graph.subset_labels(k)),
+                     "coeff": str(c)}
+                    for k, c in sorted(a.coeffs.items(),
+                                       key=lambda kv: subset_key(graph, kv[0]))]
+        report = element_to_json_dict(a)
+        assert report == {"basis": a.basis, "ambient": list(graph.labels),
+                          "terms": expected}, name
 
 
 def test_complete_graph_star_ring_equals_rep_ring():

@@ -1,11 +1,11 @@
 """Property tests of the forward clique pass and the clique poset on
 random graphs with at most nine vertices, and of the clique counts on
 random graphs with at most twelve; of the sparse-combination core
-under the ring elements, the completion map, the Mayer-Vietoris splits
-and the graph parsers on random graphs with at most eight; and of the
-sparse Bredon complex, its cone certificate, the limit's clique factors
-and the ideal-power chain on random graphs with at most seven; and of
-the JSON writer on random nested values."""
+under the ring elements, the star normal form, the completion map, the
+Mayer-Vietoris splits and the graph parsers on random graphs with at
+most eight; and of the sparse Bredon complex, its cone certificate,
+the limit's clique factors and the ideal-power chain on random graphs
+with at most seven; and of the JSON writer on random nested values."""
 
 import json
 import random
@@ -21,17 +21,18 @@ from racgk.graphs import (Graph, clique_counts, cliques_within,
                           submasks, subset_key)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
-                         KRingError, complete, completed_multiply,
-                         convert_basis, ideal_power, ideal_powers,
-                         mayer_vietoris_check, multiply_bar, multiply_star)
+                         KRingError, _normalize_star, complete,
+                         completed_multiply, convert_basis, ideal_power,
+                         ideal_powers, mayer_vietoris_check, multiply_bar,
+                         multiply_star)
 from racgk.repring import RepRingElement, RepRingError
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
                       dense_bredon_complex, dense_differentials,
-                      label_order_counts, neighbourhood_split,
-                      pairwise_bar_product, product_ideal_power,
-                      walk_certificate)
+                      label_order_counts, min_first_normalize_star,
+                      neighbourhood_split, pairwise_bar_product,
+                      product_ideal_power, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -301,12 +302,30 @@ def test_parsers_round_trip(graph):
     assert parse_graph(doc, fmt="json") == graph
 
 
+# printable ASCII without `"` or backslash: what the C quoting leaves
+# alone, so a list of it is quoted by one join
+SAFE_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                  blacklist_characters='"\\'))
+# one character of each kind that the quoting escapes
+NEEDS_ESCAPING = ['"', "\\", "\x1f", "\x7f", "\u00e9", "\u2028"]
+
+
+@st.composite
+def escaping_lists(draw):
+    """A list of SAFE_TEXT with one item from NEEDS_ESCAPING."""
+    items = draw(st.lists(SAFE_TEXT))
+    items.insert(draw(st.integers(0, len(items))),
+                 draw(st.sampled_from(NEEDS_ESCAPING)))
+    return items
+
+
 # every kind of value json.dumps writes, lists of only str or only int
 # among them, nested in lists, tuples and dicts
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text()
     | st.integers() | st.integers(-2 ** 300, 2 ** 300)
-    | st.lists(st.text()) | st.lists(st.integers(-2 ** 70, 2 ** 70)),
+    | st.lists(st.text()) | st.lists(st.integers(-2 ** 70, 2 ** 70))
+    | st.lists(SAFE_TEXT) | escaping_lists(),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(st.text(), inner)),
     max_leaves=40)
@@ -316,3 +335,11 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_matches_the_standard_library(value):
     assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@LAWS
+@given(graphs(), st.data())
+def test_star_normal_form_is_the_min_first_one(graph, data):
+    raw = data.draw(st.dictionaries(st.integers(0, (1 << graph.n) - 1),
+                                    st.integers(-20, 20), max_size=8))
+    assert _normalize_star(graph, raw) == min_first_normalize_star(graph, raw)
