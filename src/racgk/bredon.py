@@ -12,9 +12,10 @@ the complex splits into one block per clique K, a cone with apex K.
 per chain shape, counts the cells from the number of cliques of each
 size, and reads the cohomology off it: H^0 free on the d apex
 cochains, nothing above.
-H^0 is the inverse limit.  In apex coordinates the clique monomial
-families form the zeta matrix of the clique poset, which
-`LimitLattice.clique_factors` checks once per clique size.
+H^0 is the inverse limit, so `inverse_limit` returns the certificate
+itself.  In apex coordinates the clique monomial families form the
+zeta matrix of the clique poset, which `ConeCertificate.clique_factors`
+checks once per clique size.
 
 An independent route to the same vanishing statement goes through the
 two-term interval complex and its tensor powers, also built here, whose
@@ -69,10 +70,6 @@ class CochainComplex:
             raise ValueError("d^%d has %d rows, expected %d"
                              % (k, len(d), self.ranks[k + 1]))
         return list(d)
-
-    @property
-    def top_degree(self):
-        return len(self.ranks) - 1
 
     def differential(self, k):
         """d^k as dict rows; the top differential is the zero map."""
@@ -156,11 +153,12 @@ _IDENTITIES = {"a": "restriction is a projection", "b": "d o d = 0",
 
 
 class ConeCertificate:
-    """What `cone_certificate` found: the ranks of the Bredon complex
-    and a witness naming the failed identity, or None."""
+    """What `cone_certificate` found: the ranks of the Bredon complex,
+    a witness naming the failed identity or None, and d = `rank`, the
+    rank of H^0 and of the inverse limit, which H^0 is."""
 
-    def __init__(self, clique_count, ranks, witness):
-        self.clique_count = clique_count
+    def __init__(self, rank, ranks, witness):
+        self.rank = rank
         self.ranks = ranks
         self.witness = witness
 
@@ -174,8 +172,29 @@ class ConeCertificate:
         degree 0, nothing above; None when an identity failed."""
         if not self.ok:
             return None
-        return [{"degree": k, "free_rank": self.clique_count if k == 0 else 0,
+        return [{"degree": k, "free_rank": self.rank if k == 0 else 0,
                  "torsion": []} for k in range(len(self.ranks))]
+
+    @cached_property
+    def clique_factors(self):
+        """Invariant factors of the clique monomial families in apex
+        coordinates, or None when `_zeta_identities` fails at a clique
+        size; taken once per limit and read by both limit checks.  They
+        do not depend on the witness, so a failed identity and a failed
+        zeta check are reported apart.
+
+        The family of clique c is t_(c & J) on each clique J.  When the
+        apex column of each K owns the cell (K, K) with a 1, the family's
+        coordinate at K is its entry there: 1 when K lies in c, else 0.
+        When also t_L is the sum of the x_K over K inside L, these
+        coordinates leave no residual on any clique J, with L = c & J.
+        So the families form the zeta matrix of the clique poset, which
+        is unitriangular in the size-first clique order (Rota 1964): d
+        factors 1.  The clique sizes run up to the clique number, the
+        top degree of the complex."""
+        if all(_zeta_identities(k) for k in range(len(self.ranks))):
+            return [1] * self.rank
+        return None
 
 
 def _label(graph, mask):
@@ -378,59 +397,29 @@ def _zeta_identities(size):
                for m, x in enumerate(sums))
 
 
-class LimitLattice:
-    """The inverse limit of the clique subgroups' representation rings,
-    free on the d apex cochains by `cone_certificate`, and the shape of
-    the clique monomial families in it: d = `rank` cliques, the largest
-    with `top` vertices."""
-
-    def __init__(self, rank, top):
-        self.rank = rank
-        self.top = top
-
-    @cached_property
-    def clique_factors(self):
-        """Invariant factors of the clique monomial families in apex
-        coordinates, or None when `_zeta_identities` fails at a clique
-        size; taken once per limit and read by both limit checks.
-
-        The family of clique c is t_(c & J) on each clique J.  When the
-        apex column of each K owns the cell (K, K) with a 1, the family's
-        coordinate at K is its entry there: 1 when K lies in c, else 0.
-        When also t_L is the sum of the x_K over K inside L, these
-        coordinates leave no residual on any clique J, with L = c & J.
-        So the families form the zeta matrix of the clique poset, which
-        is unitriangular in the size-first clique order (Rota 1964): d
-        factors 1."""
-        if all(_zeta_identities(k) for k in range(self.top + 1)):
-            return [1] * self.rank
-        return None
-
-
 def inverse_limit(graph):
-    """The kernel of the degree-0 differential of the Bredon complex.
-    `cone_certificate` shows that the apex cochains are a basis: the
-    one of clique K is x_K on every clique J containing K, that is
-    (-1)^|K - M| at each cell (J, M) with M inside K.  None is built;
-    the f-vector gives d and the clique number, and
-    `LimitLattice.clique_factors` checks their shape once per size.  A
-    graph with more than `LIMIT_RANK_CAP` cliques is refused with a
+    """The kernel of the degree-0 differential of the Bredon complex,
+    which is H^0: the certificate of `cone_certificate`, whose apex
+    cochains are a basis.  The one of clique K is x_K on every clique J
+    containing K, that is (-1)^|K - M| at each cell (J, M) with M inside
+    K.  None is built; the f-vector gives d and the clique number, and
+    `ConeCertificate.clique_factors` checks their shape once per size.
+    A graph with more than `LIMIT_RANK_CAP` cliques is refused with a
     GraphError before anything is checked."""
-    counts = graph.f_vector
-    rank = sum(counts)
+    rank = sum(graph.f_vector)
     if rank > LIMIT_RANK_CAP:
         raise GraphError("the inverse limit has rank d = %d, and a limit "
                          "report lists d invariant factors twice; the cap "
                          "is d = %d" % (rank, LIMIT_RANK_CAP))
-    return LimitLattice(rank, len(counts) - 1)
+    return cone_certificate(graph)
 
 
 def rho_surjectivity(graph, limit):
     """Checks that the restriction families of the ambient character
-    monomials span the limit lattice with index 1.  The d clique
-    families span the same sublattice as all of them (by the star
-    relation s*t* = s* + t* - 1, which holds on every clique), so their
-    invariant factors are read instead."""
+    monomials span the limit lattice, given as its certificate `limit`,
+    with index 1.  The d clique families span the same sublattice as all
+    of them (by the star relation s*t* = s* + t* - 1, which holds on
+    every clique), so their invariant factors are read instead."""
     factors = limit.clique_factors
     if factors is None:
         return {"rank": limit.rank, "image_rank": None, "index_one": False,
@@ -443,8 +432,8 @@ def rho_surjectivity(graph, limit):
 
 def clique_basis_isomorphism(graph, limit):
     """Invariant factors of the map sending the clique basis of the
-    K-ring onto the limit lattice; an isomorphism shows up as all
-    invariant factors 1."""
+    K-ring onto the limit lattice, given as its certificate `limit`; an
+    isomorphism shows up as all invariant factors 1."""
     factors = limit.clique_factors
     if factors is None:
         return {"isomorphism": False,

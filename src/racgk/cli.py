@@ -146,7 +146,7 @@ def bredon_section(graph, certificate, args):
                     for c in sorted(row):
                         fh.write("%d %d %d\n" % (r, c, row[c]))
     report = {"ranks": certificate.ranks, "cohomology": certificate.cohomology,
-              "clique_count": certificate.clique_count, "ok": certificate.ok}
+              "clique_count": certificate.rank, "ok": certificate.ok}
     if not certificate.ok:
         report["detail"] = certificate.witness
     return report
@@ -154,16 +154,14 @@ def bredon_section(graph, certificate, args):
 
 def run_limit(graph, args, rng):
     # a limit too large to report is refused before the certificate runs
-    limit = bredon.inverse_limit(graph)
-    return limit_section(graph, bredon.cone_certificate(graph), limit)
+    return limit_section(graph, bredon.inverse_limit(graph))
 
 
-def limit_section(graph, certificate, limit):
-    rho = bredon.rho_surjectivity(graph, limit)
-    iso = bredon.clique_basis_isomorphism(graph, limit)
+def limit_section(graph, certificate):
+    rho = bredon.rho_surjectivity(graph, certificate)
+    iso = bredon.clique_basis_isomorphism(graph, certificate)
     ok = certificate.ok and rho["surjective"] and iso["isomorphism"]
-    report = {"limit_rank": limit.rank,
-              "clique_count": certificate.clique_count,
+    report = {"limit_rank": certificate.rank, "clique_count": certificate.rank,
               "rho": rho, "clique_basis_isomorphism": iso, "ok": ok}
     if not certificate.ok:
         report["detail"] = certificate.witness
@@ -198,13 +196,12 @@ def run_mv_check(graph, args, rng):
 def run_all(graph, args, rng):
     # as in `limit`, a limit too large to report is refused up front,
     # before any section lists the cliques
-    limit = bredon.inverse_limit(graph)
-    certificate = bredon.cone_certificate(graph)
+    certificate = bredon.inverse_limit(graph)
     sections = {
         "ktheory": run_ktheory(graph, args, rng),
         "bgw": run_bgw(graph, args, rng),
         "bredon": bredon_section(graph, certificate, args),
-        "limit": limit_section(graph, certificate, limit),
+        "limit": limit_section(graph, certificate),
         "kunneth": run_kunneth(graph, args, rng),
         "counterexample": run_counterexample(args, rng),
     }
@@ -226,7 +223,7 @@ def run_all(graph, args, rng):
         "%s %s != %s %s" % (key, cross[key], other, value)
         for key, other, value in (
             ("euler_characteristic", "h0_rank", h0),
-            ("listed_count", "clique_count", certificate.clique_count),
+            ("listed_count", "clique_count", certificate.rank),
             ("h0_rank", "presentation_rank", d),
             ("limit_rank", "presentation_rank", d))
         if cross[key] != value), None)

@@ -107,9 +107,6 @@ class Graph:
             mask &= mask - 1
         return common
 
-    def has_edge(self, i, j):
-        return bool(self.adj[i] >> j & 1)
-
     def is_clique(self, mask):
         """True if every pair of vertices in the mask is adjacent."""
         m = mask
@@ -158,11 +155,6 @@ def submasks(mask):
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def subset_key(graph, mask):
-    """Canonical sort key for vertex subsets: size, then member list."""
-    return (bin(mask).count("1"), graph.members(mask))
 
 
 def parse_graph(text, fmt="edge-list"):

@@ -445,7 +445,7 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
 
 def element_to_json_dict(a):
     """The JSON form of an element: its basis, the ambient labels, and a
-    term per monomial, in `subset_key` order.  Each term's members are
+    term per monomial, by size, then members.  Each term's members are
     listed once and its sort key (size, members) is built from them;
     no two terms share their members, so no coefficient is compared."""
     g = a.graph

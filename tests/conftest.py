@@ -8,8 +8,7 @@ from math import gcd
 import pytest
 
 from racgk import bredon, cli, kring
-from racgk.graphs import (Graph, cliques_within, poset_chains, subset_key,
-                          submasks)
+from racgk.graphs import Graph, cliques_within, poset_chains, submasks
 from racgk.intlinalg import Lattice, accumulate, invariant_factors
 from racgk.kring import (BAR, STAR, KRingElement, clique_maps, convert_basis,
                          ideal_power, random_element, rename,
@@ -120,6 +119,12 @@ def label_order_counts(graph):
     return list(count((1 << graph.n) - 1))
 
 
+def subset_key(graph, mask):
+    """The canonical order of vertex subsets, which the clique listing,
+    the chains and the element JSON follow: size, then member list."""
+    return (bin(mask).count("1"), graph.members(mask))
+
+
 def brute_force_cliques(graph):
     """2^n subset filter; independent oracle for enumerate_spherical."""
     assert graph.n <= 20, "brute-force clique oracle limited to 20 vertices"
@@ -156,7 +161,7 @@ def accumulated_tensor_complex(c1, c2):
     """Reference build of `bredon.tensor_complex`: cells as (i, a, b)
     triples found through an index dict, and each row summed by
     `accumulate` from its (cell, entry) pairs."""
-    top = c1.top_degree + c2.top_degree
+    top = len(c1.ranks) + len(c2.ranks) - 2
     bases = [[(i, a, b) for i in range(len(c1.ranks))
               if 0 <= k - i < len(c2.ranks)
               for a in range(c1.ranks[i]) for b in range(c2.ranks[k - i])]
@@ -282,11 +287,12 @@ def walk_projection_failure(bar, small, big):
 
 
 class ApexLattice:
-    """Reference `LimitLattice`: compatible families of virtual
-    representations, one per clique, with a basis whose columns each own
-    a pivot row, a row no other column meets.  A family's coordinates
-    are then its entries at the pivot rows, divided by the pivots, and
-    an exact residual check tells whether it lies in the lattice.
+    """The limit lattice, built, as the reference for the certificate's
+    `clique_factors`: compatible families of virtual representations,
+    one per clique, with a basis whose columns each own a pivot row, a
+    row no other column meets.  A family's coordinates are then its
+    entries at the pivot rows, divided by the pivots, and an exact
+    residual check tells whether it lies in the lattice.
 
     A family is a dict vector over the degree-0 cells, which `index`
     numbers by their labels (clique, monomial), in basis order."""

@@ -388,6 +388,27 @@ def test_zeta_check_expands_each_size_once(monkeypatch):
     assert sizes == list(range(15))
 
 
+def test_inverse_limit_is_the_certificates_h0(monkeypatch):
+    # H^0 is the limit: one object carries the ranks, the witness and d
+    for name, g in oracle_graphs() + [("K7", complete_graph(7))]:
+        limit, cert = inverse_limit(g), cone_certificate(g)
+        assert (limit.ranks, limit.witness, limit.rank) == (
+            cert.ranks, cert.witness, cert.rank), name
+        assert limit.rank == sum(g.f_vector) == len(g.cliques), name
+        assert limit.cohomology[0]["free_rank"] == limit.rank, name
+    # the identities and the zeta check stay independent: a wrong bar
+    # expansion leaves the certificate ok, a dropped face the factors
+    g = complete_graph(4)
+    for mutation in sorted(BAR_MUTATIONS):
+        with monkeypatch.context() as m:
+            m.setattr(bredon, "_bar_expansion", BAR_MUTATIONS[mutation])
+            limit = inverse_limit(g)
+            assert limit.ok and limit.clique_factors is None, mutation
+    monkeypatch.setattr(bredon, *MUTATIONS["dropped face"])
+    limit = inverse_limit(g)
+    assert not limit.ok and limit.clique_factors == [1] * 16
+
+
 def test_limit_past_the_rank_cap_is_refused(monkeypatch):
     # d = 16 on K4: answered at the cap, refused just past it
     monkeypatch.setattr(bredon, "LIMIT_RANK_CAP", 16)

@@ -656,9 +656,11 @@ def test_k64_bgw_reads_the_f_vector(capsys, tmp_path):
         2 ** sum(comb(64, s) for s in range(1, k + 1)) for k in (1, 2, 3)]
 
 
+# K24 has d = 2^24, just past the cap of 2^23
+@pytest.mark.parametrize("n", [24, 64])
 def test_k64_limit_is_refused_before_any_check(monkeypatch, capsys,
-                                               tmp_path):
-    path = graph_file(tmp_path, "K64", complete_graph(64))
+                                               tmp_path, n):
+    path = graph_file(tmp_path, "K%d" % n, complete_graph(n))
 
     def refuse(*args):
         raise AssertionError("checked before the refusal")
@@ -670,12 +672,13 @@ def test_k64_limit_is_refused_before_any_check(monkeypatch, capsys,
     assert captured.err == (
         "error: the inverse limit has rank d = %d, and a limit report lists "
         "d invariant factors twice; the cap is d = %d\n"
-        % (2 ** 64, bredon.LIMIT_RANK_CAP))
+        % (2 ** n, bredon.LIMIT_RANK_CAP))
 
 
+@pytest.mark.parametrize("n", [24, 64])
 def test_k64_all_is_refused_before_any_section(monkeypatch, capsys,
-                                              tmp_path):
-    path = graph_file(tmp_path, "K64", complete_graph(64))
+                                              tmp_path, n):
+    path = graph_file(tmp_path, "K%d" % n, complete_graph(n))
     assert main(["limit", "--input", path]) == 2
     limit_err = capsys.readouterr().err
 

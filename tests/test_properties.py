@@ -18,7 +18,7 @@ from racgk.bredon import build_bredon_complex, cohomology, cone_certificate
 from racgk.cli import dump_json
 from racgk.graphs import (Graph, clique_counts, cliques_within,
                           enumerate_spherical, parse_graph, poset_chains,
-                          submasks, subset_key)
+                          submasks)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, _normalize_star, complete,
@@ -32,7 +32,7 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       dense_bredon_complex, dense_differentials,
                       label_order_counts, min_first_normalize_star,
                       neighbourhood_split, pairwise_bar_product,
-                      product_ideal_power, walk_certificate)
+                      product_ideal_power, subset_key, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
