@@ -72,18 +72,25 @@ def graph_header(graph):
 def run_ktheory(graph, args, rng):
     report = kring.presentation_report(graph)
     samples = []
-    for _ in range(5):
+    for sample in range(5):
         a = kring.random_element(graph, rng, basis=kring.STAR)
         b = kring.random_element(graph, rng, basis=kring.STAR)
         prod = kring.multiply_star(a, b)
-        oracle = kring.multiply_bar(kring.convert_basis(a, kring.BAR),
-                                    kring.convert_basis(b, kring.BAR))
-        agree = kring.convert_basis(prod, kring.BAR) == oracle
+        ours = kring.convert_basis(prod, kring.BAR).coeffs
+        oracle = kring.group_ring_product(a, b).coeffs
+        if ours != oracle and "detail" not in report:
+            # the first bar monomial, by (size, members), where they differ
+            m = min((m for m, _c in ours.items() ^ oracle.items()),
+                    key=lambda m: (m.bit_count(), graph.members(m)))
+            report["detail"] = {
+                "sample": sample, "monomial": list(graph.subset_labels(m)),
+                "star_product": str(ours.get(m, 0)),
+                "group_ring_product": str(oracle.get(m, 0))}
         samples.append({
             "a": kring.element_to_json_dict(a),
             "b": kring.element_to_json_dict(b),
             "product": kring.element_to_json_dict(prod),
-            "bases_agree": agree,
+            "bases_agree": ours == oracle,
         })
     report["sample_products"] = samples
     report["ok"] = all(s["bases_agree"] for s in samples)

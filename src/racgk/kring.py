@@ -10,7 +10,9 @@ bases are carried:
   normalized by rewriting until every monomial support is a clique.
 * bar basis (each bar generator is the star generator minus 1):
   monomial products follow closed structure constants and need no
-  rewriting.  The two multiplications serve as mutual oracles.
+  rewriting.  A star monomial t_m is the sum of the bar monomials on
+  the cliques inside m, so the group ring gives the bar form of a star
+  product with no rewriting: the oracle for the star product.
 
 The completion at the augmentation ideal keeps the constant term, the
 coefficient at the empty clique, exact and truncates every other
@@ -20,7 +22,7 @@ coefficient 2-adically.
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .graphs import submasks, validate_decomposition
+from .graphs import cliques_within, submasks, validate_decomposition
 from .intlinalg import Combination, Lattice, accumulate
 from .repring import RepRingElement
 
@@ -32,6 +34,17 @@ class KRingError(ValueError):
     pass
 
 
+def _check_support(graph, coeffs):
+    """`coeffs`, after one `issuperset` test that every key is a clique
+    of the graph; else the error names the first key that is not."""
+    cliques = graph.clique_set
+    if not cliques.issuperset(coeffs):
+        bad = next(k for k in coeffs if k not in cliques)
+        raise KRingError("support %r is not a clique"
+                         % (graph.subset_labels(bad),))
+    return coeffs
+
+
 class KRingElement(Combination):
     """Sparse integer combination of clique-indexed monomials."""
 
@@ -40,16 +53,10 @@ class KRingElement(Combination):
     def __init__(self, graph, basis, coeffs):
         if basis not in (STAR, BAR):
             raise KRingError("unknown basis %r" % basis)
+        _check_support(graph, coeffs)
         self.graph = graph
         self.basis = basis
-        self.coeffs = {}
-        cliques = graph.clique_set
-        for k, c in coeffs.items():
-            if k not in cliques:
-                raise KRingError("support %r is not a clique"
-                                 % (graph.subset_labels(k),))
-            if c:
-                self.coeffs[k] = c
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @classmethod
     def zero(cls, graph, basis=STAR):
@@ -177,6 +184,20 @@ def multiply_bar(a, b):
     return KRingElement(a.graph, BAR, _bar_sum(a.graph, a.coeffs, b.coeffs))
 
 
+def group_ring_product(a, b):
+    """The bar form of the product of two star-basis elements, through
+    the group ring: t_k t_l = t_(k ^ l), and t_m, the product of 1 + x_v
+    over v in m, is the sum of x_U over the cliques U inside m, since
+    x_U = 0 unless U is a clique.  Nothing is rewritten or converted."""
+    a._check(b)
+    if a.basis != STAR or b.basis != STAR:
+        raise KRingError("group_ring_product needs star-basis operands")
+    chars = accumulate((k ^ l, ck * cl) for k, ck in a.coeffs.items()
+                       for l, cl in b.coeffs.items())
+    return KRingElement(a.graph, BAR, accumulate(
+        (u, c) for m, c in chars.items() for u in cliques_within(a.graph, m)))
+
+
 def convert_basis(a, target):
     """Change between the star and bar bases.
 
@@ -187,15 +208,11 @@ def convert_basis(a, target):
         raise KRingError("unknown basis %r" % target)
     if a.basis == target:
         return a
-
-    def terms():
-        for k, c in a.coeffs.items():
-            for sub in submasks(k):
-                # the star sign is (-1)^|k - sub|, and k - sub is k ^ sub
-                odd = target == STAR and bin(k ^ sub).count("1") % 2
-                yield sub, -c if odd else c
-
-    return KRingElement(a.graph, target, accumulate(terms()))
+    # the star sign is (-1)^|k - sub|, and k - sub is k ^ sub
+    signed = target == STAR
+    return KRingElement(a.graph, target, accumulate(
+        (sub, -c if signed and (k ^ sub).bit_count() % 2 else c)
+        for k, c in a.coeffs.items() for sub in submasks(k)))
 
 
 def restrict_to_clique(a, target):
@@ -361,17 +378,6 @@ def clique_maps(graph, sub):
             dict(zip(sub.cliques, ours, strict=True)))
 
 
-def rename(a, ring, cliques):
-    """The bar monomials of `a` whose clique `cliques` maps, renamed, as
-    an element of `ring`: with `clique_maps`' down, the coordinate
-    projection onto a full subgraph, which sends the monomials outside
-    it to zero; with its up, the monomial-inclusion section."""
-    if a.basis != BAR:
-        raise KRingError("rename needs a bar-basis element")
-    return KRingElement(ring, BAR, {cliques[k]: c for k, c in a.coeffs.items()
-                                    if k in cliques})
-
-
 def _below(rng, n):
     """A uniform draw from range(n), n >= 1: k = n.bit_length() bits of
     `rng.getrandbits`, drawn again while they read n or more.  This is
@@ -385,48 +391,55 @@ def _below(rng, n):
     return r
 
 
-def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
-    """Seeded random sparse element, for property and oracle checks: a
-    term count in 1..terms, then for each term a clique of
-    `graph.cliques` and a coefficient in -coeff_bound..coeff_bound, in
-    that order, each drawn by `_below`.  These are the draws of
+def _draw(graph, rng, terms=3, coeff_bound=5):
+    """The coefficient dict of a seeded random sparse element: a term
+    count in 1..terms, then a clique of `graph.cliques` and a coefficient
+    in -coeff_bound..coeff_bound per term, each by `_below`, as
     `rng.randint(1, terms)`, `rng.choice(graph.cliques)` and
-    `rng.randint(-coeff_bound, coeff_bound)`, one for one, so the
-    seeded reports are those the `random` calls would give."""
-    cliques = graph.cliques
-    d, width = len(cliques), 2 * coeff_bound + 1
-    draws = [(cliques[_below(rng, d)], _below(rng, width) - coeff_bound)
-             for _ in range(1 + _below(rng, terms))]
-    return KRingElement(graph, basis, accumulate(draws))
+    `rng.randint(-coeff_bound, coeff_bound)` would draw them."""
+    cliques, width = graph.cliques, 2 * coeff_bound + 1
+    return accumulate((cliques[_below(rng, len(cliques))],
+                       _below(rng, width) - coeff_bound)
+                      for _ in range(1 + _below(rng, terms)))
+
+
+def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
+    """A seeded random element, drawn by `_draw`, for oracle checks."""
+    return KRingElement(graph, basis, _draw(graph, rng, terms, coeff_bound))
 
 
 def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
-    """Rank inclusion-exclusion plus a randomized check that the
-    coordinate projections are ring maps split by monomial inclusion.
+    """Rank inclusion-exclusion plus a randomized check, on bar
+    coordinate dicts from `_draw`, that the coordinate projections,
+    renamed through `clique_maps`, are ring maps split by monomial
+    inclusion; each product's support is tested as a ring element's is.
     A failed identity is named in `detail`: its part, sample and
     identity, the first in the order checked."""
     g1, g2, g3 = validate_decomposition(graph, part1, part2)
-    d, d1, d2, d3 = (len(g.cliques) for g in (graph, g1, g2, g3))
+    d, d1, d2 = (len(g.cliques) for g in (graph, g1, g2))
+    d3 = sum(g3.f_vector)
     rank_ok = (d == d1 + d2 - d3)
     broken, first = set(), None
+
+    def move(coeffs, cliques):
+        return {cliques[k]: c for k, c in coeffs.items() if k in cliques}
+
+    def times(ring, a, b):
+        return _check_support(ring, _bar_sum(ring, a, b))
+
     for part, sub in enumerate((g1, g2), 1):
         down, up = clique_maps(graph, sub)
         for sample in range(samples):
-            a = random_element(graph, rng, basis=BAR)
-            b = random_element(graph, rng, basis=BAR)
-            pa, pb = rename(a, sub, down), rename(b, sub, down)
-            x = random_element(sub, rng, basis=BAR)
-            y = random_element(sub, rng, basis=BAR)
-            ix, iy = rename(x, graph, up), rename(y, graph, up)
+            a, b = _draw(graph, rng), _draw(graph, rng)
+            x, y = _draw(sub, rng), _draw(sub, rng)
+            ix, iy = move(x, up), move(y, up)
             for key, identity, holds in (
                     ("projection_is_ring_map", "p(ab) = p(a)p(b)",
-                     rename(multiply_bar(a, b), sub, down)
-                     == multiply_bar(pa, pb)),
+                     move(times(graph, a, b), down)
+                     == times(sub, move(a, down), move(b, down))),
                     ("section_splits", "i(xy) = i(x)i(y)",
-                     rename(multiply_bar(x, y), graph, up)
-                     == multiply_bar(ix, iy)),
-                    ("section_splits", "p(i(x)) = x",
-                     rename(ix, sub, down) == x)):
+                     move(times(sub, x, y), up) == times(graph, ix, iy)),
+                    ("section_splits", "p(i(x)) = x", move(ix, down) == x)):
                 if not holds:
                     broken.add(key)
                     first = first or {"part": part, "sample": sample,

@@ -88,6 +88,24 @@ def test_mv_check(capsys, path_file, tmp_path):
     assert rep["rank_inclusion_exclusion"]
 
 
+def test_mv_check_lists_the_cliques_of_the_graph_and_its_parts(
+        monkeypatch, capsys, path_file, tmp_path):
+    # the intersection's cliques are only counted
+    listed = []
+    listing = graphs.enumerate_spherical
+
+    def counted(graph):
+        listed.append(graph.labels)
+        return listing(graph)
+    monkeypatch.setattr(graphs, "enumerate_spherical", counted)
+    part = tmp_path / "part.txt"
+    part.write_text("s t\nt u\n")
+    code, rep = run_json(capsys, ["mv-check", "--input", path_file,
+                                  "--partition", str(part)])
+    assert code == 0 and rep["ranks"]["intersection"] == 2
+    assert listed == [("s", "t", "u"), ("s", "t"), ("t", "u")]
+
+
 def test_mv_check_refuses_a_third_partition_line(capsys, tmp_path):
     graph = tmp_path / "p4.graph"
     graph.write_text("a b c d; a-b b-c c-d\n")
@@ -732,6 +750,51 @@ def test_bgw_names_the_first_vertex_whose_relation_fails(monkeypatch, capsys,
     code, rep = run_json(capsys, ["bgw", "--input", path_file])
     assert code == 1 and not rep["ok"] and not rep["relations_ok"]
     assert rep["detail"] == "s~^2 != -2 s~ in the completed ring for vertex t"
+
+
+@pytest.mark.parametrize("sub", ["ktheory", "all"])
+def test_a_wrong_star_normal_form_names_its_sample(monkeypatch, capsys,
+                                                   pentagon_file, sub):
+    normalize = kring._normalize_star
+
+    def shifted(graph, terms):
+        # one more at the constant term whenever a support is rewritten
+        done = normalize(graph, terms)
+        if not all(graph.is_clique(m) for m in terms):
+            done[0] = done.get(0, 0) + 1
+        return done
+    monkeypatch.setattr(kring, "_normalize_star", shifted)
+    code, rep = run_json(capsys, [sub, "--input", pentagon_file,
+                                  "--seed", "5"])
+    assert code == 1 and not rep["ok"]
+    section = rep["ktheory"] if sub == "all" else rep
+    assert not section["ok"]
+    assert [s["bases_agree"] for s in section["sample_products"]] == [
+        True, True, True, False, False]
+    assert section["detail"] == {"sample": 3, "monomial": [],
+                                 "star_product": "31",
+                                 "group_ring_product": "30"}
+
+
+def test_the_ktheory_witness_is_first_by_size_then_members(monkeypatch,
+                                                           capsys,
+                                                           pentagon_file):
+    product = kring.group_ring_product
+
+    def off(a, b):
+        # off by 7 at {a, b} and at {e}: {e} is smaller, though its mask
+        # is the larger number
+        p = product(a, b)
+        return p + kring.KRingElement(p.graph, kring.BAR,
+                                      {0b00011: 7, 0b10000: 7})
+    monkeypatch.setattr(kring, "group_ring_product", off)
+    code, rep = run_json(capsys, ["ktheory", "--input", pentagon_file])
+    assert code == 1
+    assert not any(s["bases_agree"] for s in rep["sample_products"])
+    detail = rep["detail"]
+    assert detail["sample"] == 0 and detail["monomial"] == ["e"]
+    assert (int(detail["group_ring_product"])
+            - int(detail["star_product"])) == 7
 
 
 def run_in_process(capsys, argv):

@@ -7,7 +7,8 @@ from racgk.graphs import enumerate_spherical, parse_graph
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, augmentation, bar_relations, complete,
                          completed_multiply, convert_basis, ideal_power,
-                         element_to_json_dict, ideal_powers,
+                         element_to_json_dict, group_ring_product,
+                         ideal_powers,
                          mayer_vietoris_check, multiply_bar, multiply_star,
                          presentation_report, random_element,
                          restrict_to_clique)
@@ -98,6 +99,15 @@ def test_elements_on_separately_parsed_copies_combine():
     ca, cb = (CompletedElement(g, 8, {0: 3, 0b110: 5}) for g in (g1, g2))
     assert ca == cb and ca + cb == ca.scale(2)
     assert completed_multiply(ca, cb) == completed_multiply(ca, ca)
+
+
+def test_group_ring_product_needs_star_operands():
+    s = star(PATH, "s")
+    assert group_ring_product(s, s) == KRingElement.one(PATH, BAR)
+    with pytest.raises(KRingError, match="star-basis"):
+        group_ring_product(*[convert_basis(s, BAR)] * 2)
+    with pytest.raises(KRingError, match="graph"):
+        group_ring_product(s, star(NONEDGE, "s"))
 
 
 def test_below_is_randrange():
@@ -535,3 +545,14 @@ def test_wrong_clique_map_names_its_witness(monkeypatch, which, detail):
     assert report["detail"] == detail
     assert report["projection_is_ring_map"] == (which == "up")
     assert not report["section_splits"]
+
+
+def test_a_product_off_the_cliques_is_refused(monkeypatch):
+    # every bar product lands on {v0, v2}, not a clique of the path nor
+    # of either part: the projection's first product is refused, as a
+    # ring element with that support is
+    monkeypatch.setattr(kring, "bar_product", lambda j, k: (0b101, 1))
+    with pytest.raises(KRingError, match=r"support \('v0', 'v2'\) is not a "
+                       "clique"):
+        mayer_vietoris_check(path_graph(3), ["v0", "v1"], ["v1", "v2"],
+                             random.Random(47))

@@ -22,9 +22,9 @@ from racgk.graphs import (Graph, clique_counts, cliques_within,
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, _normalize_star, complete,
-                         completed_multiply, convert_basis, ideal_power,
-                         ideal_powers, mayer_vietoris_check, multiply_bar,
-                         multiply_star)
+                         completed_multiply, convert_basis,
+                         group_ring_product, ideal_power, ideal_powers,
+                         mayer_vietoris_check, multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
@@ -157,6 +157,17 @@ def test_star_product_matches_bar_product(elements):
     bar = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
     assert convert_basis(multiply_star(a, b), BAR) == bar
     assert multiply_star(a, b) == convert_basis(bar, STAR)
+
+
+@LAWS
+@given(kring_elements(2, basis=STAR))
+def test_three_product_routes_agree(elements):
+    # rewriting to cliques, the bar structure constants, and the group
+    # ring's characters expanded over the cliques inside each mask
+    a, b = elements
+    star = convert_basis(multiply_star(a, b), BAR)
+    bar = multiply_bar(convert_basis(a, BAR), convert_basis(b, BAR))
+    assert star == bar == group_ring_product(a, b)
 
 
 @LAWS
