@@ -419,27 +419,25 @@ def rho_surjectivity(graph, limit):
     monomials span the limit lattice, given as its certificate `limit`,
     with index 1.  The d clique families span the same sublattice as all
     of them (by the star relation s*t* = s* + t* - 1, which holds on
-    every clique), so their invariant factors are read instead."""
+    every clique), so their d invariant factors are read instead.
+    `graph` and `rank` stay for the span counter in `perfbench/spans.py`."""
     factors = limit.clique_factors
     if factors is None:
-        return {"rank": limit.rank, "image_rank": None, "index_one": False,
-                "surjective": False,
+        return {"rank": limit.rank, "surjective": False,
                 "detail": "a clique family falls outside the limit lattice"}
-    return {"rank": limit.rank, "image_rank": len(factors),
-            "invariant_factors": list(factors), "index_one": True,
+    return {"rank": limit.rank, "invariant_factors": list(factors),
             "surjective": True}
 
 
-def clique_basis_isomorphism(graph, limit):
+def clique_basis_isomorphism(limit):
     """Invariant factors of the map sending the clique basis of the
     K-ring onto the limit lattice, given as its certificate `limit`; an
-    isomorphism shows up as all invariant factors 1."""
+    isomorphism shows up as d invariant factors 1."""
     factors = limit.clique_factors
     if factors is None:
         return {"isomorphism": False,
                 "detail": "clique monomial family outside the limit lattice"}
-    return {"rank": limit.rank, "invariant_factors": list(factors),
-            "isomorphism": True}
+    return {"invariant_factors": list(factors), "isomorphism": True}
 
 
 def interval_complex():

@@ -457,10 +457,10 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
 
 
 def element_to_json_dict(a):
-    """The JSON form of an element: its basis, the ambient labels, and a
-    term per monomial, by size, then members.  Each term's members are
-    listed once and its sort key (size, members) is built from them;
-    no two terms share their members, so no coefficient is compared."""
+    """The JSON form of an element: its basis and a term per monomial, by
+    size, then members (the labels are the report header's).  Each
+    term's members are listed once and sort by (size, members); no two
+    terms share their members, so no coefficient is compared."""
     g = a.graph
     labels = g.labels
     terms = []
@@ -470,7 +470,6 @@ def element_to_json_dict(a):
     terms.sort()
     return {
         "basis": a.basis,
-        "ambient": list(labels),
         "terms": [{"monomial": [labels[i] for i in members], "coeff": str(c)}
                   for _size, members, c in terms],
     }

@@ -386,18 +386,12 @@ def apex_rho(limit):
     """Reference `rho_surjectivity` report, for a lattice of any rank."""
     factors = limit.clique_factors
     if factors is None:
-        return {"rank": limit.rank, "image_rank": None, "index_one": False,
-                "surjective": False,
+        return {"rank": limit.rank, "surjective": False,
                 "detail": "a clique family falls outside the limit lattice"}
     surjective = (len(factors) == limit.rank
                   and all(f == 1 for f in factors))
-    return {
-        "rank": limit.rank,
-        "image_rank": len(factors),
-        "invariant_factors": list(factors),
-        "index_one": all(f == 1 for f in factors),
-        "surjective": surjective,
-    }
+    return {"rank": limit.rank, "invariant_factors": list(factors),
+            "surjective": surjective}
 
 
 def apex_iso(limit):
@@ -409,8 +403,7 @@ def apex_iso(limit):
                 "detail": "clique monomial family outside the limit lattice"}
     iso = (len(factors) == limit.rank == len(limit.cliques)
            and all(f == 1 for f in factors))
-    return {"rank": limit.rank, "invariant_factors": list(factors),
-            "isomorphism": iso}
+    return {"invariant_factors": list(factors), "isomorphism": iso}
 
 
 def assert_limit_matches_apex(graph, name=None):
@@ -421,7 +414,7 @@ def assert_limit_matches_apex(graph, name=None):
     assert limit.clique_factors == apex.clique_factors, name
     for report, reference in (
             (bredon.rho_surjectivity(graph, limit), apex_rho(apex)),
-            (bredon.clique_basis_isomorphism(graph, limit), apex_iso(apex))):
+            (bredon.clique_basis_isomorphism(limit), apex_iso(apex))):
         assert list(report.items()) == list(reference.items()), name
 
 

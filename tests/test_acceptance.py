@@ -51,8 +51,8 @@ def test_criterion_2_limit_isomorphism_and_surjectivity():
     for name, graph, d in SUITE:
         ok = presentation_report(graph)["rank"] == d
         limit = inverse_limit(graph)
-        iso = clique_basis_isomorphism(graph, limit)
-        ok &= iso["isomorphism"] and iso["rank"] == d
+        iso = clique_basis_isomorphism(limit)
+        ok &= iso["isomorphism"] and len(iso["invariant_factors"]) == d
         ok &= rho_surjectivity(graph, limit)["surjective"]
         if not ok:
             failures.append(name)

@@ -314,7 +314,8 @@ def test_limit_checks_fail_outside_the_lattice():
                         for col in limit.basis_columns],
                        list(limit.pivot_column))
     rho = apex_rho(half)
-    assert not rho["surjective"] and rho["image_rank"] is None
+    assert half.clique_factors is None
+    assert not rho["surjective"] and "invariant_factors" not in rho
     assert "outside the limit lattice" in rho["detail"]
     assert not apex_iso(half)["isomorphism"]
 
@@ -326,9 +327,12 @@ def test_limit_checks_detect_a_larger_lattice():
     n = len(limit.index)
     whole = ApexLattice(limit.cliques, limit.index,
                         [{j: 1} for j in range(n)], range(n))
+    # rank, image rank and index, on the lattice itself
+    factors = whole.clique_factors
+    assert (whole.rank, len(factors)) == (n, limit.rank)
+    assert all(f == 1 for f in factors)
     rho = apex_rho(whole)
-    assert (rho["rank"], rho["image_rank"]) == (n, limit.rank)
-    assert rho["index_one"] and not rho["surjective"]
+    assert rho["rank"] == n and not rho["surjective"]
     assert rho["invariant_factors"] == ambient_sweep_factors(g, whole)
     assert not apex_iso(whole)["isomorphism"]
 
@@ -428,9 +432,9 @@ def test_rho_bijective_on_complete_graphs():
 
 def test_clique_basis_isomorphism(suite_entry):
     _, graph, d = suite_entry
-    rep = clique_basis_isomorphism(graph, inverse_limit(graph))
+    rep = clique_basis_isomorphism(inverse_limit(graph))
     assert rep["isomorphism"]
-    assert rep["rank"] == d
+    assert rep["invariant_factors"] == [1] * d
 
 
 def test_interval_complex_cohomology():
@@ -530,7 +534,7 @@ def test_c12_limit_ladder_target():
     limit = inverse_limit(g)
     assert limit.rank == 25
     assert rho_surjectivity(g, limit)["surjective"]
-    assert clique_basis_isomorphism(g, limit)["isomorphism"]
+    assert clique_basis_isomorphism(limit)["isomorphism"]
 
 
 def test_c64_limit_ladder_target():
@@ -540,4 +544,4 @@ def test_c64_limit_ladder_target():
     rho = rho_surjectivity(g, limit)
     assert rho["surjective"]
     assert rho["invariant_factors"] == [1] * 129
-    assert clique_basis_isomorphism(g, limit)["isomorphism"]
+    assert clique_basis_isomorphism(limit)["isomorphism"]

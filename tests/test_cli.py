@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from math import comb, factorial
 
 import pytest
@@ -328,6 +329,32 @@ def test_dump_matrices(capsys, tmp_path, name, sub):
     assert not (tmp_path / ("d.%d" % len(dense))).exists()
 
 
+def test_the_dump_cap_admits_k8_and_refuses_k9():
+    cells = [sum(bredon.cone_certificate(complete_graph(n)).ranks)
+             for n in (8, 9)]
+    assert cells == [4366422, 56697574]
+    assert cells[0] <= cli.DUMP_CELL_CAP < cells[1]
+
+
+@pytest.mark.parametrize("sub", ["bredon", "all"])
+def test_a_complex_too_large_to_dump_is_refused(monkeypatch, capsys,
+                                                tmp_path, sub):
+    # K9's cells are counted and refused before the complex is built
+    def refuse(graph):
+        raise AssertionError("the complex was built")
+    monkeypatch.setattr(bredon, "build_bredon_complex", refuse)
+    path = graph_file(tmp_path, "K9", complete_graph(9))
+    start = time.perf_counter()
+    assert main([sub, "--input", path,
+                 "--dump-matrices", str(tmp_path / "d")]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("error: --dump-matrices would build a complex "
+                            "of 56697574 cells; the cap is 5000000\n")
+    assert not list(tmp_path.glob("d.*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["limit", "--dump-matrices", "d", "--partition", "/nonexistent"],
     ["ktheory", "--dump-matrices", "d"],
@@ -468,50 +495,50 @@ def test_json_writer_on_string_lists_that_need_escaping():
 REPORT_SHA256 = {
     # (graph, subcommand): [seed 0, seed 5]
     ("K3", "ktheory"): [
-        "be4ea6ba2746a8e0cd83c0502cb91d2bbbc9b6a7fdca18ede0f581d8d62c4672",
-        "e3facb60b1a807ba26168de64933bc74e795a73e3b086d505827f0fad7f1e3e5"],
+        "42587da7bbc39a83aa8d80ad15c24ea33c5631a728b71e5c42d1e97e3ab8b5cb",
+        "a595f5b4da7f2d47e8705468701a730de9c0b65f2545841da1798efa8482a068"],
     ("K3", "bgw"): [
         "b0f898dd8b873ac000236e9440b3dc2650564f09cc91eb7fe00728847e4adfc0",
         "0589726621092378c472e0c6f03a66f61ced5a43c6b11157015d5e4a55fad4e7"],
     ("K3", "all"): [
-        "114567ffee7093ad54fbf0066a47ab124e58e039fe43bd2208a3b8b85dbd0b23",
-        "fcaafb43a42eed82a464524b98f0caf1b8397f6d09fcb719d8bbf1ca8ccbcaec"],
+        "1d62cc39e52245ce0956d39e7bac4d9b3717f31b8df240c71d86364e438a84fb",
+        "b8c04f642132dc41c7b4ef8e785ce03148ee0b02de439caa596714f295a6dff3"],
     ("E3", "ktheory"): [
-        "f58e46f388ee7f4290f2cd32ea9f7238f335755f84a31c3efb2ddcec0eb60c0b",
-        "195f97b95d8202ca469b864d7cfc37d2c15df0d9d891c3febb047cc9269106f5"],
+        "c650c1ccf21fd2713841dbe2331325abf7b0ed3677c53810a90ed8687c490a2f",
+        "c114fde58b9e3c4032fd936d41c4263d3e61768e8b015cef73ae1ff6b008f216"],
     ("E3", "bgw"): [
         "9780c610642fe0bb6024df14f94e517287658a2a391261bfeb0f9793d8890c39",
         "b1127579186fdae82c5d37dbfc25be5a420ca628d2666dda683df9eb7aa88580"],
     ("E3", "all"): [
-        "66a52a8cc43ecad5c74f280643b5fb6653dc8c02794a2695c25b9f2efdb5eb1b",
-        "f2f3012cfba4011532e1d4c920e74fd4c5ac44df1d7345a24f93be8577c08ca9"],
+        "a2c1af15784b056922ed8311f29ac02031fb247d9eae374a00e63b4d6a67cb3b",
+        "7abaef03bb9530620795bf846b5d58c6cb8478aaf720905849cbf9883451e7bb"],
     ("P4", "ktheory"): [
-        "5f1d929e66eb649fc13969cd2bce6f6835452f135bfc406702ef2db82af44949",
-        "ebf28a031321cad638dc147bf8ce7a64405ab830ab5299f570960981fd4535ba"],
+        "b8173ef3bba46f0a9c672822a775a2f896df8de2c9a092db3105063ce4375b8e",
+        "89beb62881aebbeaac1f0ab7331867817cbaabaeed3812ccdf98e8ec31ee688e"],
     ("P4", "bgw"): [
         "de9471915e445fd94f1c6a1597b73ad0a3a1652fd5905d2744842bdb5bc88a8c",
         "4155f68f80398649b1cc15b3553d169e9dc42cfd28f28fb02ee330fae67d2137"],
     ("P4", "all"): [
-        "f60d07472221ea10aa99fed8fe5ff6a0d966ab04c63cd4f1fe74d1d602d9b4be",
-        "4030b7570b73200af7ddc7eefe328aadc0243dbb366ab12f1fac129c430f5c48"],
+        "821414d3db11ebb5c000f3557fcd8cdb0d9ee9c2e2deef7087629406c595e1a7",
+        "e40048ef787ecb1e6c8aaf8b3f69e20181e507ca5089dab45a11e2dd65c76830"],
     ("C4", "ktheory"): [
-        "69fc455c42d858887c951358e53a881b9ec2fd721bc1c53b0efdb1771b3bc86d",
-        "1e8d1db8f41423fbf5112878fc3bd24cf0d712aa0ac241a388b746b99eed4e05"],
+        "36d4cb729d413f57532a274d55de943b2303c910a9271f950a7ad935334033d7",
+        "73ce94563ca86ec673c93a622d140c797542343afca056f3aefd2b258c9e0328"],
     ("C4", "bgw"): [
         "a7e988ef613ae0ea4785a317f6932154089f9f6f18904784d2f4ab5e58fe867f",
         "dfb84e5346f2db6553240dc95f6f8649b83612a12d303c0e19d69910def034d8"],
     ("C4", "all"): [
-        "e748b2e86f958abe136b03f093b6481915013b628eeefb2d9c7493e931408df8",
-        "159b48f68e31f5cc8e5d7ecfc283c0a57a4121cbb559c2b7e916d06a9dc4be09"],
+        "7d84a601ce8d81ec96ce9310e755fd430e370ec5e42d8031df48b3e7ea42cf23",
+        "d8a888359c60ba1a3e02b61050521c12a2a0b2e495632a5face99104b9f4a992"],
     ("Petersen", "ktheory"): [
-        "6fcb7d9f869d7081e2a7ef566517668a2945227bd5024368e8f6a4add2d2a9e0",
-        "32c62f47f0b3a7f6019d675a947e16ee2d16a18e130fd36a8da7ceccc549e19a"],
+        "ad7d8e209ae394b1e45e9606d0ce21dd6e491e1ba41afbb71efdbe7961f8ac63",
+        "089e7ce42e83bce76a80154c3b1686dd7254235fddb7fca0c2d463650808e0c0"],
     ("Petersen", "bgw"): [
         "075548b62053aef25a113675fb4146a9ef9474c9fc1f6a917aeff18da8486d46",
         "12af39bdcb1d3d8e5ec85e4f2c28131227017825d4c4308fd91d2a005d21b16e"],
     ("Petersen", "all"): [
-        "56b14f6db46640a06507926332e9f1265b60c1e7860ff83f1b7263c5e955608c",
-        "b060736999328baced728c5396433b671607275aeedbea7effa9c1e9f1c6a06c"],
+        "d3050d1e14af70deda5c03f31bb5b1fee4b41fd6bceac3c416447b4781c8d077",
+        "64df51837d921327f49072e1f6f112a865776790c574afce7865ff75cb65fc23"],
     ("P4", "mv-check"): [
         "1ba6e9bc8e5136e650775a8373de19712ba9dbcfa05eca04736218679092bb9f",
         "74d362a323d13a572b6226bbaa42fa1075617cf8de963160fbfa6eaad38f33bb"],
@@ -628,6 +655,8 @@ def test_rank_cross_check_fails_on_wrong_ranks(monkeypatch, capsys,
     assert code == 1 and not rep["ok"] and not cross["ok"]
     assert (cross["euler_characteristic"], cross["h0_rank"]) == (10, 11)
     assert cross["detail"] == "euler_characteristic 10 != h0_rank 11"
+    # the listing and the count still agree: only the Euler row fails
+    assert cross["h0_rank"] == cross["presentation_rank"]
 
 
 def test_rank_cross_check_fails_on_a_dropped_clique(monkeypatch, capsys,
@@ -641,16 +670,18 @@ def test_rank_cross_check_fails_on_a_dropped_clique(monkeypatch, capsys,
     code, rep = run_json(capsys, ["all", "--input", pentagon_file])
     cross = rep["rank_cross_check"]
     assert code == 1 and not rep["ok"] and not cross["ok"]
-    assert (cross["listed_count"], rep["bredon"]["clique_count"]) == (10, 11)
-    assert cross["detail"] == "listed_count 10 != clique_count 11"
+    assert (cross["h0_rank"], cross["presentation_rank"]) == (11, 10)
+    assert cross["detail"] == "h0_rank 11 != presentation_rank 10"
+    # the ranks are counted, not listed: the Euler row holds
+    assert cross["euler_characteristic"] == cross["h0_rank"]
 
 
 def test_rank_cross_check_keys(capsys, pentagon_file):
     code, rep = run_json(capsys, ["all", "--input", pentagon_file])
     assert code == 0
     assert rep["rank_cross_check"] == {
-        "presentation_rank": 11, "h0_rank": 11, "limit_rank": 11,
-        "euler_characteristic": 11, "listed_count": 11, "ok": True}
+        "presentation_rank": 11, "h0_rank": 11, "euler_characteristic": 11,
+        "ok": True}
 
 
 def test_k64_bredon_is_counted(capsys, tmp_path):

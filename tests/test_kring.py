@@ -292,8 +292,7 @@ def test_element_json_orders_terms_by_subset_key(suite_entry):
                     for k, c in sorted(a.coeffs.items(),
                                        key=lambda kv: subset_key(graph, kv[0]))]
         report = element_to_json_dict(a)
-        assert report == {"basis": a.basis, "ambient": list(graph.labels),
-                          "terms": expected}, name
+        assert report == {"basis": a.basis, "terms": expected}, name
 
 
 def test_complete_graph_star_ring_equals_rep_ring():
