@@ -1,25 +1,27 @@
-"""Exact integer linear algebra on sparse rows: unit steps, then one
-echelon form.  The unit steps (`_UnitSteps`) take a matrix's unit
-pivots in place, found on a queue of changed rows; on the complexes
-here they leave no row.  The echelon form (`_Elimination`) is the one
-Euclid elimination: pivots in column order, the transform tracked
-(Cohen, A Course in Computational Algebraic Number Theory, 2.4.2).  It
-gives kernels and Hermite normal forms, and the diagonal form of what
-the unit steps leave, by Hermite forms of the rows and of the columns
-in turn.  Lattice membership substitutes into the Hermite form and
-certifies over the generators, and exact solving (`ColumnSolver`) is
-membership in the lattice of the columns.  Also the sparse-combination
-core (`accumulate`, `Combination`) under the ring elements.
+"""Exact integer linear algebra on sparse rows, by one elimination
+(`_Elimination`): the rows, each column's holders, the pivots taken,
+and a transform only for kernels and tracked Hermite forms.  It has
+two pivot rules.  The unit steps take a matrix's unit pivots in place,
+found on a queue of changed rows; on the complexes here they leave no
+row.  The echelon form is Euclid elimination with pivots in column
+order (Cohen, A Course in Computational Algebraic Number Theory,
+2.4.2); it gives kernels and Hermite normal forms, and the diagonal
+form of what the unit steps leave, by untracked Hermite forms of the
+rows and of the columns in turn.  Lattice membership substitutes into
+the Hermite form and certifies over the generators, and exact solving
+(`ColumnSolver`) is membership in the lattice of the columns.  Also
+the sparse-combination core (`accumulate`, `Combination`) under the
+ring elements.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
 column).  `invariant_factors`, `kernel_basis`, `row_hnf`, `Lattice` and
-`ColumnSolver` copy what they are given, explicit zero entries dropped,
-and return dict vectors; the cochain complexes hold dict rows from
-build to elimination.  Everything is exact.  The dense Smith normal
-form with both transforms (`smith_normal_form`, with `mat_mul` and
-`identity`) works on lists of rows and is kept only as the reference
-the sparse kernel is tested against.
+`ColumnSolver` copy what they are given, explicit zero entries dropped
+before any range check, and return dict vectors; the cochain complexes
+hold dict rows from build to elimination.  Everything is exact.  The
+dense Smith normal form with both transforms (`smith_normal_form`, with
+`mat_mul` and `identity`) works on lists of rows and is kept only as the
+reference the sparse kernel is tested against.
 """
 
 from collections import deque
@@ -185,50 +187,37 @@ def _snf_pair_update(a, u, v, k, x, y, g, s, t):
         a[rr][j] = -t * yg * ai + s * xg * aj
 
 
-def _column_holders(rows):
-    """{column: set of the rows with an entry there} for sparse rows."""
-    cols = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            if j in cols:
-                cols[j].add(i)
-            else:
-                cols[j] = {i}
-    return cols
+class _Elimination:
+    """The module's one elimination state: sparse rows, dicts {column:
+    nonzero entry}, worked in place; `cols`, each column's set of the
+    active rows that hold it; the pivots (row, column); and, only with
+    track=True, the transform: track[i] writes row i in the rows given
+    (else track is None).  A pivot retires its row as it stands, so the
+    active rows are the rows not among the pivots."""
 
-
-class _UnitSteps:
-    """The unit pivots of sparse rows, dicts {column: nonzero entry},
-    taken in place with no transform: each clears its column from the
-    other rows and retires its row, and the active rows left hold no
-    unit.  The rows to look at are on a queue, each at most once
-    (`queued` holds them): it starts with the nonempty rows in index
-    order, and a row goes back on only when a row operation changes it.
-    Every active row that holds a unit is on it, so an empty queue means
-    no unit is left.
-    """
-
-    def __init__(self, rows):
+    def __init__(self, rows, track=False):
         self.rows = rows
-        self.active = set(range(len(rows)))
-        self.cols = _column_holders(rows)
-        # an empty row holds no unit, so it is never queued
-        self.queue = deque(i for i, row in enumerate(rows) if row)
-        self.queued = set(self.queue)
+        self.cols = cols = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
+        self.track = [{i: 1} for i in range(len(rows))] if track else None
         self.pivots = []
-        self._unit_steps()
 
-    def _unit_steps(self):
-        """Takes rows off the queue until it is empty, and steps on a
-        unit of each row that holds one, in the column with the fewest
-        holders, ties to the first met.  A row without a unit is
-        dropped: it holds none until a row operation changes it, and
-        that queues it again.  Every row on the queue is active: a row
-        is retired only by `_unit_step`, right after it was taken off,
-        and leaves every holder set there, so no row operation can queue
-        it again."""
-        queue, queued = self.queue, self.queued
+    def unit_steps(self):
+        """Takes the unit pivots, untracked, until no active row holds a
+        unit.  A row is looked at off a queue, each at most once
+        (`queued`): first the nonempty rows in index order, then a row
+        again only when a row operation changes it.  It steps on a unit
+        in the column with the fewest holders, ties to the first met.  A
+        retired row leaves every holder set, so it is never queued."""
         rows, cols = self.rows, self.cols
+        # an empty row holds no unit, so it is never queued
+        self.queue = queue = deque(i for i, row in enumerate(rows) if row)
+        self.queued = queued = set(queue)
         while queue:
             i = queue.popleft()
             queued.discard(i)
@@ -238,14 +227,14 @@ class _UnitSteps:
                     best, fewest = j, len(cols[j])
             if best is not None:
                 self._unit_step(i, best)
+        return self
 
     def _unit_step(self, r, c):
         """Clears column c by the unit pivot at (r, c) and retires row r.
-        Row i takes -(entry at c) times the pivot times row r, which
-        leaves no remainder: its entry at c goes, and only the pivot
-        row's other entries are added in.  A pivot row with no other
-        entry just deletes the column from the other rows, which only
-        shrink, so none gains a unit and none is queued."""
+        Row i takes -(entry at c) times the pivot times row r: no
+        remainder, and only the pivot row's other entries are added in.
+        A pivot row with no other entry just deletes the column from the
+        other rows, which only shrink, so none is queued."""
         rows, cols = self.rows, self.cols
         pivot_row = rows[r]
         unit = -pivot_row[c]
@@ -276,56 +265,33 @@ class _UnitSteps:
         else:
             for i in members:
                 del rows[i][c]
-        self.active.discard(r)
         for _j, _v, holders in rest:
             holders.discard(r)
         self.pivots.append((r, c))
 
-
-class _Elimination:
-    """The module's one Euclid elimination: sparse rows, dicts {column:
-    nonzero entry}, to row echelon form, for `kernel_basis` and
-    `_hermite`, and through `row_hnf` for what `invariant_factors`'s
-    unit steps leave.  The pivot is the entry of least magnitude, lowest
-    row first, in the leftmost column that active rows still hold; row
-    operations clear its column from the other active rows, each round
-    taking the least remainder as the next pivot, and retire the pivot
-    row.  So the pivots come in increasing column order, and a retired
-    row is left as it stands: a row echelon form.  Each row operation is
-    repeated on a row of the identity, so track[i] writes row i in the
-    rows given.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.cols = cols = _column_holders(rows)
-        self.track = [{i: 1} for i in range(len(rows))]
-        self.order = sorted(cols, reverse=True)
-        self.pivots = []
-        while (pivot := self._leftmost_pivot()) is not None:
-            r, c = pivot
+    def echelon(self):
+        """Row echelon form: the pivot is the least entry, lowest row
+        first, in the leftmost column that active rows hold, so pivots
+        come in column order.  A column no active row holds never fills
+        again (fill comes only from active rows), so it is dropped."""
+        rows, cols = self.rows, self.cols
+        order = sorted(cols, reverse=True)
+        while order:
+            c = order[-1]
+            members = cols.get(c)
+            if not members:
+                order.pop()
+                continue
+            r = min(members, key=lambda i: (abs(rows[i][c]), i))
             r = self._clear_column(r, c)
             for j in rows[r]:
                 cols[j].discard(r)
             del cols[c]
             self.pivots.append((r, c))
-
-    def _leftmost_pivot(self):
-        """The least entry, lowest row first, of the leftmost column
-        that an active row holds.  A column no active row holds never
-        fills again (fill comes only from active rows), so the columns
-        passed are dropped for good."""
-        order, cols, rows = self.order, self.cols, self.rows
-        while order:
-            c = order[-1]
-            members = cols.get(c)
-            if members:
-                return min(members, key=lambda i: (abs(rows[i][c]), i)), c
-            order.pop()
-        return None
+        return self
 
     def _add(self, i, q, r):
-        """row i += q * row r, and the same on the transform."""
+        """row i += q * row r, and the same on the transform if kept."""
         row, cols = self.rows[i], self.cols
         for j, v in self.rows[r].items():
             x = row.get(j)
@@ -339,7 +305,8 @@ class _Elimination:
                 else:
                     del row[j]
                     cols[j].discard(i)
-        _add_into(self.track[i], q, self.track[r])
+        if self.track is not None:
+            _add_into(self.track[i], q, self.track[r])
 
     def _clear_column(self, r, c):
         """Row operations leaving one active row with an entry in column
@@ -446,18 +413,19 @@ def invariant_factors(rows):
     divisibility order.  The unit steps come first, each a factor 1, and
     on the complexes here they leave no row.  The active rows left hold
     no unit; `row_hnf` on them and on the transposed result, in turn,
-    brings them to diagonal form, one entry per row and per column
-    (Kannan and Bachem, SIAM J. Comput. 1979).  The rows are copied, not
-    consumed."""
+    untracked, brings them to diagonal form, one entry per row and per
+    column (Kannan and Bachem, SIAM J. Comput. 1979).  The rows are
+    copied, not consumed."""
     rows = list(map(_sparse, rows))
-    steps = _UnitSteps(rows)
-    rest = [rows[i] for i in steps.active if rows[i]]
+    elim = _Elimination(rows).unit_steps()
+    retired = {r for r, _c in elim.pivots}
+    rest = [row for i, row in enumerate(rows) if row and i not in retired]
     while rest:
         rest = row_hnf(rest)
         if all(len(row) == 1 for row in rest):
             break
         rest = _transpose(rest)
-    return _divisibility_chain([1] * len(steps.pivots)
+    return _divisibility_chain([1] * len(retired)
                                + [x for row in rest for x in row.values()])
 
 
@@ -472,50 +440,13 @@ def kernel_basis(rows, n):
     columns = [{} for _ in range(n)]
     for i, row in enumerate(map(_sparse, rows)):
         for j, x in row.items():
+            if not 0 <= j < n:
+                raise ValueError("row entry at column %d outside %d columns"
+                                 % (j, n))
             columns[j][i] = x
-    elim = _Elimination(columns)
+    elim = _Elimination(columns, track=True).echelon()
     pivot_cols = {r for r, _c in elim.pivots}
     return [elim.track[j] for j in range(n) if j not in pivot_cols]
-
-
-def _hermite(rows):
-    """Hermite normal form of the lattice spanned by sparse rows, which
-    it consumes: (row, expression) pairs in pivot column order, the
-    expression a dict {input row: coefficient}.
-
-    The kernel's echelon form leaves one row per pivot column, in
-    column order; each pivot is made positive, then the entries above
-    it are reduced, leftmost pivot first: reducing by a pivot row
-    changes only its own and later columns.  A pivot reduces only the
-    rows that hold its column: `holders` maps each column to the form
-    rows with an entry there, and grows by the fill each reduction
-    writes.  An entry a reduction cancelled leaves a stale holder, whose
-    quotient is 0.  The reductions by one pivot touch different rows,
-    so their order does not change the form."""
-    elim = _Elimination(rows)
-    form = []
-    holders = {}
-    for r, c in elim.pivots:
-        row, expr = rows[r], elim.track[r]
-        p = row[c]
-        if p < 0:
-            p = -p
-            row = {j: -x for j, x in row.items()}
-            expr = {j: -x for j, x in expr.items()}
-        for k in holders.pop(c, ()):
-            above, above_expr = form[k]
-            q = above.get(c, 0) // p
-            if q:
-                _add_into(above, -q, row)
-                _add_into(above_expr, -q, expr)
-                for j in row:
-                    if j != c and j in above:
-                        holders.setdefault(j, set()).add(k)
-        for j in row:
-            if j != c:
-                holders.setdefault(j, set()).add(len(form))
-        form.append((row, expr))
-    return form
 
 
 def row_hnf(rows, track=False):
@@ -525,11 +456,31 @@ def row_hnf(rows, track=False):
     Returns the nonzero HNF rows as dict rows (pivots positive, entries
     above a pivot reduced into [0, pivot)).  With track=True also
     returns, per HNF row, its integer expression in the input rows, a
-    dict {input row: coefficient}."""
-    form = _hermite(list(map(_sparse, rows)))
-    hnf = [row for row, _expr in form]
+    dict {input row: coefficient}; without it no transform is kept.
+
+    The echelon form leaves one row per pivot column, in column order;
+    each pivot is made positive and reduces the rows above it, leftmost
+    first: a pivot row changes only its own and later columns."""
+    rows = list(map(_sparse, rows))
+    elim = _Elimination(rows, track).echelon()
+    exprs = elim.track
+    form = []
+    for r, c in elim.pivots:
+        if rows[r][c] < 0:
+            rows[r] = {j: -x for j, x in rows[r].items()}
+            if track:
+                exprs[r] = {j: -x for j, x in exprs[r].items()}
+        row, p = rows[r], rows[r][c]
+        for k in form:
+            q = rows[k].get(c, 0) // p
+            if q:
+                _add_into(rows[k], -q, row)
+                if track:
+                    _add_into(exprs[k], -q, exprs[r])
+        form.append(r)
+    hnf = [rows[r] for r in form]
     if track:
-        return hnf, [expr for _row, expr in form]
+        return hnf, [exprs[r] for r in form]
     return hnf
 
 
@@ -544,6 +495,7 @@ class Lattice:
 
     def __init__(self, n, generators):
         self.n = n
+        generators = list(map(_sparse, generators))
         for g in generators:
             self._check_range(g, "generator")
         self.basis, self.exprs = row_hnf(generators, track=True)
@@ -551,9 +503,10 @@ class Lattice:
         self.generator_count = len(generators)
 
     def _check_range(self, vec, what):
-        if any(not 0 <= j < self.n for j in vec):
-            raise ValueError("%s coordinate outside ambient %d"
-                             % (what, self.n))
+        for j in vec:
+            if not 0 <= j < self.n:
+                raise ValueError("%s coordinate %d outside ambient %d"
+                                 % (what, j, self.n))
 
     @property
     def rank(self):
@@ -563,8 +516,8 @@ class Lattice:
         """(True, combination) if the dict vector v lies in the lattice,
         the combination a dict vector {generator: coefficient}; else
         (False, reason)."""
-        self._check_range(v, "vector")
         v = _sparse(v)
+        self._check_range(v, "vector")
         cert = {}
         for row, expr, col in zip(self.basis, self.exprs, self.pivot_cols):
             # a basis row is zero left of its pivot, so subtracting it

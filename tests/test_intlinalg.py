@@ -114,7 +114,7 @@ def queue_counts(monkeypatch, rows):
             assert i not in self and i in changed, i
             super().append(i)
 
-    class Recorded(intlinalg._UnitSteps):
+    class Recorded(intlinalg._Elimination):
         def _unit_step(self, r, c):
             if len(self.rows[r]) > 1:
                 for i in self.cols[c] - {r}:
@@ -125,10 +125,10 @@ def queue_counts(monkeypatch, rows):
 
     with monkeypatch.context() as patch:
         patch.setattr(intlinalg, "deque", Counted)
-        steps = Recorded([dict(row) for row in rows])
+        steps = Recorded([dict(row) for row in rows]).unit_steps()
     assert not steps.queue
-    assert not any(v in (1, -1) for i in steps.active
-                   for v in steps.rows[i].values())
+    assert not any(v in (1, -1) for row in active_rows(steps)
+                   for v in row.values())
     return counts["pops"], sum(1 for row in rows if row), counts["ops"]
 
 
@@ -148,10 +148,18 @@ def test_queue_takes_each_row_once_per_change(monkeypatch):
         assert nonempty <= pops <= nonempty + ops, rows
 
 
+def active_rows(elim):
+    """The nonempty rows of an elimination that are not among its
+    pivots, in index order."""
+    retired = {r for r, _c in elim.pivots}
+    return [row for i, row in enumerate(elim.rows)
+            if row and i not in retired]
+
+
 def rows_left(rows):
     """The nonempty rows that the unit steps leave active."""
-    steps = intlinalg._UnitSteps([dict(row) for row in rows])
-    return [steps.rows[i] for i in sorted(steps.active) if steps.rows[i]]
+    return active_rows(
+        intlinalg._Elimination([dict(row) for row in rows]).unit_steps())
 
 
 def test_unit_steps_leave_no_row_on_the_complexes():
@@ -248,6 +256,13 @@ def test_kernel_basis():
             assert all(sum(row.get(j, 0) * x for j, x in vec.items()) == 0
                        for row in rows)
     assert kernel_basis([], 2) == [{0: 1}, {1: 1}]
+
+
+def test_kernel_basis_rejects_columns_outside_range():
+    with pytest.raises(ValueError, match="column 3 outside 2 columns"):
+        kernel_basis([{0: 1, 3: 1}], 2)
+    with pytest.raises(ValueError, match="column -1 outside 3 columns"):
+        kernel_basis([{0: 1, -1: 1}], 3)
 
 
 def test_row_hnf_canonical():
@@ -412,9 +427,11 @@ def test_lattice_sparse_generators():
         Lattice(4, [{4: 1}])
     with pytest.raises(ValueError, match="outside ambient"):
         Lattice(4, [{-1: 1}])
-    for v in ({4: 1}, {-1: 1}, {1: 2, 7: 0}):
+    for v in ({4: 1}, {-1: 1}):
         with pytest.raises(ValueError, match="outside ambient"):
             lat.membership(v)
+    # an explicit zero is dropped before the range check
+    assert lat.membership({1: 2, 7: 0}) == lat.membership({1: 2})
 
 
 def test_hnf_spans_same_lattice_as_sympy():
@@ -566,9 +583,10 @@ def test_column_solver_is_lattice_membership():
     assert solver.solve({0: 4, 1: -1}) == {0: 2, 1: -1}
     assert solver.solve({0: 1}) is None
     assert solver.solve({1: 1}) is None
-    for vec in ({2: 1}, {-1: 1}, {0: 2, 5: 0}):
+    for vec in ({2: 1}, {-1: 1}):
         with pytest.raises(ValueError, match="outside ambient"):
             solver.solve(vec)
+    assert solver.solve({0: 4, 1: -1, 5: 0}) == {0: 2, 1: -1}
     with pytest.raises(ValueError, match="outside ambient"):
         ColumnSolver([{0: 1}, {2: 1}], 2)
     for dependent in ([{0: 1}, {0: 2}], [{0: 1}, {}], [{0: 1, 1: 1}] * 2):
@@ -600,9 +618,10 @@ def test_echelon_pivots_come_in_column_order(monkeypatch):
     runs = []
 
     class Recorded(intlinalg._Elimination):
-        def __init__(self, rows):
-            super().__init__(rows)
+        def echelon(self):
+            super().echelon()
             runs.append([c for _r, c in self.pivots])
+            return self
 
     monkeypatch.setattr(intlinalg, "_Elimination", Recorded)
     rng = random.Random(67)
@@ -623,6 +642,37 @@ def test_echelon_pivots_come_in_column_order(monkeypatch):
     assert calls > 900
 
 
+def test_transform_kept_only_where_read(monkeypatch):
+    # kernels and tracked Hermite forms read the transform; untracked
+    # Hermite forms, and so the unit-free fallback of the invariant
+    # factors, build none
+    kept = []
+
+    class Recorded(intlinalg._Elimination):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kept.append(self.track is not None)
+
+    def transforms(job):
+        kept.clear()
+        job()
+        return set(kept)
+
+    monkeypatch.setattr(intlinalg, "_Elimination", Recorded)
+    unit_free = [{0: 2, 1: 3}, {0: 4, 1: 7}]
+    assert transforms(lambda: invariant_factors(unit_free)) == {False}
+    assert len(kept) > 1
+    rng = random.Random(71)
+    for mat in hnf_inputs(rng, 300):
+        n = len(mat[0]) if mat else 0
+        rows = sparsify(mat)
+        assert transforms(lambda: row_hnf(rows)) == {False}, mat
+        assert transforms(lambda: row_hnf(rows, track=True)) == {True}, mat
+        assert transforms(lambda: Lattice(n, rows)) == {True}, mat
+        assert transforms(lambda: kernel_basis(rows, n)) == {True}, mat
+        assert row_hnf(rows) == row_hnf(rows, track=True)[0], mat
+
+
 def with_explicit_zeros(rng, rows, n):
     """Copies of dict rows over n columns with zero entries added at
     some of their empty columns."""
@@ -640,6 +690,13 @@ def test_explicit_zero_entries_change_nothing():
     assert row_hnf([{0: 0, 1: 2}, {0: 3}]) == [{0: 3}, {1: 2}]
     assert row_hnf([{0: 0, 1: 2}]) == [{1: 2}]
     assert Lattice(2, [{0: 0, 1: 2}, {0: 3}]).basis == [{0: 3}, {1: 2}]
+    # a zero outside the ambient range is dropped like any other
+    lat = Lattice(2, [{0: 1, 5: 0}])
+    assert (lat.basis, lat.exprs) == ([{0: 1}], [{0: 1}])
+    assert lat.membership({0: 1, 7: 0}) == (True, {0: 1})
+    assert row_hnf([{0: 1, 5: 0}]) == [{0: 1}]
+    assert invariant_factors([{0: 1, 5: 0}]) == [1]
+    assert kernel_basis([{0: 1, 5: 0}], 2) == [{1: 1}]
     rng = random.Random(53)
     for mat in hnf_inputs(rng, 300):
         n = len(mat[0]) if mat else 0
