@@ -389,11 +389,19 @@ def _main(argv):
     if args.precision < 1 or not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP:
         PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
                     "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
-    for option, subs in (("dump_matrices", ("bredon", "all")),
-                         ("partition", ("mv-check",))):
-        if getattr(args, option) is not None and args.subcommand not in subs:
-            PARSER.exit(USAGE_ERROR, "error: --%s applies only to %s\n"
-                        % (option.replace("_", "-"), " and ".join(subs)))
+    sub = args.subcommand
+    # `kunneth` reads a graph only when given one, `counterexample` never
+    reads_graph = (args.input is not None
+                   or sub not in ("kunneth", "counterexample"))
+    for option, applies, scope in (
+            ("dump_matrices", sub in ("bredon", "all"), "to bredon and all"),
+            ("partition", sub == "mv-check", "to mv-check"),
+            ("input", sub != "counterexample",
+             "to a subcommand that reads a graph"),
+            ("json_input", reads_graph, "where a graph is read")):
+        if getattr(args, option) not in (None, False) and not applies:
+            PARSER.exit(USAGE_ERROR, "error: --%s applies only %s\n"
+                        % (option.replace("_", "-"), scope))
     rng = random.Random(args.seed)
     try:
         if args.subcommand == "counterexample":

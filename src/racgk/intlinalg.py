@@ -19,14 +19,15 @@ column).  `invariant_factors`, `kernel_basis`, `row_hnf`, `Lattice` and
 `ColumnSolver` copy what they are given, explicit zero entries dropped
 before any range check, and return dict vectors; the cochain complexes
 hold dict rows from build to elimination.  Everything is exact.  The
-dense Smith normal form with both transforms (`smith_normal_form`, with
-`mat_mul` and `identity`) works on lists of rows and is kept only as the
-reference the sparse kernel is tested against.
+dense Smith normal form with both transforms (`smith_normal_form`, the
+textbook algorithm, with `mat_mul` and `identity`) works on lists of
+rows and is kept only as the reference the sparse kernel is tested
+against.
 """
 
 from collections import deque
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 
 
 def identity(n):
@@ -51,140 +52,66 @@ def mat_mul(a, b):
 
 
 def smith_normal_form(mat):
-    """U * mat * V = D with U, V unimodular and D diagonal with a
-    divisibility chain.  Returns (diag, U, V) where diag lists the
-    nonzero invariant factors.  Pivoting is on minimal absolute value to
-    limit entry growth."""
-    a = [list(row) for row in mat]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    u = identity(m)
-    v = identity(n)
-    t = 0
-    while True:
-        # locate the minimal-magnitude nonzero entry in the submatrix
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
-        if piv is None:
+    """U * mat * V = D with U, V unimodular and D diagonal, each nonzero
+    entry dividing the next.  Returns (diag, U, V), diag the nonzero
+    entries of D, all lists of rows.
+
+    The textbook algorithm (Newman, Integral Matrices, 1972) on the
+    block matrix [[mat, 1], [1, 0]]: its row operations on the first
+    m rows carry U along, its column operations on the first n columns
+    carry V.  At each diagonal position the pivot is the least nonzero
+    entry left.  Euclid steps clear its column and then its row, the
+    least nonzero remainder in them the next pivot.  When both are clear
+    but the pivot does not divide an entry left, that entry's row is
+    added to the pivot row, so the divisibility chain holds by
+    construction."""
+    m = len(mat)
+    n = len(mat[0]) if mat else 0
+    a = ([list(row) + e for row, e in zip(mat, identity(m))]
+         + [e + [0] * m for e in identity(n)])
+    diag = []
+    for t in range(min(m, n)):
+        left = [(abs(a[i][j]), i, j) for i in range(t, m)
+                for j in range(t, n) if a[i][j]]
+        if not left:
             break
-        i, j = piv
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
+        _, i, j = min(left)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         while True:
-            # clear column t
-            dirty = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(n):
-                            a[i][j] -= q * a[t][j]
-                        for j in range(m):
-                            u[i][j] -= q * u[t][j]
-                    if a[i][t]:
-                        # remainder is smaller than the pivot; swap it up
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            if dirty:
+            p = a[t][t]
+            for i in range(t + 1, m):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            i = min((i for i in range(t + 1, m) if a[i][t]),
+                    key=lambda i: abs(a[i][t]), default=None)
+            if i is not None:
+                a[t], a[i] = a[i], a[t]
                 continue
-            # clear row t
-            for j in range(n):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(m) if i != t):
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                if q:
+                    for row in a:
+                        row[j] -= q * row[t]
+            j = min((j for j in range(t + 1, n) if a[t][j]),
+                    key=lambda j: abs(a[t][j]), default=None)
+            if j is not None:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+                continue
+            if p in (1, -1):  # a unit divides every entry left
                 break
+            i = next((i for i in range(t + 1, m)
+                      if any(x % p for x in a[i][t + 1:n])), None)
+            if i is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
         if a[t][t] < 0:
-            for j in range(n):
-                a[t][j] = -a[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
-        t += 1
-        if t >= min(m, n):
-            break
-    # enforce the divisibility chain d_k | d_{k+1}
-    rank = t
-    diag = [a[i][i] for i in range(rank)]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(rank - 1):
-            if diag[k + 1] % diag[k]:
-                changed = True
-                # combining two diagonal entries: replace by gcd and lcm;
-                # the unimodular updates act on rows/cols k and k+1
-                x, y = diag[k], diag[k + 1]
-                g, s, tt = _xgcd(x, y)
-                l = x // g * y
-                _snf_pair_update(a, u, v, k, x, y, g, s, tt)
-                diag[k], diag[k + 1] = g, l
-    return diag, u, v
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _snf_pair_update(a, u, v, k, x, y, g, s, t):
-    """Replace diagonal entries (x, y) at positions (k, k+1) by
-    (gcd, lcm), keeping the U * M * V = a relation valid.
-
-    With g = s*x + t*y, the unimodular pair
-        L = [[s, t], [-y/g, x/g]]      acting on rows k, k+1
-        R = [[1, -t*y/g], [1, s*x/g]]  acting on columns k, k+1
-    satisfies L * diag(x, y) * R = diag(g, x*y/g).
-    """
-    yg = y // g
-    xg = x // g
-    i, j = k, k + 1
-    for col in range(len(a[0]) if a else 0):
-        ai, aj = a[i][col], a[j][col]
-        a[i][col] = s * ai + t * aj
-        a[j][col] = -yg * ai + xg * aj
-    for col in range(len(u)):
-        ui, uj = u[i][col], u[j][col]
-        u[i][col] = s * ui + t * uj
-        u[j][col] = -yg * ui + xg * uj
-    for rr in range(len(v)):
-        vi, vj = v[rr][i], v[rr][j]
-        v[rr][i] = vi + vj
-        v[rr][j] = -t * yg * vi + s * xg * vj
-    for rr in range(len(a)):
-        ai, aj = a[rr][i], a[rr][j]
-        a[rr][i] = ai + aj
-        a[rr][j] = -t * yg * ai + s * xg * aj
+            a[t] = [-x for x in a[t]]
+        diag.append(a[t][t])
+    return diag, [row[n:] for row in a[:m]], [row[:n] for row in a[m:]]
 
 
 class _Elimination:
@@ -540,20 +467,15 @@ class Lattice:
         return self.membership(v)[0]
 
     def index_in(self, other):
-        """Index [other : self] when self is finite-index in other."""
+        """Index [other : self] when self is a sublattice of other of the
+        same rank.  Both then have the same pivot columns, and the index
+        is the ratio of the products of their pivots."""
         if self.rank != other.rank:
             raise ValueError("lattices have different ranks")
-        det_self = 1
-        for row, col in zip(self.basis, self.pivot_cols):
-            det_self *= row[col]
-        det_other = 1
-        for row, col in zip(other.basis, other.pivot_cols):
-            det_other *= row[col]
-        if self.pivot_cols != other.pivot_cols:
-            raise ValueError("lattices are not commensurable in HNF position")
-        if det_self % det_other:
+        if not all(row in other for row in self.basis):
             raise ValueError("not a sublattice")
-        return det_self // det_other
+        return (prod(r[c] for r, c in zip(self.basis, self.pivot_cols))
+                // prod(r[c] for r, c in zip(other.basis, other.pivot_cols)))
 
 
 class ColumnSolver:

@@ -356,21 +356,29 @@ def test_a_complex_too_large_to_dump_is_refused(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ["limit", "--dump-matrices", "d", "--partition", "/nonexistent"],
-    ["ktheory", "--dump-matrices", "d"],
-    ["mv-check", "--dump-matrices", "d"],
-    ["bredon", "--partition", "/nonexistent"],
-    ["all", "--partition", "/nonexistent"],
+    ["limit", "--dump-matrices", "d", "--partition", "/nonexistent",
+     "--input", "G"],
+    ["ktheory", "--dump-matrices", "d", "--input", "G"],
+    ["mv-check", "--dump-matrices", "d", "--input", "G"],
+    ["bredon", "--partition", "/nonexistent", "--input", "G"],
+    ["all", "--partition", "/nonexistent", "--input", "G"],
+    ["counterexample", "--input", "G"],
+    ["counterexample", "--json-input"],
+    ["kunneth", "--json-input"],
 ], ids=["limit-both", "ktheory-dump", "mv-check-dump", "bredon-partition",
-        "all-partition"])
+        "all-partition", "counterexample-input", "counterexample-json-input",
+        "kunneth-json-input"])
 def test_option_a_subcommand_ignores_is_refused(capsys, tmp_path, path_file,
                                                 argv):
-    argv = [str(tmp_path / a) if a == "d" else a for a in argv]
+    argv = [{"d": str(tmp_path / "d"), "G": path_file}.get(a, a)
+            for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--input", path_file])
+        main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --") and len(err.splitlines()) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: --")
+    assert len(captured.err.splitlines()) == 1
     assert not list(tmp_path.glob("d*"))
 
 

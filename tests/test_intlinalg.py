@@ -4,6 +4,8 @@ from itertools import chain
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -16,9 +18,17 @@ from conftest import (complete_graph, dense_differentials, densify,
                       graph_suite, sparsify)
 
 
+def unimodular(t):
+    """Whether a square list of rows has determinant 1 or -1, by sympy."""
+    return DomainMatrix([list(map(ZZ, row)) for row in t], (len(t), len(t)),
+                        ZZ).det() in (1, -1)
+
+
 def check_snf(mat):
     diag, u, v = smith_normal_form(mat)
     m, n = len(mat), len(mat[0]) if mat else 0
+    assert len(u) == m and len(v) == n, mat
+    assert unimodular(u) and unimodular(v), mat
     prod = mat_mul(mat_mul(u, mat), v)
     for i in range(m):
         for j in range(n):
@@ -29,10 +39,20 @@ def check_snf(mat):
     return diag
 
 
+def sympy_diagonal(mat):
+    """The nonzero invariant factors of a list of rows, by sympy."""
+    if not mat or not mat[0]:
+        return []
+    sd = sympy_snf(sympy.Matrix(mat))
+    return sorted(abs(sd[i, i]) for i in range(min(sd.shape)) if sd[i, i])
+
+
 def test_snf_examples():
     assert check_snf([[2, 0], [0, 3]]) == [1, 6]
     assert check_snf([[1, 1]]) == [1]
     assert check_snf([[0, 0], [0, 0]]) == []
+    assert check_snf([]) == [] and check_snf([[], []]) == []
+    assert check_snf([[6, 0], [0, 4]]) == [2, 12]
 
 
 def test_snf_matches_sympy_randomized():
@@ -41,10 +61,7 @@ def test_snf_matches_sympy_randomized():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        diag = check_snf(mat)
-        sd = sympy_snf(sympy.Matrix(mat))
-        expected = sorted(abs(sd[i, i]) for i in range(min(m, n)) if sd[i, i])
-        assert diag == expected
+        assert check_snf(mat) == sympy_diagonal(mat), mat
 
 
 def random_matrix(rng, max_m=7, max_n=7, bound=9):
@@ -58,6 +75,18 @@ def random_matrix(rng, max_m=7, max_n=7, bound=9):
         scale = rng.choice([2, 3, 4, 6])
         mat = [[scale * x for x in row] for row in mat]
     return mat
+
+
+def test_snf_matches_sympy_on_random_matrices():
+    rng = random.Random(13)
+    empty = zero_line = unit_free = 0
+    for _ in range(300):
+        mat = random_matrix(rng)
+        assert check_snf(mat) == sympy_diagonal(mat), mat
+        empty += not mat or not mat[0]
+        zero_line += any(not any(line) for line in chain(mat, zip(*mat)))
+        unit_free += bool(mat) and all(abs(x) != 1 for row in mat for x in row)
+    assert min(empty, zero_line, unit_free) > 20
 
 
 def test_invariant_factors_match_dense_examples():
@@ -522,6 +551,16 @@ def test_lattice_index():
     whole = Lattice(2, [{0: 1}, {1: 1}])
     sub = Lattice(2, [{0: 2}, {1: 3}])
     assert sub.index_in(whole) == 6
+    assert Lattice(2, [{0: 6, 1: 3}]).index_in(Lattice(2, [{0: 2, 1: 1}])) == 3
+    # same rank, pivot column and a pivot that divides, but not nested
+    axis = Lattice(2, [{0: 1}])
+    for generator in ({0: 1, 1: 1}, {0: 2, 1: 1}):
+        with pytest.raises(ValueError, match="not a sublattice"):
+            Lattice(2, [generator]).index_in(axis)
+    with pytest.raises(ValueError, match="not a sublattice"):
+        Lattice(1, [{0: 2}]).index_in(Lattice(1, [{0: 3}]))
+    with pytest.raises(ValueError, match="different ranks"):
+        axis.index_in(whole)
 
 
 def test_column_solver():
