@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import prod
 
@@ -31,12 +32,15 @@ def build_parser():
                    choices=["ktheory", "bgw", "bredon", "limit", "kunneth",
                             "counterexample", "mv-check", "all"])
     p.add_argument("--input", help="graph file (edge-list, or JSON with --json)")
-    p.add_argument("--json-input", action="store_true",
+    p.add_argument("--json-input", action="store_true", default=None,
                    help="parse the input file as JSON")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--precision", type=int, default=32,
-                   help="2-adic truncation exponent for the completed ring")
-    p.add_argument("--kunneth-max", type=int, default=4)
+    p.add_argument("--precision", type=int,
+                   help="bgw and all only: 2-adic truncation exponent for "
+                   "the completed ring (default 32)")
+    p.add_argument("--kunneth-max", type=int,
+                   help="kunneth and all only: the highest tensor power "
+                   "(default 4)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property samples")
     p.add_argument("--partition", help="mv-check only: partition file of "
@@ -101,12 +105,13 @@ def run_ktheory(graph, args, rng):
 
 def run_bgw(graph, args, rng):
     f = graph.f_vector
+    precision = 32 if args.precision is None else args.precision
     report = {
         "bar_relations": kring.bar_relations(graph),
         "additive_structure": {
             "free_part": "Z (constant terms)",
             "two_adic_components": sum(f) - 1,
-            "precision": args.precision,
+            "precision": precision,
         },
     }
     # relation spot checks in the completed ring, up to the first vertex
@@ -114,9 +119,9 @@ def run_bgw(graph, args, rng):
     witness = None
     for v in graph.labels:
         mask = graph.mask_of([v])
-        s = kring.CompletedElement(graph, args.precision, {mask: 1})
+        s = kring.CompletedElement(graph, precision, {mask: 1})
         sq = kring.completed_multiply(s, s)
-        if sq != kring.CompletedElement(graph, args.precision, {mask: -2}):
+        if sq != kring.CompletedElement(graph, precision, {mask: -2}):
             witness = v
             break
     # I^j has one row on each clique where its entry by size is not 0,
@@ -183,8 +188,9 @@ def limit_section(graph, certificate):
 
 
 def run_kunneth(graph, args, rng):
+    top = 4 if args.kunneth_max is None else args.kunneth_max
     reports = [bredon.interval_tensor_kunneth(n, power) for n, power in
-               enumerate(bredon.interval_tensor_powers(args.kunneth_max), 1)]
+               enumerate(bredon.interval_tensor_powers(top), 1)]
     return {"cases": reports, "ok": all(r["ok"] for r in reports)}
 
 
@@ -276,6 +282,13 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: ("false", "true").__getitem__,
             type(None): {None: "null"}.__getitem__}
 _EMPTY = {list: "[]", tuple: "[]", dict: "{}"}
+# what the C quoting leaves alone: printable ASCII but `"` and backslash
+_PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
+
+
+def _plain(text):
+    """True if the C quoting adds only the two quotes, by `translate`."""
+    return text.isascii() and not text.encode().translate(None, _PLAIN)
 
 
 def dump_json(value, pad="\n"):
@@ -288,7 +301,8 @@ def dump_json(value, pad="\n"):
     literal, and so is an empty list, tuple or dict.  A list or tuple of
     one such type is one join over that writer.  A list of str whose
     joined text the C quoting leaves alone (printable ASCII with no `"`
-    or backslash) is quoted by the join itself."""
+    or backslash) is quoted by the join itself, and so is a list of str
+    lists, such as the clique basis, whose distinct strings are."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -322,15 +336,19 @@ def dump_json(value, pad="\n"):
         inner = pad + "  "
         sep = "," + inner
         kinds = set(map(type, value))
+        # string lists: the types first, as a deeper list is unhashable
+        if (kinds <= {list, tuple}
+                and set(map(type, chain.from_iterable(value))) <= {str}
+                and _plain("".join(set(chain.from_iterable(value))))):
+            head, mid, tail = f'[{inner}  "', f'",{inner}  "', f'"{inner}]'
+            # a generator: `join` frees the rows before the text is wrapped
+            rows = (f"{head}{mid.join(v)}{tail}" if v else "[]" for v in value)
+            return f"[{inner}{sep.join(rows)}{pad}]"
         if len(kinds) == 1:
             (kind,) = kinds
-            if kind is str:
-                # every escape lengthens the text, so the quoting leaves
-                # it alone when it adds no more than the two quotes
-                text = "".join(value)
-                if len(encode_basestring_ascii(text)) == len(text) + 2:
-                    return '[%s"%s"%s]' % (
-                        inner, ('"' + sep + '"').join(value), pad)
+            if kind is str and _plain("".join(value)):
+                return '[%s"%s"%s]' % (
+                    inner, ('"' + sep + '"').join(value), pad)
             scalar = _SCALARS.get(kind)
             if scalar:
                 return "[%s%s%s]" % (inner, sep.join(map(scalar, value)), pad)
@@ -386,22 +404,26 @@ def main(argv=None):
 
 def _main(argv):
     args = PARSER.parse_args(argv)
-    if args.precision < 1 or not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP:
-        PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
-                    "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
     sub = args.subcommand
     # `kunneth` reads a graph only when given one, `counterexample` never
     reads_graph = (args.input is not None
                    or sub not in ("kunneth", "counterexample"))
     for option, applies, scope in (
+            ("precision", sub in ("bgw", "all"), "to bgw and all"),
+            ("kunneth_max", sub in ("kunneth", "all"), "to kunneth and all"),
             ("dump_matrices", sub in ("bredon", "all"), "to bredon and all"),
             ("partition", sub == "mv-check", "to mv-check"),
             ("input", sub != "counterexample",
              "to a subcommand that reads a graph"),
             ("json_input", reads_graph, "where a graph is read")):
-        if getattr(args, option) not in (None, False) and not applies:
+        if getattr(args, option) is not None and not applies:
             PARSER.exit(USAGE_ERROR, "error: --%s applies only %s\n"
                         % (option.replace("_", "-"), scope))
+    if (args.precision is not None and args.precision < 1
+            or args.kunneth_max is not None
+            and not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP):
+        PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
+                    "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
     rng = random.Random(args.seed)
     try:
         if args.subcommand == "counterexample":

@@ -79,6 +79,25 @@ class Graph:
         return tuple(enumerate_spherical(self))
 
     @cached_property
+    def clique_labels(self):
+        """Each clique's label list, in the order of `cliques`, by the
+        forward pass of `cliques_within` carrying labels, not masks."""
+        labels, adj = self.labels, self.adj
+        out, level, cands = [[]], [[]], [(1 << self.n) - 1]
+        while level:
+            nxt, nxt_cands = [], []
+            for c, cand in zip(level, cands):
+                while cand:
+                    bit = cand & -cand
+                    cand ^= bit
+                    v = bit.bit_length() - 1
+                    nxt.append(c + [labels[v]])
+                    nxt_cands.append(cand & adj[v])
+            level, cands = nxt, nxt_cands
+            out += level
+        return out
+
+    @cached_property
     def clique_set(self):
         """The cliques as a frozenset, for membership tests."""
         return frozenset(self.cliques)
@@ -202,18 +221,20 @@ def cliques_within(graph, mask):
     the vertices of `mask` above its last member and adjacent to all of
     it, so each is reached once.  Extending a sorted level clique by
     clique, each by increasing vertices, keeps the next level sorted:
-    two k-cliques differ below position k, which their extensions keep."""
-    out, level = [0], [(0, mask)]
+    two k-cliques differ below position k, which their extensions keep.
+    A level is two parallel lists, so no tuple per clique is allocated."""
+    out, level, cands = [0], [0], [mask]
     while level:
-        nxt = []
-        for c, cand in level:
+        nxt, nxt_cands = [], []
+        for c, cand in zip(level, cands):
             while cand:
                 # take the lowest candidate; those left lie above it
                 bit = cand & -cand
                 cand ^= bit
-                nxt.append((c | bit, cand & graph.adj[bit.bit_length() - 1]))
-        level = nxt
-        out.extend(c for c, _cand in level)
+                nxt.append(c | bit)
+                nxt_cands.append(cand & graph.adj[bit.bit_length() - 1])
+        level, cands = nxt, nxt_cands
+        out += level
     return out
 
 

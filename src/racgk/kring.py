@@ -243,29 +243,24 @@ def _nonedges(graph):
             for j in range(i + 1, n) if not adj >> j & 1]
 
 
-def bar_relations(graph):
+def bar_relations(graph, nonedges=None):
     """The relations of the bar generators: s~(s~ + 2) for each vertex,
-    from s*^2 = 1, and s~t~ for each non-edge."""
-    return _bar_relations(graph, _nonedges(graph))
-
-
-def _bar_relations(graph, nonedges):
-    return (["%s~(%s~ + 2)" % (v, v) for v in graph.labels]
-            + ["%s~%s~" % pair for pair in nonedges])
+    from s*^2 = 1, and s~t~ for each non-edge, listed if not given."""
+    return ([f"{v}~({v}~ + 2)" for v in graph.labels]
+            + [f"{s}~{t}~" for s, t in nonedges or _nonedges(graph)])
 
 
 def presentation_report(graph):
     """Generators, relations, clique basis and rank of the ring."""
-    cliques = graph.cliques
     nonedges = _nonedges(graph)
     return {
         "generators": list(graph.labels),
-        "star_relations": (["%s*^2 - 1" % v for v in graph.labels]
-                           + ["%s*%s* - %s* - %s* + 1" % (s, t, s, t)
+        "star_relations": ([f"{v}*^2 - 1" for v in graph.labels]
+                           + [f"{s}*{t}* - {s}* - {t}* + 1"
                               for s, t in nonedges]),
-        "bar_relations": _bar_relations(graph, nonedges),
-        "clique_basis": [list(graph.subset_labels(c)) for c in cliques],
-        "rank": len(cliques),
+        "bar_relations": bar_relations(graph, nonedges),
+        "clique_basis": graph.clique_labels,
+        "rank": len(graph.cliques),
         "k1_rank": 0,
     }
 
@@ -398,9 +393,11 @@ def _draw(graph, rng, terms=3, coeff_bound=5):
     `rng.randint(1, terms)`, `rng.choice(graph.cliques)` and
     `rng.randint(-coeff_bound, coeff_bound)` would draw them."""
     cliques, width = graph.cliques, 2 * coeff_bound + 1
-    return accumulate((cliques[_below(rng, len(cliques))],
-                       _below(rng, width) - coeff_bound)
-                      for _ in range(1 + _below(rng, terms)))
+    out = {}
+    for _ in range(1 + _below(rng, terms)):
+        c = cliques[_below(rng, len(cliques))]
+        out[c] = out.get(c, 0) + _below(rng, width) - coeff_bound
+    return {c: x for c, x in out.items() if x}
 
 
 def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from math import comb, factorial
 
 import pytest
@@ -365,9 +366,16 @@ def test_a_complex_too_large_to_dump_is_refused(monkeypatch, capsys,
     ["counterexample", "--input", "G"],
     ["counterexample", "--json-input"],
     ["kunneth", "--json-input"],
+    ["limit", "--input", "G", "--kunneth-max", "2"],
+    ["bgw", "--input", "G", "--kunneth-max", "4"],
+    ["counterexample", "--precision", "9"],
+    ["kunneth", "--precision", "32"],
+    ["ktheory", "--input", "G", "--precision", "0"],
 ], ids=["limit-both", "ktheory-dump", "mv-check-dump", "bredon-partition",
         "all-partition", "counterexample-input", "counterexample-json-input",
-        "kunneth-json-input"])
+        "kunneth-json-input", "limit-kunneth-max", "bgw-kunneth-max",
+        "counterexample-precision", "kunneth-precision",
+        "ktheory-precision-out-of-range"])
 def test_option_a_subcommand_ignores_is_refused(capsys, tmp_path, path_file,
                                                 argv):
     argv = [{"d": str(tmp_path / "d"), "G": path_file}.get(a, a)
@@ -380,6 +388,24 @@ def test_option_a_subcommand_ignores_is_refused(capsys, tmp_path, path_file,
     assert captured.err.startswith("error: --")
     assert len(captured.err.splitlines()) == 1
     assert not list(tmp_path.glob("d*"))
+
+
+def test_precision_and_kunneth_max_apply_where_they_are_read(capsys,
+                                                             pentagon_file):
+    # given or not, each reaches its report; a given default is given
+    code, rep = run_json(capsys, ["bgw", "--input", pentagon_file])
+    assert code == 0 and rep["additive_structure"]["precision"] == 32
+    code, rep = run_json(capsys, ["all", "--input", pentagon_file,
+                                  "--precision", "9", "--kunneth-max", "2"])
+    assert code == 0 and rep["bgw"]["additive_structure"]["precision"] == 9
+    assert len(rep["kunneth"]["cases"]) == 2
+    code, rep = run_json(capsys, ["kunneth", "--kunneth-max", "4"])
+    assert code == 0 and len(rep["cases"]) == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["ktheory", "--input", pentagon_file, "--precision", "32"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: --precision applies only to bgw and all\n")
 
 
 def edge_list(labels, edges):
@@ -493,9 +519,39 @@ def test_json_writer_on_string_lists_that_need_escaping():
               {"labels": safe, "more": [Label("z")]}]
     for bad in ['"', "\\", "\x1f", "\x7f", "\u00e9", "\u2028", 'a"b', "c\\d"]:
         values += [[bad], safe[:2] + [bad] + safe[2:], tuple(safe + [bad])]
+    # lists of str lists, empty ones included, take one join; an escaping,
+    # mixed or deeper one takes the per-item path
+    values += [[[]], [[], safe], (tuple(safe), [], ["c"]), [["a"], ['q"']],
+               [["a"], [Label("x")]], [["a"], [1]], [["a"], "b"], [[[]]],
+               [[["a"]], ["b"]], [["a"], [None]], [["a"], {}]]
     for value in values:
         assert dump_json(value) == json.dumps(value, indent=2,
                                               sort_keys=True), value
+
+
+def test_plain_text_is_what_the_quoting_leaves_alone():
+    chars = [chr(c) for c in range(0x300)] + ["\u2028", "\U0001f600"]
+    for c in chars:
+        for text in (c, "ab" + c, c + c + "z"):
+            assert cli._plain(text) == (
+                encode_basestring_ascii(text) == '"%s"' % text), repr(text)
+    assert cli._plain("")
+
+
+def test_json_writer_joins_the_clique_basis_in_one_call(monkeypatch):
+    writer, calls = cli.dump_json, []
+
+    def counting(value, pad="\n"):
+        calls.append(value)
+        return writer(value, pad)
+
+    monkeypatch.setattr(cli, "dump_json", counting)
+    basis = cycle_graph(64).clique_labels
+    assert counting(basis) == json.dumps(basis, indent=2)
+    assert len(calls) == 1
+    escaped = [["a"], ['"']]
+    assert counting(escaped) == json.dumps(escaped, indent=2)
+    assert len(calls) == 1 + 1 + len(escaped)
 
 
 # sha256 of each seeded `--format json` report, seeds 0 and 5, on the

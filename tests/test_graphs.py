@@ -88,6 +88,12 @@ def test_cliques_closed_under_subsets(suite_entry):
             assert sub in cliques
 
 
+def test_clique_labels_follow_the_cliques(suite_entry):
+    name, g, _ = suite_entry
+    assert g.clique_labels == [list(g.subset_labels(c))
+                               for c in g.cliques], name
+
+
 def test_clique_count_formulas():
     for n in range(1, 6):
         assert len(enumerate_spherical(complete_graph(n))) == 2 ** n

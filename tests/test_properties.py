@@ -181,6 +181,13 @@ def test_completion_is_a_ring_map(elements, precision):
 
 
 @LAWS
+@given(graphs(max_vertices=9, label=LABELS))
+def test_clique_labels_follow_the_cliques(graph):
+    assert graph.clique_labels == [list(graph.subset_labels(c))
+                                   for c in graph.cliques]
+
+
+@LAWS
 @given(graphs(max_vertices=12))
 def test_clique_counts_match_the_brute_force_sizes(graph):
     sizes = [0] * (graph.n + 1)
@@ -336,7 +343,13 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text()
     | st.integers() | st.integers(-2 ** 300, 2 ** 300)
     | st.lists(st.text()) | st.lists(st.integers(-2 ** 70, 2 ** 70))
-    | st.lists(SAFE_TEXT) | escaping_lists(),
+    | st.lists(SAFE_TEXT) | escaping_lists()
+    # lists of string lists, as the clique basis, empty ones included
+    | st.lists(st.lists(SAFE_TEXT, max_size=3))
+    | st.lists(st.lists(SAFE_TEXT, max_size=3).map(tuple)).map(tuple)
+    | st.lists(escaping_lists() | st.lists(SAFE_TEXT, max_size=2))
+    | st.lists(st.lists(st.text(), max_size=2))
+    | st.lists(st.lists(st.lists(SAFE_TEXT, max_size=1), max_size=2)),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(st.text(), inner)),
     max_leaves=40)
