@@ -627,6 +627,14 @@ def test_seeded_reports_are_pinned(capsys, tmp_path, name, sub):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
+def test_kunneth_report_up_to_the_cap_is_pinned(capsys):
+    # `all` reaches the Kuenneth section only up to n = 4
+    assert main(["kunneth", "--kunneth-max", "6", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "99299b69e2f33f0f2c1b5059ac194f7fbe41a372874f6a07663db980343fd79d")
+
+
 def graph_file(tmp_path, name, g):
     f = tmp_path / (name + ".graph")
     f.write_text(edge_list(g.labels, g.canonical_edge_list()))
