@@ -18,8 +18,10 @@ zeta matrix of the clique poset, which `ConeCertificate.clique_factors`
 checks once per clique size.
 
 An independent route to the same vanishing statement goes through the
-two-term interval complex and its tensor powers, also built here, whose
-cohomology comes from invariant factors.
+two-term interval complex I and its tensor powers, the cochains of the
+n-cube, each built from the last as P (x) I by one index rule
+(`interval_tensor_powers`); their cohomology comes from invariant
+factors.
 """
 
 from functools import cached_property
@@ -440,74 +442,42 @@ def clique_basis_isomorphism(limit):
     return {"invariant_factors": list(factors), "isomorphism": True}
 
 
-def interval_complex():
-    """Relative two-term complex of the reflection action on an
-    interval: rank two in degree zero (the representation ring of C2 on
-    the fixed vertex), rank one in degree one (the free edge orbit),
-    differential the restriction (1 1)."""
-    return CochainComplex([2, 1], [[{0: 1, 1: 1}]])
-
-
-def tensor_complex(c1, c2):
-    """Tensor product of cochain complexes of free modules, with the
-    usual sign on the second factor's differential.
-
-    The cells of degree k are the pairs (a, b) of a degree-i cell of c1
-    and a degree-(k - i) cell of c2, ordered by i, then a, then b.  The
-    row of cell (a, b) holds d1(a) (x) b and the signed a (x) d2(b),
-    whose cells differ in the degree of their first factor, so each row
-    is written straight into its dict, with nothing to sum."""
-    r1, r2 = c1.ranks, c2.ranks
-    # starts[k][i]: the index of the first degree-k cell whose first
-    # factor has degree i
-    starts, ranks = [], []
-    for k in range(len(r1) + len(r2) - 1):
-        start, at = 0, {}
-        for i in range(max(0, k + 1 - len(r2)), min(k, len(r1) - 1) + 1):
-            at[i] = start
-            start += r1[i] * r2[k - i]
-        starts.append(at)
-        ranks.append(start)
-    diffs = []
-    for k, at in enumerate(starts[:-1]):
-        d = []
-        for i in starts[k + 1]:
-            j = k + 1 - i
-            d1 = c1.diffs[i - 1] if i else None
-            d2 = c2.diffs[j - 1] if j else None
-            sign = -1 if i % 2 else 1
-            for a in range(r1[i]):
-                for b in range(r2[j]):
-                    row = {}
-                    if i:
-                        # (a1, b) of degree (i - 1, j)
-                        first = at[i - 1] + b
-                        for a1, x in d1[a].items():
-                            if x:
-                                row[first + a1 * r2[j]] = x
-                    if j:
-                        # (a, b1) of degree (i, j - 1)
-                        first = at[i] + a * r2[j - 1]
-                        for b1, y in d2[b].items():
-                            if y:
-                                row[first + b1] = sign * y
-                    d.append(row)
-        diffs.append(d)
-    return CochainComplex(ranks, diffs)
-
-
 def interval_tensor_powers(top):
     """The tensor powers I, I (x) I, ... of the interval complex up to the
-    `top`-th, each built from the last."""
+    `top`-th, each P (x) I built from the last P.
+
+    I is the relative two-term complex of the reflection action on an
+    interval: rank two in degree zero (the representation ring of C2 on
+    the fixed vertex), rank one in degree one (the free edge orbit),
+    differential the restriction (1 1).  The degree-k cells of P (x) I
+    are (a, e) for each cell a of P of degree k - 1, numbered a, then
+    (a, v) for each a of degree k and vertex v = 0, 1, numbered
+    r[k - 1] + 2a + v, where r are the ranks of P.  The row of (a, e)
+    is a's row on the (a1, e) and (-1)^(k-1) at (a, 0) and (a, 1); the
+    row of (a, v) is a's row on the (a1, v)."""
     if top < 1:
         raise ValueError("n must be >= 1")
     if top > KUNNETH_CAP:
         raise ValueError("n=%d exceeds the cap %d (ranks grow as 3^n)"
                          % (top, KUNNETH_CAP))
-    power = interval_complex()
+    power = CochainComplex([2, 1], [[{0: 1, 1: 1}]])
     yield power
     for _ in range(top - 1):
-        power = tensor_complex(power, interval_complex())
+        r = power.ranks
+        # the (a, e) cells of each degree, which come first
+        below = [0] + r[:-1]
+        # P's rows by the degree of their cell: none in degree 0
+        rows = [[{}] * r[0]] + power.diffs + [[]]
+        diffs = []
+        for k, b in enumerate(below):
+            sign = -1 if k % 2 else 1
+            # (a, e) for a of degree k, then (a, v) for a of degree k + 1
+            diffs.append([{**row, b + 2 * a: sign, b + 2 * a + 1: sign}
+                          for a, row in enumerate(rows[k])]
+                         + [{b + 2 * a1 + v: x for a1, x in row.items()}
+                            for row in rows[k + 1] for v in (0, 1)])
+        power = CochainComplex([b + 2 * x for b, x in zip(below, r)]
+                               + r[-1:], diffs)
         yield power
 
 

@@ -157,8 +157,10 @@ def dense_differentials(complex_):
 
 
 def accumulated_tensor_complex(c1, c2):
-    """Reference build of `bredon.tensor_complex`: cells as (i, a, b)
-    triples found through an index dict, and each row summed by
+    """Reference tensor product of two cochain complexes, with the usual
+    sign on the second factor's differential, for the powers of
+    `bredon.interval_tensor_powers`: cells as (i, a, b) triples, ordered
+    by i, a, b and found through an index dict, and each row summed by
     `accumulate` from its (cell, entry) pairs."""
     top = len(c1.ranks) + len(c2.ranks) - 2
     bases = [[(i, a, b) for i in range(len(c1.ranks))

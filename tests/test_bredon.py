@@ -1,14 +1,16 @@
 import random
 from functools import reduce
+from itertools import product
+from math import comb
 
 import pytest
 
 from racgk import bredon
 from racgk.bredon import (KUNNETH_CAP, CochainComplex, bredon_ranks,
                           build_bredon_complex, clique_basis_isomorphism,
-                          cohomology, cone_certificate, interval_complex,
+                          cohomology, cone_certificate,
                           interval_tensor_kunneth, interval_tensor_powers,
-                          inverse_limit, rho_surjectivity, tensor_complex)
+                          inverse_limit, rho_surjectivity)
 from racgk.graphs import GraphError, parse_graph
 from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
                              mat_mul, row_hnf)
@@ -18,7 +20,7 @@ from conftest import (ApexLattice, accumulated_tensor_complex, apex_iso,
                       complete_graph, cycle_graph,
                       dense_bredon_complex, dense_differentials, dp_ranks,
                       edgeless_graph, graph_suite, is_zero, monomial_family,
-                      path_graph, random_graph, restriction_family, sparsify,
+                      path_graph, random_graph, restriction_family,
                       walk_certificate)
 
 
@@ -437,55 +439,75 @@ def test_clique_basis_isomorphism(suite_entry):
     assert rep["invariant_factors"] == [1] * d
 
 
+# the two-term interval complex I, the first of the tensor powers
+INTERVAL = CochainComplex([2, 1], [[{0: 1, 1: 1}]])
+
+
 def test_interval_complex_cohomology():
-    coh = cohomology(interval_complex())
+    first, = interval_tensor_powers(1)
+    assert (first.ranks, first.diffs) == (INTERVAL.ranks, INTERVAL.diffs)
+    coh = cohomology(first)
     assert coh[0] == {"degree": 0, "free_rank": 1, "torsion": []}
     assert coh[1] == {"degree": 1, "free_rank": 0, "torsion": []}
 
 
 def test_tensor_rank_bookkeeping():
-    c = interval_complex()
-    c2 = tensor_complex(c, c)
+    _, c2, c3 = interval_tensor_powers(3)
     assert c2.ranks == [4, 4, 1]
-    c3 = tensor_complex(c2, c)
     assert c3.ranks == [8, 12, 6, 1]
+    # the k-faces of the n-cube
+    for n, power in enumerate(interval_tensor_powers(KUNNETH_CAP), 1):
+        assert power.ranks == [comb(n, k) << n - k for k in range(n + 1)]
 
 
-def test_tensor_of_random_free_complexes_is_a_complex():
+def test_a_power_with_one_sign_flipped_is_refused():
+    # each entry of I^n, n >= 2, meets a nonzero entry of the next or of
+    # the last differential, so one flipped sign breaks d o d = 0
+    powers = list(interval_tensor_powers(KUNNETH_CAP))
     rng = random.Random(67)
     for _ in range(20):
-        # random two-term complexes always satisfy d o d = 0
-        r0, r1 = rng.randint(1, 3), rng.randint(1, 3)
-        d = sparsify([[rng.randint(-2, 2) for _ in range(r0)]
-                      for _ in range(r1)])
-        c = CochainComplex([r0, r1], [d])
-        tensor_complex(c, c)  # constructor asserts d o d = 0
+        power = rng.choice(powers[1:])
+        diffs = [[dict(row) for row in d] for d in power.diffs]
+        k = rng.randrange(len(diffs))
+        row = rng.choice(diffs[k])
+        col = rng.choice(sorted(row))
+        row[col] = -row[col]
+        with pytest.raises(ValueError, match=r"d\^\d+ o d\^\d+ != 0"):
+            CochainComplex(power.ranks, diffs)
 
 
-def test_tensor_complex_matches_the_accumulate_oracle():
-    # each power from the one before, up to the cap
-    power = interval_complex()
-    for _ in range(KUNNETH_CAP - 1):
-        built = tensor_complex(power, interval_complex())
-        oracle = accumulated_tensor_complex(power, interval_complex())
-        assert (built.ranks, built.diffs) == (oracle.ranks, oracle.diffs)
-        power = built
-    # random complexes of one, two and three terms, in both orders, with
-    # explicit zero entries in their rows
-    rng = random.Random(71)
-    for _ in range(60):
-        terms = []
-        for _ in range(2):
-            r0, r1 = rng.randint(0, 3), rng.randint(0, 3)
-            d = [{j: rng.randint(-2, 2) for j in range(r0)
-                  if rng.random() < 0.7} for _ in range(r1)]
-            terms.append(CochainComplex([r0, r1], [d]))
-        a, b = terms
-        for x, y in ((a, b), (b, a), (a, CochainComplex([2], [])),
-                     (tensor_complex(a, b), a), (b, tensor_complex(b, a))):
-            built = tensor_complex(x, y)
-            oracle = accumulated_tensor_complex(x, y)
-            assert (built.ranks, built.diffs) == (oracle.ranks, oracle.diffs)
+def test_interval_tensor_powers_match_the_accumulate_oracle():
+    for n, power in enumerate(interval_tensor_powers(KUNNETH_CAP), 1):
+        oracle = reduce(accumulated_tensor_complex, [INTERVAL] * n)
+        assert (power.ranks, power.diffs) == (oracle.ranks, oracle.diffs), n
+
+
+def cube_cochains(n):
+    """The cochains of the n-cube written out face by face.  A face is a
+    word of n letters, each 0 for the edge or 1, 2 for its two vertices,
+    and its degree is the number of edges.  A degree's faces that end in
+    an edge come first, then by their first n - 1 letters, in this order,
+    and by their last.  The row of a face has, for each edge at position
+    p, the two faces with a vertex there, each signed by (-1)^(the number
+    of edges before p)."""
+    def order(word):
+        return (word[-1] != 0, order(word[:-1]), word[-1]) if word else ()
+
+    faces = [[] for _ in range(n + 1)]
+    for word in sorted(product(range(3), repeat=n), key=order):
+        faces[word.count(0)].append(word)
+    index = [{w: i for i, w in enumerate(level)} for level in faces]
+    diffs = [[{index[k][w[:p] + (v,) + w[p + 1:]]:
+               -1 if w[:p].count(0) % 2 else 1
+               for p in range(n) if w[p] == 0 for v in (1, 2)}
+              for w in faces[k + 1]] for k in range(n)]
+    return CochainComplex([len(level) for level in faces], diffs)
+
+
+def test_interval_tensor_powers_are_the_cube_cochains():
+    for n, power in enumerate(interval_tensor_powers(KUNNETH_CAP), 1):
+        cube = cube_cochains(n)
+        assert (power.ranks, power.diffs) == (cube.ranks, cube.diffs), n
 
 
 def test_kunneth_small_cases():
@@ -501,7 +523,7 @@ def test_kunneth_powers_match_the_per_n_reports():
     powers = list(interval_tensor_powers(KUNNETH_CAP))
     assert len(powers) == KUNNETH_CAP
     for n, power in enumerate(powers, 1):
-        scratch = reduce(tensor_complex, [interval_complex()] * n)
+        scratch = reduce(accumulated_tensor_complex, [INTERVAL] * n)
         assert (power.ranks, power.diffs) == (scratch.ranks, scratch.diffs)
         assert interval_tensor_kunneth(n, power) == interval_tensor_kunneth(n)
 

@@ -178,7 +178,7 @@ def test_kunneth_max_above_cap_is_refused(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("tensor power built past the cap")
 
-    monkeypatch.setattr(bredon, "tensor_complex", refuse)
+    monkeypatch.setattr(bredon, "interval_tensor_powers", refuse)
     with pytest.raises(SystemExit) as exc:
         main(["kunneth", "--kunneth-max", "7"])
     assert exc.value.code == 2
@@ -827,7 +827,7 @@ def test_every_all_report_eliminates_afresh(monkeypatch, capsys,
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
     counted(bredon, "invariant_factors")
-    counted(bredon, "tensor_complex")
+    counted(bredon, "interval_tensor_powers")
     runs = []
     for _ in range(2):
         calls.clear()
@@ -835,7 +835,7 @@ def test_every_all_report_eliminates_afresh(monkeypatch, capsys,
         capsys.readouterr()
         runs.append(dict(calls))
     assert runs[0] == runs[1]
-    assert runs[0]["invariant_factors"] and runs[0]["tensor_complex"]
+    assert runs[0]["invariant_factors"] and runs[0]["interval_tensor_powers"]
 
 
 def test_bgw_names_the_first_vertex_whose_relation_fails(monkeypatch, capsys,
