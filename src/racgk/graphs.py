@@ -15,6 +15,8 @@ from functools import cached_property
 MAX_VERTICES = 64
 # memo states `clique_counts` may reach before it refuses a graph
 CLIQUE_COUNT_STATES = 1 << 18
+# the one-vertex masks, the units of the forward pass on masks
+_BITS = [1 << v for v in range(MAX_VERTICES)]
 
 
 class GraphError(ValueError):
@@ -82,20 +84,8 @@ class Graph:
     def clique_labels(self):
         """Each clique's label list, in the order of `cliques`, by the
         forward pass of `cliques_within` carrying labels, not masks."""
-        labels, adj = self.labels, self.adj
-        out, level, cands = [[]], [[]], [(1 << self.n) - 1]
-        while level:
-            nxt, nxt_cands = [], []
-            for c, cand in zip(level, cands):
-                while cand:
-                    bit = cand & -cand
-                    cand ^= bit
-                    v = bit.bit_length() - 1
-                    nxt.append(c + [labels[v]])
-                    nxt_cands.append(cand & adj[v])
-            level, cands = nxt, nxt_cands
-            out += level
-        return out
+        return _forward_pass(self, (1 << self.n) - 1, [],
+                             [[label] for label in self.labels])
 
     @cached_property
     def clique_set(self):
@@ -217,13 +207,23 @@ def parse_graph(text, fmt="edge-list"):
 
 def cliques_within(graph, mask):
     """Every clique inside the vertex set `mask` in canonical (size,
-    member-list) order, the empty clique first.  A clique grows only by
-    the vertices of `mask` above its last member and adjacent to all of
-    it, so each is reached once.  Extending a sorted level clique by
-    clique, each by increasing vertices, keeps the next level sorted:
-    two k-cliques differ below position k, which their extensions keep.
-    A level is two parallel lists, so no tuple per clique is allocated."""
-    out, level, cands = [0], [0], [mask]
+    member-list) order, the empty clique first, as masks."""
+    return _forward_pass(graph, mask, 0, _BITS)
+
+
+def _forward_pass(graph, mask, start, units):
+    """The cliques inside `mask` in canonical order, each `start` plus
+    units[v] for its members v in increasing order: masks from 0 and
+    1 << v (distinct members, so + is |), label lists from [] and [label].
+
+    A clique grows only by the vertices of `mask` above its last member
+    and adjacent to all of it, so each is reached once.  Extending a
+    sorted level clique by clique, each by increasing vertices, keeps
+    the next level sorted: two k-cliques differ below position k, which
+    their extensions keep.  A level is two parallel lists, so no tuple
+    per clique is allocated."""
+    adj = graph.adj
+    out, level, cands = [start], [start], [mask]
     while level:
         nxt, nxt_cands = [], []
         for c, cand in zip(level, cands):
@@ -231,8 +231,9 @@ def cliques_within(graph, mask):
                 # take the lowest candidate; those left lie above it
                 bit = cand & -cand
                 cand ^= bit
-                nxt.append(c | bit)
-                nxt_cands.append(cand & graph.adj[bit.bit_length() - 1])
+                v = bit.bit_length() - 1
+                nxt.append(c + units[v])
+                nxt_cands.append(cand & adj[v])
         level, cands = nxt, nxt_cands
         out += level
     return out

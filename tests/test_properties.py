@@ -274,6 +274,17 @@ def test_forward_pass_lists_the_clique_poset(graph):
 
 
 @LAWS
+@given(graphs(max_vertices=9), st.data())
+def test_forward_pass_lists_the_cliques_inside_any_vertex_set(graph, data):
+    # `Graph.supersets` passes common neighbourhoods, and
+    # `group_ring_product` character masks, neither of them a clique
+    mask = data.draw(st.integers(0, (1 << graph.n) - 1))
+    assert cliques_within(graph, mask) == sorted(
+        (m for m in submasks(mask) if graph.is_clique(m)),
+        key=lambda m: subset_key(graph, m))
+
+
+@LAWS
 @given(graphs(max_vertices=9))
 def test_poset_chain_levels_are_sorted(graph):
     for level in poset_chains(graph, 2):
