@@ -462,7 +462,7 @@ def test_tensor_rank_bookkeeping():
 
 def test_a_power_with_one_sign_flipped_is_refused():
     # each entry of I^n, n >= 2, meets a nonzero entry of the next or of
-    # the last differential, so one flipped sign breaks d o d = 0
+    # the previous differential, so one flipped sign breaks d o d = 0
     powers = list(interval_tensor_powers(KUNNETH_CAP))
     rng = random.Random(67)
     for _ in range(20):
