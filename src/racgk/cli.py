@@ -115,13 +115,15 @@ def run_bgw(graph, args, rng):
         },
     }
     # relation spot checks in the completed ring, up to the first vertex
-    # whose s~^2 is not -2 s~
+    # whose s~^2 is not -2 s~: an element of the same ring whose one
+    # residue is -2 mod 2^precision (none at precision 1)
     witness = None
-    for v in graph.labels:
-        mask = graph.mask_of([v])
-        s = kring.CompletedElement(graph, precision, {mask: 1})
+    for i, v in enumerate(graph.labels):
+        s = kring.CompletedElement(graph, precision, {1 << i: 1})
         sq = kring.completed_multiply(s, s)
-        if sq != kring.CompletedElement(graph, precision, {mask: -2}):
+        minus_two = -2 % (1 << precision)
+        if ((sq.graph, sq.precision) != (graph, precision)
+                or sq.coeffs != ({1 << i: minus_two} if minus_two else {})):
             witness = v
             break
     # I^j has one row on each clique where its entry by size is not 0,

@@ -6,7 +6,9 @@ vertex order, which caps graphs at 64 vertices.  The clique poset comes
 from one forward pass, `cliques_within`: it extends each sorted level of
 cliques by increasing vertices above their last member, so every clique
 comes once and in the canonical (size, member-list) order.
-`clique_counts` counts the cliques of each size without listing them.
+`clique_counts` counts the cliques of each size without listing them:
+the clique polynomial is one integer with f_s in bits s(n + 1) and up,
+where no field carries: inside a vertex set P, f_s <= 2^|P| <= 2^n.
 """
 
 import json
@@ -28,7 +30,8 @@ class Graph:
 
     The declared vertex order is preserved verbatim; it fixes the
     bitmask encoding of vertex subsets and hence every monomial and
-    matrix ordering downstream.
+    matrix ordering downstream.  Labels and edges are validated here, at
+    the input boundary; `induced` builds parts from the parent's masks.
     """
 
     def __init__(self, vertices, edges):
@@ -41,23 +44,22 @@ class Graph:
                 "graph has %d vertices; the bitmask representation caps at %d"
                 % (len(vertices), MAX_VERTICES))
         self.labels = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.labels)}
+        self.index = index = {v: i for i, v in enumerate(self.labels)}
         self.n = len(self.labels)
-        self.adj = [0] * self.n
+        self.adj = adj = [0] * self.n
         edge_set = set()
         for a, b in edges:
-            if a not in self.index:
+            i, j = index.get(a), index.get(b)
+            if i is None:
                 raise GraphError("edge endpoint %r is not a declared vertex" % a)
-            if b not in self.index:
+            if j is None:
                 raise GraphError("edge endpoint %r is not a declared vertex" % b)
-            if a == b:
+            if i == j:
                 raise GraphError("loop edge at vertex %r" % a)
-            i, j = self.index[a], self.index[b]
-            edge_set.add((min(i, j), max(i, j)))
+            edge_set.add((i, j) if i < j else (j, i))
+            adj[i] |= _BITS[j]
+            adj[j] |= _BITS[i]
         self.edges = frozenset(edge_set)
-        for i, j in self.edges:
-            self.adj[i] |= 1 << j
-            self.adj[j] |= 1 << i
 
     def __eq__(self, other):
         # the ring elements' mismatch checks compare a graph with itself
@@ -146,11 +148,27 @@ class Graph:
         return tuple(self.labels[i] for i in self.members(mask))
 
     def induced(self, mask):
-        """Full subgraph on the vertex mask, preserving vertex order."""
-        labels = self.labels
-        return Graph(self.subset_labels(mask),
-                     [(labels[i], labels[j]) for i in self.members(mask)
-                      for j in self.members(self.adj[i] & mask) if j > i])
+        """Full subgraph on the vertex mask, preserving vertex order: its
+        i-th vertex is the mask's i-th member, and its masks the parent's
+        inside the mask, renumbered so, with nothing validated again."""
+        members = self.members(mask)
+        sub = Graph.__new__(Graph)
+        sub.labels = tuple(self.labels[v] for v in members)
+        sub.index = {v: i for i, v in enumerate(sub.labels)}
+        sub.n = len(members)
+        sub.adj = adj = [0] * sub.n
+        edges = []
+        for i, v in enumerate(members):
+            above = self.adj[v] & mask >> v + 1 << v + 1
+            while above:
+                bit = above & -above
+                above ^= bit
+                j = (mask & bit - 1).bit_count()
+                adj[i] |= _BITS[j]
+                adj[j] |= _BITS[i]
+                edges.append((i, j))
+        sub.edges = frozenset(edges)
+        return sub
 
     def canonical_edge_list(self):
         return sorted((self.labels[i], self.labels[j]) for i, j in self.edges)
@@ -249,8 +267,10 @@ def clique_counts(graph):
     C(P) = C(P - v) + x C(P & N(v)) (Hoede and Li 1994).  The recursion
     is memoized on P.  It removes the vertices in the order of their
     degree, lowest first and ties by position: renumbered in that order,
-    v is the lowest bit of P.  A graph that needs more than
-    `CLIQUE_COUNT_STATES` memo states is refused with a GraphError."""
+    v is the lowest bit of P.  C(P) is packed, f_s in bits s*w and up for
+    w = n + 1, so x C is a shift and the sum one addition; the f-vector is
+    unpacked once.  A graph that needs more than `CLIQUE_COUNT_STATES`
+    memo states is refused with a GraphError."""
     order = sorted(range(graph.n), key=lambda v: graph.adj[v].bit_count())
     position = [0] * graph.n
     for i, v in enumerate(order):
@@ -260,7 +280,8 @@ def clique_counts(graph):
         a, b = position[i], position[j]
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    memo = {0: [1]}
+    w = graph.n + 1
+    memo = {0: 1}
 
     def count(p):
         got = memo.get(p)
@@ -271,15 +292,12 @@ def clique_counts(graph):
                 "counting the cliques reached %d memo states, the budget "
                 "is %d" % (len(memo), CLIQUE_COUNT_STATES))
         bit = p & -p
-        out = list(count(p ^ bit))
-        with_v = count(p & adj[bit.bit_length() - 1])
-        out += [0] * (len(with_v) + 1 - len(out))
-        for s, x in enumerate(with_v, 1):
-            out[s] += x
-        memo[p] = out
-        return out
+        got = memo[p] = (count(p ^ bit)
+                         + (count(p & adj[bit.bit_length() - 1]) << w))
+        return got
 
-    return count((1 << graph.n) - 1)
+    packed, field = count((1 << graph.n) - 1), (1 << w) - 1
+    return [packed >> s & field for s in range(0, packed.bit_length(), w)]
 
 
 def enumerate_spherical(graph):

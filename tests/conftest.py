@@ -118,6 +118,15 @@ def label_order_counts(graph):
     return list(count((1 << graph.n) - 1))
 
 
+def label_route_induced(graph, mask):
+    """Reference `Graph.induced`: the full subgraph built again from its
+    labels and label edges, through the validating constructor."""
+    labels = graph.labels
+    return Graph(graph.subset_labels(mask),
+                 [(labels[i], labels[j]) for i in graph.members(mask)
+                  for j in graph.members(graph.adj[i] & mask) if j > i])
+
+
 def subset_key(graph, mask):
     """The canonical order of vertex subsets, which the clique listing,
     the chains and the element JSON follow: size, then member list."""

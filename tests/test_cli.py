@@ -13,6 +13,7 @@ import pytest
 
 from racgk import bredon, cli, graphs, intlinalg, kring
 from racgk.cli import dump_json, main
+from racgk.graphs import Graph
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
                       graph_suite, neighbourhood_split, perfbench_workloads)
 
@@ -853,6 +854,36 @@ def test_bgw_names_the_first_vertex_whose_relation_fails(monkeypatch, capsys,
     code, rep = run_json(capsys, ["bgw", "--input", path_file])
     assert code == 1 and not rep["ok"] and not rep["relations_ok"]
     assert rep["detail"] == "s~^2 != -2 s~ in the completed ring for vertex t"
+
+
+@pytest.mark.parametrize("ring", ["precision", "graph"])
+def test_bgw_names_a_square_from_another_ring(monkeypatch, capsys, path_file,
+                                              ring):
+    multiply = kring.completed_multiply
+
+    def elsewhere_on_t(a, b):
+        # the right coefficients for the middle vertex t of s - t - u, but
+        # at another precision or over another graph with the same labels
+        sq = multiply(a, b)
+        if a.coeffs != {a.graph.mask_of(["t"]): 1}:
+            return sq
+        if ring == "precision":
+            return kring.CompletedElement(a.graph, a.precision + 1, sq.coeffs)
+        return kring.CompletedElement(Graph(a.graph.labels, []), a.precision,
+                                      sq.coeffs)
+    monkeypatch.setattr(kring, "completed_multiply", elsewhere_on_t)
+    code, rep = run_json(capsys, ["bgw", "--input", path_file])
+    assert code == 1 and not rep["relations_ok"]
+    assert rep["detail"] == "s~^2 != -2 s~ in the completed ring for vertex t"
+
+
+@pytest.mark.parametrize("precision", ["1", "2", "3", "64"])
+def test_bgw_relations_hold_at_every_precision(capsys, pentagon_file,
+                                               precision):
+    # -2 is 0 mod 2, so at precision 1 the square s~^2 has no residue
+    code, rep = run_json(capsys, ["bgw", "--input", pentagon_file,
+                                  "--precision", precision])
+    assert code == 0 and rep["relations_ok"] and "detail" not in rep
 
 
 @pytest.mark.parametrize("sub", ["ktheory", "all"])

@@ -37,6 +37,10 @@ def test_parse_json():
     ("s; s-t", "not a declared vertex"),
     ("s t", ";"),
     ("s t; st", "malformed edge token"),
+    # the first bad edge in input order, and its first bad endpoint
+    ("a b; a-b b-x y-a a-a", "endpoint 'x' is not"),
+    ("a b; a-b y-x", "endpoint 'y' is not"),
+    ("a b; a-a b-x", "loop edge at vertex 'a'"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(GraphError, match=msg):
@@ -128,6 +132,20 @@ def test_clique_counts_refuse_past_the_state_budget(monkeypatch):
                        "budget is 4$"):
         clique_counts(cycle_graph(10))
     assert clique_counts(complete_graph(2)) == [1, 2, 1]
+
+
+@pytest.mark.parametrize("graph,states", [
+    (cycle_graph(10), 18), (petersen_graph(), 18),
+    (random_graph(16, 0.7), 90)])
+def test_clique_counts_reach_a_fixed_number_of_memo_states(monkeypatch,
+                                                            graph, states):
+    # the least budget that counts each graph: a change to the vertex
+    # order or the memo keys moves it
+    monkeypatch.setattr(graphs, "CLIQUE_COUNT_STATES", states)
+    assert clique_counts(graph) == brute_force_counts(graph)
+    monkeypatch.setattr(graphs, "CLIQUE_COUNT_STATES", states - 1)
+    with pytest.raises(GraphError, match="the budget is %d$" % (states - 1)):
+        clique_counts(graph)
 
 
 def test_maximal_cliques_pentagon():

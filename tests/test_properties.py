@@ -1,11 +1,13 @@
 """Property tests of the forward clique pass and the clique poset on
-random graphs with at most nine vertices, and of the clique counts on
-random graphs with at most twelve; of the sparse-combination core
-under the ring elements, the star normal form, the completion map, the
-Mayer-Vietoris splits and the graph parsers on random graphs with at
-most eight; and of the sparse Bredon complex, its cone certificate,
-the limit's clique factors and the ideal-power chain on random graphs
-with at most seven; and of the JSON writer on random nested values."""
+random graphs with at most nine vertices, of the clique counts and
+full subgraphs on random graphs with at most twelve, and of the packed
+clique counts on dense random graphs with at most 24; of the
+sparse-combination core under the ring elements, the star normal form,
+the completion map, the Mayer-Vietoris splits and the graph parsers on
+random graphs with at most eight; and of the sparse Bredon complex,
+its cone certificate, the limit's clique factors and the ideal-power
+chain on random graphs with at most seven; and of the JSON writer on
+random nested values."""
 
 import json
 import random
@@ -30,8 +32,9 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
                       dense_bredon_complex, dense_differentials,
-                      label_order_counts, min_first_normalize_star,
-                      neighbourhood_split, pairwise_bar_product,
+                      label_order_counts, label_route_induced,
+                      min_first_normalize_star, neighbourhood_split,
+                      pairwise_bar_product,
                       product_ideal_power, subset_key, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
@@ -197,6 +200,30 @@ def test_clique_counts_match_the_brute_force_sizes(graph):
         sizes.pop()
     assert clique_counts(graph) == sizes
     assert label_order_counts(graph) == sizes
+
+
+@LAWS
+@given(st.integers(1, 24), st.integers(50, 100), st.randoms())
+def test_packed_clique_counts_match_the_label_order_recursion(n, percent,
+                                                             rng):
+    # past the brute force's reach: dense graphs, whose counts fill most
+    # of each field, and many fields
+    labels = ["v%d" % i for i in range(n)]
+    graph = Graph(labels, [(a, b) for i, a in enumerate(labels)
+                           for b in labels[i + 1:]
+                           if rng.random() * 100 < percent])
+    assert clique_counts(graph) == label_order_counts(graph)
+
+
+@LAWS
+@given(graphs(max_vertices=12, label=LABELS), st.data())
+def test_induced_matches_the_label_route(graph, data):
+    mask = data.draw(st.integers(0, (1 << graph.n) - 1))
+    sub, ref = graph.induced(mask), label_route_induced(graph, mask)
+    assert (sub.labels, sub.index, sub.n, sub.adj, sub.edges) == (
+        ref.labels, ref.index, ref.n, ref.adj, ref.edges)
+    assert sub == ref and ref == sub and hash(sub) == hash(ref)
+    assert sub.cliques == ref.cliques and sub.f_vector == ref.f_vector
 
 
 def chain_rank_dp(cliques):
