@@ -481,13 +481,12 @@ def interval_tensor_powers(top):
         yield power
 
 
-def interval_tensor_kunneth(n, power=None):
-    """Cohomology of the n-fold tensor power of the interval complex,
-    built here unless given as `power`; the expected answer is a single
-    Z in degree zero."""
-    if power is None:
-        *_, power = interval_tensor_powers(n)
+def interval_tensor_kunneth(power):
+    """Cohomology of `power`, the n-fold tensor power of the interval
+    complex from `interval_tensor_powers`, whose n is its top degree;
+    the expected answer is a single Z in degree zero."""
     coh = cohomology(power)
     ok = (coh[0]["free_rank"] == 1 and not coh[0]["torsion"]
           and all(c["free_rank"] == 0 and not c["torsion"] for c in coh[1:]))
-    return {"n": n, "ranks": power.ranks, "cohomology": coh, "ok": ok}
+    return {"n": len(power.ranks) - 1, "ranks": power.ranks,
+            "cohomology": coh, "ok": ok}

@@ -90,11 +90,6 @@ class Graph:
                              [[label] for label in self.labels])
 
     @cached_property
-    def clique_set(self):
-        """The cliques as a frozenset, for membership tests."""
-        return frozenset(self.cliques)
-
-    @cached_property
     def f_vector(self):
         """`clique_counts`, counted once per graph object."""
         return clique_counts(self)
@@ -118,18 +113,26 @@ class Graph:
             mask &= mask - 1
         return common
 
+    def nonadjacent_pair(self, mask):
+        """The lexicographically least pair s < t of non-adjacent
+        members of a mask in 0..2^n - 1, None for a clique: s is the
+        lowest member with a non-neighbour above it, t the lowest of those."""
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            s = bit.bit_length() - 1
+            above = mask & ~self.adj[s]
+            if above:
+                return s, (above & -above).bit_length() - 1
+        return None
+
     def is_clique(self, mask):
-        """True if every pair of vertices in the mask is adjacent."""
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if m & ~self.adj[v]:
-                return False
-        return True
+        """True if the mask lies in 0..2^n - 1 and every pair of its
+        vertices is adjacent: the one clique test of the ring layer."""
+        return not mask >> self.n and self.nonadjacent_pair(mask) is None
 
     def members(self, mask):
-        """Sorted tuple of vertex indices in a mask."""
+        """Sorted tuple of vertex indices in a mask in 0..2^n - 1."""
         out = []
         while mask:
             out.append((mask & -mask).bit_length() - 1)
@@ -188,7 +191,8 @@ def parse_graph(text, fmt="edge-list"):
     """Parse a graph description in `edge-list` or `json` format.
 
     Edge-list format: whitespace-separated vertex labels terminated by
-    `;`, then whitespace-separated `a-b` edge tokens.
+    `;`, then whitespace-separated `a-b` edge tokens.  Either format
+    refuses an empty vertex list.
     """
     if fmt == "json":
         try:
@@ -205,21 +209,22 @@ def parse_graph(text, fmt="edge-list"):
                 isinstance(e, list) and len(e) == 2
                 and all(isinstance(v, str) for v in e) for e in edges):
             raise GraphError('JSON "edges" must be a list of [a, b] string pairs')
-        return Graph(vertices, edges)
-    if fmt != "edge-list":
+    elif fmt == "edge-list":
+        if ";" not in text:
+            raise GraphError(
+                "edge-list format needs a `;` after the vertex list")
+        head, _, tail = text.partition(";")
+        vertices, edges = head.split(), []
+        for tok in tail.split():
+            parts = tok.split("-")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise GraphError(
+                    "malformed edge token %r (expected a-b)" % tok)
+            edges.append((parts[0], parts[1]))
+    else:
         raise GraphError("unknown graph format %r" % fmt)
-    if ";" not in text:
-        raise GraphError("edge-list format needs a `;` after the vertex list")
-    head, _, tail = text.partition(";")
-    vertices = head.split()
     if not vertices:
         raise GraphError("empty vertex list")
-    edges = []
-    for tok in tail.split():
-        parts = tok.split("-")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise GraphError("malformed edge token %r (expected a-b)" % tok)
-        edges.append((parts[0], parts[1]))
     return Graph(vertices, edges)
 
 

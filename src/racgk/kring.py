@@ -22,27 +22,32 @@ coefficient 2-adically.
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .graphs import cliques_within, submasks, validate_decomposition
+from .graphs import (GraphError, cliques_within, submasks,
+                     validate_decomposition)
 from .intlinalg import Combination, Lattice, accumulate
 from .repring import RepRingElement
 
 STAR = "star"
 BAR = "bar"
+# the most cliques `presentation_report` lists: K20 has 2^20, G(64, 0.7)
+# 1,150,469, and K24's 2^24 ran out of 3 GiB
+CLIQUE_BASIS_CAP = 1 << 21
 
 
 class KRingError(ValueError):
     pass
 
 
-def _check_support(graph, coeffs):
-    """`coeffs`, after one `issuperset` test that every key is a clique
-    of the graph; else the error names the first key that is not."""
-    cliques = graph.clique_set
-    if not cliques.issuperset(coeffs):
-        bad = next(k for k in coeffs if k not in cliques)
-        raise KRingError("support %r is not a clique"
-                         % (graph.subset_labels(bad),))
-    return coeffs
+def _check_support(graph, support):
+    """`support`, masks or a dict keyed by them, once `Graph.is_clique`
+    accepts each mask; else the error names the first non-clique by its
+    labels, or by its mask if that lies outside the vertex range."""
+    if not all(map(graph.is_clique, support)):
+        bad = next(k for k in support if not graph.is_clique(k))
+        raise KRingError("support %s is not a clique" % (
+            "mask %d" % bad if bad >> graph.n else
+            repr(graph.subset_labels(bad))))
+    return support
 
 
 class KRingElement(Combination):
@@ -95,7 +100,7 @@ def _normalize_star(graph, terms):
     """Rewrite until every monomial support is a clique.
 
     Non-clique monomial with lexicographically smallest non-adjacent
-    pair {s, t} in its support rewrites as
+    pair {s, t} in its support, `Graph.nonadjacent_pair`, rewrites as
         m_K -> m_{K-t} + m_{K-s} - m_{K-s-t}.
 
     The pending masks come off a heap, largest first.  A rewrite lands
@@ -113,7 +118,7 @@ def _normalize_star(graph, terms):
         coeff = pending.pop(mask)
         if not coeff:
             continue
-        pair = _smallest_nonadjacent_pair(graph, mask)
+        pair = graph.nonadjacent_pair(mask)
         if pair is None:
             done[mask] = coeff
             continue
@@ -127,20 +132,6 @@ def _normalize_star(graph, terms):
                 pending[sub] = add
                 heappush(heap, -sub)
     return done
-
-
-def _smallest_nonadjacent_pair(graph, mask):
-    """The lexicographically least pair s < t of non-adjacent members
-    of the mask, None for a clique: s is the lowest member with a
-    non-neighbour above it in the mask, t the lowest such non-neighbour."""
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        s = bit.bit_length() - 1
-        above = mask & ~graph.adj[s]
-        if above:
-            return s, (above & -above).bit_length() - 1
-    return None
 
 
 def multiply_star(a, b):
@@ -219,9 +210,7 @@ def restrict_to_clique(a, target):
     """Component of the restriction family at a clique: star monomials
     intersect their support with the target.  Realizes the comparison
     map into the representation ring of the clique subgroup."""
-    if target not in a.graph.clique_set:
-        raise KRingError("restriction target %r is not a clique"
-                         % (a.graph.subset_labels(target),))
+    _check_support(a.graph, (target,))
     star = convert_basis(a, STAR)
     out = accumulate((k & target, c) for k, c in star.coeffs.items())
     return RepRingElement(target, out)
@@ -251,7 +240,13 @@ def bar_relations(graph, nonedges=None):
 
 
 def presentation_report(graph):
-    """Generators, relations, clique basis and rank of the ring."""
+    """Generators, relations, clique basis and rank of the ring; more
+    than `CLIQUE_BASIS_CAP` cliques, counted, are refused before listing."""
+    d = sum(graph.f_vector)
+    if d > CLIQUE_BASIS_CAP:
+        raise GraphError("the clique basis has d = %d cliques, and a "
+                         "ktheory report lists each; the cap is d = %d"
+                         % (d, CLIQUE_BASIS_CAP))
     nonedges = _nonedges(graph)
     return {
         "generators": list(graph.labels),
@@ -315,14 +310,12 @@ class CompletedElement(Combination):
     def __init__(self, graph, precision, coeffs):
         if precision < 1:
             raise KRingError("precision must be >= 1")
+        _check_support(graph, coeffs)
         self.graph = graph
         self.precision = precision
         mod = 1 << precision
         self.coeffs = {}
         for k, c in coeffs.items():
-            if not graph.is_clique(k):
-                raise KRingError("support %r is not a clique"
-                                 % (graph.subset_labels(k),))
             r = c % mod if k else c
             if r:
                 self.coeffs[k] = r

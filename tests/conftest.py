@@ -434,7 +434,7 @@ def bar_structure_constant(graph, j, k):
     when the union is not a clique (the product is zero).  The rule is
     looked up on `kring` at each call, so a patched `bar_product` reaches
     the oracles too."""
-    if j | k not in graph.clique_set:
+    if not graph.is_clique(j | k):
         return None
     return kring.bar_product(j, k)
 
@@ -450,7 +450,7 @@ def min_first_normalize_star(graph, terms):
         coeff = pending.pop(mask)
         if not coeff:
             continue
-        pair = kring._smallest_nonadjacent_pair(graph, mask)
+        pair = graph.nonadjacent_pair(mask)
         if pair is None:
             done.append((mask, coeff))
             continue

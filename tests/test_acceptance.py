@@ -6,7 +6,8 @@ it."""
 import random
 
 from racgk.bredon import (build_bredon_complex, clique_basis_isomorphism,
-                          cohomology, interval_tensor_kunneth, inverse_limit,
+                          cohomology, interval_tensor_kunneth,
+                          interval_tensor_powers, inverse_limit,
                           rho_surjectivity)
 from racgk.charlab import lemma_c4_real_report, lemma_d8_report, verify_tau
 from racgk.graphs import enumerate_spherical, validate_decomposition
@@ -114,8 +115,9 @@ def test_criterion_4_bar_relations_and_ideal_indices():
 
 
 def test_criterion_5_kunneth():
-    failures = ["I^%d" % n for n in range(1, 5)
-                if not interval_tensor_kunneth(n)["ok"]]
+    failures = ["I^%d" % n for n, power in
+                enumerate(interval_tensor_powers(4), 1)
+                if not interval_tensor_kunneth(power)["ok"]]
     report("5 (interval tensor powers: single Z in degree zero)", failures)
 
 

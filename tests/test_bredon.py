@@ -511,28 +511,30 @@ def test_interval_tensor_powers_are_the_cube_cochains():
 
 
 def test_kunneth_small_cases():
-    for n in (1, 2, 3, 4):
-        rep = interval_tensor_kunneth(n)
+    for n, power in enumerate(interval_tensor_powers(4), 1):
+        rep = interval_tensor_kunneth(power)
         assert rep["ok"], rep
+        assert rep["n"] == n
         assert rep["ranks"][0] == 2 ** n
 
 
 def test_kunneth_powers_match_the_per_n_reports():
     # each power is built once, from the last, and is the one built
-    # from scratch
+    # from scratch; its report reads n off the power
     powers = list(interval_tensor_powers(KUNNETH_CAP))
     assert len(powers) == KUNNETH_CAP
     for n, power in enumerate(powers, 1):
         scratch = reduce(accumulated_tensor_complex, [INTERVAL] * n)
         assert (power.ranks, power.diffs) == (scratch.ranks, scratch.diffs)
-        assert interval_tensor_kunneth(n, power) == interval_tensor_kunneth(n)
+        rep = interval_tensor_kunneth(power)
+        assert (rep["n"], rep["ranks"], rep["ok"]) == (n, scratch.ranks, True)
 
 
 def test_kunneth_cap():
     with pytest.raises(ValueError, match="cap"):
-        interval_tensor_kunneth(7)
-    with pytest.raises(ValueError):
-        interval_tensor_kunneth(0)
+        list(interval_tensor_powers(KUNNETH_CAP + 1))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        list(interval_tensor_powers(0))
 
 
 def test_three_rank_computations_agree(suite_entry):

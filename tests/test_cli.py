@@ -15,7 +15,8 @@ from racgk import bredon, cli, graphs, intlinalg, kring
 from racgk.cli import dump_json, main
 from racgk.graphs import Graph
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
-                      graph_suite, neighbourhood_split, perfbench_workloads)
+                      graph_suite, neighbourhood_split, perfbench_workloads,
+                      random_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
@@ -166,6 +167,21 @@ def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
     f.write_text(text)
     assert main(["ktheory", "--json-input", "--input", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, text, flags", [
+    ("empty.graph", "; \n", []),
+    ("empty.json", '{"vertices": []}', ["--json-input"]),
+], ids=["edge-list", "json"])
+@pytest.mark.parametrize("sub", GRAPH_SUBCOMMANDS)
+def test_an_empty_vertex_list_is_refused_in_both_formats(
+        tmp_path, capsys, name, text, flags, sub):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main([sub, "--input", str(f)] + flags) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: empty vertex list\n"
 
 
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):
@@ -656,7 +672,7 @@ def test_bredon_limit_and_bgw_list_no_clique(monkeypatch, capsys, tmp_path):
 
     def refuse(self):
         raise AssertionError("the cliques were listed")
-    for name in ("cliques", "clique_set", "supersets"):
+    for name in ("cliques", "supersets"):
         monkeypatch.setattr(graphs.Graph, name, property(refuse))
     for argv, out in zip(argvs, expected):
         assert main(argv) == 0, argv
@@ -738,8 +754,6 @@ def test_rank_cross_check_fails_on_a_dropped_clique(monkeypatch, capsys,
     listing = graphs.enumerate_spherical
     monkeypatch.setattr(graphs.Graph, "cliques", property(
         lambda graph: tuple(listing(graph)[:-1])))
-    monkeypatch.setattr(graphs.Graph, "clique_set", property(
-        lambda graph: frozenset(listing(graph))))
     code, rep = run_json(capsys, ["all", "--input", pentagon_file])
     cross = rep["rank_cross_check"]
     assert code == 1 and not rep["ok"] and not cross["ok"]
@@ -795,6 +809,40 @@ def test_k64_limit_is_refused_before_any_check(monkeypatch, capsys,
         "error: the inverse limit has rank d = %d, and a limit report lists "
         "d invariant factors twice; the cap is d = %d\n"
         % (2 ** n, bredon.LIMIT_RANK_CAP))
+
+
+# K24 has d = 2^24 and G(64, 0.8) 17,838,688, past the cap of 2^21
+@pytest.mark.parametrize("name, d", [("K24", 2 ** 24),
+                                     ("G64p08", 17_838_688)])
+def test_ktheory_basis_past_the_cap_is_refused_before_listing(
+        monkeypatch, capsys, tmp_path, name, d):
+    graph = (complete_graph(24) if name == "K24"
+             else random_graph(64, 0.8))
+    path = graph_file(tmp_path, name, graph)
+
+    def refuse(*args):
+        raise AssertionError("the cliques were listed")
+    monkeypatch.setattr(graphs, "_forward_pass", refuse)
+    assert main(["ktheory", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: the clique basis has d = %d cliques, and a ktheory report "
+        "lists each; the cap is d = %d\n"
+        % (d, kring.CLIQUE_BASIS_CAP))
+
+
+@pytest.mark.parametrize("sub", ["ktheory", "all"])
+def test_the_basis_cap_is_inclusive(monkeypatch, capsys, pentagon_file, sub):
+    # the pentagon has d = 11: listed at a cap of 11, refused at 10
+    monkeypatch.setattr(kring, "CLIQUE_BASIS_CAP", 11)
+    assert main([sub, "--input", pentagon_file]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(kring, "CLIQUE_BASIS_CAP", 10)
+    assert main([sub, "--input", pentagon_file]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: the clique basis has d = 11 ")
 
 
 @pytest.mark.parametrize("n", [24, 64])

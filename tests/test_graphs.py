@@ -98,6 +98,23 @@ def test_clique_labels_follow_the_cliques(suite_entry):
                                for c in g.cliques], name
 
 
+def test_nonadjacent_pair_is_the_least_non_edge(suite_entry):
+    name, g, _ = suite_entry
+    for mask in range(1 << min(g.n, 10)):
+        members = g.members(mask)
+        pairs = [(s, t) for i, s in enumerate(members) for t in members[i + 1:]
+                 if not g.adj[s] >> t & 1]
+        assert g.nonadjacent_pair(mask) == min(pairs, default=None), name
+        assert g.is_clique(mask) == (not pairs), name
+
+
+def test_is_clique_is_false_outside_the_vertex_range():
+    g = complete_graph(3)
+    assert g.is_clique(0) and g.is_clique(0b111)
+    for mask in (1 << 3, 0b1111, 1 << 70, -1, -(1 << 70)):
+        assert not g.is_clique(mask), mask
+
+
 def test_clique_count_formulas():
     for n in range(1, 6):
         assert len(enumerate_spherical(complete_graph(n))) == 2 ** n

@@ -176,8 +176,30 @@ def test_restrict_bar_monomial_is_product_of_decremented_generators():
 
 def test_restrict_requires_clique():
     g = parse_graph("s t u; s-t t-u")
-    with pytest.raises(KRingError, match="not a clique"):
+    with pytest.raises(KRingError,
+                       match=r"^support \('s', 'u'\) is not a clique$"):
         restrict_to_clique(KRingElement.one(g), g.mask_of(["s", "u"]))
+
+
+# keys outside 0..2^n - 1 for the path's n = 3: a vertex past the last,
+# a mask past any graph's 64 vertices, and a negative one
+BAD_KEYS = [1 << 3, 1 << 70, -1]
+OFF_THE_GRAPH = [
+    ("KRingElement", lambda key: KRingElement(PATH, STAR, {key: 1})),
+    ("CompletedElement", lambda key: CompletedElement(PATH, 4, {key: 1})),
+    ("restrict_to_clique",
+     lambda key: restrict_to_clique(KRingElement.one(PATH), key)),
+]
+
+
+@pytest.mark.parametrize("key", BAD_KEYS,
+                         ids=["past-n", "past-64", "negative"])
+@pytest.mark.parametrize("name, build", OFF_THE_GRAPH,
+                         ids=[name for name, _ in OFF_THE_GRAPH])
+def test_a_key_outside_the_vertex_range_is_refused(name, build, key):
+    with pytest.raises(KRingError,
+                       match=r"^support mask %d is not a clique$" % key):
+        build(key)
 
 
 def test_presentation_report():
