@@ -133,6 +133,9 @@ class Graph:
 
     def members(self, mask):
         """Sorted tuple of vertex indices in a mask in 0..2^n - 1."""
+        if mask >> self.n:
+            raise GraphError("mask %d is outside the vertex range 0..2^%d - 1"
+                             % (mask, self.n))
         out = []
         while mask:
             out.append((mask & -mask).bit_length() - 1)

@@ -11,7 +11,8 @@ rows and of the columns in turn.  Lattice membership substitutes into
 the Hermite form and certifies over the generators, and exact solving
 (`ColumnSolver`) is membership in the lattice of the columns.  Also
 the sparse-combination core (`accumulate`, `Combination`) under the
-ring elements.
+ring elements: each names its ring fields in `__slots__`, and the core
+makes and checks every element from them.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
@@ -28,6 +29,7 @@ against.
 from collections import deque
 from itertools import chain
 from math import gcd, prod
+from operator import attrgetter
 
 
 def identity(n):
@@ -274,19 +276,38 @@ def accumulate(pairs):
 
 class Combination:
     """Sparse integer combination of monomials: `coeffs` maps keys to
-    nonzero integers.  A subclass gives `_ring()`, what two elements must
-    share to be combined; `_check(other)`, which raises its own error if
-    they do not; and `_make(coeffs)`, a new element of the same ring."""
+    nonzero integers.  A subclass names in `__slots__` its ring fields,
+    what two elements must share to be combined, and gives `error`, its
+    exception type; its constructor takes the fields, then `coeffs`, and
+    validates them.  From these the core reads `_ring`, the fields as a
+    tuple, makes `_make(coeffs)`, a new element of the same ring, and
+    `_check(other)` raises "<field> mismatch" at the first field apart."""
 
     __slots__ = ("coeffs",)
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        read = attrgetter(*cls.__slots__)
+        # attrgetter returns a lone field bare, not as a 1-tuple
+        cls._ring = property(read if len(cls.__slots__) > 1
+                             else lambda self: (read(self),))
+
+    def _make(self, coeffs):
+        return type(self)(*self._ring, coeffs)
+
+    def _check(self, other):
+        if self._ring != other._ring:
+            for name, x, y in zip(self.__slots__, self._ring, other._ring):
+                if x != y:
+                    raise self.error("%s mismatch: %s vs %s" % (name, x, y))
+
     def __eq__(self, other):
         return (type(other) is type(self)
-                and self._ring() == other._ring()
+                and self._ring == other._ring
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self._ring(), frozenset(self.coeffs.items())))
+        return hash((self._ring, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
         self._check(other)

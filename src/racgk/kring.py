@@ -54,13 +54,13 @@ class KRingElement(Combination):
     """Sparse integer combination of clique-indexed monomials."""
 
     __slots__ = ("graph", "basis")
+    error = KRingError
 
     def __init__(self, graph, basis, coeffs):
         if basis not in (STAR, BAR):
             raise KRingError("unknown basis %r" % basis)
         _check_support(graph, coeffs)
-        self.graph = graph
-        self.basis = basis
+        self.graph, self.basis = graph, basis
         self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @classmethod
@@ -81,19 +81,6 @@ class KRingElement(Combination):
 
     def __repr__(self):
         return "KRingElement(%s, %r)" % (self.basis, self.coeffs)
-
-    def _ring(self):
-        return self.graph, self.basis
-
-    def _make(self, coeffs):
-        return KRingElement(self.graph, self.basis, coeffs)
-
-    def _check(self, other):
-        if self.graph != other.graph:
-            raise KRingError("graph mismatch")
-        if self.basis != other.basis:
-            raise KRingError("basis mismatch: %s vs %s"
-                             % (self.basis, other.basis))
 
 
 def _normalize_star(graph, terms):
@@ -255,7 +242,7 @@ def presentation_report(graph):
                               for s, t in nonedges]),
         "bar_relations": bar_relations(graph, nonedges),
         "clique_basis": graph.clique_labels,
-        "rank": len(graph.cliques),
+        "rank": len(graph.clique_labels),
         "k1_rank": 0,
     }
 
@@ -306,13 +293,13 @@ class CompletedElement(Combination):
     empty clique and a residue mod 2^precision on each other clique."""
 
     __slots__ = ("graph", "precision")
+    error = KRingError
 
     def __init__(self, graph, precision, coeffs):
         if precision < 1:
             raise KRingError("precision must be >= 1")
         _check_support(graph, coeffs)
-        self.graph = graph
-        self.precision = precision
+        self.graph, self.precision = graph, precision
         mod = 1 << precision
         self.coeffs = {}
         for k, c in coeffs.items():
@@ -326,19 +313,6 @@ class CompletedElement(Combination):
 
     def __repr__(self):
         return "CompletedElement(p=%d, %r)" % (self.precision, self.coeffs)
-
-    def _ring(self):
-        return self.graph, self.precision
-
-    def _make(self, coeffs):
-        return CompletedElement(self.graph, self.precision, coeffs)
-
-    def _check(self, other):
-        if self.graph != other.graph:
-            raise KRingError("graph mismatch")
-        if self.precision != other.precision:
-            raise KRingError("precision mismatch: %d vs %d"
-                             % (self.precision, other.precision))
 
 
 def complete(a, precision):
@@ -379,23 +353,32 @@ def _below(rng, n):
     return r
 
 
-def _draw(graph, rng, terms=3, coeff_bound=5):
-    """The coefficient dict of a seeded random sparse element: a term
-    count in 1..terms, then a clique of `graph.cliques` and a coefficient
-    in -coeff_bound..coeff_bound per term, each by `_below`, as
-    `rng.randint(1, terms)`, `rng.choice(graph.cliques)` and
+def _draw(rng, d, clique, terms=3, coeff_bound=5):
+    """The coefficient dict of a seeded random sparse element of a ring
+    with d cliques, `clique(i)` the mask of the i-th: a term count in
+    1..terms, then a clique index in 0..d-1 and a coefficient in
+    -coeff_bound..coeff_bound per term, each by `_below`, as
+    `rng.randint(1, terms)`, `rng.randrange(d)` and
     `rng.randint(-coeff_bound, coeff_bound)` would draw them."""
-    cliques, width = graph.cliques, 2 * coeff_bound + 1
+    if terms < 1:
+        raise KRingError("terms must be >= 1, not %r" % terms)
+    if coeff_bound < 0:
+        raise KRingError("coeff_bound must be >= 0, not %r" % coeff_bound)
+    width = 2 * coeff_bound + 1
     out = {}
     for _ in range(1 + _below(rng, terms)):
-        c = cliques[_below(rng, len(cliques))]
+        c = clique(_below(rng, d))
         out[c] = out.get(c, 0) + _below(rng, width) - coeff_bound
     return {c: x for c, x in out.items() if x}
 
 
 def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
-    """A seeded random element, drawn by `_draw`, for oracle checks."""
-    return KRingElement(graph, basis, _draw(graph, rng, terms, coeff_bound))
+    """A seeded random element, drawn by `_draw` from the printed
+    listing, `Graph.clique_labels`."""
+    labels = graph.clique_labels
+    return KRingElement(graph, basis, _draw(
+        rng, len(labels), lambda i: graph.mask_of(labels[i]), terms,
+        coeff_bound))
 
 
 def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
@@ -417,11 +400,13 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     def times(ring, a, b):
         return _check_support(ring, _bar_sum(ring, a, b))
 
-    for part, sub in enumerate((g1, g2), 1):
+    whole = graph.cliques.__getitem__
+    for part, (sub, d_sub) in enumerate(((g1, d1), (g2, d2)), 1):
         down, up = clique_maps(graph, sub)
+        clique = sub.cliques.__getitem__
         for sample in range(samples):
-            a, b = _draw(graph, rng), _draw(graph, rng)
-            x, y = _draw(sub, rng), _draw(sub, rng)
+            a, b = _draw(rng, d, whole), _draw(rng, d, whole)
+            x, y = _draw(rng, d_sub, clique), _draw(rng, d_sub, clique)
             ix, iy = move(x, up), move(y, up)
             for key, identity, holds in (
                     ("projection_is_ring_map", "p(ab) = p(a)p(b)",

@@ -27,6 +27,7 @@ class RepRingElement(Combination):
     """
 
     __slots__ = ("ambient",)
+    error = RepRingError
 
     def __init__(self, ambient, coeffs):
         self.ambient = ambient
@@ -53,17 +54,6 @@ class RepRingElement(Combination):
 
     def __repr__(self):
         return "RepRingElement(ambient=%#x, %r)" % (self.ambient, self.coeffs)
-
-    def _ring(self):
-        return self.ambient
-
-    def _make(self, coeffs):
-        return RepRingElement(self.ambient, coeffs)
-
-    def _check(self, other):
-        if self.ambient != other.ambient:
-            raise RepRingError("ambient mismatch: %#x vs %#x"
-                               % (self.ambient, other.ambient))
 
 
 def rep_multiply(a, b):

@@ -227,7 +227,7 @@ def test_huge_precision_is_usage_error(capsys, pentagon_file, sub, fmt):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("sub", ["all", "limit"])
+@pytest.mark.parametrize("sub", ["all", "ktheory", "limit"])
 def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
                                          sub):
     calls = {}
@@ -246,11 +246,12 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
     counted(bredon, "build_bredon_complex")
     counted(bredon, "inverse_limit")
     assert main([sub, "--input", pentagon_file, "--format", "json"]) == 0
-    # the complex is built only to dump its matrices, and only `all`
-    # lists the cliques, for the sections that print them
-    listed = {"enumerate_spherical": 1} if sub == "all" else {}
-    assert calls == {"clique_counts": 1, "cone_certificate": 1,
-                     "inverse_limit": 1, **listed}
+    # the complex is built only to dump its matrices, and no report lists
+    # the cliques as masks: `ktheory` prints and draws from the label
+    # listing alone
+    bredon_calls = {} if sub == "ktheory" else {"cone_certificate": 1,
+                                                 "inverse_limit": 1}
+    assert calls == {"clique_counts": 1, **bredon_calls}
 
 
 def test_limit_runs_no_elimination(monkeypatch, capsys, pentagon_file):
@@ -750,10 +751,11 @@ def test_rank_cross_check_fails_on_wrong_ranks(monkeypatch, capsys,
 
 def test_rank_cross_check_fails_on_a_dropped_clique(monkeypatch, capsys,
                                                     pentagon_file):
-    # the listing loses its last clique; membership tests still see it
-    listing = graphs.enumerate_spherical
-    monkeypatch.setattr(graphs.Graph, "cliques", property(
-        lambda graph: tuple(listing(graph)[:-1])))
+    # the printed listing loses its last clique; membership tests still
+    # see it
+    listing = graphs.Graph.clique_labels.func
+    monkeypatch.setattr(graphs.Graph, "clique_labels", property(
+        lambda graph: listing(graph)[:-1]))
     code, rep = run_json(capsys, ["all", "--input", pentagon_file])
     cross = rep["rank_cross_check"]
     assert code == 1 and not rep["ok"] and not cross["ok"]

@@ -115,6 +115,16 @@ def test_is_clique_is_false_outside_the_vertex_range():
         assert not g.is_clique(mask), mask
 
 
+@pytest.mark.parametrize("method, mask", [
+    ("members", -1), ("members", 1 << 70), ("induced", -2),
+    ("induced", 1 << 3), ("subset_labels", 1 << 3),
+    ("subset_labels", -1)])
+def test_a_mask_outside_the_vertex_range_is_refused(method, mask):
+    g = complete_graph(3)
+    with pytest.raises(GraphError, match=r"^mask %d is outside" % mask):
+        getattr(g, method)(mask)
+
+
 def test_clique_count_formulas():
     for n in range(1, 6):
         assert len(enumerate_spherical(complete_graph(n))) == 2 ** n

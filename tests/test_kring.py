@@ -137,6 +137,15 @@ def test_random_element_draws_as_random_does(name, graph):
                 assert ours.getstate() == ref.getstate(), (seed, terms, bound)
 
 
+@pytest.mark.parametrize("param, kwargs", [
+    ("terms", {"terms": 0}), ("terms", {"terms": -3}),
+    ("coeff_bound", {"coeff_bound": -1})])
+def test_draw_parameters_out_of_range_are_refused(param, kwargs):
+    # `_below` redraws while r >= n, which never ends for n < 1
+    with pytest.raises(KRingError, match="^%s must be >= " % param):
+        random_element(PATH, random.Random(0), **kwargs)
+
+
 def test_convert_basis_examples():
     s = star(NONEDGE, "s")
     assert convert_basis(s, BAR) == KRingElement(
