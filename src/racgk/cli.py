@@ -75,8 +75,9 @@ def graph_header(graph):
             "edges": [list(e) for e in graph.canonical_edge_list()]}
 
 
-def run_ktheory(graph, args, rng):
+def run_ktheory(graph, args):
     report = kring.presentation_report(graph)
+    rng = random.Random(args.seed)
     samples = []
     for sample in range(5):
         a = kring.random_element(graph, rng, basis=kring.STAR)
@@ -103,7 +104,7 @@ def run_ktheory(graph, args, rng):
     return report
 
 
-def run_bgw(graph, args, rng):
+def run_bgw(graph, args):
     f = graph.f_vector
     precision = 32 if args.precision is None else args.precision
     report = {
@@ -148,7 +149,7 @@ def run_bgw(graph, args, rng):
     return report
 
 
-def run_bredon(graph, args, rng):
+def run_bredon(graph, args):
     return bredon_section(graph, bredon.cone_certificate(graph), args)
 
 
@@ -173,7 +174,7 @@ def bredon_section(graph, certificate, args):
     return report
 
 
-def run_limit(graph, args, rng):
+def run_limit(graph, args):
     # a limit too large to report is refused before the certificate runs
     return limit_section(graph, bredon.inverse_limit(graph))
 
@@ -189,7 +190,7 @@ def limit_section(graph, certificate):
     return report
 
 
-def run_kunneth(graph, args, rng):
+def run_kunneth(graph, args):
     top = 4 if args.kunneth_max is None else args.kunneth_max
     reports = [bredon.interval_tensor_kunneth(power)
                for power in bredon.interval_tensor_powers(top)]
@@ -203,7 +204,7 @@ def run_counterexample():
             "ok": d8["ok"] and c4["ok"]}
 
 
-def run_mv_check(graph, args, rng):
+def run_mv_check(graph, args):
     if not args.partition:
         raise GraphError("mv-check requires --partition")
     lines = [l.split() for l in read_text(args.partition).splitlines()
@@ -212,21 +213,22 @@ def run_mv_check(graph, args, rng):
         raise GraphError("partition file needs one or two label lines, "
                          "not %d" % len(lines))
     return kring.mayer_vietoris_check(
-        graph, lines[0], lines[1] if len(lines) == 2 else [], rng)
+        graph, lines[0], lines[1] if len(lines) == 2 else [],
+        random.Random(args.seed))
 
 
-def run_all(graph, args, rng):
+def run_all(graph, args):
     # as in `limit`, a limit too large to report is refused up front,
     # before any section lists the cliques, and so is a complex too
     # large to dump
     certificate = bredon.inverse_limit(graph)
     bredon_report = bredon_section(graph, certificate, args)
     sections = {
-        "ktheory": run_ktheory(graph, args, rng),
-        "bgw": run_bgw(graph, args, rng),
+        "ktheory": run_ktheory(graph, args),
+        "bgw": run_bgw(graph, args),
         "bredon": bredon_report,
         "limit": limit_section(graph, certificate),
-        "kunneth": run_kunneth(graph, args, rng),
+        "kunneth": run_kunneth(graph, args),
         "counterexample": run_counterexample(),
     }
     coh = bredon_report["cohomology"]
@@ -426,13 +428,12 @@ def _main(argv):
             and not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP):
         PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
                     "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
-    rng = random.Random(args.seed)
     try:
         if args.subcommand == "counterexample":
             report = run_counterexample()
             header = {}
         elif args.subcommand == "kunneth" and not args.input:
-            report = run_kunneth(None, args, rng)
+            report = run_kunneth(None, args)
             header = {}
         else:
             graph = load_graph(args)
@@ -442,7 +443,7 @@ def _main(argv):
                 "limit": run_limit, "kunneth": run_kunneth,
                 "mv-check": run_mv_check, "all": run_all,
             }[args.subcommand]
-            report = runner(graph, args, rng)
+            report = runner(graph, args)
     except (GraphError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_ERROR

@@ -202,6 +202,8 @@ def parse_graph(text, fmt="edge-list"):
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise GraphError("malformed JSON graph: %s" % e)
+        except RecursionError:
+            raise GraphError("JSON graph nested too deeply to parse")
         if not isinstance(data, dict) or "vertices" not in data:
             raise GraphError('JSON graph must be an object with "vertices"')
         vertices, edges = data["vertices"], data.get("edges", [])

@@ -281,7 +281,8 @@ class Combination:
     exception type; its constructor takes the fields, then `coeffs`, and
     validates them.  From these the core reads `_ring`, the fields as a
     tuple, makes `_make(coeffs)`, a new element of the same ring, and
-    `_check(other)` raises "<field> mismatch" at the first field apart."""
+    `_check(other)` raises "type mismatch" for another class, else
+    "<field> mismatch" at the first field apart."""
 
     __slots__ = ("coeffs",)
 
@@ -297,6 +298,9 @@ class Combination:
 
     def _check(self, other):
         if self._ring != other._ring:
+            if type(other) is not type(self):
+                raise self.error("type mismatch: %s vs %s" % (
+                    type(self).__name__, type(other).__name__))
             for name, x, y in zip(self.__slots__, self._ring, other._ring):
                 if x != y:
                     raise self.error("%s mismatch: %s vs %s" % (name, x, y))

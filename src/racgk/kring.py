@@ -32,6 +32,12 @@ BAR = "bar"
 # the most cliques `presentation_report` lists: K20 has 2^20, G(64, 0.7)
 # 1,150,469, and K24's 2^24 ran out of 3 GiB
 CLIQUE_BASIS_CAP = 1 << 21
+# the most cliques `mayer_vietoris_check` lists in the graph: glue64(0.88)
+# has 5,906,535 and takes 1.2 GB, glue64(0.92)'s 82,338,648 would not fit
+MV_CLIQUE_CAP = 1 << 23
+# the most terms, and the largest coefficient, of a sampled element
+TERMS = 3
+COEFF_BOUND = 5
 
 
 class KRingError(ValueError):
@@ -340,45 +346,38 @@ def clique_maps(graph, sub):
             dict(zip(sub.cliques, ours, strict=True)))
 
 
-def _below(rng, n):
-    """A uniform draw from range(n), n >= 1: k = n.bit_length() bits of
-    `rng.getrandbits`, drawn again while they read n or more.  This is
-    the rule of CPython's `Random._randbelow`, which `choice` and
-    `randint` use on 3.10-3.13, so it returns what `rng.randrange(n)`
-    would, from the same state."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
-def _draw(rng, d, clique, terms=3, coeff_bound=5):
+def _draw(rng, d, clique):
     """The coefficient dict of a seeded random sparse element of a ring
-    with d cliques, `clique(i)` the mask of the i-th: a term count in
-    1..terms, then a clique index in 0..d-1 and a coefficient in
-    -coeff_bound..coeff_bound per term, each by `_below`, as
-    `rng.randint(1, terms)`, `rng.randrange(d)` and
-    `rng.randint(-coeff_bound, coeff_bound)` would draw them."""
-    if terms < 1:
-        raise KRingError("terms must be >= 1, not %r" % terms)
-    if coeff_bound < 0:
-        raise KRingError("coeff_bound must be >= 0, not %r" % coeff_bound)
-    width = 2 * coeff_bound + 1
+    with d cliques, `clique(i)` the mask of the i-th: what
+    `rng.randint(1, TERMS)` terms of `rng.randrange(d)` and
+    `rng.randint(-COEFF_BOUND, COEFF_BOUND)` would draw, by the rule of
+    CPython's `Random._randbelow` (3.10-3.13): n.bit_length() bits of
+    `rng.getrandbits`, drawn again while they read n or more."""
+    bits = rng.getrandbits
+    width = 2 * COEFF_BOUND + 1
+    kt, kd, kw = TERMS.bit_length(), d.bit_length(), width.bit_length()
+    terms = bits(kt)
+    while terms >= TERMS:
+        terms = bits(kt)
     out = {}
-    for _ in range(1 + _below(rng, terms)):
-        c = clique(_below(rng, d))
-        out[c] = out.get(c, 0) + _below(rng, width) - coeff_bound
+    for _ in range(1 + terms):
+        i = bits(kd)
+        while i >= d:
+            i = bits(kd)
+        x = bits(kw)
+        while x >= width:
+            x = bits(kw)
+        c = clique(i)
+        out[c] = out.get(c, 0) + x - COEFF_BOUND
     return {c: x for c, x in out.items() if x}
 
 
-def random_element(graph, rng, basis=STAR, terms=3, coeff_bound=5):
+def random_element(graph, rng, basis=STAR):
     """A seeded random element, drawn by `_draw` from the printed
     listing, `Graph.clique_labels`."""
     labels = graph.clique_labels
     return KRingElement(graph, basis, _draw(
-        rng, len(labels), lambda i: graph.mask_of(labels[i]), terms,
-        coeff_bound))
+        rng, len(labels), lambda i: graph.mask_of(labels[i])))
 
 
 def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
@@ -387,8 +386,16 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     renamed through `clique_maps`, are ring maps split by monomial
     inclusion; each product's support is tested as a ring element's is.
     A failed identity is named in `detail`: its part, sample and
-    identity, the first in the order checked."""
+    identity, the first in the order checked.  A graph of more than
+    `MV_CLIQUE_CAP` cliques, counted, is refused before any is listed."""
     g1, g2, g3 = validate_decomposition(graph, part1, part2)
+    # a part's cliques are the graph's, so the count bounds all three
+    # listings
+    counted = sum(graph.f_vector)
+    if counted > MV_CLIQUE_CAP:
+        raise GraphError("the graph has d = %d cliques, and mv-check lists "
+                         "them and each part's; the cap is d = %d"
+                         % (counted, MV_CLIQUE_CAP))
     d, d1, d2 = (len(g.cliques) for g in (graph, g1, g2))
     d3 = sum(g3.f_vector)
     rank_ok = (d == d1 + d2 - d3)

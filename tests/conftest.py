@@ -3,7 +3,7 @@ import random
 import sys
 from functools import cache, cached_property
 from itertools import zip_longest
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -87,6 +87,18 @@ def random_graph(n, p, seed=1):
     labels = ["v%d" % i for i in range(n)]
     return Graph(labels, [(labels[i], labels[j]) for i in range(n)
                           for j in range(i + 1, n) if rng.random() < p])
+
+
+def glue64(p):
+    """The ladder's glue64(p) and its two parts: random.Random(1) keeps
+    each pair i < j inside v0..v35 or v28..v63, in order, with
+    probability p; no edge crosses."""
+    rng = random.Random(1)
+    labels = ["v%d" % i for i in range(64)]
+    return (Graph(labels, [(labels[i], labels[j]) for i in range(64)
+                           for j in range(i + 1, 64)
+                           if (j <= 35 or i >= 28) and rng.random() < p]),
+            (labels[:36], labels[28:]))
 
 
 def dp_ranks(graph):
@@ -228,6 +240,48 @@ def dense_bredon_complex(graph):
                 d[r][index_maps[k][(face, mono)]] += -1 if i % 2 else 1
         diffs.append(d)
     return [len(b) for b in bases], diffs
+
+
+def cubical_bredon_complex(graph):
+    """The Bredon cochain complex of the Davis complex's cubical
+    structure, with the representation rings of the clique subgroups as
+    coefficients, in the monomial basis: an oracle for the cohomology of
+    the order complex that `bredon` builds, through another model.
+
+    The cube [T, T'] of cliques T <= T' has degree |T' - T| and
+    stabiliser W_T, so its cells are (T, T', M) for the monomials
+    M <= T.  Its faces are [T | v, T'] and [T, T' - v] for each v in
+    T' - T: the first through restriction from W_(T | v), which sends
+    t_L to t_(L & T), the second as the identity, and both carry
+    (-1)^i for v the i-th vertex of T' - T."""
+    levels = [[] for _ in graph.f_vector]
+    for top in graph.cliques:
+        for low in submasks(top):
+            levels[(top ^ low).bit_count()] += (
+                (low, top, m) for m in submasks(low))
+    index = [{cell: i for i, cell in enumerate(level)} for level in levels]
+    diffs = []
+    for k, faces in enumerate(index[:-1]):
+        d = []
+        for low, top, m in levels[k + 1]:
+            pairs = []
+            for i, v in enumerate(graph.members(top ^ low)):
+                sign, bit = -1 if i % 2 else 1, 1 << v
+                # t_m and t_(m | v) of R(W_(T | v)) restrict to t_m
+                pairs += [(faces[(low | bit, top, m)], sign),
+                          (faces[(low | bit, top, m | bit)], sign),
+                          (faces[(low, top ^ bit, m)], sign)]
+            d.append(accumulate(pairs))
+        diffs.append(d)
+    return bredon.CochainComplex([len(level) for level in levels], diffs)
+
+
+def cubical_ranks(f):
+    """The ranks of `cubical_bredon_complex` from the f-vector: a clique
+    of size s tops C(s, k) cubes of degree k, each with 2^(s - k)
+    monomials."""
+    return [sum(f[s] * comb(s, k) << s - k for s in range(k, len(f)))
+            for k in range(len(f))]
 
 
 def walk_certificate(graph):
@@ -462,12 +516,12 @@ def min_first_normalize_star(graph, terms):
     return accumulate(done)
 
 
-def reference_random_element(graph, rng, basis=STAR, terms=3,
-                             coeff_bound=5):
+def reference_random_element(graph, rng, basis=STAR):
     """`random_element` drawn by `random`'s own calls: the oracle for
     its draws."""
-    draws = [(rng.choice(graph.cliques), rng.randint(-coeff_bound, coeff_bound))
-             for _ in range(rng.randint(1, terms))]
+    bound = kring.COEFF_BOUND
+    draws = [(rng.choice(graph.cliques), rng.randint(-bound, bound))
+             for _ in range(rng.randint(1, kring.TERMS))]
     return KRingElement(graph, basis, accumulate(draws))
 
 
@@ -554,7 +608,7 @@ def gcd_chain_ideal_powers(graph, k):
 
 def bgw_indices(graph):
     """The indices [I^k : I^(k+1)], k = 1..3, of a `bgw` report."""
-    report = cli.run_bgw(graph, cli.PARSER.parse_args(["bgw"]), None)
+    report = cli.run_bgw(graph, cli.PARSER.parse_args(["bgw"]))
     return [row["index"] for row in report["ideal_power_indices"]]
 
 

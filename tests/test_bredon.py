@@ -17,7 +17,8 @@ from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
 from racgk.kring import KRingElement, _normalize_star
 from conftest import (ApexLattice, accumulated_tensor_complex, apex_iso,
                       apex_lattice, apex_rho, assert_limit_matches_apex,
-                      complete_graph, cycle_graph,
+                      complete_graph, cubical_bredon_complex, cubical_ranks,
+                      cycle_graph,
                       dense_bredon_complex, dense_differentials, dp_ranks,
                       edgeless_graph, graph_suite, is_zero, monomial_family,
                       path_graph, random_graph, restriction_family,
@@ -122,6 +123,31 @@ def test_apex_lattice_is_the_kernel_lattice():
         limit = apex_lattice(g)
         kernel = kernel_basis(c.differential(0), c.ranks[0])
         assert row_hnf(limit.basis_columns) == row_hnf(kernel), name
+
+
+def test_cubical_complex_matches_the_certificate():
+    # the cohomology of the Davis complex's cubes, built by another rule
+    # on other cells, is the certificate's
+    for name, g in ([(name, g) for name, g, _ in graph_suite()]
+                    + [("K%d" % n, complete_graph(n)) for n in range(1, 8)]):
+        cube = cubical_bredon_complex(g)
+        assert cube.ranks == cubical_ranks(g.f_vector), name
+        assert cohomology(cube) == cone_certificate(g).cohomology, name
+
+
+def test_a_cubical_complex_with_one_sign_flipped_is_refused():
+    # with no isolated vertex and an edge, every cell of degree 1 has a
+    # face and a coface, so one flipped sign breaks d o d = 0
+    rng = random.Random(71)
+    for g in (path_graph(4), cycle_graph(5), complete_graph(4)):
+        cube = cubical_bredon_complex(g)
+        for _ in range(20):
+            diffs = [[dict(row) for row in d] for d in cube.diffs]
+            row = rng.choice(rng.choice(diffs))
+            col = rng.choice(sorted(row))
+            row[col] = -row[col]
+            with pytest.raises(ValueError, match=r"d\^\d+ o d\^\d+ != 0"):
+                CochainComplex(cube.ranks, diffs)
 
 
 def assert_certificate_matches_walk(name, g):

@@ -15,8 +15,8 @@ from racgk import bredon, cli, graphs, intlinalg, kring
 from racgk.cli import dump_json, main
 from racgk.graphs import Graph
 from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
-                      graph_suite, neighbourhood_split, perfbench_workloads,
-                      random_graph)
+                      glue64, graph_suite, neighbourhood_split,
+                      perfbench_workloads, random_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
@@ -167,6 +167,17 @@ def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
     f.write_text(text)
     assert main(["ktheory", "--json-input", "--input", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_json_graph_is_usage_error(tmp_path, capsys):
+    # the standard library's decoder recurses once per level
+    depth = 100_000
+    f = tmp_path / "deep.json"
+    f.write_text('{"vertices": %s%s}' % ("[" * depth, "]" * depth))
+    assert main(["ktheory", "--json-input", "--input", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "Traceback" not in captured.err
+    assert captured.err == "error: JSON graph nested too deeply to parse\n"
 
 
 @pytest.mark.parametrize("name, text, flags", [
@@ -710,7 +721,7 @@ def test_integers_past_the_digit_cap_are_written_exactly():
 def test_a_report_past_the_digit_cap_exits_0(monkeypatch, capsys, path_file,
                                              fmt):
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    monkeypatch.setattr(cli, "run_bgw", lambda graph, args, rng: {
+    monkeypatch.setattr(cli, "run_bgw", lambda graph, args: {
         "index": LONG, "ok": True})
     assert main(["bgw", "--input", path_file, "--format", fmt]) == 0
     out = capsys.readouterr().out
@@ -725,7 +736,7 @@ def test_a_report_past_the_digit_cap_exits_0(monkeypatch, capsys, path_file,
 def test_a_report_that_cannot_be_written_exits_2(monkeypatch, capsys,
                                                  path_file):
     monkeypatch.setattr(cli, "exact_integers", contextlib.nullcontext)
-    monkeypatch.setattr(cli, "run_bgw", lambda graph, args, rng: {
+    monkeypatch.setattr(cli, "run_bgw", lambda graph, args: {
         "index": LONG, "ok": True})
     for fmt in ("text", "json"):
         assert main(["bgw", "--input", path_file, "--format", fmt]) == 2
@@ -845,6 +856,47 @@ def test_the_basis_cap_is_inclusive(monkeypatch, capsys, pentagon_file, sub):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.startswith("error: the clique basis has d = 11 ")
+
+
+# K24 has d = 2^24 and glue64(0.92) 82,338,648, past the cap of 2^23
+@pytest.mark.parametrize("name, d", [("K24", 2 ** 24),
+                                     ("glue64-0.92", 82_338_648)])
+def test_mv_check_past_the_cap_is_refused_before_listing(
+        monkeypatch, capsys, tmp_path, name, d):
+    if name == "K24":
+        graph = complete_graph(24)
+        parts = [graph.labels]
+    else:
+        graph, parts = glue64(0.92)
+    path = graph_file(tmp_path, name, graph)
+    split = tmp_path / "split.txt"
+    split.write_text("".join(" ".join(part) + "\n" for part in parts))
+
+    def refuse(*args):
+        raise AssertionError("the cliques were listed")
+    monkeypatch.setattr(graphs, "_forward_pass", refuse)
+    assert main(["mv-check", "--input", path, "--partition", str(split)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: the graph has d = %d cliques, and mv-check lists them and "
+        "each part's; the cap is d = %d\n" % (d, kring.MV_CLIQUE_CAP))
+
+
+def test_the_mv_check_cap_is_inclusive(monkeypatch, capsys, path_file,
+                                       tmp_path):
+    # the path s-t-u has d = 6: checked at a cap of 6, refused at 5
+    split = tmp_path / "split.txt"
+    split.write_text("s t\nt u\n")
+    argv = ["mv-check", "--input", path_file, "--partition", str(split)]
+    monkeypatch.setattr(kring, "MV_CLIQUE_CAP", 6)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(kring, "MV_CLIQUE_CAP", 5)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: the graph has d = 6 ")
 
 
 @pytest.mark.parametrize("n", [24, 64])

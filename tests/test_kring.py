@@ -110,12 +110,20 @@ def test_group_ring_product_needs_star_operands():
         group_ring_product(s, star(NONEDGE, "s"))
 
 
-def test_below_is_randrange():
-    ours, ref = random.Random(7), random.Random(7)
-    for n in range(1, 301):
+def test_draw_is_randint_and_randrange():
+    # every clique count d = 1..300, each draw against `random`'s own
+    # calls from the same state, which are left the same
+    for d in range(1, 301):
+        ours, ref = random.Random(d), random.Random(d)
         for _ in range(5):
-            assert kring._below(ours, n) == ref.randrange(n), n
-    assert ours.getstate() == ref.getstate()
+            expected = {}
+            for _ in range(ref.randint(1, kring.TERMS)):
+                i = ref.randrange(d)
+                expected[i] = expected.get(i, 0) + ref.randint(
+                    -kring.COEFF_BOUND, kring.COEFF_BOUND)
+            assert kring._draw(ours, d, lambda i: i) == {
+                i: x for i, x in expected.items() if x}, d
+        assert ours.getstate() == ref.getstate(), d
 
 
 DRAW_GRAPHS = [(name, g) for name, g, _ in graph_suite()] + [
@@ -129,21 +137,10 @@ def test_random_element_draws_as_random_does(name, graph):
     # generators left in the same state after each element
     for seed in range(200):
         ours, ref = random.Random(seed), random.Random(seed)
-        for terms in range(1, 5):
-            for bound in range(1, 8):
-                basis = (STAR, BAR)[bound % 2]
-                assert random_element(graph, ours, basis, terms, bound) == (
-                    reference_random_element(graph, ref, basis, terms, bound))
-                assert ours.getstate() == ref.getstate(), (seed, terms, bound)
-
-
-@pytest.mark.parametrize("param, kwargs", [
-    ("terms", {"terms": 0}), ("terms", {"terms": -3}),
-    ("coeff_bound", {"coeff_bound": -1})])
-def test_draw_parameters_out_of_range_are_refused(param, kwargs):
-    # `_below` redraws while r >= n, which never ends for n < 1
-    with pytest.raises(KRingError, match="^%s must be >= " % param):
-        random_element(PATH, random.Random(0), **kwargs)
+        for basis in (STAR, BAR) * 4:
+            assert random_element(graph, ours, basis) == (
+                reference_random_element(graph, ref, basis))
+            assert ours.getstate() == ref.getstate(), (seed, basis)
 
 
 def test_convert_basis_examples():
@@ -315,7 +312,8 @@ def test_element_json_orders_terms_by_subset_key(suite_entry):
     rng = random.Random(43)
     elements = [KRingElement(graph, STAR, {c: i + 1 for i, c in
                                            enumerate(reversed(graph.cliques))})]
-    elements += [random_element(graph, rng, basis=basis, terms=6)
+    elements += [random_element(graph, rng, basis=basis)
+                 + random_element(graph, rng, basis=basis)
                  for basis in (STAR, BAR) for _ in range(20)]
     for a in elements:
         expected = [{"monomial": list(graph.subset_labels(k)),
@@ -508,6 +506,10 @@ def test_completed_precision_mismatch():
     b = complete(KRingElement.one(g), 8)
     with pytest.raises(KRingError, match="precision"):
         completed_multiply(a, b)
+    # another element type is named by its type, not by a field
+    with pytest.raises(KRingError, match="^type mismatch: "
+                       "KRingElement vs CompletedElement$"):
+        KRingElement.one(g) + b
 
 
 def test_mayer_vietoris_path():

@@ -3,11 +3,11 @@ random graphs with at most nine vertices, of the clique counts and
 full subgraphs on random graphs with at most twelve, and of the packed
 clique counts on dense random graphs with at most 24; of the
 sparse-combination core under the ring elements, the star normal form,
-the completion map, the Mayer-Vietoris splits and the graph parsers on
-random graphs with at most eight; and of the sparse Bredon complex,
-its cone certificate, the limit's clique factors and the ideal-power
-chain on random graphs with at most seven; and of the JSON writer on
-random nested values."""
+the completion map, the Mayer-Vietoris splits, the graph parsers and
+the cubical Bredon complex on random graphs with at most eight; and of
+the sparse Bredon complex, its cone certificate, the limit's clique
+factors and the ideal-power chain on random graphs with at most seven;
+and of the JSON writer on random nested values."""
 
 import json
 import random
@@ -31,6 +31,7 @@ from racgk.repring import RepRingElement, RepRingError
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
+                      cubical_bredon_complex, cubical_ranks,
                       dense_bredon_complex, dense_differentials,
                       label_order_counts, label_route_induced,
                       min_first_normalize_star, neighbourhood_split,
@@ -259,6 +260,14 @@ def test_sparse_bredon_complex(graph):
     # the apex lattice is the kernel of d^0, in the same Hermite form
     kernel = kernel_basis(c.differential(0), c.ranks[0])
     assert row_hnf(apex_lattice(graph).basis_columns) == row_hnf(kernel)
+
+
+@LAWS
+@given(graphs(max_vertices=8))
+def test_cubical_complex_matches_the_certificate(graph):
+    cube = cubical_bredon_complex(graph)
+    assert cube.ranks == cubical_ranks(graph.f_vector)
+    assert cohomology(cube) == cone_certificate(graph).cohomology
 
 
 @LAWS
