@@ -3,6 +3,7 @@ graphs, up to the 64-vertex cap.
 
     python3 ladder/ladder.py --out ladder/BENCH_32.json
     python3 ladder/ladder.py --tree OTHER_CHECKOUT --out BENCH_31.json
+    python3 ladder/ladder.py --compare OLD.json NEW.json
 
 Each rung is one CLI invocation, run as a child process under a
 wall-clock timeout and an address-space limit (RLIMIT_AS), one after
@@ -14,6 +15,12 @@ peak MB; the Python version, run count, timeout and limit are recorded
 once.  The tree's sources are compiled before the first rung, so no
 rung pays for writing bytecode.  Graph files are written to a
 temporary directory; the same name always gives the same graph.
+
+`--compare OLD NEW` prints, for each rung of NEW, the ratios NEW / OLD
+of the medians of its recorded wall seconds and peak MB (a file keeps
+the least and the greatest, so the median is their midpoint), and flags
+a changed exit code and a wall or MB range that does not overlap the
+other file's.
 """
 
 import argparse
@@ -22,6 +29,7 @@ import json
 import os
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -111,6 +119,11 @@ def _write(path, text):
         fh.write(text)
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run_once(argv, env, timeout, limit):
     """(exit code or "timeout", wall seconds, peak MB) of one child."""
     def cap():
@@ -176,13 +189,49 @@ def dump(record):
             + ",\n".join(json.dumps(r) for r in record["rungs"]) + "\n]}\n")
 
 
+def compare(old, new):
+    """One line per rung of the record `new`: the NEW / OLD ratios of the
+    median wall seconds and peak MB, then a flag for each changed exit
+    code and each range apart from the other file's; a rung that only
+    one file has is named as new or as dropped."""
+    before = {(r["graph"], r["subcommand"], r["format"]): r
+              for r in old["rungs"]}
+    lines = []
+    for r in new["rungs"]:
+        key = (r["graph"], r["subcommand"], r["format"])
+        head = "%-16s %-8s %-4s" % key
+        o = before.get(key)
+        if o is None:
+            lines.append(head + " new rung")
+            continue
+        line = head + " wall %.2fx, MB %.2fx" % tuple(
+            statistics.median(r[m]) / statistics.median(o[m])
+            for m in ("wall_s", "peak_mb"))
+        if set(r["exit"]) != set(o["exit"]):
+            line += "  EXIT %s -> %s" % (o["exit"], r["exit"])
+        for m, name in (("wall_s", "WALL"), ("peak_mb", "MB")):
+            if r[m][1] < o[m][0] or o[m][1] < r[m][0]:
+                line += "  %s %s-%s -> %s-%s" % (name, *o[m], *r[m])
+        lines.append(line)
+    now = {(r["graph"], r["subcommand"], r["format"]) for r in new["rungs"]}
+    return lines + ["%-16s %-8s %-4s dropped rung" % key
+                    for key in before if key not in now]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tree", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))),
         help="checkout whose src/ is measured (default: this one)")
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="JSON file to write")
+    action.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="two ladder files to compare, rung by rung")
     args = parser.parse_args(argv)
+    if args.compare:
+        old, new = [_read(path) for path in args.compare]
+        print("\n".join(compare(old, new)))
+        return
     _write(args.out, dump(run_ladder(args.tree)))
 
 

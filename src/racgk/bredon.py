@@ -1,17 +1,19 @@
-"""Cohomology of the clique poset with representation-ring coefficients.
+"""Cohomology of the Davis complex with representation-ring coefficients.
 
-The order complex of the clique poset carries the coefficient system
-that assigns to a chain the representation ring of its smallest clique;
-the first face map restricts along the inclusion of the two smallest
-cliques, the others just drop a clique.  `build_bredon_complex` writes
-its differentials out in the monomial basis.
+The Davis complex of a right-angled Coxeter group is cubical: one cube
+[T, T'] for each pair of cliques T <= T', of dimension |T' - T|, with
+stabiliser W_T.  Its Bredon cochain complex carries the representation
+ring of W_T on the cube; for each vertex v of T' - T, the face
+[T | v, T'] restricts from W_(T | v) and the face [T, T' - v] is the
+identity (`faces`).  `build_bredon_complex` writes its differentials
+out in the monomial basis.
 
 In the bar basis x_L = prod (t_v - 1) restriction is a projection, so
-the complex splits into one block per clique K, a cone with apex K.
-`cone_certificate` checks this once per pair of clique sizes and once
-per chain shape, counts the cells from the number of cliques of each
-size, and reads the cohomology off it: H^0 free on the d apex
-cochains, nothing above.
+the complex splits into one block per clique K, the cubes [T, T'] with
+K inside T.  `cone_certificate` checks this once per pair of clique
+sizes, and d o d = 0 and an acyclic matching once per cube dimension,
+counts the cells from the number of cliques of each size, and reads the
+cohomology off it: H^0 free on the d blocks, nothing above.
 H^0 is the inverse limit, so `inverse_limit` returns the certificate
 itself.  In apex coordinates the clique monomial families form the
 zeta matrix of the clique poset, which `ConeCertificate.clique_factors`
@@ -27,7 +29,7 @@ factors.
 from functools import cached_property
 from math import comb
 
-from .graphs import GraphError, cliques_within, poset_chains
+from .graphs import GraphError, cliques_within
 from .intlinalg import accumulate, invariant_factors
 
 KUNNETH_CAP = 6
@@ -98,12 +100,19 @@ def cohomology(complex_):
     return results
 
 
-def faces(chain):
-    """(face, sign) for each face of a chain of two or more cliques:
-    face i drops clique i and carries (-1)^i.  On face 0 the coefficient
-    also restricts from chain[1] down to chain[0]."""
-    return [(chain[:i] + chain[i + 1:], -1 if i % 2 else 1)
-            for i in range(len(chain))]
+def faces(low, top):
+    """((face low, face top), sign) for each face of the cube [low, top]:
+    for the i-th vertex v of top - low, the face [low | v, top], whose
+    coefficient restricts from the clique low | v, with sign (-1)^i, and
+    the face [low, top - v], the identity, with the opposite sign, so
+    that the kernel in degree 0 is the compatible families."""
+    out, sign, free = [], 1, top ^ low
+    while free:
+        bit = free & -free
+        free ^= bit
+        out += ((low | bit, top), sign), ((low, top ^ bit), -sign)
+        sign = -sign
+    return out
 
 
 def restrict(mono, clique):
@@ -113,45 +122,49 @@ def restrict(mono, clique):
 
 
 def build_bredon_complex(graph):
-    """Cochain complex of the clique poset with coefficients the
-    representation rings of the clique subgroups, in the monomial basis.
+    """Cochain complex of the Davis complex's cubes with coefficients the
+    representation rings of their stabilisers, in the monomial basis.
 
-    Degree-k basis: (chain, monomial) with the chain a strictly
-    increasing (k+1)-tuple of cliques and the monomial a subset of the
-    chain's smallest clique.  The differential is made of `faces` and,
-    on face 0, `restrict`: the two rules `cone_certificate` checks.
-    """
-    cliques = graph.cliques
-    top = max((bin(c).count("1") for c in cliques), default=0)
+    Degree-k basis: (cube, monomial) for the cubes [low, top] of
+    dimension k, by top and then low in canonical clique order, with the
+    monomials of low in that order.  The differential is made of `faces`
+    and, on a face [low | v, top], `restrict`: the two rules
+    `cone_certificate` checks."""
     # every subset of a clique is a clique
-    monomials = {c: cliques_within(graph, c) for c in cliques}
-    levels = poset_chains(graph, top)
-    index_maps = [{cell: i for i, cell in enumerate(
-        (ch, mono) for ch in level for mono in monomials[ch[0]])}
-        for level in levels]
-
+    subsets = {c: cliques_within(graph, c) for c in graph.cliques}
+    position = {c: {m: i for i, m in enumerate(ms)}
+                for c, ms in subsets.items()}
+    # the first cell of each cube in its degree
+    start, ranks = {}, [0] * len(graph.f_vector)
+    cubes = [[] for _ in ranks]
+    for top in graph.cliques:
+        for low in subsets[top]:
+            k = (top ^ low).bit_count()
+            start[low, top] = ranks[k]
+            ranks[k] += len(subsets[low])
+            cubes[k].append((low, top))
     diffs = []
-    for k in range(len(levels) - 1):
-        index = index_maps[k]
+    for level in cubes[1:]:
         d = []
-        for chain in levels[k + 1]:
-            (face0, sign0), *rest = faces(chain)
-            # one row per monomial of chain[0]: face 0 sends each
-            # monomial L of chain[1] to the row of its restriction, the
-            # other faces keep the row's monomial
-            rows = {mono: [] for mono in monomials[chain[0]]}
-            for ell in monomials[chain[1]]:
-                mono, x = restrict(ell, chain[0])
-                rows[mono].append((index[(face0, ell)], sign0 * x))
-            for mono, pairs in rows.items():
-                pairs += [(index[(face, mono)], sign) for face, sign in rest]
-                d.append(accumulate(pairs))
+        for low, top in level:
+            # one row per monomial of low
+            rows = [[] for _ in subsets[low]]
+            for (face_low, face_top), sign in faces(low, top):
+                base = start[face_low, face_top]
+                if face_low == low:
+                    for i, row in enumerate(rows):
+                        row.append((base + i, sign))
+                    continue
+                for j, ell in enumerate(subsets[face_low]):
+                    mono, x = restrict(ell, low)
+                    rows[position[low][mono]].append((base + j, sign * x))
+            d += map(accumulate, rows)
         diffs.append(d)
-    return CochainComplex([len(index) for index in index_maps], diffs)
+    return CochainComplex(ranks, diffs)
 
 
 _IDENTITIES = {"a": "restriction is a projection", "b": "d o d = 0",
-               "c": "dh + hd = id - e"}
+               "m": "the matched face is a unit"}
 
 
 class ConeCertificate:
@@ -170,7 +183,7 @@ class ConeCertificate:
 
     @property
     def cohomology(self):
-        """H^k as `cohomology` gives it: one free Z per cone block in
+        """H^k as `cohomology` gives it: one free Z per block in
         degree 0, nothing above; None when an identity failed."""
         if not self.ok:
             return None
@@ -203,10 +216,12 @@ def _label(graph, mask):
     return "{%s}" % ", ".join(graph.subset_labels(mask))
 
 
-def _witness(graph, identity, block, chain):
-    return ("identity (%s) %s fails in block K = %s at chain %s, degree %d"
-            % (identity, _IDENTITIES[identity], _label(graph, block),
-               " < ".join(_label(graph, c) for c in chain), len(chain) - 1))
+def _witness(graph, identity, block, cube):
+    low, top = cube
+    return ("identity (%s) %s fails in block K = %s at cube [%s, %s], "
+            "degree %d" % (identity, _IDENTITIES[identity],
+                           _label(graph, block), _label(graph, low),
+                           _label(graph, top), (top ^ low).bit_count()))
 
 
 def _bar_expansion(mono):
@@ -240,57 +255,34 @@ def _projection_failure(small, big):
     return None if unit == (0, 1) else 0
 
 
-def _shape_failures(length):
-    """The slots of (b) and (c) that fail on a chain of `length` cliques,
-    checked once on the chain 1 < ... < length, as `faces` only slices
-    it: 1 d e on a pair, 2 d o d, 3 (c) at the apex chain[0] and 4 (c)
-    at an apex 0 below it.  A chain's cells take them in this order,
-    after (a) at slot 0."""
-    chain = tuple(range(1, length + 1))
-    fs = faces(chain) if length > 1 else []
-    # e sends both faces of a pair to the apex cell
-    if length == 2 and sum(sign for _face, sign in fs):
-        yield 1
-    if length > 2 and accumulate((g, s * t) for face, s in fs
-                                 for g, t in faces(face)):
-        yield 2
-    for slot, apex in ((3, 1), (4, 0)):
-        # the row of dh + hd - id + e at the cell (chain, x_apex)
-        row = [(chain, -1)] + [((apex,) + face, s) for face, s in fs
-                               if face[0] != apex]
-        if length == 1:
-            row.append(((apex,), 1))
-        if apex != chain[0]:
-            row += faces((apex,) + chain)
-        if accumulate(row):
-            yield slot
+def _dimension_failures(k):
+    """The checks of (b) and (m) that fail on the cube [{}, {0..k-1}] of
+    dimension k >= 1, which covers every cube of dimension k, as `faces`
+    uses bit operations only: "b" when d o d is not 0 there, "m" when
+    `faces` lists something other than a face of the cube, or gives the
+    face [{0}, {0..k-1}] a coefficient other than 1 or -1."""
+    top = (1 << k) - 1
+    fs = faces(0, top)
+    if k > 1 and accumulate((g, s * t) for face, s in fs
+                            for g, t in faces(*face)):
+        yield "b"
+    cube_faces = {f for v in range(k)
+                  for f in ((1 << v, top), (0, top ^ 1 << v))}
+    if (any(face not in cube_faces for face, _s in fs)
+            or abs(sum(s for face, s in fs if face == (1, top))) != 1):
+        yield "m"
 
 
 def bredon_ranks(counts):
-    """The ranks of the Bredon complex from the f-vector `counts`.
+    """The ranks of the Bredon complex from the f-vector `counts`: a
+    clique of size s tops C(s, k) cubes of dimension k, each with one
+    cell per monomial of its bottom clique, 2^(s - k) of them, so
 
-    A chain c0 < ... < ck of cliques is its top clique ck of size s, the
-    m vertices of ck - c0, C(s, m) ways, and an ordered partition of
-    them into the k nonempty blocks c1 - c0, ..., ck - c(k-1), Surj(m, k)
-    ways (Stanley, EC I, 1.9).  It carries 2^|c0| cells, so
+        rank_k = sum_s f_s C(s, k) 2^(s - k),
 
-        rank_k = sum_s f_s sum_m C(s, m) 2^(s - m) Surj(m, k),
-
-    with Surj(m, k) = k (Surj(m - 1, k - 1) + Surj(m - 1, k)) from the
-    Stirling recurrence."""
-    top = len(counts) - 1
-    surj = [[1] + [0] * top]
-    for m in range(1, top + 1):
-        prev = surj[-1]
-        surj.append([0] + [k * (prev[k - 1] + prev[k])
-                           for k in range(1, top + 1)])
-    ranks = [0] * (top + 1)
-    for s, f in enumerate(counts):
-        for m in range(s + 1):
-            weight = f * comb(s, m) << s - m
-            for k in range(m + 1):
-                ranks[k] += weight * surj[m][k]
-    return ranks
+    which is C(n, k) 3^(n - k) on K_n."""
+    return [sum(counts[s] * comb(s, k) << s - k
+                for s in range(k, len(counts))) for k in range(len(counts))]
 
 
 def cone_certificate(graph):
@@ -301,78 +293,68 @@ def cone_certificate(graph):
     In the bar basis x_L = prod (t_v - 1), which the unitriangular
     change t_L = prod (x_v + 1) relates to the monomial basis of
     `build_bredon_complex`, the complex splits into one block per clique
-    K: the cells (chain, x_K) with K inside chain[0], the chains of a
-    poset with least element K, which is contractible (Quillen 1978).
-    At chain level:
+    K: the cells ([T, T'], x_K) with K inside T.  The checks:
       (a) on every pair J < J', `restrict` sends each x_L of R(J') to x_L
-          when L lies in J and to 0 otherwise, so on block K face 0 only
-          drops a clique.  It sends t_M to t_(M & J), and t_A t_B =
-          t_(A ^ B) with (A ^ B) & J = (A & J) ^ (B & J), so it is a
-          ring map: checking the unit and the x_v, v in J', covers
-          every x_L, a product of x_v.  It uses bit operations only, so
-          the pair {0..a-1} < {0..b-1} covers every pair of sizes a < b;
-      (b) d o d = 0 at every cell of degree 2 or more;
-      (c) dh + hd = id - e at every cell, with h prepending the apex K
-          and e sending a degree-0 cell of block K to the apex cell (K),
-          and d e = 0 on the pairs, so e is a chain map.
-    `faces` only slices the chain, so (b) and (c) depend only on its
-    length and on whether K is chain[0]: one check per shape.  The
-    ranks and d come from the f-vector, `Graph.f_vector`, by
-    `bredon_ranks`.  Only when a check fails are the cliques listed, to
-    name the failure at its first cell in a depth-first walk of the
-    chains, each extended by the cliques above its last
+          when L lies in J and to 0 otherwise, so on block K every face
+          carries x_K to x_K with its sign.  It sends t_M to t_(M & J),
+          and t_A t_B = t_(A ^ B) with (A ^ B) & J = (A & J) ^ (B & J),
+          so it is a ring map: checking the unit and the x_v, v in J',
+          covers every x_L, a product of x_v.  It uses bit operations
+          only, so the pair {0..a-1} < {0..b-1} covers every pair of
+          sizes a < b;
+      (b) d o d = 0, on one cube of each dimension 2..omega;
+      (m) the matching on block K that pairs a cube [T, T'] holding
+          w = min(T' - K) in T with [T - w, T'] is a Morse matching: the
+          two cubes share their top, hence w, so it is an involution; it
+          leaves only [K, K]; along a gradient path the top never grows,
+          and for a fixed top it is the element matching on subsets, so
+          it is acyclic.  w is the lowest vertex of T' - (T - w), so the
+          pair's incidence is the larger cube's first face: checked to be
+          a unit, with every face `faces` lists a face of the cube, on
+          one cube of each dimension 1..omega.
+    `faces` uses bit operations only, so (b) and (m) hold on every cube
+    of a dimension once they hold on [{}, {0..k-1}].  Algebraic Morse
+    theory (Skoeldberg 2006; Kozlov 2008) then leaves each block one
+    free Z in degree 0 and nothing above.  The ranks and d come from the
+    f-vector, `Graph.f_vector`, by `bredon_ranks`.  Only when a check
+    fails are the cliques listed, to name the failure at its first cube
     (`_first_failure`)."""
     counts = graph.f_vector
     top = len(counts) - 1
-    # a chain of `length` cliques exists up to top + 1, from a nonempty
-    # first clique up to top
-    shapes = [(length, slot) for length in range(1, top + 2)
-              for slot in _shape_failures(length)
-              if slot != 4 or length <= top]
+    dims = [(k, identity) for k in range(1, top + 1)
+            for identity in _dimension_failures(k)]
     pairs = any(_projection_failure((1 << a) - 1, (1 << b) - 1) is not None
                 for b in range(1, top + 1) for a in range(b))
-    witness = _first_failure(graph, shapes, pairs) if shapes or pairs else None
+    witness = _first_failure(graph, dims, pairs) if dims or pairs else None
     return ConeCertificate(sum(counts), bredon_ranks(counts), witness)
 
 
-def _first_failure(graph, shapes, pairs):
-    """The witness of the first cell, in a depth-first walk of the
-    chains, at which one of the failing `shapes` (length, slot) or, when
-    `pairs`, check (a) on a clique pair fails; None when no pair of the
-    graph fails (a).  When `restrict` is a ring map, as it is here, that
-    is the walk's first failure.  A `restrict` that is not one still
+def _first_failure(graph, dims, pairs):
+    """The witness of the first cube, by top and then bottom in canonical
+    clique order, at which one of the failing `dims` (dimension,
+    identity) or, when `pairs`, check (a) on the pair of its bottom and
+    top fails; None when no pair of the graph fails (a).  The first cube
+    of dimension k is [{}, C] for C the first clique of size k, in block
+    {}.  When `restrict` is a ring map, as it is here, that is the first
+    failure of a cube-by-cube walk.  A `restrict` that is not one still
     fails when it is wrong on the unit or on some t_v, but (a) then names
-    that x_v or the unit, which may be a later cell of the pair than the
+    that x_v or the unit, which may be a later cell of the cube than the
     first x_L the walk finds wrong."""
-    cliques, supersets = graph.cliques, graph.supersets
-    # the longest chain from c ends at the largest clique above it,
-    # the last in canonical order, and has height[c] + 1 cliques
-    height = {c: above[-1].bit_count() - c.bit_count() if above else 0
-              for c, above in supersets.items()}
-
-    def first_chain(length, nonempty):
-        # depth-first order is that of clique positions, a prefix first
-        chain = next((c,) for c in cliques
-                     if height[c] >= length - 1 and (c or not nonempty))
-        while len(chain) < length:
-            chain += (next(e for e in supersets[chain[-1]]
-                           if height[e] >= length - len(chain) - 1),)
-        return chain
-
-    # (chain, slot, block) for the first failure of each kind
-    found = [(chain, slot, chain[0] & (chain[0] - 1) if slot == 4
-              else chain[0])
-             for length, slot in shapes
-             for chain in [first_chain(length, slot == 4)]]
-    pair = pairs and next(((c, e) for c in cliques for e in supersets[c]
-                           if _projection_failure(c, e) is not None), None)
-    if pair:
-        found.append((pair, 0, _projection_failure(*pair)))
+    cliques = graph.cliques
+    # (cube, identity, block) for the first failure of each kind
+    found = [((0, next(c for c in cliques if c.bit_count() == k)),
+              identity, 0) for k, identity in dims]
+    cube = pairs and next(((low, top) for top in cliques
+                           for low in cliques_within(graph, top)
+                           if low != top and _projection_failure(low, top)
+                           is not None), None)
+    if cube:
+        found.append((cube, "a", _projection_failure(*cube)))
     if not found:
         return None
-    chain, slot, block = min(found, key=lambda f: (
-        [cliques.index(c) for c in f[0]], f[1]))
-    return _witness(graph, "acbcc"[slot], block, chain)
+    cube, identity, block = min(found, key=lambda f: (
+        cliques.index(f[0][1]), cliques.index(f[0][0]), f[1]))
+    return _witness(graph, identity, block, cube)
 
 
 def _zeta_identities(size):
@@ -403,9 +385,9 @@ def inverse_limit(graph):
     """The kernel of the degree-0 differential of the Bredon complex,
     which is H^0: the certificate of `cone_certificate`, whose apex
     cochains are a basis.  The one of clique K is x_K on every clique J
-    containing K, that is (-1)^|K - M| at each cell (J, M) with M inside
-    K.  None is built; the f-vector gives d and the clique number, and
-    `ConeCertificate.clique_factors` checks their shape once per size.
+    containing K, that is (-1)^|K - M| at each cell ([J, J], M) with M
+    inside K.  None is built; the f-vector gives d and the clique number,
+    and `ConeCertificate.clique_factors` checks their shape once per size.
     A graph with more than `LIMIT_RANK_CAP` cliques is refused with a
     GraphError before anything is checked."""
     rank = sum(graph.f_vector)

@@ -20,8 +20,9 @@ from .graphs import GraphError, parse_graph
 
 USAGE_ERROR = 2
 ASSERTION_FAILURE = 1
-# the most cells `--dump-matrices` builds: K8 has 4,366,422, K9 56,697,574
-DUMP_CELL_CAP = 5_000_000
+# the most cells `--dump-matrices` builds: K_n has 4^n, so K10 (under
+# 1 GiB whole process) is admitted and K11 refused
+DUMP_CELL_CAP = 1 << 20
 
 
 def build_parser():
@@ -258,10 +259,16 @@ def run_all(graph, args):
 
 
 def render_text(report, indent=0):
-    """`key: value` or `- value` lines; a nested container goes below."""
+    """`key: value` or `- value` lines; a nested container goes below.
+    A list of lists of str that `_plain_strings` passes, such as the
+    clique basis, is written a row a line by one join each, as
+    `json.dumps` writes the row."""
     pad = "  " * indent
     if isinstance(report, dict):
         items = (("%s%s:" % (pad, k), v) for k, v in report.items())
+    elif set(map(type, report)) <= {list} and _plain_strings(report):
+        return ['%s- ["%s"]' % (pad, '", "'.join(row)) if row
+                else pad + "- []" for row in report]
     else:
         items = ((pad + "-", v) for v in report)
     lines = []
@@ -295,6 +302,13 @@ def _plain(text):
     return text.isascii() and not text.encode().translate(None, _PLAIN)
 
 
+def _plain_strings(rows):
+    """True if every item of every row is an exact str that the C quoting
+    leaves alone: the rows that both writers quote by the join itself."""
+    return (set(map(type, chain.from_iterable(rows))) <= {str}
+            and _plain("".join(set(chain.from_iterable(rows)))))
+
+
 def dump_json(value, pad="\n"):
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, at
     the nesting level whose line break and indent are `pad`.  Where
@@ -306,7 +320,7 @@ def dump_json(value, pad="\n"):
     one such type is one join over that writer.  A list of str whose
     joined text the C quoting leaves alone (printable ASCII with no `"`
     or backslash) is quoted by the join itself, and so is a list of str
-    lists, such as the clique basis, whose distinct strings are."""
+    lists, such as the clique basis, that `_plain_strings` passes."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -341,9 +355,7 @@ def dump_json(value, pad="\n"):
         sep = "," + inner
         kinds = set(map(type, value))
         # string lists: the types first, as a deeper list is unhashable
-        if (kinds <= {list, tuple}
-                and set(map(type, chain.from_iterable(value))) <= {str}
-                and _plain("".join(set(chain.from_iterable(value))))):
+        if kinds <= {list, tuple} and _plain_strings(value):
             head, mid, tail = f'[{inner}  "', f'",{inner}  "', f'"{inner}]'
             # a generator: `join` frees the rows before the text is wrapped
             rows = (f"{head}{mid.join(v)}{tail}" if v else "[]" for v in value)

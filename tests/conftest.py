@@ -1,9 +1,10 @@
+import json
 import os
 import random
 import sys
 from functools import cache, cached_property
 from itertools import zip_longest
-from math import comb, gcd
+from math import gcd
 
 import pytest
 
@@ -102,7 +103,7 @@ def glue64(p):
 
 
 def dp_ranks(graph):
-    """Reference `bredon.bredon_ranks` from the listing: counts[k][c] is
+    """The ranks of `order_bredon_complex` from the listing: counts[k][c] is
     the number of chains c < c1 < ... < ck, f_k(c) = the sum of
     f_(k-1)(c') over the cliques c' above c, and each chain carries
     2^|c| cells."""
@@ -209,9 +210,10 @@ def accumulated_tensor_complex(c1, c2):
 
 
 def dense_bredon_complex(graph):
-    """Reference build of the Bredon complex, (ranks, dense differentials).
+    """Reference build of `order_bredon_complex`, (ranks, dense
+    differentials).
 
-    Same bases as `build_bredon_complex`, with sort keys recomputed per
+    Same bases as `order_bredon_complex`, with sort keys recomputed per
     chain; face 0 is found by testing every submask of the chain's
     second clique against its first, each entry added into a dense
     matrix."""
@@ -242,23 +244,54 @@ def dense_bredon_complex(graph):
     return [len(b) for b in bases], diffs
 
 
+def order_bredon_complex(graph):
+    """The Bredon cochain complex of the order complex of the clique
+    poset, the model `bredon` used before the Davis complex's cubes, as
+    a second oracle: cells (chain, monomial) for the strictly increasing
+    chains of cliques and the monomials of their smallest clique, in the
+    order of `dense_bredon_complex`.  Face i drops clique i with sign
+    (-1)^i, and face 0 also restricts from chain[1] to chain[0], sending
+    t_L to t_(L & chain[0])."""
+    top = graph.cliques[-1].bit_count()
+    monomials = {c: cliques_within(graph, c) for c in graph.cliques}
+    levels = poset_chains(graph, top)
+    index = [{cell: i for i, cell in enumerate(
+        (ch, m) for ch in level for m in monomials[ch[0]])}
+        for level in levels]
+    diffs = []
+    for k, level in enumerate(levels[1:]):
+        d = []
+        for chain in level:
+            for m in monomials[chain[0]]:
+                pairs = [(index[k][(chain[1:], ell)], 1)
+                         for ell in monomials[chain[1]]
+                         if ell & chain[0] == m]
+                pairs += [(index[k][(chain[:i] + chain[i + 1:], m)],
+                           -1 if i % 2 else 1) for i in range(1, len(chain))]
+                d.append(accumulate(pairs))
+        diffs.append(d)
+    return bredon.CochainComplex([len(i) for i in index], diffs)
+
+
 def cubical_bredon_complex(graph):
     """The Bredon cochain complex of the Davis complex's cubical
     structure, with the representation rings of the clique subgroups as
-    coefficients, in the monomial basis: an oracle for the cohomology of
-    the order complex that `bredon` builds, through another model.
+    coefficients, in the monomial basis: the oracle of
+    `bredon.build_bredon_complex`, entry for entry, built by other rules.
 
     The cube [T, T'] of cliques T <= T' has degree |T' - T| and
     stabiliser W_T, so its cells are (T, T', M) for the monomials
-    M <= T.  Its faces are [T | v, T'] and [T, T' - v] for each v in
+    M <= T, by T', T and M in canonical order, found through an index
+    dict.  Its faces are [T | v, T'] and [T, T' - v] for each v in
     T' - T: the first through restriction from W_(T | v), which sends
-    t_L to t_(L & T), the second as the identity, and both carry
-    (-1)^i for v the i-th vertex of T' - T."""
+    t_L to t_(L & T), with sign (-1)^i for v the i-th vertex of T' - T,
+    the second as the identity, with sign -(-1)^i."""
     levels = [[] for _ in graph.f_vector]
     for top in graph.cliques:
-        for low in submasks(top):
+        for low in sorted(submasks(top), key=lambda m: subset_key(graph, m)):
             levels[(top ^ low).bit_count()] += (
-                (low, top, m) for m in submasks(low))
+                (low, top, m) for m in sorted(
+                    submasks(low), key=lambda m: subset_key(graph, m)))
     index = [{cell: i for i, cell in enumerate(level)} for level in levels]
     diffs = []
     for k, faces in enumerate(index[:-1]):
@@ -270,67 +303,61 @@ def cubical_bredon_complex(graph):
                 # t_m and t_(m | v) of R(W_(T | v)) restrict to t_m
                 pairs += [(faces[(low | bit, top, m)], sign),
                           (faces[(low | bit, top, m | bit)], sign),
-                          (faces[(low, top ^ bit, m)], sign)]
+                          (faces[(low, top ^ bit, m)], -sign)]
             d.append(accumulate(pairs))
         diffs.append(d)
     return bredon.CochainComplex([len(level) for level in levels], diffs)
 
 
-def cubical_ranks(f):
-    """The ranks of `cubical_bredon_complex` from the f-vector: a clique
-    of size s tops C(s, k) cubes of degree k, each with 2^(s - k)
-    monomials."""
-    return [sum(f[s] * comb(s, k) << s - k for s in range(k, len(f)))
-            for k in range(len(f))]
+def cube_ranks(graph):
+    """The ranks of the cubical complex counted from the listing: each
+    cube [T, T'] adds 2^|T| cells in degree |T' - T|."""
+    ranks = [0] * len(graph.f_vector)
+    for top in graph.cliques:
+        for low in submasks(top):
+            ranks[(top ^ low).bit_count()] += 1 << low.bit_count()
+    return ranks
 
 
 def walk_certificate(graph):
-    """Reference `cone_certificate`: one depth-first walk over the
-    chains, each extended by the cliques above its last, checks every
-    identity cell by cell and counts the ranks.  (a) expands every x_L
-    of R(J') on every pair J < J', 3^|J'| terms a pair.  `faces` and
+    """Reference `cone_certificate`: one walk over the cubes [low, top],
+    by top and then low in canonical clique order, checks every identity
+    cube by cube and counts the ranks.  On a cube of degree 1 or more,
+    (a) expands every x_L of R(top) and restricts it to low, 3^|top|
+    terms a cube; (b) composes `faces` twice; (m) finds the matched face,
+    low with the lowest vertex of top - low added, among the faces that
+    `faces` lists, each of which must be a face of the cube.  `faces` and
     `restrict` are looked up on the module, so a patched one is seen."""
-    cliques, supersets = graph.cliques, graph.supersets
+    cliques = graph.cliques
     bar = {c: bredon._bar_expansion(c) for c in cliques}
-    ranks = []
+    ranks = [0] * (cliques[-1].bit_count() + 1)
     first = None
-    stack = [(c,) for c in reversed(cliques)]
-    while stack:
-        chain = stack.pop()
-        k = len(chain) - 1
-        stack.extend(chain + (e,) for e in reversed(supersets[chain[-1]]))
-        fs = bredon.faces(chain) if k else []
-        failures = []
-        if k == 1:
-            ell = walk_projection_failure(bar, *chain)
+    for top in cliques:
+        for low in cliques_within(graph, top):
+            free = top ^ low
+            ranks[free.bit_count()] += 1 << low.bit_count()
+            if not free:
+                continue
+            fs = bredon.faces(low, top)
+            failures = []
+            ell = walk_projection_failure(bar, low, top)
             if ell is not None:
                 failures.append(("a", ell))
-            # the row of d e at each cell of the pair: e sends both
-            # faces to the apex cell, so their signs must cancel
-            if sum(sign for _face, sign in fs):
-                failures.append(("c", chain[0]))
-        if k == len(ranks):
-            ranks.append(0)
-        ranks[k] += 1 << bin(chain[0]).count("1")
-        # on block K face 0 only drops a clique, by (a), so the row of
-        # d o d at (chain, x_K) is the same for every K inside chain[0]
-        if k >= 2 and accumulate((g, s * t) for face, s in fs
-                                 for g, t in bredon.faces(face)):
-            failures.append(("b", chain[0]))
-        for apex in submasks(chain[0]):
-            # the row of dh + hd - id + e at the cell (chain, x_K)
-            row = [(chain, -1)]
-            if k == 0:
-                row.append(((apex,), 1))
-            else:
-                row += [((apex,) + face, s) for face, s in fs
-                        if face[0] != apex]
-            if chain[0] != apex:
-                row += bredon.faces((apex,) + chain)
-            if accumulate(row):
-                failures.append(("c", apex))
-        if failures and first is None:
-            first = bredon._witness(graph, *failures[0], chain)
+            # on block K every face carries x_K to x_K with its sign, by
+            # (a), so the row of d o d at ([low, top], x_K) is the same
+            # for every K inside low
+            if free.bit_count() > 1 and accumulate(
+                    (g, s * t) for face, s in fs
+                    for g, t in bredon.faces(*face)):
+                failures.append(("b", low))
+            cube_faces = {f for v in graph.members(free) for f in (
+                (low | 1 << v, top), (low, top ^ 1 << v))}
+            matched = (low | free & -free, top)
+            if (any(face not in cube_faces for face, _s in fs) or abs(
+                    sum(s for face, s in fs if face == matched)) != 1):
+                failures.append(("m", low))
+            if failures and first is None:
+                first = bredon._witness(graph, *failures[0], (low, top))
     return bredon.ConeCertificate(len(cliques), ranks, first)
 
 
@@ -684,6 +711,28 @@ def neighbourhood_split(graph, x):
     everything = (1 << graph.n) - 1
     return (graph.subset_labels(closed),
             graph.subset_labels(everything & ~x))
+
+
+def per_item_render_text(report, indent=0):
+    """Reference `cli.render_text`: every leaf list written by its own
+    `json.dumps`, a clique-basis row included."""
+    pad = "  " * indent
+    if isinstance(report, dict):
+        items = (("%s%s:" % (pad, k), v) for k, v in report.items())
+    else:
+        items = ((pad + "-", v) for v in report)
+    lines = []
+    for head, v in items:
+        if isinstance(v, dict) and v or isinstance(v, list) and any(
+                isinstance(x, (dict, list)) for x in v):
+            lines.append(head)
+            lines.extend(per_item_render_text(v, indent + 1))
+        elif isinstance(v, bool):
+            lines.append("%s %s" % (head, "yes" if v else "no"))
+        else:
+            lines.append("%s %s" % (head, json.dumps(v) if isinstance(
+                v, (dict, list)) else str(v)))
+    return lines
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

@@ -17,7 +17,7 @@ from racgk.kring import (BAR, STAR, KRingElement, convert_basis, ideal_power,
                          presentation_report, random_element,
                          restrict_to_clique)
 from racgk.repring import (character_evaluation, character_interpolation,
-                           rep_multiply, restriction)
+                           restriction)
 from conftest import dense_differentials, graph_suite, is_zero
 
 SUITE = graph_suite()
@@ -44,7 +44,7 @@ def test_criterion_1_bredon_cohomology_vanishing():
         ok &= all(c["free_rank"] == 0 and not c["torsion"] for c in coh[1:])
         if not ok:
             failures.append(name)
-    report("1 (poset cohomology free of rank d, vanishing above)", failures)
+    report("1 (Bredon cohomology free of rank d, vanishing above)", failures)
 
 
 def test_criterion_2_limit_isomorphism_and_surjectivity():

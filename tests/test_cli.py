@@ -7,16 +7,17 @@ import subprocess
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from math import comb, factorial
+from math import comb
 
 import pytest
 
 from racgk import bredon, cli, graphs, intlinalg, kring
 from racgk.cli import dump_json, main
 from racgk.graphs import Graph
-from conftest import (complete_graph, cycle_graph, dense_bredon_complex,
-                      glue64, graph_suite, neighbourhood_split,
-                      perfbench_workloads, random_graph)
+from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
+                      dense_differentials, glue64, graph_suite,
+                      neighbourhood_split, per_item_render_text,
+                      perfbench_workloads, petersen_graph, random_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
@@ -288,9 +289,9 @@ def test_limit_runs_no_elimination(monkeypatch, capsys, pentagon_file):
 
 
 WRONG_SIGN = ("identity (a) restriction is a projection fails in block "
-              "K = {} at chain {} < {s}, degree 1")
-DROPPED_FACE = ("identity (b) d o d = 0 fails in block K = {} at chain "
-                "{} < {s} < {s, t}, degree 2")
+              "K = {} at cube [{}, {s}], degree 1")
+DROPPED_FACE = ("identity (b) d o d = 0 fails in block K = {} at cube "
+                "[{}, {s, t}], degree 2")
 
 
 @pytest.mark.parametrize("sub", ["bredon", "limit", "all"])
@@ -310,8 +311,9 @@ def test_wrong_restriction_sign_names_its_witness(monkeypatch, capsys,
 @pytest.mark.parametrize("sub", ["bredon", "limit", "all"])
 def test_dropped_face_names_its_witness(monkeypatch, capsys, path_file, sub):
     faces = bredon.faces
-    monkeypatch.setattr(bredon, "faces", lambda chain: (
-        faces(chain)[:-1] if len(chain) > 2 else faces(chain)))
+    monkeypatch.setattr(bredon, "faces", lambda low, top: (
+        faces(low, top)[:-1] if (top ^ low).bit_count() > 1
+        else faces(low, top)))
     code, rep = run_json(capsys, [sub, "--input", path_file])
     assert code == 1 and not rep["ok"]
     section = rep["bredon"] if sub == "all" else rep
@@ -322,15 +324,14 @@ def test_dropped_face_names_its_witness(monkeypatch, capsys, path_file, sub):
         assert section["cohomology"] is None
 
 
-# sha256 of each `--dump-matrices` file, as written when the
-# differentials were dense matrices
+# sha256 of each `--dump-matrices` file of the cubical complex
 DUMP_SHA256 = {
-    "C5": ["c0e47ce85b1aaaa99d1ab285834ff5ed043a7ebd11716773dce8bb0e59102551",
-           "aa6184ed91c04d723b34104d9bc339d6ea54409bbed277ec3071327151176993"],
-    "K4": ["f8145f3749a1e795f4ea26c7332e1be76e7191272c269e018293e522c4d889ca",
-           "11b4ab902072edaae21a8948a637325b6ba849b65fc206454090d17498d9889d",
-           "c168fdd00fa393f410631b413022a1aeebccbd37d77a60f6e343a2e32f8e52ea",
-           "5b290dc488758ad616be79cd100298b4401d3469e18f740dfec764427023f726"],
+    "C5": ["188acdb90b4515b6a0965b4bfc8ab70e5f181d5559dda362d20e7b584e663afa",
+           "1ebfcb7670bcccf62e89eff06c106832750866a82dd1cd7d2d7c7eb87b92c47d"],
+    "K4": ["4172f19e8798561ac41303bb0311455d7870e8c580d9fc7b1282e7d27e67314d",
+           "8d86f43bff5fcba4b941896837de60e885f56c19b7562e7db4cf1b8cf292076f",
+           "1ef92d16b0447979afe4b01cb31319a16520f3724db3f3300681a365f6091bdf",
+           "7624b50c3e460356d36cede2b12d96fa0ecbc7d8c3c9a9dc00a2cee6305c5508"],
 }
 
 
@@ -343,7 +344,8 @@ def test_dump_matrices(capsys, tmp_path, name, sub):
         "%s-%s" % e for e in graph.canonical_edge_list())))
     prefix = tmp_path / "d"
     assert main([sub, "--input", str(f), "--dump-matrices", str(prefix)]) == 0
-    ranks, dense = dense_bredon_complex(graph)
+    cube = cubical_bredon_complex(graph)
+    ranks, dense = cube.ranks, dense_differentials(cube)
     for k, d in enumerate(dense):
         data = (tmp_path / ("d.%d" % k)).read_bytes()
         triplets = [tuple(map(int, line.split()))
@@ -359,21 +361,22 @@ def test_dump_matrices(capsys, tmp_path, name, sub):
     assert not (tmp_path / ("d.%d" % len(dense))).exists()
 
 
-def test_the_dump_cap_admits_k8_and_refuses_k9():
+def test_the_dump_cap_admits_k10_and_refuses_k11():
+    # K10's dump peaks at about 660 MB whole process
     cells = [sum(bredon.cone_certificate(complete_graph(n)).ranks)
-             for n in (8, 9)]
-    assert cells == [4366422, 56697574]
+             for n in (10, 11)]
+    assert cells == [4 ** 10, 4 ** 11]
     assert cells[0] <= cli.DUMP_CELL_CAP < cells[1]
 
 
 @pytest.mark.parametrize("sub", ["bredon", "all"])
 def test_a_complex_too_large_to_dump_is_refused(monkeypatch, capsys,
                                                 tmp_path, sub):
-    # K9's cells are counted and refused before the complex is built
+    # K11's cells are counted and refused before the complex is built
     def refuse(graph):
         raise AssertionError("the complex was built")
     monkeypatch.setattr(bredon, "build_bredon_complex", refuse)
-    path = graph_file(tmp_path, "K9", complete_graph(9))
+    path = graph_file(tmp_path, "K11", complete_graph(11))
     start = time.perf_counter()
     assert main([sub, "--input", path,
                  "--dump-matrices", str(tmp_path / "d")]) == 2
@@ -381,7 +384,7 @@ def test_a_complex_too_large_to_dump_is_refused(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == ("error: --dump-matrices would build a complex "
-                            "of 56697574 cells; the cap is 5000000\n")
+                            "of 4194304 cells; the cap is 1048576\n")
     assert not list(tmp_path.glob("d.*"))
 
 
@@ -499,6 +502,33 @@ def test_json_writer_on_every_subcommand(monkeypatch, capsys, tmp_path,
             "mv-check", "--input", str(path), "--partition", str(split)])
 
 
+@pytest.mark.parametrize("sub", ["ktheory", "bgw", "all"])
+@pytest.mark.parametrize("name", ["escapes", "Petersen"])
+def test_text_writer_is_the_per_item_writer(monkeypatch, capsys, tmp_path,
+                                            name, sub):
+    # labels with `"`, a backslash and a non-ASCII letter take the per-item
+    # quoting, the Petersen graph's the join
+    v = ['a"b', "c\\d", "\u00e9", "x"]
+    argv = {"escapes": ["--json-input", "--input", str(tmp_path / "g.json")],
+            "Petersen": ["--input", str(tmp_path / "g.graph")]}[name]
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"vertices": v, "edges": [v[:2], v[1:3], v[2:], [v[0], v[2]]]}))
+    g = petersen_graph()
+    (tmp_path / "g.graph").write_text(edge_list(g.labels,
+                                                g.canonical_edge_list()))
+    writer, payloads = cli.render_text, []
+
+    def recording(value, indent=0):
+        if not indent:
+            payloads.append(value)
+        return writer(value, indent)
+    monkeypatch.setattr(cli, "render_text", recording)
+    assert main([sub] + argv) == 0
+    (payload,) = payloads
+    assert capsys.readouterr().out == "\n".join(
+        per_item_render_text(payload)) + "\n"
+
+
 @pytest.mark.parametrize("argv", [["counterexample"], ["kunneth"]])
 def test_json_writer_without_a_graph(monkeypatch, capsys, argv):
     assert_writer_is_json_dumps(monkeypatch, capsys, argv)
@@ -594,8 +624,8 @@ REPORT_SHA256 = {
         "b0f898dd8b873ac000236e9440b3dc2650564f09cc91eb7fe00728847e4adfc0",
         "0589726621092378c472e0c6f03a66f61ced5a43c6b11157015d5e4a55fad4e7"],
     ("K3", "all"): [
-        "1d62cc39e52245ce0956d39e7bac4d9b3717f31b8df240c71d86364e438a84fb",
-        "b8c04f642132dc41c7b4ef8e785ce03148ee0b02de439caa596714f295a6dff3"],
+        "21c3731e391651f79ed4f5cb177381891e03f2cdcb4eab036ec6c854eec36565",
+        "0d0d13b3138434f554ae8366c51e90574de70af7759d4c166b7b7c0c8c7e99c4"],
     ("E3", "ktheory"): [
         "c650c1ccf21fd2713841dbe2331325abf7b0ed3677c53810a90ed8687c490a2f",
         "c114fde58b9e3c4032fd936d41c4263d3e61768e8b015cef73ae1ff6b008f216"],
@@ -612,8 +642,8 @@ REPORT_SHA256 = {
         "de9471915e445fd94f1c6a1597b73ad0a3a1652fd5905d2744842bdb5bc88a8c",
         "4155f68f80398649b1cc15b3553d169e9dc42cfd28f28fb02ee330fae67d2137"],
     ("P4", "all"): [
-        "821414d3db11ebb5c000f3557fcd8cdb0d9ee9c2e2deef7087629406c595e1a7",
-        "e40048ef787ecb1e6c8aaf8b3f69e20181e507ca5089dab45a11e2dd65c76830"],
+        "a00828937e9eab03ea8bf7a9a1a2fbc09f8991d015028e45e9cecf5d3f693dc9",
+        "e5b62017c37a80fabe1322fcab15263f2a50d48dfeacd1a3b35ebd5949e9fb38"],
     ("C4", "ktheory"): [
         "36d4cb729d413f57532a274d55de943b2303c910a9271f950a7ad935334033d7",
         "73ce94563ca86ec673c93a622d140c797542343afca056f3aefd2b258c9e0328"],
@@ -621,8 +651,8 @@ REPORT_SHA256 = {
         "a7e988ef613ae0ea4785a317f6932154089f9f6f18904784d2f4ab5e58fe867f",
         "dfb84e5346f2db6553240dc95f6f8649b83612a12d303c0e19d69910def034d8"],
     ("C4", "all"): [
-        "7d84a601ce8d81ec96ce9310e755fd430e370ec5e42d8031df48b3e7ea42cf23",
-        "d8a888359c60ba1a3e02b61050521c12a2a0b2e495632a5face99104b9f4a992"],
+        "02a741fb66092196b7b6636791db43500b29d96caf498225d799ca1d865d9b44",
+        "516a4903f65299f5eed07d0f559c6b8860eee373256485ac4eeb89d47870b7d8"],
     ("Petersen", "ktheory"): [
         "ad7d8e209ae394b1e45e9606d0ce21dd6e491e1ba41afbb71efdbe7961f8ac63",
         "089e7ce42e83bce76a80154c3b1686dd7254235fddb7fca0c2d463650808e0c0"],
@@ -630,8 +660,8 @@ REPORT_SHA256 = {
         "075548b62053aef25a113675fb4146a9ef9474c9fc1f6a917aeff18da8486d46",
         "12af39bdcb1d3d8e5ec85e4f2c28131227017825d4c4308fd91d2a005d21b16e"],
     ("Petersen", "all"): [
-        "d3050d1e14af70deda5c03f31bb5b1fee4b41fd6bceac3c416447b4781c8d077",
-        "64df51837d921327f49072e1f6f112a865776790c574afce7865ff75cb65fc23"],
+        "454e054d73c879650beb7af3c71f4d288e4b91f79a3babfa8651317e96dcf1ef",
+        "04fce960c41c4aa9c87a27d5c96472c8bab7008a91db58f3d59141e5dfd09f18"],
     ("P4", "mv-check"): [
         "1ba6e9bc8e5136e650775a8373de19712ba9dbcfa05eca04736218679092bb9f",
         "74d362a323d13a572b6226bbaa42fa1075617cf8de963160fbfa6eaad38f33bb"],
@@ -789,8 +819,8 @@ def test_k64_bredon_is_counted(capsys, tmp_path):
     code, rep = run_json(capsys, ["bredon", "--input", path])
     assert code == 0 and rep["ok"]
     assert rep["clique_count"] == 2 ** 64 and rep["ranks"][0] == 3 ** 64
-    # the chains of 65 cliques are the orderings of the 64 vertices
-    assert len(rep["ranks"]) == 65 and rep["ranks"][64] == factorial(64)
+    # the one cube of dimension 64 is [{}, V]
+    assert len(rep["ranks"]) == 65 and rep["ranks"][64] == 1
 
 
 def test_k64_bgw_reads_the_f_vector(capsys, tmp_path):

@@ -12,8 +12,7 @@ from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          mayer_vietoris_check, multiply_bar, multiply_star,
                          presentation_report, random_element,
                          restrict_to_clique)
-from racgk.repring import (RepRingElement, character_evaluation,
-                           rep_multiply)
+from racgk.repring import RepRingElement, rep_multiply
 from conftest import (assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles, bgw_indices,
                       complete_graph, cycle_graph, glued_graph, graph_suite,

@@ -47,10 +47,49 @@ def test_a_rung_past_its_timeout_is_recorded_as_timeout():
     assert record["rungs"][0]["exit"] == ["timeout"]
 
 
+def committed(name):
+    with open(os.path.join(LADDER, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json"])
 def test_committed_ladder_files_follow_the_schema(name):
-    with open(os.path.join(LADDER, name), encoding="utf-8") as fh:
-        record = json.load(fh)
-    check_schema(record, ladder.RUNGS, ladder.RUNS)
+    # each file against its own rungs, so that a new rung leaves the
+    # committed files valid; each rung is one the runner can still run
+    record = committed(name)
+    rungs = [(r["graph"], r["subcommand"], r["format"])
+             for r in record["rungs"]]
+    check_schema(record, rungs, ladder.RUNS)
+    assert len(set(rungs)) == len(rungs)
+    assert all(graph in ladder.GRAPHS for graph, _sub, _fmt in rungs)
     assert record["timeout_s"] == ladder.TIMEOUT_S
     assert record["memory_limit_mb"] == ladder.MEMORY_LIMIT >> 20
+
+
+def test_compare_flags_exit_codes_and_ranges_apart(capsys):
+    old, new = committed("BENCH_31.json"), committed("BENCH_32.json")
+    ladder.main(["--compare", os.path.join(LADDER, "BENCH_31.json"),
+                 os.path.join(LADDER, "BENCH_32.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ladder.compare(old, new)
+    assert len(lines) == len(new["rungs"])
+    by_rung = {tuple(line.split()[:3]): line for line in lines}
+    # g64-0.9 bredon: wall 0.947-0.969 -> 0.5-0.535 s, the median ratio
+    # 0.5175 / 0.958, and peak 129.6-129.7 -> 71.3-71.4 MB
+    assert by_rung["g64-0.9", "bredon", "text"] == (
+        "g64-0.9          bredon   text wall 0.54x, MB 0.55x  "
+        "WALL 0.947-0.969 -> 0.5-0.535  MB 129.6-129.7 -> 71.3-71.4")
+    # ranges that overlap are not flagged
+    assert by_rung["k16", "all", "text"].endswith("wall 0.87x, MB 1.00x")
+    # no exit code changed between the two files; a changed one, a new
+    # and a dropped rung are named
+    assert "EXIT" not in "".join(lines)
+    changed = json.loads(json.dumps(new))
+    changed["rungs"][0]["exit"] = [0, 2, 2]
+    changed["rungs"].append(dict(changed["rungs"][1], graph="k14"))
+    del changed["rungs"][1]
+    lines = ladder.compare(old, changed)
+    assert "EXIT [0, 0, 0] -> [0, 2, 2]" in lines[0]
+    assert lines[-2].split() == ["k14", "bredon", "text", "new", "rung"]
+    assert lines[-1].split() == ["c64-complement", "bredon", "text",
+                                 "dropped", "rung"]

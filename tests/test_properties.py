@@ -16,8 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racgk.bredon import build_bredon_complex, cohomology, cone_certificate
-from racgk.cli import dump_json
+from racgk.bredon import (bredon_ranks, build_bredon_complex, cohomology,
+                          cone_certificate)
+from racgk.cli import dump_json, render_text
 from racgk.graphs import (Graph, clique_counts, cliques_within,
                           enumerate_spherical, parse_graph, poset_chains,
                           submasks)
@@ -31,11 +32,12 @@ from racgk.repring import RepRingElement, RepRingError
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
-                      cubical_bredon_complex, cubical_ranks,
+                      cube_ranks, cubical_bredon_complex,
                       dense_bredon_complex, dense_differentials,
                       label_order_counts, label_route_induced,
                       min_first_normalize_star, neighbourhood_split,
-                      pairwise_bar_product,
+                      order_bredon_complex, pairwise_bar_product,
+                      per_item_render_text,
                       product_ideal_power, subset_key, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
@@ -228,7 +230,7 @@ def test_induced_matches_the_label_route(graph, data):
 
 
 def chain_rank_dp(cliques):
-    """Bredon ranks without chains: rank k sums 2^|c0| over the chains
+    """Order complex ranks without chains: rank k sums 2^|c0| over the chains
     c0 < ... < ck, and counts[c] holds the chains of the current length
     that start at c."""
     counts = dict.fromkeys(cliques, 1)
@@ -243,15 +245,12 @@ def chain_rank_dp(cliques):
 @LAWS
 @given(graphs(max_vertices=7))
 def test_sparse_bredon_complex(graph):
-    # clique number 5 or more makes the dense oracle too large to build
-    assume(max(bin(c).count("1") for c in graph.cliques) <= 4)
-    c = build_bredon_complex(graph)
-    ranks, dense = dense_bredon_complex(graph)
+    c, cube = build_bredon_complex(graph), cubical_bredon_complex(graph)
     cert, walk = cone_certificate(graph), walk_certificate(graph)
-    assert c.ranks == ranks == chain_rank_dp(graph.cliques) == cert.ranks
+    assert (c.ranks, c.diffs) == (cube.ranks, cube.diffs)
+    assert c.ranks == cube_ranks(graph) == cert.ranks
     assert (cert.ok, cert.ranks, cert.witness) == (walk.ok, walk.ranks,
                                                    walk.witness)
-    assert dense_differentials(c) == dense
     coh = cohomology(c)
     assert coh[0] == {"degree": 0, "free_rank": len(graph.cliques),
                       "torsion": []}
@@ -260,14 +259,26 @@ def test_sparse_bredon_complex(graph):
     # the apex lattice is the kernel of d^0, in the same Hermite form
     kernel = kernel_basis(c.differential(0), c.ranks[0])
     assert row_hnf(apex_lattice(graph).basis_columns) == row_hnf(kernel)
+    # clique number 5 or more makes the dense oracle of the order complex
+    # too large to build
+    if graph.cliques[-1].bit_count() <= 4:
+        order = order_bredon_complex(graph)
+        ranks, dense = dense_bredon_complex(graph)
+        assert order.ranks == ranks == chain_rank_dp(graph.cliques)
+        assert dense_differentials(order) == dense
 
 
 @LAWS
 @given(graphs(max_vertices=8))
 def test_cubical_complex_matches_the_certificate(graph):
-    cube = cubical_bredon_complex(graph)
-    assert cube.ranks == cubical_ranks(graph.f_vector)
-    assert cohomology(cube) == cone_certificate(graph).cohomology
+    c, cube = build_bredon_complex(graph), cubical_bredon_complex(graph)
+    assert (c.ranks, c.diffs) == (cube.ranks, cube.diffs)
+    assert cube.ranks == bredon_ranks(graph.f_vector)
+    expected = cone_certificate(graph).cohomology
+    assert cohomology(cube) == expected
+    # the order complex of K6 has 37,398 cells, of K7 378,214
+    if graph.cliques[-1].bit_count() <= 5:
+        assert cohomology(order_bredon_complex(graph)) == expected
 
 
 @LAWS
@@ -406,6 +417,12 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_matches_the_standard_library(value):
     assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@LAWS
+@given(JSON_VALUES)
+def test_text_writer_matches_the_per_item_writer(value):
+    assert render_text({"v": value}) == per_item_render_text({"v": value})
 
 
 @LAWS
