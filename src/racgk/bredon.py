@@ -22,15 +22,18 @@ checks once per clique size.
 An independent route to the same vanishing statement goes through the
 two-term interval complex I and its tensor powers, the cochains of the
 n-cube, each built from the last as P (x) I by one index rule
-(`interval_tensor_powers`); their cohomology comes from invariant
-factors.
+(`interval_tensor_powers`).  The cohomology of a complex comes from
+the invariant factors of its differentials, all of them from one
+reduction of the whole complex by unit pivots (`cohomology`): each
+pivot removes its pair of cells, an elementary reduction that keeps
+the cohomology, and what no unit pivot reaches goes to Hermite forms.
 """
 
 from functools import cached_property
 from math import comb
 
 from .graphs import GraphError, cliques_within
-from .intlinalg import accumulate, invariant_factors
+from .intlinalg import accumulate, coboundary_factors
 
 KUNNETH_CAP = 6
 # the largest d for which `inverse_limit` answers: a limit report lists
@@ -43,7 +46,7 @@ class CochainComplex:
 
     diffs[k] maps degree k to degree k+1 and holds one dict row
     {column: nonzero entry} per degree-(k+1) cell: the one matrix form
-    taken here, as in `invariant_factors` and `kernel_basis`.  Row
+    taken here, as in `coboundary_factors` and `kernel_basis`.  Row
     counts, column ranges and d o d = 0 are checked at construction.
     """
 
@@ -87,16 +90,25 @@ def cohomology(complex_):
 
     H^k = ker d^k / im d^{k-1}; the image sits inside the kernel, which
     is a direct summand, so the torsion of H^k is the set of invariant
-    factors of d^{k-1} exceeding 1.
+    factors of d^{k-1} exceeding 1, and its free rank is rank_k less
+    the factor counts of d^k and d^(k-1).  The factors of every
+    differential come from one reduction of the whole complex
+    (`intlinalg.coboundary_factors`): a unit pivot at (y, x) removes the
+    pair of cells x and y, an elementary reduction, which keeps the
+    cohomology and every other invariant factor, so no degree eliminates
+    a cell another degree has paired.  On I^1..I^6 and on the Bredon
+    complexes here the unit steps pair every cell but the generators of
+    H^0, and no row is left to the Hermite forms.
     """
+    factors = coboundary_factors(complex_.ranks, complex_.diffs) + [[]]
     results = []
     prev_factors = []
     for k, rank in enumerate(complex_.ranks):
-        factors = invariant_factors(complex_.differential(k))
-        free = rank - len(factors) - len(prev_factors)
-        torsion = [f for f in prev_factors if f > 1]
+        free = rank - len(factors[k]) - len(prev_factors)
+        # in divisibility order the factors 1 come first
+        torsion = prev_factors[prev_factors.count(1):]
         results.append({"degree": k, "free_rank": free, "torsion": torsion})
-        prev_factors = factors
+        prev_factors = factors[k]
     return results
 
 

@@ -1,33 +1,42 @@
 """Exact integer linear algebra on sparse rows, by one elimination
 (`_Elimination`): the rows, each column's holders, the pivots taken,
 and a transform only for kernels and tracked Hermite forms.  It has
-two pivot rules.  The unit steps take a matrix's unit pivots in place,
-found on a queue of changed rows; on the complexes here they leave no
-row.  The echelon form is Euclid elimination with pivots in column
-order (Cohen, A Course in Computational Algebraic Number Theory,
-2.4.2); it gives kernels and Hermite normal forms, and the diagonal
-form of what the unit steps leave, by untracked Hermite forms of the
-rows and of the columns in turn.  Lattice membership substitutes into
-the Hermite form and certifies over the generators, and exact solving
-(`ColumnSolver`) is membership in the lattice of the columns.  Also
-the sparse-combination core (`accumulate`, `Combination`) under the
-ring elements: each names its ring fields in `__slots__`, and the core
-makes and checks every element from them.
+two pivot rules.  The unit steps take unit pivots in place, found on a
+queue of changed rows, on the whole coboundary of a cochain complex at
+once (`coboundary_factors`).  Every cell is numbered once, so that its
+row and its column share an index, and a unit pivot removes its pair
+of cells, each with its row and its column: an elementary reduction,
+exact over Z, so no differential eliminates a cell that another has
+paired.  A single matrix is a two-term complex with its columns
+numbered first (`invariant_factors`), where the pair rule deletes
+nothing.  Taken from the top degree down, the unit steps on I^1..I^6
+and the Bredon complexes here collapse free faces: no row operation,
+and no row left.  The echelon form is Euclid elimination with pivots
+in column order (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4.2); it gives kernels and Hermite normal forms, and the
+diagonal form of what the unit steps leave, by untracked Hermite forms
+of the rows and of the columns in turn.  Lattice membership
+substitutes into the Hermite form and certifies over the generators,
+and exact solving (`ColumnSolver`) is membership in the lattice of the
+columns.  Also the sparse-combination core (`accumulate`,
+`Combination`) under the ring elements: each names its ring fields in
+`__slots__`, and the core makes and checks every element from them.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
-column).  `invariant_factors`, `kernel_basis`, `row_hnf`, `Lattice` and
-`ColumnSolver` copy what they are given, explicit zero entries dropped
-before any range check, and return dict vectors; the cochain complexes
-hold dict rows from build to elimination.  Everything is exact.  The
-dense Smith normal form with both transforms (`smith_normal_form`, the
-textbook algorithm, with `mat_mul` and `identity`) works on lists of
-rows and is kept only as the reference the sparse kernel is tested
-against.
+column).  `coboundary_factors`, `invariant_factors`, `kernel_basis`,
+`row_hnf`, `Lattice` and `ColumnSolver` copy what they are given,
+explicit zero entries dropped before any range check, and return dict
+vectors; the cochain complexes hold dict rows from build to
+elimination.  Everything is exact.  The dense Smith normal form with
+both transforms (`smith_normal_form`, the textbook algorithm, with
+`mat_mul` and `identity`) works on lists of rows and is kept only as
+the reference the sparse kernel is tested against.
 """
 
+from bisect import bisect_left
 from collections import deque
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
 from operator import attrgetter
 
@@ -121,8 +130,9 @@ class _Elimination:
     nonzero entry}, worked in place; `cols`, each column's set of the
     active rows that hold it; the pivots (row, column); and, only with
     track=True, the transform: track[i] writes row i in the rows given
-    (else track is None).  A pivot retires its row as it stands, so the
-    active rows are the rows not among the pivots."""
+    (else track is None).  An echelon pivot retires its row as it
+    stands, so the active rows are the rows not among the pivots; a unit
+    pivot empties its row."""
 
     def __init__(self, rows, track=False):
         self.rows = rows
@@ -139,13 +149,17 @@ class _Elimination:
     def unit_steps(self):
         """Takes the unit pivots, untracked, until no active row holds a
         unit.  A row is looked at off a queue, each at most once
-        (`queued`): first the nonempty rows in index order, then a row
-        again only when a row operation changes it.  It steps on a unit
-        in the column with the fewest holders, ties to the first met.  A
-        retired row leaves every holder set, so it is never queued."""
+        (`queued`): first the nonempty rows from the last index down,
+        then a row again only when a row operation changes it.  It steps
+        on a unit in the column with the fewest holders, ties to the
+        first met.  A retired row leaves every holder set, so it is
+        never queued.  In a complex numbered degree by degree the top
+        degree comes first, and a column its pivot row alone holds, a
+        free face, takes no row operation."""
         rows, cols = self.rows, self.cols
         # an empty row holds no unit, so it is never queued
-        self.queue = queue = deque(i for i, row in enumerate(rows) if row)
+        self.queue = queue = deque(compress(range(len(rows) - 1, -1, -1),
+                                            reversed(rows)))
         self.queued = queued = set(queue)
         while queue:
             i = queue.popleft()
@@ -154,6 +168,9 @@ class _Elimination:
             for j, v in rows[i].items():
                 if v in (1, -1) and (best is None or len(cols[j]) < fewest):
                     best, fewest = j, len(cols[j])
+                    # a column this row alone holds has the fewest
+                    if fewest == 1:
+                        break
             if best is not None:
                 self._unit_step(i, best)
         return self
@@ -163,14 +180,22 @@ class _Elimination:
         Row i takes -(entry at c) times the pivot times row r: no
         remainder, and only the pivot row's other entries are added in.
         A pivot row with no other entry just deletes the column from the
-        other rows, which only shrink, so none is queued."""
+        other rows, which only shrink, so none is queued.  Then the pair
+        rule: where rows and columns number the cells of one complex,
+        c's own row and r's own column are deleted too, and both rows
+        emptied, so the pair of cells leaves the complex.  The rows that
+        lose r's column only shrink, so none is queued; in a matrix
+        numbered as a two-term complex neither c's row nor r's column
+        exists."""
         rows, cols = self.rows, self.cols
         pivot_row = rows[r]
-        unit = -pivot_row[c]
+        unit = -pivot_row.pop(c)
         members = cols.pop(c)
-        rest = [(j, v, cols[j]) for j, v in pivot_row.items() if j != c]
         members.discard(r)
-        if rest:
+        for j in pivot_row:
+            cols[j].discard(r)
+        if members and pivot_row:
+            rest = [(j, v, cols[j]) for j, v in pivot_row.items()]
             queue, queued = self.queue, self.queued
             for i in members:
                 row = rows[i]
@@ -194,9 +219,15 @@ class _Elimination:
         else:
             for i in members:
                 del rows[i][c]
-        for _j, _v, holders in rest:
-            holders.discard(r)
         self.pivots.append((r, c))
+        # the pair rule: cell c's own row and cell r's own column go too,
+        # so that neither cell keeps a row or a column
+        for j in rows[c]:
+            cols[j].discard(c)
+        for i in cols.pop(r, ()):
+            del rows[i][r]
+        rows[r] = {}
+        rows[c] = {}
 
     def echelon(self):
         """Row echelon form: the pivot is the least entry, lowest row
@@ -339,18 +370,6 @@ def _sparse(vec):
     return {j: x for j, x in vec.items() if x}
 
 
-def _divisibility_chain(values):
-    """The invariant factors of a diagonal matrix with these nonzero
-    entries: pairs (a, b) become (gcd, lcm) until each divides the
-    next."""
-    rest = sorted(v for v in values if v != 1)
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return [1] * (len(values) - len(rest)) + rest
-
-
 def _transpose(rows):
     """The columns of sparse rows, as dict vectors {row: entry}."""
     columns = {}
@@ -360,25 +379,90 @@ def _transpose(rows):
     return list(columns.values())
 
 
+def _coboundary(ranks, diffs):
+    """The elimination state over the whole coboundary of a cochain
+    complex: every cell numbered once, degree by degree, and cell i's
+    row at index i, its columns the numbers of the cells one degree
+    down.  One walk of the rows copies each, drops its zero entries and
+    shifts its columns; the state indexes them."""
+    # degree-0 cells have no row; no step writes to an empty row
+    rows, start = [{}] * sum(ranks[:1]), 0
+    for rank, d in zip(ranks, diffs):
+        rows += [{j + start: x for j, x in row.items() if x} for row in d]
+        start += rank
+    return _Elimination(rows)
+
+
+def coboundary_factors(ranks, diffs):
+    """The nonzero invariant factors of each differential of the cochain
+    complex with these ranks, in divisibility order; diffs[k] maps
+    degree k to k+1 and holds one dict row per degree-(k+1) cell.
+
+    One reduction of the whole complex (`_coboundary`) by the unit
+    steps.  A unit pivot at (y, x), y of degree k+1 and x of degree k,
+    clears x's column from d^k and also deletes x's own row in d^(k-1)
+    and y's own column in d^(k+1): the pair rule.  That is an elementary
+    reduction (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl.
+    1998), a chain homotopy equivalence, and it keeps every invariant
+    factor but the 1 of the pivot: since d o d = 0 and the pivot is a
+    unit, x's row in d^(k-1) is an integer combination of the other
+    rows, and y's column in d^(k+1) one of the other columns.  So no
+    later pivot takes a cell that an earlier one has paired.  The rows
+    left in each degree hold no unit; `_unit_free_factors` takes them."""
+    elim = _coboundary(ranks, diffs).unit_steps()
+    pivot_rows = sorted(r for r, _c in elim.pivots)
+    factors, a = [], 0
+    for low, rank in zip(ranks, ranks[1:]):
+        # the rows a..b-1 of the cells one degree up: the pivots among
+        # them, each a factor 1, and the nonempty rows left
+        a += low
+        b = a + rank
+        ones = bisect_left(pivot_rows, b) - bisect_left(pivot_rows, a)
+        rest = list(filter(None, elim.rows[a:b]))
+        factors.append([1] * ones + _unit_free_factors(rest))
+    return factors
+
+
+def _unit_free_factors(rows):
+    """The nonzero invariant factors, in divisibility order, of these
+    rows, which hold no unit.  `row_hnf` on the rows and on the
+    transposed result, in turn, untracked, brings them to a diagonal,
+    one entry per row and per column (Kannan and Bachem, SIAM J. Comput.
+    1979); then pairs of entries (a, b) become (gcd, lcm) until each
+    divides the next."""
+    while rows:
+        rows = row_hnf(rows)
+        if all(len(row) == 1 for row in rows):
+            break
+        rows = _transpose(rows)
+    rest = sorted(x for row in rows for x in row.values() if x != 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * (len(rows) - len(rest)) + rest
+
+
+def _two_term(rows):
+    """(ranks, diffs) of the two-term complex whose one differential has
+    these dict rows, its columns numbered before its rows: no pivot
+    column then has a row of its own and no pivot row a column of its
+    own, so the pair rule deletes nothing."""
+    rows = list(rows)
+    used = {j for row in rows for j, x in row.items() if x}
+    if used and min(used) < 0:
+        raise ValueError("row entry at column %d; columns are numbered "
+                         "from 0" % min(used))
+    return [max(used, default=-1) + 1, len(rows)], [rows]
+
+
 def invariant_factors(rows):
     """Nonzero invariant factors of the matrix with these dict rows, in
-    divisibility order.  The unit steps come first, each a factor 1, and
-    on the complexes here they leave no row.  The active rows left hold
-    no unit; `row_hnf` on them and on the transposed result, in turn,
-    untracked, brings them to diagonal form, one entry per row and per
-    column (Kannan and Bachem, SIAM J. Comput. 1979).  The rows are
-    copied, not consumed."""
-    rows = list(map(_sparse, rows))
-    elim = _Elimination(rows).unit_steps()
-    retired = {r for r, _c in elim.pivots}
-    rest = [row for i, row in enumerate(rows) if row and i not in retired]
-    while rest:
-        rest = row_hnf(rest)
-        if all(len(row) == 1 for row in rest):
-            break
-        rest = _transpose(rest)
-    return _divisibility_chain([1] * len(retired)
-                               + [x for row in rest for x in row.values()])
+    divisibility order: `coboundary_factors` of the two-term complex
+    `_two_term`.  The unit steps come first, each a factor 1, and the
+    rows left go to `_unit_free_factors`.  The rows are copied, not
+    consumed."""
+    return coboundary_factors(*_two_term(rows))[0]
 
 
 def kernel_basis(rows, n):

@@ -9,7 +9,7 @@ monomials and group elements are encoded as bitmasks over the global
 vertex order.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .graphs import submasks
 from .intlinalg import Combination, accumulate
@@ -97,7 +97,9 @@ def character_evaluation(a):
 def character_interpolation(ambient, values):
     """Inverse of character_evaluation; errors when the value vector is
     not a virtual character (non-integral inverse-transform coefficient).
-    """
+    The coefficient of monomial K is the sum of the signed values
+    (-1)^|K & g| chi(g) over the group, divided by its order, in
+    integers; a refusal names the reduced fraction."""
     elements = _group_elements(ambient)
     if len(values) != len(elements):
         raise RepRingError("expected %d values, got %d"
@@ -105,16 +107,18 @@ def character_interpolation(ambient, values):
     order = len(elements)
     coeffs = {}
     for k in elements:
-        acc = Fraction(0)
+        total = 0
         for g, val in zip(elements, values):
-            sign = -1 if bin(k & g).count("1") % 2 else 1
-            acc += Fraction(sign * val, order)
-        if acc.denominator != 1:
+            total += -val if bin(k & g).count("1") % 2 else val
+        coeff, remainder = divmod(total, order)
+        if remainder:
+            common = gcd(total, order)
             raise RepRingError(
                 "value vector is not a virtual character: coefficient of "
-                "monomial %#x would be %s" % (k, acc))
-        if acc:
-            coeffs[k] = int(acc)
+                "monomial %#x would be %d/%d"
+                % (k, total // common, order // common))
+        if coeff:
+            coeffs[k] = coeff
     return RepRingElement(ambient, coeffs)
 
 

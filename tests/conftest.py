@@ -178,6 +178,22 @@ def dense_differentials(complex_):
     return [densify(d, complex_.ranks[k]) for k, d in enumerate(complex_.diffs)]
 
 
+def per_degree_cohomology(complex_):
+    """Reference `bredon.cohomology`: each differential eliminated on its
+    own by `invariant_factors`.  H^k has free rank rank_k less the factor
+    counts of d^k and d^(k-1), and torsion the factors of d^(k-1)
+    exceeding 1."""
+    results = []
+    prev_factors = []
+    for k, rank in enumerate(complex_.ranks):
+        factors = invariant_factors(complex_.differential(k))
+        free = rank - len(factors) - len(prev_factors)
+        torsion = [f for f in prev_factors if f > 1]
+        results.append({"degree": k, "free_rank": free, "torsion": torsion})
+        prev_factors = factors
+    return results
+
+
 def accumulated_tensor_complex(c1, c2):
     """Reference tensor product of two cochain complexes, with the usual
     sign on the second factor's differential, for the powers of

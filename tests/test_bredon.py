@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from racgk import bredon
+from racgk import bredon, intlinalg
 from racgk.bredon import (KUNNETH_CAP, CochainComplex, bredon_ranks,
                           build_bredon_complex, clique_basis_isomorphism,
                           cohomology, cone_certificate,
@@ -21,7 +21,8 @@ from conftest import (ApexLattice, accumulated_tensor_complex, apex_iso,
                       cycle_graph, dense_bredon_complex, dense_differentials,
                       dp_ranks, edgeless_graph, graph_suite, is_zero,
                       monomial_family, order_bredon_complex, path_graph,
-                      random_graph, restriction_family, walk_certificate)
+                      per_degree_cohomology, random_graph,
+                      restriction_family, walk_certificate)
 
 
 def test_complex_rejects_bad_dimensions():
@@ -495,6 +496,75 @@ def test_interval_complex_cohomology():
     coh = cohomology(first)
     assert coh[0] == {"degree": 0, "free_rank": 1, "torsion": []}
     assert coh[1] == {"degree": 1, "free_rank": 0, "torsion": []}
+
+
+def reduced(monkeypatch, complex_):
+    """(cohomology, elimination states built) for one complex."""
+    states = []
+
+    class Recorded(intlinalg._Elimination):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intlinalg, "_Elimination", Recorded)
+        return cohomology(complex_), states
+
+
+def test_one_reduction_matches_the_per_degree_oracle(monkeypatch):
+    # every power up to the cap and the cubical complexes of the suite
+    # and of K1-K7: one elimination state each, no cell in two pivots
+    # (a unit pivot removes its pair of cells), and no row left to the
+    # Hermite forms
+    complexes = [("I^%d" % n, power) for n, power
+                 in enumerate(interval_tensor_powers(KUNNETH_CAP), 1)]
+    complexes += [(name, build_bredon_complex(g))
+                  for name, g, _d in graph_suite()]
+    complexes += [("K%d" % n, build_bredon_complex(complete_graph(n)))
+                  for n in range(1, 8)]
+    for name, c in complexes:
+        coh, states = reduced(monkeypatch, c)
+        assert coh == per_degree_cohomology(c), name
+        [state] = states
+        cells = [cell for pivot in state.pivots for cell in pivot]
+        assert len(set(cells)) == len(cells), name
+        # every cell is paired but the generators of H^0
+        assert 2 * len(state.pivots) == sum(c.ranks) - coh[0]["free_rank"]
+        assert not any(state.rows), name
+
+
+def two_term(rng, entries):
+    """A random complex Z^a -> Z^b, entries drawn from `entries`."""
+    a, b = rng.randint(1, 4), rng.randint(1, 4)
+    return CochainComplex([a, b], [[
+        {j: x for j in range(a) if (x := rng.choice(entries))}
+        for _ in range(b)]])
+
+
+def test_torsion_of_random_tensor_products_matches_the_oracle(monkeypatch):
+    # Z --2--> Z has H^1 = Z/2
+    assert cohomology(CochainComplex([1, 1], [[{0: 2}]])) == [
+        {"degree": 0, "free_rank": 0, "torsion": []},
+        {"degree": 1, "free_rank": 0, "torsion": [2]}]
+    rng = random.Random(83)
+    entries = [0, 0, 1, -1, 2, -2, 3, 4, -6]
+    with_torsion = left = 0
+    for _ in range(300):
+        c = reduce(accumulated_tensor_complex,
+                   [two_term(rng, entries) for _ in range(rng.randint(2, 3))])
+        coh, states = reduced(monkeypatch, c)
+        assert coh == per_degree_cohomology(c), c.diffs
+        with_torsion += any(h["torsion"] for h in coh)
+        left += len(states) > 1
+    assert with_torsion > 200 and left > 200
+
+
+@pytest.mark.parametrize("ranks", [[], [1], [0, 0]])
+def test_edge_ranks_reduce_like_the_oracle(ranks):
+    c = CochainComplex(ranks, [[{}] * r for r in ranks[1:]])
+    assert cohomology(c) == per_degree_cohomology(c)
+    assert [h["free_rank"] for h in cohomology(c)] == ranks
 
 
 def test_tensor_rank_bookkeeping():

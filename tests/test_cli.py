@@ -268,24 +268,23 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
 
 def test_limit_runs_no_elimination(monkeypatch, capsys, pentagon_file):
     # rho and the clique-basis isomorphism read the shape of the d = 11
-    # clique families off one limit: no invariant factors, no solver
-    calls = {"factors": 0, "eliminations": 0, "limits": 0}
+    # clique families off one limit: no elimination state, so neither
+    # invariant factors nor a solver
+    calls = {"states": 0, "solvers": 0, "limits": 0}
 
     def counted(key, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
-    for module in (bredon, intlinalg):
-        monkeypatch.setattr(module, "invariant_factors",
-                            counted("factors", module.invariant_factors))
+    monkeypatch.setattr(intlinalg._Elimination, "__init__",
+                        counted("states", intlinalg._Elimination.__init__))
     monkeypatch.setattr(intlinalg.ColumnSolver, "__init__",
-                        counted("eliminations",
-                                intlinalg.ColumnSolver.__init__))
+                        counted("solvers", intlinalg.ColumnSolver.__init__))
     monkeypatch.setattr(bredon, "inverse_limit",
                         counted("limits", bredon.inverse_limit))
     assert main(["limit", "--input", pentagon_file, "--format", "json"]) == 0
-    assert calls == {"factors": 0, "eliminations": 0, "limits": 1}
+    assert calls == {"states": 0, "solvers": 0, "limits": 1}
 
 
 WRONG_SIGN = ("identity (a) restriction is a projection fails in block "
@@ -949,26 +948,39 @@ def test_k64_all_is_refused_before_any_section(monkeypatch, capsys,
 
 def test_every_all_report_eliminates_afresh(monkeypatch, capsys,
                                             pentagon_file):
-    # no report reuses another's Kuenneth complexes or invariant factors
-    calls = {}
+    # no report reuses another's Kuenneth complexes or their reductions:
+    # each builds its elimination states again
+    calls = {"powers": 0, "states": 0}
+    built = [0]
+    kunneth = bredon.interval_tensor_kunneth
+    powers = bredon.interval_tensor_powers
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    class Counted(intlinalg._Elimination):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built[0] += 1
 
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
-    counted(bredon, "invariant_factors")
-    counted(bredon, "interval_tensor_powers")
+    def counted_kunneth(power):
+        # the states built while this power's report is made
+        start = built[0]
+        report = kunneth(power)
+        calls["states"] += built[0] - start
+        return report
+
+    def counted_powers(top):
+        calls["powers"] += 1
+        return powers(top)
+    monkeypatch.setattr(intlinalg, "_Elimination", Counted)
+    monkeypatch.setattr(bredon, "interval_tensor_kunneth", counted_kunneth)
+    monkeypatch.setattr(bredon, "interval_tensor_powers", counted_powers)
     runs = []
     for _ in range(2):
-        calls.clear()
+        calls.update(powers=0, states=0)
         assert main(["all", "--input", pentagon_file, "--format", "json"]) == 0
         capsys.readouterr()
         runs.append(dict(calls))
     assert runs[0] == runs[1]
-    assert runs[0]["invariant_factors"] and runs[0]["interval_tensor_powers"]
+    assert runs[0]["states"] and runs[0]["powers"]
 
 
 def test_bgw_names_the_first_vertex_whose_relation_fails(monkeypatch, capsys,

@@ -95,6 +95,11 @@ def test_invariant_factors_match_dense_examples():
                           ([[0], [0], [5]], [5]), ([], []), ([[]], [])]:
         assert invariant_factors(sparsify(mat)) == expected, mat
         assert smith_normal_form(mat)[0] == expected, mat
+    # the columns are cells numbered before the rows, so one numbered
+    # below 0 is refused; a zero entry there is dropped first
+    with pytest.raises(ValueError, match="columns are numbered from 0"):
+        invariant_factors([{0: 1}, {-1: 1}])
+    assert invariant_factors([{0: 2, -1: 0}]) == [2]
 
 
 def test_invariant_factors_match_dense_randomized():
@@ -154,7 +159,8 @@ def queue_counts(monkeypatch, rows):
 
     with monkeypatch.context() as patch:
         patch.setattr(intlinalg, "deque", Counted)
-        steps = Recorded([dict(row) for row in rows]).unit_steps()
+        patch.setattr(intlinalg, "_Elimination", Recorded)
+        steps = matrix_state(rows).unit_steps()
     assert not steps.queue
     assert not any(v in (1, -1) for row in active_rows(steps)
                    for v in row.values())
@@ -185,10 +191,15 @@ def active_rows(elim):
             if row and i not in retired]
 
 
+def matrix_state(rows):
+    """The elimination state that `invariant_factors` reduces: the
+    matrix as a two-term complex, its columns numbered first."""
+    return intlinalg._coboundary(*intlinalg._two_term(rows))
+
+
 def rows_left(rows):
     """The nonempty rows that the unit steps leave active."""
-    return active_rows(
-        intlinalg._Elimination([dict(row) for row in rows]).unit_steps())
+    return active_rows(matrix_state(rows).unit_steps())
 
 
 def test_unit_steps_leave_no_row_on_the_complexes():

@@ -52,7 +52,8 @@ def committed(name):
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json"])
+@pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json",
+                                  "BENCH_37.json", "BENCH_38.json"])
 def test_committed_ladder_files_follow_the_schema(name):
     # each file against its own rungs, so that a new rung leaves the
     # committed files valid; each rung is one the runner can still run

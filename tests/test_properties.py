@@ -37,7 +37,7 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       label_order_counts, label_route_induced,
                       min_first_normalize_star, neighbourhood_split,
                       order_bredon_complex, pairwise_bar_product,
-                      per_item_render_text,
+                      per_degree_cohomology, per_item_render_text,
                       product_ideal_power, subset_key, walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
@@ -276,6 +276,8 @@ def test_cubical_complex_matches_the_certificate(graph):
     assert cube.ranks == bredon_ranks(graph.f_vector)
     expected = cone_certificate(graph).cohomology
     assert cohomology(cube) == expected
+    # one reduction of the whole complex against each degree on its own
+    assert per_degree_cohomology(c) == expected
     # the order complex of K6 has 37,398 cells, of K7 378,214
     if graph.cliques[-1].bit_count() <= 5:
         assert cohomology(order_bredon_complex(graph)) == expected

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,8 @@ T = 0b010
 U = 0b100
 ST = S | T
 STU = S | T | U
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def random_element(rng, ambient, terms=4):
@@ -70,6 +75,31 @@ def test_character_interpolation_examples():
     assert character_interpolation(S, [2, 0]) == RepRingElement(S, {0: 1, S: 1})
     with pytest.raises(RepRingError, match="not a virtual character"):
         character_interpolation(S, [1, 0])
+
+
+def test_a_refusal_names_the_reduced_fraction():
+    # the coefficient, summed in integers, is written as a reduced
+    # fraction with its sign on the numerator
+    cases = [(S, [1, 0], 0, "1/2"), (ST, [1, 0, 0, 0], 0, "1/4"),
+             (ST, [2, 0, 0, 0], 0, "1/2"), (ST, [0, 0, 0, -1], 0, "-1/4"),
+             (STU, [3, 0, 0, 0, 0, 0, 0, 3], 0, "3/4")]
+    for ambient, values, monomial, fraction in cases:
+        with pytest.raises(RepRingError) as refusal:
+            character_interpolation(ambient, values)
+        assert str(refusal.value) == (
+            "value vector is not a virtual character: coefficient of "
+            "monomial %#x would be %s" % (monomial, fraction))
+
+
+def test_the_package_loads_no_fraction_arithmetic():
+    # every coefficient is an int: importing racgk loads neither
+    # fractions nor decimal
+    code = ("import sys, racgk; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.stdout == "[]\n"
 
 
 def test_evaluation_is_ring_homomorphism():
