@@ -78,12 +78,6 @@ class CochainComplex:
                              % (k, len(d), self.ranks[k + 1]))
         return list(d)
 
-    def differential(self, k):
-        """d^k as dict rows; the top differential is the zero map."""
-        if k < len(self.diffs):
-            return self.diffs[k]
-        return []
-
 
 def cohomology(complex_):
     """Free rank and torsion coefficients of H^k for every degree.

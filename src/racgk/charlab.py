@@ -128,11 +128,13 @@ def restriction_image(source, target, class_map):
     return Lattice(target.num_irreducibles, gens)
 
 
-def parity_sweep(lattice, direction, k_range):
-    """Membership of each integer multiple of a direction, a dict
-    vector."""
+PARITY_RANGE = range(-8, 9)
+
+
+def parity_sweep(lattice, direction):
+    """Membership of each multiple k in `PARITY_RANGE` of a dict vector."""
     out = []
-    for k in k_range:
+    for k in PARITY_RANGE:
         ok, _ = lattice.membership({j: k * x for j, x in direction.items()})
         out.append((k, ok))
     return out
@@ -192,7 +194,7 @@ def verify_tau():
     return {"checks": checks, "ok": all(checks.values())}
 
 
-def lemma_d8_report(k_range=range(-8, 9)):
+def lemma_d8_report():
     """Restriction from the dihedral group of order 8 to its center:
     the sign character is hit exactly by even multiples."""
     d8 = dihedral8_table()
@@ -200,7 +202,7 @@ def lemma_d8_report(k_range=range(-8, 9)):
     class_map = {c2.class_of["e"]: d8.class_of["e"],
                  c2.class_of["s"]: d8.class_of["s2"]}
     lat = restriction_image(d8, c2, class_map)
-    sweep = parity_sweep(lat, {1: 1}, k_range)
+    sweep = parity_sweep(lat, {1: 1})
     ok_sweep = all(ok == (k % 2 == 0) for k, ok in sweep)
     in2, cert = lat.membership({1: 2})
     # the certificate must be the class of the 2-dimensional irreducible
@@ -218,7 +220,7 @@ def lemma_d8_report(k_range=range(-8, 9)):
     }
 
 
-def lemma_c4_real_report(k_range=range(-8, 9)):
+def lemma_c4_real_report():
     """Real restriction from C4 to its index-two subgroup: the image is
     the span of the trivial character and twice the sign character."""
     c4 = cyclic4_real_table()
@@ -227,7 +229,7 @@ def lemma_c4_real_report(k_range=range(-8, 9)):
                  c2.class_of["s"]: c4.class_of["s2"]}
     lat = restriction_image(c4, c2, class_map)
     expected = Lattice(2, [{0: 1}, {1: 2}])
-    sweep = parity_sweep(lat, {1: 1}, k_range)
+    sweep = parity_sweep(lat, {1: 1})
     ok_sweep = all(ok == (k % 2 == 0) for k, ok in sweep)
     return {
         "lattice_basis": [_dense(row, lat.n) for row in lat.basis],

@@ -94,16 +94,6 @@ class Graph:
         """`clique_counts`, counted once per graph object."""
         return clique_counts(self)
 
-    @cached_property
-    def supersets(self):
-        """The cliques strictly above each clique c, in canonical order:
-        c | s for each nonempty clique s in the common neighbourhood of
-        c.  Sets of one size compare by the least vertex of their
-        symmetric difference, which joining a disjoint c leaves as is."""
-        return {c: [c | s for s in
-                    cliques_within(self, self.common_neighbours(c))[1:]]
-                for c in self.cliques}
-
     def common_neighbours(self, mask):
         """The vertices adjacent to every vertex of the mask: all of them
         for the empty mask, and none of the mask's own."""
@@ -322,14 +312,19 @@ def poset_chains(graph, max_length):
 
     Returns a list indexed by chain length k of lists of chains; a chain
     is a tuple of k+1 clique masks, each a proper subset of the next.
-    A level extends the last by the ordered `Graph.supersets`, so it is
-    sorted by the canonical keys of its cliques.
+    A level extends the last by c | s for each nonempty clique s in the
+    common neighbourhood of its last clique c, so it stays sorted by the
+    canonical keys: sets of one size compare by the least vertex of
+    their symmetric difference, which joining a disjoint c leaves as is.
     """
     if max_length < 0:
         raise GraphError("max_length must be nonnegative")
+    above = {c: [c | s for s in
+                 cliques_within(graph, graph.common_neighbours(c))[1:]]
+             for c in graph.cliques}
     chains = [[(c,) for c in graph.cliques]]
     for _ in range(max_length):
-        nxt = [c + (e,) for c in chains[-1] for e in graph.supersets[c[-1]]]
+        nxt = [c + (e,) for c in chains[-1] for e in above[c[-1]]]
         if not nxt:
             break
         chains.append(nxt)

@@ -1,37 +1,36 @@
 """Exact integer linear algebra on sparse rows, by one elimination
 (`_Elimination`): the rows, each column's holders, the pivots taken,
-and a transform only for kernels and tracked Hermite forms.  It has
-two pivot rules.  The unit steps take unit pivots in place, found on a
+and a transform only for kernels and tracked Hermite forms.  It has two
+pivot rules.  The unit steps take unit pivots in place, found on a
 queue of changed rows, on the whole coboundary of a cochain complex at
 once (`coboundary_factors`).  Every cell is numbered once, so that its
-row and its column share an index, and a unit pivot removes its pair
-of cells, each with its row and its column: an elementary reduction,
-exact over Z, so no differential eliminates a cell that another has
-paired.  A single matrix is a two-term complex with its columns
-numbered first (`invariant_factors`), where the pair rule deletes
-nothing.  Taken from the top degree down, the unit steps on I^1..I^6
-and the Bredon complexes here collapse free faces: no row operation,
-and no row left.  The echelon form is Euclid elimination with pivots
-in column order (Cohen, A Course in Computational Algebraic Number
-Theory, 2.4.2); it gives kernels and Hermite normal forms, and the
-diagonal form of what the unit steps leave, by untracked Hermite forms
-of the rows and of the columns in turn.  Lattice membership
-substitutes into the Hermite form and certifies over the generators,
-and exact solving (`ColumnSolver`) is membership in the lattice of the
-columns.  Also the sparse-combination core (`accumulate`,
-`Combination`) under the ring elements: each names its ring fields in
-`__slots__`, and the core makes and checks every element from them.
+row and its column share an index, and a unit pivot removes its pair of
+cells, each with its row and its column: an elementary reduction, exact
+over Z, so no differential eliminates a cell that another has paired.
+Taken from the top degree down, the unit steps on I^1..I^6 and the
+Bredon complexes here collapse free faces: no row operation, and no row
+left.  Every row operation, of either rule, is one call (`_add`).  The
+echelon form is Euclid elimination with pivots in column order (Cohen,
+A Course in Computational Algebraic Number Theory, 2.4.2); it gives
+kernels and Hermite normal forms, and the diagonal form of what the
+unit steps leave, by untracked Hermite forms of the rows and of the
+columns in turn.  Lattice membership substitutes into the Hermite form
+and certifies over the generators, and exact solving (`ColumnSolver`)
+is membership in the lattice of the columns.  Also the
+sparse-combination core (`accumulate`, `Combination`) under the ring
+elements: each names its ring fields in `__slots__`, and the core makes
+and checks every element from them.
 
 Vectors at every interface are dict vectors {index: nonzero entry}, and
 a matrix is a list of them, one per row (for `ColumnSolver`, one per
-column).  `coboundary_factors`, `invariant_factors`, `kernel_basis`,
-`row_hnf`, `Lattice` and `ColumnSolver` copy what they are given,
-explicit zero entries dropped before any range check, and return dict
-vectors; the cochain complexes hold dict rows from build to
-elimination.  Everything is exact.  The dense Smith normal form with
-both transforms (`smith_normal_form`, the textbook algorithm, with
-`mat_mul` and `identity`) works on lists of rows and is kept only as
-the reference the sparse kernel is tested against.
+column).  `coboundary_factors`, `kernel_basis`, `row_hnf`, `Lattice`
+and `ColumnSolver` copy what they are given, explicit zero entries
+dropped before any range check, and return dict vectors; the cochain
+complexes hold dict rows from build to elimination.  Everything is
+exact.  The dense Smith normal form with both transforms
+(`smith_normal_form`, the textbook algorithm, with `mat_mul` and
+`identity`) works on lists of rows and is kept only as the reference
+the sparse kernel is tested against.
 """
 
 from bisect import bisect_left
@@ -194,31 +193,16 @@ class _Elimination:
         members.discard(r)
         for j in pivot_row:
             cols[j].discard(r)
-        if members and pivot_row:
-            rest = [(j, v, cols[j]) for j, v in pivot_row.items()]
-            queue, queued = self.queue, self.queued
-            for i in members:
-                row = rows[i]
-                q = unit * row.pop(c)
-                for j, v, holders in rest:
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = q * v
-                        holders.add(i)
-                    else:
-                        x += q * v
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
-                            holders.discard(i)
+        queue, queued = self.queue, self.queued
+        for i in members:
+            row = rows[i]
+            q = unit * row.pop(c)
+            if pivot_row:
+                self._add(i, q, r)
                 # a changed row is queued, unless empty or queued already
                 if row and i not in queued:
                     queued.add(i)
                     queue.append(i)
-        else:
-            for i in members:
-                del rows[i][c]
         self.pivots.append((r, c))
         # the pair rule: cell c's own row and cell r's own column go too,
         # so that neither cell keeps a row or a column
@@ -441,28 +425,6 @@ def _unit_free_factors(rows):
             g = gcd(rest[i], rest[j])
             rest[i], rest[j] = g, rest[i] // g * rest[j]
     return [1] * (len(rows) - len(rest)) + rest
-
-
-def _two_term(rows):
-    """(ranks, diffs) of the two-term complex whose one differential has
-    these dict rows, its columns numbered before its rows: no pivot
-    column then has a row of its own and no pivot row a column of its
-    own, so the pair rule deletes nothing."""
-    rows = list(rows)
-    used = {j for row in rows for j, x in row.items() if x}
-    if used and min(used) < 0:
-        raise ValueError("row entry at column %d; columns are numbered "
-                         "from 0" % min(used))
-    return [max(used, default=-1) + 1, len(rows)], [rows]
-
-
-def invariant_factors(rows):
-    """Nonzero invariant factors of the matrix with these dict rows, in
-    divisibility order: `coboundary_factors` of the two-term complex
-    `_two_term`.  The unit steps come first, each a factor 1, and the
-    rows left go to `_unit_free_factors`.  The rows are copied, not
-    consumed."""
-    return coboundary_factors(*_two_term(rows))[0]
 
 
 def kernel_basis(rows, n):

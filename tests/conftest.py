@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from racgk import bredon, cli, kring
 from racgk.graphs import Graph, cliques_within, poset_chains, submasks
-from racgk.intlinalg import Lattice, accumulate, invariant_factors
+from racgk.intlinalg import Lattice, accumulate, coboundary_factors
 from racgk.kring import (BAR, STAR, KRingElement, clique_maps, convert_basis,
                          ideal_power, random_element, restrict_to_clique)
 
@@ -64,19 +65,20 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
 
-def perfbench_workloads():
-    """The benchmark's `workloads` module, which holds its decks."""
+def perfbench_module(name):
+    """A module of the benchmark, imported from its directory: such as
+    `workloads`, which holds its decks, or `spans`, which names the
+    functions its tracer wraps."""
     sys.path.insert(0, PERFBENCH)
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
-    return workloads
 
 
 def glued_graph(family):
     """The ring-lattice deck's graph of this family, such as glued-64."""
-    (t,) = [t for t in perfbench_workloads().deck("ring-lattice")
+    (t,) = [t for t in perfbench_module("workloads").deck("ring-lattice")
             if t["family"] == family]
     return Graph(t["labels"], [tuple(e) for e in t["edges"]])
 
@@ -102,14 +104,23 @@ def glue64(p):
             (labels[:36], labels[28:]))
 
 
+def supersets(graph):
+    """The cliques strictly above each clique c, listed from the whole
+    clique list: the up-sets that `poset_chains` extends a chain by, in
+    canonical order."""
+    return {c: [e for e in graph.cliques if e != c and e & c == c]
+            for c in graph.cliques}
+
+
 def dp_ranks(graph):
     """The ranks of `order_bredon_complex` from the listing: counts[k][c] is
     the number of chains c < c1 < ... < ck, f_k(c) = the sum of
     f_(k-1)(c') over the cliques c' above c, and each chain carries
     2^|c| cells."""
+    above = supersets(graph)
     counts = [dict.fromkeys(graph.cliques, 1)]
     while counts[-1]:
-        level = ((c, sum(counts[-1].get(e, 0) for e in graph.supersets[c]))
+        level = ((c, sum(counts[-1].get(e, 0) for e in above[c]))
                  for c in counts[-1])
         counts.append({c: n for c, n in level if n})
     counts.pop()
@@ -178,15 +189,33 @@ def dense_differentials(complex_):
     return [densify(d, complex_.ranks[k]) for k, d in enumerate(complex_.diffs)]
 
 
+def two_term(rows):
+    """(ranks, diffs) of the two-term complex whose one differential has
+    these dict rows, columns numbered from 0: `coboundary_factors`
+    numbers its columns before its rows, so no pivot column has a row of
+    its own and no pivot row a column of its own, and the pair rule
+    deletes nothing."""
+    width = max((j + 1 for row in rows for j in row), default=0)
+    return [width, len(rows)], [rows]
+
+
+def invariant_factors(rows):
+    """The matrix oracle: nonzero invariant factors of the matrix with
+    these dict rows, in divisibility order, as `coboundary_factors` of
+    its `two_term` complex.  The rows are copied, not consumed."""
+    return coboundary_factors(*two_term(rows))[0]
+
+
 def per_degree_cohomology(complex_):
     """Reference `bredon.cohomology`: each differential eliminated on its
-    own by `invariant_factors`.  H^k has free rank rank_k less the factor
-    counts of d^k and d^(k-1), and torsion the factors of d^(k-1)
-    exceeding 1."""
+    own by `invariant_factors`, the top one the zero map.  H^k has free
+    rank rank_k less the factor counts of d^k and d^(k-1), and torsion
+    the factors of d^(k-1) exceeding 1."""
     results = []
     prev_factors = []
+    diffs = complex_.diffs + [[]]
     for k, rank in enumerate(complex_.ranks):
-        factors = invariant_factors(complex_.differential(k))
+        factors = invariant_factors(diffs[k])
         free = rank - len(factors) - len(prev_factors)
         torsion = [f for f in prev_factors if f > 1]
         results.append({"degree": k, "free_rank": free, "torsion": torsion})
@@ -455,11 +484,11 @@ def apex_lattice(graph):
     """Reference `inverse_limit`, built: column K is x_K on every clique
     J containing K, by `bredon._bar_expansion` (looked up on the module,
     so a patched one is seen), and its pivot row is the cell (K, K)."""
-    cliques = graph.cliques
+    cliques, above = graph.cliques, supersets(graph)
     index = {label: i for i, label in enumerate(
         (c, m) for c in cliques for m in cliques_within(graph, c))}
     columns = [{index[(clique, m)]: sign
-                for clique in (apex, *graph.supersets[apex])
+                for clique in (apex, *above[apex])
                 for m, sign in bredon._bar_expansion(apex)}
                for apex in cliques]
     pivots = [index[(apex, apex)] for apex in cliques]

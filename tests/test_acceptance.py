@@ -122,7 +122,7 @@ def test_criterion_5_kunneth():
 
 
 def test_criterion_6_dihedral_restriction():
-    rep = lemma_d8_report(k_range=range(-8, 9))
+    rep = lemma_d8_report()
     checks = [("D8 parity", rep["parity_ok"]),
               ("D8 certificate", rep["certificate_is_tau"]),
               ("tau", verify_tau()["ok"])]
@@ -131,7 +131,7 @@ def test_criterion_6_dihedral_restriction():
 
 
 def test_criterion_7_c4_real_restriction():
-    rep = lemma_c4_real_report(k_range=range(-8, 9))
+    rep = lemma_c4_real_report()
     checks = [("C4 lattice", rep["lattice_matches_tr_2lambda"]),
               ("C4 parity", rep["parity_ok"])]
     report("7 (real C4 restriction image is tr and twice sign)",

@@ -12,16 +12,16 @@ from racgk.bredon import (KUNNETH_CAP, CochainComplex, bredon_ranks,
                           interval_tensor_kunneth, interval_tensor_powers,
                           inverse_limit, rho_surjectivity)
 from racgk.graphs import GraphError
-from racgk.intlinalg import (accumulate, invariant_factors, kernel_basis,
-                             mat_mul, row_hnf)
+from racgk.intlinalg import accumulate, kernel_basis, mat_mul, row_hnf
 from racgk.kring import KRingElement, _normalize_star
 from conftest import (ApexLattice, accumulated_tensor_complex, apex_iso,
                       apex_lattice, apex_rho, assert_limit_matches_apex,
                       complete_graph, cube_ranks, cubical_bredon_complex,
                       cycle_graph, dense_bredon_complex, dense_differentials,
-                      dp_ranks, edgeless_graph, graph_suite, is_zero,
-                      monomial_family, order_bredon_complex, path_graph,
-                      per_degree_cohomology, random_graph,
+                      dp_ranks, edgeless_graph, graph_suite,
+                      invariant_factors, is_zero, monomial_family,
+                      order_bredon_complex, path_graph,
+                      per_degree_cohomology, petersen_graph, random_graph,
                       restriction_family, walk_certificate)
 
 
@@ -125,7 +125,7 @@ def test_apex_lattice_is_the_kernel_lattice():
     for name, g in oracle_graphs():
         c = build_bredon_complex(g)
         limit = apex_lattice(g)
-        kernel = kernel_basis(c.differential(0), c.ranks[0])
+        kernel = kernel_basis(c.diffs[0], c.ranks[0])
         assert row_hnf(limit.basis_columns) == row_hnf(kernel), name
 
 
@@ -499,13 +499,19 @@ def test_interval_complex_cohomology():
 
 
 def reduced(monkeypatch, complex_):
-    """(cohomology, elimination states built) for one complex."""
+    """(cohomology, elimination states built) for one complex; each state
+    counts its row operations in `adds`."""
     states = []
 
     class Recorded(intlinalg._Elimination):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.adds = 0
             states.append(self)
+
+        def _add(self, i, q, r):
+            self.adds += 1
+            super()._add(i, q, r)
 
     with monkeypatch.context() as patch:
         patch.setattr(intlinalg, "_Elimination", Recorded)
@@ -513,16 +519,20 @@ def reduced(monkeypatch, complex_):
 
 
 def test_one_reduction_matches_the_per_degree_oracle(monkeypatch):
-    # every power up to the cap and the cubical complexes of the suite
-    # and of K1-K7: one elimination state each, no cell in two pivots
-    # (a unit pivot removes its pair of cells), and no row left to the
-    # Hermite forms
+    # every power up to the cap, the cubical complexes of the suite and
+    # of K1-K7, and the order complexes of K2-K5, C5 and Petersen: one
+    # elimination state each, no cell in two pivots (a unit pivot
+    # removes its pair of cells), and no row left to the Hermite forms
     complexes = [("I^%d" % n, power) for n, power
                  in enumerate(interval_tensor_powers(KUNNETH_CAP), 1)]
     complexes += [(name, build_bredon_complex(g))
                   for name, g, _d in graph_suite()]
     complexes += [("K%d" % n, build_bredon_complex(complete_graph(n)))
                   for n in range(1, 8)]
+    orders = [("K%d" % n, complete_graph(n)) for n in range(2, 6)]
+    orders += [("C5", cycle_graph(5)), ("Petersen", petersen_graph())]
+    complexes += [(name + " order", order_bredon_complex(g))
+                  for name, g in orders]
     for name, c in complexes:
         coh, states = reduced(monkeypatch, c)
         assert coh == per_degree_cohomology(c), name
@@ -532,6 +542,10 @@ def test_one_reduction_matches_the_per_degree_oracle(monkeypatch):
         # every cell is paired but the generators of H^0
         assert 2 * len(state.pivots) == sum(c.ranks) - coh[0]["free_rank"]
         assert not any(state.rows), name
+        # the order complexes are not all free faces: the unit steps
+        # there take row operations, each one `_add`
+        if name.endswith(" order"):
+            assert state.adds > 0, name
 
 
 def two_term(rng, entries):

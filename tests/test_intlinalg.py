@@ -11,11 +11,10 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from racgk import intlinalg
 from racgk.bredon import build_bredon_complex, interval_tensor_powers
-from racgk.intlinalg import (ColumnSolver, Lattice, invariant_factors,
-                             kernel_basis, mat_mul, row_hnf,
-                             smith_normal_form)
+from racgk.intlinalg import (ColumnSolver, Lattice, kernel_basis, mat_mul,
+                             row_hnf, smith_normal_form)
 from conftest import (complete_graph, dense_differentials, densify,
-                      graph_suite, sparsify)
+                      graph_suite, invariant_factors, sparsify, two_term)
 
 
 def unimodular(t):
@@ -95,11 +94,6 @@ def test_invariant_factors_match_dense_examples():
                           ([[0], [0], [5]], [5]), ([], []), ([[]], [])]:
         assert invariant_factors(sparsify(mat)) == expected, mat
         assert smith_normal_form(mat)[0] == expected, mat
-    # the columns are cells numbered before the rows, so one numbered
-    # below 0 is refused; a zero entry there is dropped first
-    with pytest.raises(ValueError, match="columns are numbered from 0"):
-        invariant_factors([{0: 1}, {-1: 1}])
-    assert invariant_factors([{0: 2, -1: 0}]) == [2]
 
 
 def test_invariant_factors_match_dense_randomized():
@@ -128,8 +122,9 @@ def test_invariant_factors_match_dense_on_interval_powers():
 def queue_counts(monkeypatch, rows):
     """(rows taken off the unit steps' queue, nonempty rows, row
     operations) for the unit steps on these rows.  A row operation is a
-    row that a unit step adds the pivot row's other entries to; deleting
-    the column of a pivot row with no other entry does not count.  A row
+    call of `_add`, which adds the pivot row's other entries to a row;
+    deleting the column of a pivot row with no other entry does not
+    count.  A row
     may be put on the queue only when it is not on it and an operation
     changed it since it was last taken off, no retired row may be taken
     off it, and no active row may hold a unit once the queue is empty."""
@@ -149,11 +144,12 @@ def queue_counts(monkeypatch, rows):
             super().append(i)
 
     class Recorded(intlinalg._Elimination):
+        def _add(self, i, q, r):
+            counts["ops"] += 1
+            changed.add(i)
+            super()._add(i, q, r)
+
         def _unit_step(self, r, c):
-            if len(self.rows[r]) > 1:
-                for i in self.cols[c] - {r}:
-                    counts["ops"] += 1
-                    changed.add(i)
             super()._unit_step(r, c)
             retired.add(r)
 
@@ -194,7 +190,7 @@ def active_rows(elim):
 def matrix_state(rows):
     """The elimination state that `invariant_factors` reduces: the
     matrix as a two-term complex, its columns numbered first."""
-    return intlinalg._coboundary(*intlinalg._two_term(rows))
+    return intlinalg._coboundary(*two_term(rows))
 
 
 def rows_left(rows):

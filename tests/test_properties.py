@@ -38,7 +38,8 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       min_first_normalize_star, neighbourhood_split,
                       order_bredon_complex, pairwise_bar_product,
                       per_degree_cohomology, per_item_render_text,
-                      product_ideal_power, subset_key, walk_certificate)
+                      product_ideal_power, subset_key, supersets,
+                      walk_certificate)
 
 LAWS = settings(max_examples=60, deadline=None)
 
@@ -257,7 +258,7 @@ def test_sparse_bredon_complex(graph):
     assert all(e["free_rank"] == 0 and e["torsion"] == [] for e in coh[1:])
     assert cert.cohomology == coh
     # the apex lattice is the kernel of d^0, in the same Hermite form
-    kernel = kernel_basis(c.differential(0), c.ranks[0])
+    kernel = kernel_basis(c.diffs[0], c.ranks[0])
     assert row_hnf(apex_lattice(graph).basis_columns) == row_hnf(kernel)
     # clique number 5 or more makes the dense oracle of the order complex
     # too large to build
@@ -318,14 +319,17 @@ def test_forward_pass_lists_the_clique_poset(graph):
     for c in cliques:
         assert cliques_within(graph, c) == sorted(
             submasks(c), key=lambda m: subset_key(graph, m))
-        assert graph.supersets[c] == [e for e in cliques
-                                      if e != c and e & c == c]
+    # the first chain level pairs each clique with each clique above it,
+    # in the order of the listing
+    above = supersets(graph)
+    assert poset_chains(graph, 1)[1] == [(c, e) for c in cliques
+                                         for e in above[c]]
 
 
 @LAWS
 @given(graphs(max_vertices=9), st.data())
 def test_forward_pass_lists_the_cliques_inside_any_vertex_set(graph, data):
-    # `Graph.supersets` passes common neighbourhoods, and
+    # `poset_chains` passes common neighbourhoods, and
     # `group_ring_product` character masks, neither of them a clique
     mask = data.draw(st.integers(0, (1 << graph.n) - 1))
     assert cliques_within(graph, mask) == sorted(
