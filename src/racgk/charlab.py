@@ -5,8 +5,9 @@ character of the center is hit only with even multiplicity; the same
 parity holds for the real representations of C4 restricted to its index
 two subgroup.  Both facts are recovered here as Hermite normal form
 lattice computations on embedded character tables, together with an
-exact Gaussian-integer check of the explicit 2-dimensional
-representation that realizes twice the sign character.
+exact integer check of the explicit 2-dimensional representation, a
+quarter turn and a reflection of the plane, that realizes twice the
+sign character.
 """
 
 from .intlinalg import ColumnSolver, Lattice
@@ -25,12 +26,10 @@ class CharacterTable:
     irreducible characters of complex type).
     """
 
-    def __init__(self, name, class_sizes, characters, irr_names,
-                 class_of=None):
+    def __init__(self, name, class_sizes, characters, class_of=None):
         self.name = name
         self.class_sizes = list(class_sizes)
         self.characters = [list(ch) for ch in characters]
-        self.irr_names = list(irr_names)
         self.class_of = dict(class_of or {})
         self.order = sum(self.class_sizes)
         n = len(self.class_sizes)
@@ -50,17 +49,12 @@ class CharacterTable:
                         "%s: row %d has norm %d, expected %d or %d"
                         % (name, i, dot, self.order, 2 * self.order))
 
-    @property
-    def num_irreducibles(self):
-        return len(self.characters)
-
 
 def cyclic2_table():
     return CharacterTable(
         "C2", [1, 1],
         [[1, 1],    # trivial
          [1, -1]],  # sign
-        ["tr", "lambda"],
         class_of={"e": 0, "s": 1})
 
 
@@ -68,12 +62,11 @@ def dihedral8_table():
     # classes: e, s^2 (the central rotation), {s, s^3}, two reflection pairs
     return CharacterTable(
         "D8", [1, 1, 2, 2, 2],
-        [[1, 1, 1, 1, 1],
-         [1, 1, 1, -1, -1],
+        [[1, 1, 1, 1, 1],     # trivial
+         [1, 1, 1, -1, -1],   # -1 on every reflection
          [1, 1, -1, 1, -1],
          [1, 1, -1, -1, 1],
-         [2, -2, 0, 0, 0]],   # the faithful 2-dimensional representation
-        ["tr", "sgn_r", "sgn_f", "sgn_rf", "tau"],
+         [2, -2, 0, 0, 0]],   # tau, the faithful 2-dimensional representation
         class_of={"e": 0, "s2": 1})
 
 
@@ -85,7 +78,6 @@ def cyclic4_real_table():
         [[1, 1, 1, 1],
          [1, -1, 1, -1],
          [2, 0, -2, 0]],
-        ["tr", "sgn", "rot"],
         class_of={"e": 0, "s": 1, "s2": 2, "s3": 3})
 
 
@@ -94,7 +86,7 @@ def basis_solver(table):
     table: sum_i x_i * chi_i(c) = values[c], one column per irreducible.
     Built once per table and shared by its decompositions."""
     n = len(table.class_sizes)
-    if table.num_irreducibles != n:
+    if len(table.characters) != n:
         raise CharLabError("decomposition needs a square character table")
     try:
         return ColumnSolver([dict(enumerate(chi))
@@ -103,12 +95,12 @@ def basis_solver(table):
         raise CharLabError("character table rows are dependent") from None
 
 
-def decompose_in_basis(table, values, solver=None):
+def decompose_in_basis(solver, values):
     """Integer coordinates, a dict {irreducible: multiplicity}, of the
-    class function with these values in the irreducible basis of a
-    square table; errors when non-integral.  `solver` is the table's
-    `basis_solver`, built here when not given."""
-    coords = (solver or basis_solver(table)).solve(dict(enumerate(values)))
+    class function with these values in the irreducible basis that
+    `solver`, a table's `basis_solver`, solves in; errors when
+    non-integral."""
+    coords = solver.solve(dict(enumerate(values)))
     if coords is None:
         raise CharLabError("non-integral decomposition of %r" % (values,))
     return coords
@@ -121,11 +113,10 @@ def restriction_image(source, target, class_map):
     class_map sends each target class index to the source class
     containing its representatives."""
     solver = basis_solver(target)
-    gens = []
-    for chi in source.characters:
-        restricted = [chi[class_map[c]] for c in range(len(target.class_sizes))]
-        gens.append(decompose_in_basis(target, restricted, solver))
-    return Lattice(target.num_irreducibles, gens)
+    classes = [class_map[c] for c in range(len(target.class_sizes))]
+    gens = [decompose_in_basis(solver, [chi[c] for c in classes])
+            for chi in source.characters]
+    return Lattice(len(target.characters), gens)
 
 
 PARITY_RANGE = range(-8, 9)
@@ -145,32 +136,30 @@ def _dense(vec, n):
     return [vec.get(j, 0) for j in range(n)]
 
 
-# --- exact Gaussian-integer check of the explicit representation ---
+def _center_parity(table):
+    """The restriction of a table to C2, whose classes e and s are the
+    table's e and s2: the image lattice, its basis rows for a report,
+    the parity sweep of the sign character, and whether exactly its
+    even multiples are hit."""
+    c2 = cyclic2_table()
+    lat = restriction_image(table, c2, {c2.class_of["e"]: table.class_of["e"],
+                                       c2.class_of["s"]: table.class_of["s2"]})
+    sweep = parity_sweep(lat, {1: 1})
+    return (lat, [_dense(row, lat.n) for row in lat.basis], sweep,
+            all(ok == (k % 2 == 0) for k, ok in sweep))
 
-def gmul(a, b):
-    """(a0 + a1*i) * (b0 + b1*i) over exact integers."""
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
-
-def gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
+# --- exact integer check of the explicit representation ---
 
 def mat2_mul(m, n):
-    return [[gadd(gmul(m[0][0], n[0][0]), gmul(m[0][1], n[1][0])),
-             gadd(gmul(m[0][0], n[0][1]), gmul(m[0][1], n[1][1]))],
-            [gadd(gmul(m[1][0], n[0][0]), gmul(m[1][1], n[1][0])),
-             gadd(gmul(m[1][0], n[0][1]), gmul(m[1][1], n[1][1]))]]
+    """The product of two 2x2 integer matrices."""
+    return [[a * b + c * d for b, d in zip(*n)] for a, c in m]
 
 
-def mat2_trace(m):
-    return gadd(m[0][0], m[1][1])
-
-
-I2 = [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]
-NEG_I2 = [[(-1, 0), (0, 0)], [(0, 0), (-1, 0)]]
-TAU_SIGMA = [[(0, 0), (0, 1)], [(0, 1), (0, 0)]]
-TAU_EPSILON = [[(-1, 0), (0, 0)], [(0, 0), (1, 0)]]
+I2 = [[1, 0], [0, 1]]
+NEG_I2 = [[-1, 0], [0, -1]]
+TAU_SIGMA = [[0, -1], [1, 0]]    # the quarter turn
+TAU_EPSILON = [[1, 0], [0, -1]]  # the reflection in the first axis
 
 
 def verify_tau():
@@ -188,28 +177,21 @@ def verify_tau():
         "epsilon_involution": e2 == I2,
         "dihedral_relation": conj == sigma_inv,
         "center_acts_as_minus_identity": s2 == NEG_I2,
+        "center_character_is_twice_sign": s2[0][0] + s2[1][1] == -2,
     }
-    trace = mat2_trace(s2)
-    checks["center_character_is_twice_sign"] = (trace == (-2, 0))
     return {"checks": checks, "ok": all(checks.values())}
 
 
 def lemma_d8_report():
     """Restriction from the dihedral group of order 8 to its center:
     the sign character is hit exactly by even multiples."""
-    d8 = dihedral8_table()
-    c2 = cyclic2_table()
-    class_map = {c2.class_of["e"]: d8.class_of["e"],
-                 c2.class_of["s"]: d8.class_of["s2"]}
-    lat = restriction_image(d8, c2, class_map)
-    sweep = parity_sweep(lat, {1: 1})
-    ok_sweep = all(ok == (k % 2 == 0) for k, ok in sweep)
+    lat, basis, sweep, ok_sweep = _center_parity(dihedral8_table())
     in2, cert = lat.membership({1: 2})
     # the certificate must be the class of the 2-dimensional irreducible
     cert_is_tau = bool(in2) and cert == {4: 1}
     tau = verify_tau()
     return {
-        "lattice_basis": [_dense(row, lat.n) for row in lat.basis],
+        "lattice_basis": basis,
         "parity_sweep": sweep,
         "parity_ok": ok_sweep,
         "two_lambda_certificate": (_dense(cert, lat.generator_count)
@@ -223,18 +205,12 @@ def lemma_d8_report():
 def lemma_c4_real_report():
     """Real restriction from C4 to its index-two subgroup: the image is
     the span of the trivial character and twice the sign character."""
-    c4 = cyclic4_real_table()
-    c2 = cyclic2_table()
-    class_map = {c2.class_of["e"]: c4.class_of["e"],
-                 c2.class_of["s"]: c4.class_of["s2"]}
-    lat = restriction_image(c4, c2, class_map)
-    expected = Lattice(2, [{0: 1}, {1: 2}])
-    sweep = parity_sweep(lat, {1: 1})
-    ok_sweep = all(ok == (k % 2 == 0) for k, ok in sweep)
+    lat, basis, sweep, ok_sweep = _center_parity(cyclic4_real_table())
+    matches = lat.basis == Lattice(2, [{0: 1}, {1: 2}]).basis
     return {
-        "lattice_basis": [_dense(row, lat.n) for row in lat.basis],
-        "lattice_matches_tr_2lambda": lat.basis == expected.basis,
+        "lattice_basis": basis,
+        "lattice_matches_tr_2lambda": matches,
         "parity_sweep": sweep,
         "parity_ok": ok_sweep,
-        "ok": ok_sweep and lat.basis == expected.basis,
+        "ok": ok_sweep and matches,
     }

@@ -23,6 +23,11 @@ ASSERTION_FAILURE = 1
 # the most cells `--dump-matrices` builds: K_n has 4^n, so K10 (under
 # 1 GiB whole process) is admitted and K11 refused
 DUMP_CELL_CAP = 1 << 20
+# the largest `--precision`: `bgw` squares one completed element per
+# vertex modulo 2^precision, so the cost grows with it (K5, whole
+# process on a 2-core machine: 0.09 s and 16 MB at the cap, 2.3 s and
+# 524 MB at 10^9)
+PRECISION_CAP = 1 << 20
 
 
 def build_parser():
@@ -38,7 +43,7 @@ def build_parser():
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--precision", type=int,
                    help="bgw and all only: 2-adic truncation exponent for "
-                   "the completed ring (default 32)")
+                   "the completed ring (default 32, at most 2^20)")
     p.add_argument("--kunneth-max", type=int,
                    help="kunneth and all only: the highest tensor power "
                    "(default 4)")
@@ -61,7 +66,8 @@ def read_text(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
-        raise GraphError("%s is not UTF-8 text: %s" % (path, e))
+        # the path quoted, so that a newline in it keeps one error line
+        raise GraphError("%r is not UTF-8 text: %s" % (path, e))
 
 
 def load_graph(args):
@@ -440,6 +446,14 @@ def _main(argv):
             and not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP):
         PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
                     "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
+    if args.precision is not None and args.precision > PRECISION_CAP:
+        # refused before any 2^precision is built, and before `all`
+        # runs any section
+        print("error: %s --precision %d would build 2^%d, an integer of "
+              "%d bytes; the cap is %d" % (
+                  sub, args.precision, args.precision,
+                  args.precision // 8 + 1, PRECISION_CAP), file=sys.stderr)
+        return USAGE_ERROR
     try:
         if args.subcommand == "counterexample":
             report = run_counterexample()
@@ -462,11 +476,6 @@ def _main(argv):
     except MemoryError:
         print("error: %s ran out of memory on this graph" % args.subcommand,
               file=sys.stderr)
-        return USAGE_ERROR
-    except OverflowError as e:
-        # an integer too large to build at all, such as 2^precision
-        print("error: %s cannot build an integer this large: %s"
-              % (args.subcommand, e), file=sys.stderr)
         return USAGE_ERROR
     payload = dict(header)
     payload["subcommand"] = args.subcommand

@@ -85,6 +85,21 @@ def test_counterexample(capsys):
     assert rep["c4_real_to_c2"]["ok"]
 
 
+# sha256 of the standalone `counterexample` report in each format
+COUNTEREXAMPLE_SHA256 = {
+    "json": "e76f51b99699f08b78deb7ddd44dd31def5f57f67bee1bd57c214ee0dbe33cc4",
+    "text": "b15423bf88fb2d6ce00feda76c164253386ecd261c19d3c0814471f5c466c938",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(COUNTEREXAMPLE_SHA256))
+def test_counterexample_report_is_pinned(capsys, fmt):
+    assert main(["counterexample", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        COUNTEREXAMPLE_SHA256[fmt])
+
+
 def test_mv_check(capsys, path_file, tmp_path):
     part = tmp_path / "part.txt"
     part.write_text("s t\nt u\n")
@@ -230,7 +245,8 @@ def test_memory_error_is_usage_error(monkeypatch, capsys, pentagon_file):
 @pytest.mark.parametrize("sub", ["bgw", "all"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_huge_precision_is_usage_error(capsys, pentagon_file, sub, fmt):
-    # 2^precision has too many digits to build: one error line, no report
+    # 2^precision is too large to build, and past the cap: one error
+    # line, no report
     assert main([sub, "--input", pentagon_file, "--format", fmt,
                  "--precision", "100000000000000000000"]) == 2
     out, err = capsys.readouterr()
@@ -238,6 +254,30 @@ def test_huge_precision_is_usage_error(capsys, pentagon_file, sub, fmt):
     assert err.startswith("error: %s " % sub)
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["bgw", "all"])
+def test_precision_is_capped_before_any_section_runs(monkeypatch, capsys,
+                                                     pentagon_file, sub):
+    # at the cap both subcommands report; one past it, the refusal names
+    # the cap before the graph is read, so no 2^precision is built
+    cap = cli.PRECISION_CAP
+    assert cap == 1 << 20
+    code, rep = run_json(capsys, [sub, "--input", pentagon_file,
+                                  "--precision", str(cap)])
+    bgw = rep["bgw"] if sub == "all" else rep
+    assert code == 0 and bgw["additive_structure"]["precision"] == cap
+
+    def unread(args):
+        raise AssertionError("the graph was read")
+    monkeypatch.setattr(cli, "load_graph", unread)
+    assert main([sub, "--input", pentagon_file,
+                 "--precision", str(cap + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: %s --precision 1048577 would build 2^1048577, "
+                   "an integer of 131073 bytes; the cap is 1048576\n"
+                   % sub)
 
 
 @pytest.mark.parametrize("sub", ["all", "ktheory", "limit"])
