@@ -27,6 +27,13 @@ the invariant factors of its differentials, all of them from one
 reduction of the whole complex by unit pivots (`cohomology`): each
 pivot removes its pair of cells, an elementary reduction that keeps
 the cohomology, and what no unit pivot reaches goes to Hermite forms.
+
+Each identity is checked once, where it is made.  d o d = 0 on a
+tensor power follows from the last power's and the sign rule, which
+`interval_tensor_powers` checks on one row per degree; on the cubical
+complex it follows from `cone_certificate`'s checks, and the CLI
+builds it only once they hold; a `CochainComplex` constructed from
+anywhere else multiplies out every composite.
 """
 
 from functools import cached_property
@@ -47,25 +54,35 @@ class CochainComplex:
     diffs[k] maps degree k to degree k+1 and holds one dict row
     {column: nonzero entry} per degree-(k+1) cell: the one matrix form
     taken here, as in `coboundary_factors` and `kernel_basis`.  Row
-    counts, column ranges and d o d = 0 are checked at construction.
+    counts and column ranges are checked at construction, and so is
+    d o d = 0, by multiplying every row of d^(k+1) into d^k.  The two
+    builders here establish d o d = 0 where they make the complex and
+    construct it by `_made`, which keeps the other checks:
+    `interval_tensor_powers` by the tensor rule and
+    `build_bredon_complex` by `cone_certificate`.
     """
 
     def __init__(self, ranks, diffs):
+        self._shape(ranks, diffs)
+        for k in range(len(self.diffs) - 1):
+            inner = self.diffs[k]
+            for row in self.diffs[k + 1]:
+                _check_composite(k, row, inner)
+
+    @classmethod
+    def _made(cls, ranks, diffs):
+        """A complex whose builder has shown d o d = 0: the row counts
+        and column ranges are checked, the composites are not."""
+        complex_ = cls.__new__(cls)
+        complex_._shape(ranks, diffs)
+        return complex_
+
+    def _shape(self, ranks, diffs):
         self.ranks = list(ranks)
         if len(diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("expected %d differentials, got %d"
                              % (max(len(self.ranks) - 1, 0), len(diffs)))
         self.diffs = [self._checked_rows(k, d) for k, d in enumerate(diffs)]
-        for k in range(len(self.diffs) - 1):
-            inner = self.diffs[k]
-            for row in self.diffs[k + 1]:
-                # this row of d^(k+1) times the rows of d^k
-                product = {}
-                for j, x in row.items():
-                    for c, y in inner[j].items():
-                        product[c] = product.get(c, 0) + x * y
-                if any(product.values()):
-                    raise ValueError("d^%d o d^%d != 0" % (k + 1, k))
 
     def _checked_rows(self, k, d):
         cols = self.ranks[k]
@@ -77,6 +94,17 @@ class CochainComplex:
             raise ValueError("d^%d has %d rows, expected %d"
                              % (k, len(d), self.ranks[k + 1]))
         return list(d)
+
+
+def _check_composite(k, row, inner):
+    """Raise unless this row of d^(k+1) times the rows `inner` of d^k
+    is 0."""
+    product = {}
+    for j, x in row.items():
+        for c, y in inner[j].items():
+            product[c] = product.get(c, 0) + x * y
+    if any(product.values()):
+        raise ValueError("d^%d o d^%d != 0" % (k + 1, k))
 
 
 def cohomology(complex_):
@@ -135,7 +163,20 @@ def build_bredon_complex(graph):
     dimension k, by top and then low in canonical clique order, with the
     monomials of low in that order.  The differential is made of `faces`
     and, on a face [low | v, top], `restrict`: the two rules
-    `cone_certificate` checks."""
+    `cone_certificate` checks, and the only ones used, so d o d = 0
+    holds once the certificate is ok.  In the bar basis, a unitriangular
+    change of each cell's coefficients, the complex splits by (a) into
+    blocks on which each face carries x_K to x_K with its sign, so d o d
+    there is the composite of `faces` with itself, 0 by (b) on every cube
+    of each dimension; and (m) says `faces` lists faces of the cube.  So
+    the composites are not multiplied out again here (`_made`); a caller
+    builds only after `cone_certificate(graph).ok`.
+
+    A face listed twice has its signs summed, and a restricted monomial
+    with coefficient 0 is dropped, so every column of a row comes from
+    one (face, monomial) pair and is written once.  `restrict` is
+    called once per pair of a face's bottom and the cube's bottom, not
+    once per cube."""
     # every subset of a clique is a clique
     subsets = {c: cliques_within(graph, c) for c in graph.cliques}
     position = {c: {m: i for i, m in enumerate(ms)}
@@ -149,24 +190,34 @@ def build_bredon_complex(graph):
             start[low, top] = ranks[k]
             ranks[k] += len(subsets[low])
             cubes[k].append((low, top))
+    # (column offset, row, coefficient) of each monomial of a face's
+    # bottom restricted to the cube's bottom, by (face bottom, bottom)
+    moves = {}
     diffs = []
     for level in cubes[1:]:
         d = []
         for low, top in level:
             # one row per monomial of low
-            rows = [[] for _ in subsets[low]]
-            for (face_low, face_top), sign in faces(low, top):
+            rows = [{} for _ in subsets[low]]
+            for (face_low, face_top), sign in accumulate(
+                    faces(low, top)).items():
                 base = start[face_low, face_top]
                 if face_low == low:
                     for i, row in enumerate(rows):
-                        row.append((base + i, sign))
+                        row[base + i] = sign
                     continue
-                for j, ell in enumerate(subsets[face_low]):
-                    mono, x = restrict(ell, low)
-                    rows[position[low][mono]].append((base + j, sign * x))
-            d += map(accumulate, rows)
+                moved = moves.get((face_low, low))
+                if moved is None:
+                    at = position[low]
+                    moved = moves[face_low, low] = [
+                        (j, at[mono], x)
+                        for j, ell in enumerate(subsets[face_low])
+                        for mono, x in (restrict(ell, low),) if x]
+                for j, i, x in moved:
+                    rows[i][base + j] = sign * x
+            d += rows
         diffs.append(d)
-    return CochainComplex(ranks, diffs)
+    return CochainComplex._made(ranks, diffs)
 
 
 _IDENTITIES = {"a": "restriction is a projection", "b": "d o d = 0",
@@ -442,7 +493,18 @@ def interval_tensor_powers(top):
     (a, v) for each a of degree k and vertex v = 0, 1, numbered
     r[k - 1] + 2a + v, where r are the ranks of P.  The row of (a, e)
     is a's row on the (a1, e) and (-1)^(k-1) at (a, 0) and (a, 1); the
-    row of (a, v) is a's row on the (a1, v)."""
+    row of (a, v) is a's row on the (a1, v).
+
+    d o d = 0 is checked where the rule makes it.  I has one
+    differential, so its constructor's check holds vacuously.  On
+    P (x) I, d o d on the row of (a, v) is P's d o d on the row of a,
+    copied to v, and on the row of (a, e) it is P's on a, copied to e,
+    plus a's row at the (a1, 0) and (a1, 1) times the sum of the signs
+    of two consecutive degrees, which is 0 because they alternate.  P's
+    d o d = 0 was shown for the power before, so only the signs are
+    left: one (a, e) row per degree whose a has a nonempty row is
+    multiplied into the differential below, which fails unless the
+    signs cancel there, and the power is constructed by `_made`."""
     if top < 1:
         raise ValueError("n must be >= 1")
     if top > KUNNETH_CAP:
@@ -464,8 +526,11 @@ def interval_tensor_powers(top):
                           for a, row in enumerate(rows[k])]
                          + [{b + 2 * a1 + v: x for a1, x in row.items()}
                             for row in rows[k + 1] for v in (0, 1)])
-        power = CochainComplex([b + 2 * x for b, x in zip(below, r)]
-                               + r[-1:], diffs)
+            a = next((a for a, row in enumerate(rows[k]) if row), None)
+            if a is not None:
+                _check_composite(k - 1, diffs[k][a], diffs[k - 1])
+        power = CochainComplex._made([b + 2 * x for b, x in zip(below, r)]
+                                     + r[-1:], diffs)
         yield power
 
 

@@ -7,7 +7,9 @@ two subgroup.  Both facts are recovered here as Hermite normal form
 lattice computations on embedded character tables, together with an
 exact integer check of the explicit 2-dimensional representation, a
 quarter turn and a reflection of the plane, that realizes twice the
-sign character.
+sign character.  The three tables are module constants, checked once at
+import; the lattices, parity sweeps and matrix identities are computed
+afresh for every report.
 """
 
 from .intlinalg import ColumnSolver, Lattice
@@ -21,15 +23,16 @@ class CharacterTable:
     """Integer character table with conjugacy class data.
 
     characters[i][c] is the value of the i-th irreducible on class c.
-    Orthogonality of distinct rows is asserted at load time; row norms
+    Orthogonality of distinct rows is checked at construction; row norms
     must be the group order or twice it (the doubling occurs for real
-    irreducible characters of complex type).
+    irreducible characters of complex type).  The sizes and characters
+    are kept as tuples, so a module table stays as it was checked.
     """
 
     def __init__(self, name, class_sizes, characters, class_of=None):
         self.name = name
-        self.class_sizes = list(class_sizes)
-        self.characters = [list(ch) for ch in characters]
+        self.class_sizes = tuple(class_sizes)
+        self.characters = tuple(map(tuple, characters))
         self.class_of = dict(class_of or {})
         self.order = sum(self.class_sizes)
         n = len(self.class_sizes)
@@ -50,35 +53,31 @@ class CharacterTable:
                         % (name, i, dot, self.order, 2 * self.order))
 
 
-def cyclic2_table():
-    return CharacterTable(
-        "C2", [1, 1],
-        [[1, 1],    # trivial
-         [1, -1]],  # sign
-        class_of={"e": 0, "s": 1})
+# the three tables, built and checked once, at import
+C2 = CharacterTable(
+    "C2", [1, 1],
+    [[1, 1],    # trivial
+     [1, -1]],  # sign
+    class_of={"e": 0, "s": 1})
 
+# classes: e, s^2 (the central rotation), {s, s^3}, two reflection pairs
+D8 = CharacterTable(
+    "D8", [1, 1, 2, 2, 2],
+    [[1, 1, 1, 1, 1],     # trivial
+     [1, 1, 1, -1, -1],   # -1 on every reflection
+     [1, 1, -1, 1, -1],
+     [1, 1, -1, -1, 1],
+     [2, -2, 0, 0, 0]],   # tau, the faithful 2-dimensional representation
+    class_of={"e": 0, "s2": 1})
 
-def dihedral8_table():
-    # classes: e, s^2 (the central rotation), {s, s^3}, two reflection pairs
-    return CharacterTable(
-        "D8", [1, 1, 2, 2, 2],
-        [[1, 1, 1, 1, 1],     # trivial
-         [1, 1, 1, -1, -1],   # -1 on every reflection
-         [1, 1, -1, 1, -1],
-         [1, 1, -1, -1, 1],
-         [2, -2, 0, 0, 0]],   # tau, the faithful 2-dimensional representation
-        class_of={"e": 0, "s2": 1})
-
-
-def cyclic4_real_table():
-    # real irreducibles of C4: trivial, sign of the order-2 quotient,
-    # and the 2-dimensional rotation (complex type, hence norm 2|G|)
-    return CharacterTable(
-        "C4-real", [1, 1, 1, 1],
-        [[1, 1, 1, 1],
-         [1, -1, 1, -1],
-         [2, 0, -2, 0]],
-        class_of={"e": 0, "s": 1, "s2": 2, "s3": 3})
+# real irreducibles of C4: trivial, sign of the order-2 quotient, and
+# the 2-dimensional rotation (complex type, hence norm 2|G|)
+C4_REAL = CharacterTable(
+    "C4-real", [1, 1, 1, 1],
+    [[1, 1, 1, 1],
+     [1, -1, 1, -1],
+     [2, 0, -2, 0]],
+    class_of={"e": 0, "s": 1, "s2": 2, "s3": 3})
 
 
 def basis_solver(table):
@@ -141,9 +140,8 @@ def _center_parity(table):
     table's e and s2: the image lattice, its basis rows for a report,
     the parity sweep of the sign character, and whether exactly its
     even multiples are hit."""
-    c2 = cyclic2_table()
-    lat = restriction_image(table, c2, {c2.class_of["e"]: table.class_of["e"],
-                                       c2.class_of["s"]: table.class_of["s2"]})
+    lat = restriction_image(table, C2, {C2.class_of["e"]: table.class_of["e"],
+                                       C2.class_of["s"]: table.class_of["s2"]})
     sweep = parity_sweep(lat, {1: 1})
     return (lat, [_dense(row, lat.n) for row in lat.basis], sweep,
             all(ok == (k % 2 == 0) for k, ok in sweep))
@@ -185,7 +183,7 @@ def verify_tau():
 def lemma_d8_report():
     """Restriction from the dihedral group of order 8 to its center:
     the sign character is hit exactly by even multiples."""
-    lat, basis, sweep, ok_sweep = _center_parity(dihedral8_table())
+    lat, basis, sweep, ok_sweep = _center_parity(D8)
     in2, cert = lat.membership({1: 2})
     # the certificate must be the class of the 2-dimensional irreducible
     cert_is_tau = bool(in2) and cert == {4: 1}
@@ -205,7 +203,7 @@ def lemma_d8_report():
 def lemma_c4_real_report():
     """Real restriction from C4 to its index-two subgroup: the image is
     the span of the trivial character and twice the sign character."""
-    lat, basis, sweep, ok_sweep = _center_parity(cyclic4_real_table())
+    lat, basis, sweep, ok_sweep = _center_parity(C4_REAL)
     matches = lat.basis == Lattice(2, [{0: 1}, {1: 2}]).basis
     return {
         "lattice_basis": basis,

@@ -127,7 +127,9 @@ def run_bgw(graph, args):
     # residue is -2 mod 2^precision (none at precision 1)
     witness = None
     for i, v in enumerate(graph.labels):
-        s = kring.CompletedElement(graph, precision, {1 << i: 1})
+        # the vertex's own mask, a clique
+        s = kring._of_cliques(kring.CompletedElement, graph, precision,
+                              {1 << i: 1})
         sq = kring.completed_multiply(s, s)
         minus_two = -2 % (1 << precision)
         if ((sq.graph, sq.precision) != (graph, precision)
@@ -167,18 +169,32 @@ def bredon_section(graph, certificate, args):
         if cells > DUMP_CELL_CAP:
             raise GraphError("--dump-matrices would build a complex of %d "
                              "cells; the cap is %d" % (cells, DUMP_CELL_CAP))
-        complex_ = bredon.build_bredon_complex(graph)
-        for k, d in enumerate(complex_.diffs):
-            with open("%s.%d" % (args.dump_matrices, k), "w",
-                      encoding="utf-8") as fh:
-                for r, row in enumerate(d):
-                    for c in sorted(row):
-                        fh.write("%d %d %d\n" % (r, c, row[c]))
+        # the complex's d o d = 0 rests on the certificate: a failed one
+        # builds and writes nothing, and its witness is the report's detail
+        if certificate.ok:
+            complex_ = bredon.build_bredon_complex(graph)
+            for k, d in enumerate(complex_.diffs):
+                write_triplets("%s.%d" % (args.dump_matrices, k), d)
     report = {"ranks": certificate.ranks, "cohomology": certificate.cohomology,
               "clique_count": certificate.rank, "ok": certificate.ok}
     if not certificate.ok:
         report["detail"] = certificate.witness
     return report
+
+
+def write_triplets(path, rows):
+    """`row col value` lines for each nonzero entry, by row and then
+    column: each line made by one f-string, and written a block of
+    lines at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        lines = []
+        for r, row in enumerate(rows):
+            head = str(r)
+            lines += [f"{head} {c} {row[c]}\n" for c in sorted(row)]
+            if len(lines) > 1 << 14:
+                fh.write("".join(lines))
+                lines = []
+        fh.write("".join(lines))
 
 
 def run_limit(graph, args):

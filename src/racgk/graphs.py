@@ -17,6 +17,10 @@ from functools import cached_property
 MAX_VERTICES = 64
 # memo states `clique_counts` may reach before it refuses a graph
 CLIQUE_COUNT_STATES = 1 << 18
+# the longest integer literal a JSON graph may hold, CPython's default
+# digit cap: converting a literal takes time quadratic in its length, and
+# `cli.main` lifts the cap for the whole run
+JSON_INT_DIGITS = 4300
 # the one-vertex masks, the units of the forward pass on masks
 _BITS = [1 << v for v in range(MAX_VERTICES)]
 
@@ -185,11 +189,12 @@ def parse_graph(text, fmt="edge-list"):
 
     Edge-list format: whitespace-separated vertex labels terminated by
     `;`, then whitespace-separated `a-b` edge tokens.  Either format
-    refuses an empty vertex list.
+    refuses an empty vertex list.  JSON input refuses an integer literal
+    of more than `JSON_INT_DIGITS` digits, anywhere, before converting it.
     """
     if fmt == "json":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=_parse_int)
         except json.JSONDecodeError as e:
             raise GraphError("malformed JSON graph: %s" % e)
         except RecursionError:
@@ -221,6 +226,16 @@ def parse_graph(text, fmt="edge-list"):
     if not vertices:
         raise GraphError("empty vertex list")
     return Graph(vertices, edges)
+
+
+def _parse_int(literal):
+    """The int of a JSON integer literal no longer than `JSON_INT_DIGITS`
+    digits; a longer one is refused unconverted."""
+    digits = len(literal) - literal.startswith("-")
+    if digits > JSON_INT_DIGITS:
+        raise GraphError("JSON graph holds an integer literal of %d digits; "
+                         "the cap is %d" % (digits, JSON_INT_DIGITS))
+    return int(literal)
 
 
 def cliques_within(graph, mask):

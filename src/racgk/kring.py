@@ -47,7 +47,18 @@ class KRingError(ValueError):
 def _check_support(graph, support):
     """`support`, masks or a dict keyed by them, once `Graph.is_clique`
     accepts each mask; else the error names the first non-clique by its
-    labels, or by its mask if that lies outside the vertex range."""
+    labels, or by its mask if that lies outside the vertex range.
+
+    The public constructors of `KRingElement` and `CompletedElement`
+    run it, and so do `multiply_bar` and `completed_multiply`, whose
+    `_bar_sum` reads a `bar_product` that may be patched, and
+    `mayer_vietoris_check`'s products.  A builder whose output is made
+    of cliques constructs by `_of_cliques` and skips it: `multiply_star`
+    (`_normalize_star` stops only at cliques), `convert_basis` (submasks
+    of cliques), `group_ring_product` (`cliques_within`),
+    `random_element` (the clique listing) and `cli.run_bgw`'s generators
+    (one vertex each).  A wrong builder then shows in the ktheory
+    report's comparison with the group ring, not as a KRingError."""
     if not all(map(graph.is_clique, support)):
         bad = next(k for k in support if not graph.is_clique(k))
         raise KRingError("support %s is not a clique" % (
@@ -56,16 +67,29 @@ def _check_support(graph, support):
     return support
 
 
+def _of_cliques(cls, *fields):
+    """An element of `cls` from its ring fields and its coefficient
+    dict, whose keys its caller made as cliques: the constructor but
+    `_check_support`."""
+    element = cls.__new__(cls)
+    element._fill(*fields)
+    return element
+
+
 class KRingElement(Combination):
-    """Sparse integer combination of clique-indexed monomials."""
+    """Sparse integer combination of clique-indexed monomials.  The
+    constructor checks that each key is a clique (`_check_support`)."""
 
     __slots__ = ("graph", "basis")
     error = KRingError
 
     def __init__(self, graph, basis, coeffs):
+        self._fill(graph, basis, coeffs)
+        _check_support(graph, coeffs)
+
+    def _fill(self, graph, basis, coeffs):
         if basis not in (STAR, BAR):
             raise KRingError("unknown basis %r" % basis)
-        _check_support(graph, coeffs)
         self.graph, self.basis = graph, basis
         self.coeffs = {k: c for k, c in coeffs.items() if c}
 
@@ -133,7 +157,8 @@ def multiply_star(a, b):
         raise KRingError("multiply_star needs star-basis operands")
     raw = accumulate((k ^ l, ck * cl) for k, ck in a.coeffs.items()
                      for l, cl in b.coeffs.items())
-    return KRingElement(a.graph, STAR, _normalize_star(a.graph, raw))
+    return _of_cliques(KRingElement, a.graph, STAR,
+                       _normalize_star(a.graph, raw))
 
 
 def bar_product(j, k):
@@ -178,7 +203,7 @@ def group_ring_product(a, b):
         raise KRingError("group_ring_product needs star-basis operands")
     chars = accumulate((k ^ l, ck * cl) for k, ck in a.coeffs.items()
                        for l, cl in b.coeffs.items())
-    return KRingElement(a.graph, BAR, accumulate(
+    return _of_cliques(KRingElement, a.graph, BAR, accumulate(
         (u, c) for m, c in chars.items() for u in cliques_within(a.graph, m)))
 
 
@@ -194,7 +219,7 @@ def convert_basis(a, target):
         return a
     # the star sign is (-1)^|k - sub|, and k - sub is k ^ sub
     signed = target == STAR
-    return KRingElement(a.graph, target, accumulate(
+    return _of_cliques(KRingElement, a.graph, target, accumulate(
         (sub, -c if signed and (k ^ sub).bit_count() % 2 else c)
         for k, c in a.coeffs.items() for sub in submasks(k)))
 
@@ -302,9 +327,12 @@ class CompletedElement(Combination):
     error = KRingError
 
     def __init__(self, graph, precision, coeffs):
+        self._fill(graph, precision, coeffs)
+        _check_support(graph, coeffs)
+
+    def _fill(self, graph, precision, coeffs):
         if precision < 1:
             raise KRingError("precision must be >= 1")
-        _check_support(graph, coeffs)
         self.graph, self.precision = graph, precision
         mod = 1 << precision
         self.coeffs = {}
@@ -376,7 +404,7 @@ def random_element(graph, rng, basis=STAR):
     """A seeded random element, drawn by `_draw` from the printed
     listing, `Graph.clique_labels`."""
     labels = graph.clique_labels
-    return KRingElement(graph, basis, _draw(
+    return _of_cliques(KRingElement, graph, basis, _draw(
         rng, len(labels), lambda i: graph.mask_of(labels[i])))
 
 

@@ -1,4 +1,8 @@
+import hashlib
+import inspect
+import json
 import random
+import textwrap
 from functools import reduce
 from itertools import product
 from math import comb
@@ -610,6 +614,88 @@ def test_interval_tensor_powers_match_the_accumulate_oracle():
     for n, power in enumerate(interval_tensor_powers(KUNNETH_CAP), 1):
         oracle = reduce(accumulated_tensor_complex, [INTERVAL] * n)
         assert (power.ranks, power.diffs) == (oracle.ranks, oracle.diffs), n
+
+
+# sha256 of the ranks and the sorted rows of I^1..I^6, as `powers_digest`
+# writes them: the `kunneth` report prints only ranks and cohomology, so
+# a change to the built powers that keeps d o d = 0 fails here
+POWERS_SHA256 = \
+    "52dcd5e5439079e024009569c94d0bbed0cb330eeb22f96674cba26d085d7777"
+
+
+def powers_digest(powers):
+    text = json.dumps([[p.ranks, [[sorted(row.items()) for row in d]
+                                  for d in p.diffs]] for p in powers])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def mutated(function, old, new):
+    """`function` compiled again from its source with the one occurrence
+    of `old` replaced by `new`, over a copy of its module's globals."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def test_the_built_powers_are_pinned():
+    assert powers_digest(interval_tensor_powers(KUNNETH_CAP)) == POWERS_SHA256
+    # -1 for +1 at (a, 1) keeps d o d = 0 and every kunneth report, and
+    # the pin tells it apart
+    flipped = mutated(interval_tensor_powers, "b + 2 * a + 1: sign}",
+                      "b + 2 * a + 1: -sign}")
+    powers = list(flipped(KUNNETH_CAP))
+    assert ([interval_tensor_kunneth(p) for p in powers]
+            == [interval_tensor_kunneth(p)
+                for p in interval_tensor_powers(KUNNETH_CAP)])
+    assert powers_digest(powers) != POWERS_SHA256
+
+
+def test_the_tensor_rule_refuses_a_sign_that_does_not_alternate():
+    # the builder's own d o d check, one (a, e) row per degree: no
+    # complex is built from a cross term that does not cancel
+    same = mutated(interval_tensor_powers, "sign = -1 if k % 2 else 1",
+                   "sign = 1")
+    first, = same(1)
+    assert (first.ranks, first.diffs) == (INTERVAL.ranks, INTERVAL.diffs)
+    with pytest.raises(ValueError, match=r"^d\^1 o d\^0 != 0$"):
+        list(same(2))
+
+
+def test_a_wrong_cell_position_fails_the_cubical_oracle():
+    # d o d = 0 on the cubical complex rests on the certificate, which
+    # never reads the cell numbering: the oracle comparison catches a
+    # wrong one, here the monomials of each cube taken in reverse
+    wrong = mutated(build_bredon_complex,
+                    "{m: i for i, m in enumerate(ms)}",
+                    "{m: len(ms) - 1 - i for i, m in enumerate(ms)}")
+    for g in (path_graph(3), cycle_graph(5), complete_graph(3)):
+        assert cone_certificate(g).ok
+        c, cube = wrong(g), cubical_bredon_complex(g)
+        assert c.ranks == cube.ranks
+        assert c.diffs != cube.diffs
+
+
+def test_each_builder_multiplies_out_only_what_it_must(monkeypatch):
+    # the tensor rule multiplies one row per degree of I^2..I^6 into the
+    # differential below, the cubical builder none; a complex from
+    # anywhere else multiplies every row
+    calls = []
+    check = bredon._check_composite
+
+    def counted(k, row, inner):
+        calls.append(k)
+        return check(k, row, inner)
+    monkeypatch.setattr(bredon, "_check_composite", counted)
+    list(interval_tensor_powers(KUNNETH_CAP))
+    assert calls == [k for n in range(2, KUNNETH_CAP + 1)
+                     for k in range(n - 1)]
+    calls.clear()
+    c = build_bredon_complex(complete_graph(4))
+    assert not calls
+    CochainComplex(c.ranks, c.diffs)
+    assert len(calls) == sum(c.ranks[2:])
 
 
 def cube_cochains(n):

@@ -18,7 +18,8 @@ from racgk.graphs import Graph
 from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
                       dense_differentials, glue64, graph_suite,
                       neighbourhood_split, per_item_render_text,
-                      perfbench_module, petersen_graph, random_graph)
+                      path_graph, perfbench_module, petersen_graph,
+                      random_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
@@ -362,6 +363,25 @@ def test_dropped_face_names_its_witness(monkeypatch, capsys, path_file, sub):
         assert rep["limit"]["detail"] == DROPPED_FACE
     if sub != "limit":
         assert section["cohomology"] is None
+
+
+@pytest.mark.parametrize("sub", ["bredon", "all"])
+def test_a_failed_certificate_dumps_nothing(monkeypatch, capsys, tmp_path,
+                                            path_file, sub):
+    # the dump's d o d = 0 rests on the certificate: with a face dropped
+    # nothing is built or written, and the run names the witness
+    faces = bredon.faces
+    monkeypatch.setattr(bredon, "faces", lambda low, top: (
+        faces(low, top)[:-1] if (top ^ low).bit_count() > 1
+        else faces(low, top)))
+    prefix = tmp_path / "P"
+    code, rep = run_json(capsys, [sub, "--input", path_file,
+                                  "--dump-matrices", str(prefix)])
+    assert code == 1 and not rep["ok"]
+    section = rep["bredon"] if sub == "all" else rep
+    assert section["detail"] == DROPPED_FACE
+    assert not (tmp_path / "P.0").exists()
+    assert not list(tmp_path.glob("P.*"))
 
 
 # sha256 of each `--dump-matrices` file of the cubical complex
@@ -1104,6 +1124,22 @@ def test_a_wrong_star_normal_form_names_its_sample(monkeypatch, capsys,
     assert section["detail"] == {"sample": 3, "monomial": [],
                                  "star_product": "31",
                                  "group_ring_product": "30"}
+
+
+def test_an_unrewritten_star_product_fails_the_group_ring_check(
+        monkeypatch, capsys, tmp_path):
+    # `multiply_star` trusts its normal form to stop at cliques: one that
+    # returns its input is caught by the comparison with the group ring,
+    # and named by sample, not raised as a support error
+    monkeypatch.setattr(kring, "_normalize_star", lambda graph, terms: terms)
+    path = graph_file(tmp_path, "P4", path_graph(4))
+    code, rep = run_json(capsys, ["ktheory", "--input", path])
+    assert code == 1 and not rep["ok"]
+    agree = [s["bases_agree"] for s in rep["sample_products"]]
+    assert not all(agree)
+    assert rep["detail"]["sample"] == agree.index(False)
+    assert rep["detail"]["star_product"] != rep["detail"][
+        "group_ring_product"]
 
 
 def test_the_ktheory_witness_is_first_by_size_then_members(monkeypatch,

@@ -2,7 +2,8 @@
 
 Hypothesis drives `cli.main` in process with graph texts of at most 8
 vertices, edge-list or JSON (wrong types, odd nesting, escapes, cut
-short), partition files and option mixes.  Every run exits 0, 1 or 2.
+short, long integer literals under extra keys), partition files and
+option mixes.  Every run exits 0, 1 or 2.
 Exit 2 comes with exactly one `error:` line on stderr, no traceback and
 no report; exit 1 only with a report whose `ok` is false; exit 0 with
 a report whose `ok` is not false.  Each example runs under a
@@ -17,12 +18,14 @@ import json
 import os
 import signal
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from racgk.cli import PRECISION_CAP, main
+from racgk.graphs import JSON_INT_DIGITS
 
 SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth",
                "counterexample", "mv-check", "all"]
@@ -110,9 +113,9 @@ JSON_VALUE = st.recursive(
     | st.dictionaries(LABEL, inner, max_size=3),
     max_leaves=8)
 # at most one thing wrong with an example, or nothing
-FAULTS = ["graph text", "graph value", "cut short", "not UTF-8",
-          "input path", "input format", "option value", "stray option",
-          "partition"]
+FAULTS = ["graph text", "graph value", "cut short", "long literal",
+          "not UTF-8", "input path", "input format", "option value",
+          "stray option", "partition"]
 
 
 def option_values(sub, tmp):
@@ -141,7 +144,8 @@ def graph(draw, fault):
     """(vertices, edges, text, JSON?): at most 8 distinct vertices and
     edges between them, written as an edge list or as JSON, with the
     text or the value off when the fault is theirs."""
-    json_input = draw(st.booleans()) or fault in ("graph value", "cut short")
+    json_input = draw(st.booleans()) or fault in (
+        "graph value", "cut short", "long literal")
     vertices = draw(st.lists(LABEL if json_input else WORD, min_size=1,
                              max_size=8, unique=True))
     pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
@@ -157,6 +161,14 @@ def graph(draw, fault):
             else:
                 value = draw(JSON_VALUE)
         text = json.dumps(value, ensure_ascii=fault != "not UTF-8")
+        if fault == "long literal":
+            # an integer literal under a key the format does not read, on
+            # either side of the digit cap or far past it
+            key = draw(LABEL.filter(lambda k: k not in value))
+            digits = draw(st.integers(1, 2 * JSON_INT_DIGITS)
+                          | st.sampled_from([100_000, 800_000]))
+            text = "%s, %s: %s%s}" % (text[:-1], json.dumps(key), draw(
+                st.sampled_from(["", "-"])), "7" * digits)
         if fault == "cut short":
             text = text[:draw(st.integers(0, len(text) - 1))]
     else:
@@ -255,11 +267,19 @@ PINNED = [
     (["ktheory", "--input", "g\nh"], {"g\nh": "a b; a-\ud800"}),
     (["mv-check", "--input", "g", "--partition", "p\nq"],
      {"g": "a b; a-b", "p\nq": "a \ud800"}),
+    # an 800,000-digit literal under an unread key was converted, in time
+    # quadratic in its length, and the run exited 0
+    (["bredon", "--json-input", "--input", "g"],
+     {"g": '{"vertices": ["a"], "edges": [], "x": %s}' % ("7" * 800_000)}),
 ]
 
 
-@pytest.mark.parametrize("args, files", PINNED, ids=["input", "partition"])
+@pytest.mark.parametrize("args, files", PINNED,
+                         ids=["input", "partition", "long literal"])
 def test_pinned_examples_keep_the_behaviour_rules(tmp_path, args, files):
     for name, text in files.items():
         write(str(tmp_path / name), text)
+    start = time.perf_counter()
     assert_rules([str(tmp_path / a) if a in files else a for a in args])
+    # work too large to run is refused before it starts
+    assert time.perf_counter() - start < 2

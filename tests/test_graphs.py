@@ -31,6 +31,32 @@ def test_parse_json():
     assert g.canonical_edge_list() == [("a", "b")]
 
 
+@pytest.mark.parametrize("literal", ["7" * graphs.JSON_INT_DIGITS,
+                                     "-" + "7" * graphs.JSON_INT_DIGITS, "0"])
+def test_json_literals_up_to_the_digit_cap_parse(literal):
+    # a literal under a key the graph format does not read
+    g = parse_graph('{"vertices": ["a"], "x": [%s]}' % literal, fmt="json")
+    assert g.labels == ("a",)
+
+
+@pytest.mark.parametrize("digits", [graphs.JSON_INT_DIGITS + 1, 800_000])
+def test_a_longer_json_literal_is_refused_unconverted(monkeypatch, digits):
+    def refuse(*args):
+        raise AssertionError("the literal was converted")
+    with monkeypatch.context() as patch:
+        # `_parse_int` looks `int` up on its module at each call
+        patch.setattr(graphs, "int", refuse, raising=False)
+        for literal in ("7" * digits, "-" + "7" * digits):
+            with pytest.raises(GraphError, match="integer literal of %d "
+                               "digits; the cap is 4300" % digits):
+                parse_graph('{"vertices": ["a"], "x": %s}' % literal,
+                            fmt="json")
+    # a number where a label belongs is refused as it was before
+    with pytest.raises(GraphError, match='"vertices" must be a list of '
+                       'strings'):
+        parse_graph('{"vertices": [1]}', fmt="json")
+
+
 @pytest.mark.parametrize("text,msg", [
     ("s; s-s", "loop"),
     ("s s; ", "duplicate"),
