@@ -7,16 +7,14 @@ verified mathematical property failed, 2 usage, I/O or memory error.
 
 import argparse
 import contextlib
-import json
 import os
 import random
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from math import prod
 
 from . import bredon, charlab, kring
 from .graphs import GraphError, parse_graph
+from .writers import dump_json, render_text
 
 USAGE_ERROR = 2
 ASSERTION_FAILURE = 1
@@ -28,46 +26,116 @@ DUMP_CELL_CAP = 1 << 20
 # process on a 2-core machine: 0.09 s and 16 MB at the cap, 2.3 s and
 # 524 MB at 10^9)
 PRECISION_CAP = 1 << 20
+# the most bytes `--input` or `--partition` may hold, about ten times
+# the largest input CI reads (a 1.6 MB JSON graph)
+INPUT_CAP = 1 << 24
+
+SUBCOMMANDS = ("ktheory", "bgw", "bredon", "limit", "kunneth",
+               "counterexample", "mv-check", "all")
+# each option's type (a tuple of choices, or None for a flag), default
+# and help, in the order `--help` lists them
+OPTIONS = {
+    "--input": (str, None,
+                "graph file (edge-list, or JSON with --json)"),
+    "--json-input": (None, None, "parse the input file as JSON"),
+    "--format": (("text", "json"), "text", None),
+    "--precision": (int, None,
+                    "bgw and all only: 2-adic truncation exponent for "
+                    "the completed ring (default 32, at most 2^20)"),
+    "--kunneth-max": (int, None,
+                      "kunneth and all only: the highest tensor power "
+                      "(default 4)"),
+    "--seed": (int, 0, "seed for randomized property samples"),
+    "--partition": (str, None, "mv-check only: partition file of two "
+                    "lines of whitespace-separated vertex labels"),
+    "--dump-matrices": (str, None,
+                        "bredon and all only: write each differential as "
+                        "`row col value` triplet lines to FILE.k"),
+}
 
 
 def build_parser():
     p = argparse.ArgumentParser(
         prog="racgk",
         description="K-theory of right-angled Coxeter groups from a graph")
-    p.add_argument("subcommand",
-                   choices=["ktheory", "bgw", "bredon", "limit", "kunneth",
-                            "counterexample", "mv-check", "all"])
-    p.add_argument("--input", help="graph file (edge-list, or JSON with --json)")
-    p.add_argument("--json-input", action="store_true", default=None,
-                   help="parse the input file as JSON")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--precision", type=int,
-                   help="bgw and all only: 2-adic truncation exponent for "
-                   "the completed ring (default 32, at most 2^20)")
-    p.add_argument("--kunneth-max", type=int,
-                   help="kunneth and all only: the highest tensor power "
-                   "(default 4)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property samples")
-    p.add_argument("--partition", help="mv-check only: partition file of "
-                   "two lines of whitespace-separated vertex labels")
-    p.add_argument("--dump-matrices",
-                   help="bredon and all only: write each differential as "
-                   "`row col value` triplet lines to FILE.k")
+    p.add_argument("subcommand", choices=SUBCOMMANDS)
+    for name, (kind, default, help) in OPTIONS.items():
+        if kind is None:
+            p.add_argument(name, action="store_true", default=default,
+                           help=help)
+        elif kind in (str, int):
+            p.add_argument(name, type=kind, default=default, help=help)
+        else:
+            p.add_argument(name, choices=kind, default=default, help=help)
     return p
 
 
 # parse_args leaves the parser as it found it, so one serves every call
 PARSER = build_parser()
+# each option's attribute, and the attributes' defaults, as `PARSER` has them
+_DESTS = {name: name[2:].replace("-", "_") for name in OPTIONS}
+_DEFAULTS = {_DESTS[name]: default
+            for name, (_kind, default, _help) in OPTIONS.items()}
+
+
+def parse_canonical(argv):
+    """`PARSER.parse_args(argv)` in one pass, for canonical argv: the
+    subcommand, then exact long options each given once, as `--name
+    value` or a bare flag, with ints in ASCII digits, a value not
+    starting with `-` and a choice among its choices.  None for any
+    other argv, which `PARSER` alone parses: help, abbreviations, `=`
+    forms and every usage error stay its own."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    values = dict(_DEFAULTS, subcommand=argv[0])
+    given = set()
+    words = iter(argv[1:])
+    for name in words:
+        if name not in OPTIONS or name in given:
+            return None
+        given.add(name)
+        kind = OPTIONS[name][0]
+        value = True
+        if kind is int:
+            value = next(words, "")
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        elif kind is not None:
+            value = next(words, "-")
+            if value.startswith("-") or kind is not str and value not in kind:
+                return None
+        values[_DESTS[name]] = value
+    args = argparse.Namespace()
+    # at once, where the constructor would call setattr for each
+    vars(args).update(values)
+    return args
 
 
 def read_text(path):
+    """The file's text as text mode reads it, from its raw bytes: one
+    UTF-8 decode, each `\\r\\n` and each lone `\\r` made `\\n`.  At most
+    INPUT_CAP bytes and one more are read, so that an endless or huge
+    input is refused before it fills the memory."""
+    chunks = []
+    left = INPUT_CAP + 1
+    with open(path, "rb", buffering=0) as fh:
+        # to the end, which only an empty read marks: a pipe's reads are
+        # short, each as much as it holds
+        while left and (chunk := fh.read(min(1 << 16, left))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    # the path quoted, so that a newline in it keeps one error line
+    if not left:
+        raise GraphError("%r holds more than %d bytes, the input cap"
+                         % (path, INPUT_CAP))
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as e:
-        # the path quoted, so that a newline in it keeps one error line
         raise GraphError("%r is not UTF-8 text: %s" % (path, e))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_graph(args):
@@ -280,133 +348,6 @@ def run_all(graph, args):
     return sections
 
 
-def render_text(report, indent=0):
-    """`key: value` or `- value` lines; a nested container goes below.
-    A list of lists of str that `_plain_strings` passes, such as the
-    clique basis, is written a row a line by one join each, as
-    `json.dumps` writes the row."""
-    pad = "  " * indent
-    if isinstance(report, dict):
-        items = (("%s%s:" % (pad, k), v) for k, v in report.items())
-    elif set(map(type, report)) <= {list} and _plain_strings(report):
-        return ['%s- ["%s"]' % (pad, '", "'.join(row)) if row
-                else pad + "- []" for row in report]
-    else:
-        items = ((pad + "-", v) for v in report)
-    lines = []
-    for head, v in items:
-        if isinstance(v, dict) and v or isinstance(v, list) and any(
-                isinstance(x, (dict, list)) for x in v):
-            lines.append(head)
-            lines.extend(render_text(v, indent + 1))
-        else:
-            lines.append("%s %s" % (head, _flat(v)))
-    return lines
-
-
-def _flat(v):
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    return json.dumps(v) if isinstance(v, (dict, list)) else str(v)
-
-
-# keyed by exact type, so a bool is never written by `int.__repr__`
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-            bool: ("false", "true").__getitem__,
-            type(None): {None: "null"}.__getitem__}
-_EMPTY = {list: "[]", tuple: "[]", dict: "{}"}
-# what the C quoting leaves alone: printable ASCII but `"` and backslash
-_PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
-
-
-def _plain(text):
-    """True if the C quoting adds only the two quotes, by `translate`."""
-    return text.isascii() and not text.encode().translate(None, _PLAIN)
-
-
-def _plain_strings(rows):
-    """True if every item of every row is an exact str that the C quoting
-    leaves alone: the rows that both writers quote by the join itself."""
-    return (set(map(type, chain.from_iterable(rows))) <= {str}
-            and _plain("".join(set(chain.from_iterable(rows)))))
-
-
-def dump_json(value, pad="\n"):
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, at
-    the nesting level whose line break and indent are `pad`.  Where
-    `indent` is set, the standard library makes one Python call per
-    value; here a call is made only for a nested, non-empty container.
-    A dict value or list item whose exact type is str, int, bool or None
-    is written in place, by the C quoting, `int.__repr__` or its JSON
-    literal, and so is an empty list, tuple or dict.  A list or tuple of
-    one such type is one join over that writer.  A list of str whose
-    joined text the C quoting leaves alone (printable ASCII with no `"`
-    or backslash) is quoted by the join itself, and so is a list of str
-    lists, such as the clique basis, that `_plain_strings` passes."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        sep = "," + inner
-        parts = ["{", inner]
-        # the leaf rule of the list loop below, inlined in both loops
-        # because a shared helper would cost a call per container
-        try:
-            for k in sorted(value):
-                v = value[k]
-                scalar = _SCALARS.get(type(v))
-                if scalar:
-                    text = scalar(v)
-                elif type(v) in _EMPTY and not v:
-                    text = _EMPTY[type(v)]
-                else:
-                    text = dump_json(v, inner)
-                parts += encode_basestring_ascii(k), ": ", text, sep
-        except TypeError:
-            # json.dumps writes int, float, bool and None keys as
-            # strings, and refuses keys it cannot sort or write and
-            # values it cannot write
-            return json.dumps(value, indent=2, sort_keys=True).replace(
-                "\n", pad)
-        parts[-1] = pad + "}"
-        return "".join(parts)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        sep = "," + inner
-        kinds = set(map(type, value))
-        # string lists: the types first, as a deeper list is unhashable
-        if kinds <= {list, tuple} and _plain_strings(value):
-            head, mid, tail = f'[{inner}  "', f'",{inner}  "', f'"{inner}]'
-            # a generator: `join` frees the rows before the text is wrapped
-            rows = (f"{head}{mid.join(v)}{tail}" if v else "[]" for v in value)
-            return f"[{inner}{sep.join(rows)}{pad}]"
-        if len(kinds) == 1:
-            (kind,) = kinds
-            if kind is str and _plain("".join(value)):
-                return '[%s"%s"%s]' % (
-                    inner, ('"' + sep + '"').join(value), pad)
-            scalar = _SCALARS.get(kind)
-            if scalar:
-                return "[%s%s%s]" % (inner, sep.join(map(scalar, value)), pad)
-        parts = ["[", inner]
-        for v in value:
-            scalar = _SCALARS.get(type(v))
-            if scalar:
-                parts += scalar(v), sep
-            elif type(v) in _EMPTY and not v:
-                parts += _EMPTY[type(v)], sep
-            else:
-                parts += dump_json(v, inner), sep
-        parts[-1] = pad + "]"
-        return "".join(parts)
-    scalar = _SCALARS.get(type(value))
-    if scalar:
-        return scalar(value)
-    return json.dumps(value)
-
-
 @contextlib.contextmanager
 def exact_integers():
     """Lift CPython's cap on the digits of an int written as a string
@@ -441,7 +382,11 @@ def main(argv=None):
 
 
 def _main(argv):
-    args = PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_canonical(argv)
+    if args is None:
+        args = PARSER.parse_args(argv)
     sub = args.subcommand
     # `kunneth` reads a graph only when given one, `counterexample` never
     reads_graph = (args.input is not None

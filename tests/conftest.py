@@ -759,7 +759,7 @@ def neighbourhood_split(graph, x):
 
 
 def per_item_render_text(report, indent=0):
-    """Reference `cli.render_text`: every leaf list written by its own
+    """Reference `writers.render_text`: every leaf list written by its own
     `json.dumps`, a clique-basis row included."""
     pad = "  " * indent
     if isinstance(report, dict):

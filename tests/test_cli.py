@@ -12,9 +12,10 @@ from math import comb
 
 import pytest
 
-from racgk import bredon, cli, graphs, intlinalg, kring
-from racgk.cli import dump_json, main
+from racgk import bredon, cli, graphs, intlinalg, kring, writers
+from racgk.cli import main
 from racgk.graphs import Graph
+from racgk.writers import dump_json
 from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
                       dense_differentials, glue64, graph_suite,
                       neighbourhood_split, per_item_render_text,
@@ -664,19 +665,19 @@ def test_plain_text_is_what_the_quoting_leaves_alone():
     chars = [chr(c) for c in range(0x300)] + ["\u2028", "\U0001f600"]
     for c in chars:
         for text in (c, "ab" + c, c + c + "z"):
-            assert cli._plain(text) == (
+            assert writers._plain(text) == (
                 encode_basestring_ascii(text) == '"%s"' % text), repr(text)
-    assert cli._plain("")
+    assert writers._plain("")
 
 
 def test_json_writer_joins_the_clique_basis_in_one_call(monkeypatch):
-    writer, calls = cli.dump_json, []
+    writer, calls = writers.dump_json, []
 
     def counting(value, pad="\n"):
         calls.append(value)
         return writer(value, pad)
 
-    monkeypatch.setattr(cli, "dump_json", counting)
+    monkeypatch.setattr(writers, "dump_json", counting)
     basis = cycle_graph(64).clique_labels
     assert counting(basis) == json.dumps(basis, indent=2)
     assert len(calls) == 1
@@ -811,7 +812,7 @@ def test_integers_past_the_digit_cap_are_written_exactly():
         text = dump_json(value)
         assert text == json.dumps(value, indent=2, sort_keys=True)
         assert json.loads(text) == value
-        lines = cli.render_text(value)
+        lines = writers.render_text(value)
         digits = str(LONG)
     assert len(digits) > 4300
     assert lines == ["index: " + digits, "indices: [%s, 1]" % digits,

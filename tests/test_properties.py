@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from racgk.bredon import (bredon_ranks, build_bredon_complex, cohomology,
                           cone_certificate)
-from racgk.cli import dump_json, render_text
 from racgk.graphs import (Graph, clique_counts, cliques_within,
                           enumerate_spherical, parse_graph, poset_chains,
                           submasks)
@@ -29,6 +28,7 @@ from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          group_ring_product, ideal_power, ideal_powers,
                          mayer_vietoris_check, multiply_bar, multiply_star)
 from racgk.repring import RepRingElement, RepRingError
+from racgk.writers import dump_json, render_text
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
                       assert_limit_matches_apex, brute_force_cliques,
