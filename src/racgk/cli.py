@@ -1,8 +1,12 @@
 """Command-line entry point.
 
 Reads a graph file, dispatches the requested computation, and emits a
-reproducible report (text or JSON).  Exit codes: 0 success, 1 a
-verified mathematical property failed, 2 usage, I/O or memory error.
+reproducible report (text or JSON).  Which options each subcommand
+takes, and which subcommands read no graph, is stated once, in
+`OPTIONS` and `GRAPH_FREE`: the help text, the refusals of an option a
+subcommand would ignore and the one dispatch path all read them.  Exit
+codes: 0 success, 1 a verified mathematical property failed, 2 usage,
+I/O or memory error.
 """
 
 import argparse
@@ -32,25 +36,28 @@ INPUT_CAP = 1 << 24
 
 SUBCOMMANDS = ("ktheory", "bgw", "bredon", "limit", "kunneth",
                "counterexample", "mv-check", "all")
-# each option's type (a tuple of choices, or None for a flag), default
-# and help, in the order `--help` lists them
+# the subcommands that read no graph unless given `--input`, which
+# `counterexample` refuses
+GRAPH_FREE = ("kunneth", "counterexample")
+# each option's type (a tuple of choices, or None for a flag), default,
+# the subcommands it applies to (None for all of them) and help, in the
+# order `--help` lists them; a given `str` value may not be empty
 OPTIONS = {
-    "--input": (str, None,
-                "graph file (edge-list, or JSON with --json)"),
-    "--json-input": (None, None, "parse the input file as JSON"),
-    "--format": (("text", "json"), "text", None),
-    "--precision": (int, None,
-                    "bgw and all only: 2-adic truncation exponent for "
-                    "the completed ring (default 32, at most 2^20)"),
-    "--kunneth-max": (int, None,
-                      "kunneth and all only: the highest tensor power "
-                      "(default 4)"),
-    "--seed": (int, 0, "seed for randomized property samples"),
-    "--partition": (str, None, "mv-check only: partition file of two "
+    "--input": (str, None, None,
+                "graph file (edge-list, or JSON with --json-input)"),
+    "--json-input": (None, None, None, "parse the input file as JSON"),
+    "--format": (("text", "json"), "text", None, None),
+    "--precision": (int, None, ("bgw", "all"),
+                    "2-adic truncation exponent for the completed ring "
+                    "(default 32, at most 2^20)"),
+    "--kunneth-max": (int, None, ("kunneth", "all"),
+                      "the highest tensor power (default 4)"),
+    "--seed": (int, 0, None, "seed for randomized property samples"),
+    "--partition": (str, None, ("mv-check",), "partition file of two "
                     "lines of whitespace-separated vertex labels"),
-    "--dump-matrices": (str, None,
-                        "bredon and all only: write each differential as "
-                        "`row col value` triplet lines to FILE.k"),
+    "--dump-matrices": (str, None, ("bredon", "all"),
+                        "write each differential as `row col value` "
+                        "triplet lines to FILE.k"),
 }
 
 
@@ -59,7 +66,9 @@ def build_parser():
         prog="racgk",
         description="K-theory of right-angled Coxeter groups from a graph")
     p.add_argument("subcommand", choices=SUBCOMMANDS)
-    for name, (kind, default, help) in OPTIONS.items():
+    for name, (kind, default, scope, help) in OPTIONS.items():
+        if scope:
+            help = "%s only: %s" % (" and ".join(scope), help)
         if kind is None:
             p.add_argument(name, action="store_true", default=default,
                            help=help)
@@ -74,8 +83,7 @@ def build_parser():
 PARSER = build_parser()
 # each option's attribute, and the attributes' defaults, as `PARSER` has them
 _DESTS = {name: name[2:].replace("-", "_") for name in OPTIONS}
-_DEFAULTS = {_DESTS[name]: default
-            for name, (_kind, default, _help) in OPTIONS.items()}
+_DEFAULTS = {dest: OPTIONS[name][1] for name, dest in _DESTS.items()}
 
 
 def parse_canonical(argv):
@@ -139,7 +147,7 @@ def read_text(path):
 
 
 def load_graph(args):
-    if not args.input:
+    if args.input is None:
         raise GraphError("subcommand %r requires --input" % args.subcommand)
     return parse_graph(read_text(args.input),
                        "json" if args.json_input else "edge-list")
@@ -231,7 +239,7 @@ def run_bredon(graph, args):
 
 
 def bredon_section(graph, certificate, args):
-    if args.dump_matrices:
+    if args.dump_matrices is not None:
         # counted, so a complex too large to hold is never built
         cells = sum(certificate.ranks)
         if cells > DUMP_CELL_CAP:
@@ -288,7 +296,7 @@ def run_kunneth(graph, args):
     return {"cases": reports, "ok": all(r["ok"] for r in reports)}
 
 
-def run_counterexample():
+def run_counterexample(graph, args):
     d8 = charlab.lemma_d8_report()
     c4 = charlab.lemma_c4_real_report()
     return {"dihedral8_to_center": d8, "c4_real_to_c2": c4,
@@ -296,7 +304,7 @@ def run_counterexample():
 
 
 def run_mv_check(graph, args):
-    if not args.partition:
+    if args.partition is None:
         raise GraphError("mv-check requires --partition")
     lines = [l.split() for l in read_text(args.partition).splitlines()
              if l.strip()]
@@ -320,7 +328,7 @@ def run_all(graph, args):
         "bredon": bredon_report,
         "limit": limit_section(graph, certificate),
         "kunneth": run_kunneth(graph, args),
-        "counterexample": run_counterexample(),
+        "counterexample": run_counterexample(None, args),
     }
     coh = bredon_report["cohomology"]
     cross = {
@@ -342,9 +350,7 @@ def run_all(graph, args):
     if failed:
         cross["detail"] = failed
     sections["rank_cross_check"] = cross
-    sections["ok"] = cross["ok"] and all(
-        sections[k].get("ok", True) for k in
-        ("ktheory", "bgw", "bredon", "limit", "kunneth", "counterexample"))
+    sections["ok"] = all(section["ok"] for section in sections.values())
     return sections
 
 
@@ -388,20 +394,23 @@ def _main(argv):
     if args is None:
         args = PARSER.parse_args(argv)
     sub = args.subcommand
-    # `kunneth` reads a graph only when given one, `counterexample` never
-    reads_graph = (args.input is not None
-                   or sub not in ("kunneth", "counterexample"))
-    for option, applies, scope in (
-            ("precision", sub in ("bgw", "all"), "to bgw and all"),
-            ("kunneth_max", sub in ("kunneth", "all"), "to kunneth and all"),
-            ("dump_matrices", sub in ("bredon", "all"), "to bredon and all"),
-            ("partition", sub == "mv-check", "to mv-check"),
-            ("input", sub != "counterexample",
-             "to a subcommand that reads a graph"),
-            ("json_input", reads_graph, "where a graph is read")):
-        if getattr(args, option) is not None and not applies:
-            PARSER.exit(USAGE_ERROR, "error: --%s applies only %s\n"
-                        % (option.replace("_", "-"), scope))
+    for name, (_kind, _default, scope, _help) in OPTIONS.items():
+        if (scope and sub not in scope
+                and getattr(args, _DESTS[name]) is not None):
+            PARSER.exit(USAGE_ERROR, "error: %s applies only to %s\n"
+                        % (name, " and ".join(scope)))
+    if sub == "counterexample" and args.input is not None:
+        PARSER.exit(USAGE_ERROR, "error: --input applies only to a "
+                    "subcommand that reads a graph\n")
+    reads_graph = args.input is not None or sub not in GRAPH_FREE
+    if args.json_input and not reads_graph:
+        PARSER.exit(USAGE_ERROR, "error: --json-input applies only where a "
+                    "graph is read\n")
+    # only a `str` option, a path, can be given an empty value
+    for name, dest in _DESTS.items():
+        if getattr(args, dest) == "":
+            PARSER.exit(USAGE_ERROR, "error: %s was given an empty path\n"
+                        % name)
     if (args.precision is not None and args.precision < 1
             or args.kunneth_max is not None
             and not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP):
@@ -416,30 +425,18 @@ def _main(argv):
                   args.precision // 8 + 1, PRECISION_CAP), file=sys.stderr)
         return USAGE_ERROR
     try:
-        if args.subcommand == "counterexample":
-            report = run_counterexample()
-            header = {}
-        elif args.subcommand == "kunneth" and not args.input:
-            report = run_kunneth(None, args)
-            header = {}
-        else:
-            graph = load_graph(args)
-            header = {"graph": graph_header(graph)}
-            runner = {
-                "ktheory": run_ktheory, "bgw": run_bgw, "bredon": run_bredon,
-                "limit": run_limit, "kunneth": run_kunneth,
-                "mv-check": run_mv_check, "all": run_all,
-            }[args.subcommand]
-            report = runner(graph, args)
+        graph = load_graph(args) if reads_graph else None
+        # looked up when called, so that a patched runner is the one run
+        report = globals()["run_" + sub.replace("-", "_")](graph, args)
     except (GraphError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_ERROR
     except MemoryError:
-        print("error: %s ran out of memory on this graph" % args.subcommand,
+        print("error: %s ran out of memory on this graph" % sub,
               file=sys.stderr)
         return USAGE_ERROR
-    payload = dict(header)
-    payload["subcommand"] = args.subcommand
+    payload = {} if graph is None else {"graph": graph_header(graph)}
+    payload["subcommand"] = sub
     payload["seed"] = args.seed
     payload.update(report)
     try:
@@ -447,7 +444,7 @@ def _main(argv):
                 else "\n".join(render_text(payload)))
     except (ValueError, MemoryError) as e:
         # an int past the digit cap where it could not be lifted
-        print("error: cannot write the %s report: %s" % (args.subcommand, e),
+        print("error: cannot write the %s report: %s" % (sub, e),
               file=sys.stderr)
         return USAGE_ERROR
     # flushed here, so that a closed stdout raises in `main`, not at exit

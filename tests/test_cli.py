@@ -1,4 +1,5 @@
 import contextlib
+import glob
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tokenize
 from json.encoder import encode_basestring_ascii
 from math import comb
 
@@ -501,6 +503,155 @@ def test_precision_and_kunneth_max_apply_where_they_are_read(capsys,
         "error: --precision applies only to bgw and all\n")
 
 
+HELP = """\
+usage: racgk [-h] [--input INPUT] [--json-input] [--format {text,json}]
+             [--precision PRECISION] [--kunneth-max KUNNETH_MAX] [--seed SEED]
+             [--partition PARTITION] [--dump-matrices DUMP_MATRICES]
+             {ktheory,bgw,bredon,limit,kunneth,counterexample,mv-check,all}
+
+K-theory of right-angled Coxeter groups from a graph
+
+positional arguments:
+  {ktheory,bgw,bredon,limit,kunneth,counterexample,mv-check,all}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         graph file (edge-list, or JSON with --json-input)
+  --json-input          parse the input file as JSON
+  --format {text,json}
+  --precision PRECISION
+                        bgw and all only: 2-adic truncation exponent for the
+                        completed ring (default 32, at most 2^20)
+  --kunneth-max KUNNETH_MAX
+                        kunneth and all only: the highest tensor power
+                        (default 4)
+  --seed SEED           seed for randomized property samples
+  --partition PARTITION
+                        mv-check only: partition file of two lines of
+                        whitespace-separated vertex labels
+  --dump-matrices DUMP_MATRICES
+                        bredon and all only: write each differential as `row
+                        col value` triplet lines to FILE.k
+"""
+
+
+def test_the_help_text_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # Python 3.10 titles the options section "optional arguments"
+    assert out.replace("optional arguments:", "options:") == HELP
+
+
+# each option a subcommand would ignore, given alone to a subcommand
+# that otherwise runs, and the one line it is refused with
+SCOPE_ERRORS = [
+    (["--precision", "9"], ["ktheory", "bredon", "limit", "kunneth",
+                            "counterexample", "mv-check"],
+     "error: --precision applies only to bgw and all\n"),
+    (["--kunneth-max", "2"], ["ktheory", "bgw", "bredon", "limit",
+                              "counterexample", "mv-check"],
+     "error: --kunneth-max applies only to kunneth and all\n"),
+    (["--partition", "P"], ["ktheory", "bgw", "bredon", "limit", "kunneth",
+                            "counterexample", "all"],
+     "error: --partition applies only to mv-check\n"),
+    (["--dump-matrices", "d"], ["ktheory", "bgw", "limit", "kunneth",
+                                "counterexample", "mv-check"],
+     "error: --dump-matrices applies only to bredon and all\n"),
+    (["--input", "G"], ["counterexample"],
+     "error: --input applies only to a subcommand that reads a graph\n"),
+    (["--json-input"], ["counterexample", "kunneth"],
+     "error: --json-input applies only where a graph is read\n"),
+]
+
+
+def runnable(sub):
+    """The argv on which `sub` runs and reports, with the files it reads
+    named G and P."""
+    return [sub] + {"kunneth": [], "counterexample": [],
+                    "mv-check": ["--input", "G", "--partition", "P"]}.get(
+                        sub, ["--input", "G"])
+
+
+@pytest.mark.parametrize("sub, option, line", [
+    (sub, option, line) for option, subs, line in SCOPE_ERRORS
+    for sub in subs])
+def test_each_option_a_subcommand_ignores_is_named(monkeypatch, capsys,
+                                                   tmp_path, sub, option,
+                                                   line):
+    (tmp_path / "G").write_text("s t u; s-t t-u\n")
+    (tmp_path / "P").write_text("s t\nt u\n")
+    monkeypatch.chdir(tmp_path)
+    argv = runnable(sub)
+    assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + option)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", line)
+    assert sorted(os.listdir(tmp_path)) == ["G", "P"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["kunneth", "--input", "", "--json-input"], "--input"),
+    (["kunneth", "--input", ""], "--input"),
+    (["bredon", "--input", ""], "--input"),
+    (["all", "--input", "G", "--input", ""], "--input"),
+    (["bredon", "--input", "G", "--dump-matrices", ""], "--dump-matrices"),
+    (["all", "--input", "G", "--dump-matrices", ""], "--dump-matrices"),
+    (["mv-check", "--input", "G", "--partition", ""], "--partition"),
+], ids=["kunneth-json", "kunneth", "bredon-input", "all-input-repeated",
+        "bredon-dump", "all-dump", "mv-check-partition"])
+def test_a_given_empty_path_is_refused(monkeypatch, capsys, tmp_path, argv,
+                                       option):
+    # given, so neither ignored nor taken for a missing option; an empty
+    # dump prefix would write `.0`, `.1`, ... into the working directory
+    (tmp_path / "G").write_text("s t u; s-t t-u\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: %s was given an empty path\n" % option)
+    assert os.listdir(tmp_path) == ["G"]
+
+
+def unsound(name, key):
+    """A wrapper of `cli.<name>` whose report has `ok` made false, or
+    the number under `key` made one larger."""
+    original = getattr(cli, name)
+
+    def wrapper(*args):
+        report = original(*args)
+        report[key] = False if key == "ok" else report[key] + 1
+        return report
+    return wrapper
+
+
+@pytest.mark.parametrize("section, name, key", [
+    ("ktheory", "run_ktheory", "ok"),
+    ("bgw", "run_bgw", "ok"),
+    ("bredon", "bredon_section", "ok"),
+    ("limit", "limit_section", "ok"),
+    ("kunneth", "run_kunneth", "ok"),
+    ("counterexample", "run_counterexample", "ok"),
+    # the ktheory section still passes, with a rank H^0 does not have
+    ("rank_cross_check", "run_ktheory", "rank"),
+])
+def test_all_fails_with_any_one_section(monkeypatch, capsys, pentagon_file,
+                                        section, name, key):
+    monkeypatch.setattr(cli, name, unsound(name, key))
+    code, rep = run_json(capsys, ["all", "--input", pentagon_file])
+    assert code == 1 and rep["ok"] is False
+    assert {k: v["ok"] for k, v in rep.items() if isinstance(v, dict)
+            and "ok" in v} == {
+        k: k != section for k in ("ktheory", "bgw", "bredon", "limit",
+                                  "kunneth", "counterexample",
+                                  "rank_cross_check")}
+
+
 def edge_list(labels, edges):
     return "%s; %s\n" % (" ".join(labels),
                          " ".join("%s-%s" % tuple(e) for e in edges))
@@ -531,6 +682,22 @@ def test_every_span_target_is_a_racgk_attribute():
             assert hasattr(obj, name), (module, path)
             obj = getattr(obj, name)
     assert len(targets) > 20
+
+
+# the most code tokens one module of `src/racgk` may hold: the benchmark
+# worker compiles `src/` at import, and a module past 4096 tokens
+# doubles the parser's token buffer, which raised `peak_rss_mb` in 12 of
+# 12 paired runs though the program's working set did not grow
+MODULE_TOKEN_CAP = 4096
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(
+    os.path.join(ROOT, "src", "racgk", "*.py"))), ids=os.path.basename)
+def test_each_module_stays_under_the_token_cap(path):
+    with open(path, encoding="utf-8") as fh:
+        tokens = [t for t in tokenize.generate_tokens(fh.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < MODULE_TOKEN_CAP
 
 
 def suite_graphs():

@@ -130,7 +130,7 @@ def option_values(sub, tmp):
                          "two"]),
         "--kunneth-max": (["1", "2", "4", "6"], ["0", "7", "x"]),
         "--dump-matrices": ([os.path.join(tmp, "d")],
-                            [os.path.join(tmp, "none", "d")]),
+                            [os.path.join(tmp, "none", "d"), ""]),
     }
     reads = {"--precision": ("bgw", "all"),
              "--kunneth-max": ("kunneth", "all"),
@@ -223,7 +223,7 @@ def argv(draw, sub, tmp):
         path = write(os.path.join(tmp, name), text)
         if fault == "input path":
             path = draw(st.sampled_from([os.path.join(tmp, "none"), tmp,
-                                         path]))
+                                         "", path]))
         args += ["--input", path]
     if "--input" in args and json_input != (fault == "input format"):
         args += ["--json-input"]
