@@ -2,11 +2,12 @@
 
 Reads a graph file, dispatches the requested computation, and emits a
 reproducible report (text or JSON).  Which options each subcommand
-takes, and which subcommands read no graph, is stated once, in
-`OPTIONS` and `GRAPH_FREE`: the help text, the refusals of an option a
-subcommand would ignore and the one dispatch path all read them.  Exit
-codes: 0 success, 1 a verified mathematical property failed, 2 usage,
-I/O or memory error.
+takes and which it requires, `--input` among them for every subcommand
+that reads a graph, is stated once, in `OPTIONS`: the help text, the
+refusals made before any file is read and the one dispatch path all
+read it.  `main` returns the exit code for every argv: 0 success, 1 a
+verified mathematical property failed, 2 usage, I/O or memory error,
+each refusal with one `error:` line on stderr.
 """
 
 import argparse
@@ -36,29 +37,36 @@ INPUT_CAP = 1 << 24
 
 SUBCOMMANDS = ("ktheory", "bgw", "bredon", "limit", "kunneth",
                "counterexample", "mv-check", "all")
-# the subcommands that read no graph unless given `--input`, which
-# `counterexample` refuses
-GRAPH_FREE = ("kunneth", "counterexample")
+# the subcommands that read a graph; `kunneth` and `counterexample` read none
+READS_GRAPH = ("ktheory", "bgw", "bredon", "limit", "mv-check", "all")
 # each option's type (a tuple of choices, or None for a flag), default,
-# the subcommands it applies to (None for all of them) and help, in the
-# order `--help` lists them; a given `str` value may not be empty
+# the subcommands it applies to (None for all of them), whether each of
+# them requires it, and help, in the order `--help` lists them; a given
+# `str` value may not be empty
 OPTIONS = {
-    "--input": (str, None, None,
+    "--input": (str, None, READS_GRAPH, True,
                 "graph file (edge-list, or JSON with --json-input)"),
-    "--json-input": (None, None, None, "parse the input file as JSON"),
-    "--format": (("text", "json"), "text", None, None),
-    "--precision": (int, None, ("bgw", "all"),
+    "--json-input": (None, None, READS_GRAPH, False,
+                     "parse the input file as JSON"),
+    "--format": (("text", "json"), "text", None, False, None),
+    "--precision": (int, None, ("bgw", "all"), False,
                     "2-adic truncation exponent for the completed ring "
                     "(default 32, at most 2^20)"),
-    "--kunneth-max": (int, None, ("kunneth", "all"),
+    "--kunneth-max": (int, None, ("kunneth", "all"), False,
                       "the highest tensor power (default 4)"),
-    "--seed": (int, 0, None, "seed for randomized property samples"),
-    "--partition": (str, None, ("mv-check",), "partition file of two "
-                    "lines of whitespace-separated vertex labels"),
-    "--dump-matrices": (str, None, ("bredon", "all"),
+    "--seed": (int, 0, None, False, "seed for randomized property samples"),
+    "--partition": (str, None, ("mv-check",), True, "partition file of "
+                    "two lines of whitespace-separated vertex labels"),
+    "--dump-matrices": (str, None, ("bredon", "all"), False,
                         "write each differential as `row col value` "
                         "triplet lines to FILE.k"),
 }
+
+
+def listed(names):
+    """The names as `A`, `A and B` or `A, B and C`."""
+    *rest, last = names
+    return ", ".join(rest) + " and " + last if rest else last
 
 
 def build_parser():
@@ -66,16 +74,12 @@ def build_parser():
         prog="racgk",
         description="K-theory of right-angled Coxeter groups from a graph")
     p.add_argument("subcommand", choices=SUBCOMMANDS)
-    for name, (kind, default, scope, help) in OPTIONS.items():
+    for name, (kind, default, scope, _required, help) in OPTIONS.items():
         if scope:
-            help = "%s only: %s" % (" and ".join(scope), help)
-        if kind is None:
-            p.add_argument(name, action="store_true", default=default,
-                           help=help)
-        elif kind in (str, int):
-            p.add_argument(name, type=kind, default=default, help=help)
-        else:
-            p.add_argument(name, choices=kind, default=default, help=help)
+            help = "%s only: %s" % (listed(scope), help)
+        how = ({"action": "store_true"} if kind is None else {"type": kind}
+               if kind in (str, int) else {"choices": kind})
+        p.add_argument(name, default=default, help=help, **how)
     return p
 
 
@@ -147,8 +151,6 @@ def read_text(path):
 
 
 def load_graph(args):
-    if args.input is None:
-        raise GraphError("subcommand %r requires --input" % args.subcommand)
     return parse_graph(read_text(args.input),
                        "json" if args.json_input else "edge-list")
 
@@ -304,8 +306,6 @@ def run_counterexample(graph, args):
 
 
 def run_mv_check(graph, args):
-    if args.partition is None:
-        raise GraphError("mv-check requires --partition")
     lines = [l.split() for l in read_text(args.partition).splitlines()
              if l.strip()]
     if not 1 <= len(lines) <= 2:
@@ -382,9 +382,14 @@ def main(argv=None):
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            print("error: standard output was closed before the report "
-                  "was written", file=sys.stderr)
-            return USAGE_ERROR
+            return refuse("standard output was closed before the report "
+                          "was written")
+
+
+def refuse(message):
+    """Write the one `error:` line of a refused run, and return its code."""
+    print("error: %s" % message, file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _main(argv):
@@ -392,49 +397,44 @@ def _main(argv):
         argv = sys.argv[1:]
     args = parse_canonical(argv)
     if args is None:
-        args = PARSER.parse_args(argv)
+        try:
+            args = PARSER.parse_args(argv)
+        except SystemExit as e:
+            # argparse wrote `--help` or its usage error
+            return e.code
     sub = args.subcommand
-    for name, (_kind, _default, scope, _help) in OPTIONS.items():
+    for name, (_kind, _default, scope, _required, _help) in OPTIONS.items():
         if (scope and sub not in scope
                 and getattr(args, _DESTS[name]) is not None):
-            PARSER.exit(USAGE_ERROR, "error: %s applies only to %s\n"
-                        % (name, " and ".join(scope)))
-    if sub == "counterexample" and args.input is not None:
-        PARSER.exit(USAGE_ERROR, "error: --input applies only to a "
-                    "subcommand that reads a graph\n")
-    reads_graph = args.input is not None or sub not in GRAPH_FREE
-    if args.json_input and not reads_graph:
-        PARSER.exit(USAGE_ERROR, "error: --json-input applies only where a "
-                    "graph is read\n")
+            return refuse("%s applies only to %s" % (name, listed(scope)))
     # only a `str` option, a path, can be given an empty value
     for name, dest in _DESTS.items():
         if getattr(args, dest) == "":
-            PARSER.exit(USAGE_ERROR, "error: %s was given an empty path\n"
-                        % name)
+            return refuse("%s was given an empty path" % name)
     if (args.precision is not None and args.precision < 1
             or args.kunneth_max is not None
             and not 1 <= args.kunneth_max <= bredon.KUNNETH_CAP):
-        PARSER.exit(USAGE_ERROR, "error: precision must be >= 1 and "
-                    "kunneth-max between 1 and %d\n" % bredon.KUNNETH_CAP)
+        return refuse("precision must be >= 1 and kunneth-max between 1 "
+                      "and %d" % bredon.KUNNETH_CAP)
     if args.precision is not None and args.precision > PRECISION_CAP:
         # refused before any 2^precision is built, and before `all`
         # runs any section
-        print("error: %s --precision %d would build 2^%d, an integer of "
-              "%d bytes; the cap is %d" % (
-                  sub, args.precision, args.precision,
-                  args.precision // 8 + 1, PRECISION_CAP), file=sys.stderr)
-        return USAGE_ERROR
+        return refuse("%s --precision %d would build 2^%d, an integer of "
+                      "%d bytes; the cap is %d" % (
+                          sub, args.precision, args.precision,
+                          args.precision // 8 + 1, PRECISION_CAP))
+    # a file the subcommand reads is named before any file is read
+    for name, (_kind, _default, scope, required, _help) in OPTIONS.items():
+        if required and sub in scope and getattr(args, _DESTS[name]) is None:
+            return refuse("%s requires %s" % (sub, name))
     try:
-        graph = load_graph(args) if reads_graph else None
+        graph = None if args.input is None else load_graph(args)
         # looked up when called, so that a patched runner is the one run
         report = globals()["run_" + sub.replace("-", "_")](graph, args)
     except (GraphError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return USAGE_ERROR
+        return refuse(e)
     except MemoryError:
-        print("error: %s ran out of memory on this graph" % sub,
-              file=sys.stderr)
-        return USAGE_ERROR
+        return refuse("%s ran out of memory on this graph" % sub)
     payload = {} if graph is None else {"graph": graph_header(graph)}
     payload["subcommand"] = sub
     payload["seed"] = args.seed
@@ -444,9 +444,7 @@ def _main(argv):
                 else "\n".join(render_text(payload)))
     except (ValueError, MemoryError) as e:
         # an int past the digit cap where it could not be lifted
-        print("error: cannot write the %s report: %s" % (sub, e),
-              file=sys.stderr)
-        return USAGE_ERROR
+        return refuse("cannot write the %s report: %s" % (sub, e))
     # flushed here, so that a closed stdout raises in `main`, not at exit
     print(text, flush=True)
     return 0 if report.get("ok", True) else ASSERTION_FAILURE

@@ -35,7 +35,7 @@ class Graph:
     The declared vertex order is preserved verbatim; it fixes the
     bitmask encoding of vertex subsets and hence every monomial and
     matrix ordering downstream.  Labels and edges are validated here, at
-    the input boundary; `induced` builds parts from the parent's masks.
+    the input boundary, for every graph: `induced` builds its parts here.
     """
 
     def __init__(self, vertices, edges):
@@ -148,27 +148,13 @@ class Graph:
         return tuple(self.labels[i] for i in self.members(mask))
 
     def induced(self, mask):
-        """Full subgraph on the vertex mask, preserving vertex order: its
-        i-th vertex is the mask's i-th member, and its masks the parent's
-        inside the mask, renumbered so, with nothing validated again."""
-        members = self.members(mask)
-        sub = Graph.__new__(Graph)
-        sub.labels = tuple(self.labels[v] for v in members)
-        sub.index = {v: i for i, v in enumerate(sub.labels)}
-        sub.n = len(members)
-        sub.adj = adj = [0] * sub.n
-        edges = []
-        for i, v in enumerate(members):
-            above = self.adj[v] & mask >> v + 1 << v + 1
-            while above:
-                bit = above & -above
-                above ^= bit
-                j = (mask & bit - 1).bit_count()
-                adj[i] |= _BITS[j]
-                adj[j] |= _BITS[i]
-                edges.append((i, j))
-        sub.edges = frozenset(edges)
-        return sub
+        """Full subgraph on the vertex mask, preserving vertex order: the
+        constructor's, from the parent's labels in the mask and its edges
+        inside it."""
+        labels = self.labels
+        return Graph(self.subset_labels(mask),
+                     [(labels[i], labels[j]) for i, j in self.edges
+                      if mask >> i & mask >> j & 1])
 
     def canonical_edge_list(self):
         return sorted((self.labels[i], self.labels[j]) for i, j in self.edges)

@@ -143,8 +143,9 @@ def label_order_counts(graph):
 
 
 def label_route_induced(graph, mask):
-    """Reference `Graph.induced`: the full subgraph built again from its
-    labels and label edges, through the validating constructor."""
+    """Reference `Graph.induced`: the full subgraph through the validating
+    constructor, as `induced` builds it, but with its edges read off the
+    adjacency masks inside the mask, not off the parent's edge set."""
     labels = graph.labels
     return Graph(graph.subset_labels(mask),
                  [(labels[i], labels[j]) for i in graph.members(mask)

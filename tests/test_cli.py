@@ -25,7 +25,7 @@ from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
                       random_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "kunneth", "all"]
+GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "all"]
 
 
 @pytest.fixture
@@ -228,9 +228,7 @@ def test_kunneth_max_above_cap_is_refused(monkeypatch, capsys):
         raise AssertionError("tensor power built past the cap")
 
     monkeypatch.setattr(bredon, "interval_tensor_powers", refuse)
-    with pytest.raises(SystemExit) as exc:
-        main(["kunneth", "--kunneth-max", "7"])
-    assert exc.value.code == 2
+    assert main(["kunneth", "--kunneth-max", "7"]) == 2
     assert "kunneth-max" in capsys.readouterr().err
 
 
@@ -475,9 +473,7 @@ def test_option_a_subcommand_ignores_is_refused(capsys, tmp_path, path_file,
                                                 argv):
     argv = [{"d": str(tmp_path / "d"), "G": path_file}.get(a, a)
             for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.startswith("error: --")
@@ -496,9 +492,8 @@ def test_precision_and_kunneth_max_apply_where_they_are_read(capsys,
     assert len(rep["kunneth"]["cases"]) == 2
     code, rep = run_json(capsys, ["kunneth", "--kunneth-max", "4"])
     assert code == 0 and len(rep["cases"]) == 4
-    with pytest.raises(SystemExit) as exc:
-        main(["ktheory", "--input", pentagon_file, "--precision", "32"])
-    assert exc.value.code == 2
+    assert main(["ktheory", "--input", pentagon_file,
+                 "--precision", "32"]) == 2
     assert capsys.readouterr().err == (
         "error: --precision applies only to bgw and all\n")
 
@@ -516,8 +511,10 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --input INPUT         graph file (edge-list, or JSON with --json-input)
-  --json-input          parse the input file as JSON
+  --input INPUT         ktheory, bgw, bredon, limit, mv-check and all only:
+                        graph file (edge-list, or JSON with --json-input)
+  --json-input          ktheory, bgw, bredon, limit, mv-check and all only:
+                        parse the input file as JSON
   --format {text,json}
   --precision PRECISION
                         bgw and all only: 2-adic truncation exponent for the
@@ -537,14 +534,13 @@ options:
 
 def test_the_help_text_is_pinned(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
+    assert main(["--help"]) == 0
     out = capsys.readouterr().out
     # Python 3.10 titles the options section "optional arguments"
     assert out.replace("optional arguments:", "options:") == HELP
 
 
+READS_GRAPH = "ktheory, bgw, bredon, limit, mv-check and all"
 # each option a subcommand would ignore, given alone to a subcommand
 # that otherwise runs, and the one line it is refused with
 SCOPE_ERRORS = [
@@ -560,10 +556,10 @@ SCOPE_ERRORS = [
     (["--dump-matrices", "d"], ["ktheory", "bgw", "limit", "kunneth",
                                 "counterexample", "mv-check"],
      "error: --dump-matrices applies only to bredon and all\n"),
-    (["--input", "G"], ["counterexample"],
-     "error: --input applies only to a subcommand that reads a graph\n"),
+    (["--input", "G"], ["counterexample", "kunneth"],
+     "error: --input applies only to %s\n" % READS_GRAPH),
     (["--json-input"], ["counterexample", "kunneth"],
-     "error: --json-input applies only where a graph is read\n"),
+     "error: --json-input applies only to %s\n" % READS_GRAPH),
 ]
 
 
@@ -587,34 +583,58 @@ def test_each_option_a_subcommand_ignores_is_named(monkeypatch, capsys,
     argv = runnable(sub)
     assert main(argv + ["--format", "json"]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(argv + option)
-    assert exc.value.code == 2
+    assert main(argv + option) == 2
     assert capsys.readouterr() == ("", line)
     assert sorted(os.listdir(tmp_path)) == ["G", "P"]
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["kunneth", "--input", "", "--json-input"], "--input"),
-    (["kunneth", "--input", ""], "--input"),
-    (["bredon", "--input", ""], "--input"),
-    (["all", "--input", "G", "--input", ""], "--input"),
-    (["bredon", "--input", "G", "--dump-matrices", ""], "--dump-matrices"),
-    (["all", "--input", "G", "--dump-matrices", ""], "--dump-matrices"),
-    (["mv-check", "--input", "G", "--partition", ""], "--partition"),
+EMPTY = "error: %s was given an empty path\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    # the scope is checked first: `kunneth` reads no graph
+    (["kunneth", "--input", "", "--json-input"],
+     "error: --input applies only to %s\n" % READS_GRAPH),
+    (["kunneth", "--input", ""],
+     "error: --input applies only to %s\n" % READS_GRAPH),
+    (["bredon", "--input", ""], EMPTY % "--input"),
+    (["all", "--input", "G", "--input", ""], EMPTY % "--input"),
+    (["bredon", "--input", "G", "--dump-matrices", ""],
+     EMPTY % "--dump-matrices"),
+    (["all", "--input", "G", "--dump-matrices", ""],
+     EMPTY % "--dump-matrices"),
+    (["mv-check", "--input", "G", "--partition", ""], EMPTY % "--partition"),
 ], ids=["kunneth-json", "kunneth", "bredon-input", "all-input-repeated",
         "bredon-dump", "all-dump", "mv-check-partition"])
 def test_a_given_empty_path_is_refused(monkeypatch, capsys, tmp_path, argv,
-                                       option):
+                                       line):
     # given, so neither ignored nor taken for a missing option; an empty
     # dump prefix would write `.0`, `.1`, ... into the working directory
     (tmp_path / "G").write_text("s t u; s-t t-u\n")
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line)
+    assert os.listdir(tmp_path) == ["G"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["mv-check", "--input", "G"], "--partition"),
+    (["mv-check", "--partition", "G"], "--input"),
+    (["bredon", "--dump-matrices", "d"], "--input"),
+    (["all", "--json-input", "--seed", "3"], "--input"),
+], ids=["mv-check-partition", "mv-check-input", "bredon-input", "all-input"])
+def test_a_required_file_is_named_before_any_file_is_read(
+        monkeypatch, capsys, tmp_path, argv, option):
+    # the graph is not read only to find the partition missing
+    (tmp_path / "G").write_text("s t u; s-t t-u\n")
+    monkeypatch.chdir(tmp_path)
+
+    def unread(path):
+        raise AssertionError("%r was read" % path)
+    monkeypatch.setattr(cli, "read_text", unread)
+    assert main(argv) == 2
     assert capsys.readouterr() == (
-        "", "error: %s was given an empty path\n" % option)
+        "", "error: %s requires %s\n" % (argv[0], option))
     assert os.listdir(tmp_path) == ["G"]
 
 
@@ -1332,10 +1352,7 @@ def test_the_ktheory_witness_is_first_by_size_then_members(monkeypatch,
 
 
 def run_in_process(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -3,7 +3,8 @@
 Hypothesis drives `cli.main` in process with graph texts of at most 8
 vertices, edge-list or JSON (wrong types, odd nesting, escapes, cut
 short, long integer literals under extra keys), partition files and
-option mixes.  Every run exits 0, 1 or 2.
+option mixes, argparse's own usage errors among them.  `main` returns
+0, 1 or 2 for every run, and raises nothing.
 Exit 2 comes with exactly one `error:` line on stderr, no traceback and
 no report; exit 1 only with a report whose `ok` is false; exit 0 with
 a report whose `ok` is not false.  Each example runs under a
@@ -52,10 +53,7 @@ def run(argv):
     signal.alarm(DEADLINE_S)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
+            code = main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -115,7 +113,7 @@ JSON_VALUE = st.recursive(
 # at most one thing wrong with an example, or nothing
 FAULTS = ["graph text", "graph value", "cut short", "long literal",
           "not UTF-8", "input path", "input format", "option value",
-          "stray option", "partition"]
+          "stray option", "partition", "usage"]
 
 
 def option_values(sub, tmp):
@@ -245,6 +243,11 @@ def argv(draw, sub, tmp):
                      sub != "mv-check")
         if stray:
             args += [draw(st.sampled_from(stray)), "1"]
+    if fault == "usage":
+        # a word argparse refuses: an unknown option, an extra positional
+        # or an abbreviation that matches two options
+        args.insert(draw(st.integers(1, len(args))),
+                    draw(st.sampled_from(["--bogus", "extra", "--p"])))
     return args
 
 

@@ -126,10 +126,7 @@ def run(argv):
     """(exit code, stdout, stderr) of `cli.main(argv)` in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as e:
-            code = e.code
+        code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -167,16 +164,15 @@ def test_the_benchmark_argv_never_reaches_argparse(monkeypatch, tmp_path,
         raise AssertionError("argparse parsed %r" % (args,))
     monkeypatch.setattr(cli.PARSER, "parse_args", refuse)
     for seed in ("0", "1", str((1 << 31) - 1)):
-        argv = [sub, "--input", str(tmp_path / "g"), "--format", "json",
-                "--seed", seed]
+        argv = [sub, "--format", "json", "--seed", seed]
+        # `kunneth` and `counterexample` read no graph
+        if sub not in ("kunneth", "counterexample"):
+            argv += ["--input", str(tmp_path / "g")]
         if sub == "mv-check":
             argv += ["--partition", str(tmp_path / "p")]
         code, out, err = run(argv)
-        # `counterexample` reads no graph, and refuses `--input`
-        assert (code, bool(out)) == ((2, False) if sub == "counterexample"
-                                     else (0, True)), err
-        if out:
-            assert json.loads(out)["seed"] == int(seed)
+        assert code == 0, err
+        assert json.loads(out)["seed"] == int(seed)
 
 
 def text_mode(path):
