@@ -53,47 +53,39 @@ class CochainComplex:
 
     diffs[k] maps degree k to degree k+1 and holds one dict row
     {column: nonzero entry} per degree-(k+1) cell: the one matrix form
-    taken here, as in `coboundary_factors` and `kernel_basis`.  Row
-    counts and column ranges are checked at construction, and so is
-    d o d = 0, by multiplying every row of d^(k+1) into d^k.  The two
-    builders here establish d o d = 0 where they make the complex and
-    construct it by `_made`, which keeps the other checks:
-    `interval_tensor_powers` by the tensor rule and
-    `build_bredon_complex` by `cone_certificate`.
+    taken here, as in `coboundary_factors` and `kernel_basis`.  The
+    constructor checks the differential count, the row counts and the
+    column ranges, and d o d = 0 by multiplying every row of d^(k+1)
+    into d^k.  The two builders here fix the shape by their numbering
+    and show d o d = 0 where they make it, so they store what they make
+    by `_made`, which checks nothing: `interval_tensor_powers` by the
+    sign rule and `build_bredon_complex` by `cone_certificate`.
     """
 
     def __init__(self, ranks, diffs):
-        self._shape(ranks, diffs)
-        for k in range(len(self.diffs) - 1):
-            inner = self.diffs[k]
+        ranks = list(ranks)
+        if len(diffs) != max(len(ranks) - 1, 0):
+            raise ValueError("expected %d differentials, got %d"
+                             % (max(len(ranks) - 1, 0), len(diffs)))
+        for k, d in enumerate(diffs):
+            for row in d:
+                if row and (min(row) < 0 or max(row) >= ranks[k]):
+                    raise ValueError("d^%d has a column outside 0..%d"
+                                     % (k, ranks[k] - 1))
+            if len(d) != ranks[k + 1]:
+                raise ValueError("d^%d has %d rows, expected %d"
+                                 % (k, len(d), ranks[k + 1]))
+        self.ranks, self.diffs = ranks, [list(d) for d in diffs]
+        for k in range(len(diffs) - 1):
             for row in self.diffs[k + 1]:
-                _check_composite(k, row, inner)
+                _check_composite(k, row, self.diffs[k])
 
     @classmethod
     def _made(cls, ranks, diffs):
-        """A complex whose builder has shown d o d = 0: the row counts
-        and column ranges are checked, the composites are not."""
+        """A complex whose builder has fixed its shape and d o d = 0."""
         complex_ = cls.__new__(cls)
-        complex_._shape(ranks, diffs)
+        complex_.ranks, complex_.diffs = list(ranks), diffs
         return complex_
-
-    def _shape(self, ranks, diffs):
-        self.ranks = list(ranks)
-        if len(diffs) != max(len(self.ranks) - 1, 0):
-            raise ValueError("expected %d differentials, got %d"
-                             % (max(len(self.ranks) - 1, 0), len(diffs)))
-        self.diffs = [self._checked_rows(k, d) for k, d in enumerate(diffs)]
-
-    def _checked_rows(self, k, d):
-        cols = self.ranks[k]
-        for row in d:
-            if row and (min(row) < 0 or max(row) >= cols):
-                raise ValueError("d^%d has a column outside 0..%d"
-                                 % (k, cols - 1))
-        if len(d) != self.ranks[k + 1]:
-            raise ValueError("d^%d has %d rows, expected %d"
-                             % (k, len(d), self.ranks[k + 1]))
-        return list(d)
 
 
 def _check_composite(k, row, inner):
@@ -168,9 +160,10 @@ def build_bredon_complex(graph):
     change of each cell's coefficients, the complex splits by (a) into
     blocks on which each face carries x_K to x_K with its sign, so d o d
     there is the composite of `faces` with itself, 0 by (b) on every cube
-    of each dimension; and (m) says `faces` lists faces of the cube.  So
-    the composites are not multiplied out again here (`_made`); a caller
-    builds only after `cone_certificate(graph).ok`.
+    of each dimension; and (m) says `faces` lists faces of the cube.  The
+    row counts and column ranges follow from the numbering, so the
+    complex is stored as made (`_made`); a caller builds only after
+    `cone_certificate(graph).ok`.
 
     A face listed twice has its signs summed, and a restricted monomial
     with coefficient 0 is dropped, so every column of a row comes from
@@ -496,21 +489,22 @@ def interval_tensor_powers(top):
     row of (a, v) is a's row on the (a1, v).
 
     d o d = 0 is checked where the rule makes it.  I has one
-    differential, so its constructor's check holds vacuously.  On
-    P (x) I, d o d on the row of (a, v) is P's d o d on the row of a,
-    copied to v, and on the row of (a, e) it is P's on a, copied to e,
-    plus a's row at the (a1, 0) and (a1, 1) times the sum of the signs
-    of two consecutive degrees, which is 0 because they alternate.  P's
-    d o d = 0 was shown for the power before, so only the signs are
-    left: one (a, e) row per degree whose a has a nonempty row is
-    multiplied into the differential below, which fails unless the
-    signs cancel there, and the power is constructed by `_made`."""
+    differential, so it holds vacuously there.  On P (x) I, d o d on
+    the row of (a, v) is P's d o d on the row of a, copied to v, and on
+    the row of (a, e) it is P's on a, copied to e, plus a's row at the
+    (a1, 0) and (a1, 1) times the sum of the signs of two consecutive
+    degrees, which is 0 because they alternate.  P's d o d = 0 was
+    shown for the power before, so only the signs are left: one (a, e)
+    row per degree whose a has a nonempty row is multiplied into the
+    differential below, which fails unless the signs cancel there.  The
+    numbering fixes every row count and column range, so each power is
+    stored as made (`_made`)."""
     if top < 1:
         raise ValueError("n must be >= 1")
     if top > KUNNETH_CAP:
         raise ValueError("n=%d exceeds the cap %d (ranks grow as 3^n)"
                          % (top, KUNNETH_CAP))
-    power = CochainComplex([2, 1], [[{0: 1, 1: 1}]])
+    power = CochainComplex._made([2, 1], [[{0: 1, 1: 1}]])
     yield power
     for _ in range(top - 1):
         r = power.ranks

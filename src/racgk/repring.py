@@ -121,18 +121,3 @@ def character_interpolation(ambient, values):
             coeffs[k] = coeff
     return RepRingElement(ambient, coeffs)
 
-
-def to_json_dict(a, graph):
-    return {
-        "ambient": list(graph.subset_labels(a.ambient)),
-        "terms": [{"monomial": list(graph.subset_labels(k)),
-                   "coeff": str(c)}
-                  for k, c in sorted(a.coeffs.items())],
-    }
-
-
-def from_json_dict(data, graph):
-    ambient = graph.mask_of(data["ambient"])
-    coeffs = accumulate((graph.mask_of(term["monomial"]), int(term["coeff"]))
-                        for term in data["terms"])
-    return RepRingElement(ambient, coeffs)

@@ -698,6 +698,26 @@ def test_each_builder_multiplies_out_only_what_it_must(monkeypatch):
     assert len(calls) == sum(c.ranks[2:])
 
 
+def built_complexes():
+    """I^1..I^6, and the cubical complex of each suite graph and of
+    K4-K6 (the suite holds K1-K3), each as a build to run."""
+    for n in range(1, KUNNETH_CAP + 1):
+        yield pytest.param(lambda n=n: list(interval_tensor_powers(n))[-1],
+                           id="I^%d" % n)
+    for name, g in ([(name, g) for name, g, _ in graph_suite()]
+                    + [("K%d" % n, complete_graph(n)) for n in range(4, 7)]):
+        yield pytest.param(lambda g=g: build_bredon_complex(g), id=name)
+
+
+@pytest.mark.parametrize("build", built_complexes())
+def test_each_built_complex_passes_the_public_checks(build):
+    # the builders store what they make unchecked (`_made`); the public
+    # constructor checks the shape and d o d = 0 and keeps every row
+    c = build()
+    checked = CochainComplex(c.ranks, c.diffs)
+    assert (checked.ranks, checked.diffs) == (c.ranks, c.diffs)
+
+
 def cube_cochains(n):
     """The cochains of the n-cube written out face by face.  A face is a
     word of n letters, each 0 for the edge or 1, 2 for its two vertices,

@@ -572,8 +572,9 @@ def runnable(sub):
 
 
 @pytest.mark.parametrize("sub, option, line", [
-    (sub, option, line) for option, subs, line in SCOPE_ERRORS
-    for sub in subs])
+    pytest.param(sub, option, line,
+                 id="%s-%s" % (sub, option[0].lstrip("-")))
+    for option, subs, line in SCOPE_ERRORS for sub in subs])
 def test_each_option_a_subcommand_ignores_is_named(monkeypatch, capsys,
                                                    tmp_path, sub, option,
                                                    line):

@@ -5,10 +5,9 @@ import sys
 
 import pytest
 
-from racgk.graphs import parse_graph
 from racgk.repring import (RepRingElement, RepRingError, character_evaluation,
-                           character_interpolation, from_json_dict,
-                           rep_multiply, restriction, to_json_dict)
+                           character_interpolation, rep_multiply,
+                           restriction)
 
 S = 0b001
 T = 0b010
@@ -148,11 +147,3 @@ def test_multiplication_commutative_associative_unital():
         assert rep_multiply(rep_multiply(a, b), c) == rep_multiply(
             a, rep_multiply(b, c))
         assert rep_multiply(a, one) == a
-
-
-def test_json_round_trip():
-    g = parse_graph("s t u; s-t t-u s-u")
-    a = RepRingElement(STU, {0: 12345678901234567890, ST: -3})
-    data = to_json_dict(a, g)
-    assert data["terms"][0]["coeff"] == "12345678901234567890"
-    assert from_json_dict(data, g) == a
