@@ -105,7 +105,7 @@ RUNGS = [
     ("k16", "ktheory", "text"),
     ("k20", "ktheory", "text"), ("k20", "ktheory", "json"),
     ("g64-0.7", "ktheory", "text"), ("g64-0.7", "ktheory", "json"),
-    ("g64-0.7", "all", "json"),
+    ("g64-0.7", "all", "json"), ("g64-0.7", "all", "text"),
     ("k24", "ktheory", "json"), ("g64-0.8", "ktheory", "json"),
     ("k64", "bgw", "text"), ("g64-0.9", "bgw", "text"),
     ("glue64-0.8", "mv-check", "text"), ("glue64-0.88", "mv-check", "text"),

@@ -256,7 +256,8 @@ class ConeCertificate:
         So the families form the zeta matrix of the clique poset, which
         is unitriangular in the size-first clique order (Rota 1964): d
         factors 1.  The clique sizes run up to the clique number, the
-        top degree of the complex."""
+        top degree of the complex.  Both limit checks report this list
+        itself, not a copy, so an `all` report holds one list of d."""
         if all(_zeta_identities(k) for k in range(len(self.ranks))):
             return [1] * self.rank
         return None
@@ -459,7 +460,7 @@ def rho_surjectivity(graph, limit):
     if factors is None:
         return {"rank": limit.rank, "surjective": False,
                 "detail": "a clique family falls outside the limit lattice"}
-    return {"rank": limit.rank, "invariant_factors": list(factors),
+    return {"rank": limit.rank, "invariant_factors": factors,
             "surjective": True}
 
 
@@ -471,7 +472,7 @@ def clique_basis_isomorphism(limit):
     if factors is None:
         return {"isomorphism": False,
                 "detail": "clique monomial family outside the limit lattice"}
-    return {"invariant_factors": list(factors), "isomorphism": True}
+    return {"invariant_factors": factors, "isomorphism": True}
 
 
 def interval_tensor_powers(top):

@@ -376,14 +376,20 @@ def main(argv=None):
     with exact_integers():
         try:
             return _main(argv)
-        except BrokenPipeError:
-            # the reader closed stdout: point it at devnull, so that the
-            # interpreter's last flush stays quiet, and say so once
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return refuse("standard output was closed before the report "
-                          "was written")
+        except OSError as e:
+            # stdout did not take the report (every read error is refused
+            # in `_main`): point it at devnull, so that the interpreter's
+            # last flush stays quiet, and say so once
+            with contextlib.suppress(AttributeError, OSError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            if isinstance(e, BrokenPipeError):
+                return refuse("standard output was closed before the "
+                              "report was written")
+            return refuse("standard output did not take the report: %s"
+                          % (e.strerror or e))
 
 
 def refuse(message):
@@ -439,14 +445,19 @@ def _main(argv):
     payload["subcommand"] = sub
     payload["seed"] = args.seed
     payload.update(report)
+    out = sys.stdout
     try:
-        text = (dump_json(payload) if args.format == "json"
-                else "\n".join(render_text(payload)))
+        if args.format == "json":
+            dump_json(payload, out)
+            out.write("\n")
+        else:
+            render_text(payload, out)
     except (ValueError, MemoryError) as e:
         # an int past the digit cap where it could not be lifted
         return refuse("cannot write the %s report: %s" % (sub, e))
-    # flushed here, so that a closed stdout raises in `main`, not at exit
-    print(text, flush=True)
+    # flushed here, so that a stream that fails raises in `main`, not at
+    # exit
+    out.flush()
     return 0 if report.get("ok", True) else ASSERTION_FAILURE
 
 

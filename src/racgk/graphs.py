@@ -301,6 +301,14 @@ def clique_counts(graph):
     return [packed >> s & field for s in range(0, packed.bit_length(), w)]
 
 
+def clique_bound(graph):
+    """At least d, the number of cliques, the empty one included, in
+    O(n): each nonempty clique is its lowest vertex v and a subset of
+    v's later neighbours."""
+    return 1 + sum(1 << (a >> v + 1).bit_count()
+                   for v, a in enumerate(graph.adj))
+
+
 def enumerate_spherical(graph):
     """All cliques of the graph (the empty clique included) in canonical
     order, by the forward pass of `cliques_within` over every vertex.

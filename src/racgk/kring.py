@@ -22,10 +22,11 @@ coefficient 2-adically.
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .graphs import (GraphError, cliques_within, submasks,
+from .graphs import (GraphError, clique_bound, cliques_within, submasks,
                      validate_decomposition)
 from .intlinalg import Combination, Lattice, accumulate
 from .repring import RepRingElement
+from .writers import Rows
 
 STAR = "star"
 BAR = "bar"
@@ -242,36 +243,53 @@ def augmentation(a):
     return sum(a.coeffs.values())
 
 
-def _nonedges(graph):
-    """Label pairs (s, t), s before t, of the non-adjacent vertices, read
-    off the adjacency masks."""
-    labels, n = graph.labels, graph.n
-    return [(labels[i], labels[j]) for i, adj in enumerate(graph.adj)
-            for j in range(i + 1, n) if not adj >> j & 1]
+def _relation_rows(graph, star):
+    """The star or bar relations as `Rows`: one per vertex, then one per
+    non-edge {s, t}, s before t, made a vertex at a time from the
+    adjacency masks: s's later non-neighbours are the runs of labels
+    between its later neighbours, taken as slices."""
+    labels, adj, n = graph.labels, graph.adj, graph.n
+
+    def batches():
+        yield ([f"{v}*^2 - 1" for v in labels] if star
+               else [f"{v}~({v}~ + 2)" for v in labels])
+        for i, s in enumerate(labels):
+            near = adj[i] >> i + 1 << i + 1
+            if near.bit_count() == n - i - 1:
+                continue
+            later, start = [], i + 1
+            while near:
+                bit = near & -near
+                near ^= bit
+                j = bit.bit_length() - 1
+                later += labels[start:j]
+                start = j + 1
+            later += labels[start:]
+            yield ([f"{s}*{t}* - {s}* - {t}* + 1" for t in later] if star
+                   else [f"{s}~{t}~" for t in later])
+    return Rows(n + n * (n - 1) // 2 - len(graph.edges), batches,
+                "".join(labels))
 
 
-def bar_relations(graph, nonedges=None):
+def bar_relations(graph):
     """The relations of the bar generators: s~(s~ + 2) for each vertex,
-    from s*^2 = 1, and s~t~ for each non-edge, listed if not given."""
-    return ([f"{v}~({v}~ + 2)" for v in graph.labels]
-            + [f"{s}~{t}~" for s, t in nonedges or _nonedges(graph)])
+    from s*^2 = 1, and s~t~ for each non-edge."""
+    return _relation_rows(graph, star=False)
 
 
 def presentation_report(graph):
     """Generators, relations, clique basis and rank of the ring; more
-    than `CLIQUE_BASIS_CAP` cliques, counted, are refused before listing."""
-    d = sum(graph.f_vector)
-    if d > CLIQUE_BASIS_CAP:
+    than `CLIQUE_BASIS_CAP` cliques are refused before listing, counted
+    only where `clique_bound` exceeds the cap."""
+    if (clique_bound(graph) > CLIQUE_BASIS_CAP
+            and (d := sum(graph.f_vector)) > CLIQUE_BASIS_CAP):
         raise GraphError("the clique basis has d = %d cliques, and a "
                          "ktheory report lists each; the cap is d = %d"
                          % (d, CLIQUE_BASIS_CAP))
-    nonedges = _nonedges(graph)
     return {
         "generators": list(graph.labels),
-        "star_relations": ([f"{v}*^2 - 1" for v in graph.labels]
-                           + [f"{s}*{t}* - {s}* - {t}* + 1"
-                              for s, t in nonedges]),
-        "bar_relations": bar_relations(graph, nonedges),
+        "star_relations": _relation_rows(graph, star=True),
+        "bar_relations": bar_relations(graph),
         "clique_basis": graph.clique_labels,
         "rank": len(graph.clique_labels),
         "k1_rank": 0,
@@ -415,12 +433,13 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     inclusion; each product's support is tested as a ring element's is.
     A failed identity is named in `detail`: its part, sample and
     identity, the first in the order checked.  A graph of more than
-    `MV_CLIQUE_CAP` cliques, counted, is refused before any is listed."""
+    `MV_CLIQUE_CAP` cliques is refused before any is listed, counted
+    only where `clique_bound` exceeds the cap."""
     g1, g2, g3 = validate_decomposition(graph, part1, part2)
     # a part's cliques are the graph's, so the count bounds all three
     # listings
-    counted = sum(graph.f_vector)
-    if counted > MV_CLIQUE_CAP:
+    if (clique_bound(graph) > MV_CLIQUE_CAP
+            and (counted := sum(graph.f_vector)) > MV_CLIQUE_CAP):
         raise GraphError("the graph has d = %d cliques, and mv-check lists "
                          "them and each part's; the cap is d = %d"
                          % (counted, MV_CLIQUE_CAP))

@@ -1,34 +1,149 @@
-"""Report writers: `render_text` for the text report and `dump_json`,
-`json.dumps(value, indent=2, sort_keys=True)` byte for byte, for the
-JSON report."""
+"""Report writers to an output stream: `render_text` for the text report
+and `dump_json`, `json.dumps(value, indent=2, sort_keys=True)` byte for
+byte, for the JSON report.
+
+Both render every scalar and every container of at most `CHUNK` items
+before the first write, so a value that cannot be rendered leaves the
+stream as it was.  A longer list at any depth, a `Rows` among them, is
+written `CHUNK` items at a time, so neither the report's whole text nor
+a list of its rows' texts is held.  Given no stream, each returns the
+text it would write."""
 
 import json
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
+
+# the items of a long list rendered per write: K20's `ktheory` report
+# (2^20 clique rows) wrote within 5 % of one time at chunks of 256 to
+# 4096 (in process, 2-core box, best of 3), and at 256 the glued-64
+# `ktheory` report of the benchmark's ring-lattice deck peaked lowest
+# under tracemalloc, 338 KB against 368 at 512 and 440 at 1024
+CHUNK = 256
 
 
-def render_text(report, indent=0):
+class Rows:
+    """A list of str made on demand: `len` is `count`, and iterating runs
+    through the str lists that `batches()` makes.  Each row is made of
+    the text of `alphabet` and of printable ASCII without `"` or
+    backslash, so whether the JSON quoting leaves every row alone is
+    decided once, from `alphabet`."""
+
+    __slots__ = ("count", "batches", "plain")
+
+    def __init__(self, count, batches, alphabet):
+        self.count, self.batches = count, batches
+        self.plain = _plain(alphabet)
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return chain.from_iterable(self.batches())
+
+
+def render_text(report, out=None):
     """`key: value` or `- value` lines; a nested container goes below.
     A list of lists of str that `_plain_strings` passes, such as the
     clique basis, is written a row a line by one join each, as
-    `json.dumps` writes the row."""
-    pad = "  " * indent
+    `json.dumps` writes the row; any other list without a container in
+    it, a `Rows` among them, on its key's line as `json.dumps` writes it."""
+    parts = []
+    _text(report, "", parts)
+    return _emit(parts, out)
+
+
+def dump_json(value, out=None):
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+    Where `indent` is set, the standard library makes one Python call
+    per value; here a call is made only for a nested, non-empty
+    container.  A dict value or list item whose exact type is str, int,
+    bool or None is written in place, by the C quoting, `int.__repr__`
+    or its JSON literal, and so is an empty list, tuple or dict.  A list
+    or tuple of one such type is one join over that writer.  A list of
+    str whose joined text the C quoting leaves alone (printable ASCII
+    with no `"` or backslash) is quoted by the join itself, and so is a
+    list of str lists, such as the clique basis, that `_plain_strings`
+    passes, and a plain `Rows`."""
+    text = _json(value, "\n")
+    return _emit([text] if type(text) is str else text, out)
+
+
+def _emit(parts, out):
+    """Write the text of `parts` to `out`, or return it with no `out`."""
+    if out is None:
+        return "".join(_pieces(parts))
+    for text in _pieces(parts):
+        out.write(text)
+
+
+def _pieces(parts):
+    """The text of `parts`, rendered text and the generators that write
+    the long lists: each run of text joined, then each generator's
+    chunks as it makes them."""
+    start = 0
+    for i, part in enumerate(parts):
+        if type(part) is GeneratorType:
+            yield "".join(parts[start:i])
+            yield from part
+            start = i + 1
+    yield "".join(parts[start:])
+
+
+def _chunks(rows):
+    """`rows` as lists of `CHUNK` items, the last one shorter."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK)):
+        yield chunk
+
+
+def _text(report, pad, parts):
+    """The lines of a dict or list at the indent `pad`, onto `parts`."""
     if isinstance(report, dict):
         items = (("%s%s:" % (pad, k), v) for k, v in report.items())
+    elif len(report) > CHUNK:
+        parts.append(_text_chunks(report, pad))
+        return
     elif set(map(type, report)) <= {list} and _plain_strings(report):
-        return ['%s- ["%s"]' % (pad, '", "'.join(row)) if row
-                else pad + "- []" for row in report]
+        parts.append("".join(['%s- ["%s"]\n' % (pad, '", "'.join(row))
+                              if row else pad + "- []\n" for row in report]))
+        return
     else:
         items = ((pad + "-", v) for v in report)
-    lines = []
     for head, v in items:
         if isinstance(v, dict) and v or isinstance(v, list) and any(
                 isinstance(x, (dict, list)) for x in v):
-            lines.append(head)
-            lines.extend(render_text(v, indent + 1))
+            parts.append(head + "\n")
+            _text(v, pad + "  ", parts)
+        elif (type(v) is Rows or isinstance(v, list)) and len(v) > CHUNK:
+            parts.append(_flat_chunks(head, v))
+        elif type(v) is Rows:
+            parts.append("%s [%s]\n" % (head, _quoted(v, v.plain, ", ")))
         else:
-            lines.append("%s %s" % (head, _flat(v)))
-    return lines
+            parts.append("%s %s\n" % (head, _flat(v)))
+
+
+def _text_chunks(report, pad):
+    """A long list's lines, `CHUNK` items at a time, each chunk as `_text`
+    writes a list of its items."""
+    for chunk in _chunks(report):
+        parts = []
+        _text(chunk, pad, parts)
+        yield from _pieces(parts)
+
+
+def _flat_chunks(head, rows):
+    """`head [...]`, the line of a long list of scalars as `json.dumps`
+    writes it, `CHUNK` items at a time; a `Rows`' chunks by its one
+    plainness."""
+    plain = rows.plain if type(rows) is Rows else None
+    yield head + " ["
+    lead = ""
+    for chunk in _chunks(rows):
+        yield lead + (json.dumps(chunk)[1:-1] if plain is None
+                      else _quoted(chunk, plain, ", "))
+        lead = ", "
+    yield "]\n"
 
 
 def _flat(v):
@@ -58,24 +173,19 @@ def _plain_strings(rows):
             and _plain("".join(set(chain.from_iterable(rows)))))
 
 
-def dump_json(value, pad="\n"):
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, at
-    the nesting level whose line break and indent are `pad`.  Where
-    `indent` is set, the standard library makes one Python call per
-    value; here a call is made only for a nested, non-empty container.
-    A dict value or list item whose exact type is str, int, bool or None
-    is written in place, by the C quoting, `int.__repr__` or its JSON
-    literal, and so is an empty list, tuple or dict.  A list or tuple of
-    one such type is one join over that writer.  A list of str whose
-    joined text the C quoting leaves alone (printable ASCII with no `"`
-    or backslash) is quoted by the join itself, and so is a list of str
-    lists, such as the clique basis, that `_plain_strings` passes."""
+def _json(value, pad):
+    """The JSON of `value` at the nesting level whose line break and
+    indent are `pad`: its text, or, where a list longer than `CHUNK`
+    lies within, a list of texts and the generators that write the long
+    lists, which for a list begins with "[" and `pad + "  "` and ends
+    with `pad + "]"`."""
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = pad + "  "
         sep = "," + inner
         parts = ["{", inner]
+        lazy = False
         # the leaf rule of the list loop below, inlined in both loops
         # because a shared helper would cost a call per container
         try:
@@ -87,7 +197,13 @@ def dump_json(value, pad="\n"):
                 elif type(v) in _EMPTY and not v:
                     text = _EMPTY[type(v)]
                 else:
-                    text = dump_json(v, inner)
+                    text = _json(v, inner)
+                    if type(text) is not str:
+                        lazy = True
+                        parts += encode_basestring_ascii(k), ": "
+                        parts += text
+                        parts.append(sep)
+                        continue
                 parts += encode_basestring_ascii(k), ": ", text, sep
         except TypeError:
             # json.dumps writes int, float, bool and None keys as
@@ -96,28 +212,33 @@ def dump_json(value, pad="\n"):
             return json.dumps(value, indent=2, sort_keys=True).replace(
                 "\n", pad)
         parts[-1] = pad + "}"
-        return "".join(parts)
-    if isinstance(value, (list, tuple)):
+        return parts if lazy else "".join(parts)
+    if isinstance(value, (list, tuple)) or type(value) is Rows:
         if not value:
             return "[]"
+        if len(value) > CHUNK:
+            return [_json_chunks(value, pad)]
         inner = pad + "  "
         sep = "," + inner
+        if type(value) is Rows:
+            return "[%s%s%s]" % (inner, _quoted(value, value.plain, sep), pad)
         kinds = set(map(type, value))
         # string lists: the types first, as a deeper list is unhashable
         if kinds <= {list, tuple} and _plain_strings(value):
             head, mid, tail = f'[{inner}  "', f'",{inner}  "', f'"{inner}]'
-            # a generator: `join` frees the rows before the text is wrapped
-            rows = (f"{head}{mid.join(v)}{tail}" if v else "[]" for v in value)
-            return f"[{inner}{sep.join(rows)}{pad}]"
+            return "[%s%s%s]" % (inner, sep.join([
+                f"{head}{mid.join(v)}{tail}" if v else "[]" for v in value]),
+                pad)
         if len(kinds) == 1:
             (kind,) = kinds
             if kind is str and _plain("".join(value)):
-                return '[%s"%s"%s]' % (
-                    inner, ('"' + sep + '"').join(value), pad)
+                return '[%s"%s"%s]' % (inner, ('"' + sep + '"').join(value),
+                                       pad)
             scalar = _SCALARS.get(kind)
             if scalar:
                 return "[%s%s%s]" % (inner, sep.join(map(scalar, value)), pad)
         parts = ["[", inner]
+        lazy = False
         for v in value:
             scalar = _SCALARS.get(type(v))
             if scalar:
@@ -125,10 +246,43 @@ def dump_json(value, pad="\n"):
             elif type(v) in _EMPTY and not v:
                 parts += _EMPTY[type(v)], sep
             else:
-                parts += dump_json(v, inner), sep
+                text = _json(v, inner)
+                if type(text) is str:
+                    parts += text, sep
+                else:
+                    lazy = True
+                    parts += text
+                    parts.append(sep)
         parts[-1] = pad + "]"
-        return "".join(parts)
+        return parts if lazy else "".join(parts)
     scalar = _SCALARS.get(type(value))
-    if scalar:
-        return scalar(value)
-    return json.dumps(value)
+    return scalar(value) if scalar else json.dumps(value)
+
+
+def _quoted(items, plain, sep):
+    """The JSON strings of str `items` joined by `sep`: by the join
+    itself if `plain`, else by the C quoting."""
+    if plain and items:
+        return '"%s"' % ('"' + sep + '"').join(items)
+    return sep.join(map(encode_basestring_ascii, items))
+
+
+def _json_chunks(value, pad):
+    """A long list's JSON, `CHUNK` items at a time, each chunk as `_json`
+    writes a list of its items but for the brackets; a `Rows`' chunks
+    by its one plainness."""
+    plain = value.plain if type(value) is Rows else None
+    sep = ",%s  " % pad
+    lead = "[%s  " % pad
+    for chunk in _chunks(value):
+        if plain is not None:
+            yield lead + _quoted(chunk, plain, sep)
+        elif type(text := _json(chunk, pad)) is str:
+            # but for its brackets, "[" and `pad + "  "`, and `pad + "]"`
+            yield lead + text[len(pad) + 3:-len(pad) - 1]
+        else:
+            text[:2] = [lead]
+            text.pop()
+            yield from _pieces(text)
+        lead = sep
+    yield pad + "]"

@@ -14,6 +14,7 @@ from racgk.graphs import Graph, cliques_within, poset_chains, submasks
 from racgk.intlinalg import Lattice, accumulate, coboundary_factors
 from racgk.kring import (BAR, STAR, KRingElement, clique_maps, convert_basis,
                          ideal_power, random_element, restrict_to_clique)
+from racgk.writers import Rows
 
 
 def complete_graph(n):
@@ -779,6 +780,34 @@ def per_item_render_text(report, indent=0):
             lines.append("%s %s" % (head, json.dumps(v) if isinstance(
                 v, (dict, list)) else str(v)))
     return lines
+
+
+def materialised(value):
+    """`value` with each `Rows` in its dicts and lists listed: the form
+    that `json.dumps` and `per_item_render_text` take."""
+    if isinstance(value, dict):
+        return {k: materialised(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [materialised(v) for v in value]
+    return list(value) if isinstance(value, Rows) else value
+
+
+def nonedges(graph):
+    """Label pairs (s, t), s before t, of the non-adjacent vertices, read
+    off the adjacency masks."""
+    labels, n = graph.labels, graph.n
+    return [(labels[i], labels[j]) for i, adj in enumerate(graph.adj)
+            for j in range(i + 1, n) if not adj >> j & 1]
+
+
+def listed_relations(graph):
+    """Reference `kring.presentation_report`'s relations: the star and
+    bar lists, each built whole from the listed `nonedges`."""
+    pairs = nonedges(graph)
+    return ([f"{v}*^2 - 1" for v in graph.labels]
+            + [f"{s}*{t}* - {s}* - {t}* + 1" for s, t in pairs],
+            [f"{v}~({v}~ + 2)" for v in graph.labels]
+            + [f"{s}~{t}~" for s, t in pairs])
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import glob
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -17,10 +19,11 @@ import pytest
 from racgk import bredon, cli, graphs, intlinalg, kring, writers
 from racgk.cli import main
 from racgk.graphs import Graph
-from racgk.writers import dump_json
+from racgk.writers import Rows, dump_json
 from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
                       dense_differentials, glue64, graph_suite,
-                      neighbourhood_split, per_item_render_text,
+                      materialised, neighbourhood_split,
+                      per_item_render_text,
                       path_graph, perfbench_module, petersen_graph,
                       random_graph)
 
@@ -303,10 +306,12 @@ def test_each_graph_object_is_built_once(monkeypatch, capsys, pentagon_file,
     assert main([sub, "--input", pentagon_file, "--format", "json"]) == 0
     # the complex is built only to dump its matrices, and no report lists
     # the cliques as masks: `ktheory` prints and draws from the label
-    # listing alone
-    bredon_calls = {} if sub == "ktheory" else {"cone_certificate": 1,
+    # listing alone, and counts nothing, as the pentagon's clique bound
+    # is under the basis cap
+    bredon_calls = {} if sub == "ktheory" else {"clique_counts": 1,
+                                                 "cone_certificate": 1,
                                                  "inverse_limit": 1}
-    assert calls == {"clique_counts": 1, **bredon_calls}
+    assert calls == bredon_calls
 
 
 def test_limit_runs_no_elimination(monkeypatch, capsys, pentagon_file):
@@ -731,19 +736,19 @@ def suite_graphs():
 
 def assert_writer_is_json_dumps(monkeypatch, capsys, argv):
     """The JSON report of `argv` is `json.dumps(payload, indent=2,
-    sort_keys=True)` of the payload the writer was handed."""
+    sort_keys=True)` of the payload the writer was handed, its rows
+    listed."""
     writer, payloads = cli.dump_json, []
 
-    def recording(value, pad="\n"):
-        if pad == "\n":
-            payloads.append(value)
-        return writer(value, pad)
+    def recording(value, out=None):
+        payloads.append(value)
+        return writer(value, out)
 
     monkeypatch.setattr(cli, "dump_json", recording)
     main(argv + ["--format", "json"])
     (payload,) = payloads
     assert capsys.readouterr().out == json.dumps(
-        payload, indent=2, sort_keys=True) + "\n", argv
+        materialised(payload), indent=2, sort_keys=True) + "\n", argv
 
 
 @pytest.mark.parametrize("graph, part", [
@@ -779,15 +784,14 @@ def test_text_writer_is_the_per_item_writer(monkeypatch, capsys, tmp_path,
                                                 g.canonical_edge_list()))
     writer, payloads = cli.render_text, []
 
-    def recording(value, indent=0):
-        if not indent:
-            payloads.append(value)
-        return writer(value, indent)
+    def recording(value, out=None):
+        payloads.append(value)
+        return writer(value, out)
     monkeypatch.setattr(cli, "render_text", recording)
     assert main([sub] + argv) == 0
     (payload,) = payloads
     assert capsys.readouterr().out == "\n".join(
-        per_item_render_text(payload)) + "\n"
+        per_item_render_text(materialised(payload))) + "\n"
 
 
 @pytest.mark.parametrize("argv", [["counterexample"], ["kunneth"]])
@@ -859,19 +863,28 @@ def test_plain_text_is_what_the_quoting_leaves_alone():
 
 
 def test_json_writer_joins_the_clique_basis_in_one_call(monkeypatch):
-    writer, calls = writers.dump_json, []
+    # the writer's one call per nested container is `_json`'s: a clique
+    # basis within one chunk takes that one call, one past it one more
+    # per chunk, and a list that needs escaping one more per row
+    writer, calls = writers._json, []
 
-    def counting(value, pad="\n"):
+    def counting(value, pad):
         calls.append(value)
         return writer(value, pad)
 
-    monkeypatch.setattr(writers, "dump_json", counting)
+    monkeypatch.setattr(writers, "_json", counting)
     basis = cycle_graph(64).clique_labels
-    assert counting(basis) == json.dumps(basis, indent=2)
+    assert len(basis) <= writers.CHUNK
+    assert dump_json(basis) == json.dumps(basis, indent=2)
     assert len(calls) == 1
     escaped = [["a"], ['"']]
-    assert counting(escaped) == json.dumps(escaped, indent=2)
+    assert dump_json(escaped) == json.dumps(escaped, indent=2)
     assert len(calls) == 1 + 1 + len(escaped)
+    long_basis = complete_graph(writers.CHUNK.bit_length()).clique_labels
+    assert len(long_basis) > writers.CHUNK
+    assert dump_json(long_basis) == json.dumps(long_basis, indent=2)
+    assert len(calls) == 1 + 1 + len(escaped) + 1 + -(
+        -len(long_basis) // writers.CHUNK)
 
 
 # sha256 of each seeded `--format json` report, seeds 0 and 5, on the
@@ -1000,11 +1013,12 @@ def test_integers_past_the_digit_cap_are_written_exactly():
         text = dump_json(value)
         assert text == json.dumps(value, indent=2, sort_keys=True)
         assert json.loads(text) == value
-        lines = writers.render_text(value)
+        rendered = writers.render_text(value)
         digits = str(LONG)
     assert len(digits) > 4300
-    assert lines == ["index: " + digits, "indices: [%s, 1]" % digits,
-                     "rows:", "  -", "    k: -" + digits]
+    assert rendered == "\n".join([
+        "index: " + digits, "indices: [%s, 1]" % digits, "rows:", "  -",
+        "    k: -" + digits]) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1034,6 +1048,164 @@ def test_a_report_that_cannot_be_written_exits_2(monkeypatch, capsys,
         assert not captured.out
         assert captured.err.startswith("error: cannot write the bgw report")
         assert len(captured.err.splitlines()) == 1
+
+
+def straddling_values():
+    """Payloads whose long lists straddle the writers' chunk: each list
+    length around one and two chunks, and 0, in the places of `all`'s
+    clique basis, relations and factor lists, with an escaped label in
+    the last chunk alone."""
+    chunk = writers.CHUNK
+    values = []
+    for n in (0, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        rows = [["v%d" % (i % 7), "w"][:i % 3] for i in range(n)]
+        labels = ["x%d" % i for i in range(n)]
+        escaped = labels[:-1] + ['a"b\u00e9'] if n else []
+
+        def batches(labels=labels):
+            # uneven batches, as the vertices' non-edges are
+            for i in range(0, len(labels), 5):
+                yield labels[i:i + 5]
+        values.append({
+            "ktheory": {"clique_basis": rows, "generators": labels,
+                        "star_relations": Rows(n, batches, "".join(labels)),
+                        "rank": n},
+            "bgw": {"bar_relations": Rows(n, lambda e=escaped: [e], "\\"),
+                    "ok": True},
+            "limit": {"rho": {"factors": [1] * n, "empty": []},
+                      "levels": [rows, labels, [{"k": i} for i in range(n)]]},
+            "escaped_rows": rows[:-1] + [['"', "c\\d"]] if n else [],
+            "escaped_labels": escaped,
+            "mixed": [i if i % 2 else str(i) for i in range(n)],
+        })
+    return values
+
+
+@pytest.mark.parametrize("value", straddling_values(),
+                         ids=lambda v: str(v["ktheory"]["rank"]))
+def test_streamed_writers_match_the_whole_value_writers(value):
+    listed = materialised(value)
+    for writer, whole in (
+            (dump_json, json.dumps(listed, indent=2, sort_keys=True)),
+            (writers.render_text,
+             "\n".join(per_item_render_text(listed)) + "\n")):
+        stream = RecordingStream()
+        assert writer(value, stream) is None
+        assert stream.getvalue() == whole == writer(value)
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", ["K16", "G(64, 0.05)"])
+def test_no_write_holds_more_than_one_chunk_of_a_long_list(
+        monkeypatch, capsys, tmp_path, fmt, name):
+    # K16's 65,536 clique rows and the 2,000 relations of a sparse
+    # 64-vertex graph: a clique row is a line at the basis' indent, and a
+    # relation is a quoted string with `~` or `*` in it
+    graph = complete_graph(16) if name == "K16" else random_graph(64, 0.05)
+    path = graph_file(tmp_path, "g", graph)
+    payloads = []
+    writer = cli.dump_json if fmt == "json" else cli.render_text
+
+    def recording(value, out=None):
+        payloads.append(value)
+        return writer(value, out)
+    monkeypatch.setattr(cli, writer.__name__, recording)
+    stream = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["ktheory", "--input", path, "--format", fmt]) == 0
+    row = "\n    [" if fmt == "json" else "\n- ["
+    relation = re.compile(r'"[^"\n]*[~*][^"\n]*"')
+    for text in stream.writes:
+        assert text.count(row) <= writers.CHUNK
+        assert len(relation.findall(text)) <= writers.CHUNK
+    (payload,) = payloads
+    rows, relations = len(payload["clique_basis"]), len(
+        payload["bar_relations"])
+    assert len(stream.writes) > max(rows, relations) // writers.CHUNK
+    listed = materialised(payload)
+    assert stream.getvalue() == (
+        json.dumps(listed, indent=2, sort_keys=True) + "\n" if fmt == "json"
+        else "\n".join(per_item_render_text(listed)) + "\n")
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_the_chunk_changes_no_byte(monkeypatch, capsys, tmp_path, chunk):
+    # every pinned report, written a few items at a time
+    monkeypatch.setattr(writers, "CHUNK", chunk)
+    suite = {n: (g, p) for n, g, p in suite_graphs()}
+    for (name, sub), digests in sorted(REPORT_SHA256.items()):
+        graph, part = suite[name]
+        path, split = tmp_path / "g.graph", tmp_path / "g.part"
+        path.write_text(graph)
+        split.write_text(part)
+        extra = ["--partition", str(split)] if sub == "mv-check" else []
+        for seed, digest in zip((0, 5), digests):
+            assert main([sub, "--input", str(path), "--format", "json",
+                         "--seed", str(seed)] + extra) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+                name, sub, seed)
+
+
+class FullStream(io.StringIO):
+    """A text stream that takes `room` writes and then raises ENOSPC."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, text):
+        if not self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("room", [0, 5])
+def test_a_stream_that_fails_exits_2(monkeypatch, capsys, tmp_path, room):
+    # no room at all, and room for the head and four chunks of K16's
+    # clique basis: one error line, and what was written is the head of
+    # the report
+    path = graph_file(tmp_path, "K16", complete_graph(16))
+    argv = ["ktheory", "--input", path, "--format", "json"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    stream = FullStream(room)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: standard output did not take the report: %s\n"
+        % os.strerror(errno.ENOSPC))
+    written = stream.getvalue()
+    assert report.startswith(written)
+    assert written.count("\n    [") == (room and 4 * writers.CHUNK)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+@pytest.mark.parametrize("sub", ["kunneth", "ktheory"])
+def test_a_full_device_exits_2_without_a_traceback(path_file, sub):
+    argv = [sub] + (["--input", path_file] if sub == "ktheory" else [])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "racgk.cli"] + argv,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: standard output did not take the "
+                           "report: %s\n" % os.strerror(errno.ENOSPC))
 
 
 def test_rank_cross_check_fails_on_wrong_ranks(monkeypatch, capsys,

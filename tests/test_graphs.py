@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from racgk import graphs
-from racgk.graphs import (Graph, GraphError, clique_counts,
+from racgk.graphs import (Graph, GraphError, clique_bound, clique_counts,
                           enumerate_spherical, parse_graph, poset_chains,
                           validate_decomposition)
 from conftest import (brute_force_cliques, complete_graph, cycle_graph,
@@ -167,6 +167,18 @@ def test_clique_counts_match_the_brute_force_sizes(suite_entry):
     f = clique_counts(g)
     assert f == brute_force_counts(g) == g.f_vector, name
     assert sum(f) == d and f == label_order_counts(g), name
+
+
+def test_the_clique_bound_is_at_least_d(suite_entry):
+    name, g, d = suite_entry
+    assert clique_bound(g) >= d, name
+    # each clique is its lowest vertex and later neighbours, so a graph
+    # whose later neighbourhoods are all cliques meets the bound
+    for graph in (complete_graph(9), edgeless_graph(5), path_graph(6)):
+        assert clique_bound(graph) == sum(graph.f_vector)
+    for n, p in ((20, 0.3), (40, 0.2), (64, 0.5)):
+        g = random_graph(n, p)
+        assert clique_bound(g) >= sum(g.f_vector), (n, p)
 
 
 def test_clique_counts_of_complete_and_random_graphs():

@@ -16,8 +16,9 @@ from racgk.repring import RepRingElement, rep_multiply
 from conftest import (assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles, bgw_indices,
                       complete_graph, cycle_graph, glued_graph, graph_suite,
-                      include_from_part, min_first_normalize_star,
-                      path_graph, product_ideal_power, project_to_part,
+                      include_from_part, listed_relations,
+                      min_first_normalize_star, nonedges, path_graph,
+                      product_ideal_power, project_to_part, random_graph,
                       reference_random_element, subset_key)
 
 PATH = parse_graph("s t u; s-t t-u")
@@ -211,23 +212,35 @@ def test_presentation_report():
     rep = presentation_report(PATH)
     assert rep["rank"] == 6
     assert rep["k1_rank"] == 0
-    assert "s*u* - s* - u* + 1" in rep["star_relations"]
+    assert "s*u* - s* - u* + 1" in list(rep["star_relations"])
     assert len(presentation_report(cycle_graph(5))["clique_basis"]) == 11
     k1 = presentation_report(complete_graph(1))
     assert k1["rank"] == 2
-    assert k1["star_relations"] == ["v0*^2 - 1"]
+    assert list(k1["star_relations"]) == ["v0*^2 - 1"]
 
 
 def test_relations_list_the_nonedges_in_vertex_order(suite_entry):
     name, graph, _ = suite_entry
-    pairs = [(graph.labels[i], graph.labels[j]) for i in range(graph.n)
-             for j in range(i + 1, graph.n) if not graph.adj[i] >> j & 1]
+    pairs = nonedges(graph)
     rep = presentation_report(graph)
-    assert rep["star_relations"][graph.n:] == [
+    star, bar = list(rep["star_relations"]), list(rep["bar_relations"])
+    assert star[graph.n:] == [
         "%s*%s* - %s* - %s* + 1" % (s, t, s, t) for s, t in pairs], name
-    assert rep["bar_relations"] == bar_relations(graph), name
-    assert rep["bar_relations"][graph.n:] == [
-        "%s~%s~" % pair for pair in pairs], name
+    assert bar == list(bar_relations(graph)), name
+    assert bar[graph.n:] == ["%s~%s~" % pair for pair in pairs], name
+
+
+@pytest.mark.parametrize("n, p", [(8, 0.5), (20, 0.1), (20, 0.9),
+                                  (64, 0.05), (64, 0.5), (64, 0.95)])
+def test_relations_made_a_vertex_at_a_time_are_the_listed_ones(n, p):
+    # runs of non-neighbours between the later neighbours, on sparse and
+    # dense graphs
+    for graph in (random_graph(n, p), complete_graph(n)):
+        for rows, listed in zip((kring._relation_rows(graph, star=True),
+                                 bar_relations(graph)),
+                                listed_relations(graph)):
+            assert list(rows) == listed
+            assert len(rows) == len(listed)
 
 
 def test_augmentation():

@@ -53,7 +53,8 @@ def committed(name):
 
 
 @pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json",
-                                  "BENCH_37.json", "BENCH_38.json"])
+                                  "BENCH_37.json", "BENCH_38.json",
+                                  "BENCH_47.json", "BENCH_48.json"])
 def test_committed_ladder_files_follow_the_schema(name):
     # each file against its own rungs, so that a new rung leaves the
     # committed files valid; each rung is one the runner can still run

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from racgk.bredon import (bredon_ranks, build_bredon_complex, cohomology,
                           cone_certificate)
-from racgk.graphs import (Graph, clique_counts, cliques_within,
+from racgk.graphs import (Graph, clique_bound, clique_counts,
+                          cliques_within,
                           enumerate_spherical, parse_graph, poset_chains,
                           submasks)
 from racgk.intlinalg import accumulate, kernel_basis, row_hnf
@@ -26,7 +27,8 @@ from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, _normalize_star, complete,
                          completed_multiply, convert_basis,
                          group_ring_product, ideal_power, ideal_powers,
-                         mayer_vietoris_check, multiply_bar, multiply_star)
+                         mayer_vietoris_check, multiply_bar, multiply_star,
+                         presentation_report)
 from racgk.repring import RepRingElement, RepRingError
 from racgk.writers import dump_json, render_text
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
@@ -35,6 +37,7 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       cube_ranks, cubical_bredon_complex,
                       dense_bredon_complex, dense_differentials,
                       label_order_counts, label_route_induced,
+                      listed_relations,
                       min_first_normalize_star, neighbourhood_split,
                       order_bredon_complex, pairwise_bar_product,
                       per_degree_cohomology, per_item_render_text,
@@ -204,6 +207,25 @@ def test_clique_counts_match_the_brute_force_sizes(graph):
         sizes.pop()
     assert clique_counts(graph) == sizes
     assert label_order_counts(graph) == sizes
+
+
+@LAWS
+@given(graphs(max_vertices=12))
+def test_the_clique_bound_is_at_least_d(graph):
+    assert clique_bound(graph) >= sum(graph.f_vector)
+
+
+@LAWS
+@given(graphs(max_vertices=12, label=LABELS))
+def test_relations_made_a_vertex_at_a_time_are_the_listed_ones(graph):
+    report = presentation_report(graph)
+    star, bar = listed_relations(graph)
+    for rows, listed in ((report["star_relations"], star),
+                         (report["bar_relations"], bar)):
+        assert list(rows) == listed
+        assert len(rows) == len(listed)
+        # made again on each pass
+        assert list(rows) == listed
 
 
 @LAWS
@@ -428,7 +450,8 @@ def test_json_writer_matches_the_standard_library(value):
 @LAWS
 @given(JSON_VALUES)
 def test_text_writer_matches_the_per_item_writer(value):
-    assert render_text({"v": value}) == per_item_render_text({"v": value})
+    assert render_text({"v": value}) == "\n".join(
+        per_item_render_text({"v": value})) + "\n"
 
 
 @LAWS
