@@ -3,12 +3,17 @@ graphs, up to the 64-vertex cap.
 
     python3 ladder/ladder.py --out ladder/BENCH_32.json
     python3 ladder/ladder.py --tree OTHER_CHECKOUT --out BENCH_31.json
+    python3 ladder/ladder.py --tree OLD_CHECKOUT --tree . \
+        --out ladder/BENCH_47.json ladder/BENCH_48.json
     python3 ladder/ladder.py --compare OLD.json NEW.json
 
 Each rung is one CLI invocation, run as a child process under a
 wall-clock timeout and an address-space limit (RLIMIT_AS), one after
 another, RUNS times.  Its wall time is taken around the child and its
-peak RSS from `os.wait4`, which reports that one child alone.  The file
+peak RSS from `os.wait4`, which reports that one child alone.  Given
+several trees (`--tree` repeated, one `--out` file each), each rung's
+runs take the trees in turn, the order reversed on every other run, so
+that a drift of a shared machine falls on every tree alike.  The file
 records, for each rung, its graph, subcommand and format, each run's
 exit code (or "timeout"), and the least and greatest wall seconds and
 peak MB; the Python version, run count, timeout and limit are recorded
@@ -148,14 +153,17 @@ def run_once(argv, env, timeout, limit):
     return code, wall, usage.ru_maxrss / 1024
 
 
-def run_ladder(tree, rungs=RUNGS, runs=RUNS, timeout=TIMEOUT_S,
-               limit=MEMORY_LIMIT):
-    """The ladder record of the racgk sources under `tree`."""
-    src = os.path.join(tree, "src")
-    if not compileall.compile_dir(src, quiet=1):
-        raise SystemExit("cannot compile %s" % src)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = []
+def run_ladders(trees, rungs=RUNGS, runs=RUNS, timeout=TIMEOUT_S,
+                limit=MEMORY_LIMIT):
+    """The ladder records of the racgk sources under each of `trees`,
+    in order, each rung run on every tree in turn."""
+    envs = []
+    for tree in trees:
+        src = os.path.join(tree, "src")
+        if not compileall.compile_dir(src, quiet=1):
+            raise SystemExit("cannot compile %s" % src)
+        envs.append(dict(os.environ, PYTHONPATH=src))
+    outs = [[] for _ in trees]
     with tempfile.TemporaryDirectory() as tmp:
         for graph, sub, fmt in rungs:
             text, parts = GRAPHS[graph]
@@ -166,20 +174,27 @@ def run_ladder(tree, rungs=RUNGS, runs=RUNS, timeout=TIMEOUT_S,
             if parts is not None:
                 _write(path + ".part", parts)
                 argv += ["--partition", path + ".part"]
-            results = [run_once(argv, env, timeout, limit)
-                       for _ in range(runs)]
-            codes, walls, peaks = zip(*results)
-            out.append({"graph": graph, "subcommand": sub, "format": fmt,
-                        "exit": list(codes),
-                        "wall_s": [round(min(walls), 3), round(max(walls), 3)],
-                        "peak_mb": [round(min(peaks), 1),
-                                    round(max(peaks), 1)]})
-            print("%-16s %-8s %-4s exit %s, %.2f-%.2f s, %.0f-%.0f MB"
-                  % (graph, sub, fmt, codes, min(walls), max(walls),
-                     min(peaks), max(peaks)), file=sys.stderr)
-    return {"python": "%d.%d.%d" % sys.version_info[:3], "runs": runs,
-            "timeout_s": timeout, "memory_limit_mb": limit >> 20,
-            "rungs": out}
+            results = [[] for _ in trees]
+            for run in range(runs):
+                order = range(len(trees))
+                for t in order[::-1] if run % 2 else order:
+                    results[t].append(run_once(argv, envs[t], timeout,
+                                               limit))
+            for tree, out, result in zip(trees, outs, results):
+                codes, walls, peaks = zip(*result)
+                out.append({"graph": graph, "subcommand": sub,
+                            "format": fmt, "exit": list(codes),
+                            "wall_s": [round(min(walls), 3),
+                                       round(max(walls), 3)],
+                            "peak_mb": [round(min(peaks), 1),
+                                        round(max(peaks), 1)]})
+                print("%-16s %-8s %-4s exit %s, %.2f-%.2f s, %.0f-%.0f MB"
+                      "  %s" % (graph, sub, fmt, codes, min(walls),
+                                max(walls), min(peaks), max(peaks), tree),
+                      file=sys.stderr)
+    return [{"python": "%d.%d.%d" % sys.version_info[:3], "runs": runs,
+             "timeout_s": timeout, "memory_limit_mb": limit >> 20,
+             "rungs": out} for out in outs]
 
 
 def dump(record):
@@ -220,11 +235,12 @@ def compare(old, new):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--tree", default=os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))),
-        help="checkout whose src/ is measured (default: this one)")
+    parser.add_argument("--tree", action="append",
+                        help="checkout whose src/ is measured (default: "
+                        "this one); repeat it to measure several in turn")
     action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--out", help="JSON file to write")
+    action.add_argument("--out", nargs="+",
+                        help="JSON file to write, one per --tree")
     action.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="two ladder files to compare, rung by rung")
     args = parser.parse_args(argv)
@@ -232,7 +248,12 @@ def main(argv=None):
         old, new = [_read(path) for path in args.compare]
         print("\n".join(compare(old, new)))
         return
-    _write(args.out, dump(run_ladder(args.tree)))
+    trees = args.tree or [os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))]
+    if len(args.out) != len(trees):
+        parser.error("give one --out file per --tree")
+    for path, record in zip(args.out, run_ladders(trees)):
+        _write(path, dump(record))
 
 
 if __name__ == "__main__":

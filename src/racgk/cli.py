@@ -34,6 +34,9 @@ PRECISION_CAP = 1 << 20
 # the most bytes `--input` or `--partition` may hold, about ten times
 # the largest input CI reads (a 1.6 MB JSON graph)
 INPUT_CAP = 1 << 24
+# the refusal of a run whose standard output closed before the report
+# was written: a reader gone early, or no stream at all at start
+_CLOSED = "standard output was closed before the report was written"
 
 SUBCOMMANDS = ("ktheory", "bgw", "bredon", "limit", "kunneth",
                "counterexample", "mv-check", "all")
@@ -373,6 +376,10 @@ def exact_integers():
 
 
 def main(argv=None):
+    if sys.stdout is None:
+        # started with standard output closed, so the interpreter has no
+        # stream to write the report to
+        return refuse(_CLOSED)
     with exact_integers():
         try:
             return _main(argv)
@@ -386,8 +393,7 @@ def main(argv=None):
                 os.dup2(devnull, fd)
                 os.close(devnull)
             if isinstance(e, BrokenPipeError):
-                return refuse("standard output was closed before the "
-                              "report was written")
+                return refuse(_CLOSED)
             return refuse("standard output did not take the report: %s"
                           % (e.strerror or e))
 

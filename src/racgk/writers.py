@@ -2,12 +2,13 @@
 and `dump_json`, `json.dumps(value, indent=2, sort_keys=True)` byte for
 byte, for the JSON report.
 
-Both render every scalar and every container of at most `CHUNK` items
-before the first write, so a value that cannot be rendered leaves the
-stream as it was.  A longer list at any depth, a `Rows` among them, is
-written `CHUNK` items at a time, so neither the report's whole text nor
-a list of its rows' texts is held.  Given no stream, each returns the
-text it would write."""
+Both render every value outside a list longer than `CHUNK` before the
+first write, so such a value that cannot be rendered leaves the stream
+as it was.  A longer list at any depth, a `Rows` among them, is written
+`CHUNK` items at a time, so neither the report's whole text nor a list
+of its rows' texts is held; a value in it that cannot be rendered
+leaves the report written up to its chunk, as a stream that fails
+part-way does."""
 
 import json
 from itertools import chain, islice
@@ -42,7 +43,7 @@ class Rows:
         return chain.from_iterable(self.batches())
 
 
-def render_text(report, out=None):
+def render_text(report, out):
     """`key: value` or `- value` lines; a nested container goes below.
     A list of lists of str that `_plain_strings` passes, such as the
     clique basis, is written a row a line by one join each, as
@@ -50,10 +51,11 @@ def render_text(report, out=None):
     it, a `Rows` among them, on its key's line as `json.dumps` writes it."""
     parts = []
     _text(report, "", parts)
-    return _emit(parts, out)
+    for piece in _pieces(parts):
+        out.write(piece)
 
 
-def dump_json(value, out=None):
+def dump_json(value, out):
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
     Where `indent` is set, the standard library makes one Python call
     per value; here a call is made only for a nested, non-empty
@@ -66,15 +68,8 @@ def dump_json(value, out=None):
     list of str lists, such as the clique basis, that `_plain_strings`
     passes, and a plain `Rows`."""
     text = _json(value, "\n")
-    return _emit([text] if type(text) is str else text, out)
-
-
-def _emit(parts, out):
-    """Write the text of `parts` to `out`, or return it with no `out`."""
-    if out is None:
-        return "".join(_pieces(parts))
-    for text in _pieces(parts):
-        out.write(text)
+    for piece in _pieces([text] if type(text) is str else text):
+        out.write(piece)
 
 
 def _pieces(parts):

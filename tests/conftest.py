@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import random
@@ -792,22 +793,20 @@ def materialised(value):
     return list(value) if isinstance(value, Rows) else value
 
 
+def written(writer, value):
+    """The text that `writer`, `writers.dump_json` or
+    `writers.render_text`, writes of `value`."""
+    out = io.StringIO()
+    writer(value, out)
+    return out.getvalue()
+
+
 def nonedges(graph):
     """Label pairs (s, t), s before t, of the non-adjacent vertices, read
     off the adjacency masks."""
     labels, n = graph.labels, graph.n
     return [(labels[i], labels[j]) for i, adj in enumerate(graph.adj)
             for j in range(i + 1, n) if not adj >> j & 1]
-
-
-def listed_relations(graph):
-    """Reference `kring.presentation_report`'s relations: the star and
-    bar lists, each built whole from the listed `nonedges`."""
-    pairs = nonedges(graph)
-    return ([f"{v}*^2 - 1" for v in graph.labels]
-            + [f"{s}*{t}* - {s}* - {t}* + 1" for s, t in pairs],
-            [f"{v}~({v}~ + 2)" for v in graph.labels]
-            + [f"{s}~{t}~" for s, t in pairs])
 
 
 @pytest.fixture(params=graph_suite(), ids=lambda t: t[0])

@@ -25,7 +25,7 @@ from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
                       materialised, neighbourhood_split,
                       per_item_render_text,
                       path_graph, perfbench_module, petersen_graph,
-                      random_graph)
+                      random_graph, written)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "all"]
@@ -740,9 +740,9 @@ def assert_writer_is_json_dumps(monkeypatch, capsys, argv):
     listed."""
     writer, payloads = cli.dump_json, []
 
-    def recording(value, out=None):
+    def recording(value, out):
         payloads.append(value)
-        return writer(value, out)
+        writer(value, out)
 
     monkeypatch.setattr(cli, "dump_json", recording)
     main(argv + ["--format", "json"])
@@ -784,9 +784,9 @@ def test_text_writer_is_the_per_item_writer(monkeypatch, capsys, tmp_path,
                                                 g.canonical_edge_list()))
     writer, payloads = cli.render_text, []
 
-    def recording(value, out=None):
+    def recording(value, out):
         payloads.append(value)
-        return writer(value, out)
+        writer(value, out)
     monkeypatch.setattr(cli, "render_text", recording)
     assert main([sub] + argv) == 0
     (payload,) = payloads
@@ -803,11 +803,12 @@ def test_json_writer_on_keys_that_are_not_str():
     # no report has one: the writer hands such a dict to json.dumps,
     # which writes int, float, bool and None keys as strings ...
     value = {"a": {2: [1], 10: {"b": None}}, "c": [{1.5: "x", True: 0}]}
-    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert written(dump_json, value) == json.dumps(value, indent=2,
+                                                   sort_keys=True)
     # ... and refuses keys it cannot sort or write, as json.dumps does
     for bad in ({"a": 1, 2: 3}, {(1, 2): 3}):
-        for writer in (dump_json, lambda v: json.dumps(v, indent=2,
-                                                       sort_keys=True)):
+        for writer in (lambda v: written(dump_json, v),
+                       lambda v: json.dumps(v, indent=2, sort_keys=True)):
             with pytest.raises(TypeError):
                 writer(bad)
 
@@ -817,9 +818,9 @@ def test_json_writer_on_bool_and_none_lists():
     # list of one scalar type and in a mixed one
     for value in ([3, True, 0, False], [None, None], [True, False],
                   {"ok": True, "detail": None, "pairs": [[2, False]]}):
-        assert dump_json(value) == json.dumps(value, indent=2,
-                                              sort_keys=True), value
-    assert dump_json([1, True]) == "[\n  1,\n  true\n]"
+        assert written(dump_json, value) == json.dumps(
+            value, indent=2, sort_keys=True), value
+    assert written(dump_json, [1, True]) == "[\n  1,\n  true\n]"
 
 
 def test_json_writer_on_empty_containers():
@@ -827,8 +828,8 @@ def test_json_writer_on_empty_containers():
     # a list item and at the top
     for value in ({"a": {}, "b": [], "c": (), "d": [{}, [], ()]},
                   [{}, 1], [(), "x"], {}, [], ()):
-        assert dump_json(value) == json.dumps(value, indent=2,
-                                              sort_keys=True), value
+        assert written(dump_json, value) == json.dumps(
+            value, indent=2, sort_keys=True), value
 
 
 def test_json_writer_on_string_lists_that_need_escaping():
@@ -849,8 +850,8 @@ def test_json_writer_on_string_lists_that_need_escaping():
                [["a"], [Label("x")]], [["a"], [1]], [["a"], "b"], [[[]]],
                [[["a"]], ["b"]], [["a"], [None]], [["a"], {}]]
     for value in values:
-        assert dump_json(value) == json.dumps(value, indent=2,
-                                              sort_keys=True), value
+        assert written(dump_json, value) == json.dumps(
+            value, indent=2, sort_keys=True), value
 
 
 def test_plain_text_is_what_the_quoting_leaves_alone():
@@ -875,14 +876,15 @@ def test_json_writer_joins_the_clique_basis_in_one_call(monkeypatch):
     monkeypatch.setattr(writers, "_json", counting)
     basis = cycle_graph(64).clique_labels
     assert len(basis) <= writers.CHUNK
-    assert dump_json(basis) == json.dumps(basis, indent=2)
+    assert written(dump_json, basis) == json.dumps(basis, indent=2)
     assert len(calls) == 1
     escaped = [["a"], ['"']]
-    assert dump_json(escaped) == json.dumps(escaped, indent=2)
+    assert written(dump_json, escaped) == json.dumps(escaped, indent=2)
     assert len(calls) == 1 + 1 + len(escaped)
     long_basis = complete_graph(writers.CHUNK.bit_length()).clique_labels
     assert len(long_basis) > writers.CHUNK
-    assert dump_json(long_basis) == json.dumps(long_basis, indent=2)
+    assert written(dump_json, long_basis) == json.dumps(long_basis,
+                                                        indent=2)
     assert len(calls) == 1 + 1 + len(escaped) + 1 + -(
         -len(long_basis) // writers.CHUNK)
 
@@ -1010,10 +1012,10 @@ LONG = 7 ** 6000    # 5071 digits, past CPython's default cap of 4300
 def test_integers_past_the_digit_cap_are_written_exactly():
     value = {"index": LONG, "indices": [LONG, 1], "rows": [{"k": -LONG}]}
     with cli.exact_integers():
-        text = dump_json(value)
+        text = written(dump_json, value)
         assert text == json.dumps(value, indent=2, sort_keys=True)
         assert json.loads(text) == value
-        rendered = writers.render_text(value)
+        rendered = written(writers.render_text, value)
         digits = str(LONG)
     assert len(digits) > 4300
     assert rendered == "\n".join([
@@ -1089,9 +1091,7 @@ def test_streamed_writers_match_the_whole_value_writers(value):
             (dump_json, json.dumps(listed, indent=2, sort_keys=True)),
             (writers.render_text,
              "\n".join(per_item_render_text(listed)) + "\n")):
-        stream = RecordingStream()
-        assert writer(value, stream) is None
-        assert stream.getvalue() == whole == writer(value)
+        assert written(writer, value) == whole
 
 
 class RecordingStream(io.StringIO):
@@ -1118,9 +1118,9 @@ def test_no_write_holds_more_than_one_chunk_of_a_long_list(
     payloads = []
     writer = cli.dump_json if fmt == "json" else cli.render_text
 
-    def recording(value, out=None):
+    def recording(value, out):
         payloads.append(value)
-        return writer(value, out)
+        writer(value, out)
     monkeypatch.setattr(cli, writer.__name__, recording)
     stream = RecordingStream()
     monkeypatch.setattr(sys, "stdout", stream)
@@ -1206,6 +1206,22 @@ def test_a_full_device_exits_2_without_a_traceback(path_file, sub):
     assert proc.returncode == 2
     assert proc.stderr == ("error: standard output did not take the "
                            "report: %s\n" % os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("sub", ["kunneth", "ktheory"])
+def test_a_stdout_closed_at_start_exits_2_without_a_traceback(path_file,
+                                                             sub):
+    # started with file descriptor 1 closed, as by `racgk kunneth >&-`:
+    # the interpreter's `sys.stdout` is None
+    argv = [sub] + (["--input", path_file] if sub == "ktheory" else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "racgk.cli"] + argv,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: standard output was closed before the "
+                           "report was written\n")
 
 
 def test_rank_cross_check_fails_on_wrong_ranks(monkeypatch, capsys,

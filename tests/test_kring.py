@@ -16,9 +16,9 @@ from racgk.repring import RepRingElement, rep_multiply
 from conftest import (assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles, bgw_indices,
                       complete_graph, cycle_graph, glued_graph, graph_suite,
-                      include_from_part, listed_relations,
-                      min_first_normalize_star, nonedges, path_graph,
-                      product_ideal_power, project_to_part, random_graph,
+                      include_from_part, min_first_normalize_star,
+                      nonedges, path_graph, product_ideal_power,
+                      project_to_part, random_graph,
                       reference_random_element, subset_key)
 
 PATH = parse_graph("s t u; s-t t-u")
@@ -219,28 +219,22 @@ def test_presentation_report():
     assert list(k1["star_relations"]) == ["v0*^2 - 1"]
 
 
-def test_relations_list_the_nonedges_in_vertex_order(suite_entry):
-    name, graph, _ = suite_entry
+@pytest.mark.parametrize("graph", [
+    pytest.param(graph, id=name) for name, graph, _ in graph_suite()] + [
+    pytest.param(random_graph(n, p), id="G%d-%s" % (n, p))
+    for n, p in ((8, 0.5), (20, 0.1), (20, 0.9), (64, 0.05), (64, 0.5),
+                 (64, 0.95))] + [
+    pytest.param(complete_graph(n), id="K%d" % n) for n in (20, 64)])
+def test_relations_list_the_nonedges_in_vertex_order(graph):
+    # made a vertex at a time: runs of non-neighbours between the later
+    # neighbours, on sparse and dense graphs
     pairs = nonedges(graph)
-    rep = presentation_report(graph)
-    star, bar = list(rep["star_relations"]), list(rep["bar_relations"])
-    assert star[graph.n:] == [
-        "%s*%s* - %s* - %s* + 1" % (s, t, s, t) for s, t in pairs], name
-    assert bar == list(bar_relations(graph)), name
-    assert bar[graph.n:] == ["%s~%s~" % pair for pair in pairs], name
-
-
-@pytest.mark.parametrize("n, p", [(8, 0.5), (20, 0.1), (20, 0.9),
-                                  (64, 0.05), (64, 0.5), (64, 0.95)])
-def test_relations_made_a_vertex_at_a_time_are_the_listed_ones(n, p):
-    # runs of non-neighbours between the later neighbours, on sparse and
-    # dense graphs
-    for graph in (random_graph(n, p), complete_graph(n)):
-        for rows, listed in zip((kring._relation_rows(graph, star=True),
-                                 bar_relations(graph)),
-                                listed_relations(graph)):
-            assert list(rows) == listed
-            assert len(rows) == len(listed)
+    star, bar = kring._relation_rows(graph, star=True), bar_relations(graph)
+    assert list(star) == [f"{v}*^2 - 1" for v in graph.labels] + [
+        f"{s}*{t}* - {s}* - {t}* + 1" for s, t in pairs]
+    assert list(bar) == [f"{v}~({v}~ + 2)" for v in graph.labels] + [
+        f"{s}~{t}~" for s, t in pairs]
+    assert len(star) == len(bar) == graph.n + len(pairs)
 
 
 def test_augmentation():

@@ -34,15 +34,35 @@ def check_schema(record, rungs, runs):
 
 
 def test_two_tiny_rungs_are_recorded():
-    record = ladder.run_ladder(os.path.dirname(LADDER), TINY, runs=2)
+    (record,) = ladder.run_ladders([os.path.dirname(LADDER)], TINY, runs=2)
     check_schema(record, TINY, 2)
     assert [r["exit"] for r in record["rungs"]] == [[0, 0], [0, 0]]
     assert json.loads(ladder.dump(record)) == record
 
 
+def test_two_trees_are_measured_in_turn(monkeypatch, tmp_path):
+    # each run of a rung takes the trees in turn, the order reversed on
+    # every other run, and each tree gets its own record
+    calls, once = [], ladder.run_once
+
+    def recording(argv, env, timeout, limit):
+        calls.append(env["PYTHONPATH"])
+        return once(argv, env, timeout, limit)
+    monkeypatch.setattr(ladder, "run_once", recording)
+    tree = os.path.dirname(LADDER)
+    other = tmp_path / "other"
+    other.symlink_to(tree)
+    records = ladder.run_ladders([tree, str(other)], TINY[:1], runs=3)
+    srcs = [os.path.join(tree, "src"), os.path.join(str(other), "src")]
+    assert calls == [srcs[0], srcs[1], srcs[1], srcs[0], srcs[0], srcs[1]]
+    for record in records:
+        check_schema(record, TINY[:1], 3)
+        assert record["rungs"][0]["exit"] == [0, 0, 0]
+
+
 def test_a_rung_past_its_timeout_is_recorded_as_timeout():
-    record = ladder.run_ladder(os.path.dirname(LADDER), TINY[:1], runs=1,
-                               timeout=0.001)
+    (record,) = ladder.run_ladders([os.path.dirname(LADDER)], TINY[:1],
+                                   runs=1, timeout=0.001)
     check_schema(record, TINY[:1], 1)
     assert record["rungs"][0]["exit"] == ["timeout"]
 
