@@ -4,7 +4,7 @@ graphs, up to the 64-vertex cap.
     python3 ladder/ladder.py --out ladder/BENCH_32.json
     python3 ladder/ladder.py --tree OTHER_CHECKOUT --out BENCH_31.json
     python3 ladder/ladder.py --tree OLD_CHECKOUT --tree . \
-        --out ladder/BENCH_47.json ladder/BENCH_48.json
+        --out ladder/BENCH_48_parent.json ladder/BENCH_50.json
     python3 ladder/ladder.py --compare OLD.json NEW.json
 
 Each rung is one CLI invocation, run as a child process under a
@@ -14,18 +14,17 @@ peak RSS from `os.wait4`, which reports that one child alone.  Given
 several trees (`--tree` repeated, one `--out` file each), each rung's
 runs take the trees in turn, the order reversed on every other run, so
 that a drift of a shared machine falls on every tree alike.  The file
-records, for each rung, its graph, subcommand and format, each run's
-exit code (or "timeout"), and the least and greatest wall seconds and
-peak MB; the Python version, run count, timeout and limit are recorded
-once.  The tree's sources are compiled before the first rung, so no
+records, for each rung, its graph, subcommand and format, and each
+run's exit code (or "timeout"), wall seconds and peak MB; the Python
+version, run count, timeout and limit are recorded once.  The tree's sources are compiled before the first rung, so no
 rung pays for writing bytecode.  Graph files are written to a
 temporary directory; the same name always gives the same graph.
 
 `--compare OLD NEW` prints, for each rung of NEW, the ratios NEW / OLD
-of the medians of its recorded wall seconds and peak MB (a file keeps
-the least and the greatest, so the median is their midpoint), and flags
-a changed exit code and a wall or MB range that does not overlap the
-other file's.
+of the medians of its recorded wall seconds and peak MB, and flags a
+changed exit code and a wall or MB range that does not overlap the
+other file's.  Files written before every run was recorded keep only
+the least and the greatest value, and are read by their midpoint.
 """
 
 import argparse
@@ -184,13 +183,12 @@ def run_ladders(trees, rungs=RUNGS, runs=RUNS, timeout=TIMEOUT_S,
                 codes, walls, peaks = zip(*result)
                 out.append({"graph": graph, "subcommand": sub,
                             "format": fmt, "exit": list(codes),
-                            "wall_s": [round(min(walls), 3),
-                                       round(max(walls), 3)],
-                            "peak_mb": [round(min(peaks), 1),
-                                        round(max(peaks), 1)]})
-                print("%-16s %-8s %-4s exit %s, %.2f-%.2f s, %.0f-%.0f MB"
-                      "  %s" % (graph, sub, fmt, codes, min(walls),
-                                max(walls), min(peaks), max(peaks), tree),
+                            "wall_s": [round(w, 3) for w in walls],
+                            "peak_mb": [round(m, 1) for m in peaks]})
+                print("%-16s %-8s %-4s exit %s, %.2f s, %.0f MB (median)"
+                      "  %s" % (graph, sub, fmt, codes,
+                                statistics.median(walls),
+                                statistics.median(peaks), tree),
                       file=sys.stderr)
     return [{"python": "%d.%d.%d" % sys.version_info[:3], "runs": runs,
              "timeout_s": timeout, "memory_limit_mb": limit >> 20,
@@ -225,8 +223,11 @@ def compare(old, new):
         if set(r["exit"]) != set(o["exit"]):
             line += "  EXIT %s -> %s" % (o["exit"], r["exit"])
         for m, name in (("wall_s", "WALL"), ("peak_mb", "MB")):
-            if r[m][1] < o[m][0] or o[m][1] < r[m][0]:
-                line += "  %s %s-%s -> %s-%s" % (name, *o[m], *r[m])
+            (o_low, o_high), (r_low, r_high) = ((min(x[m]), max(x[m]))
+                                                for x in (o, r))
+            if r_high < o_low or o_high < r_low:
+                line += "  %s %s-%s -> %s-%s" % (name, o_low, o_high,
+                                                  r_low, r_high)
         lines.append(line)
     now = {(r["graph"], r["subcommand"], r["format"]) for r in new["rungs"]}
     return lines + ["%-16s %-8s %-4s dropped rung" % key

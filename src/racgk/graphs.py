@@ -98,6 +98,13 @@ class Graph:
         """`clique_counts`, counted once per graph object."""
         return clique_counts(self)
 
+    @cached_property
+    def reach(self):
+        """A memo that `kring._bar_sum` fills on demand: a clique's mask
+        to `~(mask | common_neighbours(mask))`, the vertices no clique
+        multiplying it may hold."""
+        return {}
+
     def common_neighbours(self, mask):
         """The vertices adjacent to every vertex of the mask: all of them
         for the empty mask, and none of the mask's own."""

@@ -51,15 +51,17 @@ def _check_support(graph, support):
     labels, or by its mask if that lies outside the vertex range.
 
     The public constructors of `KRingElement` and `CompletedElement`
-    run it, and so do `multiply_bar` and `completed_multiply`, whose
-    `_bar_sum` reads a `bar_product` that may be patched, and
-    `mayer_vietoris_check`'s products.  A builder whose output is made
-    of cliques constructs by `_of_cliques` and skips it: `multiply_star`
+    run it on every key.  A builder whose output is made of cliques
+    constructs by `_of_cliques` and skips it: `multiply_star`
     (`_normalize_star` stops only at cliques), `convert_basis` (submasks
     of cliques), `group_ring_product` (`cliques_within`),
     `random_element` (the clique listing) and `cli.run_bgw`'s generators
     (one vertex each).  A wrong builder then shows in the ktheory
-    report's comparison with the group ring, not as a KRingError."""
+    report's comparison with the group ring, not as a KRingError.
+    `_bar_sum`, under `multiply_bar`, `completed_multiply` and
+    `mayer_vietoris_check`, proves a product on the union of its two
+    cliques a clique, and runs it only on the keys that some other
+    product reaches, as a patched `bar_product` may."""
     if not all(map(graph.is_clique, support)):
         bad = next(k for k in support if not graph.is_clique(k))
         raise KRingError("support %s is not a clique" % (
@@ -166,24 +168,36 @@ def bar_product(j, k):
     """(mask, coefficient) of the product of two bar monomials whose
     union is a clique: the union, times -2 per shared vertex, from
     s~^2 = -2 s~."""
-    return j | k, (-2) ** bin(j & k).count("1")
+    return j | k, (-2) ** (j & k).bit_count()
 
 
 def _bar_sum(graph, a, b):
     """The bar coordinate dict of the product of two bar coordinate
-    dicts, zero sums dropped.  The clique l joins the clique k when it
-    lies in k and the common neighbours of k; every other pair of
-    monomials multiplies to zero.  Each term is added straight into the
-    output; `bar_product` is looked up on the module at each call, so a
-    patched rule reaches it."""
-    out = {}
+    dicts keyed by cliques, zero sums dropped, its support checked.  The
+    clique l joins the clique k when it lies in k and the common
+    neighbours of k, that is, misses k's reach, read from the graph's
+    memo `Graph.reach`; every other pair of monomials multiplies to
+    zero.  Each term is added straight into the output.  `bar_product`
+    is looked up on the module at each call, so a patched rule reaches
+    it: a product on k | l is a clique, as l lies in k and its common
+    neighbours, and a key that some other product reaches is tested by
+    `_check_support`."""
+    out, off = {}, []
+    reach = graph.reach
     for k, ck in a.items():
-        outside = ~(k | graph.common_neighbours(k))
+        outside = reach.get(k)
+        if outside is None:
+            outside = reach[k] = ~(k | graph.common_neighbours(k))
         for l, cl in b.items():
             if not l & outside:
                 m, c = bar_product(k, l)
+                if m != k | l:
+                    off.append(m)
                 out[m] = out.get(m, 0) + c * ck * cl
-    return {m: c for m, c in out.items() if c}
+    out = {m: c for m, c in out.items() if c}
+    if off:
+        _check_support(graph, [m for m in out if m in off])
+    return out
 
 
 def multiply_bar(a, b):
@@ -191,7 +205,8 @@ def multiply_bar(a, b):
     a._check(b)
     if a.basis != BAR or b.basis != BAR:
         raise KRingError("multiply_bar needs bar-basis operands")
-    return KRingElement(a.graph, BAR, _bar_sum(a.graph, a.coeffs, b.coeffs))
+    return _of_cliques(KRingElement, a.graph, BAR,
+                       _bar_sum(a.graph, a.coeffs, b.coeffs))
 
 
 def group_ring_product(a, b):
@@ -245,30 +260,20 @@ def augmentation(a):
 
 def _relation_rows(graph, star):
     """The star or bar relations as `Rows`: one per vertex, then one per
-    non-edge {s, t}, s before t, made a vertex at a time from the
-    adjacency masks: s's later non-neighbours are the runs of labels
-    between its later neighbours, taken as slices."""
+    non-edge {s, t}, s before t, a group per s of its later
+    non-neighbours, read off the adjacency masks.  A row is
+    `t.join(parts)`: t*^2 - 1 or t~(t~ + 2) for the vertex t, and
+    s*t* - s* - t* + 1 or s~t~ for the non-edge."""
     labels, adj, n = graph.labels, graph.adj, graph.n
+    every = (1 << n) - 1
 
-    def batches():
-        yield ([f"{v}*^2 - 1" for v in labels] if star
-               else [f"{v}~({v}~ + 2)" for v in labels])
+    def groups():
+        yield ("", "*^2 - 1") if star else ("", "~(", "~ + 2)"), every
         for i, s in enumerate(labels):
-            near = adj[i] >> i + 1 << i + 1
-            if near.bit_count() == n - i - 1:
-                continue
-            later, start = [], i + 1
-            while near:
-                bit = near & -near
-                near ^= bit
-                j = bit.bit_length() - 1
-                later += labels[start:j]
-                start = j + 1
-            later += labels[start:]
-            yield ([f"{s}*{t}* - {s}* - {t}* + 1" for t in later] if star
-                   else [f"{s}~{t}~" for t in later])
-    return Rows(n + n * (n - 1) // 2 - len(graph.edges), batches,
-                "".join(labels))
+            if later := every & ~(adj[i] | (2 << i) - 1):
+                yield ((f"{s}*", f"* - {s}* - ", "* + 1") if star
+                       else (f"{s}~", "~")), later
+    return Rows(n + n * (n - 1) // 2 - len(graph.edges), groups, labels)
 
 
 def bar_relations(graph):
@@ -375,9 +380,10 @@ def complete(a, precision):
 def completed_multiply(a, b):
     """The product in the completed ring, summed by `_bar_sum`:
     `bar_product(0, k)` is (k, 1), so the bar terms carry the constants
-    too, and `_make` reduces the residues."""
+    too, and `_fill` reduces the residues."""
     a._check(b)
-    return a._make(_bar_sum(a.graph, a.coeffs, b.coeffs))
+    return _of_cliques(type(a), *a._ring,
+                       _bar_sum(a.graph, a.coeffs, b.coeffs))
 
 
 def clique_maps(graph, sub):
@@ -430,7 +436,7 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     """Rank inclusion-exclusion plus a randomized check, on bar
     coordinate dicts from `_draw`, that the coordinate projections,
     renamed through `clique_maps`, are ring maps split by monomial
-    inclusion; each product's support is tested as a ring element's is.
+    inclusion; each product's support is checked by `_bar_sum`.
     A failed identity is named in `detail`: its part, sample and
     identity, the first in the order checked.  A graph of more than
     `MV_CLIQUE_CAP` cliques is refused before any is listed, counted
@@ -451,9 +457,6 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
     def move(coeffs, cliques):
         return {cliques[k]: c for k, c in coeffs.items() if k in cliques}
 
-    def times(ring, a, b):
-        return _check_support(ring, _bar_sum(ring, a, b))
-
     whole = graph.cliques.__getitem__
     for part, (sub, d_sub) in enumerate(((g1, d1), (g2, d2)), 1):
         down, up = clique_maps(graph, sub)
@@ -464,10 +467,11 @@ def mayer_vietoris_check(graph, part1, part2, rng, samples=20):
             ix, iy = move(x, up), move(y, up)
             for key, identity, holds in (
                     ("projection_is_ring_map", "p(ab) = p(a)p(b)",
-                     move(times(graph, a, b), down)
-                     == times(sub, move(a, down), move(b, down))),
+                     move(_bar_sum(graph, a, b), down)
+                     == _bar_sum(sub, move(a, down), move(b, down))),
                     ("section_splits", "i(xy) = i(x)i(y)",
-                     move(times(sub, x, y), up) == times(graph, ix, iy)),
+                     move(_bar_sum(sub, x, y), up)
+                     == _bar_sum(graph, ix, iy)),
                     ("section_splits", "p(i(x)) = x", move(ix, down) == x)):
                 if not holds:
                     broken.add(key)

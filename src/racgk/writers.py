@@ -4,11 +4,14 @@ byte, for the JSON report.
 
 Both render every value outside a list longer than `CHUNK` before the
 first write, so such a value that cannot be rendered leaves the stream
-as it was.  A longer list at any depth, a `Rows` among them, is written
-`CHUNK` items at a time, so neither the report's whole text nor a list
-of its rows' texts is held; a value in it that cannot be rendered
-leaves the report written up to its chunk, as a stream that fails
-part-way does."""
+as it was.  A longer list at any depth is written `CHUNK` items at a
+time, and a longer `Rows` a group at a time, each group's rows joined
+in one text: a relation list's n vertex rows in one write, then each
+vertex's non-edge rows, at most n - 1, in one write each, and never
+more than `CHUNK` rows a write.  So neither the report's whole text nor
+a list of its rows' texts is held; a value in it that cannot be
+rendered leaves the report written up to its chunk, as a stream that
+fails part-way does."""
 
 import json
 from itertools import chain, islice
@@ -23,24 +26,80 @@ from types import GeneratorType
 CHUNK = 256
 
 
+# a character no plain label holds: the second place of a row's label
+# while `Rows.quoted` joins a group whose rows have three parts
+MARK = "\0"
+
+
 class Rows:
-    """A list of str made on demand: `len` is `count`, and iterating runs
-    through the str lists that `batches()` makes.  Each row is made of
-    the text of `alphabet` and of printable ASCII without `"` or
-    backslash, so whether the JSON quoting leaves every row alone is
-    decided once, from `alphabet`."""
+    """A list of str made on demand: for each `(parts, mask)` that
+    `groups()` yields, the row `t.join(parts)` for t the labels at the
+    set bits of `mask`, in order.  `len` is `count`.  A group's parts are
+    two or three str of printable ASCII without `"` or backslash, so
+    whether the JSON quoting leaves every row alone is decided once, from
+    the labels."""
 
-    __slots__ = ("count", "batches", "plain")
+    __slots__ = ("count", "groups", "labels", "plain")
 
-    def __init__(self, count, batches, alphabet):
-        self.count, self.batches = count, batches
-        self.plain = _plain(alphabet)
+    def __init__(self, count, groups, labels):
+        self.count, self.groups, self.labels = count, groups, labels
+        self.plain = _plain("".join(labels))
 
     def __len__(self):
         return self.count
 
     def __iter__(self):
-        return chain.from_iterable(self.batches())
+        for parts, mask in self.groups():
+            for t in _picked(self.labels, mask):
+                yield t.join(parts)
+
+    def quoted(self, sep):
+        """The rows' JSON strings joined by `sep`, as texts of at most
+        `CHUNK` rows of one group each, every text but the first led by
+        `sep`.  Plain labels take one join a text, the glue between two
+        labels the parts around them; three parts join the pieces
+        `t MARK t`, made once, and one `replace` puts the middle part in
+        place of MARK.  Other labels are quoted a row at a time."""
+        labels, plain, chunk = self.labels, self.plain, CHUNK
+        quote, lead, pieces = '"' + sep + '"', "", None
+        for parts, mask in self.groups():
+            if not mask:
+                continue
+            head, tail, twice = parts[0], parts[-1], len(parts) == 3
+            if plain and twice and pieces is None:
+                pieces = [t + MARK + t for t in labels]
+            items = _picked(pieces if plain and twice else labels, mask)
+            join = (tail + quote + head).join
+            for cut in (items,) if len(items) <= chunk else (
+                    items[i:i + chunk] for i in range(0, len(items), chunk)):
+                if not plain:
+                    yield lead + sep.join([encode_basestring_ascii(
+                        t.join(parts)) for t in cut])
+                elif twice:
+                    yield ('%s"%s%s%s"' % (lead, head, join(cut),
+                                           tail)).replace(MARK, parts[1])
+                else:
+                    yield '%s"%s%s%s"' % (lead, head, join(cut), tail)
+                lead = sep
+
+
+def _picked(seq, mask):
+    """The items of `seq` at the set bits of `mask`: the span from its
+    lowest to its highest set bit, a slice between each two clear bits
+    within it."""
+    if not mask:
+        return []
+    start, stop = (mask & -mask).bit_length() - 1, mask.bit_length()
+    gaps = ~mask & (1 << stop) - (1 << start)
+    out = []
+    while gaps:
+        bit = gaps & -gaps
+        gaps ^= bit
+        j = bit.bit_length() - 1
+        out += seq[start:j]
+        start = j + 1
+    out += seq[start:stop]
+    return out
 
 
 def render_text(report, out):
@@ -113,7 +172,7 @@ def _text(report, pad, parts):
         elif (type(v) is Rows or isinstance(v, list)) and len(v) > CHUNK:
             parts.append(_flat_chunks(head, v))
         elif type(v) is Rows:
-            parts.append("%s [%s]\n" % (head, _quoted(v, v.plain, ", ")))
+            parts.append("%s [%s]\n" % (head, "".join(v.quoted(", "))))
         else:
             parts.append("%s %s\n" % (head, _flat(v)))
 
@@ -129,15 +188,15 @@ def _text_chunks(report, pad):
 
 def _flat_chunks(head, rows):
     """`head [...]`, the line of a long list of scalars as `json.dumps`
-    writes it, `CHUNK` items at a time; a `Rows`' chunks by its one
-    plainness."""
-    plain = rows.plain if type(rows) is Rows else None
+    writes it, `CHUNK` items at a time, a `Rows` by its `quoted` texts."""
     yield head + " ["
-    lead = ""
-    for chunk in _chunks(rows):
-        yield lead + (json.dumps(chunk)[1:-1] if plain is None
-                      else _quoted(chunk, plain, ", "))
-        lead = ", "
+    if type(rows) is Rows:
+        yield from rows.quoted(", ")
+    else:
+        lead = ""
+        for chunk in _chunks(rows):
+            yield lead + json.dumps(chunk)[1:-1]
+            lead = ", "
     yield "]\n"
 
 
@@ -216,7 +275,7 @@ def _json(value, pad):
         inner = pad + "  "
         sep = "," + inner
         if type(value) is Rows:
-            return "[%s%s%s]" % (inner, _quoted(value, value.plain, sep), pad)
+            return "[%s%s%s]" % (inner, "".join(value.quoted(sep)), pad)
         kinds = set(map(type, value))
         # string lists: the types first, as a deeper list is unhashable
         if kinds <= {list, tuple} and _plain_strings(value):
@@ -254,25 +313,19 @@ def _json(value, pad):
     return scalar(value) if scalar else json.dumps(value)
 
 
-def _quoted(items, plain, sep):
-    """The JSON strings of str `items` joined by `sep`: by the join
-    itself if `plain`, else by the C quoting."""
-    if plain and items:
-        return '"%s"' % ('"' + sep + '"').join(items)
-    return sep.join(map(encode_basestring_ascii, items))
-
-
 def _json_chunks(value, pad):
     """A long list's JSON, `CHUNK` items at a time, each chunk as `_json`
-    writes a list of its items but for the brackets; a `Rows`' chunks
-    by its one plainness."""
-    plain = value.plain if type(value) is Rows else None
+    writes a list of its items but for the brackets; a `Rows` by its
+    `quoted` texts."""
     sep = ",%s  " % pad
     lead = "[%s  " % pad
+    if type(value) is Rows:
+        yield lead
+        yield from value.quoted(sep)
+        yield pad + "]"
+        return
     for chunk in _chunks(value):
-        if plain is not None:
-            yield lead + _quoted(chunk, plain, sep)
-        elif type(text := _json(chunk, pad)) is str:
+        if type(text := _json(chunk, pad)) is str:
             # but for its brackets, "[" and `pad + "  "`, and `pad + "]"`
             yield lead + text[len(pad) + 3:-len(pad) - 1]
         else:

@@ -11,7 +11,8 @@ from math import gcd
 import pytest
 
 from racgk import bredon, cli, kring
-from racgk.graphs import Graph, cliques_within, poset_chains, submasks
+from racgk.graphs import (Graph, cliques_within, parse_graph, poset_chains,
+                          submasks)
 from racgk.intlinalg import Lattice, accumulate, coboundary_factors
 from racgk.kring import (BAR, STAR, KRingElement, clique_maps, convert_basis,
                          ideal_power, random_element, restrict_to_clique)
@@ -791,6 +792,57 @@ def materialised(value):
     if isinstance(value, list):
         return [materialised(v) for v in value]
     return list(value) if isinstance(value, Rows) else value
+
+
+def assert_same_text(got, want, what=""):
+    """`got == want`, for report texts too long for pytest's own diff: a
+    mismatch names `what`, both lengths, the first offset at which they
+    differ and 80 characters either side of it in each."""
+    if got == want:
+        return
+    # the longest common prefix, by halving: each test one slice compare
+    low, high = 0, min(len(got), len(want))
+    while low < high:
+        mid = (low + high + 1) // 2
+        if got[:mid] == want[:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    window = slice(max(low - 80, 0), low + 80)
+    raise AssertionError(
+        "%stexts differ: %d against %d characters, first at offset %d\n"
+        "got:  %r\nwant: %r" % (what and "%s: " % (what,), len(got),
+                                len(want), low, got[window], want[window]))
+
+
+def listed_relations(graph):
+    """The star and bar relation rows, one per vertex, then one per
+    non-edge, each by its own f-string."""
+    pairs = nonedges(graph)
+    return ([f"{v}*^2 - 1" for v in graph.labels]
+            + [f"{s}*{t}* - {s}* - {t}* + 1" for s, t in pairs],
+            [f"{v}~({v}~ + 2)" for v in graph.labels]
+            + [f"{s}~{t}~" for s, t in pairs])
+
+
+def relation_graphs():
+    """(name, graph) for the relation lists' cases: plain labels; labels
+    with `"`, a backslash and a non-ASCII letter; an edge-list label
+    holding NUL; vertices adjacent to every later vertex; complete
+    graphs, with no non-edge row; and G(64, 0.05), about 1,900 rows."""
+    e = ['a"b', "c\\d", "\u00e9", "x"]
+    v = ["v%d" % i for i in range(7)]
+    return [
+        ("Petersen", petersen_graph()),
+        ("escapes", Graph(e, [e[:2], e[1:3], e[2:], [e[0], e[2]]])),
+        ("NUL", parse_graph("a\0b c d e; a\0b-c c-d")),
+        # v0 and v3 are adjacent to every later vertex, v6 has none later
+        ("later-neighbours", Graph(v, [(v[0], x) for x in v[1:]] + [
+            (v[3], x) for x in v[4:]] + [(v[1], v[2])])),
+        ("K1", complete_graph(1)),
+        ("K5", complete_graph(5)),
+        ("G(64, 0.05)", random_graph(64, 0.05)),
+    ]
 
 
 def written(writer, value):

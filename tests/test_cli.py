@@ -20,12 +20,13 @@ from racgk import bredon, cli, graphs, intlinalg, kring, writers
 from racgk.cli import main
 from racgk.graphs import Graph
 from racgk.writers import Rows, dump_json
-from conftest import (complete_graph, cubical_bredon_complex, cycle_graph,
-                      dense_differentials, glue64, graph_suite,
-                      materialised, neighbourhood_split,
-                      per_item_render_text,
+from conftest import (assert_same_text, complete_graph,
+                      cubical_bredon_complex, cycle_graph,
+                      dense_differentials, glue64, glued_graph, graph_suite,
+                      listed_relations, materialised, neighbourhood_split,
+                      nonedges, per_item_render_text,
                       path_graph, perfbench_module, petersen_graph,
-                      random_graph, written)
+                      random_graph, relation_graphs, written)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPH_SUBCOMMANDS = ["ktheory", "bgw", "bredon", "limit", "all"]
@@ -747,8 +748,8 @@ def assert_writer_is_json_dumps(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "dump_json", recording)
     main(argv + ["--format", "json"])
     (payload,) = payloads
-    assert capsys.readouterr().out == json.dumps(
-        materialised(payload), indent=2, sort_keys=True) + "\n", argv
+    assert_same_text(capsys.readouterr().out, json.dumps(
+        materialised(payload), indent=2, sort_keys=True) + "\n", argv)
 
 
 @pytest.mark.parametrize("graph, part", [
@@ -790,8 +791,8 @@ def test_text_writer_is_the_per_item_writer(monkeypatch, capsys, tmp_path,
     monkeypatch.setattr(cli, "render_text", recording)
     assert main([sub] + argv) == 0
     (payload,) = payloads
-    assert capsys.readouterr().out == "\n".join(
-        per_item_render_text(materialised(payload))) + "\n"
+    assert_same_text(capsys.readouterr().out, "\n".join(
+        per_item_render_text(materialised(payload))) + "\n")
 
 
 @pytest.mark.parametrize("argv", [["counterexample"], ["kunneth"]])
@@ -1064,15 +1065,17 @@ def straddling_values():
         labels = ["x%d" % i for i in range(n)]
         escaped = labels[:-1] + ['a"b\u00e9'] if n else []
 
-        def batches(labels=labels):
-            # uneven batches, as the vertices' non-edges are
-            for i in range(0, len(labels), 5):
-                yield labels[i:i + 5]
+        def groups(n=n):
+            # uneven groups, as the vertices' non-edges are, of rows
+            # with their label twice
+            for i in range(0, n, 5):
+                yield ("y:", "-", ""), (1 << min(i + 5, n)) - (1 << i)
         values.append({
             "ktheory": {"clique_basis": rows, "generators": labels,
-                        "star_relations": Rows(n, batches, "".join(labels)),
+                        "star_relations": Rows(n, groups, labels),
                         "rank": n},
-            "bgw": {"bar_relations": Rows(n, lambda e=escaped: [e], "\\"),
+            "bgw": {"bar_relations": Rows(n, lambda n=n: [
+                        (("", ""), (1 << n) - 1)], escaped),
                     "ok": True},
             "limit": {"rho": {"factors": [1] * n, "empty": []},
                       "levels": [rows, labels, [{"k": i} for i in range(n)]]},
@@ -1091,7 +1094,7 @@ def test_streamed_writers_match_the_whole_value_writers(value):
             (dump_json, json.dumps(listed, indent=2, sort_keys=True)),
             (writers.render_text,
              "\n".join(per_item_render_text(listed)) + "\n")):
-        assert written(writer, value) == whole
+        assert_same_text(written(writer, value), whole)
 
 
 class RecordingStream(io.StringIO):
@@ -1126,18 +1129,87 @@ def test_no_write_holds_more_than_one_chunk_of_a_long_list(
     monkeypatch.setattr(sys, "stdout", stream)
     assert main(["ktheory", "--input", path, "--format", fmt]) == 0
     row = "\n    [" if fmt == "json" else "\n- ["
-    relation = re.compile(r'"[^"\n]*[~*][^"\n]*"')
     for text in stream.writes:
         assert text.count(row) <= writers.CHUNK
-        assert len(relation.findall(text)) <= writers.CHUNK
+    assert_a_vertex_a_write(stream.writes, graph)
     (payload,) = payloads
     rows, relations = len(payload["clique_basis"]), len(
         payload["bar_relations"])
     assert len(stream.writes) > max(rows, relations) // writers.CHUNK
     listed = materialised(payload)
-    assert stream.getvalue() == (
+    assert_same_text(stream.getvalue(), (
         json.dumps(listed, indent=2, sort_keys=True) + "\n" if fmt == "json"
-        else "\n".join(per_item_render_text(listed)) + "\n")
+        else "\n".join(per_item_render_text(listed)) + "\n"))
+
+
+# a JSON string, as both writers quote one
+JSON_STRING = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+
+
+def assert_a_vertex_a_write(writes, graph):
+    """No write holds more than `CHUNK` rows of a relation list of `graph`
+    longer than `CHUNK`, nor rows of two of its groups: the vertex rows,
+    or one vertex's non-edge rows.  A shorter list is written whole."""
+    group = {}
+    for kind, rows in enumerate(listed_relations(graph)):
+        if len(rows) <= writers.CHUNK:
+            continue
+        group.update((row, (kind, None)) for row in rows[:graph.n])
+        group.update((row, (kind, s)) for row, (s, _t) in zip(
+            rows[graph.n:], nonedges(graph)))
+    for text in writes:
+        keys = [group[row] for row in map(json.loads,
+                                          JSON_STRING.findall(text))
+                if row in group]
+        assert len(keys) <= writers.CHUNK, text[:200]
+        assert len(set(keys)) <= 1, text[:200]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, writers.CHUNK])
+@pytest.mark.parametrize("graph", [
+    pytest.param(graph, id=name) for name, graph in relation_graphs()])
+def test_relation_text_is_the_per_row_rendering(monkeypatch, graph, chunk):
+    # both writers, a group per write once the list is longer than a
+    # chunk, against each row by its f-string; at the top and nested in
+    # `all`, at a deeper indent
+    monkeypatch.setattr(writers, "CHUNK", chunk)
+    report = kring.presentation_report(graph)
+    star, bar = listed_relations(graph)
+    listed = dict(report, star_relations=star, bar_relations=bar)
+    for value, want in ((report, listed),
+                        ({"all": {"ktheory": report}},
+                         {"all": {"ktheory": listed}})):
+        for writer, text in (
+                (dump_json, json.dumps(want, indent=2, sort_keys=True)),
+                (writers.render_text,
+                 "\n".join(per_item_render_text(want)) + "\n")):
+            stream = RecordingStream()
+            writer(value, stream)
+            assert_same_text(stream.getvalue(), text)
+            assert_a_vertex_a_write(stream.writes, graph)
+
+
+# sha256 of the ring-lattice deck's glued-64 reports at seed 0, whose
+# relation lists hold about 2,000 rows each
+GLUED_64_SHA256 = {
+    ("ktheory", "json"):
+        "57be28827e39b0b97e070b0f3adec4e80d0eb599d020e97361bf78dd609fc59b",
+    ("ktheory", "text"):
+        "7377d18bbef86afee9aa5ffa9b234b9d6d7dcd452536f3eb67d1c34b7fa0fe0a",
+    ("bgw", "json"):
+        "659ede210dd14b5ea67806d5a7e18fddd317f0f8efca4ffb0ba423799f1a0b51",
+    ("bgw", "text"):
+        "ded39337d62895211e827e8abd6b7bf17a03266de153942008d8e5d0f6fb2a27",
+}
+
+
+@pytest.mark.parametrize("sub, fmt", sorted(GLUED_64_SHA256))
+def test_glued_64_reports_are_pinned(capsys, tmp_path, sub, fmt):
+    path = graph_file(tmp_path, "glued-64", glued_graph("glued-64"))
+    assert main([sub, "--input", path, "--format", fmt, "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GLUED_64_SHA256[
+        sub, fmt]
 
 
 @pytest.mark.parametrize("chunk", [1, 3])

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
-from racgk import kring
-from racgk.graphs import enumerate_spherical, parse_graph
+from racgk import kring, writers
+from racgk.graphs import Graph, enumerate_spherical, parse_graph
 from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          KRingError, augmentation, bar_relations, complete,
                          completed_multiply, convert_basis, ideal_power,
@@ -16,10 +17,11 @@ from racgk.repring import RepRingElement, rep_multiply
 from conftest import (assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles, bgw_indices,
                       complete_graph, cycle_graph, glued_graph, graph_suite,
-                      include_from_part, min_first_normalize_star,
-                      nonedges, path_graph, product_ideal_power,
+                      include_from_part, listed_relations,
+                      min_first_normalize_star, nonedges,
+                      pairwise_bar_product, path_graph, product_ideal_power,
                       project_to_part, random_graph,
-                      reference_random_element, subset_key)
+                      reference_random_element, relation_graphs, subset_key)
 
 PATH = parse_graph("s t u; s-t t-u")
 NONEDGE = parse_graph("s t; ")
@@ -226,15 +228,35 @@ def test_presentation_report():
                  (64, 0.95))] + [
     pytest.param(complete_graph(n), id="K%d" % n) for n in (20, 64)])
 def test_relations_list_the_nonedges_in_vertex_order(graph):
-    # made a vertex at a time: runs of non-neighbours between the later
-    # neighbours, on sparse and dense graphs
-    pairs = nonedges(graph)
+    # a group per vertex, a slice per run of its later non-neighbours, on
+    # sparse and dense graphs
     star, bar = kring._relation_rows(graph, star=True), bar_relations(graph)
-    assert list(star) == [f"{v}*^2 - 1" for v in graph.labels] + [
-        f"{s}*{t}* - {s}* - {t}* + 1" for s, t in pairs]
-    assert list(bar) == [f"{v}~({v}~ + 2)" for v in graph.labels] + [
-        f"{s}~{t}~" for s, t in pairs]
-    assert len(star) == len(bar) == graph.n + len(pairs)
+    listed_star, listed_bar = listed_relations(graph)
+    assert list(star) == listed_star
+    assert list(bar) == listed_bar
+    assert len(star) == len(bar) == graph.n + len(nonedges(graph))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+@pytest.mark.parametrize("graph", [
+    pytest.param(graph, id=name) for name, graph in relation_graphs()])
+def test_quoted_relations_are_a_text_per_vertex(monkeypatch, graph, chunk):
+    # the vertex rows, then each vertex's non-edge rows, cut at `CHUNK`
+    # rows, each text its rows' JSON strings joined by the separator and
+    # led by it but for the first
+    monkeypatch.setattr(writers, "CHUNK", chunk)
+    pairs, n = nonedges(graph), graph.n
+    for rows, listed in zip(
+            (kring._relation_rows(graph, star=True), bar_relations(graph)),
+            listed_relations(graph)):
+        groups = [listed[:n]] + [
+            [row for row, (s, _t) in zip(listed[n:], pairs) if s == v]
+            for v in graph.labels]
+        for sep in (", ", ",\n      "):
+            texts = [sep.join(map(json.dumps, group[i:i + chunk]))
+                     for group in groups for i in range(0, len(group), chunk)]
+            assert list(rows.quoted(sep)) == texts[:1] + [
+                sep + text for text in texts[1:]]
 
 
 def test_augmentation():
@@ -594,3 +616,33 @@ def test_a_product_off_the_cliques_is_refused(monkeypatch):
                        "clique"):
         mayer_vietoris_check(path_graph(3), ["v0", "v1"], ["v1", "v2"],
                              random.Random(47))
+
+
+def test_a_product_off_the_cliques_is_refused_by_each_multiplication(
+        monkeypatch):
+    # the same rule as above, through the ring elements' products
+    graph = path_graph(3)
+    a = KRingElement.generator(graph, "v0", BAR)
+    monkeypatch.setattr(kring, "bar_product", lambda j, k: (0b101, 1))
+    for product in (lambda: multiply_bar(a, a),
+                    lambda: completed_multiply(complete(a, 4),
+                                               complete(a, 4))):
+        with pytest.raises(KRingError, match=r"^support \('v0', 'v2'\) is "
+                           "not a clique$"):
+            product()
+
+
+def test_each_graph_multiplies_by_its_own_edges():
+    # equal masks on graphs with other edges: the reach of a clique read
+    # in one graph is not read in the other
+    path = path_graph(3)
+    other = Graph(path.labels, [("v0", "v2"), ("v1", "v2")])
+    for graph in (path, other, path):
+        a, b = (KRingElement.generator(graph, v, BAR) for v in ("v0", "v1"))
+        for x, y in ((a, b), (a + b, a + b)):
+            assert multiply_bar(x, y).coeffs == pairwise_bar_product(
+                graph, x.coeffs, y.coeffs)
+    assert multiply_bar(*(KRingElement.generator(path, v, BAR)
+                          for v in ("v0", "v1"))).coeffs == {0b11: 1}
+    assert not multiply_bar(*(KRingElement.generator(other, v, BAR)
+                              for v in ("v0", "v1"))).coeffs

@@ -29,8 +29,12 @@ def check_schema(record, rungs, runs):
                           "peak_mb"}
         assert len(r["exit"]) == runs
         assert all(c == "timeout" or isinstance(c, int) for c in r["exit"])
-        for low, high in (r["wall_s"], r["peak_mb"]):
-            assert 0 < low <= high
+        for values in (r["wall_s"], r["peak_mb"]):
+            # each run's value, or, in a file written before each run was
+            # recorded, the least and the greatest
+            assert len(values) == runs or (
+                len(values) == 2 and values[0] <= values[1])
+            assert min(values) > 0
 
 
 def test_two_tiny_rungs_are_recorded():
@@ -38,6 +42,8 @@ def test_two_tiny_rungs_are_recorded():
     check_schema(record, TINY, 2)
     assert [r["exit"] for r in record["rungs"]] == [[0, 0], [0, 0]]
     assert json.loads(ladder.dump(record)) == record
+    assert all(len(r["wall_s"]) == len(r["peak_mb"]) == 2
+               for r in record["rungs"])
 
 
 def test_two_trees_are_measured_in_turn(monkeypatch, tmp_path):
@@ -74,7 +80,8 @@ def committed(name):
 
 @pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json",
                                   "BENCH_37.json", "BENCH_38.json",
-                                  "BENCH_47.json", "BENCH_48.json"])
+                                  "BENCH_47.json", "BENCH_48.json",
+                                  "BENCH_48_parent.json", "BENCH_50.json"])
 def test_committed_ladder_files_follow_the_schema(name):
     # each file against its own rungs, so that a new rung leaves the
     # committed files valid; each rung is one the runner can still run
@@ -115,3 +122,19 @@ def test_compare_flags_exit_codes_and_ranges_apart(capsys):
     assert lines[-2].split() == ["k14", "bredon", "text", "new", "rung"]
     assert lines[-1].split() == ["c64-complement", "bredon", "text",
                                  "dropped", "rung"]
+
+
+def test_compare_takes_the_median_of_every_run():
+    # one slow run of three moves the median not at all; a file of the
+    # least and greatest values is read by their midpoint
+    old = committed("BENCH_48.json")
+    rung = dict(old["rungs"][0], wall_s=[0.2, 0.2, 1.0],
+                peak_mb=[10.0, 10.0, 10.0])
+    new = dict(old, rungs=[rung])
+    ranged = dict(old, rungs=[dict(rung, wall_s=[0.2, 1.0],
+                                   peak_mb=[5.0, 15.0])])
+    assert ladder.compare(dict(new, rungs=[dict(
+        rung, wall_s=[0.2, 0.3, 0.2])]), new)[0].endswith(
+        "wall 1.00x, MB 1.00x")
+    assert ladder.compare(ranged, new)[0].endswith("wall 0.33x, MB 1.00x")
+    assert ladder.compare(new, ranged)[0].endswith("wall 3.00x, MB 1.00x")

@@ -30,6 +30,7 @@ from racgk.kring import (BAR, STAR, CompletedElement, KRingElement,
                          mayer_vietoris_check, multiply_bar, multiply_star,
                          presentation_report)
 from racgk.repring import RepRingElement, RepRingError
+from racgk import writers
 from racgk.writers import dump_json, render_text
 from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       assert_ideal_powers_match_oracles,
@@ -37,8 +38,8 @@ from conftest import (apex_lattice, assert_clique_maps_match_labels,
                       cube_ranks, cubical_bredon_complex,
                       dense_bredon_complex, dense_differentials,
                       label_order_counts, label_route_induced,
-                      min_first_normalize_star, neighbourhood_split,
-                      nonedges,
+                      listed_relations, min_first_normalize_star,
+                      neighbourhood_split,
                       order_bredon_complex, pairwise_bar_product,
                       per_degree_cohomology, per_item_render_text,
                       product_ideal_power, subset_key, supersets,
@@ -219,17 +220,31 @@ def test_the_clique_bound_is_at_least_d(graph):
 @given(graphs(max_vertices=12, label=LABELS))
 def test_relations_made_a_vertex_at_a_time_are_the_listed_ones(graph):
     report = presentation_report(graph)
-    pairs = nonedges(graph)
-    star = ([f"{v}*^2 - 1" for v in graph.labels]
-            + [f"{s}*{t}* - {s}* - {t}* + 1" for s, t in pairs])
-    bar = ([f"{v}~({v}~ + 2)" for v in graph.labels]
-           + [f"{s}~{t}~" for s, t in pairs])
+    star, bar = listed_relations(graph)
     for rows, listed in ((report["star_relations"], star),
                          (report["bar_relations"], bar)):
         assert list(rows) == listed
         assert len(rows) == len(listed)
         # made again on each pass
         assert list(rows) == listed
+
+
+@LAWS
+@given(graphs(max_vertices=12, label=LABELS), st.sampled_from([1, 3, 256]))
+def test_relation_text_is_the_per_row_rendering(graph, chunk):
+    # a vertex's rows joined in one text, or, for labels the quoting
+    # changes, quoted a row at a time, at the top and nested deeper
+    report = presentation_report(graph)
+    star, bar = listed_relations(graph)
+    listed = dict(report, star_relations=star, bar_relations=bar)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(writers, "CHUNK", chunk)
+        for value, want in ((report, listed),
+                            ({"all": [report]}, {"all": [listed]})):
+            assert written(dump_json, value) == json.dumps(
+                want, indent=2, sort_keys=True)
+            assert written(render_text, value) == "\n".join(
+                per_item_render_text(want)) + "\n"
 
 
 @LAWS
